@@ -156,16 +156,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
         mapping["mode"] = args.mode
         if args.aspects:
             mapping["aspects"] = [_dash(a.strip()) for a in args.aspects.split(",") if a.strip()]
+        mapping["include_future_actions"] = args.include_future_actions
     mapping["membership"] = _dash(args.membership)
     if args.lang:
         mapping["lang"] = args.lang
     mapping["k"] = args.k
     mapping["language_fallback"] = not args.no_fallback
     query = evaluation.build_query(_PATTERNS[args.pattern], mapping)
-    if getattr(args, "include_future_actions", False):
-        from dataclasses import replace
-
-        query = replace(query, include_future_actions=True)
     clock = date.fromisoformat(args.clock) if args.clock else date.today()
     answer = planner.run(graph, query, clock)
     if args.json:

@@ -92,6 +92,7 @@ def build_query(pattern: QueryPattern, mapping: dict) -> StructuredQuery:
         mode=RetrievalMode(mapping.get("mode", "vector")),
         aspects=aspects,
         language_fallback=bool(mapping.get("language_fallback", True)),
+        include_future_actions=bool(mapping.get("include_future_actions", False)),
     )
 
 

@@ -17,6 +17,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from datetime import date
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -49,7 +50,6 @@ from .model import (
     WorkNode,
     clv_id,
     ctv_id,
-    interval_contains,
     metadata_tuple,
 )
 from .store import GraphStore
@@ -65,7 +65,9 @@ FORMAT_VERSION = 1
 _PRESENTATION_KEYS = frozenset({"label", "title", "short_title", "language", "heading"})
 
 
+@cache
 def _load_locale(language: str) -> dict:
+    """The locale's templates, read once per language; callers must not mutate them."""
     # Only English templates ship; every language falls back to them.
     base = resources.files("normgraph").joinpath("locales")
     candidate = base.joinpath(f"{language}.json")
@@ -852,11 +854,7 @@ def add_language(store: GraphStore, norm: str, translations: dict[str, str] | No
         urn = f"{norm}{FRAGMENT_SEP}{fragment}" if fragment else norm
         if urn not in store.works:
             raise UnknownWork(urn)
-        target = next(
-            (store.ctvs[cid] for cid in store.versions.get(urn, ())
-             if interval_contains(store.ctvs[cid].validity, at)),
-            None,
-        )
+        target = store.version_at(urn, at)
         if target is None:
             raise UnknownWork(f"{urn} has no version valid on {at.isoformat()}")
         if store.content_clv(target.id, language) is not None:

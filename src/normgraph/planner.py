@@ -11,6 +11,7 @@ clock) inputs produce byte-identical answers.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
@@ -423,7 +424,8 @@ class ProvenanceChain:
 
 def _assemble_chain(store: GraphStore, work: str, post_ctv: str) -> ProvenanceChain:
     chain = store.versions.get(work, [])
-    index = chain.index(post_ctv)
+    index = bisect_left(chain, store.ctvs[post_ctv].validity.valid_start,
+                        key=lambda cid: store.ctvs[cid].validity.valid_start)
     pre_ctv = chain[index - 1] if index > 0 else None
     actions: list[str] = []
     if pre_ctv is not None:

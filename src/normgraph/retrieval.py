@@ -135,11 +135,7 @@ def _content_candidates(store: GraphStore, req: RetrievalRequest,
                         requested: str | None) -> list[_Candidate]:
     out: list[_Candidate] = []
     for urn in sorted(req.scope):
-        tv = next(
-            (store.ctvs[cid] for cid in store.versions.get(urn, ())
-             if interval_contains(store.ctvs[cid].validity, req.t)),
-            None,
-        )
+        tv = store.version_at(urn, req.t)
         if tv is None:
             continue
         languages = store.clvs_by_ctv.get(tv.id, {})
@@ -305,8 +301,6 @@ class SpanLocation:
 
 
 def _contains_tokens(haystack: list[str], needle: list[str]) -> bool:
-    if not needle:
-        return False
     n = len(needle)
     return any(haystack[i:i + n] == needle for i in range(len(haystack) - n + 1))
 
@@ -317,22 +311,34 @@ def locate_spans(store: GraphStore, term: str, scope: Iterable[str],
 
     ``first_containing`` marks versions whose predecessor lacks the term:
     the introduction points that provenance chains are anchored on.
+    Membership is read from the committed store's term index: a unit
+    contains the term only if it is in the postings of every distinct
+    needle token, and only multi-token needles re-read the unit's text to
+    check adjacency.
     """
     needle = tokenize(term)
+    postings = [store.term_index.get(token) for token in dict.fromkeys(needle)]
+    if not needle or not all(postings):
+        return []
+    phrase = len(needle) > 1
     out: list[SpanLocation] = []
     for urn in sorted(set(scope)):
         previous_contains = False
+        primary = None
         for cid in store.versions.get(urn, ()):
-            languages = store.clvs_by_ctv.get(cid, {})
+            languages = store.clvs_by_ctv.get(cid)
             lv_id = None
             if languages:
-                primary = store.primary_language(urn)
+                if primary is None:
+                    primary = store.primary_language(urn)
                 lv_id = languages.get(language or primary) or languages.get(primary)
             if lv_id is None:
                 previous_contains = False
                 continue
-            text = store.units[store.clvs[lv_id].text_unit].text
-            contains = _contains_tokens(tokenize(text), needle)
+            uid = store.clvs[lv_id].text_unit
+            contains = all(uid in p for p in postings)
+            if contains and phrase:
+                contains = _contains_tokens(tokenize(store.units[uid].text), needle)
             if contains:
                 out.append(SpanLocation(urn, cid, first_containing=not previous_contains))
             previous_contains = contains

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
@@ -32,6 +33,7 @@ from .model import (
     WorkId,
     WorkKind,
     WorkNode,
+    interval_contains,
     validate_graph,
 )
 
@@ -80,6 +82,8 @@ class GraphStore:
     clvs_by_ctv: dict[str, dict[str, str]] = field(default_factory=dict, compare=False)
     alias_index: dict[str, set[str]] = field(default_factory=dict, compare=False)
     fragment_index: dict[str, set[str]] = field(default_factory=dict, compare=False)
+    # Works are never replaced once added, so a urn's primary language is fixed.
+    _primary_languages: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
     load_violations: list[Violation] = field(default_factory=list, compare=False)
 
     # -- mutation (ingestion only) -------------------------------------
@@ -139,10 +143,6 @@ class GraphStore:
             raise ValueError(f"action {action.id!r} already exists")
         self.actions[action.id] = action
         self._index_action(action)
-
-    def replace_action(self, action: ActionNode) -> None:
-        self._assert_mutable()
-        self.actions[action.id] = action
 
     def add_unit(self, unit: TextUnit) -> None:
         self._assert_mutable()
@@ -240,6 +240,19 @@ class GraphStore:
             raise UnknownWork(urn)
         return [self.ctvs[cid] for cid in self.versions.get(urn, ())]
 
+    def version_at(self, urn: str, t: date) -> TemporalVersion | None:
+        """The version of ``urn`` valid on ``t``, or None before, between or after.
+
+        Chains are sorted by valid_start and tile time, so the only candidate
+        is the last version starting on or before ``t``.
+        """
+        chain = self.versions.get(urn, ())
+        index = bisect_right(chain, t, key=lambda cid: self.ctvs[cid].validity.valid_start)
+        if index == 0:
+            return None
+        tv = self.ctvs[chain[index - 1]]
+        return tv if interval_contains(tv.validity, t) else None
+
     def content_clv(self, ctv: str, language: str) -> LanguageVersion | None:
         lv_id = self.clvs_by_ctv.get(ctv, {}).get(language)
         return self.clvs[lv_id] if lv_id else None
@@ -248,7 +261,11 @@ class GraphStore:
         return self.work(self.work(urn).id.norm_urn)
 
     def primary_language(self, urn: str) -> str:
-        return self.norm_of(urn).meta("language", "en") or "en"
+        language = self._primary_languages.get(urn)
+        if language is None:
+            language = self.norm_of(urn).meta("language", "en") or "en"
+            self._primary_languages[urn] = language
+        return language
 
     def descendants(self, urn: str) -> list[str]:
         """The work itself plus its whole subtree, depth-first in ordinal order."""

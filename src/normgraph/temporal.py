@@ -13,7 +13,7 @@ from enum import Enum
 from datetime import date
 
 from .errors import MissingLanguage, NotYetEnacted, RepealedAt, UnknownEntry
-from .model import TemporalVersion, interval_contains
+from .model import TemporalVersion
 from .store import GraphStore
 
 
@@ -77,15 +77,15 @@ def resolve_instant(scope: TemporalScope, clock: date) -> date:
 
 def ctv_at(store: GraphStore, work: str, t: date) -> TemporalVersion:
     """The unique temporal version of ``work`` whose interval contains ``t``."""
+    tv = store.version_at(work, t)
+    if tv is not None:
+        return tv
     chain = store.versions_of(work)
     if not chain:
         raise NotYetEnacted(work, t)
     first = chain[0]
     if t < first.validity.valid_start:
         raise NotYetEnacted(work, t, first_start=first.validity.valid_start)
-    for tv in chain:
-        if interval_contains(tv.validity, t):
-            return tv
     last = chain[-1]
     raise RepealedAt(work, t, repealed_end=last.validity.valid_end)
 
@@ -113,10 +113,7 @@ class ScopeResult:
 
 
 def alive_at(store: GraphStore, urn: str, t: date) -> bool:
-    return any(
-        interval_contains(store.ctvs[cid].validity, t)
-        for cid in store.versions.get(urn, ())
-    )
+    return store.version_at(urn, t) is not None
 
 
 def _existed_during(store: GraphStore, urn: str, t1: date, t2: date) -> bool:

@@ -188,3 +188,24 @@ class TestMoreEdges:
                      "--target", "art7", "--at", "2014-01-01",
                      "--lang", "en", "--no-fallback"])
         assert code == 2  # MissingLanguage: art7 has no English wording
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_include_future_actions_flag_reaches_the_request(
+            self, snapshot_file, monkeypatch, flag):
+        from normgraph import planner
+
+        requests = []
+
+        def recording_search(store, request):
+            requests.append(request)
+            return real_search(store, request)
+
+        real_search = planner.scoped_search
+        monkeypatch.setattr(planner, "scoped_search", recording_search)
+        argv = ["query", "retrieve", "--snapshot", str(snapshot_file),
+                "--text", "food", "--target", "art6", "--at", "2001-01-01",
+                "--aspects", "content,action_description"]
+        if flag:
+            argv.append("--include-future-actions")
+        assert main(argv) == 0
+        assert [r.include_future_actions for r in requests] == [flag]

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
-from datetime import date
+import random
+from datetime import date, timedelta
 
-from normgraph.ingest import enact, parse_document
-from normgraph.model import interval_contains, validate_graph
-from normgraph.store import GraphStore, load, save
-from normgraph.temporal import ctv_at, snapshot_text
+import pytest
+
+from normgraph.errors import NotYetEnacted, RepealedAt
+from normgraph.ingest import add_language, enact, parse_document
+from normgraph.model import ActionType, interval_contains, validate_graph
+from normgraph.planner import _assemble_chain
+from normgraph.retrieval import (
+    RetrievalRequest,
+    SpanLocation,
+    _content_candidates,
+    locate_spans,
+)
+from normgraph.store import GraphStore, load, save, tokenize
+from normgraph.temporal import alive_at, ctv_at, snapshot_text
 
 import synthcorpus
 from test_ingest import amendment_file, apply_file, mini_doc
@@ -136,3 +147,185 @@ class TestSnapshotRoundTripOnSyntheticCorpora:
         loaded = load(path)
         assert loaded.units == store.units
         assert "educação" in path.read_text(encoding="utf-8")
+
+
+# -- index-backed lookups against brute-force references ---------------------------
+
+_SPANISH = dict(zip(synthcorpus.WORDS, [
+    "alfa", "beta", "gama", "delta", "omega", "derechos", "deber", "impuesto",
+    "tierra", "agua", "comercio", "salud", "caminos", "escuela", "tribunal",
+]))
+
+
+def _committed_store(seed: int) -> tuple[synthcorpus.SynthCorpus, GraphStore]:
+    """A synthetic norm with Spanish wording on some of its enacted provisions."""
+    corpus = synthcorpus.generate_corpus(seed)
+    store = synthcorpus.build_store(corpus)
+    translations = {}
+    for urn in store.descendants(corpus.norm_urn)[1::2]:
+        tv = _linear_version(store, urn, corpus.enactment)
+        lv = store.content_clv(tv.id, "en") if tv else None
+        if lv is not None:
+            text = store.units[lv.text_unit].text
+            translations[store.works[urn].id.fragment] = " ".join(
+                _SPANISH.get(token, token) for token in tokenize(text))
+    add_language(store, corpus.norm_urn, translations, "es", at=corpus.enactment)
+    store.commit()
+    return corpus, store
+
+
+def _reference_spans(store: GraphStore, term: str, scope, language=None) -> list[SpanLocation]:
+    """Re-tokenize every in-scope version's text and slide the needle over it."""
+    needle = tokenize(term)
+    n = len(needle)
+    out: list[SpanLocation] = []
+    for urn in sorted(set(scope)):
+        previous = False
+        for cid in store.versions.get(urn, ()):
+            languages = store.clvs_by_ctv.get(cid, {})
+            primary = store.works[store.works[urn].id.norm_urn].meta("language", "en")
+            lv_id = languages.get(language or primary) or languages.get(primary)
+            if lv_id is None:
+                previous = False
+                continue
+            tokens = tokenize(store.units[store.clvs[lv_id].text_unit].text)
+            contains = n > 0 and any(tokens[i:i + n] == needle
+                                     for i in range(len(tokens) - n + 1))
+            if contains:
+                out.append(SpanLocation(urn, cid, first_containing=not previous))
+            previous = contains
+    return out
+
+
+def _probe_terms(store: GraphStore, rng: random.Random) -> list[str]:
+    texts = sorted(unit.text for unit in store.units.values())
+    terms = list(synthcorpus.WORDS) + ["agua", "zebra", "", "!!", "Water", "version"]
+    for text in rng.sample(texts, min(6, len(texts))):
+        tokens = tokenize(text)
+        i = rng.randrange(len(tokens) - 1)
+        terms.append(" ".join(tokens[i:i + rng.randint(2, 3)]))  # adjacent phrase
+        terms.append(f"{tokens[-1]} {tokens[0]}")  # both present, not adjacent
+        terms.append(f"{tokens[-1]} {tokens[-1]}")  # one token repeated
+    for _ in range(6):
+        terms.append(" ".join(rng.sample(synthcorpus.WORDS, 2)))
+    return terms
+
+
+def _repealed_works(store: GraphStore) -> set[str]:
+    return {
+        target
+        for action in store.actions.values() if action.action_type is ActionType.REPEAL
+        for target in action.targets
+    }
+
+
+class TestIndexBackedSpans:
+    def test_locate_spans_matches_retokenizing_reference(self):
+        repealed = translated = 0
+        for seed in range(40):
+            _, store = _committed_store(seed)
+            rng = random.Random(seed)
+            scopes = [sorted(store.works)]
+            repealed_here = sorted(_repealed_works(store))
+            if repealed_here:
+                scopes.append(repealed_here)
+                repealed += 1
+            for term in _probe_terms(store, rng):
+                for scope in scopes:
+                    for language in (None, "es", "en"):
+                        got = locate_spans(store, term, scope, language)
+                        assert got == _reference_spans(store, term, scope, language), (
+                            seed, term, language)
+                        for span in got:
+                            chain = store.versions[span.work]
+                            pre = _assemble_chain(store, span.work, span.ctv).pre_ctv
+                            index = chain.index(span.ctv)
+                            assert pre == (chain[index - 1] if index else None)
+            translated += any(lv.language == "es" for lv in store.clvs.values())
+        # The probes must have reached the cases they are meant to cover.
+        assert repealed >= 5 and translated >= 30
+
+    def test_translated_wording_is_searched_in_the_requested_language(self):
+        _, store = _committed_store(3)
+        unit = next(u for u in store.units.values() if u.language == "es")
+        term = next(token for token in tokenize(unit.text) if token in _SPANISH.values())
+        spanish = locate_spans(store, term, sorted(store.works), "es")
+        assert spanish
+        assert all(store.content_clv(s.ctv, "es") is not None for s in spanish)
+        assert locate_spans(store, term, sorted(store.works)) == []
+
+    def test_uncommitted_store_has_no_term_index(self):
+        corpus = synthcorpus.generate_corpus(1)
+        store = synthcorpus.build_store(corpus)
+        assert locate_spans(store, "provision", sorted(store.works)) == []
+
+
+def _linear_version(store: GraphStore, urn: str, t: date):
+    return next((store.ctvs[cid] for cid in store.versions.get(urn, ())
+                 if interval_contains(store.ctvs[cid].validity, t)), None)
+
+
+def _boundary_days(store: GraphStore, urn: str) -> list[date]:
+    chain = store.versions_of(urn)
+    days = {date(1990, 1, 1), date(2100, 1, 1)}
+    for tv in chain:
+        start, end = tv.validity.valid_start, tv.validity.valid_end
+        days.update({start - timedelta(days=1), start})
+        if end is not None:
+            days.update({tv.validity.last_valid_day, end, end + timedelta(days=1),
+                         end + timedelta(days=400)})
+    return sorted(days)
+
+
+class TestBisectVersionSelection:
+    @pytest.mark.parametrize("seed", range(0, 40, 4))
+    def test_ctv_at_and_alive_at_match_a_linear_scan(self, seed):
+        corpus = synthcorpus.generate_corpus(seed)
+        store = synthcorpus.build_store(corpus)
+        for urn in sorted(store.works):
+            chain = store.versions_of(urn)
+            for t in _boundary_days(store, urn):
+                expected = _linear_version(store, urn, t)
+                assert alive_at(store, urn, t) is (expected is not None)
+                if expected is not None:
+                    assert ctv_at(store, urn, t) == expected
+                elif not chain or t < chain[0].validity.valid_start:
+                    with pytest.raises(NotYetEnacted):
+                        ctv_at(store, urn, t)
+                else:
+                    with pytest.raises(RepealedAt) as info:
+                        ctv_at(store, urn, t)
+                    assert info.value.repealed_end == chain[-1].validity.valid_end
+
+    def test_after_a_repeal_nothing_is_selected(self):
+        seen = 0
+        for seed in range(40):
+            corpus = synthcorpus.generate_corpus(seed)
+            store = synthcorpus.build_store(corpus)
+            for urn in _repealed_works(store):
+                end = store.versions_of(urn)[-1].validity.valid_end
+                assert end is not None
+                assert store.version_at(urn, end - timedelta(days=1)) is not None
+                for t in (end, end + timedelta(days=1), date(2100, 1, 1)):
+                    assert not alive_at(store, urn, t)
+                    with pytest.raises(RepealedAt):
+                        ctv_at(store, urn, t)
+                seen += 1
+        assert seen >= 5
+
+    @pytest.mark.parametrize("seed", range(1, 40, 4))
+    def test_content_candidates_match_a_linear_scan(self, seed):
+        _, store = _committed_store(seed)
+        works = frozenset(store.works)
+        days = sorted({t for urn in works for t in _boundary_days(store, urn)})
+        for t in days:
+            for language in (None, "es"):
+                request = RetrievalRequest(query_text="", scope=works, t=t, language=language)
+                got = {c.provenance[0]: c.provenance[1]
+                       for c in _content_candidates(store, request, language)}
+                expected = {}
+                for urn in works:
+                    tv = _linear_version(store, urn, t)
+                    if tv is not None and store.clvs_by_ctv.get(tv.id):
+                        expected[urn] = tv.id
+                assert got == expected, (seed, t, language)
