@@ -10,11 +10,12 @@ version "valid until 2010-02-03" is stored with ``valid_end``
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .store import GraphStore
@@ -232,11 +233,12 @@ class ActionNode:
 
 @dataclass(frozen=True)
 class TextUnit:
-    """Atomic retrievable text span with its embedding vector.
+    """Atomic retrievable text span.
 
-    ``embedding`` is empty until the store is committed; afterwards it has
-    the configured dimension and unit L2 norm, except for empty text which
-    keeps a zero vector and is skipped by vector retrieval.
+    Its embedding lives in the committed store's matrix
+    (``GraphStore.embedding(id)``): the configured dimension and unit L2
+    norm, except for empty text, which keeps a zero vector and is skipped
+    by vector retrieval.
     """
 
     id: str
@@ -244,7 +246,6 @@ class TextUnit:
     owner: str
     language: str
     text: str
-    embedding: tuple[float, ...] = ()
     synthetic: bool = False
 
     @property
@@ -467,6 +468,11 @@ _ASPECT_OWNERS = {
 
 
 def _check_text_units(graph: "GraphStore", out: list[Violation]) -> None:
+    # Widths are enforced where rows are written (commit, load); only the
+    # norms are left to check, taken over the whole matrix at once (vecdot
+    # needs no matrix-sized temporary).
+    norms = np.sqrt(np.vecdot(graph.embeddings, graph.embeddings)).tolist()
+    rows = graph.unit_rows
     for unit in graph.units.values():
         if unit.aspect is Aspect.METADATA:
             ok = unit.owner in graph.works or unit.owner in graph.ctvs
@@ -474,16 +480,14 @@ def _check_text_units(graph: "GraphStore", out: list[Violation]) -> None:
             ok = unit.owner in getattr(graph, _ASPECT_OWNERS[unit.aspect])
         if not ok:
             out.append(Violation("AspectOwnerMismatch", f"{unit.aspect.value} unit has wrong owner kind", (unit.id,)))
-        if unit.embedding:
-            dim = graph.embedding_dimension
-            if len(unit.embedding) != dim:
-                out.append(Violation("EmbeddingShape", f"embedding has {len(unit.embedding)} dims, expected {dim}", (unit.id,)))
-            else:
-                norm = math.sqrt(sum(x * x for x in unit.embedding))
-                if unit.retrievable and abs(norm - 1.0) > 1e-6:
-                    out.append(Violation("EmbeddingShape", f"embedding norm {norm:.8f} is not unit", (unit.id,)))
-                if not unit.retrievable and norm > 1e-9:
-                    out.append(Violation("EmbeddingShape", "empty text unit has a nonzero embedding", (unit.id,)))
+        row = rows.get(unit.id)
+        if row is None:
+            continue
+        norm = norms[row]
+        if unit.retrievable and abs(norm - 1.0) > 1e-6:
+            out.append(Violation("EmbeddingShape", f"embedding norm {norm:.8f} is not unit", (unit.id,)))
+        if not unit.retrievable and norm > 1e-9:
+            out.append(Violation("EmbeddingShape", "empty text unit has a nonzero embedding", (unit.id,)))
 
 
 def _check_themes(graph: "GraphStore", out: list[Violation]) -> None:

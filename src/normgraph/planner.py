@@ -424,8 +424,8 @@ class ProvenanceChain:
 
 def _assemble_chain(store: GraphStore, work: str, post_ctv: str) -> ProvenanceChain:
     chain = store.versions.get(work, [])
-    index = bisect_left(chain, store.ctvs[post_ctv].validity.valid_start,
-                        key=lambda cid: store.ctvs[cid].validity.valid_start)
+    index = bisect_left(store.version_starts.get(work, []),
+                        store.ctvs[post_ctv].validity.valid_start)
     pre_ctv = chain[index - 1] if index > 0 else None
     actions: list[str] = []
     if pre_ctv is not None:
@@ -435,7 +435,8 @@ def _assemble_chain(store: GraphStore, work: str, post_ctv: str) -> ProvenanceCh
 
 
 def _chain_report(store: GraphStore, chain: ProvenanceChain, term: str,
-                  language: str | None) -> tuple[list[str], list[tuple[str, str, str]]]:
+                  language: str | None,
+                  fallback: bool) -> tuple[list[str], list[tuple[str, str, str]]]:
     lines: list[str] = []
     citations: list[tuple[str, str, str]] = []
     post_tv = store.ctvs[chain.post_ctv]
@@ -444,7 +445,9 @@ def _chain_report(store: GraphStore, chain: ProvenanceChain, term: str,
     def cite(cid: str) -> None:
         languages = store.clvs_by_ctv.get(cid, {})
         primary = store.primary_language(chain.work)
-        lv_id = languages.get(language or primary) or languages.get(primary)
+        lv_id = languages.get(language or primary)
+        if lv_id is None and fallback:
+            lv_id = languages.get(primary)
         if lv_id:
             citations.append((chain.work, cid, lv_id))
 
@@ -488,7 +491,7 @@ def run_provenance(store: GraphStore, q: StructuredQuery, clock: date,
     else:
         scoped_works = sorted(store.works)
 
-    spans = locate_spans(store, term, scoped_works, q.language)
+    spans = locate_spans(store, term, scoped_works, q.language, q.language_fallback)
     introductions = [s for s in spans if s.first_containing]
     if not introductions:
         raise TermNotFound(term, q.structural_target or q.theme_target)
@@ -502,7 +505,8 @@ def run_provenance(store: GraphStore, q: StructuredQuery, clock: date,
     for i, chain in enumerate(chains):
         if len(chains) > 1:
             lines.append(f"--- occurrence {i + 1}: {store.works[chain.work].label} ---")
-        chain_lines, chain_citations = _chain_report(store, chain, term, q.language)
+        chain_lines, chain_citations = _chain_report(store, chain, term, q.language,
+                                                     q.language_fallback)
         lines.extend(chain_lines)
         citations.extend(chain_citations)
         for aid in chain.actions:

@@ -76,6 +76,7 @@ def default_embed(text: str, dimension: int = EMBEDDING_DIMENSION) -> np.ndarray
 
 
 def cosine(a: np.ndarray | Iterable[float], b: np.ndarray | Iterable[float]) -> float:
+    """Dot product of two unit vectors; the per-pair reference for scoped_search."""
     va = np.asarray(a, dtype=np.float64)
     vb = np.asarray(b, dtype=np.float64)
     if va.size == 0 or vb.size == 0:
@@ -225,6 +226,20 @@ def _bm25_scores(store: GraphStore, query: str,
     return {uid: s / (1.0 + s) if s > 0 else 0.0 for uid, s in scores.items()}
 
 
+def _vector_scores(store: GraphStore, query: str,
+                   unit_ids: list[str]) -> list[tuple[str, float]]:
+    """Cosine of the query with each unit: one gather, one row-wise dot.
+
+    ``vecdot`` takes each row's dot as ``np.dot`` (and so ``cosine``) does,
+    bit for bit; a matrix product may sum in another order and reorder
+    near-ties.
+    """
+    query_vec = embedder_for_store(store).embed(query)
+    rows = [store.unit_rows[uid] for uid in unit_ids]
+    scores = np.vecdot(store.embeddings[rows], query_vec).tolist()
+    return list(zip(unit_ids, scores))
+
+
 def _rank(pairs: list[tuple[str, float]]) -> dict[str, int]:
     ordered = sorted(pairs, key=lambda p: (-p[1], p[0]))
     return {uid: i for i, (uid, _) in enumerate(ordered)}
@@ -258,18 +273,13 @@ def scoped_search(store: GraphStore, req: RetrievalRequest) -> list[RetrievalHit
         return []
 
     if req.mode is RetrievalMode.VECTOR:
-        query_vec = embedder_for_store(store).embed(req.query_text)
-        scored = [
-            (uid, cosine(query_vec, store.units[uid].embedding))
-            for uid in unit_ids
-            if store.units[uid].retrievable
-        ]
+        retrievable = [uid for uid in unit_ids if store.units[uid].retrievable]
+        scored = _vector_scores(store, req.query_text, retrievable)
     elif req.mode is RetrievalMode.LEXICAL:
         scores = _bm25_scores(store, req.query_text, unit_ids)
         scored = [(uid, scores[uid]) for uid in unit_ids]
     else:
-        query_vec = embedder_for_store(store).embed(req.query_text)
-        vec_pairs = [(uid, cosine(query_vec, store.units[uid].embedding)) for uid in unit_ids]
+        vec_pairs = _vector_scores(store, req.query_text, unit_ids)
         lex_scores = _bm25_scores(store, req.query_text, unit_ids)
         lex_pairs = [(uid, lex_scores[uid]) for uid in unit_ids]
         vec_rank = _rank(vec_pairs)
@@ -306,11 +316,13 @@ def _contains_tokens(haystack: list[str], needle: list[str]) -> bool:
 
 
 def locate_spans(store: GraphStore, term: str, scope: Iterable[str],
-                 language: str | None = None) -> list[SpanLocation]:
+                 language: str | None = None, fallback: bool = True) -> list[SpanLocation]:
     """Exact (token-normalized) term occurrences across full version history.
 
     ``first_containing`` marks versions whose predecessor lacks the term:
-    the introduction points that provenance chains are anchored on.
+    the introduction points that provenance chains are anchored on. A
+    version with no wording in ``language`` is read in the work's primary
+    language when ``fallback`` is on, and otherwise contains nothing.
     Membership is read from the committed store's term index: a unit
     contains the term only if it is in the postings of every distinct
     needle token, and only multi-token needles re-read the unit's text to
@@ -331,7 +343,9 @@ def locate_spans(store: GraphStore, term: str, scope: Iterable[str],
             if languages:
                 if primary is None:
                     primary = store.primary_language(urn)
-                lv_id = languages.get(language or primary) or languages.get(primary)
+                lv_id = languages.get(language or primary)
+                if lv_id is None and fallback:
+                    lv_id = languages.get(primary)
             if lv_id is None:
                 previous_contains = False
                 continue

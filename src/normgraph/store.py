@@ -5,7 +5,8 @@ embedding config, frozen IDF statistics) followed by one record per node,
 sorted by kind and id so that re-saving an unchanged store is
 byte-identical. Indexes are never persisted; they are rebuilt on load.
 Embeddings and IDF statistics *are* persisted so retrieval scores stay
-reproducible across processes.
+reproducible across processes. In memory, embeddings are one float64
+matrix with a row per text unit, in sorted unit-id order.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DanglingReference, MalformedSnapshot, UnknownWork
 from .model import (
@@ -73,9 +76,17 @@ class GraphStore:
 
     committed: bool = False
 
+    # One read-only row per text unit, rows in sorted unit-id order; written
+    # at commit and load, empty before. Read a row through embedding().
+    embeddings: np.ndarray = field(
+        default_factory=lambda: np.empty((0, EMBEDDING_DIMENSION)), compare=False, repr=False)
+    unit_rows: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
+
     # Derived indexes; rebuilt by _reindex, never persisted.
     children: dict[str, list[str]] = field(default_factory=dict, compare=False)
     versions: dict[str, list[str]] = field(default_factory=dict, compare=False)
+    # valid_start of each entry of versions[urn], so version lookup bisects dates.
+    version_starts: dict[str, list[date]] = field(default_factory=dict, compare=False)
     work_actions: dict[str, list[str]] = field(default_factory=dict, compare=False)
     term_index: dict[str, dict[str, int]] = field(default_factory=dict, compare=False)
     unit_len: dict[str, int] = field(default_factory=dict, compare=False)
@@ -112,9 +123,11 @@ class GraphStore:
         if tv.id in self.ctvs:
             raise ValueError(f"temporal version {tv.id!r} already exists")
         self.ctvs[tv.id] = tv
-        chain = self.versions.setdefault(tv.work, [])
-        chain.append(tv.id)
-        chain.sort(key=lambda cid: self.ctvs[cid].validity.valid_start)
+        # After any version with the same start, as a stable sort would put it.
+        starts = self.version_starts.setdefault(tv.work, [])
+        index = bisect_right(starts, tv.validity.valid_start)
+        starts.insert(index, tv.validity.valid_start)
+        self.versions.setdefault(tv.work, []).insert(index, tv.id)
 
     def close_ctv(self, ctv: str, end: date, action: str) -> TemporalVersion:
         """Set the single permitted mutation: an open version's end date."""
@@ -171,7 +184,11 @@ class GraphStore:
     # -- commit ---------------------------------------------------------
 
     def commit(self, embedder=None) -> None:
-        """Freeze IDF statistics, embed every text unit, and seal the store."""
+        """Freeze IDF statistics, embed every text unit, and seal the store.
+
+        Raises ValueError, leaving the store mutable, if the embedder returns
+        a vector that is not ``(embedding_dimension,)``.
+        """
         self._assert_mutable()
         self._rebuild_text_index()
         self.df = {
@@ -185,10 +202,22 @@ class GraphStore:
             from .retrieval import HashedTfidfEmbedder
 
             embedder = HashedTfidfEmbedder(self.embedding_dimension, self.df, self.n_units)
-        for uid in sorted(self.units):
-            unit = self.units[uid]
-            self.units[uid] = replace(unit, embedding=tuple(embedder.embed(unit.text)))
+        unit_ids = sorted(self.units)
+        shape = (self.embedding_dimension,)
+        matrix = np.empty((len(unit_ids), self.embedding_dimension))
+        for row, uid in enumerate(unit_ids):
+            vec = embedder.embed(self.units[uid].text)
+            if np.shape(vec) != shape:
+                raise ValueError(
+                    f"embedder returned shape {np.shape(vec)} for {uid!r}, expected {shape}")
+            matrix[row] = vec
+        self._set_embeddings(matrix, {uid: row for row, uid in enumerate(unit_ids)})
         self.committed = True
+
+    def _set_embeddings(self, matrix: np.ndarray, unit_rows: dict[str, int]) -> None:
+        matrix.flags.writeable = False
+        self.embeddings = matrix
+        self.unit_rows = unit_rows
 
     def _rebuild_text_index(self) -> None:
         self.term_index = {}
@@ -220,6 +249,10 @@ class GraphStore:
             self.versions.setdefault(tv.work, []).append(tv.id)
         for chain in self.versions.values():
             chain.sort(key=lambda cid: self.ctvs[cid].validity.valid_start)
+        self.version_starts = {
+            urn: [self.ctvs[cid].validity.valid_start for cid in chain]
+            for urn, chain in self.versions.items()
+        }
         for lv in self.clvs.values():
             self.clvs_by_ctv.setdefault(lv.temporal_version, {})[lv.language] = lv.id
         for action in self.actions.values():
@@ -246,12 +279,15 @@ class GraphStore:
         Chains are sorted by valid_start and tile time, so the only candidate
         is the last version starting on or before ``t``.
         """
-        chain = self.versions.get(urn, ())
-        index = bisect_right(chain, t, key=lambda cid: self.ctvs[cid].validity.valid_start)
+        index = bisect_right(self.version_starts.get(urn, ()), t)
         if index == 0:
             return None
-        tv = self.ctvs[chain[index - 1]]
+        tv = self.ctvs[self.versions[urn][index - 1]]
         return tv if interval_contains(tv.validity, t) else None
+
+    def embedding(self, uid: str) -> np.ndarray:
+        """The committed embedding of text unit ``uid``: a read-only matrix row."""
+        return self.embeddings[self.unit_rows[uid]]
 
     def content_clv(self, ctv: str, language: str) -> LanguageVersion | None:
         lv_id = self.clvs_by_ctv.get(ctv, {}).get(language)
@@ -290,9 +326,6 @@ class GraphStore:
 
 
 # -- serialization -----------------------------------------------------------
-
-_KIND_ORDER = ["work", "ctv", "clv", "action", "theme", "unit"]
-
 
 def _dump_date(d: date | None) -> str | None:
     return d.isoformat() if d is not None else None
@@ -363,7 +396,7 @@ def _record_for_theme(theme: ThemeNode) -> dict:
     }
 
 
-def _record_for_unit(unit: TextUnit) -> dict:
+def _record_for_unit(unit: TextUnit, embedding: np.ndarray) -> dict:
     return {
         "kind": "unit",
         "id": unit.id,
@@ -371,28 +404,27 @@ def _record_for_unit(unit: TextUnit) -> dict:
         "owner": unit.owner,
         "language": unit.language,
         "text": unit.text,
-        "embedding": list(unit.embedding),
+        "embedding": embedding.tolist(),
         "synthetic": unit.synthetic,
     }
 
 
 def save(store: GraphStore, path: str | Path) -> None:
-    """Write the store as sorted NDJSON; load(save(s)) == s node-for-node."""
-    records: list[tuple[int, str, dict]] = []
-    for work in store.works.values():
-        records.append((_KIND_ORDER.index("work"), work.urn, _record_for_work(work)))
-    for tv in store.ctvs.values():
-        records.append((_KIND_ORDER.index("ctv"), tv.id, _record_for_ctv(tv)))
-    for lv in store.clvs.values():
-        records.append((_KIND_ORDER.index("clv"), lv.id, _record_for_clv(lv)))
-    for action in store.actions.values():
-        records.append((_KIND_ORDER.index("action"), action.id, _record_for_action(action)))
-    for theme in store.themes.values():
-        records.append((_KIND_ORDER.index("theme"), theme.id, _record_for_theme(theme)))
-    for unit in store.units.values():
-        records.append((_KIND_ORDER.index("unit"), unit.id, _record_for_unit(unit)))
-    records.sort(key=lambda item: (item[0], item[1]))
+    """Write the store as sorted NDJSON; load(save(s)) == s node-for-node.
 
+    Records are built and written one at a time, in (kind, id) order.
+    Raises RuntimeError on an uncommitted store, which has no embeddings.
+    """
+    if not store.committed:
+        raise RuntimeError("only a committed store can be saved")
+    kinds = [
+        (store.works, _record_for_work),
+        (store.ctvs, _record_for_ctv),
+        (store.clvs, _record_for_clv),
+        (store.actions, _record_for_action),
+        (store.themes, _record_for_theme),
+        (store.units, lambda unit: _record_for_unit(unit, store.embedding(unit.id))),
+    ]
     meta = {
         "kind": "meta",
         "format_version": FORMAT_VERSION,
@@ -403,12 +435,14 @@ def save(store: GraphStore, path: str | Path) -> None:
             "df": {k: store.df[k] for k in sorted(store.df)},
         },
     }
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta, ensure_ascii=False, sort_keys=True, separators=(",", ":")))
+        fh.write(encode(meta))
         fh.write("\n")
-        for _, _, record in records:
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+        for nodes, record_for in kinds:
+            for node_id in sorted(nodes):
+                fh.write(encode(record_for(nodes[node_id])))
+                fh.write("\n")
 
 
 def _parse_date(value, *, path: str, line: int, optional: bool = False) -> date | None:
@@ -434,14 +468,19 @@ def _load_work(rec: dict, path: str, line: int) -> WorkNode:
 def load(path: str | Path) -> GraphStore:
     """Read a snapshot, rebuild indexes, and report invariant violations.
 
-    Raises MalformedSnapshot on parse failures and DanglingReference when
-    a record cites an id no record defines. Softer invariant breaches are
-    collected on ``store.load_violations`` and logged, not raised.
+    Raises MalformedSnapshot on parse failures, including a unit whose
+    embedding is not a list of the header's ``dimension`` numbers, and
+    DanglingReference when a record cites an id no record defines. Softer
+    invariant breaches are collected on ``store.load_violations`` and
+    logged, not raised.
     """
     from .model import ValidityInterval  # local to keep import block tight
 
     store = GraphStore()
     spath = str(path)
+    # Embedding rows in file order; the buffer grows in place as units arrive.
+    rows: dict[str, int] = {}
+    matrix = np.empty((0, store.embedding_dimension))
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -459,7 +498,11 @@ def load(path: str | Path) -> GraphStore:
                             f"unsupported format_version {rec.get('format_version')!r}",
                             path=spath, line=lineno,
                         )
+                    if rows:
+                        raise MalformedSnapshot("meta header after unit records",
+                                                path=spath, line=lineno)
                     store.embedding_dimension = int(rec["embedding"]["dimension"])
+                    matrix = np.empty((0, store.embedding_dimension))
                     idf = rec.get("idf", {})
                     store.df = {str(k): int(v) for k, v in idf.get("df", {}).items()}
                     store.n_units = int(idf.get("n_units", 0))
@@ -510,15 +553,25 @@ def load(path: str | Path) -> GraphStore:
                         members=tuple(rec.get("members", ())),
                     )
                 elif kind == "unit":
+                    embedding = rec["embedding"]
+                    if not isinstance(embedding, list) or len(embedding) != store.embedding_dimension:
+                        raise MalformedSnapshot(
+                            f"embedding of {rec['id']!r} is not a list of "
+                            f"{store.embedding_dimension} numbers",
+                            path=spath, line=lineno,
+                        )
                     store.units[rec["id"]] = TextUnit(
                         id=rec["id"],
                         aspect=Aspect(rec["aspect"]),
                         owner=rec["owner"],
                         language=rec["language"],
                         text=rec["text"],
-                        embedding=tuple(float(x) for x in rec.get("embedding", ())),
                         synthetic=bool(rec.get("synthetic", False)),
                     )
+                    row = rows.setdefault(rec["id"], len(rows))
+                    if row == len(matrix):
+                        matrix.resize((max(64, 2 * row), store.embedding_dimension), refcheck=False)
+                    matrix[row] = embedding
                 else:
                     raise MalformedSnapshot(f"unknown record kind {kind!r}", path=spath, line=lineno)
             except MalformedSnapshot:
@@ -526,6 +579,13 @@ def load(path: str | Path) -> GraphStore:
             except (KeyError, ValueError, TypeError) as exc:
                 raise MalformedSnapshot(f"bad {kind!r} record: {exc}", path=spath, line=lineno) from None
 
+    matrix.resize((len(rows), store.embedding_dimension), refcheck=False)
+    unit_ids = list(rows)
+    if any(a > b for a, b in zip(unit_ids, unit_ids[1:])):
+        unit_ids.sort()
+        matrix = matrix[[rows[uid] for uid in unit_ids]]
+        rows = {uid: row for row, uid in enumerate(unit_ids)}
+    store._set_embeddings(matrix, rows)
     _check_references(store)
     store._reindex()
     store.committed = True

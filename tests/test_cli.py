@@ -209,3 +209,33 @@ class TestMoreEdges:
             argv.append("--include-future-actions")
         assert main(argv) == 0
         assert [r.include_future_actions for r in requests] == [flag]
+
+    def test_provenance_without_fallback_cites_no_other_language(self, snapshot_file, capsys):
+        base = ["query", "provenance", "--snapshot", str(snapshot_file), "--target", "art6",
+                "--lang", "en", "--clock", "2024-01-02", "--json"]
+        # "food" is only in the Portuguese wording added after 1988.
+        assert main(base + ["--term", "food"]) == 0
+        cited = [c["clv"] for c in json.loads(capsys.readouterr().out)["citations"]]
+        assert cited and all(clv.endswith("#pt") for clv in cited)
+        assert main(base + ["--term", "food", "--no-fallback"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "TermNotFound"
+        # The 1988 English wording has "education"; later versions have none.
+        assert main(base + ["--term", "education", "--no-fallback"]) == 0
+        annex = json.loads(capsys.readouterr().out)
+        cited = [c["clv"] for c in annex["citations"]]
+        assert cited and all(clv.endswith("#en") for clv in cited)
+        assert annex["policies"]["language_fallback"] is False
+
+    def test_query_on_a_snapshot_with_a_short_embedding_exits_3(
+            self, snapshot_file, tmp_path, capsys):
+        lines = snapshot_file.read_text(encoding="utf-8").splitlines()
+        index = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "unit")
+        record = json.loads(lines[index])
+        record["embedding"] = record["embedding"][:-1]
+        lines[index] = json.dumps(record)
+        bad = tmp_path / "short.ndjson"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        code = main(["query", "retrieve", "--snapshot", str(bad), "--text", "food",
+                     "--target", "art6", "--at", "2011-01-01"])
+        assert code == 3
+        assert f":{index + 1}: embedding of" in capsys.readouterr().err

@@ -5,17 +5,35 @@ from __future__ import annotations
 import random
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 
 from normgraph.errors import NotYetEnacted, RepealedAt
-from normgraph.ingest import add_language, enact, parse_document
-from normgraph.model import ActionType, interval_contains, validate_graph
+from normgraph.ingest import add_language, apply_event, enact, parse_document, parse_event_file
+from normgraph.model import (
+    ActionType,
+    Aspect,
+    TemporalVersion,
+    ValidityInterval,
+    interval_contains,
+    validate_graph,
+)
 from normgraph.planner import _assemble_chain
 from normgraph.retrieval import (
+    RetrievalHit,
+    RetrievalMode,
     RetrievalRequest,
     SpanLocation,
+    _action_candidates,
+    _bm25_scores,
     _content_candidates,
+    _metadata_candidates,
+    _theme_candidates,
+    _vector_scores,
+    cosine,
+    embedder_for_store,
     locate_spans,
+    scoped_search,
 )
 from normgraph.store import GraphStore, load, save, tokenize
 from normgraph.temporal import alive_at, ctv_at, snapshot_text
@@ -131,6 +149,9 @@ class TestSnapshotRoundTripOnSyntheticCorpora:
             loaded = load(first)
             assert loaded.ctvs == store.ctvs
             assert loaded.units == store.units
+            # Store equality leaves the matrix out; compare it here.
+            assert loaded.unit_rows == store.unit_rows
+            assert np.array_equal(loaded.embeddings, store.embeddings)
             save(loaded, second)
             assert first.read_bytes() == second.read_bytes()
 
@@ -146,6 +167,8 @@ class TestSnapshotRoundTripOnSyntheticCorpora:
         save(store, path)
         loaded = load(path)
         assert loaded.units == store.units
+        assert loaded.unit_rows == store.unit_rows
+        assert np.array_equal(loaded.embeddings, store.embeddings)
         assert "educação" in path.read_text(encoding="utf-8")
 
 
@@ -157,8 +180,16 @@ _SPANISH = dict(zip(synthcorpus.WORDS, [
 ]))
 
 
-def _committed_store(seed: int) -> tuple[synthcorpus.SynthCorpus, GraphStore]:
-    """A synthetic norm with Spanish wording on some of its enacted provisions."""
+# One French wording given to several provisions: units with the same text.
+_SHARED_FRENCH = "Les droits de la terre et de l'eau."
+
+
+def _committed_store(seed: int, shared_french: bool = False,
+                     ) -> tuple[synthcorpus.SynthCorpus, GraphStore]:
+    """A synthetic norm with Spanish wording on some of its enacted provisions.
+
+    With ``shared_french`` the same provisions also get one French wording.
+    """
     corpus = synthcorpus.generate_corpus(seed)
     store = synthcorpus.build_store(corpus)
     translations = {}
@@ -170,6 +201,9 @@ def _committed_store(seed: int) -> tuple[synthcorpus.SynthCorpus, GraphStore]:
             translations[store.works[urn].id.fragment] = " ".join(
                 _SPANISH.get(token, token) for token in tokenize(text))
     add_language(store, corpus.norm_urn, translations, "es", at=corpus.enactment)
+    if shared_french:
+        add_language(store, corpus.norm_urn, dict.fromkeys(translations, _SHARED_FRENCH),
+                     "fr", at=corpus.enactment)
     store.commit()
     return corpus, store
 
@@ -313,6 +347,36 @@ class TestBisectVersionSelection:
                 seen += 1
         assert seen >= 5
 
+    def test_version_at_tracks_a_store_being_built(self):
+        # add_ctv keeps version_starts beside versions event by event.
+        checked = 0
+        for seed in (2, 9, 17):
+            corpus = synthcorpus.generate_corpus(seed)
+            store = GraphStore()
+            enact(store, parse_document(corpus.doc))
+            for event_file in corpus.event_files:
+                parsed = parse_event_file(event_file)
+                for record in parsed.events:
+                    apply_event(store, record, parsed.instrument)
+                    for urn in sorted(store.works):
+                        assert store.version_starts.get(urn, []) == [
+                            tv.validity.valid_start for tv in store.versions_of(urn)]
+                        for t in _boundary_days(store, urn):
+                            assert store.version_at(urn, t) == _linear_version(store, urn, t)
+                            checked += 1
+        assert checked > 2_000
+
+    def test_add_ctv_out_of_order_matches_a_stable_sort(self):
+        store = GraphStore()
+        days = [date(2010, 1, 1), date(2000, 1, 1), date(2005, 1, 1), date(2000, 1, 1)]
+        for i, start in enumerate(days):
+            store.add_ctv(TemporalVersion(f"w@{i}", "w", ValidityInterval(start)))
+        assert store.versions["w"] == ["w@1", "w@3", "w@2", "w@0"]
+        assert store.version_starts["w"] == sorted(days)
+        assert store.version_at("w", date(1999, 12, 31)) is None
+        assert store.version_at("w", date(2004, 1, 1)).id == "w@3"
+        assert store.version_at("w", date(2011, 1, 1)).id == "w@0"
+
     @pytest.mark.parametrize("seed", range(1, 40, 4))
     def test_content_candidates_match_a_linear_scan(self, seed):
         _, store = _committed_store(seed)
@@ -329,3 +393,66 @@ class TestBisectVersionSelection:
                     if tv is not None and store.clvs_by_ctv.get(tv.id):
                         expected[urn] = tv.id
                 assert got == expected, (seed, t, language)
+
+
+# -- one vecdot over the embedding matrix against per-candidate cosine ----------------
+
+def _cosine_reference(store: GraphStore, req: RetrievalRequest) -> list[RetrievalHit]:
+    """scoped_search's ranking, scoring each candidate with its own cosine call."""
+    by_unit = {}
+    for cand in (_content_candidates(store, req, req.language) + _action_candidates(store, req)
+                 + _metadata_candidates(store, req) + _theme_candidates(store, req)):
+        by_unit.setdefault(cand.unit_id, cand)
+    unit_ids = sorted(by_unit)
+    query = embedder_for_store(store).embed(req.query_text)
+    if req.mode is RetrievalMode.VECTOR:
+        scored = sorted(((uid, cosine(query, store.embedding(uid))) for uid in unit_ids
+                         if store.units[uid].retrievable), key=lambda p: (-p[1], p[0]))
+    else:
+        lexical = _bm25_scores(store, req.query_text, unit_ids)
+        vec_order = sorted(unit_ids, key=lambda uid: (-cosine(query, store.embedding(uid)), uid))
+        lex_order = sorted(unit_ids, key=lambda uid: (-lexical[uid], uid))
+        vec_rank = {uid: i for i, uid in enumerate(vec_order)}
+        lex_rank = {uid: i for i, uid in enumerate(lex_order)}
+        fused = sorted(unit_ids, key=lambda uid: (vec_rank[uid] + lex_rank[uid], lex_rank[uid], uid))
+        scored = [(uid, 1.0 / (1.0 + vec_rank[uid] + lex_rank[uid])) for uid in fused]
+    return [RetrievalHit(uid, round(score, 12), by_unit[uid].provenance, by_unit[uid].aspect)
+            for uid, score in scored[:req.k]]
+
+
+class TestMatrixScoring:
+    def test_vector_and_hybrid_match_per_candidate_cosine_bitwise(self):
+        tied = 0
+        for seed in range(20):
+            corpus, store = _committed_store(seed, shared_french=True)
+            rng = random.Random(seed)
+            texts = sorted(unit.text for unit in store.units.values())
+            queries = rng.sample(texts, 3) + [" ".join(rng.sample(synthcorpus.WORDS, 3)),
+                                              _SHARED_FRENCH, "terre", "zebra", ""]
+            works = frozenset(store.works)
+            for t in [corpus.enactment] + corpus.event_dates()[::3] + [date(2100, 1, 1)]:
+                for text in queries:
+                    for mode in (RetrievalMode.VECTOR, RetrievalMode.HYBRID):
+                        for language, k in ((None, 8), ("es", 10_000), ("fr", 10_000)):
+                            req = RetrievalRequest(text, works, t, aspects=frozenset(Aspect),
+                                                   language=language, k=k, mode=mode,
+                                                   include_future_actions=k > 8)
+                            hits = scoped_search(store, req)
+                            assert hits == _cosine_reference(store, req), (
+                                seed, t, text, mode, language)
+                            if mode is RetrievalMode.VECTOR:
+                                vector_hits = hits
+                    # Unrounded scores of the French candidates, bit for bit.
+                    uids = sorted({c.unit_id for c in _content_candidates(store, req, "fr")})
+                    query = embedder_for_store(store).embed(text)
+                    reference = [(uid, cosine(query, store.embedding(uid))) for uid in uids]
+                    assert _vector_scores(store, text, uids) == reference
+                    # Units with the same text tie at a nonzero score and rank by id.
+                    shared = [h for h in vector_hits
+                              if store.units[h.text_unit].text == _SHARED_FRENCH]
+                    if len(shared) > 1 and shared[0].score > 0:
+                        assert len({h.score for h in shared}) == 1
+                        assert [h.text_unit for h in shared] == sorted(h.text_unit for h in shared)
+                        tied += 1
+        # The probes must have reached duplicate-text ties.
+        assert tied >= 20

@@ -88,10 +88,11 @@ class TestScopedSearch:
                 lv = fixture_store.content_clv(cid, "pt")
                 if lv is None:
                     continue
-                unit = fixture_store.units[lv.text_unit]
-                expected.append((lv.text_unit, cosine(query, unit.embedding)))
+                expected.append(
+                    (lv.text_unit, cosine(query, fixture_store.embedding(lv.text_unit))))
         expected.sort(key=lambda p: (-round(p[1], 12), p[0]))
         assert [h.text_unit for h in hits] == [uid for uid, _ in expected[:10]]
+        assert [h.score for h in hits] == [round(score, 12) for _, score in expected[:10]]
 
     def test_pre_2000_scope_excludes_housing_units(self, fixture_store):
         t = date(1995, 1, 1)

@@ -4,10 +4,12 @@ import json
 from collections import Counter
 from datetime import date
 
+import numpy as np
 import pytest
 
 from normgraph.errors import DanglingReference, MalformedSnapshot, UnknownWork
 from normgraph.fixture_corpus import ART6_CPT, NORM_URN
+from normgraph.model import Aspect, TextUnit, ThemeNode
 from normgraph.store import GraphStore, load, save, tokenize
 
 
@@ -72,8 +74,10 @@ class TestRoundTrip:
         path = tmp_path / "snap.ndjson"
         save(fixture_store, path)
         loaded = load(path)
-        for uid, unit in fixture_store.units.items():
-            assert loaded.units[uid].embedding == unit.embedding
+        assert loaded.unit_rows == fixture_store.unit_rows
+        for uid in fixture_store.units:
+            # Bitwise: the decimal text written by save reads back exactly.
+            assert loaded.embedding(uid).tobytes() == fixture_store.embedding(uid).tobytes()
 
 
 class TestLoad:
@@ -113,6 +117,82 @@ class TestLoad:
         path.write_text('{"kind": "mystery"}', encoding="utf-8")
         with pytest.raises(MalformedSnapshot):
             load(path)
+
+
+def _unit_lines(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return lines, [i for i, line in enumerate(lines) if json.loads(line)["kind"] == "unit"]
+
+
+class TestEmbeddingMatrix:
+    def test_one_read_only_row_per_unit_in_sorted_id_order(self, fixture_store):
+        matrix = fixture_store.embeddings
+        assert matrix.shape == (len(fixture_store.units), fixture_store.embedding_dimension)
+        assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
+        assert list(fixture_store.unit_rows) == sorted(fixture_store.units)
+        assert list(fixture_store.unit_rows.values()) == list(range(len(matrix)))
+        row = fixture_store.embedding(sorted(fixture_store.units)[0])
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+
+    @pytest.mark.parametrize("width", [0, 255, 257])
+    def test_load_rejects_an_embedding_of_another_width(self, snapshot_path, tmp_path, width):
+        lines, units = _unit_lines(snapshot_path)
+        record = json.loads(lines[units[3]])
+        record["embedding"] = [0.0] * width
+        lines[units[3]] = json.dumps(record)
+        path = tmp_path / "bad.ndjson"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(MalformedSnapshot) as exc:
+            load(path)
+        assert exc.value.line == units[3] + 1
+        assert "is not a list of 256 numbers" in str(exc.value)
+
+    @pytest.mark.parametrize("embedding", [None, "0.0", ["x"] * 256, [[0.0]] * 256])
+    def test_load_rejects_an_embedding_that_is_not_a_list_of_numbers(
+            self, snapshot_path, tmp_path, embedding):
+        lines, units = _unit_lines(snapshot_path)
+        record = json.loads(lines[units[0]])
+        record["embedding"] = embedding
+        lines[units[0]] = json.dumps(record)
+        path = tmp_path / "bad.ndjson"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(MalformedSnapshot) as exc:
+            load(path)
+        assert exc.value.line == units[0] + 1
+
+    def test_load_sorts_rows_of_an_unsorted_file(self, fixture_store, snapshot_path, tmp_path):
+        lines, units = _unit_lines(snapshot_path)
+        head, unit_lines = lines[:units[0]], lines[units[0]:]
+        path = tmp_path / "reversed.ndjson"
+        path.write_text("\n".join(head + unit_lines[::-1]), encoding="utf-8")
+        loaded = load(path)
+        assert loaded.unit_rows == fixture_store.unit_rows
+        assert np.array_equal(loaded.embeddings, fixture_store.embeddings)
+        assert loaded.embeddings.flags.c_contiguous
+
+    def test_commit_rejects_an_embedder_of_another_shape(self):
+        class Short:
+            dimension = 8
+
+            def embed(self, text):
+                return np.ones(8)
+
+        store = GraphStore()
+        store.add_theme(ThemeNode("theme:t", "T", "theme:t#description"))
+        store.add_unit(TextUnit("theme:t#description", Aspect.THEME_DESCRIPTION,
+                                "theme:t", "en", "some words"))
+        with pytest.raises(ValueError, match=r"shape \(8,\)"):
+            store.commit(Short())
+        assert not store.committed
+        store.commit()
+        assert store.embedding("theme:t#description").shape == (256,)
+
+    def test_save_rejects_an_uncommitted_store(self, tmp_path):
+        path = tmp_path / "never.ndjson"
+        with pytest.raises(RuntimeError):
+            save(GraphStore(), path)
+        assert not path.exists()
 
 
 class TestVersionsOf:
