@@ -212,14 +212,16 @@ def _bm25_scores(store: GraphStore, query: str,
     avgdl = store.avgdl or 1.0
     scores = {uid: 0.0 for uid in unit_ids}
     wanted = set(unit_ids)
+    # Read once: both are store properties that may build the index.
+    term_index, unit_len = store.term_index, store.unit_len
     for token in sorted(set(tokens)):
         df = store.df.get(token, 0)
         idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
-        postings = store.term_index.get(token, {})
+        postings = term_index.get(token, {})
         for uid, tf in postings.items():
             if uid not in wanted:
                 continue
-            dl = store.unit_len.get(uid, 0)
+            dl = unit_len.get(uid, 0)
             denom = tf + _BM25_K1 * (1.0 - _BM25_B + _BM25_B * dl / avgdl)
             scores[uid] += idf * (tf * (_BM25_K1 + 1.0)) / denom
     # Keep scores inside the documented [-1, 1] band.

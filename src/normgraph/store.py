@@ -3,17 +3,22 @@
 Snapshots are newline-delimited JSON: one meta header (format version,
 embedding config, frozen IDF statistics) followed by one record per node,
 sorted by kind and id so that re-saving an unchanged store is
-byte-identical. Indexes are never persisted; they are rebuilt on load.
+byte-identical. Indexes are never persisted; they are rebuilt on load,
+except the inverted term index, which is built on its first read.
 Embeddings and IDF statistics *are* persisted so retrieval scores stay
-reproducible across processes. In memory, embeddings are one float64
-matrix with a row per text unit, in sorted unit-id order.
+reproducible across processes: each unit record carries its embedding's
+non-zero entries as one flat ``[i0, v0, i1, v1, …]`` list. In memory,
+embeddings are one float64 matrix with a row per text unit, in sorted
+unit-id order.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import operator
 import re
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from datetime import date
@@ -42,9 +47,11 @@ from .model import (
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# Serializes first builds of a loaded store's term index across threads.
+_TEXT_INDEX_LOCK = threading.Lock()
 
 
 def tokenize(text: str) -> list[str]:
@@ -88,8 +95,10 @@ class GraphStore:
     # valid_start of each entry of versions[urn], so version lookup bisects dates.
     version_starts: dict[str, list[date]] = field(default_factory=dict, compare=False)
     work_actions: dict[str, list[str]] = field(default_factory=dict, compare=False)
-    term_index: dict[str, dict[str, int]] = field(default_factory=dict, compare=False)
-    unit_len: dict[str, int] = field(default_factory=dict, compare=False)
+    # (term_index, unit_len), read through the properties of those names.
+    # Empty before commit, built at commit; None after load until first read.
+    _text_index: tuple[dict[str, dict[str, int]], dict[str, int]] | None = field(
+        default_factory=lambda: ({}, {}), compare=False, repr=False)
     clvs_by_ctv: dict[str, dict[str, str]] = field(default_factory=dict, compare=False)
     alias_index: dict[str, set[str]] = field(default_factory=dict, compare=False)
     fragment_index: dict[str, set[str]] = field(default_factory=dict, compare=False)
@@ -219,15 +228,38 @@ class GraphStore:
         self.embeddings = matrix
         self.unit_rows = unit_rows
 
+    # Properties, not __getattr__: a class with __getattr__ makes every
+    # attribute read on the store slower, not only these two.
+    @property
+    def term_index(self) -> dict[str, dict[str, int]]:
+        """Token -> {unit id: term frequency} over every text unit."""
+        return self._built_text_index()[0]
+
+    @property
+    def unit_len(self) -> dict[str, int]:
+        """Unit id -> length in tokens."""
+        return self._built_text_index()[1]
+
+    def _built_text_index(self) -> tuple[dict[str, dict[str, int]], dict[str, int]]:
+        index = self._text_index
+        if index is None:
+            with _TEXT_INDEX_LOCK:
+                if self._text_index is None:
+                    self._rebuild_text_index()
+                index = self._text_index
+        return index
+
     def _rebuild_text_index(self) -> None:
-        self.term_index = {}
-        self.unit_len = {}
+        """Tokenize every unit; publish term_index and unit_len in one assignment."""
+        term_index: dict[str, dict[str, int]] = {}
+        unit_len: dict[str, int] = {}
         for uid in sorted(self.units):
             tokens = tokenize(self.units[uid].text)
-            self.unit_len[uid] = len(tokens)
+            unit_len[uid] = len(tokens)
             for token in tokens:
-                self.term_index.setdefault(token, {}).setdefault(uid, 0)
-                self.term_index[token][uid] += 1
+                postings = term_index.setdefault(token, {})
+                postings[uid] = postings.get(uid, 0) + 1
+        self._text_index = (term_index, unit_len)
 
     def _reindex(self) -> None:
         self.children = {}
@@ -257,7 +289,8 @@ class GraphStore:
             self.clvs_by_ctv.setdefault(lv.temporal_version, {})[lv.language] = lv.id
         for action in self.actions.values():
             self._index_action(action)
-        self._rebuild_text_index()
+        # Only lexical, hybrid and span lookups read it; built on first use.
+        self._text_index = None
 
     # -- read API ---------------------------------------------------------
 
@@ -396,6 +429,18 @@ def _record_for_theme(theme: ThemeNode) -> dict:
     }
 
 
+def _sparse_embedding(row: np.ndarray) -> list:
+    """A row's entries whose bits are not +0.0, as ``[i0, v0, i1, v1, …]``.
+
+    -0.0 and NaN are kept, so load scatters back the same bits.
+    """
+    index = np.flatnonzero(row.view(np.uint64))
+    pairs: list = [None] * (2 * len(index))
+    pairs[0::2] = index.tolist()
+    pairs[1::2] = row[index].tolist()
+    return pairs
+
+
 def _record_for_unit(unit: TextUnit, embedding: np.ndarray) -> dict:
     return {
         "kind": "unit",
@@ -404,7 +449,7 @@ def _record_for_unit(unit: TextUnit, embedding: np.ndarray) -> dict:
         "owner": unit.owner,
         "language": unit.language,
         "text": unit.text,
-        "embedding": embedding.tolist(),
+        "embedding": _sparse_embedding(embedding),
         "synthetic": unit.synthetic,
     }
 
@@ -454,6 +499,30 @@ def _parse_date(value, *, path: str, line: int, optional: bool = False) -> date 
         raise MalformedSnapshot(f"bad date {value!r}", path=path, line=line) from None
 
 
+def _parse_embedding(value, dimension: int, *, uid: str, path: str,
+                     line: int) -> tuple[list[int], list]:
+    """Split a sparse ``[i0, v0, i1, v1, …]`` record into indices and values.
+
+    Indices must be ints, strictly increasing, in ``[0, dimension)``;
+    values must be numbers.
+    """
+    def bad(reason: str) -> MalformedSnapshot:
+        return MalformedSnapshot(f"embedding of {uid!r} {reason}", path=path, line=line)
+
+    if not isinstance(value, list) or len(value) % 2:
+        raise bad("is not a flat list of index, value pairs")
+    index, values = value[0::2], value[1::2]
+    # Exact types: bool is an int subclass but no index or value.
+    if not {*map(type, index)} <= {int}:
+        raise bad("has an index that is not an integer")
+    if index and not (0 <= index[0] and index[-1] < dimension
+                      and all(map(operator.lt, index, index[1:]))):
+        raise bad(f"has indices that are not strictly increasing in [0, {dimension})")
+    if not {*map(type, values)} <= {int, float}:
+        raise bad("has a value that is not a number")
+    return index, values
+
+
 def _load_work(rec: dict, path: str, line: int) -> WorkNode:
     return WorkNode(
         id=WorkId(rec["id"], tuple(rec.get("aliases", ()))),
@@ -468,9 +537,11 @@ def _load_work(rec: dict, path: str, line: int) -> WorkNode:
 def load(path: str | Path) -> GraphStore:
     """Read a snapshot, rebuild indexes, and report invariant violations.
 
-    Raises MalformedSnapshot on parse failures, including a unit whose
-    embedding is not a list of the header's ``dimension`` numbers, and
-    DanglingReference when a record cites an id no record defines. Softer
+    Raises MalformedSnapshot on parse failures: a first record that is not
+    the meta header, a second header, a ``format_version`` other than
+    FORMAT_VERSION, or a unit whose embedding breaks the sparse layout (see
+    _parse_embedding). Raises DanglingReference when a record cites an id no
+    record defines. A file with no records loads as an empty store. Softer
     invariant breaches are collected on ``store.load_violations`` and
     logged, not raised.
     """
@@ -478,9 +549,11 @@ def load(path: str | Path) -> GraphStore:
 
     store = GraphStore()
     spath = str(path)
-    # Embedding rows in file order; the buffer grows in place as units arrive.
+    # Embedding rows in file order; the buffer grows in place as units
+    # arrive, and resize fills new rows with +0.0.
     rows: dict[str, int] = {}
     matrix = np.empty((0, store.embedding_dimension))
+    header_seen = False
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -490,17 +563,26 @@ def load(path: str | Path) -> GraphStore:
                 rec = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise MalformedSnapshot(f"invalid JSON ({exc.msg})", path=spath, line=lineno) from None
+            if not isinstance(rec, dict):
+                raise MalformedSnapshot("record is not a JSON object", path=spath, line=lineno)
             kind = rec.get("kind")
+            if kind == "meta":
+                if header_seen:
+                    raise MalformedSnapshot("second meta header", path=spath, line=lineno)
+                header_seen = True
+            elif not header_seen:
+                raise MalformedSnapshot(
+                    f"missing meta header: the first record is a {kind!r} record",
+                    path=spath, line=lineno)
             try:
                 if kind == "meta":
-                    if rec.get("format_version") != FORMAT_VERSION:
+                    version = rec.get("format_version")
+                    if version != FORMAT_VERSION:
                         raise MalformedSnapshot(
-                            f"unsupported format_version {rec.get('format_version')!r}",
+                            f"unsupported format_version {version!r} (this version reads "
+                            f"{FORMAT_VERSION}); re-run `normgraph ingest` to rewrite the snapshot",
                             path=spath, line=lineno,
                         )
-                    if rows:
-                        raise MalformedSnapshot("meta header after unit records",
-                                                path=spath, line=lineno)
                     store.embedding_dimension = int(rec["embedding"]["dimension"])
                     matrix = np.empty((0, store.embedding_dimension))
                     idf = rec.get("idf", {})
@@ -553,30 +635,34 @@ def load(path: str | Path) -> GraphStore:
                         members=tuple(rec.get("members", ())),
                     )
                 elif kind == "unit":
-                    embedding = rec["embedding"]
-                    if not isinstance(embedding, list) or len(embedding) != store.embedding_dimension:
+                    uid, owner, language, text = (
+                        rec["id"], rec["owner"], rec["language"], rec["text"])
+                    if not {*map(type, (uid, owner, language, text))} <= {str}:
                         raise MalformedSnapshot(
-                            f"embedding of {rec['id']!r} is not a list of "
-                            f"{store.embedding_dimension} numbers",
-                            path=spath, line=lineno,
-                        )
-                    store.units[rec["id"]] = TextUnit(
-                        id=rec["id"],
+                            "unit id, owner, language and text must be strings",
+                            path=spath, line=lineno)
+                    if uid in rows:
+                        raise MalformedSnapshot(f"repeated unit {uid!r}", path=spath, line=lineno)
+                    index, values = _parse_embedding(
+                        rec["embedding"], store.embedding_dimension,
+                        uid=uid, path=spath, line=lineno)
+                    store.units[uid] = TextUnit(
+                        id=uid,
                         aspect=Aspect(rec["aspect"]),
-                        owner=rec["owner"],
-                        language=rec["language"],
-                        text=rec["text"],
+                        owner=owner,
+                        language=language,
+                        text=text,
                         synthetic=bool(rec.get("synthetic", False)),
                     )
-                    row = rows.setdefault(rec["id"], len(rows))
+                    row = rows[uid] = len(rows)
                     if row == len(matrix):
                         matrix.resize((max(64, 2 * row), store.embedding_dimension), refcheck=False)
-                    matrix[row] = embedding
+                    matrix[row, index] = values
                 else:
                     raise MalformedSnapshot(f"unknown record kind {kind!r}", path=spath, line=lineno)
             except MalformedSnapshot:
                 raise
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, OverflowError) as exc:
                 raise MalformedSnapshot(f"bad {kind!r} record: {exc}", path=spath, line=lineno) from None
 
     matrix.resize((len(rows), store.embedding_dimension), refcheck=False)

@@ -239,3 +239,28 @@ class TestMoreEdges:
                      "--target", "art6", "--at", "2011-01-01"])
         assert code == 3
         assert f":{index + 1}: embedding of" in capsys.readouterr().err
+
+    def test_query_on_a_version_1_snapshot_exits_3_and_asks_for_a_reingest(
+            self, snapshot_file, tmp_path, capsys):
+        lines = snapshot_file.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["format_version"] = 1
+        lines[0] = json.dumps(header)
+        old = tmp_path / "v1.ndjson"
+        old.write_text("\n".join(lines), encoding="utf-8")
+        code = main(["query", "at", "--snapshot", str(old), "--target", "art6",
+                     "--at", "2011-01-01"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert ":1: unsupported format_version 1" in err
+        assert "re-run `normgraph ingest`" in err
+
+    def test_query_on_a_snapshot_without_its_header_exits_3(
+            self, snapshot_file, tmp_path, capsys):
+        lines = snapshot_file.read_text(encoding="utf-8").splitlines()
+        headless = tmp_path / "headless.ndjson"
+        headless.write_text("\n".join(lines[1:]), encoding="utf-8")
+        code = main(["query", "retrieve", "--snapshot", str(headless), "--text", "food",
+                     "--target", "art6", "--at", "2011-01-01", "--mode", "lexical"])
+        assert code == 3
+        assert ":1: missing meta header" in capsys.readouterr().err

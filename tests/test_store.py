@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 from collections import Counter
 from datetime import date
 
@@ -10,7 +13,14 @@ import pytest
 from normgraph.errors import DanglingReference, MalformedSnapshot, UnknownWork
 from normgraph.fixture_corpus import ART6_CPT, NORM_URN
 from normgraph.model import Aspect, TextUnit, ThemeNode
-from normgraph.store import GraphStore, load, save, tokenize
+from normgraph.planner import QueryPattern, StructuredQuery, run
+from normgraph.retrieval import RetrievalMode
+from normgraph.store import FORMAT_VERSION, GraphStore, load, save, tokenize
+from normgraph.temporal import TemporalScope
+
+META = {"kind": "meta", "format_version": FORMAT_VERSION,
+        "embedding": {"name": "hashed_tfidf", "dimension": 256},
+        "idf": {"n_units": 0, "avgdl": 0.0, "df": {}}}
 
 
 class TestTokenize:
@@ -95,6 +105,7 @@ class TestLoad:
     def test_dangling_aggregate_reference(self, tmp_path):
         path = tmp_path / "bad.ndjson"
         records = [
+            META,
             {"kind": "work", "id": "urn:n", "aliases": [], "work_kind": "norm",
              "component_type": "other", "parent": None, "ordinal": 0, "metadata": {}},
             {"kind": "ctv", "id": "urn:n@2000-01-01", "work": "urn:n",
@@ -124,6 +135,55 @@ def _unit_lines(path):
     return lines, [i for i, line in enumerate(lines) if json.loads(line)["kind"] == "unit"]
 
 
+def _load_lines(lines, tmp_path):
+    path = tmp_path / "bad.ndjson"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    return load(path)
+
+
+class TestMetaHeader:
+    """Every snapshot with records starts with exactly one meta header."""
+
+    def test_missing_header(self, snapshot_path, tmp_path):
+        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
+        with pytest.raises(MalformedSnapshot, match="missing meta header") as exc:
+            _load_lines(lines[1:], tmp_path)
+        assert exc.value.line == 1
+
+    def test_late_header(self, snapshot_path, tmp_path):
+        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
+        with pytest.raises(MalformedSnapshot, match="missing meta header") as exc:
+            _load_lines([lines[1], lines[0]] + lines[2:], tmp_path)
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("where", ["next", "after_units"])
+    def test_second_header(self, snapshot_path, tmp_path, where):
+        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
+        at = 1 if where == "next" else len(lines)
+        lines.insert(at, lines[0])
+        with pytest.raises(MalformedSnapshot, match="second meta header") as exc:
+            _load_lines(lines, tmp_path)
+        assert exc.value.line == at + 1
+
+    def test_record_that_is_not_an_object(self, snapshot_path, tmp_path):
+        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
+        lines[2] = "[1, 2]"
+        with pytest.raises(MalformedSnapshot, match="not a JSON object") as exc:
+            _load_lines(lines, tmp_path)
+        assert exc.value.line == 3
+
+    def test_version_1_is_rejected_with_a_reingest_hint(self, snapshot_path, tmp_path):
+        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["format_version"] = 1
+        lines[0] = json.dumps(header)
+        with pytest.raises(MalformedSnapshot) as exc:
+            _load_lines(lines, tmp_path)
+        assert exc.value.line == 1
+        assert "unsupported format_version 1" in str(exc.value)
+        assert "re-run `normgraph ingest`" in str(exc.value)
+
+
 class TestEmbeddingMatrix:
     def test_one_read_only_row_per_unit_in_sorted_id_order(self, fixture_store):
         matrix = fixture_store.embeddings
@@ -137,16 +197,98 @@ class TestEmbeddingMatrix:
 
     @pytest.mark.parametrize("width", [0, 255, 257])
     def test_load_rejects_an_embedding_of_another_width(self, snapshot_path, tmp_path, width):
+        # A row with an entry in column `width` is wider than a header of that width.
         lines, units = _unit_lines(snapshot_path)
-        record = json.loads(lines[units[3]])
-        record["embedding"] = [0.0] * width
-        lines[units[3]] = json.dumps(record)
-        path = tmp_path / "bad.ndjson"
-        path.write_text("\n".join(lines), encoding="utf-8")
+        header = json.loads(lines[0])
+        header["embedding"]["dimension"] = width
+        lines[0] = json.dumps(header)
+        record = json.loads(lines[units[0]])
+        record["embedding"] = [width, 0.5]
+        lines[units[0]] = json.dumps(record)
         with pytest.raises(MalformedSnapshot) as exc:
-            load(path)
-        assert exc.value.line == units[3] + 1
-        assert "is not a list of 256 numbers" in str(exc.value)
+            _load_lines(lines, tmp_path)
+        assert exc.value.line == units[0] + 1
+        assert f"not strictly increasing in [0, {width})" in str(exc.value)
+
+    @pytest.mark.parametrize("embedding, reason", [
+        pytest.param([3, 0.5, 7], "not a flat list of index, value pairs", id="odd-length"),
+        pytest.param({"3": 0.5}, "not a flat list of index, value pairs", id="object"),
+        pytest.param([3.0, 0.5], "index that is not an integer", id="float-index"),
+        pytest.param([True, 0.5], "index that is not an integer", id="bool-index"),
+        pytest.param(["3", 0.5], "index that is not an integer", id="string-index"),
+        pytest.param([None, 0.5], "index that is not an integer", id="null-index"),
+        pytest.param([-1, 0.5], "not strictly increasing in [0, 256)", id="negative-index"),
+        pytest.param([256, 0.5], "not strictly increasing in [0, 256)", id="index-at-dimension"),
+        pytest.param([3, 0.5, 3, 0.25], "not strictly increasing", id="repeated-index"),
+        pytest.param([7, 0.5, 3, 0.25], "not strictly increasing", id="descending-indices"),
+        pytest.param([3, "0.5"], "value that is not a number", id="string-value"),
+        pytest.param([3, None], "value that is not a number", id="null-value"),
+        pytest.param([3, True], "value that is not a number", id="bool-value"),
+        pytest.param([3, [0.5]], "value that is not a number", id="list-value"),
+        pytest.param([3, 10 ** 400], "bad 'unit' record", id="value-beyond-float64"),
+    ])
+    def test_load_rejects_a_malformed_sparse_embedding(
+            self, snapshot_path, tmp_path, embedding, reason):
+        lines, units = _unit_lines(snapshot_path)
+        record = json.loads(lines[units[2]])
+        record["embedding"] = embedding
+        lines[units[2]] = json.dumps(record)
+        with pytest.raises(MalformedSnapshot) as exc:
+            _load_lines(lines, tmp_path)
+        assert exc.value.line == units[2] + 1
+        assert reason in str(exc.value)
+
+    def test_load_rejects_a_dense_version_1_row_in_a_version_2_file(
+            self, fixture_store, snapshot_path, tmp_path):
+        lines, units = _unit_lines(snapshot_path)
+        record = json.loads(lines[units[1]])
+        record["embedding"] = fixture_store.embedding(record["id"]).tolist()
+        lines[units[1]] = json.dumps(record)
+        with pytest.raises(MalformedSnapshot, match="index that is not an integer") as exc:
+            _load_lines(lines, tmp_path)
+        assert exc.value.line == units[1] + 1
+
+    def test_load_rejects_a_repeated_unit_record(self, snapshot_path, tmp_path):
+        lines, units = _unit_lines(snapshot_path)
+        lines.insert(units[4] + 1, lines[units[4]])
+        with pytest.raises(MalformedSnapshot, match="repeated unit") as exc:
+            _load_lines(lines, tmp_path)
+        assert exc.value.line == units[4] + 2
+
+    def test_records_hold_only_the_nonzero_entries(self, fixture_store, snapshot_path):
+        lines, units = _unit_lines(snapshot_path)
+        for i in units:
+            record = json.loads(lines[i])
+            row = fixture_store.embedding(record["id"])
+            index = np.flatnonzero(row)
+            assert record["embedding"][0::2] == index.tolist()
+            assert record["embedding"][1::2] == row[index].tolist()
+
+    def test_negative_zero_and_nan_round_trip_bitwise(self, tmp_path):
+        special = np.zeros(256)
+        special[[2, 9, 200]] = [-0.0, np.nan, 0.25]
+
+        class Fixed:
+            def embed(self, text):
+                return special if text == "special" else np.zeros(256)
+
+        store = GraphStore()
+        for name in ("special", "blank"):
+            store.add_theme(ThemeNode(f"theme:{name}", name, f"theme:{name}#description"))
+            store.add_unit(TextUnit(f"theme:{name}#description", Aspect.THEME_DESCRIPTION,
+                                    f"theme:{name}", "en", name))
+        store.commit(Fixed())
+        first, second = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
+        save(store, first)
+        records = {r.get("id"): r for r in map(json.loads, first.read_text().splitlines())}
+        assert records["theme:blank#description"]["embedding"] == []
+        special_record = records["theme:special#description"]["embedding"]
+        assert special_record[0::2] == [2, 9, 200]
+        assert '"embedding":[2,-0.0,9,NaN,200,0.25]' in first.read_text()
+        loaded = load(first)
+        assert loaded.embeddings.tobytes() == store.embeddings.tobytes()
+        save(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize("embedding", [None, "0.0", ["x"] * 256, [[0.0]] * 256])
     def test_load_rejects_an_embedding_that_is_not_a_list_of_numbers(
@@ -226,6 +368,89 @@ class TestIndexCoherence:
         for parent, children in fixture_store.children.items():
             ordinals = [fixture_store.works[c].ordinal for c in children]
             assert ordinals == sorted(ordinals)
+
+
+def _term_index_built(store: GraphStore) -> bool:
+    return store._text_index is not None
+
+
+class TestLazyTermIndex:
+    """A loaded store tokenizes its units only when a lexical path needs them."""
+
+    def test_point_in_time_and_impact_leave_it_unbuilt(self, snapshot_path, clock):
+        store = load(snapshot_path)
+        assert not _term_index_built(store)
+        run(store, StructuredQuery(QueryPattern.POINT_IN_TIME, structural_target="art6",
+                                   temporal=TemporalScope.instant(date(2011, 1, 1))), clock)
+        run(store, StructuredQuery(
+            QueryPattern.IMPACT_ANALYSIS, structural_target="tit2_cap2",
+            temporal=TemporalScope.interval(date(2010, 1, 1), date(2019, 12, 31))), clock)
+        assert not _term_index_built(store)
+
+    @pytest.mark.parametrize("query", [
+        pytest.param(StructuredQuery(QueryPattern.RETRIEVE, structural_target="tit2_cap2",
+                                     textual_target="housing", mode=RetrievalMode.LEXICAL,
+                                     temporal=TemporalScope.instant(date(2016, 1, 1))),
+                     id="lexical"),
+        pytest.param(StructuredQuery(QueryPattern.RETRIEVE, structural_target="tit2_cap2",
+                                     textual_target="housing", mode=RetrievalMode.HYBRID,
+                                     temporal=TemporalScope.instant(date(2016, 1, 1))),
+                     id="hybrid"),
+        pytest.param(StructuredQuery(QueryPattern.PROVENANCE, structural_target="art6",
+                                     textual_target="food"), id="provenance"),
+    ])
+    def test_lexical_paths_build_it_equal_to_an_eager_rebuild(
+            self, fixture_store, snapshot_path, clock, query):
+        store = load(snapshot_path)
+        answer = run(store, query, clock)
+        assert _term_index_built(store)
+        assert store.term_index == fixture_store.term_index
+        assert store.unit_len == fixture_store.unit_len
+        assert answer.annex_json() == run(fixture_store, query, clock).annex_json()
+
+    def test_concurrent_first_readers_share_one_complete_index(
+            self, fixture_store, snapshot_path, monkeypatch):
+        store = load(snapshot_path)
+        builds = []
+        rebuild = GraphStore._rebuild_text_index
+
+        def slow_rebuild(self):
+            builds.append(threading.get_ident())
+            time.sleep(0.05)  # widen the window in which both readers find no index
+            rebuild(self)
+
+        monkeypatch.setattr(GraphStore, "_rebuild_text_index", slow_rebuild)
+        readers = 6  # more threads than cores
+        barrier = threading.Barrier(readers)
+        seen: list = [None] * readers
+
+        def first_read(slot: int) -> None:
+            barrier.wait()
+            # Half the readers start with unit_len, so both names race.
+            if slot % 2:
+                unit_len = store.unit_len
+                term_index = store.term_index
+            else:
+                term_index = store.term_index
+                unit_len = store.unit_len
+            seen[slot] = (term_index, unit_len)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_read, args=(slot,))
+                       for slot in range(readers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(builds) == 1
+        for term_index, unit_len in seen:
+            assert term_index is seen[0][0] and unit_len is seen[0][1]
+        assert seen[0] == (fixture_store.term_index, fixture_store.unit_len)
 
 
 class TestAliasIndexes:

@@ -129,6 +129,35 @@ class TestResolveScope:
         assert "urn:test:mini!art2_cpt" in scope
         assert "urn:test:mini!art1_cpt" not in scope
 
+    def test_action_time_takes_event_dates_from_every_norm(self):
+        """Pins today's meaning: any norm's in-window action dates admit components.
+
+        Norm A has no action in the window; norm B is amended inside it. A's
+        components alive on B's date are admitted, and without B's event A's
+        scope is empty.
+        """
+        def store_with(events):
+            store = GraphStore()
+            enact(store, parse_document(mini_doc()))
+            other = mini_doc()
+            other["norm"].update(urn="urn:test:other", title="Other Statute", short_title="OS")
+            enact(store, parse_document(other))
+            for event in events:
+                apply_file(store, event)
+            return store
+
+        window = (date(2002, 1, 1), date(2002, 12, 31))
+        b_amended = amendment_file("urn:test:other!art2_cpt", "2002-06-01", "Other v2.")
+
+        def scope_of_a(store):
+            return set(resolve_scope(store, "urn:test:mini", window[0],
+                                     MembershipPolicy.ACTION_TIME, window=window))
+
+        assert scope_of_a(store_with([b_amended])) == {
+            "urn:test:mini", "urn:test:mini!art1", "urn:test:mini!art1_cpt",
+            "urn:test:mini!art2", "urn:test:mini!art2_cpt"}
+        assert scope_of_a(store_with([])) == set()
+
     def test_theme_entry_expands_members(self, fixture_store):
         theme_scope_result = resolve_scope(
             fixture_store, "theme:social-rights", date(2010, 1, 1))
