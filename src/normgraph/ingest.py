@@ -20,7 +20,7 @@ from datetime import date
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import (
     DuplicateFragment,
@@ -875,6 +875,20 @@ class IngestSummary:
     counts: dict = field(default_factory=dict)
 
 
+def ordered_events(
+        event_files: Iterable[tuple[str, EventFile]]) -> list[tuple[EventRecord, NormMeta | None]]:
+    """Every event of the given ``(file name, parsed event file)`` pairs.
+
+    Each comes with its file's instrument, in (effective_date, file name,
+    record index) order.
+    """
+    pending = [(record.effective_date, name, index, record, event_file.instrument)
+               for name, event_file in event_files
+               for index, record in enumerate(event_file.events)]
+    pending.sort(key=lambda item: item[:3])
+    return [(record, instrument) for *_, record, instrument in pending]
+
+
 def ingest_corpus(corpus_dir: str | Path, embedder=None) -> tuple[GraphStore, IngestSummary]:
     """Enact every document and apply every event file in deterministic order.
 
@@ -899,14 +913,12 @@ def ingest_corpus(corpus_dir: str | Path, embedder=None) -> tuple[GraphStore, In
         theme_specs.extend(doc.themes)
         summary.documents += 1
 
-    pending: list[tuple[date, str, int, EventRecord, NormMeta]] = []
+    event_files: list[tuple[str, EventFile]] = []
     for path in event_paths:
         event_file = parse_event_file(path.read_text(encoding="utf-8"), path=str(path))
         theme_specs.extend(event_file.themes)
-        for index, record in enumerate(event_file.events):
-            pending.append((record.effective_date, path.name, index, record, event_file.instrument))
-    pending.sort(key=lambda item: (item[0], item[1], item[2]))
-    for _, _, _, record, instrument in pending:
+        event_files.append((path.name, event_file))
+    for record, instrument in ordered_events(event_files):
         apply_event(store, record, instrument)
         summary.events += 1
 

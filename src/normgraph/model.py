@@ -484,9 +484,10 @@ def _check_text_units(graph: "GraphStore", out: list[Violation]) -> None:
         if row is None:
             continue
         norm = norms[row]
-        if unit.retrievable and abs(norm - 1.0) > 1e-6:
+        # Negated, so that a NaN norm fails the check.
+        if unit.retrievable and not abs(norm - 1.0) <= 1e-6:
             out.append(Violation("EmbeddingShape", f"embedding norm {norm:.8f} is not unit", (unit.id,)))
-        if not unit.retrievable and norm > 1e-9:
+        if not unit.retrievable and not norm <= 1e-9:
             out.append(Violation("EmbeddingShape", "empty text unit has a nonzero embedding", (unit.id,)))
 
 

@@ -19,10 +19,13 @@ import logging
 import operator
 import re
 import threading
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field, replace
 from datetime import date
+from enum import Enum
+from itertools import chain, filterfalse
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .model import (
     TemporalVersion,
     TextUnit,
     ThemeNode,
+    ValidityInterval,
     Violation,
     WorkId,
     WorkKind,
@@ -117,26 +121,14 @@ class GraphStore:
         if work.urn in self.works:
             raise ValueError(f"work {work.urn!r} already exists")
         self.works[work.urn] = work
-        if work.parent is not None:
-            siblings = self.children.setdefault(work.parent, [])
-            siblings.append(work.urn)
-            siblings.sort(key=lambda u: self.works[u].ordinal)
-        for alias in work.id.aliases:
-            self.alias_index.setdefault(alias, set()).add(work.urn)
-        fragment = work.id.fragment
-        if fragment:
-            self.fragment_index.setdefault(fragment, set()).add(work.urn)
+        self._index_work(work)
 
     def add_ctv(self, tv: TemporalVersion) -> None:
         self._assert_mutable()
         if tv.id in self.ctvs:
             raise ValueError(f"temporal version {tv.id!r} already exists")
         self.ctvs[tv.id] = tv
-        # After any version with the same start, as a stable sort would put it.
-        starts = self.version_starts.setdefault(tv.work, [])
-        index = bisect_right(starts, tv.validity.valid_start)
-        starts.insert(index, tv.validity.valid_start)
-        self.versions.setdefault(tv.work, []).insert(index, tv.id)
+        self._index_ctv(tv)
 
     def close_ctv(self, ctv: str, end: date, action: str) -> TemporalVersion:
         """Set the single permitted mutation: an open version's end date."""
@@ -157,7 +149,7 @@ class GraphStore:
         if lv.id in self.clvs:
             raise ValueError(f"language version {lv.id!r} already exists")
         self.clvs[lv.id] = lv
-        self.clvs_by_ctv.setdefault(lv.temporal_version, {})[lv.language] = lv.id
+        self._index_clv(lv)
 
     def add_action(self, action: ActionNode) -> None:
         self._assert_mutable()
@@ -178,6 +170,29 @@ class GraphStore:
             raise ValueError(f"theme {theme.id!r} already exists")
         self.themes[theme.id] = theme
 
+    # -- derived indexes: add_* files each node as it arrives, _reindex
+    # files every node of a loaded store, both through these functions.
+
+    def _index_work(self, work: WorkNode) -> None:
+        if work.parent is not None:
+            insort(self.children.setdefault(work.parent, []), work.urn,
+                   key=lambda u: self.works[u].ordinal)
+        for alias in work.id.aliases:
+            self.alias_index.setdefault(alias, set()).add(work.urn)
+        fragment = work.id.fragment
+        if fragment:
+            self.fragment_index.setdefault(fragment, set()).add(work.urn)
+
+    def _index_ctv(self, tv: TemporalVersion) -> None:
+        # After any version with the same start, as a stable sort would put it.
+        starts = self.version_starts.setdefault(tv.work, [])
+        index = bisect_right(starts, tv.validity.valid_start)
+        starts.insert(index, tv.validity.valid_start)
+        self.versions.setdefault(tv.work, []).insert(index, tv.id)
+
+    def _index_clv(self, lv: LanguageVersion) -> None:
+        self.clvs_by_ctv.setdefault(lv.temporal_version, {})[lv.language] = lv.id
+
     def _index_action(self, action: ActionNode) -> None:
         touched = set(action.targets)
         for cid in action.terminates + action.produces:
@@ -185,10 +200,23 @@ class GraphStore:
             if tv is not None:
                 touched.add(tv.work)
         for urn in touched:
-            acts = self.work_actions.setdefault(urn, [])
-            if action.id not in acts:
-                acts.append(action.id)
-                acts.sort(key=lambda aid: (self.actions[aid].effective_date, aid))
+            insort(self.work_actions.setdefault(urn, []), action.id,
+                   key=lambda aid: (self.actions[aid].effective_date, aid))
+
+    def _reindex(self) -> None:
+        for index in (self.children, self.versions, self.version_starts, self.work_actions,
+                      self.clvs_by_ctv, self.alias_index, self.fragment_index):
+            index.clear()
+        for work in self.works.values():
+            self._index_work(work)
+        for tv in self.ctvs.values():
+            self._index_ctv(tv)
+        for lv in self.clvs.values():
+            self._index_clv(lv)
+        for action in self.actions.values():
+            self._index_action(action)
+        # Only lexical, hybrid and span lookups read it; built on first use.
+        self._text_index = None
 
     # -- commit ---------------------------------------------------------
 
@@ -261,37 +289,6 @@ class GraphStore:
                 postings[uid] = postings.get(uid, 0) + 1
         self._text_index = (term_index, unit_len)
 
-    def _reindex(self) -> None:
-        self.children = {}
-        self.versions = {}
-        self.work_actions = {}
-        self.clvs_by_ctv = {}
-        self.alias_index = {}
-        self.fragment_index = {}
-        for work in self.works.values():
-            if work.parent is not None:
-                self.children.setdefault(work.parent, []).append(work.urn)
-            for alias in work.id.aliases:
-                self.alias_index.setdefault(alias, set()).add(work.urn)
-            if work.id.fragment:
-                self.fragment_index.setdefault(work.id.fragment, set()).add(work.urn)
-        for siblings in self.children.values():
-            siblings.sort(key=lambda u: self.works[u].ordinal)
-        for tv in self.ctvs.values():
-            self.versions.setdefault(tv.work, []).append(tv.id)
-        for chain in self.versions.values():
-            chain.sort(key=lambda cid: self.ctvs[cid].validity.valid_start)
-        self.version_starts = {
-            urn: [self.ctvs[cid].validity.valid_start for cid in chain]
-            for urn, chain in self.versions.items()
-        }
-        for lv in self.clvs.values():
-            self.clvs_by_ctv.setdefault(lv.temporal_version, {})[lv.language] = lv.id
-        for action in self.actions.values():
-            self._index_action(action)
-        # Only lexical, hybrid and span lookups read it; built on first use.
-        self._text_index = None
-
     # -- read API ---------------------------------------------------------
 
     def work(self, urn: str) -> WorkNode:
@@ -359,74 +356,174 @@ class GraphStore:
 
 
 # -- serialization -----------------------------------------------------------
-
-def _dump_date(d: date | None) -> str | None:
-    return d.isoformat() if d is not None else None
-
-
-def _record_for_work(work: WorkNode) -> dict:
-    return {
-        "kind": "work",
-        "id": work.urn,
-        "aliases": list(work.id.aliases),
-        "work_kind": work.kind.value,
-        "component_type": work.component_type.value,
-        "parent": work.parent,
-        "ordinal": work.ordinal,
-        "metadata": {k: v for k, v in work.metadata},
-    }
+#
+# Every node kind's persisted form is one entry of _KINDS, which save, load
+# and _check_references all walk. Every key is required and every value has
+# an exact JSON type (bool is no integer). The meta header and the unit
+# embeddings are written and read outside the table.
 
 
-def _record_for_ctv(tv: TemporalVersion) -> dict:
-    return {
-        "kind": "ctv",
-        "id": tv.id,
-        "work": tv.work,
-        "valid_start": tv.validity.valid_start.isoformat(),
-        "valid_end": _dump_date(tv.validity.valid_end),
-        "aggregates": list(tv.aggregates),
-        "produced_by": tv.produced_by,
-        "terminated_by": tv.terminated_by,
-    }
+class _Type(NamedTuple):
+    """A record value's exact JSON types, and its conversions to and from a node."""
+
+    name: str
+    json: frozenset[type]
+    decode: Callable | None = None  # JSON value -> attribute; None keeps it
+    encode: Callable | None = None  # attribute -> JSON value; None keeps it
 
 
-def _record_for_clv(lv: LanguageVersion) -> dict:
-    return {
-        "kind": "clv",
-        "id": lv.id,
-        "temporal_version": lv.temporal_version,
-        "language": lv.language,
-        "text_unit": lv.text_unit,
-    }
+# join raises TypeError on any item that is not a string.
+def _strs(value: list) -> tuple[str, ...]:
+    "".join(value)
+    return tuple(value)
 
 
-def _record_for_action(action: ActionNode) -> dict:
-    return {
-        "kind": "action",
-        "id": action.id,
-        "action_type": action.action_type.value,
-        "enactment_date": action.enactment_date.isoformat(),
-        "effective_date": action.effective_date.isoformat(),
-        "source_provision": action.source_provision,
-        "terminates": list(action.terminates),
-        "produces": list(action.produces),
-        "description_unit": action.description_unit,
-        "targets": list(action.targets),
-        "effect": action.effect,
-        "instrument": action.instrument,
-        "instrument_title": action.instrument_title,
-        "instrument_short": action.instrument_short,
-    }
+def _str_map(value: dict) -> tuple[tuple[str, str], ...]:
+    "".join(value.values())
+    return tuple(sorted(value.items()))
 
 
-def _record_for_theme(theme: ThemeNode) -> dict:
-    return {
-        "kind": "theme",
-        "id": theme.id,
-        "label": theme.label,
-        "description_unit": theme.description_unit,
-        "members": list(theme.members),
-    }
+def _or_null(convert: Callable) -> Callable:
+    return lambda value: None if value is None else convert(value)
+
+
+def _enum(cls: type[Enum]) -> _Type:
+    return _Type(f"a {cls.__name__} value", frozenset({str}),
+                 {member.value: member for member in cls}.__getitem__,
+                 operator.attrgetter("value"))
+
+
+_STR = _Type("a string", frozenset({str}))
+_OPTIONAL_STR = _Type("a string or null", frozenset({str, type(None)}))
+_INT = _Type("an integer", frozenset({int}))
+_BOOL = _Type("a boolean", frozenset({bool}))
+_DATE = _Type("an ISO date", frozenset({str}), date.fromisoformat, date.isoformat)
+_OPTIONAL_DATE = _Type("an ISO date or null", frozenset({str, type(None)}),
+                       _or_null(date.fromisoformat), _or_null(date.isoformat))
+# Tuples are written as JSON arrays, so a list of strings needs no encoder.
+_STRS = _Type("a list of strings", frozenset({list}), _strs)
+_STR_MAP = _Type("an object of strings", frozenset({dict}), _str_map, dict)
+
+
+class _Column(NamedTuple):
+    key: str
+    type: _Type
+    # The store map whose ids the value names; a trailing "?" lets "" and
+    # null name no node.
+    ref: str | None = None
+    # Node attribute path, when it is not the key.
+    attr: str | None = None
+
+
+class _Kind:
+    """One record kind: its store map, node constructor and columns.
+
+    The constructor takes the decoded column values in column order. The
+    getters and converters that save, load and the reference check use are
+    derived here once, not per record.
+    """
+
+    def __init__(self, nodes: str, build: Callable, *columns: _Column) -> None:
+        self.nodes = nodes
+        self.build = build
+        self.columns = columns
+        self.attrs = [column.attr or column.key for column in columns]
+        self.keys = [column.key for column in columns]
+        self.get = operator.itemgetter(*self.keys)
+        self.get_attrs = operator.attrgetter(*self.attrs)
+        self.json = [column.type.json for column in columns]
+        self.decoders = [(i, column.type.decode)
+                         for i, column in enumerate(columns) if column.type.decode]
+        self.encoders = [(column.key, column.type.encode)
+                         for column in columns if column.type.encode]
+
+    def why_bad(self, rec: dict, exc: Exception) -> str:
+        """Name the first missing key or wrong value of a record load rejected."""
+        for column in self.columns:
+            if column.key not in rec:
+                return f"missing key {column.key!r}"
+            value = rec[column.key]
+            try:
+                if type(value) not in column.type.json:
+                    raise TypeError
+                if column.type.decode:
+                    column.type.decode(value)
+            except (KeyError, TypeError, ValueError):
+                return f"{column.key!r} must be {column.type.name}"
+        return str(exc)
+
+
+def _work(urn, aliases, *rest) -> WorkNode:
+    return WorkNode(WorkId(urn, aliases), *rest)
+
+
+def _ctv(id, work, valid_start, valid_end, *rest) -> TemporalVersion:
+    return TemporalVersion(id, work, ValidityInterval(valid_start, valid_end), *rest)
+
+
+# In save order; a kind's columns are in its constructor's argument order.
+_KINDS = {
+    "work": _Kind(
+        "works", _work,
+        _Column("id", _STR, attr="id.urn"),
+        _Column("aliases", _STRS, attr="id.aliases"),
+        _Column("work_kind", _enum(WorkKind), attr="kind"),
+        _Column("component_type", _enum(ComponentType)),
+        _Column("parent", _OPTIONAL_STR, "works?"),
+        _Column("ordinal", _INT),
+        _Column("metadata", _STR_MAP),
+    ),
+    "ctv": _Kind(
+        "ctvs", _ctv,
+        _Column("id", _STR),
+        _Column("work", _STR, "works"),
+        _Column("valid_start", _DATE, attr="validity.valid_start"),
+        _Column("valid_end", _OPTIONAL_DATE, attr="validity.valid_end"),
+        _Column("aggregates", _STRS, "ctvs"),
+        _Column("produced_by", _STR, "actions?"),
+        _Column("terminated_by", _OPTIONAL_STR, "actions?"),
+    ),
+    "clv": _Kind(
+        "clvs", LanguageVersion,
+        _Column("id", _STR),
+        _Column("temporal_version", _STR, "ctvs"),
+        _Column("language", _STR),
+        _Column("text_unit", _STR, "units"),
+    ),
+    "action": _Kind(
+        "actions", ActionNode,
+        _Column("id", _STR),
+        _Column("action_type", _enum(ActionType)),
+        _Column("enactment_date", _DATE),
+        _Column("effective_date", _DATE),
+        _Column("source_provision", _OPTIONAL_STR, "works?"),
+        _Column("terminates", _STRS, "ctvs"),
+        _Column("produces", _STRS, "ctvs"),
+        _Column("description_unit", _STR, "units?"),
+        _Column("targets", _STRS, "works"),
+        _Column("effect", _OPTIONAL_STR),
+        _Column("instrument", _OPTIONAL_STR),
+        _Column("instrument_title", _OPTIONAL_STR),
+        _Column("instrument_short", _OPTIONAL_STR),
+    ),
+    "theme": _Kind(
+        "themes", ThemeNode,
+        _Column("id", _STR),
+        _Column("label", _STR),
+        _Column("description_unit", _STR, "units"),
+        _Column("members", _STRS, "works"),
+    ),
+    # Each unit record also carries its "embedding" (see _sparse_embedding).
+    "unit": _Kind(
+        "units", TextUnit,
+        _Column("id", _STR),
+        _Column("aspect", _enum(Aspect)),
+        _Column("owner", _STR),
+        _Column("language", _STR),
+        _Column("text", _STR),
+        _Column("synthetic", _BOOL),
+    ),
+}
 
 
 def _sparse_embedding(row: np.ndarray) -> list:
@@ -441,19 +538,6 @@ def _sparse_embedding(row: np.ndarray) -> list:
     return pairs
 
 
-def _record_for_unit(unit: TextUnit, embedding: np.ndarray) -> dict:
-    return {
-        "kind": "unit",
-        "id": unit.id,
-        "aspect": unit.aspect.value,
-        "owner": unit.owner,
-        "language": unit.language,
-        "text": unit.text,
-        "embedding": _sparse_embedding(embedding),
-        "synthetic": unit.synthetic,
-    }
-
-
 def save(store: GraphStore, path: str | Path) -> None:
     """Write the store as sorted NDJSON; load(save(s)) == s node-for-node.
 
@@ -462,14 +546,6 @@ def save(store: GraphStore, path: str | Path) -> None:
     """
     if not store.committed:
         raise RuntimeError("only a committed store can be saved")
-    kinds = [
-        (store.works, _record_for_work),
-        (store.ctvs, _record_for_ctv),
-        (store.clvs, _record_for_clv),
-        (store.actions, _record_for_action),
-        (store.themes, _record_for_theme),
-        (store.units, lambda unit: _record_for_unit(unit, store.embedding(unit.id))),
-    ]
     meta = {
         "kind": "meta",
         "format_version": FORMAT_VERSION,
@@ -484,19 +560,17 @@ def save(store: GraphStore, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(encode(meta))
         fh.write("\n")
-        for nodes, record_for in kinds:
+        for kind, spec in _KINDS.items():
+            nodes = getattr(store, spec.nodes)
             for node_id in sorted(nodes):
-                fh.write(encode(record_for(nodes[node_id])))
+                rec = dict(zip(spec.keys, spec.get_attrs(nodes[node_id])))
+                for key, to_json in spec.encoders:
+                    rec[key] = to_json(rec[key])
+                rec["kind"] = kind
+                if kind == "unit":
+                    rec["embedding"] = _sparse_embedding(store.embedding(node_id))
+                fh.write(encode(rec))
                 fh.write("\n")
-
-
-def _parse_date(value, *, path: str, line: int, optional: bool = False) -> date | None:
-    if value is None and optional:
-        return None
-    try:
-        return date.fromisoformat(value)
-    except (TypeError, ValueError):
-        raise MalformedSnapshot(f"bad date {value!r}", path=path, line=line) from None
 
 
 def _parse_embedding(value, dimension: int, *, uid: str, path: str,
@@ -523,30 +597,18 @@ def _parse_embedding(value, dimension: int, *, uid: str, path: str,
     return index, values
 
 
-def _load_work(rec: dict, path: str, line: int) -> WorkNode:
-    return WorkNode(
-        id=WorkId(rec["id"], tuple(rec.get("aliases", ()))),
-        kind=WorkKind(rec["work_kind"]),
-        component_type=ComponentType(rec["component_type"]),
-        parent=rec.get("parent"),
-        ordinal=int(rec.get("ordinal", 0)),
-        metadata=tuple(sorted((k, v) for k, v in rec.get("metadata", {}).items())),
-    )
-
-
 def load(path: str | Path) -> GraphStore:
     """Read a snapshot, rebuild indexes, and report invariant violations.
 
     Raises MalformedSnapshot on parse failures: a first record that is not
     the meta header, a second header, a ``format_version`` other than
-    FORMAT_VERSION, or a unit whose embedding breaks the sparse layout (see
-    _parse_embedding). Raises DanglingReference when a record cites an id no
-    record defines. A file with no records loads as an empty store. Softer
-    invariant breaches are collected on ``store.load_violations`` and
-    logged, not raised.
+    FORMAT_VERSION, a record of an unknown kind, a missing key or a value
+    of the wrong type (see _KINDS), a repeated id, or a unit whose embedding
+    breaks the sparse layout (see _parse_embedding). Raises
+    DanglingReference when a record cites an id no record defines. A file
+    with no records loads as an empty store. Softer invariant breaches are
+    collected on ``store.load_violations`` and logged, not raised.
     """
-    from .model import ValidityInterval  # local to keep import block tight
-
     store = GraphStore()
     spath = str(path)
     # Embedding rows in file order; the buffer grows in place as units
@@ -566,6 +628,7 @@ def load(path: str | Path) -> GraphStore:
             if not isinstance(rec, dict):
                 raise MalformedSnapshot("record is not a JSON object", path=spath, line=lineno)
             kind = rec.get("kind")
+            spec = _KINDS.get(kind) if type(kind) is str else None
             if kind == "meta":
                 if header_seen:
                     raise MalformedSnapshot("second meta header", path=spath, line=lineno)
@@ -589,81 +652,33 @@ def load(path: str | Path) -> GraphStore:
                     store.df = {str(k): int(v) for k, v in idf.get("df", {}).items()}
                     store.n_units = int(idf.get("n_units", 0))
                     store.avgdl = float(idf.get("avgdl", 0.0))
-                elif kind == "work":
-                    work = _load_work(rec, spath, lineno)
-                    store.works[work.urn] = work
-                elif kind == "ctv":
-                    store.ctvs[rec["id"]] = TemporalVersion(
-                        id=rec["id"],
-                        work=rec["work"],
-                        validity=ValidityInterval(
-                            _parse_date(rec["valid_start"], path=spath, line=lineno),
-                            _parse_date(rec.get("valid_end"), path=spath, line=lineno, optional=True),
-                        ),
-                        aggregates=tuple(rec.get("aggregates", ())),
-                        produced_by=rec.get("produced_by", ""),
-                        terminated_by=rec.get("terminated_by"),
-                    )
-                elif kind == "clv":
-                    store.clvs[rec["id"]] = LanguageVersion(
-                        id=rec["id"],
-                        temporal_version=rec["temporal_version"],
-                        language=rec["language"],
-                        text_unit=rec["text_unit"],
-                    )
-                elif kind == "action":
-                    store.actions[rec["id"]] = ActionNode(
-                        id=rec["id"],
-                        action_type=ActionType(rec["action_type"]),
-                        enactment_date=_parse_date(rec["enactment_date"], path=spath, line=lineno),
-                        effective_date=_parse_date(rec["effective_date"], path=spath, line=lineno),
-                        source_provision=rec.get("source_provision"),
-                        terminates=tuple(rec.get("terminates", ())),
-                        produces=tuple(rec.get("produces", ())),
-                        description_unit=rec.get("description_unit", ""),
-                        targets=tuple(rec.get("targets", ())),
-                        effect=rec.get("effect"),
-                        instrument=rec.get("instrument"),
-                        instrument_title=rec.get("instrument_title"),
-                        instrument_short=rec.get("instrument_short"),
-                    )
-                elif kind == "theme":
-                    store.themes[rec["id"]] = ThemeNode(
-                        id=rec["id"],
-                        label=rec["label"],
-                        description_unit=rec["description_unit"],
-                        members=tuple(rec.get("members", ())),
-                    )
-                elif kind == "unit":
-                    uid, owner, language, text = (
-                        rec["id"], rec["owner"], rec["language"], rec["text"])
-                    if not {*map(type, (uid, owner, language, text))} <= {str}:
-                        raise MalformedSnapshot(
-                            "unit id, owner, language and text must be strings",
-                            path=spath, line=lineno)
-                    if uid in rows:
-                        raise MalformedSnapshot(f"repeated unit {uid!r}", path=spath, line=lineno)
+                    continue
+                if spec is None:
+                    raise MalformedSnapshot(f"unknown record kind {kind!r}", path=spath, line=lineno)
+                values = spec.get(rec)
+                if not all(map(operator.contains, spec.json, map(type, values))):
+                    raise TypeError("a value of the wrong type")
+                values = list(values)
+                for i, decode in spec.decoders:
+                    values[i] = decode(values[i])
+                node_id = values[0]
+                nodes = getattr(store, spec.nodes)
+                if node_id in nodes:
+                    raise MalformedSnapshot(f"repeated {kind} {node_id!r}", path=spath, line=lineno)
+                nodes[node_id] = spec.build(*values)
+                if kind == "unit":
                     index, values = _parse_embedding(
                         rec["embedding"], store.embedding_dimension,
-                        uid=uid, path=spath, line=lineno)
-                    store.units[uid] = TextUnit(
-                        id=uid,
-                        aspect=Aspect(rec["aspect"]),
-                        owner=owner,
-                        language=language,
-                        text=text,
-                        synthetic=bool(rec.get("synthetic", False)),
-                    )
-                    row = rows[uid] = len(rows)
+                        uid=node_id, path=spath, line=lineno)
+                    row = rows[node_id] = len(rows)
                     if row == len(matrix):
                         matrix.resize((max(64, 2 * row), store.embedding_dimension), refcheck=False)
                     matrix[row, index] = values
-                else:
-                    raise MalformedSnapshot(f"unknown record kind {kind!r}", path=spath, line=lineno)
             except MalformedSnapshot:
                 raise
             except (KeyError, ValueError, TypeError, OverflowError) as exc:
-                raise MalformedSnapshot(f"bad {kind!r} record: {exc}", path=spath, line=lineno) from None
+                why = spec.why_bad(rec, exc) if spec else exc
+                raise MalformedSnapshot(f"bad {kind!r} record: {why}", path=spath, line=lineno) from None
 
     matrix.resize((len(rows), store.embedding_dimension), refcheck=False)
     unit_ids = list(rows)
@@ -682,38 +697,20 @@ def load(path: str | Path) -> GraphStore:
 
 
 def _check_references(store: GraphStore) -> None:
-    for work in store.works.values():
-        if work.parent is not None and work.parent not in store.works:
-            raise DanglingReference(work.urn, work.parent)
-    for tv in store.ctvs.values():
-        if tv.work not in store.works:
-            raise DanglingReference(tv.id, tv.work)
-        for cid in tv.aggregates:
-            if cid not in store.ctvs:
-                raise DanglingReference(tv.id, cid)
-        if tv.produced_by and tv.produced_by not in store.actions:
-            raise DanglingReference(tv.id, tv.produced_by)
-        if tv.terminated_by and tv.terminated_by not in store.actions:
-            raise DanglingReference(tv.id, tv.terminated_by)
-    for lv in store.clvs.values():
-        if lv.temporal_version not in store.ctvs:
-            raise DanglingReference(lv.id, lv.temporal_version)
-        if lv.text_unit not in store.units:
-            raise DanglingReference(lv.id, lv.text_unit)
-    for action in store.actions.values():
-        for cid in action.terminates + action.produces:
-            if cid not in store.ctvs:
-                raise DanglingReference(action.id, cid)
-        if action.description_unit and action.description_unit not in store.units:
-            raise DanglingReference(action.id, action.description_unit)
-        if action.source_provision and action.source_provision not in store.works:
-            raise DanglingReference(action.id, action.source_provision)
-        for target in action.targets:
-            if target not in store.works:
-                raise DanglingReference(action.id, target)
-    for theme in store.themes.values():
-        for member in theme.members:
-            if member not in store.works:
-                raise DanglingReference(theme.id, member)
-        if theme.description_unit not in store.units:
-            raise DanglingReference(theme.id, theme.description_unit)
+    """Raise DanglingReference for the first id a node cites that names no node."""
+    for spec in _KINDS.values():
+        nodes = getattr(store, spec.nodes).values()
+        for column, attr in zip(spec.columns, spec.attrs):
+            if column.ref is None:
+                continue
+            get = operator.attrgetter(attr)
+            many = column.type is _STRS
+            cited = chain.from_iterable(map(get, nodes)) if many else map(get, nodes)
+            if column.ref.endswith("?"):
+                cited = filter(None, cited)
+            target = getattr(store, column.ref.rstrip("?"))
+            missing = next(filterfalse(target.__contains__, cited), None)
+            if missing is not None:
+                referrer = next(node for node in nodes
+                                if missing in (get(node) if many else (get(node),)))
+                raise DanglingReference(operator.attrgetter(spec.attrs[0])(referrer), missing)

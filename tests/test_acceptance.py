@@ -24,7 +24,8 @@ from normgraph.fixture_corpus import (
     NORM_URN,
     RIGHTS_1999,
 )
-from normgraph.ingest import add_language, apply_event, enact, parse_document, parse_event_file
+from normgraph.ingest import (
+    add_language, apply_event, enact, ordered_events, parse_document, parse_event_file)
 from normgraph.model import interval_contains
 from normgraph.planner import QueryPattern, StructuredQuery, run
 from normgraph.store import GraphStore
@@ -203,14 +204,9 @@ def test_criterion_7_multilingual_economy(corpus_dir):
     doc = parse_document(
         (corpus_dir / "constitution_1988.satdoc.json").read_text(encoding="utf-8"))
     enact(store, doc)
-    pending = []
-    for path in sorted(corpus_dir.glob("*.satev.json")):
-        parsed = parse_event_file(path.read_text(encoding="utf-8"), path=str(path))
-        for index, record in enumerate(parsed.events):
-            pending.append((record.effective_date, path.name, index, record,
-                            parsed.instrument))
-    pending.sort(key=lambda item: (item[0], item[1], item[2]))
-    for _, _, _, record, instrument in pending:
+    event_files = [(path.name, parse_event_file(path.read_text(encoding="utf-8"), path=str(path)))
+                   for path in sorted(corpus_dir.glob("*.satev.json"))]
+    for record, instrument in ordered_events(event_files):
         apply_event(store, record, instrument)
 
     before = store.node_counts()

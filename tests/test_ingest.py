@@ -28,6 +28,7 @@ from normgraph.ingest import (
     add_language,
     apply_event,
     enact,
+    ordered_events,
     parse_document,
     parse_event_file,
     parse_translation_file,
@@ -225,6 +226,21 @@ class TestParseEventFile:
         })
         assert parsed.instrument is None
         assert parsed.themes[0].label == "X"
+
+
+def test_ordered_events_sorts_by_date_then_file_name_then_record_index():
+    late = amendment_file("urn:test:mini!art1_cpt", "2005-01-01", "late")
+    early = amendment_file("urn:test:mini!art2_cpt", "2001-01-01", "early")
+    same_day = amendment_file("urn:test:mini!art2_cpt", "2003-01-01", "same day")
+    two = amendment_file("urn:test:mini!art1_cpt", "2003-01-01", "first")
+    two["events"].append(dict(two["events"][0], new_text={"en": "second"}))
+    files = [("b.satev.json", parse_event_file(two)), ("c.satev.json", parse_event_file(late)),
+             ("a.satev.json", parse_event_file(same_day)), ("d.satev.json", parse_event_file(early))]
+    ordered = ordered_events(files)
+    assert [record.new_text[0][1] for record, _ in ordered] == [
+        "early", "same day", "first", "second", "late"]
+    assert [instrument.urn[-10:] for _, instrument in ordered] == [
+        "2001-01-01", "2003-01-01", "2003-01-01", "2003-01-01", "2005-01-01"]
 
 
 class TestEnact:

@@ -1,8 +1,10 @@
-"""Hypothesis fuzzing of one unit record of the fixture snapshot.
+"""Hypothesis fuzzing of one record of the fixture snapshot.
 
-Whatever one unit record is turned into, ``load`` either returns a store
-whose lazily built term index can be read, or raises MalformedSnapshot or
-DanglingReference; no other exception may escape.
+Whatever one record is turned into, ``load`` either returns a store whose
+lazily built term index can be read and which saves and loads back to the
+same nodes, or raises MalformedSnapshot or DanglingReference; no other
+exception may escape. Every record kind is fuzzed; unit records also get
+mutations of their sparse embedding.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normgraph.errors import DanglingReference, MalformedSnapshot
-from normgraph.store import load
+from normgraph.store import load, save
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -22,15 +24,20 @@ JSON_VALUES = st.recursive(
                    | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
     max_leaves=8,
 )
-MUTATIONS = ["truncate", "drop_keys", "retype", "index", "value", "insert", "delete", "swap"]
+RECORD_MUTATIONS = ["truncate", "drop_keys", "retype"]
+EMBEDDING_MUTATIONS = ["index", "value", "insert", "delete", "swap"]
+NODES = ("works", "ctvs", "clvs", "actions", "themes", "units")
 
 
 def _mutate(data, line: str) -> str:
-    """One mutation of a serialized unit record, drawn from ``data``."""
+    """One mutation of a serialized record, drawn from ``data``."""
     record = json.loads(line)
-    embedding = record["embedding"]
-    slots = len(embedding)
-    op = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    mutations = RECORD_MUTATIONS
+    if record["kind"] == "unit":
+        mutations = RECORD_MUTATIONS + EMBEDDING_MUTATIONS
+        embedding = record["embedding"]
+        slots = len(embedding)
+    op = data.draw(st.sampled_from(mutations), label="mutation")
     if op == "truncate":
         return line[:data.draw(st.integers(0, len(line) - 1), label="cut")]
     if op == "drop_keys":
@@ -56,18 +63,10 @@ def _mutate(data, line: str) -> str:
     return json.dumps(record)
 
 
-@pytest.fixture(scope="module")
-def fuzz_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz")
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_a_mutated_unit_record_loads_or_fails_with_a_snapshot_error(
-        snapshot_path, fuzz_dir, data):
+def _load_a_mutated_record(snapshot_path, fuzz_dir, data, kinds) -> None:
     lines = snapshot_path.read_text(encoding="utf-8").splitlines()
-    units = [i for i, line in enumerate(lines) if json.loads(line)["kind"] == "unit"]
-    target = data.draw(st.sampled_from(units), label="unit line")
+    candidates = [i for i, line in enumerate(lines) if json.loads(line)["kind"] in kinds]
+    target = data.draw(st.sampled_from(candidates), label="record line")
     lines[target] = _mutate(data, lines[target])
     path = fuzz_dir / "mutated.ndjson"
     path.write_text("\n".join(lines), encoding="utf-8")
@@ -77,3 +76,28 @@ def test_a_mutated_unit_record_loads_or_fails_with_a_snapshot_error(
         return
     assert store.embeddings.shape == (len(store.units), store.embedding_dimension)
     assert set(store.unit_len) == set(store.units)
+    resaved = fuzz_dir / "resaved.ndjson"
+    save(store, resaved)
+    reloaded = load(resaved)
+    for nodes in NODES:
+        assert getattr(reloaded, nodes) == getattr(store, nodes), nodes
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_mutated_unit_record_loads_or_fails_with_a_snapshot_error(
+        snapshot_path, fuzz_dir, data):
+    _load_a_mutated_record(snapshot_path, fuzz_dir, data, {"unit"})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_mutated_record_of_another_kind_loads_or_fails_with_a_snapshot_error(
+        snapshot_path, fuzz_dir, data):
+    _load_a_mutated_record(snapshot_path, fuzz_dir, data,
+                           {"work", "ctv", "clv", "action", "theme"})

@@ -6,18 +6,22 @@ import threading
 import time
 from collections import Counter
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from normgraph.cli import main
 from normgraph.errors import DanglingReference, MalformedSnapshot, UnknownWork
 from normgraph.fixture_corpus import ART6_CPT, NORM_URN
-from normgraph.model import Aspect, TextUnit, ThemeNode
+from normgraph.model import Aspect, TextUnit, ThemeNode, validate_graph
 from normgraph.planner import QueryPattern, StructuredQuery, run
 from normgraph.retrieval import RetrievalMode
 from normgraph.store import FORMAT_VERSION, GraphStore, load, save, tokenize
 from normgraph.temporal import TemporalScope
 
+# A save of the fixture corpus in the current format; see TestGoldenSnapshot.
+GOLDEN = Path(__file__).parent / "data" / "golden_fixture.ndjson"
 META = {"kind": "meta", "format_version": FORMAT_VERSION,
         "embedding": {"name": "hashed_tfidf", "dimension": 256},
         "idf": {"n_units": 0, "avgdl": 0.0, "df": {}}}
@@ -88,6 +92,23 @@ class TestRoundTrip:
         for uid in fixture_store.units:
             # Bitwise: the decimal text written by save reads back exactly.
             assert loaded.embedding(uid).tobytes() == fixture_store.embedding(uid).tobytes()
+
+
+class TestGoldenSnapshot:
+    """The on-disk format is pinned by a committed save of the fixture corpus."""
+
+    def test_load_then_save_reproduces_it_byte_for_byte(self, tmp_path):
+        path = tmp_path / "resaved.ndjson"
+        save(load(GOLDEN), path)
+        assert path.read_bytes() == GOLDEN.read_bytes()
+
+    def test_its_nodes_are_those_of_an_ingest_of_the_fixture_corpus(self, fixture_store):
+        # Embeddings are left out: they depend on the platform's float arithmetic.
+        golden = load(GOLDEN)
+        assert golden.load_violations == []
+        for nodes in ("works", "ctvs", "clvs", "actions", "themes", "units"):
+            assert getattr(golden, nodes) == getattr(fixture_store, nodes), nodes
+        assert (golden.df, golden.n_units) == (fixture_store.df, fixture_store.n_units)
 
 
 class TestLoad:
@@ -182,6 +203,60 @@ class TestMetaHeader:
         assert exc.value.line == 1
         assert "unsupported format_version 1" in str(exc.value)
         assert "re-run `normgraph ingest`" in str(exc.value)
+
+
+DROP = object()
+
+
+class TestStrictRecords:
+    """Every key of a record is required and every value has an exact type."""
+
+    @pytest.mark.parametrize("kind, key, value, reason", [
+        pytest.param("work", "metadata", ["label"], "'metadata' must be an object of strings",
+                     id="work-metadata-list"),
+        pytest.param("ctv", "aggregates", [["x"]], "'aggregates' must be a list of strings",
+                     id="ctv-aggregates-holding-a-list"),
+        pytest.param("clv", "language", 7, "'language' must be a string", id="clv-language-int"),
+        pytest.param("work", "ordinal", "0", "'ordinal' must be an integer", id="work-ordinal-string"),
+        pytest.param("action", "targets", "a", "'targets' must be a list of strings",
+                     id="action-targets-string"),
+        pytest.param("work", "ordinal", False, "'ordinal' must be an integer", id="work-ordinal-bool"),
+        pytest.param("unit", "synthetic", 0, "'synthetic' must be a boolean", id="unit-synthetic-int"),
+        pytest.param("action", "effective_date", "2000-02-30", "'effective_date' must be an ISO date",
+                     id="action-bad-date"),
+        pytest.param("work", "work_kind", "statute", "'work_kind' must be a WorkKind value",
+                     id="work-unknown-kind"),
+        pytest.param("ctv", "produced_by", DROP, "missing key 'produced_by'", id="ctv-no-produced_by"),
+        pytest.param("theme", "members", DROP, "missing key 'members'", id="theme-no-members"),
+    ])
+    def test_a_bad_value_is_a_malformed_snapshot_naming_its_line(
+            self, snapshot_path, tmp_path, capsys, kind, key, value, reason):
+        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
+        at = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+        record = json.loads(lines[at])
+        if value is DROP:
+            del record[key]
+        else:
+            record[key] = value
+        lines[at] = json.dumps(record)
+        with pytest.raises(MalformedSnapshot) as exc:
+            _load_lines(lines, tmp_path)
+        assert exc.value.line == at + 1
+        assert f"bad {kind!r} record: {reason}" in str(exc.value)
+        code = main(["query", "at", "--snapshot", str(tmp_path / "bad.ndjson"),
+                     "--target", "art6", "--at", "2011-01-01"])
+        assert code == 3
+        assert f":{at + 1}: bad {kind!r} record" in capsys.readouterr().err
+
+    # Repeated units: test_load_rejects_a_repeated_unit_record.
+    @pytest.mark.parametrize("kind", ["work", "ctv", "clv", "action", "theme"])
+    def test_a_repeated_id_is_a_malformed_snapshot(self, snapshot_path, tmp_path, kind):
+        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
+        at = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+        lines.insert(at + 1, lines[at])
+        with pytest.raises(MalformedSnapshot, match=f"repeated {kind} ") as exc:
+            _load_lines(lines, tmp_path)
+        assert exc.value.line == at + 2
 
 
 class TestEmbeddingMatrix:
@@ -289,6 +364,27 @@ class TestEmbeddingMatrix:
         assert loaded.embeddings.tobytes() == store.embeddings.tobytes()
         save(loaded, second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("text", ["some words", ""])
+    def test_a_nan_embedding_is_an_invariant_violation(self, tmp_path, text):
+        row = np.zeros(256)
+        row[[3, 7]] = [1.0, np.nan]
+
+        class WithNan:
+            def embed(self, text):
+                return row
+
+        store = GraphStore()
+        store.add_theme(ThemeNode("theme:t", "T", "theme:t#description"))
+        store.add_unit(TextUnit("theme:t#description", Aspect.THEME_DESCRIPTION,
+                                "theme:t", "en", text))
+        store.commit(WithNan())
+        [violation] = validate_graph(store)
+        assert violation.code == "EmbeddingShape"
+        assert violation.nodes == ("theme:t#description",)
+        path = tmp_path / "nan.ndjson"
+        save(store, path)
+        assert load(path).load_violations == [violation]
 
     @pytest.mark.parametrize("embedding", [None, "0.0", ["x"] * 256, [[0.0]] * 256])
     def test_load_rejects_an_embedding_that_is_not_a_list_of_numbers(
