@@ -60,9 +60,9 @@ def _add_query_flags(parser: argparse.ArgumentParser, *, term: bool = False,
                             help="comma list: content,action_description,metadata,theme_description")
         parser.add_argument("--include-future-actions", action="store_true")
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--at", metavar="DATE", help="evaluation instant (ISO date)")
+    group.add_argument("--at", metavar="DATE", help="evaluation instant (YYYY-MM-DD)")
     group.add_argument("--between", nargs=2, metavar=("D1", "D2"),
-                       help="evaluation interval (ISO dates)")
+                       help="evaluation interval (YYYY-MM-DD dates)")
     parser.add_argument("--policy", choices=["snapshot-last", "snapshot-first"],
                         default="snapshot-last")
     parser.add_argument("--membership",
@@ -163,7 +163,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     mapping["k"] = args.k
     mapping["language_fallback"] = not args.no_fallback
     query = evaluation.build_query(_PATTERNS[args.pattern], mapping)
-    clock = date.fromisoformat(args.clock) if args.clock else date.today()
+    clock = evaluation.query_date(args.clock) if args.clock else date.today()
     answer = planner.run(graph, query, clock)
     if args.json:
         sys.stdout.write(answer.annex_json())
@@ -176,7 +176,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     graph = store_mod.load(_snapshot_path(args.snapshot))
     truth = evaluation.load_truth(args.truth)
-    clock = date.fromisoformat(args.clock) if args.clock else None
+    clock = evaluation.query_date(args.clock) if args.clock else None
     report = evaluation.evaluate(graph, truth, clock=clock)
     print(report.table())
     if args.report:

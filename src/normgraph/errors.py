@@ -173,8 +173,12 @@ class UnknownAlias(QueryError):
 
 
 class UnplannableQuery(QueryError):
-    def __init__(self, reason: str = "query carries no structural, textual, or temporal constraint"):
+    def __init__(self, reason: str = "query names neither a structural or theme target nor a text"):
         super().__init__(reason)
+
+
+class MalformedQuery(QueryError):
+    """A query value that cannot be read, such as a date that is not YYYY-MM-DD."""
 
 
 class EmptyScope(QueryError):

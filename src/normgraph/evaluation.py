@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
-from .errors import MalformedInput, MismatchedQueryIds
-from .model import Aspect
+from .errors import MalformedInput, MalformedQuery, MismatchedQueryIds
+from .model import Aspect, parse_iso_date
 from .planner import Answer, QueryPattern, StructuredQuery, run
 from .retrieval import RetrievalMode
 from .store import GraphStore
@@ -62,22 +62,37 @@ def parse_truth_file(source: str | dict, path: str | None = None) -> GroundTruth
             expected_chains=tuple(tuple(c) for c in item.get("expected_chains", ())),
         ))
     clock = data.get("clock")
-    return GroundTruth(
-        queries=tuple(queries),
-        clock=date.fromisoformat(clock) if clock else None,
-    )
+    try:
+        clock = parse_iso_date(clock) if clock else None
+    except ValueError as exc:
+        raise MalformedInput(f"clock: {exc}", path) from None
+    return GroundTruth(queries=tuple(queries), clock=clock)
+
+
+def query_date(value: str) -> date:
+    """A query's date, read strictly; MalformedQuery if it is not YYYY-MM-DD."""
+    try:
+        return parse_iso_date(value)
+    except ValueError as exc:
+        raise MalformedQuery(str(exc)) from None
 
 
 def build_query(pattern: QueryPattern, mapping: dict) -> StructuredQuery:
-    """Translate a truth-file (or CLI-shaped) query mapping into a record."""
+    """Translate a truth-file (or CLI-shaped) query mapping into a record.
+
+    A date that is not YYYY-MM-DD, or a reversed ``between``, raises
+    MalformedQuery.
+    """
     temporal = None
     if "at" in mapping:
-        temporal = TemporalScope.instant(date.fromisoformat(mapping["at"]))
+        temporal = TemporalScope.instant(query_date(mapping["at"]))
     elif "between" in mapping:
-        t1, t2 = mapping["between"]
+        t1, t2 = (query_date(d) for d in mapping["between"])
         policy = SnapshotPolicy(mapping.get("policy", "snapshot_last"))
-        temporal = TemporalScope.interval(
-            date.fromisoformat(t1), date.fromisoformat(t2), policy)
+        try:
+            temporal = TemporalScope.interval(t1, t2, policy)
+        except ValueError as exc:  # a reversed window
+            raise MalformedQuery(str(exc)) from None
     aspects = frozenset(
         Aspect(a) for a in mapping.get("aspects", ())) or frozenset({Aspect.CONTENT})
     return StructuredQuery(

@@ -51,6 +51,7 @@ from .model import (
     clv_id,
     ctv_id,
     metadata_tuple,
+    parse_iso_date,
 )
 from .store import GraphStore
 from .themes import define_theme
@@ -174,8 +175,8 @@ def _req(data: dict, key: str, path: str | None):
 
 def _parse_date_field(value, key: str, path: str | None) -> date:
     try:
-        return date.fromisoformat(value)
-    except (TypeError, ValueError):
+        return parse_iso_date(value)
+    except ValueError:
         raise MalformedInput(f"field {key!r} is not an ISO date: {value!r}", path) from None
 
 
@@ -358,7 +359,7 @@ def textualize_metadata(node: WorkNode | TemporalVersion, store: GraphStore,
             continue
         if key == "publication_date":
             try:
-                spelled = _spell_date(date.fromisoformat(value), locale)
+                spelled = _spell_date(parse_iso_date(value), locale)
             except ValueError:
                 spelled = value
             text = locale["meta_publication_date"].format(title=title, date=spelled)

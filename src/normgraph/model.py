@@ -10,6 +10,7 @@ version "valid until 2010-02-03" is stored with ``valid_end``
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
@@ -26,6 +27,8 @@ EMBEDDING_DIMENSION = 256
 FRAGMENT_SEP = "!"
 # Separator between a work urn and a version date in derived CTV ids.
 VERSION_SEP = "@"
+
+_ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII).fullmatch
 
 
 class WorkKind(str, Enum):
@@ -158,6 +161,20 @@ class ValidityInterval:
         if self.valid_end is None:
             return None
         return date.fromordinal(self.valid_end.toordinal() - 1)
+
+
+def parse_iso_date(value: str) -> date:
+    """Read exactly ``YYYY-MM-DD``; raise ValueError on anything else.
+
+    ``date.fromisoformat`` alone also reads ``20000214`` and week dates
+    from Python 3.11 on, so what it accepts depends on the version.
+    """
+    if type(value) is str and _ISO_DATE(value):
+        try:
+            return date.fromisoformat(value)
+        except ValueError:  # a month or day out of range
+            pass
+    raise ValueError(f"not a YYYY-MM-DD date: {value!r}")
 
 
 def interval_contains(iv: ValidityInterval, t: date) -> bool:
@@ -470,8 +487,10 @@ _ASPECT_OWNERS = {
 def _check_text_units(graph: "GraphStore", out: list[Violation]) -> None:
     # Widths are enforced where rows are written (commit, load); only the
     # norms are left to check, taken over the whole matrix at once (vecdot
-    # needs no matrix-sized temporary).
-    norms = np.sqrt(np.vecdot(graph.embeddings, graph.embeddings)).tolist()
+    # needs no matrix-sized temporary). A row that overflows gets an inf or
+    # NaN norm, which the checks below report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.vecdot(graph.embeddings, graph.embeddings)).tolist()
     rows = graph.unit_rows
     for unit in graph.units.values():
         if unit.aspect is Aspect.METADATA:

@@ -33,7 +33,6 @@ from .retrieval import (
 from .store import GraphStore
 from .temporal import (
     MembershipPolicy,
-    ScopeResult,
     SnapshotPolicy,
     TemporalScope,
     alive_at,
@@ -53,9 +52,10 @@ class QueryPattern(str, Enum):
 
 
 class Strategy(str, Enum):
+    """Where a query's reading starts: its entry's scope, or the whole corpus."""
+
     STRUCTURE_FIRST = "structure_first"
     SPAN_FIRST = "span_first"
-    TIME_FIRST = "time_first"
 
 
 # Step names shared by the annex across all patterns.
@@ -104,6 +104,11 @@ class StructuredQuery:
     aspects: frozenset[Aspect] = frozenset({Aspect.CONTENT})
     language_fallback: bool = True
     include_future_actions: bool = False
+
+    @property
+    def entry(self) -> str | None:
+        """The work or theme the query starts from, if it names one."""
+        return self.structural_target or self.theme_target
 
 
 @dataclass(frozen=True)
@@ -187,13 +192,11 @@ def canonicalize(raw: StructuredQuery, store: GraphStore, clock: date) -> Struct
     """Resolve aliases, bind `now` to the clock, and fill the defaults."""
     if raw.pattern is QueryPattern.PROVENANCE and not raw.textual_target:
         raise UnplannableQuery("provenance queries need a textual target")
-    if raw.pattern is QueryPattern.IMPACT_ANALYSIS and not (
-        raw.structural_target or raw.theme_target
-    ):
+    if raw.pattern is QueryPattern.IMPACT_ANALYSIS and not raw.entry:
         raise UnplannableQuery("impact analysis needs a structural or theme target")
-    if (raw.structural_target is None and raw.theme_target is None
-            and raw.textual_target is None and raw.temporal is None):
-        raise UnplannableQuery()
+    if raw.pattern is QueryPattern.POINT_IN_TIME and not raw.entry:
+        raise UnplannableQuery("point-in-time queries need a structural or theme target")
+    select_strategy(raw)  # raises UnplannableQuery on a query with no entry and no text
 
     structural = (
         resolve_work_reference(store, raw.structural_target)
@@ -224,71 +227,53 @@ def canonicalize(raw: StructuredQuery, store: GraphStore, clock: date) -> Struct
 
 
 def select_strategy(q: StructuredQuery) -> Strategy:
-    """Pure strategy rule: structure beats span beats time."""
-    if q.structural_target or q.theme_target:
+    """Pure strategy rule: an entry means structure first, else a text means span first.
+
+    The runners branch on this rule and the annex discloses it, so the
+    disclosed strategy is the executed one.
+    """
+    if q.entry:
         return Strategy.STRUCTURE_FIRST
     if q.textual_target:
         return Strategy.SPAN_FIRST
-    if q.temporal is not None:
-        return Strategy.TIME_FIRST
     raise UnplannableQuery()
 
 
 # -- shared answer plumbing ------------------------------------------------------
 
 
-def _policies_dict(q: StructuredQuery, strategy: Strategy) -> dict:
-    return {
+def _finish(q: StructuredQuery, rendered: str,
+            citations: list[tuple[str, str, str]],
+            actions: list[dict], chains: list[list[str]],
+            confidence: float) -> Answer:
+    policies = {
         "resolution_policy": (q.temporal.resolution_policy if q.temporal
                               else SnapshotPolicy.SNAPSHOT_LAST).value,
         "membership_policy": q.membership.value,
         "k": q.k,
-        "strategy": strategy.value,
+        "strategy": select_strategy(q).value,
         "language": q.language,
         "language_fallback": q.language_fallback,
     }
-
-
-def _base_annex(q: StructuredQuery, strategy: Strategy) -> dict:
-    return {
+    annex = {
         "format_version": ANNEX_FORMAT_VERSION,
         "pattern": q.pattern.value,
-        "policies": _policies_dict(q, strategy),
+        "policies": policies,
         "steps": list(_PATTERN_STEPS[q.pattern]),
-        "citations": [],
-        "actions": [],
-        "chains": [],
-        "confidence": 1.0,
+        "citations": [{"work": w, "ctv": tv, "clv": lv} for w, tv, lv in citations],
+        "actions": actions,
+        "chains": chains,
+        "confidence": confidence,
     }
-
-
-def _finish(q: StructuredQuery, strategy: Strategy, rendered: str,
-            citations: list[tuple[str, str, str]],
-            actions: list[dict], chains: list[list[str]],
-            confidence: float) -> Answer:
-    annex = _base_annex(q, strategy)
-    annex["citations"] = [
-        {"work": w, "ctv": tv, "clv": lv} for w, tv, lv in citations
-    ]
-    annex["actions"] = actions
-    annex["chains"] = chains
-    annex["confidence"] = confidence
     return Answer(
         pattern=q.pattern,
         rendered_text=rendered,
         citations=tuple(citations),
         actions=tuple(sorted({a["action"] for a in actions})),
-        policies=annex["policies"],
+        policies=policies,
         annex=annex,
         confidence=confidence,
     )
-
-
-def _entry_for(q: StructuredQuery) -> str:
-    entry = q.structural_target or q.theme_target
-    if entry is None:
-        raise UnplannableQuery("query needs a structural or theme entry point")
-    return entry
 
 
 def _entry_label(store: GraphStore, q: StructuredQuery) -> str:
@@ -305,19 +290,23 @@ def _snapshot_roots(store: GraphStore, q: StructuredQuery) -> list[str]:
     return sorted(store.themes[q.theme_target].members)
 
 
+def _scope_works(store: GraphStore, q: StructuredQuery, t: date) -> frozenset[str]:
+    """The works a query reads under its strategy: its entry's scope, or all of them."""
+    if select_strategy(q) is Strategy.STRUCTURE_FIRST:
+        return resolve_scope(store, q.entry, t, q.membership)
+    return frozenset(store.works)
+
+
 # -- pattern runners --------------------------------------------------------------
 
 
-def run_point_in_time(store: GraphStore, q: StructuredQuery, clock: date,
-                      strategy: Strategy = Strategy.STRUCTURE_FIRST) -> Answer:
+def run_point_in_time(store: GraphStore, q: StructuredQuery) -> Answer:
     """Reconstruct the queried provision exactly as it stood at the instant."""
-    t = resolve_instant(q.temporal, clock)
-    entry = _entry_for(q)
-    scope = resolve_scope(store, entry, t, q.membership)
-    if not scope and q.theme_target:
-        raise EmptyScope(entry)
-    # For structural entries the snapshot traversal below raises the precise
-    # NotYetEnacted/RepealedAt error, carrying the resolved instant.
+    t = resolve_instant(q.temporal)
+    # A structural entry needs no scope: the snapshot traversal below raises
+    # the precise NotYetEnacted/RepealedAt error, carrying the resolved instant.
+    if q.theme_target and not resolve_scope(store, q.theme_target, t, q.membership):
+        raise EmptyScope(q.theme_target)
 
     citations: list[tuple[str, str, str]] = []
     lines = [f"{_entry_label(store, q)} as of {t.isoformat()}:"]
@@ -326,11 +315,11 @@ def run_point_in_time(store: GraphStore, q: StructuredQuery, clock: date,
             label = store.works[fragment.work].label
             lines.append(f"  [{label}] {fragment.text}")
             citations.append((fragment.work, fragment.ctv, fragment.clv))
-    return _finish(q, strategy, "\n".join(lines), citations, [], [], 1.0)
+    return _finish(q, "\n".join(lines), citations, [], [], 1.0)
 
 
 def _impact_actions(
-    store: GraphStore, q: StructuredQuery, scope: ScopeResult,
+    store: GraphStore, q: StructuredQuery, scope: frozenset[str],
     window: tuple[date, date],
 ) -> list[tuple[ActionNode, list[str]]]:
     """Window-filtered actions paired with their in-scope direct targets.
@@ -341,10 +330,9 @@ def _impact_actions(
     """
     t1, t2 = window
     candidate_ids: set[str] = set()
-    for urn in scope.works:
+    for urn in scope:
         candidate_ids.update(store.work_actions.get(urn, ()))
-    entry = _entry_for(q)
-    entry_subtree = set(store.descendants(entry)) if entry in store.works else set(scope.works)
+    entry_subtree = set(store.descendants(q.entry)) if q.entry in store.works else scope
     selected: list[tuple[ActionNode, list[str]]] = []
     for aid in sorted(candidate_ids):
         action = store.actions[aid]
@@ -356,23 +344,21 @@ def _impact_actions(
                 if w in entry_subtree and alive_at(store, w, action.effective_date)
             ]
         else:
-            hits = [w for w in action.targets if w in scope.works]
+            hits = [w for w in action.targets if w in scope]
         if hits:
             selected.append((action, sorted(hits)))
     selected.sort(key=lambda pair: (pair[0].effective_date, pair[0].id))
     return selected
 
 
-def run_impact_analysis(store: GraphStore, q: StructuredQuery, clock: date,
-                        strategy: Strategy = Strategy.STRUCTURE_FIRST) -> Answer:
+def run_impact_analysis(store: GraphStore, q: StructuredQuery) -> Answer:
     """Aggregate the actions that changed anything inside the scope window."""
     if q.temporal is None or q.temporal.kind != "interval":
         raise UnplannableQuery("impact analysis needs a date window (use an interval scope)")
     window = (q.temporal.start, q.temporal.end)
-    entry = _entry_for(q)
-    scope = resolve_scope(store, entry, window[0], q.membership, window=window)
+    scope = resolve_scope(store, q.entry, window[0], q.membership, window=window)
     if not scope:
-        raise EmptyScope(entry)
+        raise EmptyScope(q.entry)
 
     matched = _impact_actions(store, q, scope, window)
     by_target: dict[str, list[ActionNode]] = {}
@@ -409,7 +395,7 @@ def run_impact_analysis(store: GraphStore, q: StructuredQuery, clock: date,
             )
     lines.append(
         "Impact dates: " + (", ".join(impact_dates) if impact_dates else "none"))
-    return _finish(q, strategy, "\n".join(lines), [], action_records, [], 1.0)
+    return _finish(q, "\n".join(lines), [], action_records, [], 1.0)
 
 
 @dataclass(frozen=True)
@@ -443,11 +429,7 @@ def _chain_report(store: GraphStore, chain: ProvenanceChain, term: str,
     causal = store.actions[post_tv.produced_by]
 
     def cite(cid: str) -> None:
-        languages = store.clvs_by_ctv.get(cid, {})
-        primary = store.primary_language(chain.work)
-        lv_id = languages.get(language or primary)
-        if lv_id is None and fallback:
-            lv_id = languages.get(primary)
+        lv_id = store.clv_for(cid, chain.work, language, fallback)
         if lv_id:
             citations.append((chain.work, cid, lv_id))
 
@@ -478,28 +460,19 @@ def _chain_report(store: GraphStore, chain: ProvenanceChain, term: str,
     return lines, citations
 
 
-def run_provenance(store: GraphStore, q: StructuredQuery, clock: date,
-                   strategy: Strategy = Strategy.STRUCTURE_FIRST) -> Answer:
+def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
     """Trace the introduction of a text span back to its causing actions."""
     term = q.textual_target
-    if not term:
-        raise UnplannableQuery("provenance queries need a textual target")
-    t = resolve_instant(q.temporal, clock)
-    if q.structural_target or q.theme_target:
-        scope = resolve_scope(store, _entry_for(q), t, q.membership)
-        scoped_works = scope.ordered()
-    else:
-        scoped_works = sorted(store.works)
-
-    spans = locate_spans(store, term, scoped_works, q.language, q.language_fallback)
+    t = resolve_instant(q.temporal)
+    scope = _scope_works(store, q, t)
+    spans = locate_spans(store, term, scope, q.language, q.language_fallback)
     introductions = [s for s in spans if s.first_containing]
     if not introductions:
-        raise TermNotFound(term, q.structural_target or q.theme_target)
+        raise TermNotFound(term, q.entry)
     introductions.sort(key=lambda s: (s.work, store.ctvs[s.ctv].validity.valid_start))
 
     chains = [_assemble_chain(store, span.work, span.ctv) for span in introductions]
-    entry_label = _entry_label(store, q) if (q.structural_target or q.theme_target) else "corpus"
-    lines = [f'Provenance report: "{term}" in {entry_label}']
+    lines = [f'Provenance report: "{term}" in {_entry_label(store, q)}']
     citations: list[tuple[str, str, str]] = []
     action_records: list[dict] = []
     for i, chain in enumerate(chains):
@@ -517,21 +490,15 @@ def run_provenance(store: GraphStore, q: StructuredQuery, clock: date,
                 "date": action.effective_date.isoformat(),
             })
     chains_annex = [list(chain.actions) for chain in chains]
-    return _finish(q, strategy, "\n".join(lines), citations, action_records,
-                   chains_annex, 1.0)
+    return _finish(q, "\n".join(lines), citations, action_records, chains_annex, 1.0)
 
 
-def run_retrieve(store: GraphStore, q: StructuredQuery, clock: date,
-                 strategy: Strategy = Strategy.STRUCTURE_FIRST) -> Answer:
+def run_retrieve(store: GraphStore, q: StructuredQuery) -> Answer:
     """Ranked scoped retrieval over the requested aspects."""
-    t = resolve_instant(q.temporal, clock)
-    if q.structural_target or q.theme_target:
-        scope_works = frozenset(resolve_scope(store, _entry_for(q), t, q.membership).works)
-    else:
-        scope_works = frozenset(store.works)
+    t = resolve_instant(q.temporal)
     request = RetrievalRequest(
         query_text=q.textual_target or "",
-        scope=scope_works,
+        scope=_scope_works(store, q, t),
         t=t,
         aspects=q.aspects,
         language=q.language,
@@ -544,7 +511,7 @@ def run_retrieve(store: GraphStore, q: StructuredQuery, clock: date,
 
     lines = [
         f'Top {len(hits)} of k={q.k} for "{q.textual_target or ""}" '
-        f"at {t.isoformat()} in {_entry_label(store, q) if (q.structural_target or q.theme_target) else 'corpus'}:"
+        f"at {t.isoformat()} in {_entry_label(store, q)}:"
     ]
     citations: list[tuple[str, str, str]] = []
     action_records: list[dict] = []
@@ -562,7 +529,7 @@ def run_retrieve(store: GraphStore, q: StructuredQuery, clock: date,
                 "date": action.effective_date.isoformat(),
             })
     confidence = max(0.0, min(1.0, hits[0].score)) if hits else 0.0
-    return _finish(q, strategy, "\n".join(lines), citations, action_records, [], confidence)
+    return _finish(q, "\n".join(lines), citations, action_records, [], confidence)
 
 
 _RUNNERS = {
@@ -574,8 +541,6 @@ _RUNNERS = {
 
 
 def run(store: GraphStore, q: StructuredQuery, clock: date) -> Answer:
-    """Canonicalize, select a strategy, and dispatch to the pattern runner."""
+    """Canonicalize (binding ``now`` to the clock), then dispatch to the pattern runner."""
     canonical = canonicalize(q, store, clock)
-    strategy = select_strategy(canonical)
-    runner = _RUNNERS[canonical.pattern]
-    return runner(store, canonical, clock, strategy=strategy)
+    return _RUNNERS[canonical.pattern](store, canonical)

@@ -139,20 +139,13 @@ def _content_candidates(store: GraphStore, req: RetrievalRequest,
         tv = store.version_at(urn, req.t)
         if tv is None:
             continue
-        languages = store.clvs_by_ctv.get(tv.id, {})
-        if not languages:
-            continue
-        primary = store.primary_language(urn)
-        lv_id = languages.get(requested or primary)
-        if lv_id is None and req.language_fallback:
-            lv_id = languages.get(primary)
+        lv_id = store.clv_for(tv.id, urn, requested, req.language_fallback)
         if lv_id is None:
             # No wording in an acceptable language; the work simply
             # contributes no candidate (scoped_search never errors on
             # language gaps, unlike snapshot reconstruction).
             continue
-        lv = store.clvs[lv_id]
-        out.append(_Candidate(lv.text_unit, (urn, tv.id, lv.id), Aspect.CONTENT))
+        out.append(_Candidate(store.clvs[lv_id].text_unit, (urn, tv.id, lv_id), Aspect.CONTENT))
     return out
 
 
@@ -338,16 +331,8 @@ def locate_spans(store: GraphStore, term: str, scope: Iterable[str],
     out: list[SpanLocation] = []
     for urn in sorted(set(scope)):
         previous_contains = False
-        primary = None
         for cid in store.versions.get(urn, ()):
-            languages = store.clvs_by_ctv.get(cid)
-            lv_id = None
-            if languages:
-                if primary is None:
-                    primary = store.primary_language(urn)
-                lv_id = languages.get(language or primary)
-                if lv_id is None and fallback:
-                    lv_id = languages.get(primary)
+            lv_id = store.clv_for(cid, urn, language, fallback)
             if lv_id is None:
                 previous_contains = False
                 continue

@@ -15,7 +15,6 @@ unit-id order.
 from __future__ import annotations
 
 import json
-import logging
 import operator
 import re
 import threading
@@ -41,15 +40,13 @@ from .model import (
     TextUnit,
     ThemeNode,
     ValidityInterval,
-    Violation,
     WorkId,
     WorkKind,
     WorkNode,
     interval_contains,
+    parse_iso_date,
     validate_graph,
 )
-
-logger = logging.getLogger(__name__)
 
 FORMAT_VERSION = 2
 
@@ -108,7 +105,6 @@ class GraphStore:
     fragment_index: dict[str, set[str]] = field(default_factory=dict, compare=False)
     # Works are never replaced once added, so a urn's primary language is fixed.
     _primary_languages: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
-    load_violations: list[Violation] = field(default_factory=list, compare=False)
 
     # -- mutation (ingestion only) -------------------------------------
 
@@ -323,6 +319,21 @@ class GraphStore:
         lv_id = self.clvs_by_ctv.get(ctv, {}).get(language)
         return self.clvs[lv_id] if lv_id else None
 
+    def clv_for(self, ctv: str, work: str, language: str | None, fallback: bool) -> str | None:
+        """The CLV a reader of ``ctv`` (a version of ``work``) gets, or None.
+
+        The language rule: ``language`` (the norm's primary language when
+        None or empty), else the primary language when ``fallback`` is on.
+        """
+        languages = self.clvs_by_ctv.get(ctv)
+        if not languages:
+            return None
+        if language:
+            lv_id = languages.get(language)
+            if lv_id is not None or not fallback:
+                return lv_id
+        return languages.get(self.primary_language(work))
+
     def norm_of(self, urn: str) -> WorkNode:
         return self.work(self.work(urn).id.norm_urn)
 
@@ -397,9 +408,9 @@ _STR = _Type("a string", frozenset({str}))
 _OPTIONAL_STR = _Type("a string or null", frozenset({str, type(None)}))
 _INT = _Type("an integer", frozenset({int}))
 _BOOL = _Type("a boolean", frozenset({bool}))
-_DATE = _Type("an ISO date", frozenset({str}), date.fromisoformat, date.isoformat)
+_DATE = _Type("an ISO date", frozenset({str}), parse_iso_date, date.isoformat)
 _OPTIONAL_DATE = _Type("an ISO date or null", frozenset({str, type(None)}),
-                       _or_null(date.fromisoformat), _or_null(date.isoformat))
+                       _or_null(parse_iso_date), _or_null(date.isoformat))
 # Tuples are written as JSON arrays, so a list of strings needs no encoder.
 _STRS = _Type("a list of strings", frozenset({list}), _strs)
 _STR_MAP = _Type("an object of strings", frozenset({dict}), _str_map, dict)
@@ -598,16 +609,17 @@ def _parse_embedding(value, dimension: int, *, uid: str, path: str,
 
 
 def load(path: str | Path) -> GraphStore:
-    """Read a snapshot, rebuild indexes, and report invariant violations.
+    """Read a snapshot, rebuild its indexes, and check every model invariant.
 
     Raises MalformedSnapshot on parse failures: a first record that is not
     the meta header, a second header, a ``format_version`` other than
     FORMAT_VERSION, a record of an unknown kind, a missing key or a value
     of the wrong type (see _KINDS), a repeated id, or a unit whose embedding
     breaks the sparse layout (see _parse_embedding). Raises
-    DanglingReference when a record cites an id no record defines. A file
-    with no records loads as an empty store. Softer invariant breaches are
-    collected on ``store.load_violations`` and logged, not raised.
+    DanglingReference when a record cites an id no record defines, and
+    MalformedSnapshot, naming the first and giving the count, when
+    validate_graph reports any violation. A file with no records loads as an
+    empty store.
     """
     store = GraphStore()
     spath = str(path)
@@ -690,9 +702,10 @@ def load(path: str | Path) -> GraphStore:
     _check_references(store)
     store._reindex()
     store.committed = True
-    store.load_violations = validate_graph(store)
-    for violation in store.load_violations:
-        logger.warning("snapshot invariant violation: %s", violation)
+    violations = validate_graph(store)
+    if violations:
+        raise MalformedSnapshot(
+            f"{len(violations)} invariant violation(s); the first is {violations[0]}", path=spath)
     return store
 
 

@@ -64,11 +64,13 @@ class TemporalScope:
         return cls(kind="now", resolution_policy=policy)
 
 
-def resolve_instant(scope: TemporalScope, clock: date) -> date:
-    """Collapse a temporal scope to one date; the clock is always injected."""
+def resolve_instant(scope: TemporalScope, clock: date | None = None) -> date:
+    """Collapse a temporal scope to one date; ``now`` reads the injected clock."""
     if scope.kind == "instant":
         return scope.start
     if scope.kind == "now":
+        if clock is None:
+            raise ValueError("a 'now' scope needs the injected clock")
         return clock
     if scope.resolution_policy is SnapshotPolicy.SNAPSHOT_FIRST:
         return scope.start
@@ -90,28 +92,6 @@ def ctv_at(store: GraphStore, work: str, t: date) -> TemporalVersion:
     raise RepealedAt(work, t, repealed_end=last.validity.valid_end)
 
 
-@dataclass(frozen=True)
-class ScopeResult:
-    """Resolved scope set plus the policies that produced it (disclosed)."""
-
-    works: frozenset[str]
-    membership_policy: MembershipPolicy
-    anchor: date
-    window: tuple[date, date] | None = None
-
-    def __iter__(self):
-        return iter(sorted(self.works))
-
-    def __contains__(self, urn: str) -> bool:
-        return urn in self.works
-
-    def __len__(self) -> int:
-        return len(self.works)
-
-    def ordered(self) -> list[str]:
-        return sorted(self.works)
-
-
 def alive_at(store: GraphStore, urn: str, t: date) -> bool:
     return store.version_at(urn, t) is not None
 
@@ -130,20 +110,18 @@ def resolve_scope(
     t: date,
     policy: MembershipPolicy = MembershipPolicy.SNAPSHOT_ANCHORED,
     window: tuple[date, date] | None = None,
-) -> ScopeResult:
-    """Resolve the hierarchical scope of a work or theme entry point.
+) -> frozenset[str]:
+    """The urns in the hierarchical scope of a work or theme entry point.
 
     snapshot_anchored keeps descendants alive at the window start (or at
     ``t``); action_time admits works alive at any in-window action's
     effective date; lifetime admits every work that existed at any moment
-    of the window. Results are order-normalized by urn.
+    of the window.
     """
     if entry in store.themes:
         from .themes import theme_scope
 
-        works = theme_scope(store, entry, t, policy, window=window)
-        anchor = window[0] if window else t
-        return ScopeResult(frozenset(works), policy, anchor, window)
+        return frozenset(theme_scope(store, entry, t, policy, window=window))
     if entry not in store.works:
         raise UnknownEntry(entry)
 
@@ -165,7 +143,7 @@ def resolve_scope(
             urn for urn in candidates
             if any(alive_at(store, urn, d) for d in action_dates)
         }
-    return ScopeResult(frozenset(selected), policy, anchor, window)
+    return frozenset(selected)
 
 
 @dataclass(frozen=True)
@@ -189,19 +167,16 @@ def snapshot_fragments(
 
     Depth-first expansion of the aggregation closure, emitting each
     text-bearing component's wording in ordinal order. Falls back to the
-    norm's primary language unless disabled.
+    norm's primary language unless disabled; without fallback, a version
+    that has wording, but none in the requested language, raises
+    MissingLanguage.
     """
-    primary = store.primary_language(work)
-    requested = language or primary
     out: list[SnapshotFragment] = []
 
     def emit(tv: TemporalVersion) -> None:
-        languages = store.clvs_by_ctv.get(tv.id, {})
-        lv_id = languages.get(requested)
-        if lv_id is None and languages:
-            if not language_fallback:
-                raise MissingLanguage(tv.id, requested)
-            lv_id = languages.get(primary)
+        lv_id = store.clv_for(tv.id, tv.work, language, language_fallback)
+        if lv_id is None and not language_fallback and tv.id in store.clvs_by_ctv:
+            raise MissingLanguage(tv.id, language or store.primary_language(work))
         if lv_id is not None:
             unit = store.units[store.clvs[lv_id].text_unit]
             out.append(SnapshotFragment(tv.work, tv.id, lv_id, unit.text))

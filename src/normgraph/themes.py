@@ -49,5 +49,5 @@ def theme_scope(store: GraphStore, theme: str, t: date, policy,
         raise UnknownTheme(theme)
     out: set[str] = set()
     for member in node.members:
-        out |= resolve_scope(store, member, t, policy, window=window).works
+        out |= resolve_scope(store, member, t, policy, window=window)
     return out

@@ -39,7 +39,34 @@ class TestIngestCommand:
         assert "artX" in capsys.readouterr().err
 
 
+class TestQueryDates:
+    @pytest.mark.parametrize("argv", [
+        ["at", "--target", "art6", "--at", "2010-13-01"],
+        ["at", "--target", "art6", "--at", "20100101"],
+        ["impact", "--target", "art6", "--between", "2012-01-01", "2010-01-01"],
+        ["impact", "--target", "art6", "--between", "2010-01-01", "2012-W01-1"],
+        ["at", "--target", "art6", "--clock", "2024-1-2"],
+    ])
+    def test_a_bad_date_is_a_query_error(self, snapshot_file, capsys, argv):
+        code = main(["query", argv[0], "--snapshot", str(snapshot_file), *argv[1:]])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("query error: ")
+
+    def test_a_bad_eval_clock_is_a_query_error(self, snapshot_file, corpus_dir, capsys):
+        code = main(["eval", "--snapshot", str(snapshot_file),
+                     "--truth", str(corpus_dir / "reference.sattruth.json"),
+                     "--clock", "20240102"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("query error: ")
+
+
 class TestQueryCommand:
+    def test_a_query_with_neither_entry_nor_text_exits_2(self, snapshot_file, capsys):
+        code = main(["query", "retrieve", "--snapshot", str(snapshot_file),
+                     "--text", "", "--at", "2010-01-01"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("query error: ")
+
     def test_point_in_time_discloses_policies(self, snapshot_file, capsys):
         code = main(["query", "at", "--snapshot", str(snapshot_file),
                      "--target", "art6", "--between", "1999-01-01", "1999-12-31"])

@@ -4,15 +4,18 @@ import math
 
 import pytest
 
-from normgraph.errors import MismatchedQueryIds
+from normgraph.errors import MalformedInput, MalformedQuery, MismatchedQueryIds
 from normgraph.evaluation import (
     action_attribution_f1,
+    build_query,
     chain_completeness,
     evaluate,
     load_truth,
+    parse_truth_file,
     summary_completeness,
     temporal_precision_recall,
 )
+from normgraph.planner import QueryPattern
 
 
 class TestTemporalPrecisionRecall:
@@ -90,6 +93,23 @@ class TestSummaryCompleteness:
     def test_half_coverage(self):
         assert summary_completeness(
             {"q": {("a1", "w1")}}, {"q": {("a1", "w1"), ("a2", "w2")}}) == 0.5
+
+
+class TestDates:
+    @pytest.mark.parametrize("clock", ["20000214", "2000-W07-1", "2000-02-30"])
+    def test_a_truth_clock_that_is_not_yyyy_mm_dd_is_malformed_input(self, clock):
+        with pytest.raises(MalformedInput, match="clock: not a YYYY-MM-DD date"):
+            parse_truth_file({"format_version": 1, "queries": [], "clock": clock})
+
+    @pytest.mark.parametrize("mapping", [
+        {"at": "20000214"},
+        {"at": "2010-13-01"},
+        {"between": ["2010-01-01", "2010-W07-1"]},
+        {"between": ["2012-01-01", "2010-01-01"]},
+    ])
+    def test_a_bad_query_date_or_reversed_window_is_a_malformed_query(self, mapping):
+        with pytest.raises(MalformedQuery):
+            build_query(QueryPattern.IMPACT_ANALYSIS, {"target": "art6", **mapping})
 
 
 class TestFullHarness:

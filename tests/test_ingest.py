@@ -183,6 +183,13 @@ class TestParseDocument:
         with pytest.raises(MalformedInput):
             parse_document({"norm": {}})
 
+    @pytest.mark.parametrize("published", ["20000214", "2000-W07-1"])
+    def test_a_date_that_is_not_yyyy_mm_dd_is_rejected(self, published):
+        payload = mini_doc()
+        payload["norm"]["publication_date"] = published
+        with pytest.raises(MalformedInput, match="'publication_date' is not an ISO date"):
+            parse_document(payload)
+
     def test_leaf_text_preserved_byte_exactly(self):
         text = "  spaced, quoted 'text' — em dash preserved "
         payload = mini_doc(1)

@@ -16,11 +16,29 @@ from normgraph.model import (
     WorkNode,
     ctv_id,
     interval_contains,
+    parse_iso_date,
     validate_graph,
 )
 from normgraph.store import GraphStore
 
 import synthcorpus
+
+
+class TestParseIsoDate:
+    def test_reads_a_calendar_date(self):
+        assert parse_iso_date("2000-02-14") == date(2000, 2, 14)
+
+    @pytest.mark.parametrize("value", [
+        "20000214",  # basic format: read by date.fromisoformat from Python 3.11 on
+        "2000-W07-1",  # ISO week date: likewise
+        "2000-045",  # ordinal date
+        "2000-02-14T00:00", "2000-02-14 ", "2000-02-14\n", "2000-2-14",
+        "２０００-02-14",  # digits that are not ASCII
+        "2000-13-01", "2000-02-30", "", None, 20000214,
+    ])
+    def test_rejects_anything_else(self, value):
+        with pytest.raises(ValueError, match="not a YYYY-MM-DD date"):
+            parse_iso_date(value)
 
 
 def iv(start: str, end: str | None = None) -> ValidityInterval:

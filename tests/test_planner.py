@@ -122,14 +122,59 @@ class TestSelectStrategy:
         q = pit(ART6, TemporalScope.instant(date(1999, 6, 1)))
         assert select_strategy(q) is Strategy.STRUCTURE_FIRST
 
-    def test_temporal_only_means_time_first(self):
+    def test_temporal_only_is_unplannable(self, fixture_store, clock):
         q = StructuredQuery(QueryPattern.RETRIEVE,
                             temporal=TemporalScope.instant(date(1999, 6, 1)))
-        assert select_strategy(q) is Strategy.TIME_FIRST
+        with pytest.raises(UnplannableQuery):
+            select_strategy(q)
+        with pytest.raises(UnplannableQuery):
+            run(fixture_store, q, clock)
+
+    def test_point_in_time_without_an_entry_is_unplannable(self, fixture_store, clock):
+        with pytest.raises(UnplannableQuery):
+            canonicalize(StructuredQuery(
+                QueryPattern.POINT_IN_TIME, textual_target="food",
+                temporal=TemporalScope.instant(date(1999, 6, 1))), fixture_store, clock)
 
     def test_no_constraints_unplannable(self):
         with pytest.raises(UnplannableQuery):
             select_strategy(StructuredQuery(QueryPattern.RETRIEVE))
+
+
+class TestStrategyBranch:
+    """The strategy decides whether a runner resolves its entry's scope."""
+
+    @pytest.fixture
+    def scope_calls(self, monkeypatch):
+        from normgraph import planner
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        real = planner.resolve_scope
+        monkeypatch.setattr(planner, "resolve_scope", counting)
+        return calls
+
+    @pytest.mark.parametrize("query, strategy, calls", [
+        (StructuredQuery(QueryPattern.PROVENANCE, structural_target="art6",
+                         textual_target="food"), "structure_first", [ART6]),
+        (StructuredQuery(QueryPattern.RETRIEVE, structural_target="art6",
+                         textual_target="food"), "structure_first", [ART6]),
+        (StructuredQuery(QueryPattern.PROVENANCE, textual_target="food"), "span_first", []),
+        (StructuredQuery(QueryPattern.RETRIEVE, textual_target="food"), "span_first", []),
+        (pit("art6", TemporalScope.instant(date(2016, 1, 1))), "structure_first", []),
+        (StructuredQuery(QueryPattern.POINT_IN_TIME, theme_target="Social Rights",
+                         temporal=TemporalScope.instant(date(2016, 1, 1))),
+         "structure_first", ["theme:social-rights"]),
+    ])
+    def test_resolve_scope_runs_once_for_an_entry_that_needs_it(
+            self, fixture_store, clock, scope_calls, query, strategy, calls):
+        answer = run(fixture_store, query, clock)
+        assert answer.policies["strategy"] == strategy
+        assert scope_calls == calls
 
 
 class TestPointInTime:

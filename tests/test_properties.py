@@ -7,7 +7,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from normgraph.errors import NotYetEnacted, RepealedAt
+from normgraph.errors import MissingLanguage, NotYetEnacted, RepealedAt, TermNotFound
 from normgraph.ingest import add_language, apply_event, enact, parse_document, parse_event_file
 from normgraph.model import (
     ActionType,
@@ -17,7 +17,7 @@ from normgraph.model import (
     interval_contains,
     validate_graph,
 )
-from normgraph.planner import _assemble_chain
+from normgraph.planner import QueryPattern, StructuredQuery, _assemble_chain, run
 from normgraph.retrieval import (
     RetrievalHit,
     RetrievalMode,
@@ -35,7 +35,7 @@ from normgraph.retrieval import (
     scoped_search,
 )
 from normgraph.store import GraphStore, load, save, tokenize
-from normgraph.temporal import alive_at, ctv_at, snapshot_text
+from normgraph.temporal import alive_at, ctv_at, snapshot_fragments, snapshot_text
 
 import synthcorpus
 from test_ingest import amendment_file, apply_file, mini_doc
@@ -183,23 +183,37 @@ _SPANISH = dict(zip(synthcorpus.WORDS, [
 _SHARED_FRENCH = "Les droits de la terre et de l'eau."
 
 
-def _committed_store(seed: int, shared_french: bool = False,
+def _spanish_wordings(store: GraphStore, urns: list[str], t: date) -> dict[str, str]:
+    """Spanish wording for each of ``urns`` whose version at ``t`` has English and no Spanish."""
+    translations = {}
+    for urn in urns:
+        tv = _linear_version(store, urn, t)
+        lv = store.content_clv(tv.id, "en") if tv else None
+        if lv is not None and store.content_clv(tv.id, "es") is None:
+            text = store.units[lv.text_unit].text
+            translations[store.works[urn].id.fragment] = " ".join(
+                _SPANISH.get(token, token) for token in tokenize(text))
+    return translations
+
+
+def _committed_store(seed: int, shared_french: bool = False, late_spanish: bool = False,
                      ) -> tuple[synthcorpus.SynthCorpus, GraphStore]:
     """A synthetic norm with Spanish wording on some of its enacted provisions.
 
     With ``shared_french`` the same provisions also get one French wording.
+    With ``late_spanish`` the other provisions get Spanish on the version in
+    force at the last event, so an amended one has a version without
+    Spanish before one with it.
     """
     corpus = synthcorpus.generate_corpus(seed)
     store = synthcorpus.build_store(corpus)
-    translations = {}
-    for urn in store.descendants(corpus.norm_urn)[1::2]:
-        tv = _linear_version(store, urn, corpus.enactment)
-        lv = store.content_clv(tv.id, "en") if tv else None
-        if lv is not None:
-            text = store.units[lv.text_unit].text
-            translations[store.works[urn].id.fragment] = " ".join(
-                _SPANISH.get(token, token) for token in tokenize(text))
+    provisions = store.descendants(corpus.norm_urn)
+    translations = _spanish_wordings(store, provisions[1::2], corpus.enactment)
     add_language(store, corpus.norm_urn, translations, "es", at=corpus.enactment)
+    if late_spanish and corpus.event_dates():
+        last = corpus.event_dates()[-1]
+        add_language(store, corpus.norm_urn, _spanish_wordings(store, provisions[2::2], last),
+                     "es", at=last)
     if shared_french:
         add_language(store, corpus.norm_urn, dict.fromkeys(translations, _SHARED_FRENCH),
                      "fr", at=corpus.enactment)
@@ -207,7 +221,17 @@ def _committed_store(seed: int, shared_french: bool = False,
     return corpus, store
 
 
-def _reference_spans(store: GraphStore, term: str, scope, language=None) -> list[SpanLocation]:
+def _rule(store: GraphStore, ctv: str, language: str | None, fallback: bool) -> str | None:
+    """The language rule written out: the requested wording, else the primary one."""
+    languages = store.clvs_by_ctv.get(ctv, {})
+    work = store.works[store.ctvs[ctv].work]
+    primary = store.works[work.id.norm_urn].meta("language", "en")
+    chosen = languages.get(language or primary)
+    return languages.get(primary) if chosen is None and fallback else chosen
+
+
+def _reference_spans(store: GraphStore, term: str, scope, language=None,
+                     fallback=True) -> list[SpanLocation]:
     """Re-tokenize every in-scope version's text and slide the needle over it."""
     needle = tokenize(term)
     n = len(needle)
@@ -215,9 +239,7 @@ def _reference_spans(store: GraphStore, term: str, scope, language=None) -> list
     for urn in sorted(set(scope)):
         previous = False
         for cid in store.versions.get(urn, ()):
-            languages = store.clvs_by_ctv.get(cid, {})
-            primary = store.works[store.works[urn].id.norm_urn].meta("language", "en")
-            lv_id = languages.get(language or primary) or languages.get(primary)
+            lv_id = _rule(store, cid, language, fallback)
             if lv_id is None:
                 previous = False
                 continue
@@ -287,10 +309,65 @@ class TestIndexBackedSpans:
         assert all(store.content_clv(s.ctv, "es") is not None for s in spanish)
         assert locate_spans(store, term, sorted(store.works)) == []
 
+    @pytest.mark.parametrize("fallback", [True, False])
+    def test_every_reader_reads_the_wording_the_rule_selects(self, fallback):
+        """Snapshots, content candidates, span location and provenance citations."""
+        gaps = cited = 0
+        terms = [_SPANISH["water"], "water", _SPANISH["rights"], "rights",
+                 _SPANISH["land"], _SPANISH["tax"]]
+        for seed in range(0, 40, 5):
+            corpus, store = _committed_store(seed, late_spanish=True)
+            works = frozenset(store.works)
+            for language in (None, "es", "en"):
+                for t in [corpus.enactment] + corpus.event_dates():
+                    reached = list(_reached(store, ctv_at(store, corpus.norm_urn, t)))
+                    chosen = {tv.id: _rule(store, tv.id, language, fallback) for tv in reached}
+                    if any(tv.id in store.clvs_by_ctv and chosen[tv.id] is None
+                           for tv in reached):
+                        with pytest.raises(MissingLanguage):
+                            snapshot_fragments(store, corpus.norm_urn, t, language, fallback)
+                        gaps += 1
+                    else:
+                        got = snapshot_fragments(store, corpus.norm_urn, t, language, fallback)
+                        assert [(f.work, f.ctv, f.clv) for f in got] == [
+                            (tv.work, tv.id, chosen[tv.id]) for tv in reached if chosen[tv.id]]
+                    request = RetrievalRequest("", works, t, language=language,
+                                               language_fallback=fallback)
+                    expected = set()
+                    for urn in works:
+                        tv = store.version_at(urn, t)
+                        clv = tv and _rule(store, tv.id, language, fallback)
+                        if clv:
+                            expected.add((urn, tv.id, clv))
+                    assert {c.provenance for c in _content_candidates(
+                        store, request, language)} == expected, (seed, t, language)
+                for term in terms:
+                    spans = _reference_spans(store, term, works, language, fallback)
+                    assert locate_spans(store, term, works, language, fallback) == spans
+                    query = StructuredQuery(QueryPattern.PROVENANCE, textual_target=term,
+                                            language=language, language_fallback=fallback)
+                    try:
+                        answer = run(store, query, corpus.enactment)
+                    except TermNotFound:
+                        assert not any(s.first_containing for s in spans)
+                        continue
+                    for _, ctv, clv in answer.citations:
+                        assert clv == _rule(store, ctv, language, fallback), (seed, term)
+                        cited += 1
+        # Fallback off must have hit versions with no wording in the language.
+        assert cited > 50 and (gaps > 0) is not fallback
+
     def test_uncommitted_store_has_no_term_index(self):
         corpus = synthcorpus.generate_corpus(1)
         store = synthcorpus.build_store(corpus)
         assert locate_spans(store, "provision", sorted(store.works)) == []
+
+
+def _reached(store: GraphStore, tv: TemporalVersion):
+    """``tv`` and its aggregation closure, depth first in aggregate order."""
+    yield tv
+    for cid in tv.aggregates:
+        yield from _reached(store, store.ctvs[cid])
 
 
 def _linear_version(store: GraphStore, urn: str, t: date):

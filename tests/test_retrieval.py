@@ -57,7 +57,7 @@ class TestDefaultEmbedder:
 
 class TestScopedSearch:
     def _request(self, store, entry, t, text, **kwargs):
-        scope = frozenset(resolve_scope(store, entry, t).works)
+        scope = frozenset(resolve_scope(store, entry, t))
         return RetrievalRequest(
             query_text=text, scope=scope, t=t, **kwargs)
 
@@ -75,12 +75,12 @@ class TestScopedSearch:
         t = date(2014, 1, 1)
         scope = resolve_scope(fixture_store, CAP2, t)
         request = RetrievalRequest(
-            query_text="workers rights", scope=frozenset(scope.works), t=t, k=10)
+            query_text="workers rights", scope=frozenset(scope), t=t, k=10)
         hits = scoped_search(fixture_store, request)
         embedder = embedder_for_store(fixture_store)
         query = embedder.embed("workers rights")
         expected = []
-        for urn in sorted(scope.works):
+        for urn in sorted(scope):
             for cid in fixture_store.versions.get(urn, ()):
                 tv = fixture_store.ctvs[cid]
                 if not interval_contains(tv.validity, t):
@@ -137,7 +137,7 @@ class TestScopedSearch:
     def test_metadata_and_theme_aspects(self, fixture_store):
         request = RetrievalRequest(
             query_text="published constitution social rights",
-            scope=frozenset(resolve_scope(fixture_store, NORM_URN, date(2016, 1, 1)).works),
+            scope=frozenset(resolve_scope(fixture_store, NORM_URN, date(2016, 1, 1))),
             t=date(2016, 1, 1),
             aspects=frozenset({Aspect.METADATA, Aspect.THEME_DESCRIPTION}), k=20)
         hits = scoped_search(fixture_store, request)
@@ -172,20 +172,20 @@ class TestScopedSearch:
                 continue
             t = corpus.event_dates()[-1] if corpus.event_dates() else corpus.enactment
             scope = resolve_scope(store, roots[0], t)
-            if not scope.works:
+            if not scope:
                 continue
             request = RetrievalRequest(
-                query_text="provision rights alpha", scope=frozenset(scope.works),
+                query_text="provision rights alpha", scope=frozenset(scope),
                 t=t, k=50)
             for hit in scoped_search(store, request):
-                assert hit.provenance[0] in scope.works
+                assert hit.provenance[0] in scope
                 tv = store.ctvs[hit.provenance[1]]
                 assert interval_contains(tv.validity, t)
 
 
 class TestLocateSpans:
     def test_food_spans_with_first_containing_flags(self, fixture_store):
-        scope = resolve_scope(fixture_store, ART6, date(2016, 1, 1)).works
+        scope = resolve_scope(fixture_store, ART6, date(2016, 1, 1))
         spans = locate_spans(fixture_store, "food", scope)
         assert [(s.ctv, s.first_containing) for s in spans] == [
             (f"{ART6_CPT}@2010-02-04", True),
@@ -193,11 +193,11 @@ class TestLocateSpans:
         ]
 
     def test_absent_term_yields_empty_list(self, fixture_store):
-        scope = resolve_scope(fixture_store, ART6, date(2016, 1, 1)).works
+        scope = resolve_scope(fixture_store, ART6, date(2016, 1, 1))
         assert locate_spans(fixture_store, "spaceports", scope) == []
 
     def test_housing_first_containing_at_ca26_version(self, fixture_store):
-        scope = resolve_scope(fixture_store, NORM_URN, date(2016, 1, 1)).works
+        scope = resolve_scope(fixture_store, NORM_URN, date(2016, 1, 1))
         spans = locate_spans(fixture_store, "housing", scope)
         first = [s for s in spans if s.first_containing]
         assert [(s.work, s.ctv) for s in first] == [
@@ -230,7 +230,7 @@ class TestLanguageFiltering:
         # Only the original Art. 6 caput has an English wording; with
         # fallback off, an English query sees nothing else.
         t = date(1999, 6, 1)
-        scope = frozenset(resolve_scope(fixture_store, CAP2, t).works)
+        scope = frozenset(resolve_scope(fixture_store, CAP2, t))
         hits = scoped_search(fixture_store, RetrievalRequest(
             query_text="rights", scope=scope, t=t, language="en",
             language_fallback=False, k=20))
@@ -240,7 +240,7 @@ class TestLanguageFiltering:
 
     def test_fallback_enabled_serves_primary_language(self, fixture_store):
         t = date(1999, 6, 1)
-        scope = frozenset(resolve_scope(fixture_store, CAP2, t).works)
+        scope = frozenset(resolve_scope(fixture_store, CAP2, t))
         hits = scoped_search(fixture_store, RetrievalRequest(
             query_text="rights", scope=scope, t=t, language="en", k=20))
         assert len(hits) > 1

@@ -1,9 +1,9 @@
 """Hypothesis fuzzing of one record of the fixture snapshot.
 
-Whatever one record is turned into, ``load`` either returns a store whose
-lazily built term index can be read and which saves and loads back to the
-same nodes, or raises MalformedSnapshot or DanglingReference; no other
-exception may escape. Every record kind is fuzzed; unit records also get
+Whatever one record is turned into, ``load`` either returns a store that
+breaks no model invariant, whose lazily built term index can be read and
+which saves and loads back to the same nodes, or raises MalformedSnapshot
+or DanglingReference; no other exception may escape. Every record kind is fuzzed; unit records also get
 mutations of their sparse embedding.
 """
 
@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normgraph.errors import DanglingReference, MalformedSnapshot
+from normgraph.model import validate_graph
 from normgraph.store import load, save
 
 JSON_VALUES = st.recursive(
@@ -74,6 +75,7 @@ def _load_a_mutated_record(snapshot_path, fuzz_dir, data, kinds) -> None:
         store = load(path)
     except (MalformedSnapshot, DanglingReference):
         return
+    assert validate_graph(store) == []
     assert store.embeddings.shape == (len(store.units), store.embedding_dimension)
     assert set(store.unit_len) == set(store.units)
     resaved = fuzz_dir / "resaved.ndjson"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 import time
@@ -14,7 +15,18 @@ import pytest
 from normgraph.cli import main
 from normgraph.errors import DanglingReference, MalformedSnapshot, UnknownWork
 from normgraph.fixture_corpus import ART6_CPT, NORM_URN
-from normgraph.model import Aspect, TextUnit, ThemeNode, validate_graph
+from normgraph.model import (
+    Aspect,
+    LanguageVersion,
+    TemporalVersion,
+    TextUnit,
+    ThemeNode,
+    ValidityInterval,
+    WorkId,
+    WorkKind,
+    WorkNode,
+    validate_graph,
+)
 from normgraph.planner import QueryPattern, StructuredQuery, run
 from normgraph.retrieval import RetrievalMode
 from normgraph.store import FORMAT_VERSION, GraphStore, load, save, tokenize
@@ -105,7 +117,7 @@ class TestGoldenSnapshot:
     def test_its_nodes_are_those_of_an_ingest_of_the_fixture_corpus(self, fixture_store):
         # Embeddings are left out: they depend on the platform's float arithmetic.
         golden = load(GOLDEN)
-        assert golden.load_violations == []
+        assert validate_graph(golden) == []
         for nodes in ("works", "ctvs", "clvs", "actions", "themes", "units"):
             assert getattr(golden, nodes) == getattr(fixture_store, nodes), nodes
         assert (golden.df, golden.n_units) == (fixture_store.df, fixture_store.n_units)
@@ -224,6 +236,10 @@ class TestStrictRecords:
         pytest.param("unit", "synthetic", 0, "'synthetic' must be a boolean", id="unit-synthetic-int"),
         pytest.param("action", "effective_date", "2000-02-30", "'effective_date' must be an ISO date",
                      id="action-bad-date"),
+        pytest.param("action", "enactment_date", "20000214", "'enactment_date' must be an ISO date",
+                     id="action-compact-date"),
+        pytest.param("ctv", "valid_end", "2000-W07-1", "'valid_end' must be an ISO date or null",
+                     id="ctv-week-date"),
         pytest.param("work", "work_kind", "statute", "'work_kind' must be a WorkKind value",
                      id="work-unknown-kind"),
         pytest.param("ctv", "produced_by", DROP, "missing key 'produced_by'", id="ctv-no-produced_by"),
@@ -339,19 +355,21 @@ class TestEmbeddingMatrix:
             assert record["embedding"][0::2] == index.tolist()
             assert record["embedding"][1::2] == row[index].tolist()
 
-    def test_negative_zero_and_nan_round_trip_bitwise(self, tmp_path):
+    def test_negative_zero_round_trips_bitwise(self, tmp_path):
+        # A unit row, so that the strict load accepts it; a NaN row cannot
+        # load (see the next test).
         special = np.zeros(256)
-        special[[2, 9, 200]] = [-0.0, np.nan, 0.25]
+        special[[2, 9, 200]] = [-0.0, 0.6, 0.8]
 
         class Fixed:
             def embed(self, text):
                 return special if text == "special" else np.zeros(256)
 
         store = GraphStore()
-        for name in ("special", "blank"):
+        for name, text in (("special", "special"), ("blank", "")):
             store.add_theme(ThemeNode(f"theme:{name}", name, f"theme:{name}#description"))
             store.add_unit(TextUnit(f"theme:{name}#description", Aspect.THEME_DESCRIPTION,
-                                    f"theme:{name}", "en", name))
+                                    f"theme:{name}", "en", text))
         store.commit(Fixed())
         first, second = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
         save(store, first)
@@ -359,7 +377,7 @@ class TestEmbeddingMatrix:
         assert records["theme:blank#description"]["embedding"] == []
         special_record = records["theme:special#description"]["embedding"]
         assert special_record[0::2] == [2, 9, 200]
-        assert '"embedding":[2,-0.0,9,NaN,200,0.25]' in first.read_text()
+        assert '"embedding":[2,-0.0,9,0.6,200,0.8]' in first.read_text()
         loaded = load(first)
         assert loaded.embeddings.tobytes() == store.embeddings.tobytes()
         save(loaded, second)
@@ -384,7 +402,12 @@ class TestEmbeddingMatrix:
         assert violation.nodes == ("theme:t#description",)
         path = tmp_path / "nan.ndjson"
         save(store, path)
-        assert load(path).load_violations == [violation]
+        assert '"embedding":[3,1.0,7,NaN]' in path.read_text()
+        with pytest.raises(MalformedSnapshot, match=(
+                r"nan\.ndjson: 1 invariant violation\(s\); the first is "
+                + re.escape(str(violation)))):
+            load(path)
+        assert main(["query", "retrieve", "--snapshot", str(path), "--text", "words"]) == 3
 
     @pytest.mark.parametrize("embedding", [None, "0.0", ["x"] * 256, [[0.0]] * 256])
     def test_load_rejects_an_embedding_that_is_not_a_list_of_numbers(
@@ -547,6 +570,52 @@ class TestLazyTermIndex:
         for term_index, unit_len in seen:
             assert term_index is seen[0][0] and unit_len is seen[0][1]
         assert seen[0] == (fixture_store.term_index, fixture_store.unit_len)
+
+
+class TestLanguageRule:
+    """clv_for: the one rule every reader of a version's wording goes through."""
+
+    @staticmethod
+    def _store(languages: tuple[str, ...]) -> GraphStore:
+        """A Portuguese norm whose one version has wording in ``languages``."""
+        store = GraphStore()
+        store.add_work(WorkNode(WorkId("urn:x"), WorkKind.NORM,
+                                metadata=(("language", "pt"),)))
+        store.add_ctv(TemporalVersion("urn:x@2000-01-01", "urn:x",
+                                      ValidityInterval(date(2000, 1, 1))))
+        for language in languages:
+            store.add_clv(LanguageVersion(f"urn:x@2000-01-01#{language}", "urn:x@2000-01-01",
+                                          language, f"tu:{language}"))
+        return store
+
+    # (requested "en" present, primary "pt" present, fallback) -> language read
+    @pytest.mark.parametrize("requested, primary, fallback, read", [
+        (True, True, True, "en"),
+        (True, True, False, "en"),
+        (True, False, True, "en"),
+        (True, False, False, "en"),
+        (False, True, True, "pt"),
+        (False, True, False, None),
+        (False, False, True, None),
+        (False, False, False, None),
+    ])
+    def test_requested_then_primary_when_fallback_is_on(
+            self, requested, primary, fallback, read):
+        # "fr" stands for wording in some third language, always present.
+        languages = ("fr",) + ("en",) * requested + ("pt",) * primary
+        store = self._store(languages)
+        got = store.clv_for("urn:x@2000-01-01", "urn:x", "en", fallback)
+        assert got == (f"urn:x@2000-01-01#{read}" if read else None)
+
+    @pytest.mark.parametrize("fallback", [True, False])
+    def test_no_language_means_the_primary_one(self, fallback):
+        store = self._store(("en", "pt"))
+        assert store.clv_for("urn:x@2000-01-01", "urn:x", None, fallback) == (
+            "urn:x@2000-01-01#pt")
+        assert self._store(("en",)).clv_for("urn:x@2000-01-01", "urn:x", None, fallback) is None
+
+    def test_a_version_without_wording_reads_nothing(self):
+        assert self._store(()).clv_for("urn:x@2000-01-01", "urn:x", "pt", True) is None
 
 
 class TestAliasIndexes:

@@ -41,6 +41,11 @@ class TestResolveInstant:
     def test_now_uses_injected_clock(self):
         assert resolve_instant(TemporalScope.now(), date(2024, 1, 2)) == date(2024, 1, 2)
 
+    def test_only_now_needs_a_clock(self):
+        assert resolve_instant(TemporalScope.instant(date(2000, 2, 15))) == date(2000, 2, 15)
+        with pytest.raises(ValueError, match="needs the injected clock"):
+            resolve_instant(TemporalScope.now())
+
     def test_interval_order_enforced(self):
         with pytest.raises(ValueError):
             TemporalScope.interval(date(2001, 1, 1), date(2000, 1, 1))
@@ -91,12 +96,6 @@ class TestResolveScope:
     def test_unknown_entry(self, fixture_store):
         with pytest.raises(UnknownEntry):
             resolve_scope(fixture_store, "urn:nowhere", date(2010, 1, 1))
-
-    def test_result_disclosed_with_policies(self, fixture_store):
-        scope = resolve_scope(fixture_store, CAP2, date(2010, 1, 1),
-                              MembershipPolicy.SNAPSHOT_ANCHORED)
-        assert scope.membership_policy is MembershipPolicy.SNAPSHOT_ANCHORED
-        assert scope.anchor == date(2010, 1, 1)
 
     def test_lifetime_adds_component_inserted_mid_window(self):
         store = GraphStore()

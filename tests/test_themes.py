@@ -58,7 +58,7 @@ class TestThemeScope:
                 window=(date(2012, 1, 1), date(2016, 1, 1)))
             direct = resolve_scope(
                 fixture_store, CAP2, date(2012, 1, 1), policy,
-                window=(date(2012, 1, 1), date(2016, 1, 1))).works
+                window=(date(2012, 1, 1), date(2016, 1, 1)))
             assert themed == set(direct), policy
 
     def test_multi_member_union_deduplicated(self):
