@@ -1,66 +1,50 @@
-"""Deterministic temporal knowledge-graph engine for versioned documents."""
+"""Deterministic temporal knowledge-graph engine for versioned documents.
 
-from .errors import DataError, NormGraphError, QueryError
-from .ingest import (
-    add_language,
-    apply_event,
-    enact,
-    ingest_corpus,
-    parse_document,
-    parse_event_file,
-    render_action_text,
-    textualize_metadata,
-)
-from .model import (
-    ActionNode,
-    ActionType,
-    Aspect,
-    ComponentType,
-    LanguageVersion,
-    TemporalVersion,
-    TextUnit,
-    ThemeNode,
-    ValidityInterval,
-    WorkId,
-    WorkKind,
-    WorkNode,
-    interval_contains,
-    validate_graph,
-)
-from .planner import Answer, QueryPattern, Strategy, StructuredQuery, run
-from .retrieval import (
-    HashedTfidfEmbedder,
-    RetrievalHit,
-    RetrievalMode,
-    RetrievalRequest,
-    locate_spans,
-    scoped_search,
-)
-from .store import GraphStore, load, save, tokenize
-from .temporal import (
-    MembershipPolicy,
-    SnapshotPolicy,
-    TemporalScope,
-    ctv_at,
-    resolve_instant,
-    resolve_scope,
-    snapshot_text,
-)
-from .themes import define_theme, theme_scope
+The public names below are imported from their modules on first use
+(PEP 562), so importing the package, or one of its modules, loads only
+what that use needs.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionNode", "ActionType", "Answer", "Aspect", "ComponentType",
-    "DataError", "GraphStore", "HashedTfidfEmbedder", "LanguageVersion",
-    "MembershipPolicy", "NormGraphError", "QueryError", "QueryPattern",
-    "RetrievalHit", "RetrievalMode", "RetrievalRequest", "SnapshotPolicy",
-    "Strategy", "StructuredQuery", "TemporalScope", "TemporalVersion",
-    "TextUnit", "ThemeNode", "ValidityInterval", "WorkId", "WorkKind",
-    "WorkNode", "add_language", "apply_event", "ctv_at", "define_theme",
-    "enact", "ingest_corpus", "interval_contains", "load", "locate_spans",
-    "parse_document", "parse_event_file", "render_action_text",
-    "resolve_instant", "resolve_scope", "run", "save", "scoped_search",
-    "snapshot_text", "textualize_metadata", "theme_scope", "tokenize",
-    "validate_graph",
-]
+# Public name -> the module that defines it.
+_EXPORTS = {
+    **dict.fromkeys(["DataError", "NormGraphError", "QueryError"], "errors"),
+    **dict.fromkeys([
+        "add_language", "apply_event", "enact", "ingest_corpus", "parse_document",
+        "parse_event_file", "render_action_text", "textualize_metadata",
+    ], "ingest"),
+    **dict.fromkeys([
+        "ActionNode", "ActionType", "Aspect", "ComponentType", "LanguageVersion",
+        "TemporalVersion", "TextUnit", "ThemeNode", "ValidityInterval", "WorkId",
+        "WorkKind", "WorkNode", "interval_contains", "validate_graph",
+    ], "model"),
+    **dict.fromkeys(["Answer", "QueryPattern", "Strategy", "StructuredQuery", "run"], "planner"),
+    **dict.fromkeys([
+        "HashedTfidfEmbedder", "RetrievalHit", "RetrievalMode", "RetrievalRequest",
+        "locate_spans", "scoped_search",
+    ], "retrieval"),
+    **dict.fromkeys(["GraphStore", "load", "save", "tokenize"], "store"),
+    **dict.fromkeys([
+        "MembershipPolicy", "SnapshotPolicy", "TemporalScope", "ctv_at", "resolve_instant",
+        "resolve_scope", "snapshot_text",
+    ], "temporal"),
+    **dict.fromkeys(["define_theme", "theme_scope"], "themes"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -14,7 +14,7 @@ import sys
 from datetime import date
 from pathlib import Path
 
-from . import evaluation, fixture_corpus, ingest, planner, store as store_mod
+from . import evaluation, planner, store as store_mod
 from .errors import DataError, NormGraphError, QueryError
 from .model import validate_graph
 
@@ -118,6 +118,9 @@ _PATTERNS = {
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    # Imported by the commands that run them, so queries never load them.
+    from . import ingest
+
     out = _snapshot_path(args.out)
     graph, summary = ingest.ingest_corpus(args.corpus_dir)
     violations = validate_graph(graph)
@@ -192,6 +195,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixture(args: argparse.Namespace) -> int:
+    from . import fixture_corpus
+
     written = fixture_corpus.build_fixture_corpus(args.out)
     for path in written:
         print(path)

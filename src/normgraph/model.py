@@ -16,8 +16,6 @@ from datetime import date
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .store import GraphStore
 
@@ -486,11 +484,9 @@ _ASPECT_OWNERS = {
 
 def _check_text_units(graph: "GraphStore", out: list[Violation]) -> None:
     # Widths are enforced where rows are written (commit, load); only the
-    # norms are left to check, taken over the whole matrix at once (vecdot
-    # needs no matrix-sized temporary). A row that overflows gets an inf or
-    # NaN norm, which the checks below report.
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(np.vecdot(graph.embeddings, graph.embeddings)).tolist()
+    # norms are left to check. A row that overflows has an inf or NaN norm,
+    # which the checks below report.
+    norms = graph.embedding_norms()
     rows = graph.unit_rows
     for unit in graph.units.values():
         if unit.aspect is Aspect.METADATA:

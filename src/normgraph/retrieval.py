@@ -5,6 +5,8 @@ into a fixed number of buckets with a keyed hash, weighted by the corpus
 IDF statistics frozen at ingest commit, and L2-normalized. It exists so
 retrieval is reproducible without a learned model; any embedder matching
 the :class:`Embedder` protocol can replace it without touching callers.
+Only the functions that build or score vectors import numpy, so lexical
+retrieval and span location run without it.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import Iterable, Protocol
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Protocol
 
 from .errors import EmptyScope
 from .model import Aspect, EMBEDDING_DIMENSION, interval_contains
 from .store import GraphStore, tokenize
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 _HASH_KEY = b"normgraph.embed.v1"
 
@@ -56,6 +59,8 @@ class HashedTfidfEmbedder:
         return math.log((self.n_units + 1) / (self.df.get(token, 0) + 1)) + 1.0
 
     def embed(self, text: str) -> np.ndarray:
+        import numpy as np
+
         vec = np.zeros(self.dimension, dtype=np.float64)
         for token, count in Counter(tokenize(text)).items():
             vec[_bucket(token, self.dimension)] += count * self.idf(token)
@@ -77,6 +82,8 @@ def default_embed(text: str, dimension: int = EMBEDDING_DIMENSION) -> np.ndarray
 
 def cosine(a: np.ndarray | Iterable[float], b: np.ndarray | Iterable[float]) -> float:
     """Dot product of two unit vectors; the per-pair reference for scoped_search."""
+    import numpy as np
+
     va = np.asarray(a, dtype=np.float64)
     vb = np.asarray(b, dtype=np.float64)
     if va.size == 0 or vb.size == 0:
@@ -132,14 +139,13 @@ class _Candidate:
     aspect: Aspect
 
 
-def _content_candidates(store: GraphStore, req: RetrievalRequest,
-                        requested: str | None) -> list[_Candidate]:
+def _content_candidates(store: GraphStore, req: RetrievalRequest) -> list[_Candidate]:
     out: list[_Candidate] = []
     for urn in sorted(req.scope):
         tv = store.version_at(urn, req.t)
         if tv is None:
             continue
-        lv_id = store.clv_for(tv.id, urn, requested, req.language_fallback)
+        lv_id = store.clv_for(tv.id, urn, req.language, req.language_fallback)
         if lv_id is None:
             # No wording in an acceptable language; the work simply
             # contributes no candidate (scoped_search never errors on
@@ -229,6 +235,8 @@ def _vector_scores(store: GraphStore, query: str,
     bit for bit; a matrix product may sum in another order and reorder
     near-ties.
     """
+    import numpy as np
+
     query_vec = embedder_for_store(store).embed(query)
     rows = [store.unit_rows[uid] for uid in unit_ids]
     scores = np.vecdot(store.embeddings[rows], query_vec).tolist()
@@ -249,10 +257,9 @@ def scoped_search(store: GraphStore, req: RetrievalRequest) -> list[RetrievalHit
     """
     if not req.scope:
         raise EmptyScope("<empty>")
-    requested = req.language
     candidates: list[_Candidate] = []
     if Aspect.CONTENT in req.aspects:
-        candidates.extend(_content_candidates(store, req, requested))
+        candidates.extend(_content_candidates(store, req))
     if Aspect.ACTION_DESCRIPTION in req.aspects:
         candidates.extend(_action_candidates(store, req))
     if Aspect.METADATA in req.aspects:

@@ -1,32 +1,45 @@
 """Indexed in-memory graph container with a diffable on-disk format.
 
-Snapshots are newline-delimited JSON: one meta header (format version,
-embedding config, frozen IDF statistics) followed by one record per node,
-sorted by kind and id so that re-saving an unchanged store is
-byte-identical. Indexes are never persisted; they are rebuilt on load,
-except the inverted term index, which is built on its first read.
-Embeddings and IDF statistics *are* persisted so retrieval scores stay
-reproducible across processes: each unit record carries its embedding's
-non-zero entries as one flat ``[i0, v0, i1, v1, …]`` list. In memory,
-embeddings are one float64 matrix with a row per text unit, in sorted
-unit-id order.
+Snapshots are newline-delimited JSON, format version 3. The first line is
+the meta header: the format version, each record kind's column order, the
+embedding config and the IDF statistics frozen at commit. Every other line
+is one node, ``{"kind":"<kind>","row":[v1,v2,…]}`` with its values in the
+header's column order; kinds follow _KINDS and nodes are sorted by id, so
+re-saving an unchanged store is byte-identical. A unit line also carries
+its embedding's non-zero entries as ``"embedding":[i0,v0,i1,v1,…]``.
+
+What load can rebuild is not stored: a CTV's id is ``ctv_id(work,
+valid_start)``, a CLV's id is ``clv_id(temporal_version, language)`` and its
+text unit ``tu:`` plus that id, an action's description unit is
+``tu:<id>:desc``, and a CTV's ``produced_by``/``terminated_by`` are inverted
+from the actions' ``produces``/``terminates`` (a CTV that two actions claim
+is rejected). Snapshots of versions 1 and 2 are rejected with a hint to
+re-run ``normgraph ingest``.
+
+Indexes are never persisted; they are rebuilt on load. Two are built on
+their first read instead: the inverted term index, and the embedding
+matrix (float64, one row per text unit in sorted unit-id order), which load
+keeps as checked sparse buffers until a vector is read. Loading and the
+point-in-time, impact, provenance and lexical queries never import numpy;
+commit, save, vector and hybrid retrieval do.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
 import re
 import threading
+from array import array
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
+from functools import lru_cache, partial
 from itertools import chain, filterfalse
 from pathlib import Path
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import DanglingReference, MalformedSnapshot, UnknownWork
 from .model import (
@@ -43,16 +56,22 @@ from .model import (
     WorkId,
     WorkKind,
     WorkNode,
+    clv_id,
+    ctv_id,
     interval_contains,
     parse_iso_date,
     validate_graph,
 )
 
-FORMAT_VERSION = 2
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+FORMAT_VERSION = 3
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# Serializes first builds of a loaded store's term index across threads.
-_TEXT_INDEX_LOCK = threading.Lock()
+# Serializes first builds of a loaded store's term index and embedding
+# matrix across threads.
+_BUILD_LOCK = threading.Lock()
 
 
 def tokenize(text: str) -> list[str]:
@@ -84,11 +103,12 @@ class GraphStore:
 
     committed: bool = False
 
-    # One read-only row per text unit, rows in sorted unit-id order; written
-    # at commit and load, empty before. Read a row through embedding().
-    embeddings: np.ndarray = field(
-        default_factory=lambda: np.empty((0, EMBEDDING_DIMENSION)), compare=False, repr=False)
+    # Unit id -> its row of the embedding matrix (sorted unit-id order).
     unit_rows: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
+    # The matrix, read through the embeddings property: written at commit;
+    # after load, None until first read, and _sparse holds load's buffers.
+    _matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _sparse: _SparseRows | None = field(default=None, compare=False, repr=False)
 
     # Derived indexes; rebuilt by _reindex, never persisted.
     children: dict[str, list[str]] = field(default_factory=dict, compare=False)
@@ -231,6 +251,8 @@ class GraphStore:
         self.n_units = len(retrievable)
         total = sum(self.unit_len[u.id] for u in retrievable)
         self.avgdl = total / self.n_units if self.n_units else 0.0
+        import numpy as np
+
         if embedder is None:
             from .retrieval import HashedTfidfEmbedder
 
@@ -244,16 +266,53 @@ class GraphStore:
                 raise ValueError(
                     f"embedder returned shape {np.shape(vec)} for {uid!r}, expected {shape}")
             matrix[row] = vec
-        self._set_embeddings(matrix, {uid: row for row, uid in enumerate(unit_ids)})
+        matrix.flags.writeable = False
+        self._matrix, self._sparse = matrix, None
+        self.unit_rows = {uid: row for row, uid in enumerate(unit_ids)}
         self.committed = True
 
-    def _set_embeddings(self, matrix: np.ndarray, unit_rows: dict[str, int]) -> None:
-        matrix.flags.writeable = False
-        self.embeddings = matrix
-        self.unit_rows = unit_rows
-
     # Properties, not __getattr__: a class with __getattr__ makes every
-    # attribute read on the store slower, not only these two.
+    # attribute read on the store slower, not only these.
+    @property
+    def embeddings(self) -> np.ndarray:
+        """The read-only float64 matrix with one row per text unit (see unit_rows)."""
+        matrix = self._matrix
+        if matrix is None:
+            with _BUILD_LOCK:
+                if self._matrix is None:
+                    self._build_embeddings()
+                matrix = self._matrix
+        return matrix
+
+    def _build_embeddings(self) -> None:
+        """Scatter load's sparse buffers into the matrix in one step, then free them."""
+        import numpy as np
+
+        matrix = np.zeros((len(self.unit_rows), self.embedding_dimension))
+        sparse = self._sparse
+        if sparse is not None:
+            rows = np.repeat(np.asarray(sparse.rows), np.asarray(sparse.counts))
+            matrix[rows, np.asarray(sparse.index)] = np.asarray(sparse.values)
+        matrix.flags.writeable = False
+        self._matrix, self._sparse = matrix, None
+
+    def embedding_norms(self) -> list[float]:
+        """The L2 norm of each embedding row, in row order.
+
+        Taken from load's buffers while the matrix is unbuilt, so checking a
+        loaded store needs no numpy. A row that overflows has an inf or NaN
+        norm.
+        """
+        sparse = self._sparse
+        if sparse is not None:
+            return sparse.norms
+        import numpy as np
+
+        matrix = self.embeddings
+        # vecdot needs no matrix-sized temporary.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.sqrt(np.vecdot(matrix, matrix)).tolist()
+
     @property
     def term_index(self) -> dict[str, dict[str, int]]:
         """Token -> {unit id: term frequency} over every text unit."""
@@ -267,7 +326,7 @@ class GraphStore:
     def _built_text_index(self) -> tuple[dict[str, dict[str, int]], dict[str, int]]:
         index = self._text_index
         if index is None:
-            with _TEXT_INDEX_LOCK:
+            with _BUILD_LOCK:
                 if self._text_index is None:
                     self._rebuild_text_index()
                 index = self._text_index
@@ -369,13 +428,13 @@ class GraphStore:
 # -- serialization -----------------------------------------------------------
 #
 # Every node kind's persisted form is one entry of _KINDS, which save, load
-# and _check_references all walk. Every key is required and every value has
-# an exact JSON type (bool is no integer). The meta header and the unit
+# and _check_references all walk. Every column is required and every value
+# has an exact JSON type (bool is no integer). The meta header and the unit
 # embeddings are written and read outside the table.
 
 
 class _Type(NamedTuple):
-    """A record value's exact JSON types, and its conversions to and from a node."""
+    """A row value's exact JSON types, and its conversions to and from a node."""
 
     name: str
     json: frozenset[type]
@@ -404,13 +463,16 @@ def _enum(cls: type[Enum]) -> _Type:
                  operator.attrgetter("value"))
 
 
+# A snapshot repeats few distinct dates many times; each is parsed once.
+_parse_date = lru_cache(maxsize=1 << 16)(parse_iso_date)
+
 _STR = _Type("a string", frozenset({str}))
 _OPTIONAL_STR = _Type("a string or null", frozenset({str, type(None)}))
 _INT = _Type("an integer", frozenset({int}))
 _BOOL = _Type("a boolean", frozenset({bool}))
-_DATE = _Type("an ISO date", frozenset({str}), parse_iso_date, date.isoformat)
+_DATE = _Type("an ISO date", frozenset({str}), _parse_date, date.isoformat)
 _OPTIONAL_DATE = _Type("an ISO date or null", frozenset({str, type(None)}),
-                       _or_null(parse_iso_date), _or_null(date.isoformat))
+                       _or_null(_parse_date), _or_null(date.isoformat))
 # Tuples are written as JSON arrays, so a list of strings needs no encoder.
 _STRS = _Type("a list of strings", frozenset({list}), _strs)
 _STR_MAP = _Type("an object of strings", frozenset({dict}), _str_map, dict)
@@ -424,36 +486,45 @@ class _Column(NamedTuple):
     ref: str | None = None
     # Node attribute path, when it is not the key.
     attr: str | None = None
+    # Rebuilt by the kind's constructor from the other columns, not stored.
+    derived: bool = False
 
 
 class _Kind:
     """One record kind: its store map, node constructor and columns.
 
-    The constructor takes the decoded column values in column order. The
-    getters and converters that save, load and the reference check use are
-    derived here once, not per record.
+    The constructor takes the stored column values in column order and
+    rebuilds the derived ones. The getters and converters that save, load
+    and the reference check use are derived here once, not per record.
     """
 
-    def __init__(self, nodes: str, build: Callable, *columns: _Column) -> None:
+    def __init__(self, nodes: str, build: Callable, *columns: _Column,
+                 key: str = "id", members: tuple[str, ...] = ("kind", "row")) -> None:
         self.nodes = nodes
         self.build = build
         self.columns = columns
-        self.attrs = [column.attr or column.key for column in columns]
-        self.keys = [column.key for column in columns]
-        self.get = operator.itemgetter(*self.keys)
-        self.get_attrs = operator.attrgetter(*self.attrs)
-        self.json = [column.type.json for column in columns]
+        self.stored = [column for column in columns if not column.derived]
+        self.keys = [column.key for column in self.stored]
+        self.get_attrs = operator.attrgetter(*(column.attr or column.key
+                                               for column in self.stored))
+        self.derived = [column.attr or column.key for column in columns if column.derived]
+        self.get_derived = operator.attrgetter(*self.derived) if self.derived else None
+        self.key = operator.attrgetter(key)
+        self.members = members
+        self.json = [column.type.json for column in self.stored]
         self.decoders = [(i, column.type.decode)
-                         for i, column in enumerate(columns) if column.type.decode]
-        self.encoders = [(column.key, column.type.encode)
-                         for column in columns if column.type.encode]
+                         for i, column in enumerate(self.stored) if column.type.decode]
+        self.encoders = [(i, column.type.encode)
+                         for i, column in enumerate(self.stored) if column.type.encode]
 
     def why_bad(self, rec: dict, exc: Exception) -> str:
-        """Name the first missing key or wrong value of a record load rejected."""
-        for column in self.columns:
-            if column.key not in rec:
-                return f"missing key {column.key!r}"
-            value = rec[column.key]
+        """Name the first wrong member or value of a record load rejected."""
+        if sorted(rec) != sorted(self.members):
+            return f"its members must be {', '.join(self.members)}"
+        row = rec["row"]
+        if type(row) is not list or len(row) != len(self.stored):
+            return f"'row' must be a list of {len(self.stored)} values ({', '.join(self.keys)})"
+        for column, value in zip(self.stored, row):
             try:
                 if type(value) not in column.type.json:
                     raise TypeError
@@ -464,15 +535,46 @@ class _Kind:
         return str(exc)
 
 
+class _Links:
+    """Each CTV's producing and terminating action, inverted from the actions."""
+
+    def __init__(self) -> None:
+        self.produced_by: dict[str, str] = {}
+        self.terminated_by: dict[str, str] = {}
+
+    def add(self, action: ActionNode) -> None:
+        """File the action's CTVs; raise ValueError on a CTV another action claims."""
+        for links, cids, verb in ((self.produced_by, action.produces, "produced"),
+                                  (self.terminated_by, action.terminates, "terminated")):
+            for cid in cids:
+                if links.setdefault(cid, action.id) != action.id:
+                    raise ValueError(
+                        f"ctv {cid!r} is {verb} by both {links[cid]!r} and {action.id!r}")
+
+
 def _work(urn, aliases, *rest) -> WorkNode:
     return WorkNode(WorkId(urn, aliases), *rest)
 
 
-def _ctv(id, work, valid_start, valid_end, *rest) -> TemporalVersion:
-    return TemporalVersion(id, work, ValidityInterval(valid_start, valid_end), *rest)
+def _action(id, action_type, enactment_date, effective_date, source_provision,
+            terminates, produces, *rest) -> ActionNode:
+    return ActionNode(id, action_type, enactment_date, effective_date, source_provision,
+                      terminates, produces, f"tu:{id}:desc", *rest)
 
 
-# In save order; a kind's columns are in its constructor's argument order.
+def _ctv(links: _Links, work, valid_start, valid_end, aggregates) -> TemporalVersion:
+    cid = ctv_id(work, valid_start)
+    return TemporalVersion(cid, work, ValidityInterval(valid_start, valid_end), aggregates,
+                           links.produced_by.get(cid, ""), links.terminated_by.get(cid))
+
+
+def _clv(temporal_version, language) -> LanguageVersion:
+    lv_id = clv_id(temporal_version, language)
+    return LanguageVersion(lv_id, temporal_version, language, f"tu:{lv_id}")
+
+
+# In save order: actions before the CTVs whose links they carry. A kind's
+# columns are in its node's attribute order.
 _KINDS = {
     "work": _Kind(
         "works", _work,
@@ -483,26 +585,10 @@ _KINDS = {
         _Column("parent", _OPTIONAL_STR, "works?"),
         _Column("ordinal", _INT),
         _Column("metadata", _STR_MAP),
-    ),
-    "ctv": _Kind(
-        "ctvs", _ctv,
-        _Column("id", _STR),
-        _Column("work", _STR, "works"),
-        _Column("valid_start", _DATE, attr="validity.valid_start"),
-        _Column("valid_end", _OPTIONAL_DATE, attr="validity.valid_end"),
-        _Column("aggregates", _STRS, "ctvs"),
-        _Column("produced_by", _STR, "actions?"),
-        _Column("terminated_by", _OPTIONAL_STR, "actions?"),
-    ),
-    "clv": _Kind(
-        "clvs", LanguageVersion,
-        _Column("id", _STR),
-        _Column("temporal_version", _STR, "ctvs"),
-        _Column("language", _STR),
-        _Column("text_unit", _STR, "units"),
+        key="id.urn",
     ),
     "action": _Kind(
-        "actions", ActionNode,
+        "actions", _action,
         _Column("id", _STR),
         _Column("action_type", _enum(ActionType)),
         _Column("enactment_date", _DATE),
@@ -510,12 +596,30 @@ _KINDS = {
         _Column("source_provision", _OPTIONAL_STR, "works?"),
         _Column("terminates", _STRS, "ctvs"),
         _Column("produces", _STRS, "ctvs"),
-        _Column("description_unit", _STR, "units?"),
+        _Column("description_unit", _STR, "units", derived=True),
         _Column("targets", _STRS, "works"),
         _Column("effect", _OPTIONAL_STR),
         _Column("instrument", _OPTIONAL_STR),
         _Column("instrument_title", _OPTIONAL_STR),
         _Column("instrument_short", _OPTIONAL_STR),
+    ),
+    # Built by a _ctv bound to the links of the actions read before.
+    "ctv": _Kind(
+        "ctvs", _ctv,
+        _Column("id", _STR, derived=True),
+        _Column("work", _STR, "works"),
+        _Column("valid_start", _DATE, attr="validity.valid_start"),
+        _Column("valid_end", _OPTIONAL_DATE, attr="validity.valid_end"),
+        _Column("aggregates", _STRS, "ctvs"),
+        _Column("produced_by", _STR, derived=True),
+        _Column("terminated_by", _OPTIONAL_STR, derived=True),
+    ),
+    "clv": _Kind(
+        "clvs", _clv,
+        _Column("id", _STR, derived=True),
+        _Column("temporal_version", _STR, "ctvs"),
+        _Column("language", _STR),
+        _Column("text_unit", _STR, "units", derived=True),
     ),
     "theme": _Kind(
         "themes", ThemeNode,
@@ -524,7 +628,7 @@ _KINDS = {
         _Column("description_unit", _STR, "units"),
         _Column("members", _STRS, "works"),
     ),
-    # Each unit record also carries its "embedding" (see _sparse_embedding).
+    # Each unit record also carries its "embedding" (see _sparse_rows).
     "unit": _Kind(
         "units", TextUnit,
         _Column("id", _STR),
@@ -533,79 +637,184 @@ _KINDS = {
         _Column("language", _STR),
         _Column("text", _STR),
         _Column("synthetic", _BOOL),
+        members=("kind", "row", "embedding"),
     ),
 }
+_COLUMNS = {kind: spec.keys for kind, spec in _KINDS.items()}
+_EMBEDDER = "hashed_tfidf"
 
 
-def _sparse_embedding(row: np.ndarray) -> list:
-    """A row's entries whose bits are not +0.0, as ``[i0, v0, i1, v1, …]``.
+def _builders(links: _Links) -> dict[str, Callable]:
+    """Each kind's row -> node constructor, with CTVs linked through ``links``."""
+    return {kind: partial(spec.build, links) if kind == "ctv" else spec.build
+            for kind, spec in _KINDS.items()}
 
-    -0.0 and NaN are kept, so load scatters back the same bits.
+
+def _sparse_rows(matrix: np.ndarray, block: int = 256):
+    """Each row's entries whose bits are not +0.0, as ``[i0, v0, i1, v1, …]``.
+
+    -0.0 and NaN are kept, so load scatters back the same bits. Rows are
+    split a block at a time, so only one block's entries are Python objects
+    at once.
     """
-    index = np.flatnonzero(row.view(np.uint64))
-    pairs: list = [None] * (2 * len(index))
-    pairs[0::2] = index.tolist()
-    pairs[1::2] = row[index].tolist()
-    return pairs
+    import numpy as np
+
+    for first in range(0, len(matrix), block):
+        part = matrix[first:first + block]
+        rows, cols = np.nonzero(part.view(np.uint64))
+        bounds = np.searchsorted(rows, np.arange(len(part) + 1)).tolist()
+        index, values = cols.tolist(), part[rows, cols].tolist()
+        for start, end in zip(bounds, bounds[1:]):
+            pairs: list = [None] * (2 * (end - start))
+            pairs[0::2] = index[start:end]
+            pairs[1::2] = values[start:end]
+            yield pairs
 
 
 def save(store: GraphStore, path: str | Path) -> None:
     """Write the store as sorted NDJSON; load(save(s)) == s node-for-node.
 
-    Records are built and written one at a time, in (kind, id) order.
-    Raises RuntimeError on an uncommitted store, which has no embeddings.
+    Rows are built and written one at a time, in _KINDS order and by id.
+    Raises RuntimeError on an uncommitted store, which has no embeddings,
+    and ValueError, before writing, if a node's derived column differs from
+    what load would rebuild (see _KINDS) or two actions claim one CTV.
     """
     if not store.committed:
         raise RuntimeError("only a committed store can be saved")
+    links = _Links()
+    for action in store.actions.values():
+        links.add(action)
+    build = _builders(links)
+    for kind, spec in _KINDS.items():
+        if spec.get_derived is None:
+            continue
+        for node_id, node in getattr(store, spec.nodes).items():
+            if spec.get_derived(build[kind](*spec.get_attrs(node))) != spec.get_derived(node):
+                raise ValueError(f"{kind} {node_id!r}: load would rebuild its "
+                                 f"{', '.join(spec.derived)} differently")
     meta = {
         "kind": "meta",
         "format_version": FORMAT_VERSION,
-        "embedding": {"name": "hashed_tfidf", "dimension": store.embedding_dimension},
+        "columns": _COLUMNS,
+        "embedding": {"name": _EMBEDDER, "dimension": store.embedding_dimension},
         "idf": {
             "n_units": store.n_units,
             "avgdl": store.avgdl,
             "df": {k: store.df[k] for k in sorted(store.df)},
         },
     }
-    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
+    encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+    embeddings = _sparse_rows(store.embeddings)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(encode(meta))
         fh.write("\n")
         for kind, spec in _KINDS.items():
             nodes = getattr(store, spec.nodes)
+            head = f'{{"kind":"{kind}","row":'
             for node_id in sorted(nodes):
-                rec = dict(zip(spec.keys, spec.get_attrs(nodes[node_id])))
-                for key, to_json in spec.encoders:
-                    rec[key] = to_json(rec[key])
-                rec["kind"] = kind
+                row = list(spec.get_attrs(nodes[node_id]))
+                for i, to_json in spec.encoders:
+                    row[i] = to_json(row[i])
+                fh.write(head)
+                fh.write(encode(row))
                 if kind == "unit":
-                    rec["embedding"] = _sparse_embedding(store.embedding(node_id))
-                fh.write(encode(rec))
-                fh.write("\n")
+                    fh.write(',"embedding":')
+                    fh.write(encode(next(embeddings)))
+                fh.write("}\n")
 
 
-def _parse_embedding(value, dimension: int, *, uid: str, path: str,
-                     line: int) -> tuple[list[int], list]:
-    """Split a sparse ``[i0, v0, i1, v1, …]`` record into indices and values.
+class _SparseRows:
+    """Load's checked embedding entries, kept until the matrix is first read.
 
-    Indices must be ints, strictly increasing, in ``[0, dimension)``;
-    values must be numbers.
+    ``counts``, ``index`` and ``values`` hold each unit's pairs in file
+    order; ``rows`` holds each unit's matrix row and ``norms`` each row's L2
+    norm in row order, once :meth:`finish` has run.
     """
-    def bad(reason: str) -> MalformedSnapshot:
-        return MalformedSnapshot(f"embedding of {uid!r} {reason}", path=path, line=line)
 
-    if not isinstance(value, list) or len(value) % 2:
-        raise bad("is not a flat list of index, value pairs")
-    index, values = value[0::2], value[1::2]
-    # Exact types: bool is an int subclass but no index or value.
-    if not {*map(type, index)} <= {int}:
-        raise bad("has an index that is not an integer")
-    if index and not (0 <= index[0] and index[-1] < dimension
-                      and all(map(operator.lt, index, index[1:]))):
-        raise bad(f"has indices that are not strictly increasing in [0, {dimension})")
-    if not {*map(type, values)} <= {int, float}:
-        raise bad("has a value that is not a number")
-    return index, values
+    def __init__(self) -> None:
+        self.counts, self.index, self.values = array("q"), array("q"), array("d")
+        self.rows = array("q")
+        self.norms: list[float] = []
+
+    def add(self, pairs, dimension: int) -> None:
+        """Check a unit's ``[i0, v0, i1, v1, …]`` and append it to the buffers.
+
+        Indices must be ints, strictly increasing, in ``[0, dimension)``;
+        values must be numbers. Raises ValueError naming what is wrong, and
+        OverflowError on a value beyond float64.
+        """
+        if type(pairs) is not list or len(pairs) % 2:
+            raise ValueError("is not a flat list of index, value pairs")
+        index, values = pairs[0::2], pairs[1::2]
+        # Exact types: bool is an int subclass but no index or value.
+        if not {*map(type, index)} <= {int}:
+            raise ValueError("has an index that is not an integer")
+        if index and not (0 <= index[0] and index[-1] < dimension
+                          and all(map(operator.lt, index, index[1:]))):
+            raise ValueError(f"has indices that are not strictly increasing in [0, {dimension})")
+        if not {*map(type, values)} <= {int, float}:
+            raise ValueError("has a value that is not a number")
+        # hypot scales, so only a norm beyond float64 is inf.
+        norm = math.hypot(*values)
+        self.values.extend(values)
+        self.index.extend(index)
+        self.counts.append(len(index))
+        self.norms.append(norm)
+
+    def finish(self, unit_ids, unit_rows: dict[str, int]) -> None:
+        """Map the units, given in file order, to their rows."""
+        self.rows = array("q", map(unit_rows.__getitem__, unit_ids))
+        norms = [0.0] * len(self.rows)
+        for row, norm in zip(self.rows, self.norms):
+            norms[row] = norm
+        self.norms = norms
+
+
+def _read_header(rec: dict, store: GraphStore) -> None:
+    """Set the store's embedding config and IDF statistics from a header.
+
+    Every key is required with an exact type; raises ValueError naming the
+    first that is missing, extra or wrong.
+    """
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise ValueError(what)
+
+    def members(value, keys: tuple[str, ...], where: str) -> None:
+        need(type(value) is dict and sorted(value) == sorted(keys),
+             f"{where} must be an object of {', '.join(keys)}")
+
+    members(rec, ("kind", "format_version", "columns", "embedding", "idf"), "the header")
+    need(rec["columns"] == _COLUMNS,
+         "'columns' must list each kind's columns in this version's order")
+    embedding, idf = rec["embedding"], rec["idf"]
+    members(embedding, ("name", "dimension"), "'embedding'")
+    need(embedding["name"] == _EMBEDDER, f"'name' must be {_EMBEDDER!r}")
+    dimension = embedding["dimension"]
+    need(type(dimension) is int and dimension > 0, "'dimension' must be a positive integer")
+    members(idf, ("n_units", "avgdl", "df"), "'idf'")
+    n_units, avgdl, df = idf["n_units"], idf["avgdl"], idf["df"]
+    need(type(n_units) is int and n_units >= 0, "'n_units' must be an integer >= 0")
+    need(type(avgdl) in (int, float) and math.isfinite(avgdl), "'avgdl' must be a finite number")
+    need(type(df) is dict and all(type(v) is int and v >= 1 for v in df.values()),
+         "'df' must be an object of integers >= 1")
+    store.embedding_dimension = dimension
+    store.n_units, store.avgdl, store.df = n_units, float(avgdl), df
+
+
+# The C scanner behind json.loads, called without its per-call wrappers.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _parse_line(raw: str):
+    """One JSON value spanning all of ``raw``, as json.loads reads it."""
+    try:
+        value, end = _scan_once(raw, 0)
+    except StopIteration as err:
+        raise json.JSONDecodeError("Expecting value", raw, err.value) from None
+    if end != len(raw):
+        raise json.JSONDecodeError("Extra data", raw, end)
+    return value
 
 
 def load(path: str | Path) -> GraphStore:
@@ -613,20 +822,21 @@ def load(path: str | Path) -> GraphStore:
 
     Raises MalformedSnapshot on parse failures: a first record that is not
     the meta header, a second header, a ``format_version`` other than
-    FORMAT_VERSION, a record of an unknown kind, a missing key or a value
-    of the wrong type (see _KINDS), a repeated id, or a unit whose embedding
-    breaks the sparse layout (see _parse_embedding). Raises
-    DanglingReference when a record cites an id no record defines, and
-    MalformedSnapshot, naming the first and giving the count, when
-    validate_graph reports any violation. A file with no records loads as an
-    empty store.
+    FORMAT_VERSION, a header key that is missing or of the wrong type (see
+    _read_header), a record of an unknown kind, a row value that is missing
+    or of the wrong type (see _KINDS), a repeated id, a CTV that two actions
+    claim, or a unit whose embedding breaks the sparse layout (see
+    _SparseRows.add). Raises DanglingReference when a record cites an id no
+    record defines, and MalformedSnapshot, naming the first and giving the
+    count, when validate_graph reports any violation. A file with no
+    records loads as an empty store.
     """
     store = GraphStore()
     spath = str(path)
-    # Embedding rows in file order; the buffer grows in place as units
-    # arrive, and resize fills new rows with +0.0.
-    rows: dict[str, int] = {}
-    matrix = np.empty((0, store.embedding_dimension))
+    links = _Links()
+    build = _builders(links)
+    node_maps = {kind: getattr(store, spec.nodes) for kind, spec in _KINDS.items()}
+    sparse = _SparseRows()
     header_seen = False
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -634,71 +844,67 @@ def load(path: str | Path) -> GraphStore:
             if not raw:
                 continue
             try:
-                rec = json.loads(raw)
+                rec = _parse_line(raw)
             except json.JSONDecodeError as exc:
                 raise MalformedSnapshot(f"invalid JSON ({exc.msg})", path=spath, line=lineno) from None
-            if not isinstance(rec, dict):
+            if type(rec) is not dict:
                 raise MalformedSnapshot("record is not a JSON object", path=spath, line=lineno)
             kind = rec.get("kind")
-            spec = _KINDS.get(kind) if type(kind) is str else None
             if kind == "meta":
                 if header_seen:
                     raise MalformedSnapshot("second meta header", path=spath, line=lineno)
                 header_seen = True
-            elif not header_seen:
+                version = rec.get("format_version")
+                if type(version) is not int or version != FORMAT_VERSION:
+                    raise MalformedSnapshot(
+                        f"unsupported format_version {version!r} (this version reads "
+                        f"{FORMAT_VERSION}); re-run `normgraph ingest` to rewrite the snapshot",
+                        path=spath, line=lineno,
+                    )
+                try:
+                    _read_header(rec, store)
+                except (ValueError, OverflowError) as exc:
+                    raise MalformedSnapshot(f"bad meta header: {exc}", path=spath, line=lineno) from None
+                continue
+            if not header_seen:
                 raise MalformedSnapshot(
                     f"missing meta header: the first record is a {kind!r} record",
                     path=spath, line=lineno)
+            spec = _KINDS.get(kind) if type(kind) is str else None
+            if spec is None:
+                raise MalformedSnapshot(f"unknown record kind {kind!r}", path=spath, line=lineno)
             try:
-                if kind == "meta":
-                    version = rec.get("format_version")
-                    if version != FORMAT_VERSION:
-                        raise MalformedSnapshot(
-                            f"unsupported format_version {version!r} (this version reads "
-                            f"{FORMAT_VERSION}); re-run `normgraph ingest` to rewrite the snapshot",
-                            path=spath, line=lineno,
-                        )
-                    store.embedding_dimension = int(rec["embedding"]["dimension"])
-                    matrix = np.empty((0, store.embedding_dimension))
-                    idf = rec.get("idf", {})
-                    store.df = {str(k): int(v) for k, v in idf.get("df", {}).items()}
-                    store.n_units = int(idf.get("n_units", 0))
-                    store.avgdl = float(idf.get("avgdl", 0.0))
-                    continue
-                if spec is None:
-                    raise MalformedSnapshot(f"unknown record kind {kind!r}", path=spath, line=lineno)
-                values = spec.get(rec)
-                if not all(map(operator.contains, spec.json, map(type, values))):
-                    raise TypeError("a value of the wrong type")
-                values = list(values)
+                row = rec["row"]
+                if (len(rec) != len(spec.members) or type(row) is not list
+                        or len(row) != len(spec.json)
+                        or not all(map(operator.contains, spec.json, map(type, row)))):
+                    raise TypeError("a member or value of the wrong type")
+                row = row.copy()
                 for i, decode in spec.decoders:
-                    values[i] = decode(values[i])
-                node_id = values[0]
-                nodes = getattr(store, spec.nodes)
+                    row[i] = decode(row[i])
+                node = build[kind](*row)
+                node_id = spec.key(node)
+                nodes = node_maps[kind]
                 if node_id in nodes:
                     raise MalformedSnapshot(f"repeated {kind} {node_id!r}", path=spath, line=lineno)
-                nodes[node_id] = spec.build(*values)
-                if kind == "unit":
-                    index, values = _parse_embedding(
-                        rec["embedding"], store.embedding_dimension,
-                        uid=node_id, path=spath, line=lineno)
-                    row = rows[node_id] = len(rows)
-                    if row == len(matrix):
-                        matrix.resize((max(64, 2 * row), store.embedding_dimension), refcheck=False)
-                    matrix[row, index] = values
+                nodes[node_id] = node
+                if kind == "action":
+                    links.add(node)
+                elif kind == "unit":
+                    try:
+                        sparse.add(rec["embedding"], store.embedding_dimension)
+                    except ValueError as exc:
+                        raise MalformedSnapshot(f"embedding of {node_id!r} {exc}",
+                                                path=spath, line=lineno) from None
             except MalformedSnapshot:
                 raise
             except (KeyError, ValueError, TypeError, OverflowError) as exc:
-                why = spec.why_bad(rec, exc) if spec else exc
-                raise MalformedSnapshot(f"bad {kind!r} record: {why}", path=spath, line=lineno) from None
+                raise MalformedSnapshot(f"bad {kind!r} record: {spec.why_bad(rec, exc)}",
+                                        path=spath, line=lineno) from None
 
-    matrix.resize((len(rows), store.embedding_dimension), refcheck=False)
-    unit_ids = list(rows)
-    if any(a > b for a, b in zip(unit_ids, unit_ids[1:])):
-        unit_ids.sort()
-        matrix = matrix[[rows[uid] for uid in unit_ids]]
-        rows = {uid: row for row, uid in enumerate(unit_ids)}
-    store._set_embeddings(matrix, rows)
+    store.unit_rows = {uid: row for row, uid in enumerate(sorted(store.units))}
+    sparse.finish(store.units, store.unit_rows)
+    store._sparse = sparse
     _check_references(store)
     store._reindex()
     store.committed = True
@@ -713,10 +919,10 @@ def _check_references(store: GraphStore) -> None:
     """Raise DanglingReference for the first id a node cites that names no node."""
     for spec in _KINDS.values():
         nodes = getattr(store, spec.nodes).values()
-        for column, attr in zip(spec.columns, spec.attrs):
+        for column in spec.columns:
             if column.ref is None:
                 continue
-            get = operator.attrgetter(attr)
+            get = operator.attrgetter(column.attr or column.key)
             many = column.type is _STRS
             cited = chain.from_iterable(map(get, nodes)) if many else map(get, nodes)
             if column.ref.endswith("?"):
@@ -726,4 +932,4 @@ def _check_references(store: GraphStore) -> None:
             if missing is not None:
                 referrer = next(node for node in nodes
                                 if missing in (get(node) if many else (get(node),)))
-                raise DanglingReference(operator.attrgetter(spec.attrs[0])(referrer), missing)
+                raise DanglingReference(spec.key(referrer), missing)

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import normgraph
 from normgraph.cli import main
 from normgraph.fixture_corpus import build_fixture_corpus
 
@@ -267,19 +272,23 @@ class TestMoreEdges:
         assert code == 3
         assert f":{index + 1}: embedding of" in capsys.readouterr().err
 
-    def test_query_on_a_version_1_snapshot_exits_3_and_asks_for_a_reingest(
-            self, snapshot_file, tmp_path, capsys):
-        lines = snapshot_file.read_text(encoding="utf-8").splitlines()
-        header = json.loads(lines[0])
-        header["format_version"] = 1
-        lines[0] = json.dumps(header)
-        old = tmp_path / "v1.ndjson"
-        old.write_text("\n".join(lines), encoding="utf-8")
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_query_on_an_older_snapshot_exits_3_and_asks_for_a_reingest(
+            self, tmp_path, capsys, version):
+        # The header and first record of a version 1 or 2 snapshot: sorted
+        # keys, records keyed by name.
+        header = {"embedding": {"dimension": 256, "name": "hashed_tfidf"},
+                  "format_version": version,
+                  "idf": {"avgdl": 1.0, "df": {"food": 1}, "n_units": 1}, "kind": "meta"}
+        work = {"aliases": [], "component_type": "other", "id": "urn:n", "kind": "work",
+                "metadata": {}, "ordinal": 0, "parent": None, "work_kind": "norm"}
+        old = tmp_path / f"v{version}.ndjson"
+        old.write_text(f"{json.dumps(header)}\n{json.dumps(work)}\n", encoding="utf-8")
         code = main(["query", "at", "--snapshot", str(old), "--target", "art6",
                      "--at", "2011-01-01"])
         assert code == 3
         err = capsys.readouterr().err
-        assert ":1: unsupported format_version 1" in err
+        assert f":1: unsupported format_version {version} (this version reads 3)" in err
         assert "re-run `normgraph ingest`" in err
 
     def test_query_on_a_snapshot_without_its_header_exits_3(
@@ -291,3 +300,54 @@ class TestMoreEdges:
                      "--target", "art6", "--at", "2011-01-01", "--mode", "lexical"])
         assert code == 3
         assert ":1: missing meta header" in capsys.readouterr().err
+
+
+# Runs point-in-time, impact and provenance queries in one process, lists the
+# heavy modules they loaded, then prints a vector retrieve's annex.
+_LEAN_SCRIPT = """
+import contextlib, io, json, sys
+from normgraph.cli import main
+
+snapshot, retrieve = sys.argv[1], json.loads(sys.argv[2])
+common = ["--snapshot", snapshot, "--json", "--clock", "2024-01-02"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["query", "at", "--target", "art6", "--at", "2011-01-01", *common]) == 0
+    assert main(["query", "impact", "--target", "tit2_cap2",
+                 "--between", "2010-01-01", "2019-12-31", *common]) == 0
+    assert main(["query", "provenance", "--term", "food", "--target", "art6", *common]) == 0
+heavy = ["numpy", "normgraph.ingest", "normgraph.fixture_corpus"]
+print(json.dumps([name for name in heavy if name in sys.modules]))
+assert main([*retrieve, *common]) == 0
+"""
+
+
+def _python(*args: str) -> str:
+    src = str(Path(normgraph.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    return done.stdout
+
+
+class TestLeanQueryPath:
+    def test_structural_queries_load_neither_numpy_nor_ingestion(self, snapshot_file):
+        retrieve = ["query", "retrieve", "--text", "food security", "--target", "art6",
+                    "--at", "2011-01-01", "--mode", "vector"]
+        loaded, annex = _python("-c", _LEAN_SCRIPT, str(snapshot_file),
+                                json.dumps(retrieve)).split("\n", 1)
+        assert json.loads(loaded) == []
+        assert json.loads(annex)["citations"]
+        fresh = _python("-m", "normgraph.cli", *retrieve, "--snapshot", str(snapshot_file),
+                        "--json", "--clock", "2024-01-02")
+        assert annex == fresh
+
+    def test_the_package_resolves_its_public_names_on_first_use(self):
+        loaded = _python("-c", "import sys, normgraph; "
+                               "print(sorted(m for m in sys.modules if m.startswith('normgraph')))")
+        assert loaded.strip() == "['normgraph']"
+        for name in normgraph.__all__:
+            value = getattr(normgraph, name)
+            assert getattr(sys.modules[value.__module__], name) is value
+        assert set(normgraph.__all__) <= set(dir(normgraph))
+        with pytest.raises(AttributeError):
+            normgraph.no_such_name

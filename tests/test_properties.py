@@ -340,7 +340,7 @@ class TestIndexBackedSpans:
                         if clv:
                             expected.add((urn, tv.id, clv))
                     assert {c.provenance for c in _content_candidates(
-                        store, request, language)} == expected, (seed, t, language)
+                        store, request)} == expected, (seed, t, language)
                 for term in terms:
                     spans = _reference_spans(store, term, works, language, fallback)
                     assert locate_spans(store, term, works, language, fallback) == spans
@@ -462,7 +462,7 @@ class TestBisectVersionSelection:
             for language in (None, "es"):
                 request = RetrievalRequest(query_text="", scope=works, t=t, language=language)
                 got = {c.provenance[0]: c.provenance[1]
-                       for c in _content_candidates(store, request, language)}
+                       for c in _content_candidates(store, request)}
                 expected = {}
                 for urn in works:
                     tv = _linear_version(store, urn, t)
@@ -476,7 +476,7 @@ class TestBisectVersionSelection:
 def _cosine_reference(store: GraphStore, req: RetrievalRequest) -> list[RetrievalHit]:
     """scoped_search's ranking, scoring each candidate with its own cosine call."""
     by_unit = {}
-    for cand in (_content_candidates(store, req, req.language) + _action_candidates(store, req)
+    for cand in (_content_candidates(store, req) + _action_candidates(store, req)
                  + _metadata_candidates(store, req) + _theme_candidates(store, req)):
         by_unit.setdefault(cand.unit_id, cand)
     unit_ids = sorted(by_unit)
@@ -518,8 +518,10 @@ class TestMatrixScoring:
                                 seed, t, text, mode, language)
                             if mode is RetrievalMode.VECTOR:
                                 vector_hits = hits
-                    # Unrounded scores of the French candidates, bit for bit.
-                    uids = sorted({c.unit_id for c in _content_candidates(store, req, "fr")})
+                    # Unrounded scores of the French candidates (req is the last,
+                    # French, request of the loop above), bit for bit.
+                    assert req.language == "fr"
+                    uids = sorted({c.unit_id for c in _content_candidates(store, req)})
                     query = embedder_for_store(store).embed(text)
                     reference = [(uid, cosine(query, store.embedding(uid))) for uid in uids]
                     assert _vector_scores(store, text, uids) == reference

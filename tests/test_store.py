@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -34,9 +35,21 @@ from normgraph.temporal import TemporalScope
 
 # A save of the fixture corpus in the current format; see TestGoldenSnapshot.
 GOLDEN = Path(__file__).parent / "data" / "golden_fixture.ndjson"
-META = {"kind": "meta", "format_version": FORMAT_VERSION,
+# The golden file's header: each kind's column order, and empty statistics.
+COLUMNS = json.loads(GOLDEN.read_text(encoding="utf-8").splitlines()[0])["columns"]
+META = {"kind": "meta", "format_version": FORMAT_VERSION, "columns": COLUMNS,
         "embedding": {"name": "hashed_tfidf", "dimension": 256},
         "idf": {"n_units": 0, "avgdl": 0.0, "df": {}}}
+DROP = object()
+
+
+def _set(record: dict, column: str, value) -> None:
+    """Set a column of a record's row, or drop the column when value is DROP."""
+    at = COLUMNS[record["kind"]].index(column)
+    if value is DROP:
+        del record["row"][at]
+    else:
+        record["row"][at] = value
 
 
 class TestTokenize:
@@ -139,11 +152,8 @@ class TestLoad:
         path = tmp_path / "bad.ndjson"
         records = [
             META,
-            {"kind": "work", "id": "urn:n", "aliases": [], "work_kind": "norm",
-             "component_type": "other", "parent": None, "ordinal": 0, "metadata": {}},
-            {"kind": "ctv", "id": "urn:n@2000-01-01", "work": "urn:n",
-             "valid_start": "2000-01-01", "valid_end": None,
-             "aggregates": ["urn:n!a@2000-01-01"], "produced_by": "", "terminated_by": None},
+            {"kind": "work", "row": ["urn:n", [], "norm", "other", None, 0, {}]},
+            {"kind": "ctv", "row": ["urn:n", "2000-01-01", None, ["urn:n!a@2000-01-01"]]},
         ]
         path.write_text("\n".join(json.dumps(r) for r in records), encoding="utf-8")
         with pytest.raises(DanglingReference):
@@ -155,6 +165,18 @@ class TestLoad:
         with pytest.raises(MalformedSnapshot) as exc:
             load(path)
         assert ":1:" in str(exc.value) or ":1" in str(exc.value)
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"kind": "work"} {}', "Extra data"),
+        ('{"kind": "work"},', "Extra data"),
+        (",", "Expecting value"),
+    ])
+    def test_a_line_that_is_not_one_json_value(self, snapshot_path, tmp_path, text, reason):
+        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
+        lines[1] = text
+        with pytest.raises(MalformedSnapshot, match=f"invalid JSON \\({reason}\\)") as exc:
+            _load_lines(lines, tmp_path)
+        assert exc.value.line == 2
 
     def test_unknown_record_kind(self, tmp_path):
         path = tmp_path / "bad.ndjson"
@@ -205,23 +227,89 @@ class TestMetaHeader:
             _load_lines(lines, tmp_path)
         assert exc.value.line == 3
 
-    def test_version_1_is_rejected_with_a_reingest_hint(self, snapshot_path, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2, 3.0, "3", None])
+    def test_another_version_is_rejected_with_a_reingest_hint(
+            self, snapshot_path, tmp_path, version):
         lines = snapshot_path.read_text(encoding="utf-8").splitlines()
         header = json.loads(lines[0])
-        header["format_version"] = 1
+        header["format_version"] = version
         lines[0] = json.dumps(header)
         with pytest.raises(MalformedSnapshot) as exc:
             _load_lines(lines, tmp_path)
         assert exc.value.line == 1
-        assert "unsupported format_version 1" in str(exc.value)
+        assert f"unsupported format_version {version!r}" in str(exc.value)
         assert "re-run `normgraph ingest`" in str(exc.value)
 
 
-DROP = object()
+class TestStrictHeader:
+    """Every header key is required and has an exact type: a header that would
+    make scores differ from the saved store's is a malformed snapshot."""
+
+    @pytest.mark.parametrize("where, key, value, reason", [
+        pytest.param(None, "idf", DROP, "the header must be an object of", id="no-idf"),
+        pytest.param(None, "columns", DROP, "the header must be an object of", id="no-columns"),
+        pytest.param(None, "extra", 1, "the header must be an object of", id="extra-key"),
+        pytest.param("idf", "avgdl", "NaN", "'avgdl' must be a finite number", id="avgdl-string"),
+        pytest.param("idf", "avgdl", float("nan"), "'avgdl' must be a finite number",
+                     id="avgdl-nan"),
+        pytest.param("idf", "avgdl", float("inf"), "'avgdl' must be a finite number",
+                     id="avgdl-inf"),
+        pytest.param("idf", "avgdl", True, "'avgdl' must be a finite number", id="avgdl-bool"),
+        pytest.param("idf", "n_units", 2.9, "'n_units' must be an integer >= 0",
+                     id="n_units-float"),
+        pytest.param("idf", "n_units", -1, "'n_units' must be an integer >= 0",
+                     id="n_units-negative"),
+        pytest.param("idf", "df", DROP, "'idf' must be an object of", id="no-df"),
+        pytest.param("idf", "df", [], "'df' must be an object of integers >= 1", id="df-list"),
+        pytest.param("df", "food", 0, "'df' must be an object of integers >= 1", id="df-zero"),
+        pytest.param("df", "food", "4", "'df' must be an object of integers >= 1",
+                     id="df-string"),
+        pytest.param("df", "food", 4.0, "'df' must be an object of integers >= 1",
+                     id="df-float"),
+        pytest.param("embedding", "dimension", "256", "'dimension' must be a positive integer",
+                     id="dimension-string"),
+        pytest.param("embedding", "dimension", 0, "'dimension' must be a positive integer",
+                     id="dimension-zero"),
+        pytest.param("embedding", "dimension", True, "'dimension' must be a positive integer",
+                     id="dimension-bool"),
+        pytest.param("embedding", "name", "word2vec", "'name' must be 'hashed_tfidf'",
+                     id="other-embedder"),
+        pytest.param("embedding", "name", DROP, "'embedding' must be an object of",
+                     id="no-name"),
+        pytest.param("columns", "ctv", ["id", "work", "valid_start", "valid_end", "aggregates"],
+                     "'columns' must list each kind's columns", id="ctv-stored-id"),
+        pytest.param("columns", "clv", ["language", "temporal_version"],
+                     "'columns' must list each kind's columns", id="clv-reordered"),
+    ])
+    def test_a_bad_header_exits_3(self, snapshot_path, tmp_path, capsys, where, key, value,
+                                  reason):
+        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        target = {None: header, "df": header["idf"]["df"]}.get(where) or header[where]
+        if value is DROP:
+            del target[key]
+        else:
+            target[key] = value
+        lines[0] = json.dumps(header)
+        with pytest.raises(MalformedSnapshot, match=re.escape(reason)) as exc:
+            _load_lines(lines, tmp_path)
+        assert exc.value.line == 1
+        code = main(["query", "at", "--snapshot", str(tmp_path / "bad.ndjson"),
+                     "--target", "art6", "--at", "2011-01-01"])
+        assert code == 3
+        assert ":1: bad meta header: " in capsys.readouterr().err
+
+    def test_a_whole_number_avgdl_loads_as_a_float(self, snapshot_path, tmp_path):
+        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["idf"]["avgdl"] = 37
+        lines[0] = json.dumps(header)
+        store = _load_lines(lines, tmp_path)
+        assert type(store.avgdl) is float and store.avgdl == 37.0
 
 
 class TestStrictRecords:
-    """Every key of a record is required and every value has an exact type."""
+    """Every column of a row is required and every value has an exact type."""
 
     @pytest.mark.parametrize("kind, key, value, reason", [
         pytest.param("work", "metadata", ["label"], "'metadata' must be an object of strings",
@@ -242,18 +330,19 @@ class TestStrictRecords:
                      id="ctv-week-date"),
         pytest.param("work", "work_kind", "statute", "'work_kind' must be a WorkKind value",
                      id="work-unknown-kind"),
-        pytest.param("ctv", "produced_by", DROP, "missing key 'produced_by'", id="ctv-no-produced_by"),
-        pytest.param("theme", "members", DROP, "missing key 'members'", id="theme-no-members"),
+        pytest.param("ctv", "aggregates", DROP, "'row' must be a list of 4 values",
+                     id="ctv-no-aggregates"),
+        pytest.param("theme", "members", DROP, "'row' must be a list of 4 values",
+                     id="theme-no-members"),
+        pytest.param("clv", "temporal_version", DROP, "'row' must be a list of 2 values",
+                     id="clv-no-temporal_version"),
     ])
     def test_a_bad_value_is_a_malformed_snapshot_naming_its_line(
             self, snapshot_path, tmp_path, capsys, kind, key, value, reason):
         lines = snapshot_path.read_text(encoding="utf-8").splitlines()
         at = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
         record = json.loads(lines[at])
-        if value is DROP:
-            del record[key]
-        else:
-            record[key] = value
+        _set(record, key, value)
         lines[at] = json.dumps(record)
         with pytest.raises(MalformedSnapshot) as exc:
             _load_lines(lines, tmp_path)
@@ -264,6 +353,32 @@ class TestStrictRecords:
         assert code == 3
         assert f":{at + 1}: bad {kind!r} record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, change, reason", [
+        pytest.param("work", lambda r: r["row"].append(0), "'row' must be a list of 7 values",
+                     id="work-extra-column"),
+        pytest.param("unit", lambda r: r["row"].append(""), "'row' must be a list of 6 values",
+                     id="unit-extra-column"),
+        pytest.param("clv", lambda r: r.update(row=dict(enumerate(r["row"]))),
+                     "'row' must be a list of 2 values", id="clv-row-object"),
+        pytest.param("action", lambda r: r.update(id=r["row"][0]),
+                     "its members must be kind, row", id="action-extra-member"),
+        pytest.param("theme", lambda r: r.pop("row"), "its members must be kind, row",
+                     id="theme-no-row"),
+        pytest.param("unit", lambda r: r.pop("embedding"), "its members must be kind, row, embedding",
+                     id="unit-no-embedding"),
+    ])
+    def test_a_record_of_another_shape_is_a_malformed_snapshot(
+            self, snapshot_path, tmp_path, kind, change, reason):
+        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
+        at = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+        record = json.loads(lines[at])
+        change(record)
+        lines[at] = json.dumps(record)
+        with pytest.raises(MalformedSnapshot) as exc:
+            _load_lines(lines, tmp_path)
+        assert exc.value.line == at + 1
+        assert f"bad {kind!r} record: {reason}" in str(exc.value)
+
     # Repeated units: test_load_rejects_a_repeated_unit_record.
     @pytest.mark.parametrize("kind", ["work", "ctv", "clv", "action", "theme"])
     def test_a_repeated_id_is_a_malformed_snapshot(self, snapshot_path, tmp_path, kind):
@@ -273,6 +388,68 @@ class TestStrictRecords:
         with pytest.raises(MalformedSnapshot, match=f"repeated {kind} ") as exc:
             _load_lines(lines, tmp_path)
         assert exc.value.line == at + 2
+
+
+class TestDerivedColumns:
+    """What load rebuilds is not stored, and save refuses what load cannot rebuild."""
+
+    def test_rebuilt_columns_equal_the_ingested_nodes(self, fixture_store, snapshot_path):
+        loaded = load(snapshot_path)
+        assert loaded.ctvs == fixture_store.ctvs
+        assert loaded.clvs == fixture_store.clvs
+        assert loaded.actions == fixture_store.actions
+        assert any(tv.terminated_by for tv in loaded.ctvs.values())
+        assert COLUMNS["ctv"] == ["work", "valid_start", "valid_end", "aggregates"]
+        assert COLUMNS["clv"] == ["temporal_version", "language"]
+        assert "description_unit" not in COLUMNS["action"]
+        for line in snapshot_path.read_text(encoding="utf-8").splitlines()[1:]:
+            record = json.loads(line)
+            assert len(record["row"]) == len(COLUMNS[record["kind"]])
+
+    @pytest.mark.parametrize("column, verb", [("produces", "produced"),
+                                              ("terminates", "terminated")])
+    def test_a_ctv_that_two_actions_claim_is_rejected(
+            self, snapshot_path, tmp_path, column, verb):
+        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
+        actions = [i for i, line in enumerate(lines) if json.loads(line)["kind"] == "action"]
+        records = {i: json.loads(lines[i]) for i in actions}
+        at = COLUMNS["action"].index(column)
+        first, second = [i for i in actions if records[i]["row"][at]][:2]
+        claimed = records[first]["row"][at][0]
+        records[second]["row"][at].append(claimed)
+        lines[second] = json.dumps(records[second])
+        with pytest.raises(MalformedSnapshot) as exc:
+            _load_lines(lines, tmp_path)
+        assert exc.value.line == second + 1
+        assert f"ctv {claimed!r} is {verb} by both" in str(exc.value)
+
+    @pytest.mark.parametrize("nodes, change", [
+        pytest.param("ctvs", lambda tv: replace(tv, id=tv.id + "x"), id="ctv-id"),
+        pytest.param("ctvs", lambda tv: replace(tv, produced_by=""), id="ctv-produced_by"),
+        pytest.param("clvs", lambda lv: replace(lv, text_unit="tu:other"), id="clv-text_unit"),
+        pytest.param("actions", lambda a: replace(a, description_unit=""),
+                     id="action-description_unit"),
+    ])
+    def test_save_refuses_what_load_would_rebuild_differently(
+            self, snapshot_path, tmp_path, nodes, change):
+        store = load(snapshot_path)
+        table = getattr(store, nodes)
+        key = next(k for k, node in table.items()
+                   if not hasattr(node, "produces") or node.produces)
+        table[key] = change(table[key])
+        path = tmp_path / "never.ndjson"
+        with pytest.raises(ValueError):
+            save(store, path)
+        assert not path.exists()
+
+    def test_save_refuses_a_ctv_that_two_actions_claim(self, snapshot_path, tmp_path):
+        store = load(snapshot_path)
+        first, second = [a for a in store.actions.values() if a.produces][:2]
+        store.actions[second.id] = replace(second, produces=second.produces + first.produces[:1])
+        path = tmp_path / "never.ndjson"
+        with pytest.raises(ValueError, match="is produced by both"):
+            save(store, path)
+        assert not path.exists()
 
 
 class TestEmbeddingMatrix:
@@ -286,7 +463,8 @@ class TestEmbeddingMatrix:
         with pytest.raises(ValueError):
             row[0] = 1.0
 
-    @pytest.mark.parametrize("width", [0, 255, 257])
+    # A width of 0 is a bad header: TestStrictHeader.
+    @pytest.mark.parametrize("width", [255, 257])
     def test_load_rejects_an_embedding_of_another_width(self, snapshot_path, tmp_path, width):
         # A row with an entry in column `width` is wider than a header of that width.
         lines, units = _unit_lines(snapshot_path)
@@ -329,11 +507,24 @@ class TestEmbeddingMatrix:
         assert exc.value.line == units[2] + 1
         assert reason in str(exc.value)
 
-    def test_load_rejects_a_dense_version_1_row_in_a_version_2_file(
-            self, fixture_store, snapshot_path, tmp_path):
+    @pytest.mark.parametrize("embedding", [
+        pytest.param([3, 1e200], id="float"),
+        pytest.param([3, 10 ** 200], id="int"),
+        pytest.param([3, 1e308, 4, 1e308], id="norm-beyond-float64"),
+    ])
+    def test_a_value_that_overflows_when_squared_is_not_unit(
+            self, snapshot_path, tmp_path, embedding):
+        lines, units = _unit_lines(snapshot_path)
+        record = json.loads(lines[units[2]])
+        record["embedding"] = embedding
+        lines[units[2]] = json.dumps(record)
+        with pytest.raises(MalformedSnapshot, match="the first is EmbeddingShape: embedding norm"):
+            _load_lines(lines, tmp_path)
+
+    def test_load_rejects_a_dense_version_1_row(self, fixture_store, snapshot_path, tmp_path):
         lines, units = _unit_lines(snapshot_path)
         record = json.loads(lines[units[1]])
-        record["embedding"] = fixture_store.embedding(record["id"]).tolist()
+        record["embedding"] = fixture_store.embedding(record["row"][0]).tolist()
         lines[units[1]] = json.dumps(record)
         with pytest.raises(MalformedSnapshot, match="index that is not an integer") as exc:
             _load_lines(lines, tmp_path)
@@ -346,11 +537,21 @@ class TestEmbeddingMatrix:
             _load_lines(lines, tmp_path)
         assert exc.value.line == units[4] + 2
 
+    def test_norms_from_the_load_buffers_match_the_built_matrix(self, snapshot_path):
+        store = load(snapshot_path)
+        assert store._matrix is None
+        buffered = store.embedding_norms()
+        built = np.linalg.norm(store.embeddings, axis=1)
+        assert store._sparse is None
+        assert len(buffered) == len(built) == len(store.units)
+        assert np.allclose(buffered, built, rtol=0, atol=1e-12)
+        assert np.allclose(store.embedding_norms(), built, rtol=0, atol=1e-12)
+
     def test_records_hold_only_the_nonzero_entries(self, fixture_store, snapshot_path):
         lines, units = _unit_lines(snapshot_path)
         for i in units:
             record = json.loads(lines[i])
-            row = fixture_store.embedding(record["id"])
+            row = fixture_store.embedding(record["row"][0])
             index = np.flatnonzero(row)
             assert record["embedding"][0::2] == index.tolist()
             assert record["embedding"][1::2] == row[index].tolist()
@@ -373,7 +574,7 @@ class TestEmbeddingMatrix:
         store.commit(Fixed())
         first, second = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
         save(store, first)
-        records = {r.get("id"): r for r in map(json.loads, first.read_text().splitlines())}
+        records = {r["row"][0]: r for r in map(json.loads, first.read_text().splitlines()[1:])}
         assert records["theme:blank#description"]["embedding"] == []
         special_record = records["theme:special#description"]["embedding"]
         assert special_record[0::2] == [2, 9, 200]
@@ -429,6 +630,8 @@ class TestEmbeddingMatrix:
         path.write_text("\n".join(head + unit_lines[::-1]), encoding="utf-8")
         loaded = load(path)
         assert loaded.unit_rows == fixture_store.unit_rows
+        assert loaded.embedding_norms() == pytest.approx(fixture_store.embedding_norms(),
+                                                         rel=0, abs=1e-12)
         assert np.array_equal(loaded.embeddings, fixture_store.embeddings)
         assert loaded.embeddings.flags.c_contiguous
 
@@ -570,6 +773,74 @@ class TestLazyTermIndex:
         for term_index, unit_len in seen:
             assert term_index is seen[0][0] and unit_len is seen[0][1]
         assert seen[0] == (fixture_store.term_index, fixture_store.unit_len)
+
+
+class TestLazyEmbeddingMatrix:
+    """A loaded store scatters its embeddings into the matrix only when a vector is read."""
+
+    def test_structural_provenance_and_lexical_queries_leave_it_unbuilt(
+            self, snapshot_path, clock):
+        store = load(snapshot_path)
+        for query in (
+                StructuredQuery(QueryPattern.POINT_IN_TIME, structural_target="art6",
+                                temporal=TemporalScope.instant(date(2011, 1, 1))),
+                StructuredQuery(QueryPattern.IMPACT_ANALYSIS, structural_target="tit2_cap2",
+                                temporal=TemporalScope.interval(date(2010, 1, 1),
+                                                                date(2019, 12, 31))),
+                StructuredQuery(QueryPattern.PROVENANCE, structural_target="art6",
+                                textual_target="food"),
+                StructuredQuery(QueryPattern.RETRIEVE, structural_target="tit2_cap2",
+                                textual_target="housing", mode=RetrievalMode.LEXICAL,
+                                temporal=TemporalScope.instant(date(2016, 1, 1)))):
+            run(store, query, clock)
+        assert store._matrix is None and store._sparse is not None
+
+    @pytest.mark.parametrize("mode", [RetrievalMode.VECTOR, RetrievalMode.HYBRID])
+    def test_vector_paths_build_it_equal_to_the_committed_one(
+            self, fixture_store, snapshot_path, clock, mode):
+        store = load(snapshot_path)
+        query = StructuredQuery(QueryPattern.RETRIEVE, structural_target="tit2_cap2",
+                                textual_target="housing", mode=mode,
+                                temporal=TemporalScope.instant(date(2016, 1, 1)))
+        answer = run(store, query, clock)
+        assert store._sparse is None
+        assert store.embeddings.tobytes() == fixture_store.embeddings.tobytes()
+        assert not store.embeddings.flags.writeable
+        assert answer.annex_json() == run(fixture_store, query, clock).annex_json()
+
+    def test_concurrent_first_readers_share_one_matrix(self, snapshot_path, monkeypatch):
+        store = load(snapshot_path)
+        builds = []
+        build = GraphStore._build_embeddings
+
+        def slow_build(self):
+            builds.append(threading.get_ident())
+            time.sleep(0.05)  # widen the window in which both readers find no matrix
+            build(self)
+
+        monkeypatch.setattr(GraphStore, "_build_embeddings", slow_build)
+        readers = 6  # more threads than cores
+        barrier = threading.Barrier(readers)
+        seen: list = [None] * readers
+
+        def first_read(slot: int) -> None:
+            barrier.wait()
+            seen[slot] = store.embeddings
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_read, args=(slot,))
+                       for slot in range(readers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(builds) == 1
+        assert all(matrix is seen[0] for matrix in seen)
 
 
 class TestLanguageRule:
