@@ -48,8 +48,6 @@ from .model import (
     WorkId,
     WorkKind,
     WorkNode,
-    clv_id,
-    ctv_id,
     metadata_tuple,
     parse_iso_date,
 )
@@ -342,15 +340,12 @@ def parse_translation_file(source: str | dict, path: str | None = None) -> Trans
 # -- metadata and action textualization ---------------------------------------
 
 
-def textualize_metadata(node: WorkNode | TemporalVersion, store: GraphStore,
-                        language: str = "en") -> list[TextUnit]:
-    """One declarative metadata sentence per informative property of a node.
+def textualize_metadata(node: WorkNode, language: str = "en") -> list[TextUnit]:
+    """One declarative metadata sentence per informative property of a work.
 
-    Presentation-only keys (label, title, ...) are skipped; temporal
-    versions carry no free metadata, so they yield nothing.
+    Presentation-only keys (label, title, ...) are skipped. Every metadata
+    unit is owned by a work.
     """
-    if not isinstance(node, WorkNode):
-        return []
     locale = _load_locale(language)
     title = node.meta("title") or node.label
     units: list[TextUnit] = []
@@ -468,15 +463,13 @@ def _component_metadata(record: ComponentRecord) -> tuple[tuple[str, str], ...]:
 
 def _attach_content(store: GraphStore, cid: str, language: str, text: str,
                     synthetic: bool) -> str:
-    lv_id = clv_id(cid, language)
-    unit_id = f"tu:{lv_id}"
-    store.add_clv(LanguageVersion(
-        id=lv_id, temporal_version=cid, language=language, text_unit=unit_id))
+    lv = LanguageVersion(temporal_version=cid, language=language)
+    store.add_clv(lv)
     store.add_unit(TextUnit(
-        id=unit_id, aspect=Aspect.CONTENT, owner=lv_id,
+        id=lv.text_unit, aspect=Aspect.CONTENT, owner=lv.id,
         language=language, text=text, synthetic=synthetic,
     ))
-    return lv_id
+    return lv.id
 
 
 def enact(store: GraphStore, doc: SourceDocument) -> str:
@@ -515,23 +508,16 @@ def enact(store: GraphStore, doc: SourceDocument) -> str:
         ))
         component_urns.append(urn)
         child_ctvs = [build(child, urn) for child in record.children]
-        cid = ctv_id(urn, start)
-        store.add_ctv(TemporalVersion(
-            id=cid, work=urn, validity=ValidityInterval(start),
-            aggregates=tuple(child_ctvs), produced_by=action_id,
-        ))
+        cid = store.add_ctv(TemporalVersion(
+            work=urn, validity=ValidityInterval(start), aggregates=tuple(child_ctvs)))
         produced.append(cid)
         if record.text is not None:
             _attach_content(store, cid, doc.norm.language, record.text, record.synthetic)
         return cid
 
     root_ctvs = [build(record, norm_urn) for record in doc.body]
-    norm_ctv = ctv_id(norm_urn, start)
-    store.add_ctv(TemporalVersion(
-        id=norm_ctv, work=norm_urn, validity=ValidityInterval(start),
-        aggregates=tuple(root_ctvs), produced_by=action_id,
-    ))
-    produced.append(norm_ctv)
+    produced.append(store.add_ctv(TemporalVersion(
+        work=norm_urn, validity=ValidityInterval(start), aggregates=tuple(root_ctvs))))
 
     action = ActionNode(
         id=action_id,
@@ -539,7 +525,6 @@ def enact(store: GraphStore, doc: SourceDocument) -> str:
         enactment_date=start,
         effective_date=start,
         produces=tuple(produced),
-        description_unit=f"tu:{action_id}:desc",
         targets=(norm_urn,),
         instrument=norm_urn,
         instrument_title=doc.norm.title,
@@ -554,7 +539,7 @@ def enact(store: GraphStore, doc: SourceDocument) -> str:
         text=render_action_text(action, store),
     ))
     for urn in [norm_urn] + component_urns:
-        for unit in textualize_metadata(store.works[urn], store):
+        for unit in textualize_metadata(store.works[urn]):
             store.add_unit(unit)
     return action_id
 
@@ -628,7 +613,6 @@ def _roll_version(
     urn: str,
     effective: date,
     mutate: Callable[[list[str]], list[str]],
-    action_id: str,
     terminates: list[str],
     produces: list[str],
 ) -> tuple[str | None, str]:
@@ -646,13 +630,11 @@ def _roll_version(
         store.ctvs[current.id] = replace(
             current, aggregates=tuple(mutate(list(current.aggregates))))
         return None, current.id
-    store.close_ctv(current.id, effective, action_id)
+    store.close_ctv(current.id, effective)
     terminates.append(current.id)
-    new_cid = ctv_id(urn, effective)
-    store.add_ctv(TemporalVersion(
-        id=new_cid, work=urn, validity=ValidityInterval(effective),
+    new_cid = store.add_ctv(TemporalVersion(
+        work=urn, validity=ValidityInterval(effective),
         aggregates=tuple(mutate(list(current.aggregates))),
-        produced_by=action_id,
     ))
     produces.append(new_cid)
     _carry_content(store, current.id, new_cid)
@@ -665,7 +647,6 @@ def _propagate_up(
     old_child_cid: str | None,
     new_child_cid: str | None,
     effective: date,
-    action_id: str,
     terminates: list[str],
     produces: list[str],
 ) -> None:
@@ -686,7 +667,7 @@ def _propagate_up(
             return aggs
 
         closed_cid, successor_cid = _roll_version(
-            store, ancestor, effective, mutate, action_id, terminates, produces)
+            store, ancestor, effective, mutate, terminates, produces)
         if closed_cid is None:
             # Merged into an existing same-day version: upper ancestors
             # already reference it, so propagation stops here.
@@ -718,32 +699,31 @@ def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str
         current = _open_version(store, ev.target, ev.effective_date)
         if current.validity.valid_start >= ev.effective_date:
             raise OutOfOrderEvent(ev.target, ev.effective_date, current.validity.valid_start)
-        store.close_ctv(current.id, ev.effective_date, action_id)
+        store.close_ctv(current.id, ev.effective_date)
         terminates.append(current.id)
         _propagate_up(store, ev.target, current.id, None, ev.effective_date,
-                      action_id, terminates, produces)
+                      terminates, produces)
         targets: tuple[str, ...] = (ev.target,)
     elif ev.new_components:
-        targets = _apply_insertion(store, ev, action_id, terminates, produces)
+        targets = _apply_insertion(store, ev, terminates, produces)
     else:
         current = _open_version(store, ev.target, ev.effective_date)
         if current.validity.valid_start >= ev.effective_date:
             raise OutOfOrderEvent(ev.target, ev.effective_date, current.validity.valid_start)
         if not store.clvs_by_ctv.get(current.id):
             raise StructureError(f"{ev.target!r} bears no text; use new_components or repeal")
-        store.close_ctv(current.id, ev.effective_date, action_id)
+        store.close_ctv(current.id, ev.effective_date)
         terminates.append(current.id)
-        new_cid = ctv_id(ev.target, ev.effective_date)
-        store.add_ctv(TemporalVersion(
-            id=new_cid, work=ev.target, validity=ValidityInterval(ev.effective_date),
-            aggregates=current.aggregates, produced_by=action_id,
+        new_cid = store.add_ctv(TemporalVersion(
+            work=ev.target, validity=ValidityInterval(ev.effective_date),
+            aggregates=current.aggregates,
         ))
         produces.append(new_cid)
         synthetic = dict(ev.synthetic)
         for language, text in ev.new_text:
             _attach_content(store, new_cid, language, text, synthetic.get(language, False))
         _propagate_up(store, ev.target, current.id, new_cid, ev.effective_date,
-                      action_id, terminates, produces)
+                      terminates, produces)
         targets = (ev.target,)
 
     action = ActionNode(
@@ -754,7 +734,6 @@ def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str
         source_provision=source_urn,
         terminates=tuple(terminates),
         produces=tuple(produces),
-        description_unit=f"tu:{action_id}:desc",
         targets=targets,
         effect=ev.effect,
         instrument=instrument.urn,
@@ -772,8 +751,8 @@ def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str
     return action_id
 
 
-def _apply_insertion(store: GraphStore, ev: EventRecord, action_id: str,
-                     terminates: list[str], produces: list[str]) -> tuple[str, ...]:
+def _apply_insertion(store: GraphStore, ev: EventRecord, terminates: list[str],
+                     produces: list[str]) -> tuple[str, ...]:
     parent_urn = ev.target
     parent = store.works[parent_urn]
     parent_type = None if parent.kind is WorkKind.NORM else parent.component_type
@@ -803,10 +782,9 @@ def _apply_insertion(store: GraphStore, ev: EventRecord, action_id: str,
             metadata=_component_metadata(record),
         ))
         child_cids = [build(child, urn, child.ordinal) for child in record.children]
-        cid = ctv_id(urn, ev.effective_date)
-        store.add_ctv(TemporalVersion(
-            id=cid, work=urn, validity=ValidityInterval(ev.effective_date),
-            aggregates=tuple(child_cids), produced_by=action_id,
+        cid = store.add_ctv(TemporalVersion(
+            work=urn, validity=ValidityInterval(ev.effective_date),
+            aggregates=tuple(child_cids),
         ))
         produces.append(cid)
         if record.text is not None:
@@ -823,9 +801,9 @@ def _apply_insertion(store: GraphStore, ev: EventRecord, action_id: str,
         return aggs
 
     closed_cid, successor_cid = _roll_version(
-        store, parent_urn, ev.effective_date, mutate, action_id, terminates, produces)
+        store, parent_urn, ev.effective_date, mutate, terminates, produces)
     _propagate_up(store, parent_urn, closed_cid, successor_cid,
-                  ev.effective_date, action_id, terminates, produces)
+                  ev.effective_date, terminates, produces)
     return tuple(inserted_roots)
 
 

@@ -197,24 +197,39 @@ class TemporalVersion:
     ``aggregates`` references one child CTV per child component alive at
     ``validity.valid_start``, ordered by child ordinal; unchanged children
     keep their existing CTV ids across parent versions.
+
+    ``id`` is derived, ``ctv_id(work, valid_start)``, and cannot be passed
+    in. The actions that produced and terminated a version are not stored
+    on it: ``GraphStore.produced_by``/``terminated_by`` index them from the
+    actions' ``produces``/``terminates``.
     """
 
-    id: str
+    id: str = field(init=False)
     work: str
     validity: ValidityInterval
     aggregates: tuple[str, ...] = ()
-    produced_by: str = ""
-    terminated_by: str | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "id", ctv_id(self.work, self.validity.valid_start))
 
 
 @dataclass(frozen=True)
 class LanguageVersion:
-    """Language-specific realization of a CTV; owns one content text unit."""
+    """Language-specific realization of a CTV; owns one content text unit.
 
-    id: str
+    ``id`` (``clv_id(temporal_version, language)``) and ``text_unit``
+    (``tu:`` plus the id) are derived and cannot be passed in.
+    """
+
+    id: str = field(init=False)
     temporal_version: str
     language: str
-    text_unit: str
+    text_unit: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        lv_id = clv_id(self.temporal_version, self.language)
+        object.__setattr__(self, "id", lv_id)
+        object.__setattr__(self, "text_unit", f"tu:{lv_id}")
 
 
 @dataclass(frozen=True)
@@ -224,7 +239,8 @@ class ActionNode:
     ``terminates``/``produces`` are complete: they include the versions
     created for ancestors by upward aggregation propagation. ``targets``
     names the directly amended/repealed/enacted works, which is what
-    impact grouping and attribution metrics key on.
+    impact grouping and attribution metrics key on. ``description_unit``
+    is derived, ``tu:<id>:desc``, and cannot be passed in.
     """
 
     id: str
@@ -234,12 +250,15 @@ class ActionNode:
     source_provision: str | None = None
     terminates: tuple[str, ...] = ()
     produces: tuple[str, ...] = ()
-    description_unit: str = ""
+    description_unit: str = field(init=False)
     targets: tuple[str, ...] = ()
     effect: str | None = None
     instrument: str | None = None
     instrument_title: str | None = None
     instrument_short: str | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "description_unit", f"tu:{self.id}:desc")
 
     @property
     def short_label(self) -> str:
@@ -328,9 +347,6 @@ def _check_work_tree(graph: "GraphStore", out: list[Violation]) -> None:
 def _check_version_tiling(graph: "GraphStore", out: list[Violation]) -> None:
     for urn in graph.works:
         versions = [graph.ctvs[cid] for cid in graph.versions.get(urn, ())]
-        for tv in versions:
-            if tv.id != ctv_id(tv.work, tv.validity.valid_start):
-                out.append(Violation("IdMismatch", "ctv id does not match work urn + valid_start", (tv.id,)))
         ordered = sorted(versions, key=lambda tv: tv.validity.valid_start)
         for prev, cur in zip(ordered, ordered[1:]):
             if prev.validity.valid_end is None or prev.validity.valid_end > cur.validity.valid_start:
@@ -389,11 +405,8 @@ def _check_aggregation(graph: "GraphStore", out: list[Violation]) -> None:
 
 
 def _check_actions(graph: "GraphStore", out: list[Violation]) -> None:
-    produced_by_action: dict[str, str] = {}
-    terminated_by_action: dict[str, str] = {}
     for act in graph.actions.values():
         for cid in act.produces:
-            produced_by_action[cid] = act.id
             tv = graph.ctvs.get(cid)
             if tv is None:
                 out.append(Violation("DanglingReference", "produced ctv missing", (act.id, cid)))
@@ -404,7 +417,6 @@ def _check_actions(graph: "GraphStore", out: list[Violation]) -> None:
                     (act.id, cid),
                 ))
         for cid in act.terminates:
-            terminated_by_action[cid] = act.id
             tv = graph.ctvs.get(cid)
             if tv is None:
                 out.append(Violation("DanglingReference", "terminated ctv missing", (act.id, cid)))
@@ -416,6 +428,13 @@ def _check_actions(graph: "GraphStore", out: list[Violation]) -> None:
                 ))
         if act.enactment_date > act.effective_date:
             out.append(Violation("ActionShape", "enactment_date after effective_date", (act.id,)))
+        unit = graph.units.get(act.description_unit)
+        if unit is None:
+            out.append(Violation("DanglingReference", "action cites missing description unit",
+                                 (act.id, act.description_unit)))
+        elif unit.aspect is not Aspect.ACTION_DESCRIPTION or unit.owner != act.id:
+            out.append(Violation("AspectOwnerMismatch",
+                                 "action description unit is not one owned by it", (act.id, unit.id)))
         produced_works = {graph.ctvs[c].work for c in act.produces if c in graph.ctvs}
         terminated_works = {graph.ctvs[c].work for c in act.terminates if c in graph.ctvs}
         if act.action_type is ActionType.ENACTMENT:
@@ -447,16 +466,15 @@ def _check_actions(graph: "GraphStore", out: list[Violation]) -> None:
                 out.append(Violation("ActionShape", "repeal terminates nothing", (act.id,)))
             if not terminated_works - produced_works:
                 out.append(Violation("ActionShape", "repeal leaves no work without a successor", (act.id,)))
+    # Both indexes are filed from the actions, so every entry names one that lists the CTV.
     for tv in graph.ctvs.values():
-        producer = graph.actions.get(tv.produced_by)
-        if producer is None or produced_by_action.get(tv.id) != tv.produced_by:
+        if tv.id not in graph.produced_by:
             out.append(Violation("MissingProducer", "ctv has no producing action listing it", (tv.id,)))
-        if tv.validity.valid_end is not None:
-            terminator = graph.actions.get(tv.terminated_by or "")
-            if terminator is None or terminated_by_action.get(tv.id) != tv.terminated_by:
-                out.append(Violation("MissingTerminator", "closed ctv has no terminating action listing it", (tv.id,)))
-        elif tv.terminated_by is not None:
-            out.append(Violation("MissingTerminator", "open ctv carries a terminating action", (tv.id,)))
+        if tv.validity.valid_end is None:
+            if tv.id in graph.terminated_by:
+                out.append(Violation("MissingTerminator", "open ctv carries a terminating action", (tv.id,)))
+        elif tv.id not in graph.terminated_by:
+            out.append(Violation("MissingTerminator", "closed ctv has no terminating action listing it", (tv.id,)))
 
 
 def _check_language_versions(graph: "GraphStore", out: list[Violation]) -> None:
@@ -478,6 +496,7 @@ def _check_language_versions(graph: "GraphStore", out: list[Violation]) -> None:
 _ASPECT_OWNERS = {
     Aspect.CONTENT: "clvs",
     Aspect.ACTION_DESCRIPTION: "actions",
+    Aspect.METADATA: "works",
     Aspect.THEME_DESCRIPTION: "themes",
 }
 
@@ -489,11 +508,7 @@ def _check_text_units(graph: "GraphStore", out: list[Violation]) -> None:
     norms = graph.embedding_norms()
     rows = graph.unit_rows
     for unit in graph.units.values():
-        if unit.aspect is Aspect.METADATA:
-            ok = unit.owner in graph.works or unit.owner in graph.ctvs
-        else:
-            ok = unit.owner in getattr(graph, _ASPECT_OWNERS[unit.aspect])
-        if not ok:
+        if unit.owner not in getattr(graph, _ASPECT_OWNERS[unit.aspect]):
             out.append(Violation("AspectOwnerMismatch", f"{unit.aspect.value} unit has wrong owner kind", (unit.id,)))
         row = rows.get(unit.id)
         if row is None:

@@ -400,7 +400,10 @@ def run_impact_analysis(store: GraphStore, q: StructuredQuery) -> Answer:
 
 @dataclass(frozen=True)
 class ProvenanceChain:
-    """Causal transition from the last pre-state into the introducing action."""
+    """Causal transition from the last pre-state into the introducing action.
+
+    ``actions``: the pre-state's producer (if any), then the post-state's.
+    """
 
     work: str
     pre_ctv: str | None
@@ -415,8 +418,8 @@ def _assemble_chain(store: GraphStore, work: str, post_ctv: str) -> ProvenanceCh
     pre_ctv = chain[index - 1] if index > 0 else None
     actions: list[str] = []
     if pre_ctv is not None:
-        actions.append(store.ctvs[pre_ctv].produced_by)
-    actions.append(store.ctvs[post_ctv].produced_by)
+        actions.append(store.produced_by[pre_ctv])
+    actions.append(store.produced_by[post_ctv])
     return ProvenanceChain(work, pre_ctv, post_ctv, tuple(actions))
 
 
@@ -426,7 +429,7 @@ def _chain_report(store: GraphStore, chain: ProvenanceChain, term: str,
     lines: list[str] = []
     citations: list[tuple[str, str, str]] = []
     post_tv = store.ctvs[chain.post_ctv]
-    causal = store.actions[post_tv.produced_by]
+    causal = store.actions[chain.actions[-1]]
 
     def cite(cid: str) -> None:
         lv_id = store.clv_for(cid, chain.work, language, fallback)
@@ -436,7 +439,7 @@ def _chain_report(store: GraphStore, chain: ProvenanceChain, term: str,
     if chain.pre_ctv is not None:
         pre_tv = store.ctvs[chain.pre_ctv]
         last_day = pre_tv.validity.last_valid_day
-        pre_producer = store.actions[pre_tv.produced_by]
+        pre_producer = store.actions[chain.actions[0]]
         lines.append(
             f'Pre-state: valid until {last_day.isoformat()} (no mention of "{term}")')
         lines.append(

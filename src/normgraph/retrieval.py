@@ -20,7 +20,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Protocol
 
 from .errors import EmptyScope
-from .model import Aspect, EMBEDDING_DIMENSION, interval_contains
+from .model import Aspect, EMBEDDING_DIMENSION
 from .store import GraphStore, tokenize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -164,8 +164,6 @@ def _action_candidates(store: GraphStore, req: RetrievalRequest) -> list[_Candid
         action = store.actions[aid]
         if not req.include_future_actions and action.effective_date > req.t:
             continue
-        if not action.description_unit:
-            continue
         target = action.targets[0] if action.targets else ""
         anchor_ctv = next(
             (cid for cid in action.produces + action.terminates
@@ -181,14 +179,8 @@ def _metadata_candidates(store: GraphStore, req: RetrievalRequest) -> list[_Cand
     out: list[_Candidate] = []
     for uid in sorted(store.units):
         unit = store.units[uid]
-        if unit.aspect is not Aspect.METADATA:
-            continue
-        if unit.owner in req.scope:
+        if unit.aspect is Aspect.METADATA and unit.owner in req.scope:
             out.append(_Candidate(uid, (unit.owner, "", unit.owner), Aspect.METADATA))
-        elif unit.owner in store.ctvs:
-            tv = store.ctvs[unit.owner]
-            if tv.work in req.scope and interval_contains(tv.validity, req.t):
-                out.append(_Candidate(uid, (tv.work, tv.id, unit.owner), Aspect.METADATA))
     return out
 
 

@@ -8,13 +8,13 @@ header's column order; kinds follow _KINDS and nodes are sorted by id, so
 re-saving an unchanged store is byte-identical. A unit line also carries
 its embedding's non-zero entries as ``"embedding":[i0,v0,i1,v1,…]``.
 
-What load can rebuild is not stored: a CTV's id is ``ctv_id(work,
-valid_start)``, a CLV's id is ``clv_id(temporal_version, language)`` and its
-text unit ``tu:`` plus that id, an action's description unit is
-``tu:<id>:desc``, and a CTV's ``produced_by``/``terminated_by`` are inverted
-from the actions' ``produces``/``terminates`` (a CTV that two actions claim
-is rejected). Snapshots of versions 1 and 2 are rejected with a hint to
-re-run ``normgraph ingest``.
+Values the nodes derive are not stored: the model builds a CTV's id, a
+CLV's id and text unit, and an action's description unit from the other
+fields (see model.py), so a snapshot cannot hold a foreign one. Which
+action produced or terminated a CTV is an index, filed from the actions'
+``produces``/``terminates`` as each is added or loaded (a CTV that two
+actions claim is rejected). Snapshots of versions 1 and 2 are rejected with
+a hint to re-run ``normgraph ingest``.
 
 Indexes are never persisted; they are rebuilt on load. Two are built on
 their first read instead: the inverted term index, and the embedding
@@ -36,7 +36,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, filterfalse
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -56,8 +56,6 @@ from .model import (
     WorkId,
     WorkKind,
     WorkNode,
-    clv_id,
-    ctv_id,
     interval_contains,
     parse_iso_date,
     validate_graph,
@@ -116,6 +114,9 @@ class GraphStore:
     # valid_start of each entry of versions[urn], so version lookup bisects dates.
     version_starts: dict[str, list[date]] = field(default_factory=dict, compare=False)
     work_actions: dict[str, list[str]] = field(default_factory=dict, compare=False)
+    # CTV id -> the action that produced / terminated it; filed by _link_action.
+    produced_by: dict[str, str] = field(default_factory=dict, compare=False)
+    terminated_by: dict[str, str] = field(default_factory=dict, compare=False)
     # (term_index, unit_len), read through the properties of those names.
     # Empty before commit, built at commit; None after load until first read.
     _text_index: tuple[dict[str, dict[str, int]], dict[str, int]] | None = field(
@@ -139,26 +140,21 @@ class GraphStore:
         self.works[work.urn] = work
         self._index_work(work)
 
-    def add_ctv(self, tv: TemporalVersion) -> None:
+    def add_ctv(self, tv: TemporalVersion) -> str:
         self._assert_mutable()
         if tv.id in self.ctvs:
             raise ValueError(f"temporal version {tv.id!r} already exists")
         self.ctvs[tv.id] = tv
         self._index_ctv(tv)
+        return tv.id
 
-    def close_ctv(self, ctv: str, end: date, action: str) -> TemporalVersion:
+    def close_ctv(self, ctv: str, end: date) -> None:
         """Set the single permitted mutation: an open version's end date."""
         self._assert_mutable()
         old = self.ctvs[ctv]
         if not old.validity.is_open:
             raise ValueError(f"{ctv!r} is already closed")
-        updated = replace(
-            old,
-            validity=replace(old.validity, valid_end=end),
-            terminated_by=action,
-        )
-        self.ctvs[ctv] = updated
-        return updated
+        self.ctvs[ctv] = replace(old, validity=replace(old.validity, valid_end=end))
 
     def add_clv(self, lv: LanguageVersion) -> None:
         self._assert_mutable()
@@ -168,9 +164,11 @@ class GraphStore:
         self._index_clv(lv)
 
     def add_action(self, action: ActionNode) -> None:
+        """Add an action; raise ValueError, adding nothing, on a CTV another claims."""
         self._assert_mutable()
         if action.id in self.actions:
             raise ValueError(f"action {action.id!r} already exists")
+        self._link_action(action)
         self.actions[action.id] = action
         self._index_action(action)
 
@@ -200,7 +198,7 @@ class GraphStore:
             self.fragment_index.setdefault(fragment, set()).add(work.urn)
 
     def _index_ctv(self, tv: TemporalVersion) -> None:
-        # After any version with the same start, as a stable sort would put it.
+        # Ids are unique per (work, valid_start), so no two entries share a start.
         starts = self.version_starts.setdefault(tv.work, [])
         index = bisect_right(starts, tv.validity.valid_start)
         starts.insert(index, tv.validity.valid_start)
@@ -208,6 +206,22 @@ class GraphStore:
 
     def _index_clv(self, lv: LanguageVersion) -> None:
         self.clvs_by_ctv.setdefault(lv.temporal_version, {})[lv.language] = lv.id
+
+    def _link_action(self, action: ActionNode) -> None:
+        """File the action's CTVs in produced_by and terminated_by.
+
+        Every CTV is checked before any is filed: raises ValueError, filing
+        nothing, on a CTV that another action already claims.
+        """
+        links = ((self.produced_by, action.produces, "produced"),
+                 (self.terminated_by, action.terminates, "terminated"))
+        for index, cids, verb in links:
+            for cid in cids:
+                other = index.get(cid, action.id)
+                if other != action.id:
+                    raise ValueError(f"ctv {cid!r} is {verb} by both {other!r} and {action.id!r}")
+        for index, cids, _ in links:
+            index.update(dict.fromkeys(cids, action.id))
 
     def _index_action(self, action: ActionNode) -> None:
         touched = set(action.targets)
@@ -486,16 +500,14 @@ class _Column(NamedTuple):
     ref: str | None = None
     # Node attribute path, when it is not the key.
     attr: str | None = None
-    # Rebuilt by the kind's constructor from the other columns, not stored.
-    derived: bool = False
 
 
 class _Kind:
     """One record kind: its store map, node constructor and columns.
 
-    The constructor takes the stored column values in column order and
-    rebuilds the derived ones. The getters and converters that save, load
-    and the reference check use are derived here once, not per record.
+    The constructor takes the column values in column order; the node
+    derives the rest. The getters and converters that save, load and the
+    reference check use are derived here once, not per record.
     """
 
     def __init__(self, nodes: str, build: Callable, *columns: _Column,
@@ -503,28 +515,24 @@ class _Kind:
         self.nodes = nodes
         self.build = build
         self.columns = columns
-        self.stored = [column for column in columns if not column.derived]
-        self.keys = [column.key for column in self.stored]
-        self.get_attrs = operator.attrgetter(*(column.attr or column.key
-                                               for column in self.stored))
-        self.derived = [column.attr or column.key for column in columns if column.derived]
-        self.get_derived = operator.attrgetter(*self.derived) if self.derived else None
+        self.keys = [column.key for column in columns]
+        self.get_attrs = operator.attrgetter(*(column.attr or column.key for column in columns))
         self.key = operator.attrgetter(key)
         self.members = members
-        self.json = [column.type.json for column in self.stored]
+        self.json = [column.type.json for column in columns]
         self.decoders = [(i, column.type.decode)
-                         for i, column in enumerate(self.stored) if column.type.decode]
+                         for i, column in enumerate(columns) if column.type.decode]
         self.encoders = [(i, column.type.encode)
-                         for i, column in enumerate(self.stored) if column.type.encode]
+                         for i, column in enumerate(columns) if column.type.encode]
 
     def why_bad(self, rec: dict, exc: Exception) -> str:
         """Name the first wrong member or value of a record load rejected."""
         if sorted(rec) != sorted(self.members):
             return f"its members must be {', '.join(self.members)}"
         row = rec["row"]
-        if type(row) is not list or len(row) != len(self.stored):
-            return f"'row' must be a list of {len(self.stored)} values ({', '.join(self.keys)})"
-        for column, value in zip(self.stored, row):
+        if type(row) is not list or len(row) != len(self.columns):
+            return f"'row' must be a list of {len(self.columns)} values ({', '.join(self.keys)})"
+        for column, value in zip(self.columns, row):
             try:
                 if type(value) not in column.type.json:
                     raise TypeError
@@ -535,46 +543,15 @@ class _Kind:
         return str(exc)
 
 
-class _Links:
-    """Each CTV's producing and terminating action, inverted from the actions."""
-
-    def __init__(self) -> None:
-        self.produced_by: dict[str, str] = {}
-        self.terminated_by: dict[str, str] = {}
-
-    def add(self, action: ActionNode) -> None:
-        """File the action's CTVs; raise ValueError on a CTV another action claims."""
-        for links, cids, verb in ((self.produced_by, action.produces, "produced"),
-                                  (self.terminated_by, action.terminates, "terminated")):
-            for cid in cids:
-                if links.setdefault(cid, action.id) != action.id:
-                    raise ValueError(
-                        f"ctv {cid!r} is {verb} by both {links[cid]!r} and {action.id!r}")
-
-
 def _work(urn, aliases, *rest) -> WorkNode:
     return WorkNode(WorkId(urn, aliases), *rest)
 
 
-def _action(id, action_type, enactment_date, effective_date, source_provision,
-            terminates, produces, *rest) -> ActionNode:
-    return ActionNode(id, action_type, enactment_date, effective_date, source_provision,
-                      terminates, produces, f"tu:{id}:desc", *rest)
+def _ctv(work, valid_start, valid_end, aggregates) -> TemporalVersion:
+    return TemporalVersion(work, ValidityInterval(valid_start, valid_end), aggregates)
 
 
-def _ctv(links: _Links, work, valid_start, valid_end, aggregates) -> TemporalVersion:
-    cid = ctv_id(work, valid_start)
-    return TemporalVersion(cid, work, ValidityInterval(valid_start, valid_end), aggregates,
-                           links.produced_by.get(cid, ""), links.terminated_by.get(cid))
-
-
-def _clv(temporal_version, language) -> LanguageVersion:
-    lv_id = clv_id(temporal_version, language)
-    return LanguageVersion(lv_id, temporal_version, language, f"tu:{lv_id}")
-
-
-# In save order: actions before the CTVs whose links they carry. A kind's
-# columns are in its node's attribute order.
+# In save order. A kind's columns are in the order its constructor takes them.
 _KINDS = {
     "work": _Kind(
         "works", _work,
@@ -588,7 +565,7 @@ _KINDS = {
         key="id.urn",
     ),
     "action": _Kind(
-        "actions", _action,
+        "actions", ActionNode,
         _Column("id", _STR),
         _Column("action_type", _enum(ActionType)),
         _Column("enactment_date", _DATE),
@@ -596,30 +573,23 @@ _KINDS = {
         _Column("source_provision", _OPTIONAL_STR, "works?"),
         _Column("terminates", _STRS, "ctvs"),
         _Column("produces", _STRS, "ctvs"),
-        _Column("description_unit", _STR, "units", derived=True),
         _Column("targets", _STRS, "works"),
         _Column("effect", _OPTIONAL_STR),
         _Column("instrument", _OPTIONAL_STR),
         _Column("instrument_title", _OPTIONAL_STR),
         _Column("instrument_short", _OPTIONAL_STR),
     ),
-    # Built by a _ctv bound to the links of the actions read before.
     "ctv": _Kind(
         "ctvs", _ctv,
-        _Column("id", _STR, derived=True),
         _Column("work", _STR, "works"),
         _Column("valid_start", _DATE, attr="validity.valid_start"),
         _Column("valid_end", _OPTIONAL_DATE, attr="validity.valid_end"),
         _Column("aggregates", _STRS, "ctvs"),
-        _Column("produced_by", _STR, derived=True),
-        _Column("terminated_by", _OPTIONAL_STR, derived=True),
     ),
     "clv": _Kind(
-        "clvs", _clv,
-        _Column("id", _STR, derived=True),
+        "clvs", LanguageVersion,
         _Column("temporal_version", _STR, "ctvs"),
         _Column("language", _STR),
-        _Column("text_unit", _STR, "units", derived=True),
     ),
     "theme": _Kind(
         "themes", ThemeNode,
@@ -642,12 +612,6 @@ _KINDS = {
 }
 _COLUMNS = {kind: spec.keys for kind, spec in _KINDS.items()}
 _EMBEDDER = "hashed_tfidf"
-
-
-def _builders(links: _Links) -> dict[str, Callable]:
-    """Each kind's row -> node constructor, with CTVs linked through ``links``."""
-    return {kind: partial(spec.build, links) if kind == "ctv" else spec.build
-            for kind, spec in _KINDS.items()}
 
 
 def _sparse_rows(matrix: np.ndarray, block: int = 256):
@@ -675,23 +639,10 @@ def save(store: GraphStore, path: str | Path) -> None:
     """Write the store as sorted NDJSON; load(save(s)) == s node-for-node.
 
     Rows are built and written one at a time, in _KINDS order and by id.
-    Raises RuntimeError on an uncommitted store, which has no embeddings,
-    and ValueError, before writing, if a node's derived column differs from
-    what load would rebuild (see _KINDS) or two actions claim one CTV.
+    Raises RuntimeError on an uncommitted store, which has no embeddings.
     """
     if not store.committed:
         raise RuntimeError("only a committed store can be saved")
-    links = _Links()
-    for action in store.actions.values():
-        links.add(action)
-    build = _builders(links)
-    for kind, spec in _KINDS.items():
-        if spec.get_derived is None:
-            continue
-        for node_id, node in getattr(store, spec.nodes).items():
-            if spec.get_derived(build[kind](*spec.get_attrs(node))) != spec.get_derived(node):
-                raise ValueError(f"{kind} {node_id!r}: load would rebuild its "
-                                 f"{', '.join(spec.derived)} differently")
     meta = {
         "kind": "meta",
         "format_version": FORMAT_VERSION,
@@ -771,10 +722,11 @@ class _SparseRows:
 
 
 def _read_header(rec: dict, store: GraphStore) -> None:
-    """Set the store's embedding config and IDF statistics from a header.
+    """Check a header's embedding config; set the store's IDF statistics from it.
 
-    Every key is required with an exact type; raises ValueError naming the
-    first that is missing, extra or wrong.
+    Every key is required with an exact type, and the dimension must be
+    EMBEDDING_DIMENSION, the only width any store is committed with; raises
+    ValueError naming the first key that is missing, extra or wrong.
     """
     def need(ok: bool, what: str) -> None:
         if not ok:
@@ -791,14 +743,14 @@ def _read_header(rec: dict, store: GraphStore) -> None:
     members(embedding, ("name", "dimension"), "'embedding'")
     need(embedding["name"] == _EMBEDDER, f"'name' must be {_EMBEDDER!r}")
     dimension = embedding["dimension"]
-    need(type(dimension) is int and dimension > 0, "'dimension' must be a positive integer")
+    need(type(dimension) is int and dimension == EMBEDDING_DIMENSION,
+         f"'dimension' must be {EMBEDDING_DIMENSION}")
     members(idf, ("n_units", "avgdl", "df"), "'idf'")
     n_units, avgdl, df = idf["n_units"], idf["avgdl"], idf["df"]
     need(type(n_units) is int and n_units >= 0, "'n_units' must be an integer >= 0")
     need(type(avgdl) in (int, float) and math.isfinite(avgdl), "'avgdl' must be a finite number")
     need(type(df) is dict and all(type(v) is int and v >= 1 for v in df.values()),
          "'df' must be an object of integers >= 1")
-    store.embedding_dimension = dimension
     store.n_units, store.avgdl, store.df = n_units, float(avgdl), df
 
 
@@ -833,8 +785,6 @@ def load(path: str | Path) -> GraphStore:
     """
     store = GraphStore()
     spath = str(path)
-    links = _Links()
-    build = _builders(links)
     node_maps = {kind: getattr(store, spec.nodes) for kind, spec in _KINDS.items()}
     sparse = _SparseRows()
     header_seen = False
@@ -882,14 +832,14 @@ def load(path: str | Path) -> GraphStore:
                 row = row.copy()
                 for i, decode in spec.decoders:
                     row[i] = decode(row[i])
-                node = build[kind](*row)
+                node = spec.build(*row)
                 node_id = spec.key(node)
                 nodes = node_maps[kind]
                 if node_id in nodes:
                     raise MalformedSnapshot(f"repeated {kind} {node_id!r}", path=spath, line=lineno)
                 nodes[node_id] = node
                 if kind == "action":
-                    links.add(node)
+                    store._link_action(node)
                 elif kind == "unit":
                     try:
                         sparse.add(rec["embedding"], store.embedding_dimension)

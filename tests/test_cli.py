@@ -272,6 +272,20 @@ class TestMoreEdges:
         assert code == 3
         assert f":{index + 1}: embedding of" in capsys.readouterr().err
 
+    def test_a_vector_query_on_a_snapshot_of_another_width_exits_3(
+            self, snapshot_file, tmp_path, capsys):
+        # A huge width must fail at load, not when the matrix is first built.
+        lines = snapshot_file.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["embedding"]["dimension"] = 10 ** 12
+        lines[0] = json.dumps(header)
+        bad = tmp_path / "wide.ndjson"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        code = main(["query", "retrieve", "--snapshot", str(bad), "--text", "food",
+                     "--target", "art6", "--at", "2011-01-01", "--mode", "vector"])
+        assert code == 3
+        assert ":1: bad meta header: 'dimension' must be 256" in capsys.readouterr().err
+
     @pytest.mark.parametrize("version", [1, 2])
     def test_query_on_an_older_snapshot_exits_3_and_asks_for_a_reingest(
             self, tmp_path, capsys, version):

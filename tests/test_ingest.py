@@ -35,7 +35,7 @@ from normgraph.ingest import (
     render_action_text,
     textualize_metadata,
 )
-from normgraph.model import ComponentType, WorkId, WorkKind, WorkNode, metadata_tuple
+from normgraph.model import Aspect, ComponentType, WorkId, WorkKind, WorkNode, metadata_tuple
 from normgraph.store import GraphStore
 
 DATA = Path(__file__).parent / "data"
@@ -289,7 +289,7 @@ class TestApplyEvent:
         versions = fixture_store.versions_of(ART6_CPT)
         original, ca26 = versions[0], versions[1]
         assert original.validity.valid_end == date(2000, 2, 15)
-        assert original.terminated_by == ACT_CA26
+        assert fixture_store.terminated_by[original.id] == ACT_CA26
         assert ca26.validity.valid_start == date(2000, 2, 15)
         text = fixture_store.units[
             fixture_store.content_clv(ca26.id, "pt").text_unit].text
@@ -432,11 +432,11 @@ class TestRenderActionText:
 
 class TestTextualizeMetadata:
     def test_publication_date_sentence(self, fixture_store):
-        units = textualize_metadata(fixture_store.works[NORM_URN], fixture_store)
+        units = textualize_metadata(fixture_store.works[NORM_URN])
         texts = [u.text for u in units]
         assert any(t.endswith("was published on October 5, 1988.") for t in texts)
 
-    def test_succession_sentence(self, fixture_store):
+    def test_succession_sentence(self):
         node = WorkNode(
             id=WorkId("urn:test:1967"),
             kind=WorkKind.NORM,
@@ -445,15 +445,19 @@ class TestTextualizeMetadata:
                 "succeeds": "the 1946 Constitution of the United States of Brazil",
             }),
         )
-        units = textualize_metadata(node, fixture_store)
+        units = textualize_metadata(node)
         assert [u.text for u in units] == [
             "The 1967 Constitution of Brazil succeeded "
             "the 1946 Constitution of the United States of Brazil."
         ]
 
-    def test_empty_metadata_yields_nothing(self, fixture_store):
+    def test_every_metadata_unit_is_owned_by_a_work(self, fixture_store):
+        metadata = [u for u in fixture_store.units.values() if u.aspect is Aspect.METADATA]
+        assert metadata and all(u.owner in fixture_store.works for u in metadata)
+
+    def test_empty_metadata_yields_nothing(self):
         node = WorkNode(id=WorkId("urn:test:bare"), kind=WorkKind.NORM)
-        assert textualize_metadata(node, fixture_store) == []
+        assert textualize_metadata(node) == []
 
 
 class TestAddLanguage:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -8,12 +9,16 @@ import pytest
 from normgraph.model import (
     ActionNode,
     ActionType,
+    Aspect,
     ComponentType,
+    LanguageVersion,
     TemporalVersion,
+    TextUnit,
     ValidityInterval,
     WorkId,
     WorkKind,
     WorkNode,
+    clv_id,
     ctv_id,
     interval_contains,
     parse_iso_date,
@@ -93,18 +98,59 @@ class TestWorkId:
         assert WorkId("urn:x", ("A",)) == WorkId("urn:x", ("B",))
 
 
+class TestDerivedFields:
+    """Ids, text units and description units are built by the node, never passed in."""
+
+    TV = TemporalVersion("urn:x", iv("2000-01-01"))
+    LV = LanguageVersion("urn:x@2000-01-01", "pt")
+    ACTION = ActionNode("act:x", ActionType.ENACTMENT, date(2000, 1, 1), date(2000, 1, 1))
+
+    def test_each_node_derives_its_fields(self):
+        assert self.TV.id == ctv_id("urn:x", date(2000, 1, 1)) == "urn:x@2000-01-01"
+        assert self.LV.id == clv_id("urn:x@2000-01-01", "pt")
+        assert self.LV.text_unit == f"tu:{self.LV.id}"
+        assert self.ACTION.description_unit == "tu:act:x:desc"
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: TemporalVersion(id="urn:x@1999-01-01", work="urn:x",
+                                             validity=iv("2000-01-01")), id="ctv-id"),
+        pytest.param(lambda: LanguageVersion(id="other", temporal_version="urn:x@2000-01-01",
+                                             language="pt"), id="clv-id"),
+        pytest.param(lambda: LanguageVersion(temporal_version="urn:x@2000-01-01",
+                                             language="pt", text_unit="tu:other"),
+                     id="clv-text_unit"),
+        pytest.param(lambda: ActionNode("act:x", ActionType.ENACTMENT, date(2000, 1, 1),
+                                        date(2000, 1, 1), description_unit=""),
+                     id="action-description_unit"),
+    ])
+    def test_a_constructor_takes_no_derived_field(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    @pytest.mark.parametrize("node, change", [
+        pytest.param(TV, {"id": "urn:x@1999-01-01"}, id="ctv-id"),
+        pytest.param(LV, {"id": "other"}, id="clv-id"),
+        pytest.param(LV, {"text_unit": "tu:other"}, id="clv-text_unit"),
+        pytest.param(ACTION, {"description_unit": ""}, id="action-description_unit"),
+    ])
+    def test_replace_takes_no_derived_field(self, node, change):
+        with pytest.raises(ValueError):
+            replace(node, **change)
+
+    def test_replace_rederives_from_the_new_fields(self):
+        assert replace(self.TV, validity=iv("2001-01-01")).id == "urn:x@2001-01-01"
+        assert replace(self.LV, language="en").text_unit == "tu:urn:x@2000-01-01#en"
+        assert replace(self.ACTION, id="act:y").description_unit == "tu:act:y:desc"
+
+
 def _two_version_store(second_start: str, first_end: str) -> GraphStore:
     """Minimal store: one norm work with two versions and their actions."""
     store = GraphStore()
     urn = "urn:test:n"
     store.add_work(WorkNode(id=WorkId(urn), kind=WorkKind.NORM,
                             component_type=ComponentType.OTHER))
-    first = TemporalVersion(
-        id=ctv_id(urn, date(2000, 1, 1)), work=urn,
-        validity=iv("2000-01-01", first_end), produced_by="act:e", terminated_by="act:a")
-    second = TemporalVersion(
-        id=ctv_id(urn, date.fromisoformat(second_start)), work=urn,
-        validity=iv(second_start), produced_by="act:a")
+    first = TemporalVersion(work=urn, validity=iv("2000-01-01", first_end))
+    second = TemporalVersion(work=urn, validity=iv(second_start))
     store.add_ctv(first)
     store.add_ctv(second)
     store.add_action(ActionNode(
@@ -142,6 +188,25 @@ class TestValidateGraph:
         assert len(violations) == 1
         assert "act:a" in violations[0].nodes
 
+    def test_a_metadata_unit_must_belong_to_a_work(self):
+        store = _two_version_store("2000-06-15", "2000-06-15")
+        for owner in ("urn:test:n", "urn:test:n@2000-01-01"):
+            store.add_unit(TextUnit(f"tu:{owner}:meta:k", Aspect.METADATA, owner, "en", ""))
+        wrong = [v.nodes for v in validate_graph(store) if v.code == "AspectOwnerMismatch"]
+        assert wrong == [("tu:urn:test:n@2000-01-01:meta:k",)]
+
+    def test_an_action_needs_its_own_description_unit(self):
+        store = _two_version_store("2000-06-15", "2000-06-15")
+        missing = [v.nodes for v in validate_graph(store) if v.code == "DanglingReference"]
+        assert missing == [("act:e", "tu:act:e:desc"), ("act:a", "tu:act:a:desc")]
+        for action in store.actions.values():
+            store.add_unit(TextUnit(action.description_unit, Aspect.ACTION_DESCRIPTION,
+                                    "act:a", "en", "An event."))
+        wrong = [v.nodes for v in validate_graph(store) if v.code == "AspectOwnerMismatch"]
+        assert wrong == [("act:e", "tu:act:e:desc")]
+        store.units["tu:act:e:desc"] = replace(store.units["tu:act:e:desc"], owner="act:e")
+        assert validate_graph(store) == []
+
     def test_synthetic_corpora_satisfy_all_invariants(self):
         for seed in range(25):
             corpus = synthcorpus.generate_corpus(seed)
@@ -157,7 +222,8 @@ class TestTilingProperty:
             for prev, cur in zip(versions, versions[1:]):
                 assert prev.validity.valid_end == cur.validity.valid_start
             if versions:
-                assert versions[-1].validity.is_open or versions[-1].terminated_by
+                assert (versions[-1].validity.is_open
+                        or versions[-1].id in fixture_store.terminated_by)
 
     def test_random_probe_hits_exactly_one_version(self, fixture_store):
         rng = random.Random(7)

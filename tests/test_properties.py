@@ -90,8 +90,8 @@ class TestSameDayCompositeEvents:
             for cid in action.produces:
                 assert cid not in produced, cid
                 produced[cid] = action.id
-        for tv in store.ctvs.values():
-            assert produced.get(tv.id) == tv.produced_by
+        assert produced == store.produced_by
+        assert set(produced) == set(store.ctvs)
 
     def test_snapshot_after_merge_shows_both_amendments(self):
         store = self._store_with_two_same_day_amendments()
@@ -444,14 +444,21 @@ class TestBisectVersionSelection:
 
     def test_add_ctv_out_of_order_matches_a_stable_sort(self):
         store = GraphStore()
-        days = [date(2010, 1, 1), date(2000, 1, 1), date(2005, 1, 1), date(2000, 1, 1)]
-        for i, start in enumerate(days):
-            store.add_ctv(TemporalVersion(f"w@{i}", "w", ValidityInterval(start)))
-        assert store.versions["w"] == ["w@1", "w@3", "w@2", "w@0"]
+        days = [date(2010, 1, 1), date(2000, 1, 1), date(2005, 1, 1)]
+        for start in days:
+            store.add_ctv(TemporalVersion("w", ValidityInterval(start)))
+        chain = ["w@2000-01-01", "w@2005-01-01", "w@2010-01-01"]
+        assert store.versions["w"] == chain
+        assert store.version_starts["w"] == sorted(days)
+        # A version's id is derived from its start, so a work holds one per start.
+        with pytest.raises(ValueError, match="already exists"):
+            store.add_ctv(TemporalVersion("w", ValidityInterval(date(2000, 1, 1),
+                                                                date(2001, 1, 1))))
+        assert store.versions["w"] == chain
         assert store.version_starts["w"] == sorted(days)
         assert store.version_at("w", date(1999, 12, 31)) is None
-        assert store.version_at("w", date(2004, 1, 1)).id == "w@3"
-        assert store.version_at("w", date(2011, 1, 1)).id == "w@0"
+        assert store.version_at("w", date(2004, 1, 1)).id == "w@2000-01-01"
+        assert store.version_at("w", date(2011, 1, 1)).id == "w@2010-01-01"
 
     @pytest.mark.parametrize("seed", range(1, 40, 4))
     def test_content_candidates_match_a_linear_scan(self, seed):

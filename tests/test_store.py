@@ -6,7 +6,6 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -17,6 +16,8 @@ from normgraph.cli import main
 from normgraph.errors import DanglingReference, MalformedSnapshot, UnknownWork
 from normgraph.fixture_corpus import ART6_CPT, NORM_URN
 from normgraph.model import (
+    ActionNode,
+    ActionType,
     Aspect,
     LanguageVersion,
     TemporalVersion,
@@ -266,12 +267,15 @@ class TestStrictHeader:
                      id="df-string"),
         pytest.param("df", "food", 4.0, "'df' must be an object of integers >= 1",
                      id="df-float"),
-        pytest.param("embedding", "dimension", "256", "'dimension' must be a positive integer",
+        pytest.param("embedding", "dimension", "256", "'dimension' must be 256",
                      id="dimension-string"),
-        pytest.param("embedding", "dimension", 0, "'dimension' must be a positive integer",
-                     id="dimension-zero"),
-        pytest.param("embedding", "dimension", True, "'dimension' must be a positive integer",
-                     id="dimension-bool"),
+        pytest.param("embedding", "dimension", 0, "'dimension' must be 256", id="dimension-zero"),
+        pytest.param("embedding", "dimension", True, "'dimension' must be 256", id="dimension-bool"),
+        # Commit writes only the model's width; another would misread every row.
+        pytest.param("embedding", "dimension", 255, "'dimension' must be 256", id="dimension-255"),
+        pytest.param("embedding", "dimension", 257, "'dimension' must be 256", id="dimension-257"),
+        pytest.param("embedding", "dimension", 10 ** 12, "'dimension' must be 256",
+                     id="dimension-huge"),
         pytest.param("embedding", "name", "word2vec", "'name' must be 'hashed_tfidf'",
                      id="other-embedder"),
         pytest.param("embedding", "name", DROP, "'embedding' must be an object of",
@@ -391,14 +395,17 @@ class TestStrictRecords:
 
 
 class TestDerivedColumns:
-    """What load rebuilds is not stored, and save refuses what load cannot rebuild."""
+    """What the nodes derive is not stored, and the action links are a store index."""
 
     def test_rebuilt_columns_equal_the_ingested_nodes(self, fixture_store, snapshot_path):
         loaded = load(snapshot_path)
         assert loaded.ctvs == fixture_store.ctvs
         assert loaded.clvs == fixture_store.clvs
         assert loaded.actions == fixture_store.actions
-        assert any(tv.terminated_by for tv in loaded.ctvs.values())
+        assert loaded.produced_by == fixture_store.produced_by
+        assert loaded.terminated_by == fixture_store.terminated_by
+        assert set(loaded.produced_by) == set(loaded.ctvs)
+        assert loaded.terminated_by
         assert COLUMNS["ctv"] == ["work", "valid_start", "valid_end", "aggregates"]
         assert COLUMNS["clv"] == ["temporal_version", "language"]
         assert "description_unit" not in COLUMNS["action"]
@@ -423,33 +430,45 @@ class TestDerivedColumns:
         assert exc.value.line == second + 1
         assert f"ctv {claimed!r} is {verb} by both" in str(exc.value)
 
-    @pytest.mark.parametrize("nodes, change", [
-        pytest.param("ctvs", lambda tv: replace(tv, id=tv.id + "x"), id="ctv-id"),
-        pytest.param("ctvs", lambda tv: replace(tv, produced_by=""), id="ctv-produced_by"),
-        pytest.param("clvs", lambda lv: replace(lv, text_unit="tu:other"), id="clv-text_unit"),
-        pytest.param("actions", lambda a: replace(a, description_unit=""),
-                     id="action-description_unit"),
-    ])
-    def test_save_refuses_what_load_would_rebuild_differently(
-            self, snapshot_path, tmp_path, nodes, change):
-        store = load(snapshot_path)
-        table = getattr(store, nodes)
-        key = next(k for k, node in table.items()
-                   if not hasattr(node, "produces") or node.produces)
-        table[key] = change(table[key])
-        path = tmp_path / "never.ndjson"
-        with pytest.raises(ValueError):
-            save(store, path)
-        assert not path.exists()
+    @pytest.mark.parametrize("verb", ["produced", "terminated"])
+    def test_add_action_refuses_a_double_claim_and_files_nothing(self, verb):
+        store = GraphStore()
+        store.add_work(WorkNode(WorkId("urn:x"), WorkKind.NORM))
+        old, new, newer = (store.add_ctv(TemporalVersion("urn:x", ValidityInterval(date(y, 1, 1))))
+                           for y in (2000, 2001, 2002))
+        day = date(2001, 1, 1)
+        store.add_action(ActionNode("act:1", ActionType.AMENDMENT, day, day,
+                                    terminates=(old,), produces=(new,)))
+        # Each second action also makes a fresh claim, listed before the double one.
+        claims = {"produced": {"produces": (newer, new)},
+                  "terminated": {"produces": (newer,), "terminates": (old,)}}[verb]
 
-    def test_save_refuses_a_ctv_that_two_actions_claim(self, snapshot_path, tmp_path):
-        store = load(snapshot_path)
-        first, second = [a for a in store.actions.values() if a.produces][:2]
-        store.actions[second.id] = replace(second, produces=second.produces + first.produces[:1])
-        path = tmp_path / "never.ndjson"
-        with pytest.raises(ValueError, match="is produced by both"):
-            save(store, path)
-        assert not path.exists()
+        def state():
+            return (dict(store.actions), dict(store.produced_by), dict(store.terminated_by),
+                    {urn: list(ids) for urn, ids in store.work_actions.items()})
+
+        before = state()
+        with pytest.raises(ValueError, match=f"is {verb} by both 'act:1' and 'act:2'"):
+            store.add_action(ActionNode("act:2", ActionType.AMENDMENT, day, day, **claims))
+        assert state() == before
+        assert newer not in store.produced_by
+
+    @pytest.mark.parametrize("kind, message", [
+        ("action", "action cites missing description unit"),
+        ("clv", "clv cites missing text unit"),
+    ])
+    def test_a_snapshot_missing_a_derived_unit_exits_3(self, fixture_store, snapshot_path,
+                                                       tmp_path, capsys, kind, message):
+        node = next(iter({"action": fixture_store.actions, "clv": fixture_store.clvs}[kind].values()))
+        unit = node.description_unit if kind == "action" else node.text_unit
+        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
+        lines = [line for line in lines if json.loads(line).get("row", [None])[0] != unit]
+        with pytest.raises(MalformedSnapshot, match=message):
+            _load_lines(lines, tmp_path)
+        code = main(["query", "at", "--snapshot", str(tmp_path / "bad.ndjson"),
+                     "--target", "art6", "--at", "2011-01-01"])
+        assert code == 3
+        assert message in capsys.readouterr().err
 
 
 class TestEmbeddingMatrix:
@@ -463,22 +482,8 @@ class TestEmbeddingMatrix:
         with pytest.raises(ValueError):
             row[0] = 1.0
 
-    # A width of 0 is a bad header: TestStrictHeader.
-    @pytest.mark.parametrize("width", [255, 257])
-    def test_load_rejects_an_embedding_of_another_width(self, snapshot_path, tmp_path, width):
-        # A row with an entry in column `width` is wider than a header of that width.
-        lines, units = _unit_lines(snapshot_path)
-        header = json.loads(lines[0])
-        header["embedding"]["dimension"] = width
-        lines[0] = json.dumps(header)
-        record = json.loads(lines[units[0]])
-        record["embedding"] = [width, 0.5]
-        lines[units[0]] = json.dumps(record)
-        with pytest.raises(MalformedSnapshot) as exc:
-            _load_lines(lines, tmp_path)
-        assert exc.value.line == units[0] + 1
-        assert f"not strictly increasing in [0, {width})" in str(exc.value)
-
+    # A header of another width: TestStrictHeader. A row wider than the
+    # header: the index-at-dimension case below.
     @pytest.mark.parametrize("embedding, reason", [
         pytest.param([3, 0.5, 7], "not a flat list of index, value pairs", id="odd-length"),
         pytest.param({"3": 0.5}, "not a flat list of index, value pairs", id="object"),
@@ -852,11 +857,9 @@ class TestLanguageRule:
         store = GraphStore()
         store.add_work(WorkNode(WorkId("urn:x"), WorkKind.NORM,
                                 metadata=(("language", "pt"),)))
-        store.add_ctv(TemporalVersion("urn:x@2000-01-01", "urn:x",
-                                      ValidityInterval(date(2000, 1, 1))))
+        store.add_ctv(TemporalVersion("urn:x", ValidityInterval(date(2000, 1, 1))))
         for language in languages:
-            store.add_clv(LanguageVersion(f"urn:x@2000-01-01#{language}", "urn:x@2000-01-01",
-                                          language, f"tu:{language}"))
+            store.add_clv(LanguageVersion("urn:x@2000-01-01", language))
         return store
 
     # (requested "en" present, primary "pt" present, fallback) -> language read
