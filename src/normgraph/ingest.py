@@ -5,10 +5,13 @@ Input files are explicit structured JSON (``*.satdoc.json`` documents,
 schemas mirror what an upstream segmenter would emit, so one can be
 slotted in front without touching this module.
 
-Event application is strictly sequential. Each amendment or repeal closes
-the target's open version and propagates upward: every ancestor receives
-a new version whose aggregation list swaps in the changed child and keeps
-the unchanged children's existing version ids.
+Event application is strictly sequential and has one write path. An
+amendment or repeal closes the target's open version (an amendment opens a
+successor); an insertion builds its new subtrees. Each changed child is then
+rolled upward by one function: every ancestor receives a new version whose
+aggregation list swaps in, drops or appends that child and keeps the
+unchanged children's existing version ids. Every check on an event runs
+before its first write, so a rejected event leaves the store as it was.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from datetime import date
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     DuplicateFragment,
@@ -472,75 +475,89 @@ def _attach_content(store: GraphStore, cid: str, language: str, text: str,
     return lv.id
 
 
-def enact(store: GraphStore, doc: SourceDocument) -> str:
-    """Create the full work tree, initial versions, and the enactment action."""
-    norm_urn = doc.norm.urn
-    if norm_urn in store.works:
-        raise DuplicateNorm(norm_urn)
-    start = doc.norm.publication_date
-    action_id = f"act:{_slug(doc.norm.short_title or doc.norm.title)}:enactment"
-
-    norm_meta = dict(doc.norm.metadata)
-    norm_meta.setdefault("title", doc.norm.title)
-    if doc.norm.short_title:
-        norm_meta.setdefault("short_title", doc.norm.short_title)
-    norm_meta.setdefault("publication_date", start.isoformat())
-    norm_meta.setdefault("language", doc.norm.language)
-    store.add_work(WorkNode(
-        id=WorkId(norm_urn, doc.norm.aliases),
+def _norm_work(norm: NormMeta, **facts: str) -> WorkNode:
+    """The work of a norm: its titles and ``facts``, overridden by its own metadata."""
+    meta = {**facts, "title": norm.title}
+    if norm.short_title:
+        meta["short_title"] = norm.short_title
+    meta.update(norm.metadata)
+    return WorkNode(
+        id=WorkId(norm.urn, norm.aliases),
         kind=WorkKind.NORM,
         component_type=ComponentType.OTHER,
-        metadata=metadata_tuple(norm_meta),
-    ))
-
-    produced: list[str] = []
-    component_urns: list[str] = []
-
-    def build(record: ComponentRecord, parent_urn: str) -> str:
-        urn = f"{norm_urn}{FRAGMENT_SEP}{record.fragment}"
-        store.add_work(WorkNode(
-            id=WorkId(urn, record.aliases),
-            kind=WorkKind.COMPONENT,
-            component_type=record.component_type,
-            parent=parent_urn,
-            ordinal=record.ordinal,
-            metadata=_component_metadata(record),
-        ))
-        component_urns.append(urn)
-        child_ctvs = [build(child, urn) for child in record.children]
-        cid = store.add_ctv(TemporalVersion(
-            work=urn, validity=ValidityInterval(start), aggregates=tuple(child_ctvs)))
-        produced.append(cid)
-        if record.text is not None:
-            _attach_content(store, cid, doc.norm.language, record.text, record.synthetic)
-        return cid
-
-    root_ctvs = [build(record, norm_urn) for record in doc.body]
-    produced.append(store.add_ctv(TemporalVersion(
-        work=norm_urn, validity=ValidityInterval(start), aggregates=tuple(root_ctvs))))
-
-    action = ActionNode(
-        id=action_id,
-        action_type=ActionType.ENACTMENT,
-        enactment_date=start,
-        effective_date=start,
-        produces=tuple(produced),
-        targets=(norm_urn,),
-        instrument=norm_urn,
-        instrument_title=doc.norm.title,
-        instrument_short=doc.norm.short_title,
+        metadata=metadata_tuple(meta),
     )
+
+
+def _build_subtree(store: GraphStore, record: ComponentRecord, parent_urn: str, ordinal: int,
+                   start: date, language: str, produces: list[str]) -> str:
+    """Add the works of ``record``'s subtree, each with a first version from ``start``.
+
+    Text is attached in ``language``. Version ids are appended to
+    ``produces`` children first; returns the id of ``record``'s own version.
+    """
+    urn = f"{store.works[parent_urn].id.norm_urn}{FRAGMENT_SEP}{record.fragment}"
+    store.add_work(WorkNode(
+        id=WorkId(urn, record.aliases),
+        kind=WorkKind.COMPONENT,
+        component_type=record.component_type,
+        parent=parent_urn,
+        ordinal=ordinal,
+        metadata=_component_metadata(record),
+    ))
+    child_cids = [_build_subtree(store, child, urn, child.ordinal, start, language, produces)
+                  for child in record.children]
+    cid = store.add_ctv(TemporalVersion(
+        work=urn, validity=ValidityInterval(start), aggregates=tuple(child_cids)))
+    produces.append(cid)
+    if record.text is not None:
+        _attach_content(store, cid, language, record.text, record.synthetic)
+    return cid
+
+
+def _record_action(store: GraphStore, action: ActionNode) -> str:
+    """Add ``action`` and the unit that describes it; return the action's id."""
     store.add_action(action)
     store.add_unit(TextUnit(
         id=action.description_unit,
         aspect=Aspect.ACTION_DESCRIPTION,
-        owner=action_id,
+        owner=action.id,
         language="en",
         text=render_action_text(action, store),
     ))
-    for urn in [norm_urn] + component_urns:
-        for unit in textualize_metadata(store.works[urn]):
-            store.add_unit(unit)
+    return action.id
+
+
+def enact(store: GraphStore, doc: SourceDocument) -> str:
+    """Create the full work tree, initial versions, and the enactment action.
+
+    Only the norm's metadata is textualized: a component's is its heading
+    and label, which are presentation keys.
+    """
+    norm = doc.norm
+    if norm.urn in store.works:
+        raise DuplicateNorm(norm.urn)
+    start = norm.publication_date
+    store.add_work(_norm_work(norm, publication_date=start.isoformat(), language=norm.language))
+    produced: list[str] = []
+    root_cids = [_build_subtree(store, record, norm.urn, record.ordinal, start,
+                                norm.language, produced)
+                 for record in doc.body]
+    produced.append(store.add_ctv(TemporalVersion(
+        work=norm.urn, validity=ValidityInterval(start), aggregates=tuple(root_cids))))
+    action_id = _record_action(store, ActionNode(
+        id=f"act:{_slug(norm.short_title or norm.title)}:enactment",
+        action_type=ActionType.ENACTMENT,
+        enactment_date=start,
+        effective_date=start,
+        produces=tuple(produced),
+        targets=(norm.urn,),
+        instrument=norm.urn,
+        instrument_title=norm.title,
+        instrument_short=norm.short_title,
+    ))
+    for unit in textualize_metadata(store.works[norm.urn]):
+        store.add_unit(unit)
     return action_id
 
 
@@ -555,16 +572,7 @@ def _ensure_instrument_works(
 ) -> str | None:
     """Create reference stubs for the amending norm and its provision."""
     if instrument.urn not in store.works:
-        meta = dict(instrument.metadata)
-        meta.setdefault("title", instrument.title)
-        if instrument.short_title:
-            meta.setdefault("short_title", instrument.short_title)
-        store.add_work(WorkNode(
-            id=WorkId(instrument.urn, instrument.aliases),
-            kind=WorkKind.NORM,
-            component_type=ComponentType.OTHER,
-            metadata=metadata_tuple(meta),
-        ))
+        store.add_work(_norm_work(instrument))
     if source_fragment is None:
         return None
     source_urn = f"{instrument.urn}{FRAGMENT_SEP}{source_fragment}"
@@ -582,22 +590,21 @@ def _ensure_instrument_works(
 
 
 def _open_version(store: GraphStore, urn: str, effective: date) -> TemporalVersion:
-    chain = store.versions.get(urn, [])
-    if not chain:
+    """The open version of ``urn``, which must start on or before ``effective``."""
+    chain = store.versions.get(urn)
+    last = store.ctvs[chain[-1]] if chain else None
+    if last is None or not last.validity.is_open:
         raise NoOpenVersion(urn, effective)
-    last = store.ctvs[chain[-1]]
-    if not last.validity.is_open:
-        raise NoOpenVersion(urn, effective)
+    if last.validity.valid_start > effective:
+        raise OutOfOrderEvent(urn, effective, last.validity.valid_start)
     return last
 
 
-def _ancestors(store: GraphStore, urn: str) -> list[str]:
-    out = []
-    current = store.works[urn].parent
-    while current is not None:
-        out.append(current)
-        current = store.works[current].parent
-    return out
+def _ancestors(store: GraphStore, urn: str) -> Iterator[str]:
+    parent = store.works[urn].parent
+    while parent is not None:
+        yield parent
+        parent = store.works[parent].parent
 
 
 def _carry_content(store: GraphStore, old_cid: str, new_cid: str) -> None:
@@ -608,129 +615,116 @@ def _carry_content(store: GraphStore, old_cid: str, new_cid: str) -> None:
         _attach_content(store, new_cid, lv.language, unit.text, unit.synthetic)
 
 
-def _roll_version(
-    store: GraphStore,
-    urn: str,
-    effective: date,
-    mutate: Callable[[list[str]], list[str]],
-    terminates: list[str],
-    produces: list[str],
-) -> tuple[str | None, str]:
-    """Close the open version of ``urn`` and open a successor at ``effective``.
-
-    ``mutate`` rewrites the aggregation list. When the open version already
-    starts on ``effective`` (an earlier event of the same day created it)
-    the aggregates are updated in place and no new version is recorded.
-    Returns (closed version id or None if merged, successor version id).
-    """
-    current = _open_version(store, urn, effective)
-    if current.validity.valid_start > effective:
-        raise OutOfOrderEvent(urn, effective, current.validity.valid_start)
-    if current.validity.valid_start == effective:
-        store.ctvs[current.id] = replace(
-            current, aggregates=tuple(mutate(list(current.aggregates))))
-        return None, current.id
-    store.close_ctv(current.id, effective)
-    terminates.append(current.id)
-    new_cid = store.add_ctv(TemporalVersion(
-        work=urn, validity=ValidityInterval(effective),
-        aggregates=tuple(mutate(list(current.aggregates))),
-    ))
-    produces.append(new_cid)
-    _carry_content(store, current.id, new_cid)
-    return current.id, new_cid
-
-
 def _propagate_up(
     store: GraphStore,
     child_urn: str,
-    old_child_cid: str | None,
-    new_child_cid: str | None,
+    old_cid: str | None,
+    new_cid: str | None,
     effective: date,
     terminates: list[str],
     produces: list[str],
 ) -> None:
-    """Roll every ancestor, swapping/removing the changed child's version id."""
-    previous_old = old_child_cid
-    previous_new = new_child_cid
-    for ancestor in _ancestors(store, child_urn):
-        def mutate(aggs: list[str], *, _old=previous_old, _new=previous_new) -> list[str]:
-            if _old is not None and _old in aggs:
-                index = aggs.index(_old)
-                if _new is None:
-                    aggs.pop(index)
-                else:
-                    aggs[index] = _new
-            elif _new is not None and _new not in aggs:
-                aggs.append(_new)
-                aggs.sort(key=lambda cid: store.works[store.ctvs[cid].work].ordinal)
-            return aggs
+    """Roll every ancestor of ``child_urn``, which the caller checked open, onto ``effective``.
 
-        closed_cid, successor_cid = _roll_version(
-            store, ancestor, effective, mutate, terminates, produces)
-        if closed_cid is None:
-            # Merged into an existing same-day version: upper ancestors
-            # already reference it, so propagation stops here.
-            break
-        previous_old, previous_new = closed_cid, successor_cid
+    Each ancestor's successor version swaps ``new_cid`` in for ``old_cid``
+    in its aggregation list; a None ``new_cid`` drops ``old_cid`` (a repeal),
+    and a None ``old_cid`` appends ``new_cid`` (an insertion, whose ordinal
+    is past every sibling's). An ancestor whose open version an earlier
+    event of the same day opened is updated in place instead, and the roll
+    stops there: the ancestors above already aggregate that version.
+    """
+    for ancestor in _ancestors(store, child_urn):
+        current = store.ctvs[store.versions[ancestor][-1]]
+        aggregates = list(current.aggregates)
+        if old_cid is None:
+            aggregates.append(new_cid)
+        elif new_cid is None:
+            aggregates.remove(old_cid)
+        else:
+            aggregates[aggregates.index(old_cid)] = new_cid
+        if current.validity.valid_start == effective:
+            store.ctvs[current.id] = replace(current, aggregates=tuple(aggregates))
+            return
+        store.close_ctv(current.id, effective)
+        terminates.append(current.id)
+        successor = store.add_ctv(TemporalVersion(
+            work=ancestor, validity=ValidityInterval(effective), aggregates=tuple(aggregates)))
+        produces.append(successor)
+        _carry_content(store, current.id, successor)
+        old_cid, new_cid = current.id, successor
 
 
 def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str:
-    """Apply one amendment, insertion, or repeal and return its action id."""
+    """Apply one amendment, insertion, or repeal and return its action id.
+
+    Every check runs before the first write, so a rejected event leaves the
+    store as it was.
+    """
     if ev.target not in store.works:
         raise UnknownTarget(ev.target)
-    source_urn = _ensure_instrument_works(
-        store, instrument, ev.source_provision, ev.source_label)
-    target_work = store.works[ev.target]
-    fragment = target_work.id.fragment or "norm"
+    effective = ev.effective_date
+    target = store.works[ev.target]
     action_id = (
         f"act:{_slug(instrument.short_title or instrument.title)}:"
-        f"{_slug(fragment)}:{ev.effective_date.isoformat()}"
+        f"{_slug(target.id.fragment or 'norm')}:{effective.isoformat()}"
     )
     if action_id in store.actions:
         raise MalformedInput(
             f"duplicate event: {instrument.short_title or instrument.title} "
-            f"already acts on {ev.target!r} effective {ev.effective_date.isoformat()}"
+            f"already acts on {ev.target!r} effective {effective.isoformat()}"
         )
+    current = _open_version(store, ev.target, effective)
+    records: list[ComponentRecord] = []
+    if ev.new_components:
+        # An insertion may join a target version opened earlier that day.
+        parent_type = None if target.kind is WorkKind.NORM else target.component_type
+        seen: set[str] = set()
+        records = [_parse_component(raw, i, parent_type, seen, None)
+                   for i, raw in enumerate(ev.new_components)]
+        taken = sorted(f for f in seen if f"{target.id.norm_urn}{FRAGMENT_SEP}{f}" in store.works)
+        if taken:
+            raise MalformedInput(f"inserted fragment {taken[0]!r} already exists")
+    elif current.validity.valid_start == effective:
+        raise OutOfOrderEvent(ev.target, effective, current.validity.valid_start)
+    elif ev.action_type is ActionType.AMENDMENT and not store.clvs_by_ctv.get(current.id):
+        raise StructureError(f"{ev.target!r} bears no text; use new_components or repeal")
+    for ancestor in _ancestors(store, ev.target):
+        _open_version(store, ancestor, effective)
+
+    source_urn = _ensure_instrument_works(
+        store, instrument, ev.source_provision, ev.source_label)
     terminates: list[str] = []
     produces: list[str] = []
-
-    if ev.action_type is ActionType.REPEAL:
-        current = _open_version(store, ev.target, ev.effective_date)
-        if current.validity.valid_start >= ev.effective_date:
-            raise OutOfOrderEvent(ev.target, ev.effective_date, current.validity.valid_start)
-        store.close_ctv(current.id, ev.effective_date)
-        terminates.append(current.id)
-        _propagate_up(store, ev.target, current.id, None, ev.effective_date,
-                      terminates, produces)
-        targets: tuple[str, ...] = (ev.target,)
-    elif ev.new_components:
-        targets = _apply_insertion(store, ev, terminates, produces)
+    if records:
+        language = store.primary_language(ev.target)
+        base_ordinal = len(store.children.get(ev.target, ()))
+        root_cids = [_build_subtree(store, record, ev.target, base_ordinal + offset,
+                                    effective, language, produces)
+                     for offset, record in enumerate(records)]
+        targets = tuple(store.ctvs[cid].work for cid in root_cids)
+        for urn, cid in zip(targets, root_cids):
+            _propagate_up(store, urn, None, cid, effective, terminates, produces)
     else:
-        current = _open_version(store, ev.target, ev.effective_date)
-        if current.validity.valid_start >= ev.effective_date:
-            raise OutOfOrderEvent(ev.target, ev.effective_date, current.validity.valid_start)
-        if not store.clvs_by_ctv.get(current.id):
-            raise StructureError(f"{ev.target!r} bears no text; use new_components or repeal")
-        store.close_ctv(current.id, ev.effective_date)
+        store.close_ctv(current.id, effective)
         terminates.append(current.id)
-        new_cid = store.add_ctv(TemporalVersion(
-            work=ev.target, validity=ValidityInterval(ev.effective_date),
-            aggregates=current.aggregates,
-        ))
-        produces.append(new_cid)
-        synthetic = dict(ev.synthetic)
-        for language, text in ev.new_text:
-            _attach_content(store, new_cid, language, text, synthetic.get(language, False))
-        _propagate_up(store, ev.target, current.id, new_cid, ev.effective_date,
-                      terminates, produces)
+        new_cid = None
+        if ev.action_type is ActionType.AMENDMENT:
+            new_cid = store.add_ctv(TemporalVersion(
+                work=ev.target, validity=ValidityInterval(effective),
+                aggregates=current.aggregates,
+            ))
+            produces.append(new_cid)
+            synthetic = dict(ev.synthetic)
+            for language, text in ev.new_text:
+                _attach_content(store, new_cid, language, text, synthetic.get(language, False))
+        _propagate_up(store, ev.target, current.id, new_cid, effective, terminates, produces)
         targets = (ev.target,)
 
-    action = ActionNode(
+    return _record_action(store, ActionNode(
         id=action_id,
         action_type=ev.action_type,
         enactment_date=ev.enactment_date,
-        effective_date=ev.effective_date,
+        effective_date=effective,
         source_provision=source_urn,
         terminates=tuple(terminates),
         produces=tuple(produces),
@@ -739,72 +733,7 @@ def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str
         instrument=instrument.urn,
         instrument_title=instrument.title,
         instrument_short=instrument.short_title,
-    )
-    store.add_action(action)
-    store.add_unit(TextUnit(
-        id=action.description_unit,
-        aspect=Aspect.ACTION_DESCRIPTION,
-        owner=action_id,
-        language="en",
-        text=render_action_text(action, store),
     ))
-    return action_id
-
-
-def _apply_insertion(store: GraphStore, ev: EventRecord, terminates: list[str],
-                     produces: list[str]) -> tuple[str, ...]:
-    parent_urn = ev.target
-    parent = store.works[parent_urn]
-    parent_type = None if parent.kind is WorkKind.NORM else parent.component_type
-    norm_urn = parent.id.norm_urn
-    language = store.primary_language(parent_urn)
-    _open_version(store, parent_urn, ev.effective_date)  # parent must be alive
-
-    seen: set[str] = set()
-    records = [
-        _parse_component(raw, i, parent_type, seen, None)
-        for i, raw in enumerate(ev.new_components)
-    ]
-    base_ordinal = len(store.children.get(parent_urn, ()))
-    new_root_cids: list[str] = []
-    inserted_roots: list[str] = []
-
-    def build(record: ComponentRecord, parent_of: str, ordinal: int) -> str:
-        urn = f"{norm_urn}{FRAGMENT_SEP}{record.fragment}"
-        if urn in store.works:
-            raise MalformedInput(f"inserted fragment {record.fragment!r} already exists")
-        store.add_work(WorkNode(
-            id=WorkId(urn, record.aliases),
-            kind=WorkKind.COMPONENT,
-            component_type=record.component_type,
-            parent=parent_of,
-            ordinal=ordinal,
-            metadata=_component_metadata(record),
-        ))
-        child_cids = [build(child, urn, child.ordinal) for child in record.children]
-        cid = store.add_ctv(TemporalVersion(
-            work=urn, validity=ValidityInterval(ev.effective_date),
-            aggregates=tuple(child_cids),
-        ))
-        produces.append(cid)
-        if record.text is not None:
-            _attach_content(store, cid, language, record.text, record.synthetic)
-        return cid
-
-    for offset, record in enumerate(records):
-        cid = build(record, parent_urn, base_ordinal + offset)
-        new_root_cids.append(cid)
-        inserted_roots.append(store.ctvs[cid].work)
-
-    def mutate(aggs: list[str]) -> list[str]:
-        aggs.extend(new_root_cids)
-        return aggs
-
-    closed_cid, successor_cid = _roll_version(
-        store, parent_urn, ev.effective_date, mutate, terminates, produces)
-    _propagate_up(store, parent_urn, closed_cid, successor_cid,
-                  ev.effective_date, terminates, produces)
-    return tuple(inserted_roots)
 
 
 # -- translations --------------------------------------------------------------
@@ -817,7 +746,8 @@ def add_language(store: GraphStore, norm: str, translations: dict[str, str] | No
     Creates language versions and content units only; the work tree and
     the version chains are untouched. ``at`` selects which temporal
     version of each fragment receives the wording (default: the norm's
-    first enactment date).
+    first enactment date). Every fragment is resolved before any wording
+    is attached, so a rejected call adds nothing.
     """
     if norm not in store.works:
         raise UnknownWork(norm)
@@ -828,7 +758,7 @@ def add_language(store: GraphStore, norm: str, translations: dict[str, str] | No
         if not chain:
             raise UnknownWork(norm)
         at = store.ctvs[chain[0]].validity.valid_start
-    created: list[str] = []
+    targets: list[tuple[str, str]] = []
     for fragment, text in sorted(translations.items()):
         urn = f"{norm}{FRAGMENT_SEP}{fragment}" if fragment else norm
         if urn not in store.works:
@@ -838,8 +768,8 @@ def add_language(store: GraphStore, norm: str, translations: dict[str, str] | No
             raise UnknownWork(f"{urn} has no version valid on {at.isoformat()}")
         if store.content_clv(target.id, language) is not None:
             raise TranslationConflict(target.id, language)
-        created.append(_attach_content(store, target.id, language, text, synthetic))
-    return created
+        targets.append((target.id, text))
+    return [_attach_content(store, cid, language, text, synthetic) for cid, text in targets]
 
 
 # -- corpus-level driver ---------------------------------------------------------
@@ -868,7 +798,7 @@ def ordered_events(
     return [(record, instrument) for *_, record, instrument in pending]
 
 
-def ingest_corpus(corpus_dir: str | Path, embedder=None) -> tuple[GraphStore, IngestSummary]:
+def ingest_corpus(corpus_dir: str | Path) -> tuple[GraphStore, IngestSummary]:
     """Enact every document and apply every event file in deterministic order.
 
     Documents are enacted in file-name order; event records across all
@@ -911,6 +841,6 @@ def ingest_corpus(corpus_dir: str | Path, embedder=None) -> tuple[GraphStore, In
                                at=tf.at, synthetic=tf.synthetic)
         summary.translations += len(created)
 
-    store.commit(embedder)
+    store.commit()
     summary.counts = store.node_counts()
     return store, summary

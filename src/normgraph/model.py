@@ -270,7 +270,7 @@ class TextUnit:
     """Atomic retrievable text span.
 
     Its embedding lives in the committed store's matrix
-    (``GraphStore.embedding(id)``): the configured dimension and unit L2
+    (``GraphStore.embedding(id)``): EMBEDDING_DIMENSION wide with unit L2
     norm, except for empty text, which keeps a zero vector and is skipped
     by vector retrieval.
     """
@@ -310,12 +310,10 @@ class Violation:
 
 
 def _check_work_tree(graph: "GraphStore", out: list[Violation]) -> None:
-    roots_by_norm: dict[str, list[str]] = {}
     for urn, work in graph.works.items():
         if work.kind is WorkKind.NORM:
             if work.parent is not None:
                 out.append(Violation("UrnFormat", "norm work has a parent", (urn,)))
-            roots_by_norm.setdefault(urn, []).append(urn)
             continue
         if work.parent is None:
             out.append(Violation("UrnFormat", "component work has no parent", (urn,)))
@@ -346,8 +344,8 @@ def _check_work_tree(graph: "GraphStore", out: list[Violation]) -> None:
 
 def _check_version_tiling(graph: "GraphStore", out: list[Violation]) -> None:
     for urn in graph.works:
-        versions = [graph.ctvs[cid] for cid in graph.versions.get(urn, ())]
-        ordered = sorted(versions, key=lambda tv: tv.validity.valid_start)
+        # The store keeps each chain sorted by start date.
+        ordered = [graph.ctvs[cid] for cid in graph.versions.get(urn, ())]
         for prev, cur in zip(ordered, ordered[1:]):
             if prev.validity.valid_end is None or prev.validity.valid_end > cur.validity.valid_start:
                 out.append(Violation(
@@ -478,12 +476,9 @@ def _check_actions(graph: "GraphStore", out: list[Violation]) -> None:
 
 
 def _check_language_versions(graph: "GraphStore", out: list[Violation]) -> None:
-    seen: set[tuple[str, str]] = set()
+    # A CLV's id is derived from (ctv, language), and the store rejects a
+    # repeated id, so no CTV has two versions in one language.
     for lv in graph.clvs.values():
-        key = (lv.temporal_version, lv.language)
-        if key in seen:
-            out.append(Violation("DuplicateLanguageVersion", f"second {lv.language} version for ctv", (lv.id,)))
-        seen.add(key)
         if lv.temporal_version not in graph.ctvs:
             out.append(Violation("DanglingReference", "clv cites missing ctv", (lv.id, lv.temporal_version)))
         unit = graph.units.get(lv.text_unit)

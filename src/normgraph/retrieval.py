@@ -1,10 +1,10 @@
 """Multi-aspect, scope-filtered text-unit retrieval.
 
-The default embedder is a deterministic hashed TF-IDF: tokens are hashed
+The embedder is a deterministic hashed TF-IDF: tokens are hashed
 into a fixed number of buckets with a keyed hash, weighted by the corpus
 IDF statistics frozen at ingest commit, and L2-normalized. It exists so
-retrieval is reproducible without a learned model; any embedder matching
-the :class:`Embedder` protocol can replace it without touching callers.
+retrieval is reproducible without a learned model, and it is the only
+embedder: snapshots name it, and queries embed their text with it.
 Only the functions that build or score vectors import numpy, so lexical
 retrieval and span location run without it.
 """
@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Protocol
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import EmptyScope
 from .model import Aspect, EMBEDDING_DIMENSION
@@ -33,25 +33,15 @@ _BM25_K1 = 1.5
 _BM25_B = 0.75
 
 
-class Embedder(Protocol):
-    """Plug point for vector models: fixed dimension, deterministic embed."""
-
-    dimension: int
-
-    def embed(self, text: str) -> np.ndarray: ...
-
-
-def _bucket(token: str, dimension: int) -> int:
+def _bucket(token: str) -> int:
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=_HASH_KEY).digest()
-    return int.from_bytes(digest, "big") % dimension
+    return int.from_bytes(digest, "big") % EMBEDDING_DIMENSION
 
 
 class HashedTfidfEmbedder:
     """Hashed bag-of-words with smoothed IDF weights and unit L2 norm."""
 
-    def __init__(self, dimension: int = EMBEDDING_DIMENSION,
-                 df: dict[str, int] | None = None, n_units: int = 0):
-        self.dimension = dimension
+    def __init__(self, df: dict[str, int] | None = None, n_units: int = 0):
         self.df = df or {}
         self.n_units = n_units
 
@@ -61,9 +51,9 @@ class HashedTfidfEmbedder:
     def embed(self, text: str) -> np.ndarray:
         import numpy as np
 
-        vec = np.zeros(self.dimension, dtype=np.float64)
+        vec = np.zeros(EMBEDDING_DIMENSION, dtype=np.float64)
         for token, count in Counter(tokenize(text)).items():
-            vec[_bucket(token, self.dimension)] += count * self.idf(token)
+            vec[_bucket(token)] += count * self.idf(token)
         norm = float(np.linalg.norm(vec))
         if norm > 0.0:
             vec /= norm
@@ -72,12 +62,12 @@ class HashedTfidfEmbedder:
 
 def embedder_for_store(store: GraphStore) -> HashedTfidfEmbedder:
     """Embedder using the IDF statistics frozen in the store's snapshot."""
-    return HashedTfidfEmbedder(store.embedding_dimension, store.df, store.n_units)
+    return HashedTfidfEmbedder(store.df, store.n_units)
 
 
-def default_embed(text: str, dimension: int = EMBEDDING_DIMENSION) -> np.ndarray:
+def default_embed(text: str) -> np.ndarray:
     """Corpus-free hashed TF embedding (IDF degenerates to a constant)."""
-    return HashedTfidfEmbedder(dimension).embed(text)
+    return HashedTfidfEmbedder().embed(text)
 
 
 def cosine(a: np.ndarray | Iterable[float], b: np.ndarray | Iterable[float]) -> float:

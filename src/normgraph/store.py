@@ -92,7 +92,6 @@ class GraphStore:
     themes: dict[str, ThemeNode] = field(default_factory=dict)
     units: dict[str, TextUnit] = field(default_factory=dict)
 
-    embedding_dimension: int = EMBEDDING_DIMENSION
     # IDF statistics frozen at commit time (document frequency per token,
     # retrievable unit count, average unit length in tokens).
     df: dict[str, int] = field(default_factory=dict)
@@ -254,7 +253,7 @@ class GraphStore:
         """Freeze IDF statistics, embed every text unit, and seal the store.
 
         Raises ValueError, leaving the store mutable, if the embedder returns
-        a vector that is not ``(embedding_dimension,)``.
+        a vector that is not ``(EMBEDDING_DIMENSION,)``.
         """
         self._assert_mutable()
         self._rebuild_text_index()
@@ -270,10 +269,10 @@ class GraphStore:
         if embedder is None:
             from .retrieval import HashedTfidfEmbedder
 
-            embedder = HashedTfidfEmbedder(self.embedding_dimension, self.df, self.n_units)
+            embedder = HashedTfidfEmbedder(self.df, self.n_units)
         unit_ids = sorted(self.units)
-        shape = (self.embedding_dimension,)
-        matrix = np.empty((len(unit_ids), self.embedding_dimension))
+        shape = (EMBEDDING_DIMENSION,)
+        matrix = np.empty((len(unit_ids), EMBEDDING_DIMENSION))
         for row, uid in enumerate(unit_ids):
             vec = embedder.embed(self.units[uid].text)
             if np.shape(vec) != shape:
@@ -302,7 +301,7 @@ class GraphStore:
         """Scatter load's sparse buffers into the matrix in one step, then free them."""
         import numpy as np
 
-        matrix = np.zeros((len(self.unit_rows), self.embedding_dimension))
+        matrix = np.zeros((len(self.unit_rows), EMBEDDING_DIMENSION))
         sparse = self._sparse
         if sparse is not None:
             rows = np.repeat(np.asarray(sparse.rows), np.asarray(sparse.counts))
@@ -647,7 +646,7 @@ def save(store: GraphStore, path: str | Path) -> None:
         "kind": "meta",
         "format_version": FORMAT_VERSION,
         "columns": _COLUMNS,
-        "embedding": {"name": _EMBEDDER, "dimension": store.embedding_dimension},
+        "embedding": {"name": _EMBEDDER, "dimension": EMBEDDING_DIMENSION},
         "idf": {
             "n_units": store.n_units,
             "avgdl": store.avgdl,
@@ -687,10 +686,10 @@ class _SparseRows:
         self.rows = array("q")
         self.norms: list[float] = []
 
-    def add(self, pairs, dimension: int) -> None:
+    def add(self, pairs) -> None:
         """Check a unit's ``[i0, v0, i1, v1, …]`` and append it to the buffers.
 
-        Indices must be ints, strictly increasing, in ``[0, dimension)``;
+        Indices must be ints, strictly increasing, in ``[0, EMBEDDING_DIMENSION)``;
         values must be numbers. Raises ValueError naming what is wrong, and
         OverflowError on a value beyond float64.
         """
@@ -700,9 +699,10 @@ class _SparseRows:
         # Exact types: bool is an int subclass but no index or value.
         if not {*map(type, index)} <= {int}:
             raise ValueError("has an index that is not an integer")
-        if index and not (0 <= index[0] and index[-1] < dimension
+        if index and not (0 <= index[0] and index[-1] < EMBEDDING_DIMENSION
                           and all(map(operator.lt, index, index[1:]))):
-            raise ValueError(f"has indices that are not strictly increasing in [0, {dimension})")
+            raise ValueError(
+                f"has indices that are not strictly increasing in [0, {EMBEDDING_DIMENSION})")
         if not {*map(type, values)} <= {int, float}:
             raise ValueError("has a value that is not a number")
         # hypot scales, so only a norm beyond float64 is inf.
@@ -842,7 +842,7 @@ def load(path: str | Path) -> GraphStore:
                     store._link_action(node)
                 elif kind == "unit":
                     try:
-                        sparse.add(rec["embedding"], store.embedding_dimension)
+                        sparse.add(rec["embedding"])
                     except ValueError as exc:
                         raise MalformedSnapshot(f"embedding of {node_id!r} {exc}",
                                                 path=spath, line=lineno) from None

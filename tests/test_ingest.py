@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import hashlib
+import json
 from datetime import date
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from normgraph.errors import (
     StructureError,
     TranslationConflict,
     UnknownTarget,
+    UnknownWork,
 )
 from normgraph.fixture_corpus import (
     ACT_CA26,
@@ -35,8 +39,11 @@ from normgraph.ingest import (
     render_action_text,
     textualize_metadata,
 )
-from normgraph.model import Aspect, ComponentType, WorkId, WorkKind, WorkNode, metadata_tuple
-from normgraph.store import GraphStore
+from normgraph.model import (
+    Aspect, ComponentType, WorkId, WorkKind, WorkNode, metadata_tuple, validate_graph)
+from normgraph.store import GraphStore, save
+
+from synthcorpus import build_store, generate_corpus
 
 DATA = Path(__file__).parent / "data"
 
@@ -563,3 +570,130 @@ def test_duplicate_event_from_same_instrument_rejected():
     apply_file(store, file_dict)
     with pytest.raises(MalformedInput):
         apply_file(store, file_dict)
+
+
+def test_two_root_insertion_merges_into_the_parent_version_of_that_day():
+    # art1 already changed on the day, so both inserted roots join the one
+    # art1 version of that day, in ordinal order, and the action terminates
+    # nothing: every version it produces opens its work's chain.
+    store = GraphStore()
+    enact(store, parse_document(mini_doc()))
+    apply_file(store, amendment_file("urn:test:mini!art1_cpt", "2003-06-01", "Amended."))
+    action_id = apply_file(store, amendment_file(
+        "urn:test:mini!art1", "2003-06-01", "", components=[
+            {"fragment": "art1_par1", "type": "paragraph", "text": "First inserted.",
+             "children": [{"fragment": "art1_par1_it1", "type": "item", "text": "Its item."}]},
+            {"fragment": "art1_par2", "type": "paragraph", "text": "Second inserted."},
+        ]))
+    urn = "urn:test:mini!"
+    art1 = store.versions_of(f"{urn}art1")
+    assert [tv.validity.valid_start for tv in art1] == [date(2000, 1, 1), date(2003, 6, 1)]
+    assert [store.ctvs[c].work for c in art1[-1].aggregates] == [
+        f"{urn}art1_cpt", f"{urn}art1_par1", f"{urn}art1_par2"]
+    assert len(store.versions_of("urn:test:mini")) == 2
+    action = store.actions[action_id]
+    assert [store.ctvs[c].work for c in action.produces] == [
+        f"{urn}art1_par1_it1", f"{urn}art1_par1", f"{urn}art1_par2"]
+    assert action.terminates == ()
+    assert action.targets == (f"{urn}art1_par1", f"{urn}art1_par2")
+    store.commit()
+    assert validate_graph(store) == []
+
+
+# Every store field a write path fills, nodes and indexes alike.
+_STORE_STATE = ("works", "ctvs", "clvs", "actions", "units", "versions", "children",
+                "produced_by", "terminated_by", "work_actions")
+
+
+def _repeal_art1_then_amend_its_caput(store):
+    apply_file(store, amendment_file("urn:test:mini!art1", "2003-06-01", "", action_type="repeal"))
+    return lambda: apply_file(store, amendment_file("urn:test:mini!art1_cpt", "2004-06-01", "x"))
+
+
+def _repeat_an_event(store):
+    file_dict = amendment_file("urn:test:mini!art1_cpt", "2003-06-01", "v2")
+    apply_file(store, file_dict)
+    file_dict["instrument"]["urn"] = "urn:test:act:other"
+    return lambda: apply_file(store, file_dict)
+
+
+def _amend_before_the_parent_changed(store):
+    apply_file(store, amendment_file("urn:test:mini!art1", "2005-06-01", "", components=[
+        {"fragment": "art1_par1", "type": "paragraph", "text": "Inserted."}]))
+    return lambda: apply_file(store, amendment_file("urn:test:mini!art1_cpt", "2004-06-01", "x"))
+
+
+def _amend_a_container(store):
+    return lambda: apply_file(store, amendment_file("urn:test:mini!art1", "2003-06-01", "x"))
+
+
+def _insert_a_taken_fragment(store):
+    return lambda: apply_file(store, amendment_file("urn:test:mini!art1", "2003-06-01", "", components=[
+        {"fragment": "art1_par1", "type": "paragraph", "text": "Free."},
+        {"fragment": "art2_cpt", "type": "caput", "text": "Taken."}]))
+
+
+def _insert_a_misplaced_component(store):
+    return lambda: apply_file(store, amendment_file("urn:test:mini!art1", "2003-06-01", "", components=[
+        {"fragment": "art1_it1", "type": "item", "text": "Items belong under a caput."}]))
+
+
+def _translate_an_unknown_fragment(store):
+    return lambda: add_language(store, "urn:test:mini", {"art1_cpt": "ola", "zz": "x"}, "pt")
+
+
+def _translate_twice(store):
+    add_language(store, "urn:test:mini", {"art2_cpt": "Deuxième."}, "fr")
+    return lambda: add_language(store, "urn:test:mini", {"art1_cpt": "Premier.", "art2_cpt": "Encore."}, "fr")
+
+
+@pytest.mark.parametrize("setup, error", [
+    pytest.param(_repeal_art1_then_amend_its_caput, NoOpenVersion, id="closed-ancestor"),
+    pytest.param(_repeat_an_event, MalformedInput, id="duplicate-event"),
+    pytest.param(_amend_before_the_parent_changed, OutOfOrderEvent, id="ancestor-out-of-order"),
+    pytest.param(_amend_a_container, StructureError, id="amend-textless-target"),
+    pytest.param(_insert_a_taken_fragment, MalformedInput, id="insert-taken-fragment"),
+    pytest.param(_insert_a_misplaced_component, StructureError, id="insert-misplaced-component"),
+    pytest.param(_translate_an_unknown_fragment, UnknownWork, id="translate-unknown-fragment"),
+    pytest.param(_translate_twice, TranslationConflict, id="translate-conflict"),
+])
+def test_a_rejected_call_leaves_the_store_unchanged(setup, error):
+    store = GraphStore()
+    enact(store, parse_document(mini_doc()))
+    call = setup(store)
+    before = {name: copy.deepcopy(getattr(store, name)) for name in _STORE_STATE}
+    with pytest.raises(error):
+        call()
+    for name in _STORE_STATE:
+        assert getattr(store, name) == before[name], name
+
+
+def _node_lines_digest(path: Path) -> str:
+    """SHA-256 of a snapshot's node lines with their embeddings stripped.
+
+    Embeddings are left out so that numpy's summation order cannot move
+    the digest; every other byte of every node line counts.
+    """
+    digest = hashlib.sha256()
+    with open(path, encoding="utf-8") as fh:
+        next(fh)  # the meta header
+        for line in fh:
+            record = json.loads(line)
+            record.pop("embedding", None)
+            digest.update(json.dumps(record, ensure_ascii=False, separators=(",", ":")).encode())
+            digest.update(b"\n")
+    return digest.hexdigest()
+
+
+# Together these seeds hold insertions of an article with its caput,
+# repeals and same-day events, none of which the golden fixture pins.
+@pytest.mark.parametrize("seed, expected", [
+    (1, "93c506a88d9701ba77cf6c75a09480a639aedd787ea7af1f79a30f8eb0289036"),
+    (9, "07a04faf547c4818e93fdc542cb2b398561b535df58f5482ba15e3285faa1478"),
+    (18, "b4415158d98ea7a8629d3b9ca4427a654a376867d34c81ead9661eab01ee0298"),
+])
+def test_synthetic_snapshots_are_pinned(seed, expected, tmp_path):
+    store = build_store(generate_corpus(seed))
+    store.commit()
+    save(store, tmp_path / "s.ndjson")
+    assert _node_lines_digest(tmp_path / "s.ndjson") == expected

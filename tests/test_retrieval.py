@@ -47,9 +47,6 @@ class TestDefaultEmbedder:
         vec = default_embed("")
         assert float(np.linalg.norm(vec)) == 0.0
 
-    def test_dimension_configurable(self):
-        assert default_embed("x", dimension=64).shape == (64,)
-
     def test_idf_downweights_common_tokens(self):
         embedder = HashedTfidfEmbedder(df={"the": 90, "rare": 1}, n_units=100)
         assert embedder.idf("rare") > embedder.idf("the")

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normgraph.errors import DanglingReference, MalformedSnapshot
-from normgraph.model import validate_graph
+from normgraph.model import EMBEDDING_DIMENSION, validate_graph
 from normgraph.store import load, save
 
 JSON_VALUES = st.recursive(
@@ -115,7 +115,7 @@ def _load_a_mutated_record(snapshot_path, fuzz_dir, data, kinds) -> None:
     assert validate_graph(store) == []
     # The norms checked at load are those of the matrix built on first read.
     norms = store.embedding_norms()
-    assert store.embeddings.shape == (len(store.units), store.embedding_dimension)
+    assert store.embeddings.shape == (len(store.units), EMBEDDING_DIMENSION)
     assert set(store.unit_len) == set(store.units)
     resaved = fuzz_dir / "resaved.ndjson"
     save(store, resaved)

@@ -19,6 +19,7 @@ from normgraph.model import (
     ActionNode,
     ActionType,
     Aspect,
+    EMBEDDING_DIMENSION,
     LanguageVersion,
     TemporalVersion,
     TextUnit,
@@ -474,7 +475,7 @@ class TestDerivedColumns:
 class TestEmbeddingMatrix:
     def test_one_read_only_row_per_unit_in_sorted_id_order(self, fixture_store):
         matrix = fixture_store.embeddings
-        assert matrix.shape == (len(fixture_store.units), fixture_store.embedding_dimension)
+        assert matrix.shape == (len(fixture_store.units), EMBEDDING_DIMENSION)
         assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
         assert list(fixture_store.unit_rows) == sorted(fixture_store.units)
         assert list(fixture_store.unit_rows.values()) == list(range(len(matrix)))
@@ -642,8 +643,6 @@ class TestEmbeddingMatrix:
 
     def test_commit_rejects_an_embedder_of_another_shape(self):
         class Short:
-            dimension = 8
-
             def embed(self, text):
                 return np.ones(8)
 
