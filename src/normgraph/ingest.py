@@ -532,11 +532,17 @@ def enact(store: GraphStore, doc: SourceDocument) -> str:
     """Create the full work tree, initial versions, and the enactment action.
 
     Only the norm's metadata is textualized: a component's is its heading
-    and label, which are presentation keys.
+    and label, which are presentation keys. The enactment action's id is
+    built from the short title (else the title), so a second norm with the
+    same one is rejected before anything is written.
     """
     norm = doc.norm
     if norm.urn in store.works:
         raise DuplicateNorm(norm.urn)
+    action_id = f"act:{_slug(norm.short_title or norm.title)}:enactment"
+    if action_id in store.actions:
+        raise MalformedInput(f"duplicate enactment: {action_id!r} already exists; "
+                             f"{norm.urn!r} shares its short title with an enacted norm")
     start = norm.publication_date
     store.add_work(_norm_work(norm, publication_date=start.isoformat(), language=norm.language))
     produced: list[str] = []
@@ -545,8 +551,8 @@ def enact(store: GraphStore, doc: SourceDocument) -> str:
                  for record in doc.body]
     produced.append(store.add_ctv(TemporalVersion(
         work=norm.urn, validity=ValidityInterval(start), aggregates=tuple(root_cids))))
-    action_id = _record_action(store, ActionNode(
-        id=f"act:{_slug(norm.short_title or norm.title)}:enactment",
+    _record_action(store, ActionNode(
+        id=action_id,
         action_type=ActionType.ENACTMENT,
         enactment_date=start,
         effective_date=start,
@@ -684,6 +690,10 @@ def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str
         taken = sorted(f for f in seen if f"{target.id.norm_urn}{FRAGMENT_SEP}{f}" in store.works)
         if taken:
             raise MalformedInput(f"inserted fragment {taken[0]!r} already exists")
+        if instrument.urn == target.id.norm_urn and ev.source_provision in seen:
+            # Its stub would be written first and take the inserted work's urn.
+            raise MalformedInput(
+                f"source provision {ev.source_provision!r} is a fragment this event inserts")
     elif current.validity.valid_start == effective:
         raise OutOfOrderEvent(ev.target, effective, current.validity.valid_start)
     elif ev.action_type is ActionType.AMENDMENT and not store.clvs_by_ctv.get(current.id):

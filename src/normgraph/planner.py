@@ -23,7 +23,7 @@ from .errors import (
     UnknownAlias,
     UnplannableQuery,
 )
-from .model import ActionNode, Aspect
+from .model import ActionNode, Aspect, TemporalVersion
 from .retrieval import (
     RetrievalMode,
     RetrievalRequest,
@@ -398,102 +398,73 @@ def run_impact_analysis(store: GraphStore, q: StructuredQuery) -> Answer:
     return _finish(q, "\n".join(lines), [], action_records, [], 1.0)
 
 
-@dataclass(frozen=True)
-class ProvenanceChain:
-    """Causal transition from the last pre-state into the introducing action.
-
-    ``actions``: the pre-state's producer (if any), then the post-state's.
-    """
-
-    work: str
-    pre_ctv: str | None
-    post_ctv: str
-    actions: tuple[str, ...]
-
-
-def _assemble_chain(store: GraphStore, work: str, post_ctv: str) -> ProvenanceChain:
-    chain = store.versions.get(work, [])
-    index = bisect_left(store.version_starts.get(work, []),
-                        store.ctvs[post_ctv].validity.valid_start)
-    pre_ctv = chain[index - 1] if index > 0 else None
-    actions: list[str] = []
-    if pre_ctv is not None:
-        actions.append(store.produced_by[pre_ctv])
-    actions.append(store.produced_by[post_ctv])
-    return ProvenanceChain(work, pre_ctv, post_ctv, tuple(actions))
-
-
-def _chain_report(store: GraphStore, chain: ProvenanceChain, term: str,
-                  language: str | None,
-                  fallback: bool) -> tuple[list[str], list[tuple[str, str, str]]]:
-    lines: list[str] = []
-    citations: list[tuple[str, str, str]] = []
-    post_tv = store.ctvs[chain.post_ctv]
-    causal = store.actions[chain.actions[-1]]
-
-    def cite(cid: str) -> None:
-        lv_id = store.clv_for(cid, chain.work, language, fallback)
-        if lv_id:
-            citations.append((chain.work, cid, lv_id))
-
-    if chain.pre_ctv is not None:
-        pre_tv = store.ctvs[chain.pre_ctv]
-        last_day = pre_tv.validity.last_valid_day
-        pre_producer = store.actions[chain.actions[0]]
-        lines.append(
-            f'Pre-state: valid until {last_day.isoformat()} (no mention of "{term}")')
-        lines.append(
-            f"  Last change by: {pre_producer.short_label}. Source CTV: {pre_tv.id}")
-        cite(chain.pre_ctv)
-    else:
-        lines.append("Pre-state: none (term present since original enactment)")
-    lines.append(
-        f"Causal event: {causal.short_label} "
-        f"(effective {causal.effective_date.isoformat()})")
-    lines.append(f'  Effect: Inserted the term "{term}"'
-                 if chain.pre_ctv is not None
-                 else f'  Effect: Enacted with the term "{term}"')
-    lines.append(f"Post-state: valid from {post_tv.validity.valid_start.isoformat()}")
-    lines.append(f"  Source CTV: {post_tv.id}")
-    cite(chain.post_ctv)
-    chain_render = " -> ".join(f"[{store.actions[aid].short_label}]" for aid in chain.actions)
-    lines.append("Audit trail:")
-    lines.append(f"  Causal chain: {chain_render}")
-    lines.append("  Match confidence: Exact (1.0)")
-    return lines, citations
+def _pre_state(store: GraphStore, tv: TemporalVersion) -> str | None:
+    """The version before ``tv`` in its work's chain, or None for the first."""
+    index = bisect_left(store.version_starts[tv.work], tv.validity.valid_start)
+    return store.versions[tv.work][index - 1] if index else None
 
 
 def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
-    """Trace the introduction of a text span back to its causing actions."""
+    """Trace the introduction of a text span back to its causing actions.
+
+    ``span_first`` reads the term's postings and ``structure_first`` walks
+    the version chains of the entry's scope. Span location returns
+    introductions in (work, chain position) order, and each is rendered in
+    one pass: its pre-state (the chain predecessor), the causal event, the
+    post-state and the audit trail.
+    """
     term = q.textual_target
-    t = resolve_instant(q.temporal)
-    scope = _scope_works(store, q, t)
-    spans = locate_spans(store, term, scope, q.language, q.language_fallback)
+    language, fallback = q.language, q.language_fallback
+    scope = _scope_works(store, q, resolve_instant(q.temporal))
+    # Positional: perfbench's tracer wraps planner.locate_spans and reads args[2].
+    spans = locate_spans(store, term, scope, language, fallback,
+                         by_postings=select_strategy(q) is Strategy.SPAN_FIRST)
     introductions = [s for s in spans if s.first_containing]
     if not introductions:
         raise TermNotFound(term, q.entry)
-    introductions.sort(key=lambda s: (s.work, store.ctvs[s.ctv].validity.valid_start))
 
-    chains = [_assemble_chain(store, span.work, span.ctv) for span in introductions]
     lines = [f'Provenance report: "{term}" in {_entry_label(store, q)}']
     citations: list[tuple[str, str, str]] = []
     action_records: list[dict] = []
-    for i, chain in enumerate(chains):
-        if len(chains) > 1:
-            lines.append(f"--- occurrence {i + 1}: {store.works[chain.work].label} ---")
-        chain_lines, chain_citations = _chain_report(store, chain, term, q.language,
-                                                     q.language_fallback)
-        lines.extend(chain_lines)
-        citations.extend(chain_citations)
-        for aid in chain.actions:
-            action = store.actions[aid]
-            action_records.append({
-                "action": aid,
-                "target": chain.work,
-                "date": action.effective_date.isoformat(),
-            })
-    chains_annex = [list(chain.actions) for chain in chains]
-    return _finish(q, "\n".join(lines), citations, action_records, chains_annex, 1.0)
+    chains: list[list[str]] = []
+    numbered = len(introductions) > 1
+    for i, span in enumerate(introductions, start=1):
+        work, post_ctv = span.work, span.ctv
+        post_tv = store.ctvs[post_ctv]
+        pre_ctv = _pre_state(store, post_tv)
+        causal = store.actions[store.produced_by[post_ctv]]
+        if numbered:
+            lines.append(f"--- occurrence {i}: {store.works[work].label} ---")
+        if pre_ctv is None:
+            lines.append("Pre-state: none (term present since original enactment)")
+            effect, chain = "Enacted with", (causal,)
+        else:
+            pre_producer = store.actions[store.produced_by[pre_ctv]]
+            last_day = store.ctvs[pre_ctv].validity.last_valid_day
+            lines.append(f'Pre-state: valid until {last_day.isoformat()} (no mention of "{term}")')
+            lines.append(f"  Last change by: {pre_producer.short_label}. Source CTV: {pre_ctv}")
+            lv_id = store.clv_for(pre_ctv, work, language, fallback)
+            if lv_id:
+                citations.append((work, pre_ctv, lv_id))
+            effect, chain = "Inserted", (pre_producer, causal)
+        trail = " -> ".join([f"[{action.short_label}]" for action in chain])
+        lines += (
+            f"Causal event: {causal.short_label} "
+            f"(effective {causal.effective_date.isoformat()})",
+            f'  Effect: {effect} the term "{term}"',
+            f"Post-state: valid from {post_tv.validity.valid_start.isoformat()}",
+            f"  Source CTV: {post_ctv}",
+            "Audit trail:",
+            f"  Causal chain: {trail}",
+            "  Match confidence: Exact (1.0)",
+        )
+        # The locator found the term in the wording this rule picks, so there is one.
+        citations.append((work, post_ctv, store.clv_for(post_ctv, work, language, fallback)))
+        for action in chain:
+            action_records.append({"action": action.id, "target": work,
+                                   "date": action.effective_date.isoformat()})
+        chains.append([action.id for action in chain])
+    return _finish(q, "\n".join(lines), citations, action_records, chains, 1.0)
 
 
 def run_retrieve(store: GraphStore, q: StructuredQuery) -> Answer:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
@@ -299,37 +300,81 @@ def _contains_tokens(haystack: list[str], needle: list[str]) -> bool:
     return any(haystack[i:i + n] == needle for i in range(len(haystack) - n + 1))
 
 
+def _holds(store: GraphStore, uid: str, needle: list[str]) -> bool:
+    """Whether a unit already in every needle token's postings holds the tokens adjacently."""
+    return len(needle) == 1 or _contains_tokens(tokenize(store.units[uid].text), needle)
+
+
+def _walk_chains(store: GraphStore, needle: list[str], postings: list[dict[str, int]],
+                 scope: frozenset[str], language: str | None,
+                 fallback: bool) -> list[tuple[str, int, str]]:
+    """(work, chain position, CTV) of each scoped version whose chosen wording holds the needle."""
+    found: list[tuple[str, int, str]] = []
+    for urn in sorted(scope):
+        for index, cid in enumerate(store.versions.get(urn, ())):
+            lv_id = store.clv_for(cid, urn, language, fallback)
+            if lv_id is None:
+                continue
+            uid = store.clvs[lv_id].text_unit
+            if all(uid in p for p in postings) and _holds(store, uid, needle):
+                found.append((urn, index, cid))
+    return found
+
+
+def _read_postings(store: GraphStore, needle: list[str], postings: list[dict[str, int]],
+                   scope: frozenset[str], language: str | None,
+                   fallback: bool) -> list[tuple[str, int, str]]:
+    """The same versions as ``_walk_chains``, found from the units in every token's postings."""
+    candidates = postings[0].keys()
+    for p in postings[1:]:
+        candidates &= p.keys()
+    units, clvs, ctvs, starts = store.units, store.clvs, store.ctvs, store.version_starts
+    found: list[tuple[str, int, str]] = []
+    for uid in candidates:
+        lv = clvs.get(units[uid].owner)
+        # Only a language version's own unit is its wording.
+        if lv is None or lv.text_unit != uid:
+            continue
+        tv = ctvs[lv.temporal_version]
+        if (tv.work in scope and store.clv_for(tv.id, tv.work, language, fallback) == lv.id
+                and _holds(store, uid, needle)):
+            found.append((tv.work, bisect_left(starts[tv.work], tv.validity.valid_start), tv.id))
+    return sorted(found)
+
+
 def locate_spans(store: GraphStore, term: str, scope: Iterable[str],
-                 language: str | None = None, fallback: bool = True) -> list[SpanLocation]:
+                 language: str | None = None, fallback: bool = True,
+                 by_postings: bool = False) -> list[SpanLocation]:
     """Exact (token-normalized) term occurrences across full version history.
 
     ``first_containing`` marks versions whose predecessor lacks the term:
     the introduction points that provenance chains are anchored on. A
     version with no wording in ``language`` is read in the work's primary
     language when ``fallback`` is on, and otherwise contains nothing.
-    Membership is read from the committed store's term index: a unit
-    contains the term only if it is in the postings of every distinct
-    needle token, and only multi-token needles re-read the unit's text to
-    check adjacency.
+    Locations come in (work, chain position) order.
+
+    Membership is read from the committed store's term index (inverted-file
+    evaluation, after Zobel & Moffat), by one of two access paths that find
+    the same locations. By default the scope's version chains are walked
+    and each version's chosen wording is looked up in the postings of every
+    distinct needle token: one lookup per version in scope. With
+    ``by_postings`` the postings are read first: they are intersected,
+    smallest first, and each content unit is mapped to its language
+    version, temporal version and work, and kept only if its work is in
+    ``scope`` and ``GraphStore.clv_for`` picks that language version: one
+    lookup per unit holding the term, wherever it is. Either way only
+    multi-token needles re-read a unit's text to check adjacency.
     """
     needle = tokenize(term)
     postings = [store.term_index.get(token) for token in dict.fromkeys(needle)]
     if not needle or not all(postings):
         return []
-    phrase = len(needle) > 1
+    postings.sort(key=len)
+    read = _read_postings if by_postings else _walk_chains
     out: list[SpanLocation] = []
-    for urn in sorted(set(scope)):
-        previous_contains = False
-        for cid in store.versions.get(urn, ()):
-            lv_id = store.clv_for(cid, urn, language, fallback)
-            if lv_id is None:
-                previous_contains = False
-                continue
-            uid = store.clvs[lv_id].text_unit
-            contains = all(uid in p for p in postings)
-            if contains and phrase:
-                contains = _contains_tokens(tokenize(store.units[uid].text), needle)
-            if contains:
-                out.append(SpanLocation(urn, cid, first_containing=not previous_contains))
-            previous_contains = contains
+    # In this order a version's chain predecessor, if it holds the term, comes just before it.
+    previous = ("", -1)
+    for urn, index, cid in read(store, needle, postings, frozenset(scope), language, fallback):
+        out.append(SpanLocation(urn, cid, first_containing=(urn, index - 1) != previous))
+        previous = (urn, index)
     return out

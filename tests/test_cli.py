@@ -12,6 +12,8 @@ import normgraph
 from normgraph.cli import main
 from normgraph.fixture_corpus import build_fixture_corpus
 
+from test_ingest import mini_doc
+
 
 @pytest.fixture()
 def snapshot_file(corpus_dir, tmp_path):
@@ -42,6 +44,16 @@ class TestIngestCommand:
         (corpus / "ca_26_2000.satev.json").write_text(json.dumps(bad))
         assert main(["ingest", str(corpus), "--out", str(tmp_path / "x.ndjson")]) == 3
         assert "artX" in capsys.readouterr().err
+
+    def test_two_norms_with_one_short_title_fail(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name, urn in (("a", "urn:test:mini"), ("b", "urn:test:mini2")):
+            doc = mini_doc()
+            doc["norm"]["urn"] = urn
+            (corpus / f"{name}.satdoc.json").write_text(json.dumps(doc))
+        assert main(["ingest", str(corpus), "--out", str(tmp_path / "x.ndjson")]) == 3
+        assert "duplicate enactment" in capsys.readouterr().err
 
 
 class TestQueryDates:

@@ -638,6 +638,21 @@ def _insert_a_misplaced_component(store):
         {"fragment": "art1_it1", "type": "item", "text": "Items belong under a caput."}]))
 
 
+def _enact_a_norm_with_a_taken_short_title(store):
+    doc = mini_doc()
+    doc["norm"]["urn"] = "urn:test:mini2"
+    return lambda: enact(store, parse_document(doc))
+
+
+def _insert_the_events_own_source_provision(store):
+    file_dict = amendment_file("urn:test:mini", "2003-06-01", "", components=[
+        {"fragment": "art9", "type": "article", "children": [
+            {"fragment": "art9_cpt", "type": "caput", "text": "Inserted."}]}])
+    file_dict["instrument"] = mini_doc()["norm"]
+    file_dict["events"][0]["source_provision"] = "art9"
+    return lambda: apply_file(store, file_dict)
+
+
 def _translate_an_unknown_fragment(store):
     return lambda: add_language(store, "urn:test:mini", {"art1_cpt": "ola", "zz": "x"}, "pt")
 
@@ -654,6 +669,10 @@ def _translate_twice(store):
     pytest.param(_amend_a_container, StructureError, id="amend-textless-target"),
     pytest.param(_insert_a_taken_fragment, MalformedInput, id="insert-taken-fragment"),
     pytest.param(_insert_a_misplaced_component, StructureError, id="insert-misplaced-component"),
+    pytest.param(_enact_a_norm_with_a_taken_short_title, MalformedInput,
+                 id="enact-taken-short-title"),
+    pytest.param(_insert_the_events_own_source_provision, MalformedInput,
+                 id="insert-own-source-provision"),
     pytest.param(_translate_an_unknown_fragment, UnknownWork, id="translate-unknown-fragment"),
     pytest.param(_translate_twice, TranslationConflict, id="translate-conflict"),
 ])

@@ -13,11 +13,12 @@ from normgraph.model import (
     ActionType,
     Aspect,
     TemporalVersion,
+    TextUnit,
     ValidityInterval,
     interval_contains,
     validate_graph,
 )
-from normgraph.planner import QueryPattern, StructuredQuery, _assemble_chain, run
+from normgraph.planner import QueryPattern, StructuredQuery, _pre_state, run
 from normgraph.retrieval import (
     RetrievalHit,
     RetrievalMode,
@@ -293,12 +294,32 @@ class TestIndexBackedSpans:
                             seed, term, language)
                         for span in got:
                             chain = store.versions[span.work]
-                            pre = _assemble_chain(store, span.work, span.ctv).pre_ctv
+                            pre = _pre_state(store, store.ctvs[span.ctv])
                             index = chain.index(span.ctv)
                             assert pre == (chain[index - 1] if index else None)
             translated += any(lv.language == "es" for lv in store.clvs.values())
         # The probes must have reached the cases they are meant to cover.
         assert repealed >= 5 and translated >= 30
+
+    def test_postings_first_matches_the_chain_walk(self):
+        """Both access paths find the reference walk's locations, whole corpus or part."""
+        found = 0
+        for seed in range(40):
+            _, store = _committed_store(seed)
+            rng = random.Random(seed)
+            works = sorted(store.works)
+            scopes = [works, rng.sample(works, len(works) // 2)]
+            for term in _probe_terms(store, rng):
+                for scope in scopes:
+                    for language in (None, "es", "en"):
+                        for fallback in (True, False):
+                            walked = _reference_spans(store, term, scope, language, fallback)
+                            for by_postings in (False, True):
+                                got = locate_spans(store, term, scope, language, fallback,
+                                                   by_postings)
+                                assert got == walked, (seed, term, language, fallback)
+                            found += len(walked)
+        assert found > 10_000
 
     def test_translated_wording_is_searched_in_the_requested_language(self):
         _, store = _committed_store(3)
@@ -343,7 +364,9 @@ class TestIndexBackedSpans:
                         store, request)} == expected, (seed, t, language)
                 for term in terms:
                     spans = _reference_spans(store, term, works, language, fallback)
-                    assert locate_spans(store, term, works, language, fallback) == spans
+                    for by_postings in (False, True):
+                        assert locate_spans(store, term, works, language, fallback,
+                                            by_postings) == spans
                     query = StructuredQuery(QueryPattern.PROVENANCE, textual_target=term,
                                             language=language, language_fallback=fallback)
                     try:
@@ -360,7 +383,21 @@ class TestIndexBackedSpans:
     def test_uncommitted_store_has_no_term_index(self):
         corpus = synthcorpus.generate_corpus(1)
         store = synthcorpus.build_store(corpus)
-        assert locate_spans(store, "provision", sorted(store.works)) == []
+        for by_postings in (False, True):
+            assert locate_spans(store, "provision", sorted(store.works),
+                                by_postings=by_postings) == []
+
+    def test_a_second_unit_of_a_language_version_is_not_its_wording(self):
+        corpus = synthcorpus.generate_corpus(1)
+        store = synthcorpus.build_store(corpus)
+        lv = next(iter(store.clvs.values()))
+        store.add_unit(TextUnit(id="tu:stray", aspect=Aspect.CONTENT, owner=lv.id,
+                                language=lv.language, text="zebra"))
+        store.commit()
+        assert "tu:stray" in store.term_index["zebra"]
+        for by_postings in (False, True):
+            assert locate_spans(store, "zebra", sorted(store.works),
+                                by_postings=by_postings) == []
 
 
 def _reached(store: GraphStore, tv: TemporalVersion):
