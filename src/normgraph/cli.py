@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--report", help="write the JSON metric report here")
     p_eval.add_argument("--clock", metavar="DATE", help="injected current date")
 
-    p_fixture = sub.add_parser("fixture", help="write the reference corpus files")
+    p_fixture = sub.add_parser("fixture", help="copy the reference corpus files")
     p_fixture.add_argument("--out", default="fixtures", help="destination directory")
     return parser
 
@@ -195,10 +195,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixture(args: argparse.Namespace) -> int:
-    from . import fixture_corpus
+    from importlib import resources
 
-    written = fixture_corpus.build_fixture_corpus(args.out)
-    for path in written:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    shipped = resources.files(__package__).joinpath("fixtures").iterdir()
+    for source in sorted(shipped, key=lambda entry: entry.name):
+        path = out / source.name
+        path.write_bytes(source.read_bytes())
         print(path)
     return EXIT_OK
 

@@ -3,11 +3,13 @@
 Errors fall into three families used by the CLI for exit codes:
 query errors (bad or unanswerable query), data errors (broken input
 files or graph state), and threshold failures (eval metrics below a
-required minimum).
+required minimum). ``decode_input`` and ``json_field`` read corpus and
+truth files, so a file of the wrong shape raises MalformedInput.
 """
 
 from __future__ import annotations
 
+import json
 from datetime import date
 
 
@@ -46,6 +48,49 @@ class MalformedInput(DataError):
     def __init__(self, message: str, path: str | None = None):
         super().__init__(f"{path or '<input>'}: {message}")
         self.path = path
+
+
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer", bool: "boolean"}
+_REQUIRED = object()
+
+
+def json_field(data, key: str, path: str | None, kind: type = str, default=_REQUIRED,
+               items: type | None = None):
+    """``data[key]`` from a corpus or truth file, checked against its JSON type.
+
+    ``data`` must be an object and the value must be a ``kind``; ``items``
+    is the type of each element of an array, or each value of an object.
+    An absent or null field gives ``default``, and without one it is
+    missing. Any of these faults raises MalformedInput.
+    """
+    if not isinstance(data, dict):
+        raise MalformedInput(f"expected a JSON object, got {data!r:.60}", path)
+    value = data.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise MalformedInput(f"missing required field {key!r}", path)
+        return default
+    elements = value.values() if isinstance(value, dict) else value
+    if not isinstance(value, kind) or (items and not all(isinstance(v, items) for v in elements)):
+        expected = _JSON_TYPES[kind] + (f" of {_JSON_TYPES[items]}s" if items else "")
+        raise MalformedInput(f"field {key!r} must be a JSON {expected}, got {value!r:.60}", path)
+    return value
+
+
+def decode_input(source: str | dict, path: str | None, format_version: int) -> dict:
+    """A corpus or truth file's top-level object, read from its text or parsed value.
+
+    Text that is not JSON, a value that is not an object, or a
+    ``format_version`` other than the one given raises MalformedInput.
+    """
+    try:
+        data = json.loads(source) if isinstance(source, str) else source
+    except ValueError as exc:
+        raise MalformedInput(f"not JSON: {exc}", path) from None
+    version = json_field(data, "format_version", path, int, None)
+    if version != format_version:
+        raise MalformedInput(f"unsupported format_version {version!r}", path)
+    return data
 
 
 class StructureError(DataError):

@@ -8,12 +8,12 @@ over id sets so they stay order-insensitive and trivially parallel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import date
+from enum import Enum
 from pathlib import Path
 
-from .errors import MalformedInput, MalformedQuery, MismatchedQueryIds
+from .errors import MalformedInput, MalformedQuery, MismatchedQueryIds, decode_input, json_field
 from .model import Aspect, parse_iso_date
 from .planner import Answer, QueryPattern, StructuredQuery, run
 from .retrieval import RetrievalMode
@@ -41,27 +41,25 @@ class GroundTruth:
 
 
 def parse_truth_file(source: str | dict, path: str | None = None) -> GroundTruth:
-    data = json.loads(source) if isinstance(source, str) else source
-    if data.get("format_version") != FORMAT_VERSION:
-        raise MalformedInput(f"unsupported format_version {data.get('format_version')!r}", path)
+    data = decode_input(source, path, FORMAT_VERSION)
     queries = []
-    for item in data.get("queries", ()):
+    for item in json_field(data, "queries", path, list, ()):
+        qid = json_field(item, "id", path)
         try:
-            pattern = QueryPattern(item["pattern"])
-        except (KeyError, ValueError):
-            raise MalformedInput(f"bad pattern in query {item.get('id')!r}", path) from None
-        if "id" not in item or "query" not in item:
-            raise MalformedInput("truth queries need 'id' and 'query'", path)
+            pattern = QueryPattern(json_field(item, "pattern", path))
+        except ValueError:
+            raise MalformedInput(f"bad pattern in query {qid!r}", path) from None
         queries.append(TruthQuery(
-            id=item["id"],
+            id=qid,
             pattern=pattern,
-            query=dict(item["query"]),
-            expected_ctvs=frozenset(item.get("expected_ctvs", ())),
+            query=dict(json_field(item, "query", path, dict)),
+            expected_ctvs=frozenset(json_field(item, "expected_ctvs", path, list, (), str)),
             expected_actions=frozenset(
-                (a, w) for a, w in item.get("expected_actions", ())),
-            expected_chains=tuple(tuple(c) for c in item.get("expected_chains", ())),
+                (a, w) for a, w in json_field(item, "expected_actions", path, list, (), list)),
+            expected_chains=tuple(
+                tuple(c) for c in json_field(item, "expected_chains", path, list, (), list)),
         ))
-    clock = data.get("clock")
+    clock = json_field(data, "clock", path, str, None)
     try:
         clock = parse_iso_date(clock) if clock else None
     except ValueError as exc:
@@ -77,10 +75,20 @@ def query_date(value: str) -> date:
         raise MalformedQuery(str(exc)) from None
 
 
+def _choice(kind: type[Enum], value):
+    """``kind(value)``, or MalformedQuery naming the values ``kind`` allows."""
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(member.value for member in kind)
+        raise MalformedQuery(f"{value!r} is not one of: {allowed}") from None
+
+
 def build_query(pattern: QueryPattern, mapping: dict) -> StructuredQuery:
     """Translate a truth-file (or CLI-shaped) query mapping into a record.
 
-    A date that is not YYYY-MM-DD, or a reversed ``between``, raises
+    A date that is not YYYY-MM-DD, a reversed ``between``, or an aspect,
+    mode, membership or policy value that names no member raises
     MalformedQuery.
     """
     temporal = None
@@ -88,13 +96,13 @@ def build_query(pattern: QueryPattern, mapping: dict) -> StructuredQuery:
         temporal = TemporalScope.instant(query_date(mapping["at"]))
     elif "between" in mapping:
         t1, t2 = (query_date(d) for d in mapping["between"])
-        policy = SnapshotPolicy(mapping.get("policy", "snapshot_last"))
+        policy = _choice(SnapshotPolicy, mapping.get("policy", "snapshot_last"))
         try:
             temporal = TemporalScope.interval(t1, t2, policy)
         except ValueError as exc:  # a reversed window
             raise MalformedQuery(str(exc)) from None
     aspects = frozenset(
-        Aspect(a) for a in mapping.get("aspects", ())) or frozenset({Aspect.CONTENT})
+        _choice(Aspect, a) for a in mapping.get("aspects", ())) or frozenset({Aspect.CONTENT})
     return StructuredQuery(
         pattern=pattern,
         structural_target=mapping.get("target"),
@@ -102,9 +110,9 @@ def build_query(pattern: QueryPattern, mapping: dict) -> StructuredQuery:
         temporal=temporal,
         textual_target=mapping.get("term") or mapping.get("text"),
         language=mapping.get("lang"),
-        membership=MembershipPolicy(mapping.get("membership", "snapshot_anchored")),
+        membership=_choice(MembershipPolicy, mapping.get("membership", "snapshot_anchored")),
         k=int(mapping.get("k", 8)),
-        mode=RetrievalMode(mapping.get("mode", "vector")),
+        mode=_choice(RetrievalMode, mapping.get("mode", "vector")),
         aspects=aspects,
         language_fallback=bool(mapping.get("language_fallback", True)),
         include_future_actions=bool(mapping.get("include_future_actions", False)),

@@ -35,6 +35,8 @@ from .errors import (
     TranslationConflict,
     UnknownTarget,
     UnknownWork,
+    decode_input,
+    json_field,
 )
 from .model import (
     ActionNode,
@@ -168,12 +170,6 @@ class TranslationFile:
 # -- parsing ------------------------------------------------------------------
 
 
-def _req(data: dict, key: str, path: str | None):
-    if key not in data:
-        raise MalformedInput(f"missing required field {key!r}", path)
-    return data[key]
-
-
 def _parse_date_field(value, key: str, path: str | None) -> date:
     try:
         return parse_iso_date(value)
@@ -188,26 +184,26 @@ def _parse_component(
     seen_fragments: set[str],
     path: str | None,
 ) -> ComponentRecord:
-    fragment = _req(data, "fragment", path)
+    fragment = json_field(data, "fragment", path)
     if fragment in seen_fragments:
         raise DuplicateFragment(fragment)
     seen_fragments.add(fragment)
     try:
-        ctype = ComponentType(_req(data, "type", path))
+        ctype = ComponentType(json_field(data, "type", path))
     except ValueError:
-        raise MalformedInput(f"unknown component type {data.get('type')!r}", path) from None
+        raise MalformedInput(f"unknown component type {data['type']!r}", path) from None
     allowed = STRUCTURE_RULES[parent_type]
     if ctype not in allowed:
         parent_name = parent_type.value if parent_type else "norm"
         raise StructureError(f"{ctype.value} may not nest under {parent_name} ({fragment})")
-    ordinal = data.get("ordinal", position)
+    ordinal = json_field(data, "ordinal", path, int, position)
     if ordinal != position:
         raise StructureError(f"ordinal {ordinal} of {fragment!r} does not match position {position}")
     children = tuple(
         _parse_component(child, i, ctype, seen_fragments, path)
-        for i, child in enumerate(data.get("children", ()))
+        for i, child in enumerate(json_field(data, "children", path, list, ()))
     )
-    text = data.get("text")
+    text = json_field(data, "text", path, str, None)
     bears_text = ctype in TEXT_BEARING_TYPES or (ctype is ComponentType.ARTICLE and not children)
     if bears_text and text is None:
         raise StructureError(f"{ctype.value} {fragment!r} must carry text")
@@ -217,43 +213,37 @@ def _parse_component(
         fragment=fragment,
         component_type=ctype,
         ordinal=position,
-        heading=data.get("heading"),
-        label=data.get("label"),
+        heading=json_field(data, "heading", path, str, None),
+        label=json_field(data, "label", path, str, None),
         text=text,
-        synthetic=bool(data.get("synthetic", False)),
-        aliases=tuple(data.get("aliases", ())),
+        synthetic=json_field(data, "synthetic", path, bool, False),
+        aliases=tuple(json_field(data, "aliases", path, list, (), str)),
         children=children,
     )
 
 
 def _parse_norm_meta(data: dict, path: str | None) -> NormMeta:
     return NormMeta(
-        urn=_req(data, "urn", path),
-        title=_req(data, "title", path),
+        urn=json_field(data, "urn", path),
+        title=json_field(data, "title", path),
         publication_date=_parse_date_field(
-            _req(data, "publication_date", path), "publication_date", path),
-        language=data.get("language", "en"),
-        short_title=data.get("short_title"),
-        aliases=tuple(data.get("aliases", ())),
-        metadata=metadata_tuple(data.get("metadata", {})),
+            json_field(data, "publication_date", path), "publication_date", path),
+        language=json_field(data, "language", path, str, "en"),
+        short_title=json_field(data, "short_title", path, str, None),
+        aliases=tuple(json_field(data, "aliases", path, list, (), str)),
+        metadata=metadata_tuple(json_field(data, "metadata", path, dict, {})),
     )
 
 
 def _parse_themes(data: dict, path: str | None) -> tuple[ThemeSpec, ...]:
     specs = []
-    for item in data.get("themes", ()):
+    for item in json_field(data, "themes", path, list, ()):
         specs.append(ThemeSpec(
-            label=_req(item, "label", path),
-            description=_req(item, "description", path),
-            members=tuple(item.get("members", ())),
+            label=json_field(item, "label", path),
+            description=json_field(item, "description", path),
+            members=tuple(json_field(item, "members", path, list, (), str)),
         ))
     return tuple(specs)
-
-
-def _check_format_version(data: dict, path: str | None) -> None:
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        raise MalformedInput(f"unsupported format_version {version!r}", path)
 
 
 def parse_document(source: str | dict, path: str | None = None) -> SourceDocument:
@@ -262,49 +252,49 @@ def parse_document(source: str | dict, path: str | None = None) -> SourceDocumen
     The tree mirrors the input nesting exactly and leaf text is preserved
     byte-for-byte.
     """
-    data = json.loads(source) if isinstance(source, str) else source
-    _check_format_version(data, path)
-    norm = _parse_norm_meta(_req(data, "norm", path), path)
+    data = decode_input(source, path, FORMAT_VERSION)
+    norm = _parse_norm_meta(json_field(data, "norm", path, dict), path)
     seen: set[str] = set()
     body = tuple(
         _parse_component(child, i, None, seen, path)
-        for i, child in enumerate(data.get("body", ())))
+        for i, child in enumerate(json_field(data, "body", path, list, ())))
     return SourceDocument(norm=norm, body=body, themes=_parse_themes(data, path))
 
 
 def parse_event_file(source: str | dict, path: str | None = None) -> EventFile:
     """Parse an amendment-event file; effective dates must be non-decreasing."""
-    data = json.loads(source) if isinstance(source, str) else source
-    _check_format_version(data, path)
-    instrument = None
-    if "instrument" in data:
-        instrument = _parse_norm_meta(data["instrument"], path)
-    elif data.get("events"):
+    data = decode_input(source, path, FORMAT_VERSION)
+    instrument = json_field(data, "instrument", path, dict, None)
+    raw_events = json_field(data, "events", path, list, ())
+    if instrument is not None:
+        instrument = _parse_norm_meta(instrument, path)
+    elif raw_events:
         raise MalformedInput("event files with events need an instrument block", path)
     events: list[EventRecord] = []
     previous: date | None = None
-    for i, item in enumerate(data.get("events", ())):
+    for i, item in enumerate(raw_events):
         try:
-            action_type = ActionType(_req(item, "action_type", path))
+            action_type = ActionType(json_field(item, "action_type", path))
         except ValueError:
-            raise MalformedInput(f"unknown action_type {item.get('action_type')!r}", path) from None
+            raise MalformedInput(f"unknown action_type {item['action_type']!r}", path) from None
         if action_type is ActionType.ENACTMENT:
             raise MalformedInput("enactment events belong in document files", path)
-        effective = _parse_date_field(_req(item, "effective_date", path), "effective_date", path)
+        effective = _parse_date_field(
+            json_field(item, "effective_date", path), "effective_date", path)
         enacted = _parse_date_field(
-            item.get("enactment_date", effective.isoformat()), "enactment_date", path)
+            json_field(item, "enactment_date", path, str, effective.isoformat()),
+            "enactment_date", path)
         if enacted > effective:
             raise MalformedInput(f"event {i}: enactment_date after effective_date", path)
         if previous is not None and effective < previous:
             raise MalformedInput(f"event {i}: effective dates decrease within the file", path)
         previous = effective
-        new_text = tuple(sorted((item.get("new_text") or {}).items()))
-        synthetic_raw = item.get("synthetic", {})
-        if isinstance(synthetic_raw, bool):
-            synthetic = tuple((lang, synthetic_raw) for lang, _ in new_text)
+        new_text = tuple(sorted(json_field(item, "new_text", path, dict, {}, str).items()))
+        if isinstance(item.get("synthetic"), bool):
+            synthetic = tuple((lang, item["synthetic"]) for lang, _ in new_text)
         else:
-            synthetic = tuple(sorted((k, bool(v)) for k, v in synthetic_raw.items()))
-        raw_components = tuple(item.get("new_components") or ())
+            synthetic = tuple(sorted(json_field(item, "synthetic", path, dict, {}, bool).items()))
+        raw_components = tuple(json_field(item, "new_components", path, list, ()))
         if raw_components and new_text:
             raise MalformedInput(f"event {i}: new_text and new_components are exclusive", path)
         if action_type is ActionType.AMENDMENT and not raw_components and not new_text:
@@ -313,12 +303,12 @@ def parse_event_file(source: str | dict, path: str | None = None) -> EventFile:
             raise MalformedInput(f"event {i}: repeal carries no replacement content", path)
         events.append(EventRecord(
             action_type=action_type,
-            target=_req(item, "target", path),
+            target=json_field(item, "target", path),
             enactment_date=enacted,
             effective_date=effective,
-            source_provision=item.get("source_provision"),
-            source_label=item.get("source_label"),
-            effect=item.get("effect"),
+            source_provision=json_field(item, "source_provision", path, str, None),
+            source_label=json_field(item, "source_label", path, str, None),
+            effect=json_field(item, "effect", path, str, None),
             new_text=new_text,
             synthetic=synthetic,
             new_components=raw_components,
@@ -327,16 +317,15 @@ def parse_event_file(source: str | dict, path: str | None = None) -> EventFile:
 
 
 def parse_translation_file(source: str | dict, path: str | None = None) -> TranslationFile:
-    data = json.loads(source) if isinstance(source, str) else source
-    _check_format_version(data, path)
-    at = data.get("at")
+    data = decode_input(source, path, FORMAT_VERSION)
+    at = json_field(data, "at", path, str, None)
     return TranslationFile(
-        norm=_req(data, "norm", path),
-        language=_req(data, "language", path),
+        norm=json_field(data, "norm", path),
+        language=json_field(data, "language", path),
         at=_parse_date_field(at, "at", path) if at else None,
-        units=tuple(sorted((_req(u, "fragment", path), _req(u, "text", path))
-                           for u in data.get("units", ()))),
-        synthetic=bool(data.get("synthetic", True)),
+        units=tuple(sorted((json_field(u, "fragment", path), json_field(u, "text", path))
+                           for u in json_field(data, "units", path, list, ()))),
+        synthetic=json_field(data, "synthetic", path, bool, True),
     )
 
 

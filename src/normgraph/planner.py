@@ -19,6 +19,7 @@ from enum import Enum
 from .errors import (
     AmbiguousAlias,
     EmptyScope,
+    MalformedQuery,
     TermNotFound,
     UnknownAlias,
     UnplannableQuery,
@@ -189,7 +190,12 @@ def _resolve_theme_reference(store: GraphStore, reference: str) -> str:
 
 
 def canonicalize(raw: StructuredQuery, store: GraphStore, clock: date) -> StructuredQuery:
-    """Resolve aliases, bind `now` to the clock, and fill the defaults."""
+    """Resolve aliases, bind `now` to the clock, and fill the defaults.
+
+    A ``k`` below 1 raises MalformedQuery.
+    """
+    if raw.k < 1:
+        raise MalformedQuery(f"k must be at least 1, not {raw.k}")
     if raw.pattern is QueryPattern.PROVENANCE and not raw.textual_target:
         raise UnplannableQuery("provenance queries need a textual target")
     if raw.pattern is QueryPattern.IMPACT_ANALYSIS and not raw.entry:
@@ -222,7 +228,6 @@ def canonicalize(raw: StructuredQuery, store: GraphStore, clock: date) -> Struct
         theme_target=theme,
         temporal=temporal,
         language=language,
-        k=raw.k if raw.k >= 1 else 8,
     )
 
 

@@ -66,11 +66,6 @@ def embedder_for_store(store: GraphStore) -> HashedTfidfEmbedder:
     return HashedTfidfEmbedder(store.df, store.n_units)
 
 
-def default_embed(text: str) -> np.ndarray:
-    """Corpus-free hashed TF embedding (IDF degenerates to a constant)."""
-    return HashedTfidfEmbedder().embed(text)
-
-
 def cosine(a: np.ndarray | Iterable[float], b: np.ndarray | Iterable[float]) -> float:
     """Dot product of two unit vectors; the per-pair reference for scoped_search."""
     import numpy as np

@@ -5,14 +5,14 @@ from datetime import date
 import pytest
 
 from normgraph import store as store_mod
-from normgraph.fixture_corpus import build_fixture_corpus
+from normgraph.cli import main
 from normgraph.ingest import ingest_corpus
 
 
 @pytest.fixture(scope="session")
 def corpus_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus")
-    build_fixture_corpus(path)
+    assert main(["fixture", "--out", str(path)]) == 0
     return path
 
 

@@ -15,15 +15,6 @@ from pathlib import Path
 
 from normgraph.cli import main
 from normgraph.errors import NotYetEnacted, RepealedAt
-from normgraph.fixture_corpus import (
-    ACT_CA64,
-    ACT_CA72,
-    ACT_CA90,
-    ART6,
-    ART7,
-    NORM_URN,
-    RIGHTS_1999,
-)
 from normgraph.ingest import (
     add_language, apply_event, enact, ordered_events, parse_document, parse_event_file)
 from normgraph.model import interval_contains
@@ -32,6 +23,15 @@ from normgraph.store import GraphStore
 from normgraph.temporal import TemporalScope, snapshot_text
 
 import synthcorpus
+from reference_ids import (
+    ACT_CA64,
+    ACT_CA72,
+    ACT_CA90,
+    ART6,
+    ART7,
+    NORM_URN,
+    RIGHTS_1999,
+)
 from test_planner import rights_from_text
 
 DATA = Path(__file__).parent / "data"

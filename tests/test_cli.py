@@ -10,7 +10,6 @@ import pytest
 
 import normgraph
 from normgraph.cli import main
-from normgraph.fixture_corpus import build_fixture_corpus
 
 from test_ingest import mini_doc
 
@@ -38,7 +37,7 @@ class TestIngestCommand:
 
     def test_event_targeting_unknown_urn_fails(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
-        build_fixture_corpus(corpus)
+        assert main(["fixture", "--out", str(corpus)]) == 0
         bad = json.loads((corpus / "ca_26_2000.satev.json").read_text())
         bad["events"][0]["target"] = "urn:lex:br:federal:constituicao:1988-10-05;1988!artX"
         (corpus / "ca_26_2000.satev.json").write_text(json.dumps(bad))
@@ -54,6 +53,107 @@ class TestIngestCommand:
             (corpus / f"{name}.satdoc.json").write_text(json.dumps(doc))
         assert main(["ingest", str(corpus), "--out", str(tmp_path / "x.ndjson")]) == 3
         assert "duplicate enactment" in capsys.readouterr().err
+
+
+def _edit_json(path: Path, edit) -> None:
+    data = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(edit(data)), encoding="utf-8")
+
+
+def _set_caput_text(doc: dict) -> dict:
+    doc["body"][0]["children"][0]["children"][0]["children"][0]["text"] = 5
+    return doc
+
+
+def _set_first(key: str, value):
+    def edit(data: dict) -> dict:
+        data["events" if "events" in data else "queries"][0][key] = value
+        return data
+    return edit
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("name, edit", [
+        ("ca_26_2000.satev.json", lambda data: data["events"]),
+        ("constitution_1988.satdoc.json", _set_caput_text),
+        ("ca_64_2010.satev.json", _set_first("new_text", {"pt": 5})),
+        ("art6_original_en.satlang.json", lambda data: {**data, "units": 5}),
+        ("art6_original_en.satlang.json", lambda data: {**data, "units": [5]}),
+        ("constitution_1988.satdoc.json",
+         lambda data: {**data, "norm": {**data["norm"], "aliases": "CF"}}),
+        ("constitution_1988.satdoc.json",
+         lambda data: {**data, "body": [{**data["body"][0], "fragment": 5}]}),
+        ("ca_90_2015.satev.json", lambda data: {**data, "instrument": 5}),
+    ], ids=["event-file-array", "unit-text-number", "new-text-number", "units-number",
+            "unit-not-object", "aliases-string", "fragment-number", "instrument-number"])
+    def test_a_field_of_the_wrong_json_type_exits_3_and_writes_no_snapshot(
+            self, tmp_path, capsys, name, edit):
+        corpus = tmp_path / "corpus"
+        assert main(["fixture", "--out", str(corpus)]) == 0
+        _edit_json(corpus / name, edit)
+        out = tmp_path / "x.ndjson"
+        assert main(["ingest", str(corpus), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {corpus / name}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "eval"])
+    def test_a_file_that_is_not_json_exits_3(self, snapshot_file, tmp_path, capsys, command):
+        corpus = tmp_path / "corpus"
+        assert main(["fixture", "--out", str(corpus)]) == 0
+        out = tmp_path / "x.ndjson"
+        if command == "ingest":
+            bad = corpus / "ca_26_2000.satev.json"
+            argv = ["ingest", str(corpus), "--out", str(out)]
+        else:
+            bad = corpus / "reference.sattruth.json"
+            argv = ["eval", "--snapshot", str(snapshot_file), "--truth", str(bad),
+                    "--report", str(out)]
+        bad.write_text("{bad", encoding="utf-8")
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {bad}: not JSON: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: data["queries"],
+        _set_first("query", ["art6"]),
+        _set_first("expected_ctvs", "ctv"),
+    ], ids=["truth-array", "query-array", "expected-ctvs-string"])
+    def test_a_truth_file_of_the_wrong_shape_exits_3_and_writes_no_report(
+            self, snapshot_file, corpus_dir, tmp_path, capsys, edit):
+        truth = tmp_path / "bad.sattruth.json"
+        truth.write_text((corpus_dir / "reference.sattruth.json").read_text(encoding="utf-8"))
+        _edit_json(truth, edit)
+        report = tmp_path / "report.json"
+        assert main(["eval", "--snapshot", str(snapshot_file), "--truth", str(truth),
+                     "--report", str(report)]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {truth}: ")
+        assert not report.exists()
+
+
+class TestQueryValues:
+    @pytest.mark.parametrize("flags", [
+        ["--aspects", "bogus"],
+        ["--aspects", "content,bogus"],
+        ["--k", "0"],
+        ["--k", "-3"],
+    ], ids=["aspect", "second-aspect", "k-zero", "k-negative"])
+    def test_a_bad_aspect_or_k_is_a_query_error(self, snapshot_file, capsys, flags):
+        code = main(["query", "retrieve", "--snapshot", str(snapshot_file),
+                     "--text", "food", "--target", "art6", *flags])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("query error: ")
+
+    @pytest.mark.parametrize("key, value", [
+        ("membership", "bogus"), ("policy", "bogus"), ("k", 0)])
+    def test_a_bad_truth_query_value_is_a_query_error(
+            self, snapshot_file, corpus_dir, tmp_path, capsys, key, value):
+        truth = tmp_path / "bad.sattruth.json"
+        truth.write_text((corpus_dir / "reference.sattruth.json").read_text(encoding="utf-8"))
+        _edit_json(truth, lambda data: {**data, "queries": [
+            {**q, "query": {**q["query"], key: value}} for q in data["queries"]]})
+        code = main(["eval", "--snapshot", str(snapshot_file), "--truth", str(truth)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("query error: ")
 
 
 class TestQueryDates:
@@ -341,7 +441,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["query", "impact", "--target", "tit2_cap2",
                  "--between", "2010-01-01", "2019-12-31", *common]) == 0
     assert main(["query", "provenance", "--term", "food", "--target", "art6", *common]) == 0
-heavy = ["numpy", "normgraph.ingest", "normgraph.fixture_corpus"]
+heavy = ["numpy", "normgraph.ingest"]
 print(json.dumps([name for name in heavy if name in sys.modules]))
 assert main([*retrieve, *common]) == 0
 """

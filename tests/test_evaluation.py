@@ -112,6 +112,17 @@ class TestDates:
             build_query(QueryPattern.IMPACT_ANALYSIS, {"target": "art6", **mapping})
 
 
+class TestQueryValues:
+    @pytest.mark.parametrize("mapping", [
+        {"aspects": ["content", "bogus"]},
+        {"mode": "bogus"},
+        {"membership": "bogus"},
+        {"between": ["2010-01-01", "2012-01-01"], "policy": "bogus"},
+    ])
+    def test_a_value_that_names_no_member_is_a_malformed_query(self, mapping):
+        with pytest.raises(MalformedQuery, match="'bogus' is not one of: "):
+            build_query(QueryPattern.RETRIEVE, {"target": "art6", "text": "food", **mapping})
+
 class TestFullHarness:
     def test_fixture_scores_all_ones(self, fixture_store, corpus_dir):
         truth = load_truth(corpus_dir / "reference.sattruth.json")

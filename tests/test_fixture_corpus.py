@@ -2,26 +2,35 @@ from __future__ import annotations
 
 import json
 from datetime import date
-from pathlib import Path
+from importlib import resources
 
-from normgraph.fixture_corpus import (
-    ART6_CPT,
-    ART7_CPT,
-    NORM_URN,
-    RIGHTS_1999,
-    build_fixture_corpus,
-)
+from normgraph.cli import main
 from normgraph.model import ActionType, WorkKind, validate_graph
 
-REPO_FIXTURES = Path(__file__).parent.parent / "fixtures"
+from reference_ids import ART6_CPT, ART7_CPT, NORM_URN, RIGHTS_1999
+
+PACKAGE_FIXTURES = resources.files("normgraph") / "fixtures"
+
+CORPUS_FILES = [
+    "art6_original_en.satlang.json",
+    "ca_26_2000.satev.json",
+    "ca_64_2010.satev.json",
+    "ca_72_2013.satev.json",
+    "ca_90_2015.satev.json",
+    "constitution_1988.satdoc.json",
+    "reference.sattruth.json",
+    "themes_social_rights.satev.json",
+]
 
 
-def test_committed_fixture_tree_matches_generator(tmp_path):
-    regenerated = build_fixture_corpus(tmp_path)
-    committed = sorted(p.name for p in REPO_FIXTURES.iterdir())
-    assert committed == [p.name for p in regenerated]
-    for path in regenerated:
-        assert (REPO_FIXTURES / path.name).read_bytes() == path.read_bytes(), path.name
+def test_fixture_command_writes_exactly_the_package_files(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert main(["fixture", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [str(out / name) for name in CORPUS_FILES]
+    assert sorted(entry.name for entry in PACKAGE_FIXTURES.iterdir()) == CORPUS_FILES
+    assert sorted(path.name for path in out.iterdir()) == CORPUS_FILES
+    for name in CORPUS_FILES:
+        assert (out / name).read_bytes() == PACKAGE_FIXTURES.joinpath(name).read_bytes(), name
 
 
 def test_fixture_graph_validates_clean(fixture_store):
@@ -67,7 +76,7 @@ def test_1999_rights_list_is_the_published_one(fixture_store):
 
 def test_stand_in_texts_are_flagged_synthetic():
     payload = json.loads(
-        (REPO_FIXTURES / "constitution_1988.satdoc.json").read_text(encoding="utf-8"))
+        PACKAGE_FIXTURES.joinpath("constitution_1988.satdoc.json").read_text(encoding="utf-8"))
 
     def leaf_records(records):
         for record in records:
@@ -81,7 +90,7 @@ def test_stand_in_texts_are_flagged_synthetic():
 
 def test_ca26_text_is_the_published_wording_not_synthetic():
     payload = json.loads(
-        (REPO_FIXTURES / "ca_26_2000.satev.json").read_text(encoding="utf-8"))
+        PACKAGE_FIXTURES.joinpath("ca_26_2000.satev.json").read_text(encoding="utf-8"))
     event = payload["events"][0]
     assert event["synthetic"] == {"pt": False}
     assert "housing" in event["new_text"]["pt"]

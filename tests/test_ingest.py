@@ -19,15 +19,6 @@ from normgraph.errors import (
     UnknownTarget,
     UnknownWork,
 )
-from normgraph.fixture_corpus import (
-    ACT_CA26,
-    ART6,
-    ART6_CPT,
-    ART7,
-    CAP2,
-    NORM_URN,
-    TIT2,
-)
 from normgraph.ingest import (
     add_language,
     apply_event,
@@ -43,6 +34,15 @@ from normgraph.model import (
     Aspect, ComponentType, WorkId, WorkKind, WorkNode, metadata_tuple, validate_graph)
 from normgraph.store import GraphStore, save
 
+from reference_ids import (
+    ACT_CA26,
+    ART6,
+    ART6_CPT,
+    ART7,
+    CAP2,
+    NORM_URN,
+    TIT2,
+)
 from synthcorpus import build_store, generate_corpus
 
 DATA = Path(__file__).parent / "data"

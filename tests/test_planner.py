@@ -8,21 +8,11 @@ import pytest
 
 from normgraph.errors import (
     AmbiguousAlias,
+    MalformedQuery,
     NotYetEnacted,
     TermNotFound,
     UnknownAlias,
     UnplannableQuery,
-)
-from normgraph.fixture_corpus import (
-    ACT_CA26,
-    ACT_CA64,
-    ACT_CA72,
-    ACT_CA90,
-    ACT_ENACT,
-    ART6,
-    ART6_CPT,
-    ART7_CPT,
-    RIGHTS_1999,
 )
 from normgraph.ingest import enact, parse_document
 from normgraph.model import Aspect, interval_contains
@@ -39,6 +29,17 @@ from normgraph.store import GraphStore
 from normgraph.temporal import MembershipPolicy, TemporalScope
 
 import synthcorpus
+from reference_ids import (
+    ACT_CA26,
+    ACT_CA64,
+    ACT_CA72,
+    ACT_CA90,
+    ACT_ENACT,
+    ART6,
+    ART6_CPT,
+    ART7_CPT,
+    RIGHTS_1999,
+)
 from test_ingest import amendment_file, apply_file, mini_doc
 
 
@@ -78,6 +79,11 @@ class TestCanonicalize:
         assert q.k == 8
         assert q.membership is MembershipPolicy.SNAPSHOT_ANCHORED
         assert q.language == "pt"
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_is_a_malformed_query(self, fixture_store, clock, k):
+        with pytest.raises(MalformedQuery, match=f"k must be at least 1, not {k}"):
+            canonicalize(pit("art6", k=k), fixture_store, clock)
 
     def test_ambiguous_alias_lists_candidates(self, clock):
         store = GraphStore()

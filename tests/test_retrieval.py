@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from normgraph.errors import EmptyScope
-from normgraph.fixture_corpus import ART6, ART6_CPT, ART7_CPT, CAP2, NORM_URN
 from normgraph.model import Aspect, interval_contains
 from normgraph.retrieval import (
     HashedTfidfEmbedder,
     RetrievalMode,
     RetrievalRequest,
     cosine,
-    default_embed,
     embedder_for_store,
     locate_spans,
     scoped_search,
@@ -22,6 +20,12 @@ from normgraph.retrieval import (
 from normgraph.temporal import resolve_scope
 
 import synthcorpus
+from reference_ids import ART6, ART6_CPT, ART7_CPT, CAP2, NORM_URN
+
+
+def default_embed(text: str) -> np.ndarray:
+    """Corpus-free hashed TF embedding (IDF degenerates to a constant)."""
+    return HashedTfidfEmbedder().embed(text)
 
 
 class TestDefaultEmbedder:

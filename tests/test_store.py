@@ -14,7 +14,6 @@ import pytest
 
 from normgraph.cli import main
 from normgraph.errors import DanglingReference, MalformedSnapshot, UnknownWork
-from normgraph.fixture_corpus import ART6_CPT, NORM_URN
 from normgraph.model import (
     ActionNode,
     ActionType,
@@ -34,6 +33,8 @@ from normgraph.planner import QueryPattern, StructuredQuery, run
 from normgraph.retrieval import RetrievalMode
 from normgraph.store import FORMAT_VERSION, GraphStore, load, save, tokenize
 from normgraph.temporal import TemporalScope
+
+from reference_ids import ART6_CPT, NORM_URN
 
 # A save of the fixture corpus in the current format; see TestGoldenSnapshot.
 GOLDEN = Path(__file__).parent / "data" / "golden_fixture.ndjson"

@@ -7,7 +7,6 @@ from datetime import date, timedelta
 import pytest
 
 from normgraph.errors import MissingLanguage, NotYetEnacted, RepealedAt, UnknownEntry
-from normgraph.fixture_corpus import ART6, ART6_CPT, ART7, ART7_CPT, CAP2, NORM_URN
 from normgraph.ingest import enact, parse_document
 from normgraph.store import GraphStore
 from normgraph.temporal import (
@@ -21,6 +20,7 @@ from normgraph.temporal import (
 )
 
 import synthcorpus
+from reference_ids import ART6, ART6_CPT, ART7, ART7_CPT, CAP2, NORM_URN
 from test_ingest import amendment_file, apply_file, mini_doc
 
 

@@ -5,7 +5,6 @@ from datetime import date
 import pytest
 
 from normgraph.errors import DuplicateLabel, UnknownMember, UnknownTheme
-from normgraph.fixture_corpus import CAP2
 from normgraph.ingest import enact, parse_document
 from normgraph.model import Aspect
 from normgraph.retrieval import RetrievalRequest, scoped_search
@@ -13,6 +12,7 @@ from normgraph.store import GraphStore
 from normgraph.temporal import MembershipPolicy, resolve_scope
 from normgraph.themes import define_theme, theme_scope
 
+from reference_ids import CAP2
 from test_ingest import amendment_file, apply_file, mini_doc
 
 
