@@ -77,14 +77,19 @@ def json_field(data, key: str, path: str | None, kind: type = str, default=_REQU
     return value
 
 
-def decode_input(source: str | dict, path: str | None, format_version: int) -> dict:
-    """A corpus or truth file's top-level object, read from its text or parsed value.
+def decode_input(source: str | bytes | dict, path: str | None, format_version: int) -> dict:
+    """A corpus or truth file's top-level object, read from its bytes, text or parsed value.
 
-    Text that is not JSON, a value that is not an object, or a
-    ``format_version`` other than the one given raises MalformedInput.
+    Bytes that are not UTF-8, text that is not JSON, a value that is not an
+    object, or a ``format_version`` other than the one given raises
+    MalformedInput.
     """
     try:
+        if isinstance(source, bytes):
+            source = source.decode("utf-8")
         data = json.loads(source) if isinstance(source, str) else source
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"not UTF-8: {exc}", path) from None
     except ValueError as exc:
         raise MalformedInput(f"not JSON: {exc}", path) from None
     version = json_field(data, "format_version", path, int, None)

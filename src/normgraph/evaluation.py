@@ -40,7 +40,7 @@ class GroundTruth:
     clock: date | None = None
 
 
-def parse_truth_file(source: str | dict, path: str | None = None) -> GroundTruth:
+def parse_truth_file(source: str | bytes | dict, path: str | None = None) -> GroundTruth:
     data = decode_input(source, path, FORMAT_VERSION)
     queries = []
     for item in json_field(data, "queries", path, list, ()):
@@ -49,13 +49,16 @@ def parse_truth_file(source: str | dict, path: str | None = None) -> GroundTruth
             pattern = QueryPattern(json_field(item, "pattern", path))
         except ValueError:
             raise MalformedInput(f"bad pattern in query {qid!r}", path) from None
+        actions = json_field(item, "expected_actions", path, list, (), list)
+        if not all(len(pair) == 2 and {*map(type, pair)} == {str} for pair in actions):
+            raise MalformedInput(
+                f"expected_actions of query {qid!r} must be [action, work] pairs", path)
         queries.append(TruthQuery(
             id=qid,
             pattern=pattern,
             query=dict(json_field(item, "query", path, dict)),
             expected_ctvs=frozenset(json_field(item, "expected_ctvs", path, list, (), str)),
-            expected_actions=frozenset(
-                (a, w) for a, w in json_field(item, "expected_actions", path, list, (), list)),
+            expected_actions=frozenset(map(tuple, actions)),
             expected_chains=tuple(
                 tuple(c) for c in json_field(item, "expected_chains", path, list, (), list)),
         ))
@@ -87,15 +90,18 @@ def _choice(kind: type[Enum], value):
 def build_query(pattern: QueryPattern, mapping: dict) -> StructuredQuery:
     """Translate a truth-file (or CLI-shaped) query mapping into a record.
 
-    A date that is not YYYY-MM-DD, a reversed ``between``, or an aspect,
-    mode, membership or policy value that names no member raises
-    MalformedQuery.
+    A date that is not YYYY-MM-DD, a ``between`` that is not two dates in
+    order, a ``k`` that is not an integer, or an aspect, mode, membership
+    or policy value that names no member raises MalformedQuery.
     """
     temporal = None
     if "at" in mapping:
         temporal = TemporalScope.instant(query_date(mapping["at"]))
     elif "between" in mapping:
-        t1, t2 = (query_date(d) for d in mapping["between"])
+        window = mapping["between"]
+        if type(window) is not list or len(window) != 2:
+            raise MalformedQuery(f"'between' must be a list of two dates, not {window!r}")
+        t1, t2 = map(query_date, window)
         policy = _choice(SnapshotPolicy, mapping.get("policy", "snapshot_last"))
         try:
             temporal = TemporalScope.interval(t1, t2, policy)
@@ -103,6 +109,9 @@ def build_query(pattern: QueryPattern, mapping: dict) -> StructuredQuery:
             raise MalformedQuery(str(exc)) from None
     aspects = frozenset(
         _choice(Aspect, a) for a in mapping.get("aspects", ())) or frozenset({Aspect.CONTENT})
+    k = mapping.get("k", 8)
+    if type(k) is not int:  # bool is an int subclass but no k
+        raise MalformedQuery(f"k must be an integer, not {k!r}")
     return StructuredQuery(
         pattern=pattern,
         structural_target=mapping.get("target"),
@@ -111,7 +120,7 @@ def build_query(pattern: QueryPattern, mapping: dict) -> StructuredQuery:
         textual_target=mapping.get("term") or mapping.get("text"),
         language=mapping.get("lang"),
         membership=_choice(MembershipPolicy, mapping.get("membership", "snapshot_anchored")),
-        k=int(mapping.get("k", 8)),
+        k=k,
         mode=_choice(RetrievalMode, mapping.get("mode", "vector")),
         aspects=aspects,
         language_fallback=bool(mapping.get("language_fallback", True)),
@@ -292,4 +301,4 @@ def evaluate(store: GraphStore, truth: GroundTruth, clock: date | None = None) -
 
 
 def load_truth(path: str | Path) -> GroundTruth:
-    return parse_truth_file(Path(path).read_text(encoding="utf-8"), path=str(path))
+    return parse_truth_file(Path(path).read_bytes(), path=str(path))

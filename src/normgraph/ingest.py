@@ -246,7 +246,7 @@ def _parse_themes(data: dict, path: str | None) -> tuple[ThemeSpec, ...]:
     return tuple(specs)
 
 
-def parse_document(source: str | dict, path: str | None = None) -> SourceDocument:
+def parse_document(source: str | bytes | dict, path: str | None = None) -> SourceDocument:
     """Parse an articulated-document file into a component tree.
 
     The tree mirrors the input nesting exactly and leaf text is preserved
@@ -261,7 +261,7 @@ def parse_document(source: str | dict, path: str | None = None) -> SourceDocumen
     return SourceDocument(norm=norm, body=body, themes=_parse_themes(data, path))
 
 
-def parse_event_file(source: str | dict, path: str | None = None) -> EventFile:
+def parse_event_file(source: str | bytes | dict, path: str | None = None) -> EventFile:
     """Parse an amendment-event file; effective dates must be non-decreasing."""
     data = decode_input(source, path, FORMAT_VERSION)
     instrument = json_field(data, "instrument", path, dict, None)
@@ -316,7 +316,7 @@ def parse_event_file(source: str | dict, path: str | None = None) -> EventFile:
     return EventFile(instrument=instrument, events=tuple(events), themes=_parse_themes(data, path))
 
 
-def parse_translation_file(source: str | dict, path: str | None = None) -> TranslationFile:
+def parse_translation_file(source: str | bytes | dict, path: str | None = None) -> TranslationFile:
     data = decode_input(source, path, FORMAT_VERSION)
     at = json_field(data, "at", path, str, None)
     return TranslationFile(
@@ -816,14 +816,14 @@ def ingest_corpus(corpus_dir: str | Path) -> tuple[GraphStore, IngestSummary]:
     theme_specs: list[ThemeSpec] = []
 
     for path in doc_paths:
-        doc = parse_document(path.read_text(encoding="utf-8"), path=str(path))
+        doc = parse_document(path.read_bytes(), path=str(path))
         enact(store, doc)
         theme_specs.extend(doc.themes)
         summary.documents += 1
 
     event_files: list[tuple[str, EventFile]] = []
     for path in event_paths:
-        event_file = parse_event_file(path.read_text(encoding="utf-8"), path=str(path))
+        event_file = parse_event_file(path.read_bytes(), path=str(path))
         theme_specs.extend(event_file.themes)
         event_files.append((path.name, event_file))
     for record, instrument in ordered_events(event_files):
@@ -835,7 +835,7 @@ def ingest_corpus(corpus_dir: str | Path) -> tuple[GraphStore, IngestSummary]:
         summary.themes += 1
 
     for path in lang_paths:
-        tf = parse_translation_file(path.read_text(encoding="utf-8"), path=str(path))
+        tf = parse_translation_file(path.read_bytes(), path=str(path))
         created = add_language(store, tf.norm, dict(tf.units), tf.language,
                                at=tf.at, synthetic=tf.synthetic)
         summary.translations += len(created)

@@ -269,10 +269,10 @@ class ActionNode:
 class TextUnit:
     """Atomic retrievable text span.
 
-    Its embedding lives in the committed store's matrix
-    (``GraphStore.embedding(id)``): EMBEDDING_DIMENSION wide with unit L2
-    norm, except for empty text, which keeps a zero vector and is skipped
-    by vector retrieval.
+    Its embedding lives in the committed store's sparse buffers, and is read
+    as a matrix row (``GraphStore.embedding(id)``): EMBEDDING_DIMENSION wide
+    with unit L2 norm, except for empty text, which keeps a zero vector and
+    is skipped by vector retrieval.
     """
 
     id: str

@@ -250,7 +250,11 @@ def select_strategy(q: StructuredQuery) -> Strategy:
 def _finish(q: StructuredQuery, rendered: str,
             citations: list[tuple[str, str, str]],
             actions: list[dict], chains: list[list[str]],
-            confidence: float) -> Answer:
+            confidence: float, *, scoped: bool) -> Answer:
+    """Build the answer; the annex lists the scope step only when ``scoped``.
+
+    ``scoped`` is True exactly when the runner called ``resolve_scope``.
+    """
     policies = {
         "resolution_policy": (q.temporal.resolution_policy if q.temporal
                               else SnapshotPolicy.SNAPSHOT_LAST).value,
@@ -264,7 +268,7 @@ def _finish(q: StructuredQuery, rendered: str,
         "format_version": ANNEX_FORMAT_VERSION,
         "pattern": q.pattern.value,
         "policies": policies,
-        "steps": list(_PATTERN_STEPS[q.pattern]),
+        "steps": [step for step in _PATTERN_STEPS[q.pattern] if scoped or step != STEP_SCOPE],
         "citations": [{"work": w, "ctv": tv, "clv": lv} for w, tv, lv in citations],
         "actions": actions,
         "chains": chains,
@@ -295,11 +299,14 @@ def _snapshot_roots(store: GraphStore, q: StructuredQuery) -> list[str]:
     return sorted(store.themes[q.theme_target].members)
 
 
-def _scope_works(store: GraphStore, q: StructuredQuery, t: date) -> frozenset[str]:
-    """The works a query reads under its strategy: its entry's scope, or all of them."""
+def _scope_works(store: GraphStore, q: StructuredQuery, t: date) -> tuple[frozenset[str], bool]:
+    """The works a query reads under its strategy, and whether it resolved a scope.
+
+    Structure first reads its entry's scope; span first reads every work.
+    """
     if select_strategy(q) is Strategy.STRUCTURE_FIRST:
-        return resolve_scope(store, q.entry, t, q.membership)
-    return frozenset(store.works)
+        return resolve_scope(store, q.entry, t, q.membership), True
+    return frozenset(store.works), False
 
 
 # -- pattern runners --------------------------------------------------------------
@@ -310,7 +317,8 @@ def run_point_in_time(store: GraphStore, q: StructuredQuery) -> Answer:
     t = resolve_instant(q.temporal)
     # A structural entry needs no scope: the snapshot traversal below raises
     # the precise NotYetEnacted/RepealedAt error, carrying the resolved instant.
-    if q.theme_target and not resolve_scope(store, q.theme_target, t, q.membership):
+    scoped = bool(q.theme_target)
+    if scoped and not resolve_scope(store, q.theme_target, t, q.membership):
         raise EmptyScope(q.theme_target)
 
     citations: list[tuple[str, str, str]] = []
@@ -320,7 +328,7 @@ def run_point_in_time(store: GraphStore, q: StructuredQuery) -> Answer:
             label = store.works[fragment.work].label
             lines.append(f"  [{label}] {fragment.text}")
             citations.append((fragment.work, fragment.ctv, fragment.clv))
-    return _finish(q, "\n".join(lines), citations, [], [], 1.0)
+    return _finish(q, "\n".join(lines), citations, [], [], 1.0, scoped=scoped)
 
 
 def _impact_actions(
@@ -337,19 +345,16 @@ def _impact_actions(
     candidate_ids: set[str] = set()
     for urn in scope:
         candidate_ids.update(store.work_actions.get(urn, ()))
-    entry_subtree = set(store.descendants(q.entry)) if q.entry in store.works else scope
     selected: list[tuple[ActionNode, list[str]]] = []
     for aid in sorted(candidate_ids):
         action = store.actions[aid]
         if not (t1 <= action.effective_date <= t2):
             continue
+        hits = [w for w in action.targets if w in scope]
         if q.membership is MembershipPolicy.ACTION_TIME:
-            hits = [
-                w for w in action.targets
-                if w in entry_subtree and alive_at(store, w, action.effective_date)
-            ]
-        else:
-            hits = [w for w in action.targets if w in scope]
+            # The scope holds the entry's descendants alive on some in-window
+            # action date; keep those alive on this action's.
+            hits = [w for w in hits if alive_at(store, w, action.effective_date)]
         if hits:
             selected.append((action, sorted(hits)))
     selected.sort(key=lambda pair: (pair[0].effective_date, pair[0].id))
@@ -400,7 +405,7 @@ def run_impact_analysis(store: GraphStore, q: StructuredQuery) -> Answer:
             )
     lines.append(
         "Impact dates: " + (", ".join(impact_dates) if impact_dates else "none"))
-    return _finish(q, "\n".join(lines), [], action_records, [], 1.0)
+    return _finish(q, "\n".join(lines), [], action_records, [], 1.0, scoped=True)
 
 
 def _pre_state(store: GraphStore, tv: TemporalVersion) -> str | None:
@@ -420,10 +425,10 @@ def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
     """
     term = q.textual_target
     language, fallback = q.language, q.language_fallback
-    scope = _scope_works(store, q, resolve_instant(q.temporal))
+    scope, scoped = _scope_works(store, q, resolve_instant(q.temporal))
     # Positional: perfbench's tracer wraps planner.locate_spans and reads args[2].
     spans = locate_spans(store, term, scope, language, fallback,
-                         by_postings=select_strategy(q) is Strategy.SPAN_FIRST)
+                         by_postings=not scoped)
     introductions = [s for s in spans if s.first_containing]
     if not introductions:
         raise TermNotFound(term, q.entry)
@@ -469,15 +474,16 @@ def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
             action_records.append({"action": action.id, "target": work,
                                    "date": action.effective_date.isoformat()})
         chains.append([action.id for action in chain])
-    return _finish(q, "\n".join(lines), citations, action_records, chains, 1.0)
+    return _finish(q, "\n".join(lines), citations, action_records, chains, 1.0, scoped=scoped)
 
 
 def run_retrieve(store: GraphStore, q: StructuredQuery) -> Answer:
     """Ranked scoped retrieval over the requested aspects."""
     t = resolve_instant(q.temporal)
+    scope, scoped = _scope_works(store, q, t)
     request = RetrievalRequest(
         query_text=q.textual_target or "",
-        scope=_scope_works(store, q, t),
+        scope=scope,
         t=t,
         aspects=q.aspects,
         language=q.language,
@@ -508,7 +514,8 @@ def run_retrieve(store: GraphStore, q: StructuredQuery) -> Answer:
                 "date": action.effective_date.isoformat(),
             })
     confidence = max(0.0, min(1.0, hits[0].score)) if hits else 0.0
-    return _finish(q, "\n".join(lines), citations, action_records, [], confidence)
+    return _finish(q, "\n".join(lines), citations, action_records, [], confidence,
+                   scoped=scoped)
 
 
 _RUNNERS = {

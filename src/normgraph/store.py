@@ -18,10 +18,10 @@ a hint to re-run ``normgraph ingest``.
 
 Indexes are never persisted; they are rebuilt on load. Two are built on
 their first read instead: the inverted term index, and the embedding
-matrix (float64, one row per text unit in sorted unit-id order), which load
-keeps as checked sparse buffers until a vector is read. Loading and the
-point-in-time, impact, provenance and lexical queries never import numpy;
-commit, save, vector and hybrid retrieval do.
+matrix (float64, one row per text unit in sorted unit-id order), a read
+cache scattered from the checked sparse buffers that commit and load fill
+alike. Loading, saving and the point-in-time, impact, provenance and
+lexical queries never import numpy; commit, vector and hybrid retrieval do.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, filterfalse
+from itertools import accumulate, chain, filterfalse
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -102,10 +102,10 @@ class GraphStore:
 
     # Unit id -> its row of the embedding matrix (sorted unit-id order).
     unit_rows: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
-    # The matrix, read through the embeddings property: written at commit;
-    # after load, None until first read, and _sparse holds load's buffers.
+    # The embeddings, filled by commit or load; empty before commit.
+    _sparse: _SparseRows = field(default_factory=lambda: _SparseRows(), compare=False, repr=False)
+    # The matrix, read through the embeddings property: None until first read.
     _matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
-    _sparse: _SparseRows | None = field(default=None, compare=False, repr=False)
 
     # Derived indexes; rebuilt by _reindex, never persisted.
     children: dict[str, list[str]] = field(default_factory=dict, compare=False)
@@ -272,16 +272,23 @@ class GraphStore:
             embedder = HashedTfidfEmbedder(self.df, self.n_units)
         unit_ids = sorted(self.units)
         shape = (EMBEDDING_DIMENSION,)
-        matrix = np.empty((len(unit_ids), EMBEDDING_DIMENSION))
-        for row, uid in enumerate(unit_ids):
+        sparse = _SparseRows()
+        for uid in unit_ids:
             vec = embedder.embed(self.units[uid].text)
             if np.shape(vec) != shape:
                 raise ValueError(
                     f"embedder returned shape {np.shape(vec)} for {uid!r}, expected {shape}")
-            matrix[row] = vec
-        matrix.flags.writeable = False
-        self._matrix, self._sparse = matrix, None
-        self.unit_rows = {uid: row for row, uid in enumerate(unit_ids)}
+            vec = np.asarray(vec, dtype=np.float64)
+            # Entries whose bits are not +0.0, so -0.0 and NaN are kept.
+            index = np.flatnonzero(vec.view(np.uint64))
+            sparse.add(index.tolist(), vec[index].tolist())
+        self._seal(sparse, unit_ids)
+
+    def _seal(self, sparse: _SparseRows, unit_ids) -> None:
+        """Adopt the embeddings of ``unit_ids``, given in the order added, and seal the store."""
+        self.unit_rows = {uid: row for row, uid in enumerate(sorted(self.units))}
+        sparse.finish(unit_ids, self.unit_rows)
+        self._sparse, self._matrix = sparse, None
         self.committed = True
 
     # Properties, not __getattr__: a class with __getattr__ makes every
@@ -298,33 +305,23 @@ class GraphStore:
         return matrix
 
     def _build_embeddings(self) -> None:
-        """Scatter load's sparse buffers into the matrix in one step, then free them."""
+        """Scatter the sparse buffers into the matrix in one step."""
         import numpy as np
 
         matrix = np.zeros((len(self.unit_rows), EMBEDDING_DIMENSION))
         sparse = self._sparse
-        if sparse is not None:
-            rows = np.repeat(np.asarray(sparse.rows), np.asarray(sparse.counts))
-            matrix[rows, np.asarray(sparse.index)] = np.asarray(sparse.values)
+        rows = np.repeat(np.asarray(sparse.rows), np.asarray(sparse.counts))
+        matrix[rows, np.asarray(sparse.index)] = np.asarray(sparse.values)
         matrix.flags.writeable = False
-        self._matrix, self._sparse = matrix, None
+        self._matrix = matrix
 
     def embedding_norms(self) -> list[float]:
-        """The L2 norm of each embedding row, in row order.
+        """The L2 norm of each embedding row, in row order; [] before commit.
 
-        Taken from load's buffers while the matrix is unbuilt, so checking a
-        loaded store needs no numpy. A row that overflows has an inf or NaN
-        norm.
+        Taken from the sparse buffers, so checking a store needs no numpy. A
+        row that overflows has an inf or NaN norm.
         """
-        sparse = self._sparse
-        if sparse is not None:
-            return sparse.norms
-        import numpy as np
-
-        matrix = self.embeddings
-        # vecdot needs no matrix-sized temporary.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.sqrt(np.vecdot(matrix, matrix)).tolist()
+        return self._sparse.norms
 
     @property
     def term_index(self) -> dict[str, dict[str, int]]:
@@ -597,7 +594,7 @@ _KINDS = {
         _Column("description_unit", _STR, "units"),
         _Column("members", _STRS, "works"),
     ),
-    # Each unit record also carries its "embedding" (see _sparse_rows).
+    # Each unit record also carries its "embedding" (see _SparseRows.pairs).
     "unit": _Kind(
         "units", TextUnit,
         _Column("id", _STR),
@@ -611,27 +608,6 @@ _KINDS = {
 }
 _COLUMNS = {kind: spec.keys for kind, spec in _KINDS.items()}
 _EMBEDDER = "hashed_tfidf"
-
-
-def _sparse_rows(matrix: np.ndarray, block: int = 256):
-    """Each row's entries whose bits are not +0.0, as ``[i0, v0, i1, v1, …]``.
-
-    -0.0 and NaN are kept, so load scatters back the same bits. Rows are
-    split a block at a time, so only one block's entries are Python objects
-    at once.
-    """
-    import numpy as np
-
-    for first in range(0, len(matrix), block):
-        part = matrix[first:first + block]
-        rows, cols = np.nonzero(part.view(np.uint64))
-        bounds = np.searchsorted(rows, np.arange(len(part) + 1)).tolist()
-        index, values = cols.tolist(), part[rows, cols].tolist()
-        for start, end in zip(bounds, bounds[1:]):
-            pairs: list = [None] * (2 * (end - start))
-            pairs[0::2] = index[start:end]
-            pairs[1::2] = values[start:end]
-            yield pairs
 
 
 def save(store: GraphStore, path: str | Path) -> None:
@@ -654,7 +630,7 @@ def save(store: GraphStore, path: str | Path) -> None:
         },
     }
     encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
-    embeddings = _sparse_rows(store.embeddings)
+    embeddings = store._sparse.pairs()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(encode(meta))
         fh.write("\n")
@@ -674,11 +650,11 @@ def save(store: GraphStore, path: str | Path) -> None:
 
 
 class _SparseRows:
-    """Load's checked embedding entries, kept until the matrix is first read.
+    """A store's checked embedding entries: those whose bits are not +0.0.
 
-    ``counts``, ``index`` and ``values`` hold each unit's pairs in file
-    order; ``rows`` holds each unit's matrix row and ``norms`` each row's L2
-    norm in row order, once :meth:`finish` has run.
+    ``counts``, ``index`` and ``values`` hold each unit's entries as commit
+    or load added them; ``rows`` holds each unit's matrix row and ``norms``
+    each row's L2 norm in row order, once :meth:`finish` has run.
     """
 
     def __init__(self) -> None:
@@ -686,16 +662,13 @@ class _SparseRows:
         self.rows = array("q")
         self.norms: list[float] = []
 
-    def add(self, pairs) -> None:
-        """Check a unit's ``[i0, v0, i1, v1, …]`` and append it to the buffers.
+    def add(self, index: list, values: list) -> None:
+        """Check a unit's entries and append them to the buffers.
 
         Indices must be ints, strictly increasing, in ``[0, EMBEDDING_DIMENSION)``;
-        values must be numbers. Raises ValueError naming what is wrong, and
-        OverflowError on a value beyond float64.
+        values (one per index) must be numbers. Raises ValueError naming what
+        is wrong, and OverflowError on a value beyond float64.
         """
-        if type(pairs) is not list or len(pairs) % 2:
-            raise ValueError("is not a flat list of index, value pairs")
-        index, values = pairs[0::2], pairs[1::2]
         # Exact types: bool is an int subclass but no index or value.
         if not {*map(type, index)} <= {int}:
             raise ValueError("has an index that is not an integer")
@@ -719,6 +692,16 @@ class _SparseRows:
         for row, norm in zip(self.rows, self.norms):
             norms[row] = norm
         self.norms = norms
+
+    def pairs(self):
+        """Each row's entries as ``[i0, v0, i1, v1, …]``, in row order."""
+        starts = [0, *accumulate(self.counts)]
+        for unit in sorted(range(len(self.rows)), key=self.rows.__getitem__):
+            start, end = starts[unit], starts[unit + 1]
+            pairs: list = [None] * (2 * (end - start))
+            pairs[0::2] = self.index[start:end]
+            pairs[1::2] = self.values[start:end]
+            yield pairs
 
 
 def _read_header(rec: dict, store: GraphStore) -> None:
@@ -842,7 +825,10 @@ def load(path: str | Path) -> GraphStore:
                     store._link_action(node)
                 elif kind == "unit":
                     try:
-                        sparse.add(rec["embedding"])
+                        pairs = rec["embedding"]
+                        if type(pairs) is not list or len(pairs) % 2:
+                            raise ValueError("is not a flat list of index, value pairs")
+                        sparse.add(pairs[0::2], pairs[1::2])
                     except ValueError as exc:
                         raise MalformedSnapshot(f"embedding of {node_id!r} {exc}",
                                                 path=spath, line=lineno) from None
@@ -852,12 +838,9 @@ def load(path: str | Path) -> GraphStore:
                 raise MalformedSnapshot(f"bad {kind!r} record: {spec.why_bad(rec, exc)}",
                                         path=spath, line=lineno) from None
 
-    store.unit_rows = {uid: row for row, uid in enumerate(sorted(store.units))}
-    sparse.finish(store.units, store.unit_rows)
-    store._sparse = sparse
+    store._seal(sparse, store.units)
     _check_references(store)
     store._reindex()
-    store.committed = True
     violations = validate_graph(store)
     if violations:
         raise MalformedSnapshot(

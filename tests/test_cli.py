@@ -96,8 +96,13 @@ class TestMalformedFiles:
         assert capsys.readouterr().err.startswith(f"data error: {corpus / name}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"{bad", "not JSON: "),
+        (b"\xff\xfe", "not UTF-8: "),
+    ], ids=["not-json", "not-utf8"])
     @pytest.mark.parametrize("command", ["ingest", "eval"])
-    def test_a_file_that_is_not_json_exits_3(self, snapshot_file, tmp_path, capsys, command):
+    def test_a_file_that_is_not_json_exits_3(
+            self, snapshot_file, tmp_path, capsys, command, content, reason):
         corpus = tmp_path / "corpus"
         assert main(["fixture", "--out", str(corpus)]) == 0
         out = tmp_path / "x.ndjson"
@@ -108,16 +113,17 @@ class TestMalformedFiles:
             bad = corpus / "reference.sattruth.json"
             argv = ["eval", "--snapshot", str(snapshot_file), "--truth", str(bad),
                     "--report", str(out)]
-        bad.write_text("{bad", encoding="utf-8")
+        bad.write_bytes(content)
         assert main(argv) == 3
-        assert capsys.readouterr().err.startswith(f"data error: {bad}: not JSON: ")
+        assert capsys.readouterr().err.startswith(f"data error: {bad}: {reason}")
         assert not out.exists()
 
     @pytest.mark.parametrize("edit", [
         lambda data: data["queries"],
         _set_first("query", ["art6"]),
         _set_first("expected_ctvs", "ctv"),
-    ], ids=["truth-array", "query-array", "expected-ctvs-string"])
+        _set_first("expected_actions", [["a"]]),
+    ], ids=["truth-array", "query-array", "expected-ctvs-string", "expected-action-not-pair"])
     def test_a_truth_file_of_the_wrong_shape_exits_3_and_writes_no_report(
             self, snapshot_file, corpus_dir, tmp_path, capsys, edit):
         truth = tmp_path / "bad.sattruth.json"
@@ -144,7 +150,9 @@ class TestQueryValues:
         assert capsys.readouterr().err.startswith("query error: ")
 
     @pytest.mark.parametrize("key, value", [
-        ("membership", "bogus"), ("policy", "bogus"), ("k", 0)])
+        ("membership", "bogus"), ("policy", "bogus"), ("k", 0), ("k", "x"), ("k", True),
+        pytest.param("between", ["2010-01-01", "2011-01-01", "2012-01-01"],
+                     id="between-three-dates")])
     def test_a_bad_truth_query_value_is_a_query_error(
             self, snapshot_file, corpus_dir, tmp_path, capsys, key, value):
         truth = tmp_path / "bad.sattruth.json"
@@ -466,6 +474,14 @@ class TestLeanQueryPath:
         fresh = _python("-m", "normgraph.cli", *retrieve, "--snapshot", str(snapshot_file),
                         "--json", "--clock", "2024-01-02")
         assert annex == fresh
+
+    def test_load_and_save_import_no_numpy(self, snapshot_file, tmp_path):
+        resaved = tmp_path / "resaved.ndjson"
+        loaded = _python("-c", "import sys; from normgraph import store; "
+                               "store.save(store.load(sys.argv[1]), sys.argv[2]); "
+                               "print('numpy' in sys.modules)", str(snapshot_file), str(resaved))
+        assert loaded.strip() == "False"
+        assert resaved.read_bytes() == snapshot_file.read_bytes()
 
     def test_the_package_resolves_its_public_names_on_first_use(self):
         loaded = _python("-c", "import sys, normgraph; "

@@ -14,6 +14,7 @@ import pytest
 
 from normgraph.cli import main
 from normgraph.errors import DanglingReference, MalformedSnapshot, UnknownWork
+from normgraph.ingest import ingest_corpus
 from normgraph.model import (
     ActionNode,
     ActionType,
@@ -128,6 +129,25 @@ class TestGoldenSnapshot:
     def test_load_then_save_reproduces_it_byte_for_byte(self, tmp_path):
         path = tmp_path / "resaved.ndjson"
         save(load(GOLDEN), path)
+        assert path.read_bytes() == GOLDEN.read_bytes()
+
+    def test_save_after_a_vector_read_reproduces_it_byte_for_byte(self, clock, tmp_path):
+        store = load(GOLDEN)
+        run(store, StructuredQuery(QueryPattern.RETRIEVE, structural_target="art6",
+                                   textual_target="food security", mode=RetrievalMode.VECTOR,
+                                   temporal=TemporalScope.instant(date(2011, 1, 1))), clock)
+        assert store._matrix is not None
+        path = tmp_path / "resaved.ndjson"
+        save(store, path)
+        assert path.read_bytes() == GOLDEN.read_bytes()
+
+    def test_ingest_check_and_save_write_it_without_building_the_matrix(
+            self, corpus_dir, tmp_path):
+        store, _ = ingest_corpus(corpus_dir)
+        assert validate_graph(store) == []
+        path = tmp_path / "fixture.ndjson"
+        save(store, path)
+        assert store._matrix is None
         assert path.read_bytes() == GOLDEN.read_bytes()
 
     def test_its_nodes_are_those_of_an_ingest_of_the_fixture_corpus(self, fixture_store):
@@ -549,7 +569,7 @@ class TestEmbeddingMatrix:
         assert store._matrix is None
         buffered = store.embedding_norms()
         built = np.linalg.norm(store.embeddings, axis=1)
-        assert store._sparse is None
+        assert store.embedding_norms() is buffered  # the matrix is a cache; the buffers stay
         assert len(buffered) == len(built) == len(store.units)
         assert np.allclose(buffered, built, rtol=0, atol=1e-12)
         assert np.allclose(store.embedding_norms(), built, rtol=0, atol=1e-12)
@@ -804,11 +824,12 @@ class TestLazyEmbeddingMatrix:
     def test_vector_paths_build_it_equal_to_the_committed_one(
             self, fixture_store, snapshot_path, clock, mode):
         store = load(snapshot_path)
+        sparse = store._sparse
         query = StructuredQuery(QueryPattern.RETRIEVE, structural_target="tit2_cap2",
                                 textual_target="housing", mode=mode,
                                 temporal=TemporalScope.instant(date(2016, 1, 1)))
         answer = run(store, query, clock)
-        assert store._sparse is None
+        assert store._matrix is not None and store._sparse is sparse  # the buffers stay
         assert store.embeddings.tobytes() == fixture_store.embeddings.tobytes()
         assert not store.embeddings.flags.writeable
         assert answer.annex_json() == run(fixture_store, query, clock).annex_json()
