@@ -87,12 +87,33 @@ def _choice(kind: type[Enum], value):
         raise MalformedQuery(f"{value!r} is not one of: {allowed}") from None
 
 
+# A query value's allowed JSON types, by name; bool is no integer, and no string a boolean.
+_TEXT = ("a string or null", frozenset({str, type(None)}))
+_FLAG = ("a boolean", frozenset({bool}))
+_INTEGER = ("an integer", frozenset({int}))
+_LIST = ("a list", frozenset({list}))
+
+
+def _value(mapping: dict, key: str, kind: tuple[str, frozenset[type]], default=None):
+    """``mapping[key]``, or ``default`` if absent; MalformedQuery unless its type is of ``kind``."""
+    if key not in mapping:
+        return default
+    value = mapping[key]
+    name, types = kind
+    if type(value) not in types:
+        raise MalformedQuery(f"{key} must be {name}, not {value!r}")
+    return value
+
+
 def build_query(pattern: QueryPattern, mapping: dict) -> StructuredQuery:
     """Translate a truth-file (or CLI-shaped) query mapping into a record.
 
     A date that is not YYYY-MM-DD, a ``between`` that is not two dates in
-    order, a ``k`` that is not an integer, or an aspect, mode, membership
-    or policy value that names no member raises MalformedQuery.
+    order, a ``k`` that is not an integer, ``aspects`` that are not a list,
+    a target, theme, term, text or language that is neither a string nor
+    null, a fallback or future-actions flag that is not a boolean, or an
+    aspect, mode, membership or policy value that names no member raises
+    MalformedQuery.
     """
     temporal = None
     if "at" in mapping:
@@ -107,24 +128,21 @@ def build_query(pattern: QueryPattern, mapping: dict) -> StructuredQuery:
             temporal = TemporalScope.interval(t1, t2, policy)
         except ValueError as exc:  # a reversed window
             raise MalformedQuery(str(exc)) from None
-    aspects = frozenset(
-        _choice(Aspect, a) for a in mapping.get("aspects", ())) or frozenset({Aspect.CONTENT})
-    k = mapping.get("k", 8)
-    if type(k) is not int:  # bool is an int subclass but no k
-        raise MalformedQuery(f"k must be an integer, not {k!r}")
+    aspects = frozenset(_choice(Aspect, a) for a in _value(mapping, "aspects", _LIST, ()))
+    term, text = _value(mapping, "term", _TEXT), _value(mapping, "text", _TEXT)
     return StructuredQuery(
         pattern=pattern,
-        structural_target=mapping.get("target"),
-        theme_target=mapping.get("theme"),
+        structural_target=_value(mapping, "target", _TEXT),
+        theme_target=_value(mapping, "theme", _TEXT),
         temporal=temporal,
-        textual_target=mapping.get("term") or mapping.get("text"),
-        language=mapping.get("lang"),
+        textual_target=term or text,
+        language=_value(mapping, "lang", _TEXT),
         membership=_choice(MembershipPolicy, mapping.get("membership", "snapshot_anchored")),
-        k=k,
+        k=_value(mapping, "k", _INTEGER, 8),
         mode=_choice(RetrievalMode, mapping.get("mode", "vector")),
-        aspects=aspects,
-        language_fallback=bool(mapping.get("language_fallback", True)),
-        include_future_actions=bool(mapping.get("include_future_actions", False)),
+        aspects=aspects or frozenset({Aspect.CONTENT}),
+        language_fallback=_value(mapping, "language_fallback", _FLAG, True),
+        include_future_actions=_value(mapping, "include_future_actions", _FLAG, False),
     )
 
 

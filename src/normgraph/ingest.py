@@ -136,7 +136,8 @@ class EventRecord:
     """One amendment/insertion/repeal command from an event file.
 
     ``new_components`` holds the raw subtree records; they are validated
-    against the target's component type when the event is applied.
+    against the target's component type when the event is applied, and
+    errors in them name ``path``, the event file.
     """
 
     action_type: ActionType
@@ -149,6 +150,7 @@ class EventRecord:
     new_text: tuple[tuple[str, str], ...] = ()
     synthetic: tuple[tuple[str, bool], ...] = ()
     new_components: tuple[dict, ...] = ()
+    path: str | None = None
 
 
 @dataclass(frozen=True)
@@ -312,6 +314,7 @@ def parse_event_file(source: str | bytes | dict, path: str | None = None) -> Eve
             new_text=new_text,
             synthetic=synthetic,
             new_components=raw_components,
+            path=path,
         ))
     return EventFile(instrument=instrument, events=tuple(events), themes=_parse_themes(data, path))
 
@@ -674,15 +677,16 @@ def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str
         # An insertion may join a target version opened earlier that day.
         parent_type = None if target.kind is WorkKind.NORM else target.component_type
         seen: set[str] = set()
-        records = [_parse_component(raw, i, parent_type, seen, None)
+        records = [_parse_component(raw, i, parent_type, seen, ev.path)
                    for i, raw in enumerate(ev.new_components)]
         taken = sorted(f for f in seen if f"{target.id.norm_urn}{FRAGMENT_SEP}{f}" in store.works)
         if taken:
-            raise MalformedInput(f"inserted fragment {taken[0]!r} already exists")
+            raise MalformedInput(f"inserted fragment {taken[0]!r} already exists", ev.path)
         if instrument.urn == target.id.norm_urn and ev.source_provision in seen:
             # Its stub would be written first and take the inserted work's urn.
             raise MalformedInput(
-                f"source provision {ev.source_provision!r} is a fragment this event inserts")
+                f"source provision {ev.source_provision!r} is a fragment this event inserts",
+                ev.path)
     elif current.validity.valid_start == effective:
         raise OutOfOrderEvent(ev.target, effective, current.validity.valid_start)
     elif ev.action_type is ActionType.AMENDMENT and not store.clvs_by_ctv.get(current.id):

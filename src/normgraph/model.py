@@ -10,6 +10,7 @@ version "valid until 2010-02-03" is stored with ``valid_end``
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from datetime import date
@@ -269,10 +270,10 @@ class ActionNode:
 class TextUnit:
     """Atomic retrievable text span.
 
-    Its embedding lives in the committed store's sparse buffers, and is read
-    as a matrix row (``GraphStore.embedding(id)``): EMBEDDING_DIMENSION wide
-    with unit L2 norm, except for empty text, which keeps a zero vector and
-    is skipped by vector retrieval.
+    Its embedding lives in the committed store (``GraphStore.embedding(id)``)
+    as its non-zero entries, ``{bucket: value}`` with buckets below
+    EMBEDDING_DIMENSION, of unit L2 norm, except for empty text, which has
+    no entries and is skipped by vector retrieval.
     """
 
     id: str
@@ -497,18 +498,17 @@ _ASPECT_OWNERS = {
 
 
 def _check_text_units(graph: "GraphStore", out: list[Violation]) -> None:
-    # Widths are enforced where rows are written (commit, load); only the
-    # norms are left to check. A row that overflows has an inf or NaN norm,
-    # which the checks below report.
-    norms = graph.embedding_norms()
-    rows = graph.unit_rows
+    # Buckets are checked where entries are read (load); only the norms are
+    # left to check. hypot scales, so only a norm beyond float64 is inf, and
+    # a NaN entry gives a NaN norm; the checks below report both.
+    embeddings = graph.unit_embeddings
     for unit in graph.units.values():
         if unit.owner not in getattr(graph, _ASPECT_OWNERS[unit.aspect]):
             out.append(Violation("AspectOwnerMismatch", f"{unit.aspect.value} unit has wrong owner kind", (unit.id,)))
-        row = rows.get(unit.id)
-        if row is None:
+        entries = embeddings.get(unit.id)
+        if entries is None:
             continue
-        norm = norms[row]
+        norm = math.hypot(*entries.values())
         # Negated, so that a NaN norm fails the check.
         if unit.retrievable and not abs(norm - 1.0) <= 1e-6:
             out.append(Violation("EmbeddingShape", f"embedding norm {norm:.8f} is not unit", (unit.id,)))

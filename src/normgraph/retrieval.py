@@ -5,8 +5,8 @@ into a fixed number of buckets with a keyed hash, weighted by the corpus
 IDF statistics frozen at ingest commit, and L2-normalized. It exists so
 retrieval is reproducible without a learned model, and it is the only
 embedder: snapshots name it, and queries embed their text with it.
-Only the functions that build or score vectors import numpy, so lexical
-retrieval and span location run without it.
+Embedding and scoring are plain float arithmetic in a fixed order, with
+every step correctly rounded, so their bits depend on no BLAS kernel.
 """
 
 from __future__ import annotations
@@ -18,14 +18,11 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable, Sequence
 
 from .errors import EmptyScope
 from .model import Aspect, EMBEDDING_DIMENSION
 from .store import GraphStore, tokenize
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
 
 _HASH_KEY = b"normgraph.embed.v1"
 
@@ -49,16 +46,23 @@ class HashedTfidfEmbedder:
     def idf(self, token: str) -> float:
         return math.log((self.n_units + 1) / (self.df.get(token, 0) + 1)) + 1.0
 
-    def embed(self, text: str) -> np.ndarray:
-        import numpy as np
+    def embed(self, text: str) -> dict[int, float]:
+        """The text's buckets as ``{bucket: value}``, in ascending bucket order.
 
-        vec = np.zeros(EMBEDDING_DIMENSION, dtype=np.float64)
+        Each bucket adds up ``count * idf`` in first-occurrence token order;
+        the norm is the square root of math.fsum's correctly rounded sum of
+        squares, so the result depends on no summation order. With a
+        store's own statistics, as at commit, every IDF is at least 1, so
+        no value is zero.
+        """
+        buckets: dict[int, float] = {}
         for token, count in Counter(tokenize(text)).items():
-            vec[_bucket(token)] += count * self.idf(token)
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec /= norm
-        return vec
+            bucket = _bucket(token)
+            buckets[bucket] = buckets.get(bucket, 0.0) + count * self.idf(token)
+        norm = math.sqrt(math.fsum(v * v for v in buckets.values()))
+        if norm == 0.0:  # no tokens, or weights that all add up to zero
+            return {}
+        return {bucket: buckets[bucket] / norm for bucket in sorted(buckets)}
 
 
 def embedder_for_store(store: GraphStore) -> HashedTfidfEmbedder:
@@ -66,15 +70,15 @@ def embedder_for_store(store: GraphStore) -> HashedTfidfEmbedder:
     return HashedTfidfEmbedder(store.df, store.n_units)
 
 
-def cosine(a: np.ndarray | Iterable[float], b: np.ndarray | Iterable[float]) -> float:
-    """Dot product of two unit vectors; the per-pair reference for scoped_search."""
-    import numpy as np
+def cosine(a: Sequence[float], b: Sequence[float]) -> float:
+    """Dot product of two dense unit vectors of one length, summed in index order.
 
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.size == 0 or vb.size == 0:
-        return 0.0
-    return float(np.dot(va, vb))
+    The per-pair reference for scoped_search, which scores bit for bit alike.
+    """
+    s = 0.0
+    for x, y in zip(a, b, strict=True):
+        s += x * y
+    return s
 
 
 class RetrievalMode(str, Enum):
@@ -207,23 +211,32 @@ def _bm25_scores(store: GraphStore, query: str,
 
 def _vector_scores(store: GraphStore, query: str,
                    unit_ids: list[str]) -> list[tuple[str, float]]:
-    """Cosine of the query with each unit: one gather, one row-wise dot.
+    """Cosine of the query with each unit, read from the units' stored entries.
 
-    ``vecdot`` takes each row's dot as ``np.dot`` (and so ``cosine``) does,
-    bit for bit; a matrix product may sum in another order and reorder
-    near-ties.
+    Each score adds ``v * w`` over the query's buckets in ascending order,
+    which is ``cosine`` of the dense vectors bit for bit: every other dense
+    term has a zero factor, and adding a zero leaves the running sum as it
+    is. The loop is written out, not ``sum()``, whose float algorithm
+    changed in Python 3.12.
     """
-    import numpy as np
+    query_entries = list(embedder_for_store(store).embed(query).items())
+    embeddings = store.unit_embeddings
+    scored: list[tuple[str, float]] = []
+    for uid in unit_ids:
+        entries = embeddings[uid]
+        s = 0.0
+        for bucket, w in query_entries:
+            s += entries.get(bucket, 0.0) * w
+        scored.append((uid, s))
+    return scored
 
-    query_vec = embedder_for_store(store).embed(query)
-    rows = [store.unit_rows[uid] for uid in unit_ids]
-    scores = np.vecdot(store.embeddings[rows], query_vec).tolist()
-    return list(zip(unit_ids, scores))
+
+def _by_score(pair: tuple[str, float]) -> tuple[float, str]:
+    return -pair[1], pair[0]
 
 
 def _rank(pairs: list[tuple[str, float]]) -> dict[str, int]:
-    ordered = sorted(pairs, key=lambda p: (-p[1], p[0]))
-    return {uid: i for i, (uid, _) in enumerate(ordered)}
+    return {uid: i for i, (uid, _) in enumerate(sorted(pairs, key=_by_score))}
 
 
 def scoped_search(store: GraphStore, req: RetrievalRequest) -> list[RetrievalHit]:
@@ -254,27 +267,19 @@ def scoped_search(store: GraphStore, req: RetrievalRequest) -> list[RetrievalHit
 
     if req.mode is RetrievalMode.VECTOR:
         retrievable = [uid for uid in unit_ids if store.units[uid].retrievable]
-        scored = _vector_scores(store, req.query_text, retrievable)
+        ordered = sorted(_vector_scores(store, req.query_text, retrievable), key=_by_score)
     elif req.mode is RetrievalMode.LEXICAL:
         scores = _bm25_scores(store, req.query_text, unit_ids)
-        scored = [(uid, scores[uid]) for uid in unit_ids]
+        ordered = sorted(((uid, scores[uid]) for uid in unit_ids), key=_by_score)
     else:
-        vec_pairs = _vector_scores(store, req.query_text, unit_ids)
+        vec_rank = _rank(_vector_scores(store, req.query_text, unit_ids))
         lex_scores = _bm25_scores(store, req.query_text, unit_ids)
-        lex_pairs = [(uid, lex_scores[uid]) for uid in unit_ids]
-        vec_rank = _rank(vec_pairs)
-        lex_rank = _rank(lex_pairs)
+        lex_rank = _rank([(uid, lex_scores[uid]) for uid in unit_ids])
         # Rank-sum fusion; ties break on lexical rank, then unit id.
         fused = sorted(unit_ids, key=lambda uid: (vec_rank[uid] + lex_rank[uid],
                                                   lex_rank[uid], uid))
-        scored = [(uid, 1.0 / (1.0 + vec_rank[uid] + lex_rank[uid])) for uid in fused]
-        hits = [
-            RetrievalHit(uid, round(score, 12), by_unit[uid].provenance, by_unit[uid].aspect)
-            for uid, score in scored
-        ]
-        return hits[: req.k]
+        ordered = [(uid, 1.0 / (1.0 + vec_rank[uid] + lex_rank[uid])) for uid in fused]
 
-    ordered = sorted(scored, key=lambda p: (-p[1], p[0]))
     return [
         RetrievalHit(uid, round(score, 12), by_unit[uid].provenance, by_unit[uid].aspect)
         for uid, score in ordered[: req.k]

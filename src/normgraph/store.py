@@ -16,12 +16,11 @@ action produced or terminated a CTV is an index, filed from the actions'
 actions claim is rejected). Snapshots of versions 1 and 2 are rejected with
 a hint to re-run ``normgraph ingest``.
 
-Indexes are never persisted; they are rebuilt on load. Two are built on
-their first read instead: the inverted term index, and the embedding
-matrix (float64, one row per text unit in sorted unit-id order), a read
-cache scattered from the checked sparse buffers that commit and load fill
-alike. Loading, saving and the point-in-time, impact, provenance and
-lexical queries never import numpy; commit, vector and hybrid retrieval do.
+Each unit's embedding has one form, whether commit or load filled it: its
+entries as ``{bucket: value}`` in ascending bucket order, holding those
+whose bits are not +0.0. Vector retrieval scores them as they are, and save
+writes them. Indexes are never persisted; they are rebuilt on load, except
+the inverted term index, which is built on its first read.
 """
 
 from __future__ import annotations
@@ -31,15 +30,14 @@ import math
 import operator
 import re
 import threading
-from array import array
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, chain, filterfalse
+from itertools import chain, filterfalse
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import DanglingReference, MalformedSnapshot, UnknownWork
 from .model import (
@@ -61,14 +59,10 @@ from .model import (
     validate_graph,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
 FORMAT_VERSION = 3
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# Serializes first builds of a loaded store's term index and embedding
-# matrix across threads.
+# Serializes first builds of a loaded store's term index across threads.
 _BUILD_LOCK = threading.Lock()
 
 
@@ -100,12 +94,10 @@ class GraphStore:
 
     committed: bool = False
 
-    # Unit id -> its row of the embedding matrix (sorted unit-id order).
-    unit_rows: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
-    # The embeddings, filled by commit or load; empty before commit.
-    _sparse: _SparseRows = field(default_factory=lambda: _SparseRows(), compare=False, repr=False)
-    # The matrix, read through the embeddings property: None until first read.
-    _matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # Unit id -> its embedding's entries whose bits are not +0.0, as
+    # {bucket: value} in ascending bucket order; filled by commit or load.
+    unit_embeddings: dict[str, dict[int, float]] = field(
+        default_factory=dict, compare=False, repr=False)
 
     # Derived indexes; rebuilt by _reindex, never persisted.
     children: dict[str, list[str]] = field(default_factory=dict, compare=False)
@@ -249,12 +241,8 @@ class GraphStore:
 
     # -- commit ---------------------------------------------------------
 
-    def commit(self, embedder=None) -> None:
-        """Freeze IDF statistics, embed every text unit, and seal the store.
-
-        Raises ValueError, leaving the store mutable, if the embedder returns
-        a vector that is not ``(EMBEDDING_DIMENSION,)``.
-        """
+    def commit(self) -> None:
+        """Freeze IDF statistics, embed every text unit, and seal the store."""
         self._assert_mutable()
         self._rebuild_text_index()
         self.df = {
@@ -264,65 +252,14 @@ class GraphStore:
         self.n_units = len(retrievable)
         total = sum(self.unit_len[u.id] for u in retrievable)
         self.avgdl = total / self.n_units if self.n_units else 0.0
-        import numpy as np
+        from .retrieval import HashedTfidfEmbedder
 
-        if embedder is None:
-            from .retrieval import HashedTfidfEmbedder
-
-            embedder = HashedTfidfEmbedder(self.df, self.n_units)
-        unit_ids = sorted(self.units)
-        shape = (EMBEDDING_DIMENSION,)
-        sparse = _SparseRows()
-        for uid in unit_ids:
-            vec = embedder.embed(self.units[uid].text)
-            if np.shape(vec) != shape:
-                raise ValueError(
-                    f"embedder returned shape {np.shape(vec)} for {uid!r}, expected {shape}")
-            vec = np.asarray(vec, dtype=np.float64)
-            # Entries whose bits are not +0.0, so -0.0 and NaN are kept.
-            index = np.flatnonzero(vec.view(np.uint64))
-            sparse.add(index.tolist(), vec[index].tolist())
-        self._seal(sparse, unit_ids)
-
-    def _seal(self, sparse: _SparseRows, unit_ids) -> None:
-        """Adopt the embeddings of ``unit_ids``, given in the order added, and seal the store."""
-        self.unit_rows = {uid: row for row, uid in enumerate(sorted(self.units))}
-        sparse.finish(unit_ids, self.unit_rows)
-        self._sparse, self._matrix = sparse, None
+        embed = HashedTfidfEmbedder(self.df, self.n_units).embed
+        self.unit_embeddings = {uid: embed(unit.text) for uid, unit in self.units.items()}
         self.committed = True
 
     # Properties, not __getattr__: a class with __getattr__ makes every
     # attribute read on the store slower, not only these.
-    @property
-    def embeddings(self) -> np.ndarray:
-        """The read-only float64 matrix with one row per text unit (see unit_rows)."""
-        matrix = self._matrix
-        if matrix is None:
-            with _BUILD_LOCK:
-                if self._matrix is None:
-                    self._build_embeddings()
-                matrix = self._matrix
-        return matrix
-
-    def _build_embeddings(self) -> None:
-        """Scatter the sparse buffers into the matrix in one step."""
-        import numpy as np
-
-        matrix = np.zeros((len(self.unit_rows), EMBEDDING_DIMENSION))
-        sparse = self._sparse
-        rows = np.repeat(np.asarray(sparse.rows), np.asarray(sparse.counts))
-        matrix[rows, np.asarray(sparse.index)] = np.asarray(sparse.values)
-        matrix.flags.writeable = False
-        self._matrix = matrix
-
-    def embedding_norms(self) -> list[float]:
-        """The L2 norm of each embedding row, in row order; [] before commit.
-
-        Taken from the sparse buffers, so checking a store needs no numpy. A
-        row that overflows has an inf or NaN norm.
-        """
-        return self._sparse.norms
-
     @property
     def term_index(self) -> dict[str, dict[str, int]]:
         """Token -> {unit id: term frequency} over every text unit."""
@@ -380,9 +317,12 @@ class GraphStore:
         tv = self.ctvs[self.versions[urn][index - 1]]
         return tv if interval_contains(tv.validity, t) else None
 
-    def embedding(self, uid: str) -> np.ndarray:
-        """The committed embedding of text unit ``uid``: a read-only matrix row."""
-        return self.embeddings[self.unit_rows[uid]]
+    def embedding(self, uid: str) -> dict[int, float]:
+        """The committed embedding of text unit ``uid``, as kept in unit_embeddings.
+
+        Shared with the store: treat it as read-only.
+        """
+        return self.unit_embeddings[uid]
 
     def content_clv(self, ctv: str, language: str) -> LanguageVersion | None:
         lv_id = self.clvs_by_ctv.get(ctv, {}).get(language)
@@ -594,7 +534,7 @@ _KINDS = {
         _Column("description_unit", _STR, "units"),
         _Column("members", _STRS, "works"),
     ),
-    # Each unit record also carries its "embedding" (see _SparseRows.pairs).
+    # Each unit record also carries its "embedding" (see _embedding_entries).
     "unit": _Kind(
         "units", TextUnit,
         _Column("id", _STR),
@@ -630,7 +570,7 @@ def save(store: GraphStore, path: str | Path) -> None:
         },
     }
     encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
-    embeddings = store._sparse.pairs()
+    embeddings = store.unit_embeddings
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(encode(meta))
         fh.write("\n")
@@ -645,63 +585,34 @@ def save(store: GraphStore, path: str | Path) -> None:
                 fh.write(encode(row))
                 if kind == "unit":
                     fh.write(',"embedding":')
-                    fh.write(encode(next(embeddings)))
+                    fh.write(encode([*chain.from_iterable(embeddings[node_id].items())]))
                 fh.write("}\n")
 
 
-class _SparseRows:
-    """A store's checked embedding entries: those whose bits are not +0.0.
+def _embedding_entries(pairs) -> dict[int, float]:
+    """Check a unit record's ``[i0, v0, i1, v1, …]`` and return it as ``{i: float(v)}``.
 
-    ``counts``, ``index`` and ``values`` hold each unit's entries as commit
-    or load added them; ``rows`` holds each unit's matrix row and ``norms``
-    each row's L2 norm in row order, once :meth:`finish` has run.
+    Indices must be ints, strictly increasing, in ``[0, EMBEDDING_DIMENSION)``;
+    values (one per index) must be numbers. An explicit +0.0 is no entry and
+    is left out, so a re-save writes the canonical form. Raises ValueError
+    naming what is wrong, and OverflowError on a value beyond float64.
     """
-
-    def __init__(self) -> None:
-        self.counts, self.index, self.values = array("q"), array("q"), array("d")
-        self.rows = array("q")
-        self.norms: list[float] = []
-
-    def add(self, index: list, values: list) -> None:
-        """Check a unit's entries and append them to the buffers.
-
-        Indices must be ints, strictly increasing, in ``[0, EMBEDDING_DIMENSION)``;
-        values (one per index) must be numbers. Raises ValueError naming what
-        is wrong, and OverflowError on a value beyond float64.
-        """
-        # Exact types: bool is an int subclass but no index or value.
-        if not {*map(type, index)} <= {int}:
-            raise ValueError("has an index that is not an integer")
-        if index and not (0 <= index[0] and index[-1] < EMBEDDING_DIMENSION
-                          and all(map(operator.lt, index, index[1:]))):
-            raise ValueError(
-                f"has indices that are not strictly increasing in [0, {EMBEDDING_DIMENSION})")
-        if not {*map(type, values)} <= {int, float}:
-            raise ValueError("has a value that is not a number")
-        # hypot scales, so only a norm beyond float64 is inf.
-        norm = math.hypot(*values)
-        self.values.extend(values)
-        self.index.extend(index)
-        self.counts.append(len(index))
-        self.norms.append(norm)
-
-    def finish(self, unit_ids, unit_rows: dict[str, int]) -> None:
-        """Map the units, given in file order, to their rows."""
-        self.rows = array("q", map(unit_rows.__getitem__, unit_ids))
-        norms = [0.0] * len(self.rows)
-        for row, norm in zip(self.rows, self.norms):
-            norms[row] = norm
-        self.norms = norms
-
-    def pairs(self):
-        """Each row's entries as ``[i0, v0, i1, v1, …]``, in row order."""
-        starts = [0, *accumulate(self.counts)]
-        for unit in sorted(range(len(self.rows)), key=self.rows.__getitem__):
-            start, end = starts[unit], starts[unit + 1]
-            pairs: list = [None] * (2 * (end - start))
-            pairs[0::2] = self.index[start:end]
-            pairs[1::2] = self.values[start:end]
-            yield pairs
+    if type(pairs) is not list or len(pairs) % 2:
+        raise ValueError("is not a flat list of index, value pairs")
+    index, values = pairs[0::2], pairs[1::2]
+    # Exact types: bool is an int subclass but no index or value.
+    if not {*map(type, index)} <= {int}:
+        raise ValueError("has an index that is not an integer")
+    if index and not (0 <= index[0] and index[-1] < EMBEDDING_DIMENSION
+                      and all(map(operator.lt, index, index[1:]))):
+        raise ValueError(
+            f"has indices that are not strictly increasing in [0, {EMBEDDING_DIMENSION})")
+    if not {*map(type, values)} <= {int, float}:
+        raise ValueError("has a value that is not a number")
+    entries = dict(zip(index, map(float, values)))
+    if 0.0 in entries.values():  # true for -0.0 too, which is kept
+        entries = {i: v for i, v in entries.items() if v or math.copysign(1.0, v) < 0.0}
+    return entries
 
 
 def _read_header(rec: dict, store: GraphStore) -> None:
@@ -761,7 +672,7 @@ def load(path: str | Path) -> GraphStore:
     _read_header), a record of an unknown kind, a row value that is missing
     or of the wrong type (see _KINDS), a repeated id, a CTV that two actions
     claim, or a unit whose embedding breaks the sparse layout (see
-    _SparseRows.add). Raises DanglingReference when a record cites an id no
+    _embedding_entries). Raises DanglingReference when a record cites an id no
     record defines, and MalformedSnapshot, naming the first and giving the
     count, when validate_graph reports any violation. A file with no
     records loads as an empty store.
@@ -769,7 +680,7 @@ def load(path: str | Path) -> GraphStore:
     store = GraphStore()
     spath = str(path)
     node_maps = {kind: getattr(store, spec.nodes) for kind, spec in _KINDS.items()}
-    sparse = _SparseRows()
+    embeddings = store.unit_embeddings
     header_seen = False
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -825,10 +736,7 @@ def load(path: str | Path) -> GraphStore:
                     store._link_action(node)
                 elif kind == "unit":
                     try:
-                        pairs = rec["embedding"]
-                        if type(pairs) is not list or len(pairs) % 2:
-                            raise ValueError("is not a flat list of index, value pairs")
-                        sparse.add(pairs[0::2], pairs[1::2])
+                        embeddings[node_id] = _embedding_entries(rec["embedding"])
                     except ValueError as exc:
                         raise MalformedSnapshot(f"embedding of {node_id!r} {exc}",
                                                 path=spath, line=lineno) from None
@@ -838,7 +746,7 @@ def load(path: str | Path) -> GraphStore:
                 raise MalformedSnapshot(f"bad {kind!r} record: {spec.why_bad(rec, exc)}",
                                         path=spath, line=lineno) from None
 
-    store._seal(sparse, store.units)
+    store.committed = True
     _check_references(store)
     store._reindex()
     violations = validate_graph(store)

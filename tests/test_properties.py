@@ -12,6 +12,7 @@ from normgraph.ingest import add_language, apply_event, enact, parse_document, p
 from normgraph.model import (
     ActionType,
     Aspect,
+    EMBEDDING_DIMENSION,
     TemporalVersion,
     TextUnit,
     ValidityInterval,
@@ -40,6 +41,7 @@ from normgraph.temporal import alive_at, ctv_at, snapshot_fragments, snapshot_te
 
 import synthcorpus
 from test_ingest import amendment_file, apply_file, mini_doc
+from test_store import entry_bits
 
 
 class TestAggregationClosure:
@@ -149,9 +151,8 @@ class TestSnapshotRoundTripOnSyntheticCorpora:
             loaded = load(first)
             assert loaded.ctvs == store.ctvs
             assert loaded.units == store.units
-            # Store equality leaves the matrix out; compare it here, bitwise.
-            assert loaded.unit_rows == store.unit_rows
-            assert loaded.embeddings.tobytes() == store.embeddings.tobytes()
+            # Store equality leaves the embeddings out; compare them here, bitwise.
+            assert entry_bits(loaded) == entry_bits(store)
             save(loaded, second)
             assert first.read_bytes() == second.read_bytes()
 
@@ -167,8 +168,7 @@ class TestSnapshotRoundTripOnSyntheticCorpora:
         save(store, path)
         loaded = load(path)
         assert loaded.units == store.units
-        assert loaded.unit_rows == store.unit_rows
-        assert loaded.embeddings.tobytes() == store.embeddings.tobytes()
+        assert entry_bits(loaded) == entry_bits(store)
         assert "educação" in path.read_text(encoding="utf-8")
 
 
@@ -515,22 +515,27 @@ class TestBisectVersionSelection:
                 assert got == expected, (seed, t, language)
 
 
-# -- one vecdot over the embedding matrix against per-candidate cosine ----------------
+# -- sparse scoring against per-candidate cosine of dense vectors ---------------------
+
+def _dense(entries: dict[int, float]) -> list[float]:
+    return [entries.get(i, 0.0) for i in range(EMBEDDING_DIMENSION)]
+
 
 def _cosine_reference(store: GraphStore, req: RetrievalRequest) -> list[RetrievalHit]:
-    """scoped_search's ranking, scoring each candidate with its own cosine call."""
+    """scoped_search's ranking, scoring each candidate's dense vector with its own cosine call."""
     by_unit = {}
     for cand in (_content_candidates(store, req) + _action_candidates(store, req)
                  + _metadata_candidates(store, req) + _theme_candidates(store, req)):
         by_unit.setdefault(cand.unit_id, cand)
     unit_ids = sorted(by_unit)
-    query = embedder_for_store(store).embed(req.query_text)
+    query = _dense(embedder_for_store(store).embed(req.query_text))
     if req.mode is RetrievalMode.VECTOR:
-        scored = sorted(((uid, cosine(query, store.embedding(uid))) for uid in unit_ids
+        scored = sorted(((uid, cosine(query, _dense(store.embedding(uid)))) for uid in unit_ids
                          if store.units[uid].retrievable), key=lambda p: (-p[1], p[0]))
     else:
         lexical = _bm25_scores(store, req.query_text, unit_ids)
-        vec_order = sorted(unit_ids, key=lambda uid: (-cosine(query, store.embedding(uid)), uid))
+        vec_order = sorted(unit_ids,
+                           key=lambda uid: (-cosine(query, _dense(store.embedding(uid))), uid))
         lex_order = sorted(unit_ids, key=lambda uid: (-lexical[uid], uid))
         vec_rank = {uid: i for i, uid in enumerate(vec_order)}
         lex_rank = {uid: i for i, uid in enumerate(lex_order)}
@@ -566,8 +571,9 @@ class TestMatrixScoring:
                     # French, request of the loop above), bit for bit.
                     assert req.language == "fr"
                     uids = sorted({c.unit_id for c in _content_candidates(store, req)})
-                    query = embedder_for_store(store).embed(text)
-                    reference = [(uid, cosine(query, store.embedding(uid))) for uid in uids]
+                    query = _dense(embedder_for_store(store).embed(text))
+                    reference = [(uid, cosine(query, _dense(store.embedding(uid))))
+                                 for uid in uids]
                     assert _vector_scores(store, text, uids) == reference
                     # Units with the same text tie at a nonzero score and rank by id.
                     shared = [h for h in vector_hits

@@ -3,15 +3,15 @@ from __future__ import annotations
 import math
 from datetime import date
 
-import numpy as np
 import pytest
 
 from normgraph.errors import EmptyScope
-from normgraph.model import Aspect, interval_contains
+from normgraph.model import Aspect, EMBEDDING_DIMENSION, interval_contains
 from normgraph.retrieval import (
     HashedTfidfEmbedder,
     RetrievalMode,
     RetrievalRequest,
+    _bucket,
     cosine,
     embedder_for_store,
     locate_spans,
@@ -23,20 +23,24 @@ import synthcorpus
 from reference_ids import ART6, ART6_CPT, ART7_CPT, CAP2, NORM_URN
 
 
-def default_embed(text: str) -> np.ndarray:
-    """Corpus-free hashed TF embedding (IDF degenerates to a constant)."""
-    return HashedTfidfEmbedder().embed(text)
+def dense(entries: dict[int, float]) -> list[float]:
+    return [entries.get(i, 0.0) for i in range(EMBEDDING_DIMENSION)]
+
+
+def default_embed(text: str) -> list[float]:
+    """Corpus-free hashed TF embedding (IDF degenerates to a constant), as a dense vector."""
+    return dense(HashedTfidfEmbedder().embed(text))
 
 
 class TestDefaultEmbedder:
     def test_deterministic(self):
         a = default_embed("social rights housing")
         b = default_embed("social rights housing")
-        assert np.array_equal(a, b)
+        assert list(map(float.hex, a)) == list(map(float.hex, b))
 
     def test_unit_norm_for_nonempty_text(self):
         vec = default_embed("education and health")
-        assert math.isclose(float(np.linalg.norm(vec)), 1.0, rel_tol=1e-12)
+        assert math.isclose(math.hypot(*vec), 1.0, rel_tol=1e-12)
         assert math.isclose(cosine(vec, vec), 1.0, rel_tol=1e-12)
 
     def test_bag_of_words_order_invariance(self):
@@ -44,12 +48,27 @@ class TestDefaultEmbedder:
         # so the hashed vectors must coincide exactly.
         a = default_embed("housing education")
         b = default_embed("education housing")
-        assert np.array_equal(a, b)
+        assert list(map(float.hex, a)) == list(map(float.hex, b))
         assert math.isclose(cosine(a, b), 1.0, rel_tol=1e-12)
 
     def test_empty_text_embeds_to_zero_vector(self):
-        vec = default_embed("")
-        assert float(np.linalg.norm(vec)) == 0.0
+        assert HashedTfidfEmbedder().embed("") == {}
+        assert math.hypot(*default_embed("")) == 0.0
+
+    def test_entries_are_the_correctly_rounded_normalization_by_ascending_bucket(self):
+        # Two tokens in one bucket add up in first-occurrence order; the
+        # norm is an exactly rounded sum of squares, whatever the order.
+        assert _bucket("rare") == _bucket("housing")
+        embedder = HashedTfidfEmbedder(df={"rare": 1, "the": 90}, n_units=100)
+        tokens = "the rare the rights food rare the social housing".split()
+        entries = embedder.embed(" ".join(tokens))
+        assert list(entries) == sorted(entries) and 0.0 not in entries.values()
+        buckets: dict[int, float] = {}
+        for token in dict.fromkeys(tokens):
+            weight = tokens.count(token) * embedder.idf(token)
+            buckets[_bucket(token)] = buckets.get(_bucket(token), 0.0) + weight
+        norm = math.sqrt(math.fsum(v * v for v in buckets.values()))
+        assert entries == {b: buckets[b] / norm for b in sorted(buckets)}
 
     def test_idf_downweights_common_tokens(self):
         embedder = HashedTfidfEmbedder(df={"the": 90, "rare": 1}, n_units=100)
@@ -78,8 +97,7 @@ class TestScopedSearch:
         request = RetrievalRequest(
             query_text="workers rights", scope=frozenset(scope), t=t, k=10)
         hits = scoped_search(fixture_store, request)
-        embedder = embedder_for_store(fixture_store)
-        query = embedder.embed("workers rights")
+        query = dense(embedder_for_store(fixture_store).embed("workers rights"))
         expected = []
         for urn in sorted(scope):
             for cid in fixture_store.versions.get(urn, ()):
@@ -90,7 +108,7 @@ class TestScopedSearch:
                 if lv is None:
                     continue
                 expected.append(
-                    (lv.text_unit, cosine(query, fixture_store.embedding(lv.text_unit))))
+                    (lv.text_unit, cosine(query, dense(fixture_store.embedding(lv.text_unit)))))
         expected.sort(key=lambda p: (-round(p[1], 12), p[0]))
         assert [h.text_unit for h in hits] == [uid for uid, _ in expected[:10]]
         assert [h.score for h in hits] == [round(score, 12) for _, score in expected[:10]]

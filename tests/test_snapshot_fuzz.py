@@ -1,8 +1,8 @@
 """Hypothesis fuzzing of one record of the fixture snapshot.
 
 Whatever one record is turned into, ``load`` either returns a store that
-breaks no model invariant, whose lazily built term index and embedding
-matrix can be read and which saves and loads back to the same nodes, or
+breaks no model invariant, whose lazily built term index can be read and
+which saves and loads back to the same nodes and embeddings, or
 raises MalformedSnapshot or DanglingReference; no other exception may
 escape. Every record kind and the meta header are fuzzed; rows lose, gain
 or retype a column, and unit records also get mutations of their sparse
@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from normgraph.errors import DanglingReference, MalformedSnapshot
 from normgraph.model import EMBEDDING_DIMENSION, validate_graph
 from normgraph.store import load, save
+
+from test_store import entry_bits
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -113,9 +115,9 @@ def _load_a_mutated_record(snapshot_path, fuzz_dir, data, kinds) -> None:
     except (MalformedSnapshot, DanglingReference):
         return
     assert validate_graph(store) == []
-    # The norms checked at load are those of the matrix built on first read.
-    norms = store.embedding_norms()
-    assert store.embeddings.shape == (len(store.units), EMBEDDING_DIMENSION)
+    embeddings = entry_bits(store)
+    assert set(embeddings) == set(store.units)
+    assert all(0 <= i < EMBEDDING_DIMENSION for entries in embeddings.values() for i, _ in entries)
     assert set(store.unit_len) == set(store.units)
     resaved = fuzz_dir / "resaved.ndjson"
     save(store, resaved)
@@ -124,7 +126,7 @@ def _load_a_mutated_record(snapshot_path, fuzz_dir, data, kinds) -> None:
         assert getattr(reloaded, nodes) == getattr(store, nodes), nodes
     assert (reloaded.df, reloaded.n_units, reloaded.avgdl) == (store.df, store.n_units,
                                                                 store.avgdl)
-    assert norms == pytest.approx(store.embedding_norms(), rel=0, abs=1e-12, nan_ok=True)
+    assert entry_bits(reloaded) == embeddings
 
 
 @pytest.fixture(scope="module")
