@@ -420,13 +420,10 @@ def render_action_text(action: ActionNode, store: GraphStore, language: str = "e
         None,
     )
     new_text = ""
-    if produced_tv is not None:
-        lv = store.content_clv(produced_tv.id, language)
-        if lv is None:
-            candidates = sorted(store.clvs_by_ctv.get(produced_tv.id, {}).items())
-            lv = store.clvs[candidates[0][1]] if candidates else None
-        if lv is not None:
-            new_text = store.units[lv.text_unit].text
+    # The wording every reader picks: ``language``, else the norm's primary one.
+    lv_id = store.clv_for(produced_tv.id, target_urn, language, True) if produced_tv else None
+    if lv_id is not None:
+        new_text = store.units[store.clvs[lv_id].text_unit].text
     return locale["action_amendment"].format(
         instrument=instrument, source=source, target=target, norm=norm_title,
         terminated=terminated, previous_start=previous_start,
@@ -769,7 +766,7 @@ def add_language(store: GraphStore, norm: str, translations: dict[str, str] | No
         target = store.version_at(urn, at)
         if target is None:
             raise UnknownWork(f"{urn} has no version valid on {at.isoformat()}")
-        if store.content_clv(target.id, language) is not None:
+        if language in store.clvs_by_ctv.get(target.id, ()):
             raise TranslationConflict(target.id, language)
         targets.append((target.id, text))
     return [_attach_content(store, cid, language, text, synthetic) for cid, text in targets]

@@ -10,7 +10,6 @@ version "valid until 2010-02-03" is stored with ``valid_end``
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from datetime import date
@@ -270,10 +269,11 @@ class ActionNode:
 class TextUnit:
     """Atomic retrievable text span.
 
-    Its embedding lives in the committed store (``GraphStore.embedding(id)``)
-    as its non-zero entries, ``{bucket: value}`` with buckets below
-    EMBEDDING_DIMENSION, of unit L2 norm, except for empty text, which has
-    no entries and is skipped by vector retrieval.
+    Its embedding is not stored: a committed store derives it from ``text``
+    on the unit's first vector read (``retrieval.embeddings_of``), as
+    ``{bucket: value}`` with buckets below EMBEDDING_DIMENSION, of unit L2
+    norm, except for text with no tokens, which has no entries. Empty text
+    is skipped by vector retrieval.
     """
 
     id: str
@@ -498,22 +498,9 @@ _ASPECT_OWNERS = {
 
 
 def _check_text_units(graph: "GraphStore", out: list[Violation]) -> None:
-    # Buckets are checked where entries are read (load); only the norms are
-    # left to check. hypot scales, so only a norm beyond float64 is inf, and
-    # a NaN entry gives a NaN norm; the checks below report both.
-    embeddings = graph.unit_embeddings
     for unit in graph.units.values():
         if unit.owner not in getattr(graph, _ASPECT_OWNERS[unit.aspect]):
             out.append(Violation("AspectOwnerMismatch", f"{unit.aspect.value} unit has wrong owner kind", (unit.id,)))
-        entries = embeddings.get(unit.id)
-        if entries is None:
-            continue
-        norm = math.hypot(*entries.values())
-        # Negated, so that a NaN norm fails the check.
-        if unit.retrievable and not abs(norm - 1.0) <= 1e-6:
-            out.append(Violation("EmbeddingShape", f"embedding norm {norm:.8f} is not unit", (unit.id,)))
-        if not unit.retrievable and not norm <= 1e-9:
-            out.append(Violation("EmbeddingShape", "empty text unit has a nonzero embedding", (unit.id,)))
 
 
 def _check_themes(graph: "GraphStore", out: list[Violation]) -> None:

@@ -1,12 +1,13 @@
 """Multi-aspect, scope-filtered text-unit retrieval.
 
 The embedder is a deterministic hashed TF-IDF: tokens are hashed
-into a fixed number of buckets with a keyed hash, weighted by the corpus
-IDF statistics frozen at ingest commit, and L2-normalized. It exists so
-retrieval is reproducible without a learned model, and it is the only
-embedder: snapshots name it, and queries embed their text with it.
-Embedding and scoring are plain float arithmetic in a fixed order, with
-every step correctly rounded, so their bits depend on no BLAS kernel.
+into a fixed number of buckets with a keyed hash, weighted by the IDF
+statistics the store derives from its units, and L2-normalized. It exists
+so retrieval is reproducible without a learned model, and it is the only
+embedder: each unit is embedded with it on the unit's first vector read,
+and queries embed their text with it. Embedding and scoring are plain
+float arithmetic in a fixed order, with every step correctly rounded, so
+their bits depend on no BLAS kernel.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ class HashedTfidfEmbedder:
         Each bucket adds up ``count * idf`` in first-occurrence token order;
         the norm is the square root of math.fsum's correctly rounded sum of
         squares, so the result depends on no summation order. With a
-        store's own statistics, as at commit, every IDF is at least 1, so
-        no value is zero.
+        store's own statistics every IDF is at least 1, so no value is
+        zero.
         """
         buckets: dict[int, float] = {}
         for token, count in Counter(tokenize(text)).items():
@@ -66,8 +67,27 @@ class HashedTfidfEmbedder:
 
 
 def embedder_for_store(store: GraphStore) -> HashedTfidfEmbedder:
-    """Embedder using the IDF statistics frozen in the store's snapshot."""
+    """Embedder using the IDF statistics the store derives from its units."""
     return HashedTfidfEmbedder(store.df, store.n_units)
+
+
+def embeddings_of(store: GraphStore, unit_ids: list[str]) -> list[dict[int, float]]:
+    """The units' embeddings, in ``unit_ids`` order.
+
+    A unit's embedding is computed from its text with the store's
+    statistics on its first read, and kept in ``store.unit_embeddings`` for
+    later reads. Racing first readers compute equal maps, so whichever is
+    kept, scores are the same. An uncommitted store, whose statistics may
+    still change, keeps none. Shared with the store: treat them as
+    read-only.
+    """
+    kept = store.unit_embeddings if store.committed else {}
+    missing = [uid for uid in unit_ids if uid not in kept]
+    if missing:
+        embed, units = embedder_for_store(store).embed, store.units
+        for uid in missing:
+            kept[uid] = embed(units[uid].text)
+    return [kept[uid] for uid in unit_ids]
 
 
 def cosine(a: Sequence[float], b: Sequence[float]) -> float:
@@ -211,7 +231,7 @@ def _bm25_scores(store: GraphStore, query: str,
 
 def _vector_scores(store: GraphStore, query: str,
                    unit_ids: list[str]) -> list[tuple[str, float]]:
-    """Cosine of the query with each unit, read from the units' stored entries.
+    """Cosine of the query with each unit, read from the units' embedding entries.
 
     Each score adds ``v * w`` over the query's buckets in ascending order,
     which is ``cosine`` of the dense vectors bit for bit: every other dense
@@ -220,10 +240,8 @@ def _vector_scores(store: GraphStore, query: str,
     changed in Python 3.12.
     """
     query_entries = list(embedder_for_store(store).embed(query).items())
-    embeddings = store.unit_embeddings
     scored: list[tuple[str, float]] = []
-    for uid in unit_ids:
-        entries = embeddings[uid]
+    for uid, entries in zip(unit_ids, embeddings_of(store, unit_ids)):
         s = 0.0
         for bucket, w in query_entries:
             s += entries.get(bucket, 0.0) * w

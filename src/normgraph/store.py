@@ -1,32 +1,30 @@
 """Indexed in-memory graph container with a diffable on-disk format.
 
-Snapshots are newline-delimited JSON, format version 3. The first line is
-the meta header: the format version, each record kind's column order, the
-embedding config and the IDF statistics frozen at commit. Every other line
-is one node, ``{"kind":"<kind>","row":[v1,v2,…]}`` with its values in the
-header's column order; kinds follow _KINDS and nodes are sorted by id, so
-re-saving an unchanged store is byte-identical. A unit line also carries
-its embedding's non-zero entries as ``"embedding":[i0,v0,i1,v1,…]``.
+Snapshots are newline-delimited JSON, format version 4, and hold only
+nodes. The first line is the meta header: the format version and each
+record kind's column order. Every other line is one node,
+``{"kind":"<kind>","row":[v1,v2,…]}`` with its values in the header's
+column order; kinds follow _KINDS and nodes are sorted by id, so re-saving
+an unchanged store is byte-identical.
 
 Values the nodes derive are not stored: the model builds a CTV's id, a
 CLV's id and text unit, and an action's description unit from the other
 fields (see model.py), so a snapshot cannot hold a foreign one. Which
 action produced or terminated a CTV is an index, filed from the actions'
 ``produces``/``terminates`` as each is added or loaded (a CTV that two
-actions claim is rejected). Snapshots of versions 1 and 2 are rejected with
-a hint to re-run ``normgraph ingest``.
+actions claim is rejected). Snapshots of earlier versions are rejected
+with a hint to re-run ``normgraph ingest``.
 
-Each unit's embedding has one form, whether commit or load filled it: its
-entries as ``{bucket: value}`` in ascending bucket order, holding those
-whose bits are not +0.0. Vector retrieval scores them as they are, and save
-writes them. Indexes are never persisted; they are rebuilt on load, except
-the inverted term index, which is built on its first read.
+Indexes are never persisted; they are rebuilt on load. What the units'
+text gives (the inverted term index, unit lengths and the IDF statistics)
+is derived on its first read, and each unit's embedding on the first
+vector read of that unit (see retrieval.embeddings_of), the same way for a
+committed store and a loaded one.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import operator
 import re
 import threading
@@ -45,7 +43,6 @@ from .model import (
     ActionType,
     Aspect,
     ComponentType,
-    EMBEDDING_DIMENSION,
     LanguageVersion,
     TemporalVersion,
     TextUnit,
@@ -59,16 +56,36 @@ from .model import (
     validate_graph,
 )
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# Serializes first builds of a loaded store's term index across threads.
+# Serializes first builds of a committed store's text index across threads.
 _BUILD_LOCK = threading.Lock()
 
 
 def tokenize(text: str) -> list[str]:
     """Unicode-aware lowercase word segmentation; no stemming."""
     return _TOKEN_RE.findall(text.casefold())
+
+
+class _TextIndex(NamedTuple):
+    """What a store derives from its units' text, built in one pass."""
+
+    term_index: dict[str, dict[str, int]]  # token -> {unit id: term frequency}
+    unit_len: dict[str, int]  # unit id -> length in tokens
+    df: dict[str, int]  # token -> number of units holding it
+    n_units: int  # retrievable units
+    avgdl: float  # mean length of the retrievable units, in tokens
+
+
+# An uncommitted store's units may still change, so it derives nothing from them.
+_UNSEALED = _TextIndex({}, {}, {}, 0, 0.0)
+
+
+def _text_stat(name: str) -> property:
+    """A store property that reads one member of the text index, building it on first read."""
+    get = operator.attrgetter(name)
+    return property(lambda store: get(store._built_text_index()))
 
 
 @dataclass
@@ -86,16 +103,10 @@ class GraphStore:
     themes: dict[str, ThemeNode] = field(default_factory=dict)
     units: dict[str, TextUnit] = field(default_factory=dict)
 
-    # IDF statistics frozen at commit time (document frequency per token,
-    # retrievable unit count, average unit length in tokens).
-    df: dict[str, int] = field(default_factory=dict)
-    n_units: int = 0
-    avgdl: float = 0.0
-
     committed: bool = False
 
-    # Unit id -> its embedding's entries whose bits are not +0.0, as
-    # {bucket: value} in ascending bucket order; filled by commit or load.
+    # Unit id -> its embedding's entries, as {bucket: value} in ascending
+    # bucket order; each filled on the unit's first vector read.
     unit_embeddings: dict[str, dict[int, float]] = field(
         default_factory=dict, compare=False, repr=False)
 
@@ -108,10 +119,9 @@ class GraphStore:
     # CTV id -> the action that produced / terminated it; filed by _link_action.
     produced_by: dict[str, str] = field(default_factory=dict, compare=False)
     terminated_by: dict[str, str] = field(default_factory=dict, compare=False)
-    # (term_index, unit_len), read through the properties of those names.
-    # Empty before commit, built at commit; None after load until first read.
-    _text_index: tuple[dict[str, dict[str, int]], dict[str, int]] | None = field(
-        default_factory=lambda: ({}, {}), compare=False, repr=False)
+    # Read through the properties named after its members; None until the
+    # first read after commit.
+    _text_index: _TextIndex | None = field(default=None, compare=False, repr=False)
     clvs_by_ctv: dict[str, dict[str, str]] = field(default_factory=dict, compare=False)
     alias_index: dict[str, set[str]] = field(default_factory=dict, compare=False)
     fragment_index: dict[str, set[str]] = field(default_factory=dict, compare=False)
@@ -236,43 +246,31 @@ class GraphStore:
             self._index_clv(lv)
         for action in self.actions.values():
             self._index_action(action)
-        # Only lexical, hybrid and span lookups read it; built on first use.
-        self._text_index = None
 
     # -- commit ---------------------------------------------------------
 
     def commit(self) -> None:
-        """Freeze IDF statistics, embed every text unit, and seal the store."""
-        self._assert_mutable()
-        self._rebuild_text_index()
-        self.df = {
-            token: len(postings) for token, postings in sorted(self.term_index.items())
-        }
-        retrievable = [u for u in self.units.values() if u.retrievable]
-        self.n_units = len(retrievable)
-        total = sum(self.unit_len[u.id] for u in retrievable)
-        self.avgdl = total / self.n_units if self.n_units else 0.0
-        from .retrieval import HashedTfidfEmbedder
+        """Seal the store; ingest and load both end here.
 
-        embed = HashedTfidfEmbedder(self.df, self.n_units).embed
-        self.unit_embeddings = {uid: embed(unit.text) for uid, unit in self.units.items()}
+        Nothing is computed: text statistics and embeddings are derived on
+        their first read after this.
+        """
+        self._assert_mutable()
         self.committed = True
 
     # Properties, not __getattr__: a class with __getattr__ makes every
     # attribute read on the store slower, not only these.
-    @property
-    def term_index(self) -> dict[str, dict[str, int]]:
-        """Token -> {unit id: term frequency} over every text unit."""
-        return self._built_text_index()[0]
+    term_index = _text_stat("term_index")
+    unit_len = _text_stat("unit_len")
+    df = _text_stat("df")
+    n_units = _text_stat("n_units")
+    avgdl = _text_stat("avgdl")
 
-    @property
-    def unit_len(self) -> dict[str, int]:
-        """Unit id -> length in tokens."""
-        return self._built_text_index()[1]
-
-    def _built_text_index(self) -> tuple[dict[str, dict[str, int]], dict[str, int]]:
+    def _built_text_index(self) -> _TextIndex:
         index = self._text_index
         if index is None:
+            if not self.committed:
+                return _UNSEALED
             with _BUILD_LOCK:
                 if self._text_index is None:
                     self._rebuild_text_index()
@@ -280,7 +278,7 @@ class GraphStore:
         return index
 
     def _rebuild_text_index(self) -> None:
-        """Tokenize every unit; publish term_index and unit_len in one assignment."""
+        """Tokenize every unit; publish the whole text index in one assignment."""
         term_index: dict[str, dict[str, int]] = {}
         unit_len: dict[str, int] = {}
         for uid in sorted(self.units):
@@ -289,7 +287,10 @@ class GraphStore:
             for token in tokens:
                 postings = term_index.setdefault(token, {})
                 postings[uid] = postings.get(uid, 0) + 1
-        self._text_index = (term_index, unit_len)
+        lengths = [unit_len[u.id] for u in self.units.values() if u.retrievable]
+        df = {token: len(postings) for token, postings in term_index.items()}
+        avgdl = sum(lengths) / len(lengths) if lengths else 0.0
+        self._text_index = _TextIndex(term_index, unit_len, df, len(lengths), avgdl)
 
     # -- read API ---------------------------------------------------------
 
@@ -316,17 +317,6 @@ class GraphStore:
             return None
         tv = self.ctvs[self.versions[urn][index - 1]]
         return tv if interval_contains(tv.validity, t) else None
-
-    def embedding(self, uid: str) -> dict[int, float]:
-        """The committed embedding of text unit ``uid``, as kept in unit_embeddings.
-
-        Shared with the store: treat it as read-only.
-        """
-        return self.unit_embeddings[uid]
-
-    def content_clv(self, ctv: str, language: str) -> LanguageVersion | None:
-        lv_id = self.clvs_by_ctv.get(ctv, {}).get(language)
-        return self.clvs[lv_id] if lv_id else None
 
     def clv_for(self, ctv: str, work: str, language: str | None, fallback: bool) -> str | None:
         """The CLV a reader of ``ctv`` (a version of ``work``) gets, or None.
@@ -379,8 +369,8 @@ class GraphStore:
 #
 # Every node kind's persisted form is one entry of _KINDS, which save, load
 # and _check_references all walk. Every column is required and every value
-# has an exact JSON type (bool is no integer). The meta header and the unit
-# embeddings are written and read outside the table.
+# has an exact JSON type (bool is no integer). The meta header is written
+# and read outside the table.
 
 
 class _Type(NamedTuple):
@@ -446,15 +436,13 @@ class _Kind:
     reference check use are derived here once, not per record.
     """
 
-    def __init__(self, nodes: str, build: Callable, *columns: _Column,
-                 key: str = "id", members: tuple[str, ...] = ("kind", "row")) -> None:
+    def __init__(self, nodes: str, build: Callable, *columns: _Column, key: str = "id") -> None:
         self.nodes = nodes
         self.build = build
         self.columns = columns
         self.keys = [column.key for column in columns]
         self.get_attrs = operator.attrgetter(*(column.attr or column.key for column in columns))
         self.key = operator.attrgetter(key)
-        self.members = members
         self.json = [column.type.json for column in columns]
         self.decoders = [(i, column.type.decode)
                          for i, column in enumerate(columns) if column.type.decode]
@@ -463,8 +451,8 @@ class _Kind:
 
     def why_bad(self, rec: dict, exc: Exception) -> str:
         """Name the first wrong member or value of a record load rejected."""
-        if sorted(rec) != sorted(self.members):
-            return f"its members must be {', '.join(self.members)}"
+        if sorted(rec) != ["kind", "row"]:
+            return "its members must be kind, row"
         row = rec["row"]
         if type(row) is not list or len(row) != len(self.columns):
             return f"'row' must be a list of {len(self.columns)} values ({', '.join(self.keys)})"
@@ -534,7 +522,6 @@ _KINDS = {
         _Column("description_unit", _STR, "units"),
         _Column("members", _STRS, "works"),
     ),
-    # Each unit record also carries its "embedding" (see _embedding_entries).
     "unit": _Kind(
         "units", TextUnit,
         _Column("id", _STR),
@@ -543,34 +530,22 @@ _KINDS = {
         _Column("language", _STR),
         _Column("text", _STR),
         _Column("synthetic", _BOOL),
-        members=("kind", "row", "embedding"),
     ),
 }
 _COLUMNS = {kind: spec.keys for kind, spec in _KINDS.items()}
-_EMBEDDER = "hashed_tfidf"
+_HEADER = ("kind", "format_version", "columns")
 
 
 def save(store: GraphStore, path: str | Path) -> None:
     """Write the store as sorted NDJSON; load(save(s)) == s node-for-node.
 
     Rows are built and written one at a time, in _KINDS order and by id.
-    Raises RuntimeError on an uncommitted store, which has no embeddings.
+    Raises RuntimeError on an uncommitted store, which may still change.
     """
     if not store.committed:
         raise RuntimeError("only a committed store can be saved")
-    meta = {
-        "kind": "meta",
-        "format_version": FORMAT_VERSION,
-        "columns": _COLUMNS,
-        "embedding": {"name": _EMBEDDER, "dimension": EMBEDDING_DIMENSION},
-        "idf": {
-            "n_units": store.n_units,
-            "avgdl": store.avgdl,
-            "df": {k: store.df[k] for k in sorted(store.df)},
-        },
-    }
+    meta = {"kind": "meta", "format_version": FORMAT_VERSION, "columns": _COLUMNS}
     encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
-    embeddings = store.unit_embeddings
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(encode(meta))
         fh.write("\n")
@@ -583,69 +558,7 @@ def save(store: GraphStore, path: str | Path) -> None:
                     row[i] = to_json(row[i])
                 fh.write(head)
                 fh.write(encode(row))
-                if kind == "unit":
-                    fh.write(',"embedding":')
-                    fh.write(encode([*chain.from_iterable(embeddings[node_id].items())]))
                 fh.write("}\n")
-
-
-def _embedding_entries(pairs) -> dict[int, float]:
-    """Check a unit record's ``[i0, v0, i1, v1, …]`` and return it as ``{i: float(v)}``.
-
-    Indices must be ints, strictly increasing, in ``[0, EMBEDDING_DIMENSION)``;
-    values (one per index) must be numbers. An explicit +0.0 is no entry and
-    is left out, so a re-save writes the canonical form. Raises ValueError
-    naming what is wrong, and OverflowError on a value beyond float64.
-    """
-    if type(pairs) is not list or len(pairs) % 2:
-        raise ValueError("is not a flat list of index, value pairs")
-    index, values = pairs[0::2], pairs[1::2]
-    # Exact types: bool is an int subclass but no index or value.
-    if not {*map(type, index)} <= {int}:
-        raise ValueError("has an index that is not an integer")
-    if index and not (0 <= index[0] and index[-1] < EMBEDDING_DIMENSION
-                      and all(map(operator.lt, index, index[1:]))):
-        raise ValueError(
-            f"has indices that are not strictly increasing in [0, {EMBEDDING_DIMENSION})")
-    if not {*map(type, values)} <= {int, float}:
-        raise ValueError("has a value that is not a number")
-    entries = dict(zip(index, map(float, values)))
-    if 0.0 in entries.values():  # true for -0.0 too, which is kept
-        entries = {i: v for i, v in entries.items() if v or math.copysign(1.0, v) < 0.0}
-    return entries
-
-
-def _read_header(rec: dict, store: GraphStore) -> None:
-    """Check a header's embedding config; set the store's IDF statistics from it.
-
-    Every key is required with an exact type, and the dimension must be
-    EMBEDDING_DIMENSION, the only width any store is committed with; raises
-    ValueError naming the first key that is missing, extra or wrong.
-    """
-    def need(ok: bool, what: str) -> None:
-        if not ok:
-            raise ValueError(what)
-
-    def members(value, keys: tuple[str, ...], where: str) -> None:
-        need(type(value) is dict and sorted(value) == sorted(keys),
-             f"{where} must be an object of {', '.join(keys)}")
-
-    members(rec, ("kind", "format_version", "columns", "embedding", "idf"), "the header")
-    need(rec["columns"] == _COLUMNS,
-         "'columns' must list each kind's columns in this version's order")
-    embedding, idf = rec["embedding"], rec["idf"]
-    members(embedding, ("name", "dimension"), "'embedding'")
-    need(embedding["name"] == _EMBEDDER, f"'name' must be {_EMBEDDER!r}")
-    dimension = embedding["dimension"]
-    need(type(dimension) is int and dimension == EMBEDDING_DIMENSION,
-         f"'dimension' must be {EMBEDDING_DIMENSION}")
-    members(idf, ("n_units", "avgdl", "df"), "'idf'")
-    n_units, avgdl, df = idf["n_units"], idf["avgdl"], idf["df"]
-    need(type(n_units) is int and n_units >= 0, "'n_units' must be an integer >= 0")
-    need(type(avgdl) in (int, float) and math.isfinite(avgdl), "'avgdl' must be a finite number")
-    need(type(df) is dict and all(type(v) is int and v >= 1 for v in df.values()),
-         "'df' must be an object of integers >= 1")
-    store.n_units, store.avgdl, store.df = n_units, float(avgdl), df
 
 
 # The C scanner behind json.loads, called without its per-call wrappers.
@@ -668,19 +581,18 @@ def load(path: str | Path) -> GraphStore:
 
     Raises MalformedSnapshot on parse failures: a first record that is not
     the meta header, a second header, a ``format_version`` other than
-    FORMAT_VERSION, a header key that is missing or of the wrong type (see
-    _read_header), a record of an unknown kind, a row value that is missing
-    or of the wrong type (see _KINDS), a repeated id, a CTV that two actions
-    claim, or a unit whose embedding breaks the sparse layout (see
-    _embedding_entries). Raises DanglingReference when a record cites an id no
-    record defines, and MalformedSnapshot, naming the first and giving the
-    count, when validate_graph reports any violation. A file with no
-    records loads as an empty store.
+    FORMAT_VERSION, a header whose members are not _HEADER or whose
+    ``columns`` are not this version's, a record of an unknown kind, a row
+    value that is missing or of the wrong type (see _KINDS), a repeated id,
+    or a CTV that two actions claim. Raises DanglingReference when a record
+    cites an id no record defines, and MalformedSnapshot, naming the first
+    and giving the count, when validate_graph reports any violation. A file
+    with no records loads as an empty store. The store is committed, as an
+    ingest ends.
     """
     store = GraphStore()
     spath = str(path)
     node_maps = {kind: getattr(store, spec.nodes) for kind, spec in _KINDS.items()}
-    embeddings = store.unit_embeddings
     header_seen = False
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -705,11 +617,13 @@ def load(path: str | Path) -> GraphStore:
                         f"{FORMAT_VERSION}); re-run `normgraph ingest` to rewrite the snapshot",
                         path=spath, line=lineno,
                     )
-                try:
-                    _read_header(rec, store)
-                except (ValueError, OverflowError) as exc:
-                    raise MalformedSnapshot(f"bad meta header: {exc}", path=spath, line=lineno) from None
-                continue
+                if sorted(rec) != sorted(_HEADER):
+                    why = f"the header must be an object of {', '.join(_HEADER)}"
+                elif rec["columns"] != _COLUMNS:
+                    why = "'columns' must list each kind's columns in this version's order"
+                else:
+                    continue
+                raise MalformedSnapshot(f"bad meta header: {why}", path=spath, line=lineno)
             if not header_seen:
                 raise MalformedSnapshot(
                     f"missing meta header: the first record is a {kind!r} record",
@@ -719,7 +633,7 @@ def load(path: str | Path) -> GraphStore:
                 raise MalformedSnapshot(f"unknown record kind {kind!r}", path=spath, line=lineno)
             try:
                 row = rec["row"]
-                if (len(rec) != len(spec.members) or type(row) is not list
+                if (len(rec) != 2 or type(row) is not list
                         or len(row) != len(spec.json)
                         or not all(map(operator.contains, spec.json, map(type, row)))):
                     raise TypeError("a member or value of the wrong type")
@@ -734,25 +648,19 @@ def load(path: str | Path) -> GraphStore:
                 nodes[node_id] = node
                 if kind == "action":
                     store._link_action(node)
-                elif kind == "unit":
-                    try:
-                        embeddings[node_id] = _embedding_entries(rec["embedding"])
-                    except ValueError as exc:
-                        raise MalformedSnapshot(f"embedding of {node_id!r} {exc}",
-                                                path=spath, line=lineno) from None
             except MalformedSnapshot:
                 raise
-            except (KeyError, ValueError, TypeError, OverflowError) as exc:
+            except (KeyError, ValueError, TypeError) as exc:
                 raise MalformedSnapshot(f"bad {kind!r} record: {spec.why_bad(rec, exc)}",
                                         path=spath, line=lineno) from None
 
-    store.committed = True
     _check_references(store)
     store._reindex()
     violations = validate_graph(store)
     if violations:
         raise MalformedSnapshot(
             f"{len(violations)} invariant violation(s); the first is {violations[0]}", path=spath)
+    store.commit()
     return store
 
 

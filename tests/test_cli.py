@@ -402,51 +402,43 @@ class TestMoreEdges:
         assert cited and all(clv.endswith("#en") for clv in cited)
         assert annex["policies"]["language_fallback"] is False
 
-    def test_query_on_a_snapshot_with_a_short_embedding_exits_3(
+    def test_query_on_a_unit_line_with_an_embedding_exits_3(
             self, snapshot_file, tmp_path, capsys):
+        # A version 3 unit line under a version 4 header: embeddings are derived now.
         lines = snapshot_file.read_text(encoding="utf-8").splitlines()
         index = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "unit")
         record = json.loads(lines[index])
-        record["embedding"] = record["embedding"][:-1]
+        record["embedding"] = [18, 0.6, 24, 0.8]
         lines[index] = json.dumps(record)
-        bad = tmp_path / "short.ndjson"
+        bad = tmp_path / "embedded.ndjson"
         bad.write_text("\n".join(lines), encoding="utf-8")
         code = main(["query", "retrieve", "--snapshot", str(bad), "--text", "food",
                      "--target", "art6", "--at", "2011-01-01"])
         assert code == 3
-        assert f":{index + 1}: embedding of" in capsys.readouterr().err
+        assert (f":{index + 1}: bad 'unit' record: its members must be kind, row"
+                in capsys.readouterr().err)
 
-    def test_a_vector_query_on_a_snapshot_of_another_width_exits_3(
-            self, snapshot_file, tmp_path, capsys):
-        # A huge width must fail at load, not when the matrix is first built.
-        lines = snapshot_file.read_text(encoding="utf-8").splitlines()
-        header = json.loads(lines[0])
-        header["embedding"]["dimension"] = 10 ** 12
-        lines[0] = json.dumps(header)
-        bad = tmp_path / "wide.ndjson"
-        bad.write_text("\n".join(lines), encoding="utf-8")
-        code = main(["query", "retrieve", "--snapshot", str(bad), "--text", "food",
-                     "--target", "art6", "--at", "2011-01-01", "--mode", "vector"])
-        assert code == 3
-        assert ":1: bad meta header: 'dimension' must be 256" in capsys.readouterr().err
+    # The header and first record of each older layout.
+    _V1_V2_WORK = {"aliases": [], "component_type": "other", "id": "urn:n", "kind": "work",
+                   "metadata": {}, "ordinal": 0, "parent": None, "work_kind": "norm"}
+    _V3_WORK = {"kind": "work", "row": ["urn:n", [], "norm", "other", None, 0, {}]}
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_query_on_an_older_snapshot_exits_3_and_asks_for_a_reingest(
             self, tmp_path, capsys, version):
-        # The header and first record of a version 1 or 2 snapshot: sorted
-        # keys, records keyed by name.
-        header = {"embedding": {"dimension": 256, "name": "hashed_tfidf"},
-                  "format_version": version,
-                  "idf": {"avgdl": 1.0, "df": {"food": 1}, "n_units": 1}, "kind": "meta"}
-        work = {"aliases": [], "component_type": "other", "id": "urn:n", "kind": "work",
-                "metadata": {}, "ordinal": 0, "parent": None, "work_kind": "norm"}
+        # Versions 1 and 2 sort keys and key records by name; version 3 has
+        # positional rows and stores the embedding config and IDF statistics.
+        header = {"kind": "meta", "format_version": version,
+                  "embedding": {"dimension": 256, "name": "hashed_tfidf"},
+                  "idf": {"avgdl": 1.0, "df": {"food": 1}, "n_units": 1}}
+        work = self._V3_WORK if version == 3 else self._V1_V2_WORK
         old = tmp_path / f"v{version}.ndjson"
         old.write_text(f"{json.dumps(header)}\n{json.dumps(work)}\n", encoding="utf-8")
         code = main(["query", "at", "--snapshot", str(old), "--target", "art6",
                      "--at", "2011-01-01"])
         assert code == 3
         err = capsys.readouterr().err
-        assert f":1: unsupported format_version {version} (this version reads 3)" in err
+        assert f":1: unsupported format_version {version} (this version reads 4)" in err
         assert "re-run `normgraph ingest`" in err
 
     def test_query_on_a_snapshot_without_its_header_exits_3(

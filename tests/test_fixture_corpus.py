@@ -67,7 +67,7 @@ def test_art7_amended_once(fixture_store):
 def test_1999_rights_list_is_the_published_one(fixture_store):
     first = fixture_store.versions_of(ART6_CPT)[0]
     text = fixture_store.units[
-        fixture_store.content_clv(first.id, "pt").text_unit].text
+        fixture_store.clvs[fixture_store.clv_for(first.id, ART6_CPT, "pt", False)].text_unit].text
     for right in RIGHTS_1999:
         assert right in text
     assert "housing" not in text

@@ -380,7 +380,8 @@ class TestProvenance:
     def test_education_present_since_enactment(self, fixture_store, clock):
         # Oracle check: the term survives into every version of the caput.
         texts = [
-            fixture_store.units[fixture_store.content_clv(tv.id, "pt").text_unit].text
+            fixture_store.units[fixture_store.clvs[
+                fixture_store.clv_for(tv.id, ART6_CPT, "pt", False)].text_unit].text
             for tv in fixture_store.versions_of(ART6_CPT)
         ]
         assert all("education" in t for t in texts)

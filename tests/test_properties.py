@@ -21,6 +21,7 @@ from normgraph.model import (
 )
 from normgraph.planner import QueryPattern, StructuredQuery, _pre_state, run
 from normgraph.retrieval import (
+    HashedTfidfEmbedder,
     RetrievalHit,
     RetrievalMode,
     RetrievalRequest,
@@ -172,6 +173,44 @@ class TestSnapshotRoundTripOnSyntheticCorpora:
         assert "educação" in path.read_text(encoding="utf-8")
 
 
+class TestDerivedOnLoad:
+    """A snapshot stores no statistic or embedding; load derives what commit does."""
+
+    @pytest.mark.parametrize("seed", ["fixture", 2, 5, 7, 11, 13, 19, 23, 29, 31, 37])
+    def test_a_reloaded_store_derives_what_the_committed_one_does(self, request, tmp_path, seed):
+        if seed == "fixture":
+            store = request.getfixturevalue("fixture_store")
+            days = [date(1990, 1, 1), date(2011, 1, 1), date(2016, 1, 1)]
+        else:
+            corpus, store = _committed_store(seed, shared_french=True, late_spanish=True)
+            days = [corpus.enactment] + corpus.event_dates()[::4]
+        path = tmp_path / "s.ndjson"
+        save(store, path)
+        loaded = load(path)
+        assert loaded.unit_embeddings == {}
+        for name in ("df", "n_units", "avgdl", "term_index", "unit_len"):
+            assert getattr(loaded, name) == getattr(store, name), name
+        rng = random.Random(str(seed))
+        texts = sorted(unit.text for unit in store.units.values())
+        queries = rng.sample(texts, 2) + [" ".join(rng.sample(synthcorpus.WORDS, 2)), "zebra"]
+        works = frozenset(store.works)
+        for t in days:
+            for text in queries:
+                for mode in RetrievalMode:
+                    for language in (None, "es"):
+                        req = RetrievalRequest(text, works, t, aspects=frozenset(Aspect),
+                                               language=language, k=10_000, mode=mode,
+                                               include_future_actions=True)
+                        assert scoped_search(loaded, req) == scoped_search(store, req), (
+                            t, text, mode, language)
+        # Each embedding, kept by those reads or derived now, is embed(text)
+        # under the committed statistics, bit for bit.
+        embed = HashedTfidfEmbedder(store.df, store.n_units).embed
+        assert entry_bits(loaded) == {
+            uid: [(i, v.hex()) for i, v in embed(store.units[uid].text).items()]
+            for uid in sorted(store.units)}
+
+
 # -- index-backed lookups against brute-force references ---------------------------
 
 _SPANISH = dict(zip(synthcorpus.WORDS, [
@@ -189,9 +228,9 @@ def _spanish_wordings(store: GraphStore, urns: list[str], t: date) -> dict[str, 
     translations = {}
     for urn in urns:
         tv = _linear_version(store, urn, t)
-        lv = store.content_clv(tv.id, "en") if tv else None
-        if lv is not None and store.content_clv(tv.id, "es") is None:
-            text = store.units[lv.text_unit].text
+        languages = store.clvs_by_ctv.get(tv.id, {}) if tv else {}
+        if "en" in languages and "es" not in languages:
+            text = store.units[store.clvs[languages["en"]].text_unit].text
             translations[store.works[urn].id.fragment] = " ".join(
                 _SPANISH.get(token, token) for token in tokenize(text))
     return translations
@@ -327,7 +366,7 @@ class TestIndexBackedSpans:
         term = next(token for token in tokenize(unit.text) if token in _SPANISH.values())
         spanish = locate_spans(store, term, sorted(store.works), "es")
         assert spanish
-        assert all(store.content_clv(s.ctv, "es") is not None for s in spanish)
+        assert all("es" in store.clvs_by_ctv[s.ctv] for s in spanish)
         assert locate_spans(store, term, sorted(store.works)) == []
 
     @pytest.mark.parametrize("fallback", [True, False])
@@ -521,6 +560,11 @@ def _dense(entries: dict[int, float]) -> list[float]:
     return [entries.get(i, 0.0) for i in range(EMBEDDING_DIMENSION)]
 
 
+def _unit_vector(store: GraphStore, uid: str) -> list[float]:
+    """The unit's text embedded afresh with the store's statistics, as a dense vector."""
+    return _dense(embedder_for_store(store).embed(store.units[uid].text))
+
+
 def _cosine_reference(store: GraphStore, req: RetrievalRequest) -> list[RetrievalHit]:
     """scoped_search's ranking, scoring each candidate's dense vector with its own cosine call."""
     by_unit = {}
@@ -530,12 +574,12 @@ def _cosine_reference(store: GraphStore, req: RetrievalRequest) -> list[Retrieva
     unit_ids = sorted(by_unit)
     query = _dense(embedder_for_store(store).embed(req.query_text))
     if req.mode is RetrievalMode.VECTOR:
-        scored = sorted(((uid, cosine(query, _dense(store.embedding(uid)))) for uid in unit_ids
+        scored = sorted(((uid, cosine(query, _unit_vector(store, uid))) for uid in unit_ids
                          if store.units[uid].retrievable), key=lambda p: (-p[1], p[0]))
     else:
         lexical = _bm25_scores(store, req.query_text, unit_ids)
         vec_order = sorted(unit_ids,
-                           key=lambda uid: (-cosine(query, _dense(store.embedding(uid))), uid))
+                           key=lambda uid: (-cosine(query, _unit_vector(store, uid)), uid))
         lex_order = sorted(unit_ids, key=lambda uid: (-lexical[uid], uid))
         vec_rank = {uid: i for i, uid in enumerate(vec_order)}
         lex_rank = {uid: i for i, uid in enumerate(lex_order)}
@@ -572,7 +616,7 @@ class TestMatrixScoring:
                     assert req.language == "fr"
                     uids = sorted({c.unit_id for c in _content_candidates(store, req)})
                     query = _dense(embedder_for_store(store).embed(text))
-                    reference = [(uid, cosine(query, _dense(store.embedding(uid))))
+                    reference = [(uid, cosine(query, _unit_vector(store, uid)))
                                  for uid in uids]
                     assert _vector_scores(store, text, uids) == reference
                     # Units with the same text tie at a nonzero score and rank by id.

@@ -104,11 +104,12 @@ class TestScopedSearch:
                 tv = fixture_store.ctvs[cid]
                 if not interval_contains(tv.validity, t):
                     continue
-                lv = fixture_store.content_clv(cid, "pt")
-                if lv is None:
+                lv_id = fixture_store.clvs_by_ctv.get(cid, {}).get("pt")
+                if lv_id is None:
                     continue
-                expected.append(
-                    (lv.text_unit, cosine(query, dense(fixture_store.embedding(lv.text_unit)))))
+                uid = fixture_store.clvs[lv_id].text_unit
+                unit = dense(embedder_for_store(fixture_store).embed(fixture_store.units[uid].text))
+                expected.append((uid, cosine(query, unit)))
         expected.sort(key=lambda p: (-round(p[1], 12), p[0]))
         assert [h.text_unit for h in hits] == [uid for uid, _ in expected[:10]]
         assert [h.score for h in hits] == [round(score, 12) for _, score in expected[:10]]
