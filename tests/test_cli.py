@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import normgraph
+from normgraph import store as store_mod
 from normgraph.cli import main
 
 from test_ingest import mini_doc
@@ -519,6 +520,21 @@ class TestLeanQueryPath:
         fresh = _python("-m", "normgraph.cli", *retrieve, "--snapshot", str(snapshot_file),
                         "--json", "--clock", "2024-01-02")
         assert annex == fresh
+
+    @pytest.mark.parametrize("mode", ["vector", "lexical", "hybrid"])
+    def test_a_cold_retrieve_answers_as_the_ingested_store(
+            self, fixture_store, snapshot_file, monkeypatch, capsys, mode):
+        # The child derives every statistic and embedding from the snapshot's
+        # text; this process answers from the store that ingest committed.
+        retrieve = ["query", "retrieve", "--text", "social rights housing food",
+                    "--at", "2016-01-01", "--mode", mode, "--k", "50",
+                    "--aspects", "content,action_description,metadata,theme_description",
+                    "--snapshot", str(snapshot_file), "--json", "--clock", "2024-01-02"]
+        monkeypatch.setattr(store_mod, "load", lambda path: fixture_store)
+        assert main(retrieve) == 0
+        ingested = capsys.readouterr().out
+        assert json.loads(ingested)["citations"]
+        assert _python("-m", "normgraph.cli", *retrieve) == ingested
 
     def test_the_package_resolves_its_public_names_on_first_use(self):
         loaded = _python("-c", "import sys, normgraph; "

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from datetime import date, timedelta
 
 import pytest
@@ -209,6 +211,60 @@ class TestDerivedOnLoad:
         assert entry_bits(loaded) == {
             uid: [(i, v.hex()) for i, v in embed(store.units[uid].text).items()]
             for uid in sorted(store.units)}
+
+
+    @pytest.mark.parametrize("seed", [3, 8, 14, 27])
+    def test_statistics_match_an_independent_count(self, seed):
+        # Shared French wording gives units of equal text, which df counts once each.
+        _, store = _committed_store(seed, shared_french=True, late_spanish=True)
+        tokens = {uid: tokenize(unit.text) for uid, unit in store.units.items()}
+        lengths = [len(tokens[uid]) for uid, unit in store.units.items() if unit.retrievable]
+        assert store.n_units == len(lengths) > 0
+        assert store.avgdl == sum(lengths) / len(lengths)
+        assert store.unit_len == {uid: len(words) for uid, words in tokens.items()}
+        assert store.df == dict(Counter(t for words in tokens.values() for t in set(words)))
+        postings: dict[str, dict[str, int]] = {}
+        for uid, words in tokens.items():
+            for token, count in Counter(words).items():
+                postings.setdefault(token, {})[uid] = count
+        assert store.term_index == postings
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("", id="empty"),
+        pytest.param(" \t\n", id="blank"),
+        pytest.param("\u2014 \u00a1\u00bf!? \u2026 \u00a7", id="punctuation-only"),
+        pytest.param("tax " * 300, id="one-token-repeated"),
+        pytest.param("snake_case_word", id="underscores"),
+        pytest.param("cafe\u0301 caf\u00e9 CAF\u00c9", id="combining-marks"),
+        pytest.param("\u0434\u043e\u043c \u5bb6 casa \u03a9mega", id="mixed-scripts"),
+        pytest.param("Art. 6\u00ba \u00a7 2, 1988-10-05", id="digits-and-ordinals"),
+    ])
+    def test_a_unit_of_any_text_derives_alike_after_a_reload(self, tmp_path, text):
+        store = GraphStore()
+        payload = mini_doc(3)
+        payload["body"][1]["children"][0]["text"] = text
+        enact(store, parse_document(payload))
+        store.commit()
+        path = tmp_path / "s.ndjson"
+        save(store, path)
+        loaded = load(path)
+        for name in ("df", "n_units", "avgdl", "term_index", "unit_len"):
+            assert getattr(loaded, name) == getattr(store, name), name
+        lengths = [len(tokenize(u.text)) for u in store.units.values() if u.retrievable]
+        assert (store.n_units, store.avgdl) == (len(lengths), sum(lengths) / len(lengths))
+        embed = HashedTfidfEmbedder(store.df, store.n_units).embed
+        assert entry_bits(loaded) == {
+            uid: [(i, v.hex()) for i, v in embed(store.units[uid].text).items()]
+            for uid in sorted(store.units)}
+        # Text without tokens, retrievable or not, has an embedding with no entries.
+        for uid, entries in loaded.unit_embeddings.items():
+            assert bool(entries) == bool(tokenize(loaded.units[uid].text))
+            assert not entries or math.isclose(math.hypot(*entries.values()), 1.0)
+        for mode in RetrievalMode:
+            req = RetrievalRequest(text or "provision", frozenset(store.works), date(2001, 1, 1),
+                                   aspects=frozenset(Aspect), k=100, mode=mode,
+                                   include_future_actions=True)
+            assert scoped_search(loaded, req) == scoped_search(store, req), mode
 
 
 # -- index-backed lookups against brute-force references ---------------------------

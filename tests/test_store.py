@@ -512,6 +512,22 @@ class TestDerivedColumns:
         assert message in capsys.readouterr().err
 
 
+# Loads a snapshot and prints, in order, what it derives from the units' text.
+_DERIVE = """
+import json, sys
+from normgraph.retrieval import embeddings_of
+from normgraph.store import load
+
+store = load(sys.argv[1])
+print(json.dumps({
+    "df": list(store.df.items()),
+    "avgdl": store.avgdl.hex(),
+    "embeddings": [[[i, v.hex()] for i, v in entries.items()]
+                   for entries in embeddings_of(store, sorted(store.units))],
+}))
+"""
+
+
 class TestEmbeddingEntries:
     """No embedding is stored: each is derived from its unit's text on first read."""
 
@@ -552,6 +568,24 @@ class TestEmbeddingEntries:
         expected = HashedTfidfEmbedder(store.df, store.n_units).embed(store.units[uid].text)
         assert embeddings_of(store, [uid]) == [expected]
         assert list(store.unit_embeddings) == [uid]
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "4242"])
+    def test_a_process_with_another_hash_seed_derives_the_same_bits(self, hash_seed):
+        # Each process derives statistics and embeddings afresh, so they must
+        # not depend on str hashing, which PYTHONHASHSEED varies.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", _DERIVE, str(GOLDEN)], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed})
+        store = load(GOLDEN)
+        uids = sorted(store.units)
+        assert json.loads(done.stdout) == {
+            "df": [list(item) for item in store.df.items()],
+            "avgdl": store.avgdl.hex(),
+            "embeddings": [[[i, v.hex()] for i, v in entries.items()]
+                           for entries in embeddings_of(store, uids)],
+        }
 
     def test_load_rejects_a_repeated_unit_record(self, snapshot_path, tmp_path):
         lines, units = _unit_lines(snapshot_path)
@@ -726,6 +760,19 @@ class TestLazyTermIndex:
                 candidates.add(store.clvs[lv_id].text_unit)
         assert candidates and set(store.unit_embeddings) == candidates
         assert len(candidates) < len(store.units)
+
+    @pytest.mark.parametrize("name", ["df", "n_units", "avgdl", "term_index", "unit_len"])
+    def test_the_first_read_of_any_statistic_builds_them_all_once(
+            self, fixture_store, snapshot_path, slow_builds, name):
+        names = ("df", "n_units", "avgdl", "term_index", "unit_len")
+        expected = {other: getattr(fixture_store, other) for other in names}
+        slow_builds.clear()  # the shared fixture's own first build, if it was this one
+        store = load(snapshot_path)
+        assert getattr(store, name) == expected[name]
+        assert len(slow_builds) == 1 and _term_index_built(store)
+        assert {other: getattr(store, other) for other in names} == expected
+        assert len(slow_builds) == 1
+        assert store.unit_embeddings == {}
 
     def test_concurrent_first_readers_share_one_complete_index(
             self, fixture_store, snapshot_path, slow_builds):
