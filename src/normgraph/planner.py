@@ -161,13 +161,7 @@ def resolve_work_reference(store: GraphStore, reference: str) -> str:
         return next(iter(fragments))
     if len(fragments) > 1:
         raise AmbiguousAlias(reference, sorted(fragments))
-    folded = reference.casefold()
-    candidates = {
-        urn
-        for alias, urns in store.alias_index.items()
-        if alias.casefold() == folded
-        for urn in urns
-    }
+    candidates = store.folded_alias_index.get(reference.casefold(), set())
     if len(candidates) == 1:
         return next(iter(candidates))
     if len(candidates) > 1:

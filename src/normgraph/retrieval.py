@@ -13,8 +13,9 @@ their bits depend on no BLAS kernel.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
@@ -142,68 +143,91 @@ class RetrievalHit:
     aspect: Aspect
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    unit_id: str
-    provenance: tuple[str, str, str]
-    aspect: Aspect
+# A candidate is (unit id, reference, aspect). The reference is the owning
+# node's id (language version, action, work or theme), from which _provenance
+# builds the hit's provenance; only the k returned hits need it.
+_Candidates = list[tuple[str, str, Aspect]]
 
 
-def _content_candidates(store: GraphStore, req: RetrievalRequest) -> list[_Candidate]:
-    out: list[_Candidate] = []
-    for urn in sorted(req.scope):
-        tv = store.version_at(urn, req.t)
-        if tv is None:
+def _content_candidates(store: GraphStore, req: RetrievalRequest) -> _Candidates:
+    """The wording each scoped work's version valid at ``req.t`` has in the language the rule picks.
+
+    One pass over the chain arrays of the scoped works that have wording:
+    the version valid at ``t`` is the last one starting on or before it,
+    if it has not ended, and the language rule is ``GraphStore.clv_for``'s.
+    A work with no wording in an acceptable language contributes no
+    candidate (scoped_search never errors on language gaps, unlike
+    snapshot reconstruction).
+    """
+    chains = store.chain_index.chains
+    t, language, fallback = req.t, req.language, req.language_fallback
+    out: _Candidates = []
+    for urn in chains.keys() & req.scope:
+        starts, ends, wordings, primary = chains[urn]
+        index = bisect_right(starts, t) - 1
+        if index < 0:
             continue
-        lv_id = store.clv_for(tv.id, urn, req.language, req.language_fallback)
-        if lv_id is None:
-            # No wording in an acceptable language; the work simply
-            # contributes no candidate (scoped_search never errors on
-            # language gaps, unlike snapshot reconstruction).
+        end = ends[index]
+        if end is not None and t >= end:
             continue
-        out.append(_Candidate(store.clvs[lv_id].text_unit, (urn, tv.id, lv_id), Aspect.CONTENT))
+        languages = wordings[index]
+        picked = languages.get(language or primary)
+        if picked is None and language and fallback:
+            picked = languages.get(primary)
+        if picked is not None:
+            lv_id, unit_id = picked
+            out.append((unit_id, lv_id, Aspect.CONTENT))
     return out
 
 
-def _action_candidates(store: GraphStore, req: RetrievalRequest) -> list[_Candidate]:
+def _action_candidates(store: GraphStore, req: RetrievalRequest) -> _Candidates:
     action_ids: set[str] = set()
-    for urn in req.scope:
-        action_ids.update(store.work_actions.get(urn, ()))
-    out: list[_Candidate] = []
-    for aid in sorted(action_ids):
-        action = store.actions[aid]
-        if not req.include_future_actions and action.effective_date > req.t:
-            continue
+    work_actions = store.work_actions
+    for urn in work_actions.keys() & req.scope:
+        action_ids.update(work_actions[urn])
+    actions, t, future = store.actions, req.t, req.include_future_actions
+    return [(actions[aid].description_unit, aid, Aspect.ACTION_DESCRIPTION)
+            for aid in action_ids if future or actions[aid].effective_date <= t]
+
+
+def _metadata_candidates(store: GraphStore, req: RetrievalRequest) -> _Candidates:
+    metadata_units = store.chain_index.metadata_units
+    return [(uid, urn, Aspect.METADATA)
+            for urn in metadata_units.keys() & req.scope for uid in metadata_units[urn]]
+
+
+def _theme_candidates(store: GraphStore, req: RetrievalRequest) -> _Candidates:
+    return [(theme.description_unit, tid, Aspect.THEME_DESCRIPTION)
+            for tid, theme in store.themes.items() if not req.scope.isdisjoint(theme.members)]
+
+
+_CANDIDATES = (
+    (Aspect.CONTENT, _content_candidates),
+    (Aspect.ACTION_DESCRIPTION, _action_candidates),
+    (Aspect.METADATA, _metadata_candidates),
+    (Aspect.THEME_DESCRIPTION, _theme_candidates),
+)
+
+
+def _provenance(store: GraphStore, req: RetrievalRequest, ref: str,
+                aspect: Aspect) -> tuple[str, str, str]:
+    """A hit's (work urn, temporal version id, owning node id); see RetrievalHit."""
+    if aspect is Aspect.CONTENT:
+        tv = store.ctvs[store.clvs[ref].temporal_version]
+        return tv.work, tv.id, ref
+    if aspect is Aspect.ACTION_DESCRIPTION:
+        action = store.actions[ref]
         target = action.targets[0] if action.targets else ""
         anchor_ctv = next(
             (cid for cid in action.produces + action.terminates
              if cid in store.ctvs and store.ctvs[cid].work == target),
             "",
         )
-        out.append(_Candidate(action.description_unit, (target, anchor_ctv, aid),
-                              Aspect.ACTION_DESCRIPTION))
-    return out
-
-
-def _metadata_candidates(store: GraphStore, req: RetrievalRequest) -> list[_Candidate]:
-    out: list[_Candidate] = []
-    for uid in sorted(store.units):
-        unit = store.units[uid]
-        if unit.aspect is Aspect.METADATA and unit.owner in req.scope:
-            out.append(_Candidate(uid, (unit.owner, "", unit.owner), Aspect.METADATA))
-    return out
-
-
-def _theme_candidates(store: GraphStore, req: RetrievalRequest) -> list[_Candidate]:
-    out: list[_Candidate] = []
-    for tid in sorted(store.themes):
-        theme = store.themes[tid]
-        overlap = sorted(set(theme.members) & req.scope)
-        if not overlap:
-            continue
-        out.append(_Candidate(theme.description_unit, (overlap[0], "", tid),
-                              Aspect.THEME_DESCRIPTION))
-    return out
+        return target, anchor_ctv, ref
+    if aspect is Aspect.METADATA:
+        return ref, "", ref
+    theme = store.themes[ref]
+    return min(urn for urn in theme.members if urn in req.scope), "", ref
 
 
 def _bm25_scores(store: GraphStore, query: str,
@@ -253,8 +277,10 @@ def _by_score(pair: tuple[str, float]) -> tuple[float, str]:
     return -pair[1], pair[0]
 
 
-def _rank(pairs: list[tuple[str, float]]) -> dict[str, int]:
-    return {uid: i for i, (uid, _) in enumerate(sorted(pairs, key=_by_score))}
+def _rank(pairs: Iterable[tuple[str, float]]) -> dict[str, int]:
+    """Each unit's place in the ``_by_score`` order, sorting its keys with no key function."""
+    keys = sorted([(-score, uid) for uid, score in pairs])
+    return {uid: i for i, (_, uid) in enumerate(keys)}
 
 
 def scoped_search(store: GraphStore, req: RetrievalRequest) -> list[RetrievalHit]:
@@ -262,46 +288,44 @@ def scoped_search(store: GraphStore, req: RetrievalRequest) -> list[RetrievalHit
 
     The candidate set is assembled entirely from structural and temporal
     filters before any scoring happens, so no hit can cite a version that
-    was not valid at ``req.t``.
+    was not valid at ``req.t``. Provenance is resolved for the returned
+    hits only. Every ranking key ends in the unit id, so the order in which
+    candidates are found does not matter.
     """
     if not req.scope:
         raise EmptyScope("<empty>")
-    candidates: list[_Candidate] = []
-    if Aspect.CONTENT in req.aspects:
-        candidates.extend(_content_candidates(store, req))
-    if Aspect.ACTION_DESCRIPTION in req.aspects:
-        candidates.extend(_action_candidates(store, req))
-    if Aspect.METADATA in req.aspects:
-        candidates.extend(_metadata_candidates(store, req))
-    if Aspect.THEME_DESCRIPTION in req.aspects:
-        candidates.extend(_theme_candidates(store, req))
-
-    by_unit: dict[str, _Candidate] = {}
-    for cand in candidates:
-        by_unit.setdefault(cand.unit_id, cand)
-    unit_ids = sorted(by_unit)
-    if not unit_ids:
+    candidates: _Candidates = []
+    for aspect, find in _CANDIDATES:
+        if aspect in req.aspects:
+            candidates += find(store, req)
+    by_unit: dict[str, tuple[str, Aspect]] = {}
+    for uid, ref, aspect in candidates:
+        by_unit.setdefault(uid, (ref, aspect))
+    if not by_unit:
         return []
+    unit_ids = list(by_unit)
 
     if req.mode is RetrievalMode.VECTOR:
         retrievable = [uid for uid in unit_ids if store.units[uid].retrievable]
-        ordered = sorted(_vector_scores(store, req.query_text, retrievable), key=_by_score)
+        top = heapq.nsmallest(req.k, _vector_scores(store, req.query_text, retrievable),
+                              key=_by_score)
     elif req.mode is RetrievalMode.LEXICAL:
-        scores = _bm25_scores(store, req.query_text, unit_ids)
-        ordered = sorted(((uid, scores[uid]) for uid in unit_ids), key=_by_score)
+        top = heapq.nsmallest(req.k, _bm25_scores(store, req.query_text, unit_ids).items(),
+                              key=_by_score)
     else:
         vec_rank = _rank(_vector_scores(store, req.query_text, unit_ids))
-        lex_scores = _bm25_scores(store, req.query_text, unit_ids)
-        lex_rank = _rank([(uid, lex_scores[uid]) for uid in unit_ids])
+        lex_rank = _rank(_bm25_scores(store, req.query_text, unit_ids).items())
         # Rank-sum fusion; ties break on lexical rank, then unit id.
-        fused = sorted(unit_ids, key=lambda uid: (vec_rank[uid] + lex_rank[uid],
-                                                  lex_rank[uid], uid))
-        ordered = [(uid, 1.0 / (1.0 + vec_rank[uid] + lex_rank[uid])) for uid in fused]
+        fused = heapq.nsmallest(req.k, unit_ids, key=lambda uid: (
+            vec_rank[uid] + lex_rank[uid], lex_rank[uid], uid))
+        top = [(uid, 1.0 / (1.0 + vec_rank[uid] + lex_rank[uid])) for uid in fused]
 
-    return [
-        RetrievalHit(uid, round(score, 12), by_unit[uid].provenance, by_unit[uid].aspect)
-        for uid, score in ordered[: req.k]
-    ]
+    hits = []
+    for uid, score in top:
+        ref, aspect = by_unit[uid]
+        hits.append(RetrievalHit(uid, round(score, 12), _provenance(store, req, ref, aspect),
+                                 aspect))
+    return hits
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,14 @@ text gives (the inverted term index, unit lengths and the IDF statistics)
 is derived on its first read, and each unit's embedding on the first
 vector read of that unit (see retrieval.embeddings_of), the same way for a
 committed store and a loaded one.
+
+So is the chain index that retrieval builds its candidates from
+(``GraphStore.chain_index``): for each work that has wording in some
+version, its version chain as parallel arrays (each version's valid_start
+and valid_end, and its language -> (CLV id, unit id) map) with the work's
+primary language, plus each work's metadata units. It is derived from the
+nodes on the first retrieval after commit, not on load, and is never
+persisted.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ from .model import (
 FORMAT_VERSION = 4
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# Serializes first builds of a committed store's text index across threads.
+# Serializes first builds of a committed store's derived indexes across threads.
 _BUILD_LOCK = threading.Lock()
 
 
@@ -80,6 +88,22 @@ class _TextIndex(NamedTuple):
 
 # An uncommitted store's units may still change, so it derives nothing from them.
 _UNSEALED = _TextIndex({}, {}, {}, 0, 0.0)
+
+
+class _Chain(NamedTuple):
+    """A worded work's version chain as parallel arrays, ascending by valid_start."""
+
+    starts: list[date]  # each version's valid_start (the store's version_starts list)
+    ends: list[date | None]  # each version's valid_end
+    wordings: list[dict[str, tuple[str, str]]]  # each version's language -> (CLV id, unit id)
+    primary: str  # the work's primary language
+
+
+class _ChainIndex(NamedTuple):
+    """What retrieval builds its candidates from, derived from the nodes in one pass."""
+
+    chains: dict[str, _Chain]  # work urn -> chain, for works with wording in some version
+    metadata_units: dict[str, list[str]]  # work urn -> ids of its metadata units
 
 
 def _text_stat(name: str) -> property:
@@ -122,8 +146,12 @@ class GraphStore:
     # Read through the properties named after its members; None until the
     # first read after commit.
     _text_index: _TextIndex | None = field(default=None, compare=False, repr=False)
+    # Read through chain_index; None until the first read after commit.
+    _chain_index: _ChainIndex | None = field(default=None, compare=False, repr=False)
     clvs_by_ctv: dict[str, dict[str, str]] = field(default_factory=dict, compare=False)
     alias_index: dict[str, set[str]] = field(default_factory=dict, compare=False)
+    # alias.casefold() -> urns, for the case-insensitive alias lookup.
+    folded_alias_index: dict[str, set[str]] = field(default_factory=dict, compare=False)
     fragment_index: dict[str, set[str]] = field(default_factory=dict, compare=False)
     # Works are never replaced once added, so a urn's primary language is fixed.
     _primary_languages: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
@@ -194,6 +222,7 @@ class GraphStore:
                    key=lambda u: self.works[u].ordinal)
         for alias in work.id.aliases:
             self.alias_index.setdefault(alias, set()).add(work.urn)
+            self.folded_alias_index.setdefault(alias.casefold(), set()).add(work.urn)
         fragment = work.id.fragment
         if fragment:
             self.fragment_index.setdefault(fragment, set()).add(work.urn)
@@ -236,7 +265,8 @@ class GraphStore:
 
     def _reindex(self) -> None:
         for index in (self.children, self.versions, self.version_starts, self.work_actions,
-                      self.clvs_by_ctv, self.alias_index, self.fragment_index):
+                      self.clvs_by_ctv, self.alias_index, self.folded_alias_index,
+                      self.fragment_index):
             index.clear()
         for work in self.works.values():
             self._index_work(work)
@@ -271,14 +301,32 @@ class GraphStore:
         if index is None:
             if not self.committed:
                 return _UNSEALED
-            with _BUILD_LOCK:
-                if self._text_index is None:
-                    self._rebuild_text_index()
-                index = self._text_index
+            index = self._publish("_text_index", self._derive_text_index)
         return index
 
-    def _rebuild_text_index(self) -> None:
-        """Tokenize every unit; publish the whole text index in one assignment."""
+    @property
+    def chain_index(self) -> _ChainIndex:
+        """The chain index (see the module docstring), derived on its first read."""
+        index = self._chain_index
+        if index is None:
+            if not self.committed:
+                # Its nodes may still change: derive afresh and keep nothing.
+                return self._derive_chain_index()
+            index = self._publish("_chain_index", self._derive_chain_index)
+        return index
+
+    def _publish(self, slot: str, derive: Callable[[], tuple]) -> tuple:
+        """Derive a committed store's index once, under the lock, and set ``slot`` in one assignment.
+
+        Racing first readers wait for the one derivation, so none sees a part-built index.
+        """
+        with _BUILD_LOCK:
+            if getattr(self, slot) is None:
+                setattr(self, slot, derive())
+            return getattr(self, slot)
+
+    def _derive_text_index(self) -> _TextIndex:
+        """Tokenize every unit."""
         term_index: dict[str, dict[str, int]] = {}
         unit_len: dict[str, int] = {}
         for uid in sorted(self.units):
@@ -290,7 +338,26 @@ class GraphStore:
         lengths = [unit_len[u.id] for u in self.units.values() if u.retrievable]
         df = {token: len(postings) for token, postings in term_index.items()}
         avgdl = sum(lengths) / len(lengths) if lengths else 0.0
-        self._text_index = _TextIndex(term_index, unit_len, df, len(lengths), avgdl)
+        return _TextIndex(term_index, unit_len, df, len(lengths), avgdl)
+
+    def _derive_chain_index(self) -> _ChainIndex:
+        """Chain arrays of every work with wording, and every work's metadata units."""
+        ctvs, clvs, by_ctv = self.ctvs, self.clvs, self.clvs_by_ctv
+        chains: dict[str, _Chain] = {}
+        for urn in dict.fromkeys(ctvs[cid].work for cid in by_ctv):
+            cids = self.versions[urn]
+            chains[urn] = _Chain(
+                self.version_starts[urn],
+                [ctvs[cid].validity.valid_end for cid in cids],
+                [{language: (lv_id, clvs[lv_id].text_unit)
+                  for language, lv_id in by_ctv.get(cid, {}).items()} for cid in cids],
+                self.primary_language(urn),
+            )
+        metadata_units: dict[str, list[str]] = {}
+        for unit in self.units.values():
+            if unit.aspect is Aspect.METADATA:
+                metadata_units.setdefault(unit.owner, []).append(unit.id)
+        return _ChainIndex(chains, metadata_units)
 
     # -- read API ---------------------------------------------------------
 

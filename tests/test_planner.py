@@ -24,10 +24,11 @@ from normgraph.planner import (
     StructuredQuery,
     canonicalize,
     policies_footer,
+    resolve_work_reference,
     run,
     select_strategy,
 )
-from normgraph.store import GraphStore
+from normgraph.store import GraphStore, load, save
 from normgraph.temporal import MembershipPolicy, TemporalScope
 
 import synthcorpus
@@ -101,6 +102,21 @@ class TestCanonicalize:
                 store, clock)
         assert set(exc.value.candidates) == {
             "urn:test:mini!art1", "urn:test:other!art1"}
+
+    def test_aliases_that_differ_only_in_case_are_ambiguous(self, tmp_path):
+        store = GraphStore()
+        for urn, alias in (("urn:test:mini", "Water Act"), ("urn:test:other", "water act")):
+            doc = mini_doc()
+            doc["norm"].update(urn=urn, short_title=urn[-5:], aliases=[alias])
+            enact(store, parse_document(doc))
+        store.commit()
+        save(store, tmp_path / "aliases.ndjson")
+        for each in (store, load(tmp_path / "aliases.ndjson")):
+            assert resolve_work_reference(each, "Water Act") == "urn:test:mini"
+            with pytest.raises(AmbiguousAlias) as exc:
+                resolve_work_reference(each, "WATER ACT")
+            assert exc.value.candidates == ["urn:test:mini", "urn:test:other"]
+            assert "urn:test:mini" in str(exc.value) and "urn:test:other" in str(exc.value)
 
     def test_unknown_alias(self, fixture_store, clock):
         with pytest.raises(UnknownAlias):

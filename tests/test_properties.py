@@ -32,6 +32,7 @@ from normgraph.retrieval import (
     _bm25_scores,
     _content_candidates,
     _metadata_candidates,
+    _provenance,
     _theme_candidates,
     _vector_scores,
     cosine,
@@ -41,8 +42,10 @@ from normgraph.retrieval import (
 )
 from normgraph.store import GraphStore, load, save, tokenize
 from normgraph.temporal import alive_at, ctv_at, snapshot_fragments, snapshot_text
+from normgraph.themes import define_theme
 
 import synthcorpus
+from reference_ids import ART6
 from test_ingest import amendment_file, apply_file, mini_doc
 from test_store import entry_bits
 
@@ -293,13 +296,15 @@ def _spanish_wordings(store: GraphStore, urns: list[str], t: date) -> dict[str, 
 
 
 def _committed_store(seed: int, shared_french: bool = False, late_spanish: bool = False,
-                     ) -> tuple[synthcorpus.SynthCorpus, GraphStore]:
+                     themes: bool = False) -> tuple[synthcorpus.SynthCorpus, GraphStore]:
     """A synthetic norm with Spanish wording on some of its enacted provisions.
 
     With ``shared_french`` the same provisions also get one French wording.
     With ``late_spanish`` the other provisions get Spanish on the version in
     force at the last event, so an amended one has a version without
-    Spanish before one with it.
+    Spanish before one with it. With ``themes`` the first article's subtree
+    and the last provision are a theme each, the second with a blank
+    description that vector retrieval skips.
     """
     corpus = synthcorpus.generate_corpus(seed)
     store = synthcorpus.build_store(corpus)
@@ -313,6 +318,10 @@ def _committed_store(seed: int, shared_french: bool = False, late_spanish: bool 
     if shared_french:
         add_language(store, corpus.norm_urn, dict.fromkeys(translations, _SHARED_FRENCH),
                      "fr", at=corpus.enactment)
+    if themes:
+        define_theme(store, "Water and land", "Rights to water, land and roads.",
+                     store.descendants(provisions[1]))
+        define_theme(store, "Blank", "  ", [provisions[-1]])
     store.commit()
     return corpus, store
 
@@ -455,8 +464,9 @@ class TestIndexBackedSpans:
                         clv = tv and _rule(store, tv.id, language, fallback)
                         if clv:
                             expected.add((urn, tv.id, clv))
-                    assert {c.provenance for c in _content_candidates(
-                        store, request)} == expected, (seed, t, language)
+                    assert {_provenance(store, request, ref, aspect)
+                            for _, ref, aspect in _content_candidates(store, request)
+                            } == expected, (seed, t, language)
                 for term in terms:
                     spans = _reference_spans(store, term, works, language, fallback)
                     for by_postings in (False, True):
@@ -600,8 +610,10 @@ class TestBisectVersionSelection:
         for t in days:
             for language in (None, "es"):
                 request = RetrievalRequest(query_text="", scope=works, t=t, language=language)
-                got = {c.provenance[0]: c.provenance[1]
-                       for c in _content_candidates(store, request)}
+                got = {}
+                for _, ref, aspect in _content_candidates(store, request):
+                    urn, ctv, _ = _provenance(store, request, ref, aspect)
+                    got[urn] = ctv
                 expected = {}
                 for urn in works:
                     tv = _linear_version(store, urn, t)
@@ -624,9 +636,9 @@ def _unit_vector(store: GraphStore, uid: str) -> list[float]:
 def _cosine_reference(store: GraphStore, req: RetrievalRequest) -> list[RetrievalHit]:
     """scoped_search's ranking, scoring each candidate's dense vector with its own cosine call."""
     by_unit = {}
-    for cand in (_content_candidates(store, req) + _action_candidates(store, req)
-                 + _metadata_candidates(store, req) + _theme_candidates(store, req)):
-        by_unit.setdefault(cand.unit_id, cand)
+    for uid, ref, aspect in (_content_candidates(store, req) + _action_candidates(store, req)
+                             + _metadata_candidates(store, req) + _theme_candidates(store, req)):
+        by_unit.setdefault(uid, (_provenance(store, req, ref, aspect), aspect))
     unit_ids = sorted(by_unit)
     query = _dense(embedder_for_store(store).embed(req.query_text))
     if req.mode is RetrievalMode.VECTOR:
@@ -641,8 +653,7 @@ def _cosine_reference(store: GraphStore, req: RetrievalRequest) -> list[Retrieva
         lex_rank = {uid: i for i, uid in enumerate(lex_order)}
         fused = sorted(unit_ids, key=lambda uid: (vec_rank[uid] + lex_rank[uid], lex_rank[uid], uid))
         scored = [(uid, 1.0 / (1.0 + vec_rank[uid] + lex_rank[uid])) for uid in fused]
-    return [RetrievalHit(uid, round(score, 12), by_unit[uid].provenance, by_unit[uid].aspect)
-            for uid, score in scored[:req.k]]
+    return [RetrievalHit(uid, round(score, 12), *by_unit[uid]) for uid, score in scored[:req.k]]
 
 
 class TestMatrixScoring:
@@ -670,7 +681,7 @@ class TestMatrixScoring:
                     # Unrounded scores of the French candidates (req is the last,
                     # French, request of the loop above), bit for bit.
                     assert req.language == "fr"
-                    uids = sorted({c.unit_id for c in _content_candidates(store, req)})
+                    uids = sorted({uid for uid, _, _ in _content_candidates(store, req)})
                     query = _dense(embedder_for_store(store).embed(text))
                     reference = [(uid, cosine(query, _unit_vector(store, uid)))
                                  for uid in uids]
@@ -684,3 +695,182 @@ class TestMatrixScoring:
                         tied += 1
         # The probes must have reached duplicate-text ties.
         assert tied >= 20
+
+
+# -- scoped_search against a linear scan of the node maps --------------------------
+
+class _LinearSearch:
+    """scoped_search written out from the node maps alone, with its own text statistics.
+
+    It reads no derived index of the store and calls none of retrieval's
+    candidate functions: version chains and wordings are gathered by scanning
+    the CTVs and CLVs, each candidate is found by a linear scan, vector
+    scores are dense cosines and BM25 is counted from re-tokenized text.
+    """
+
+    def __init__(self, store: GraphStore):
+        self.store = store
+        units = store.units
+        self.tokens = {uid: tokenize(unit.text) for uid, unit in units.items()}
+        self.df = Counter(token for tokens in self.tokens.values() for token in set(tokens))
+        lengths = [len(self.tokens[uid]) for uid, unit in units.items() if unit.retrievable]
+        self.n_units = len(lengths)
+        self.avgdl = sum(lengths) / len(lengths) if lengths else 0.0
+        self.embed = HashedTfidfEmbedder(dict(self.df), self.n_units).embed
+        self.chains: dict[str, list[TemporalVersion]] = {}
+        for tv in store.ctvs.values():
+            self.chains.setdefault(tv.work, []).append(tv)
+        self.wordings: dict[str, dict[str, str]] = {}
+        for lv in store.clvs.values():
+            self.wordings.setdefault(lv.temporal_version, {})[lv.language] = lv.id
+        self._scores: dict[tuple[str, str, str], float] = {}
+
+    def _wording(self, tv: TemporalVersion, language: str | None, fallback: bool) -> str | None:
+        works = self.store.works
+        primary = works[works[tv.work].id.norm_urn].meta("language", "en") or "en"
+        languages = self.wordings.get(tv.id, {})
+        if language and (language in languages or not fallback):
+            return languages.get(language)
+        return languages.get(primary)
+
+    def candidates(self, req: RetrievalRequest) -> dict[str, tuple[tuple[str, str, str], Aspect]]:
+        """Unit -> (provenance, aspect), the first finding of each unit in aspect order."""
+        store, t, scope = self.store, req.t, req.scope
+        found: list[tuple[str, tuple[str, str, str], Aspect]] = []
+        if Aspect.CONTENT in req.aspects:
+            for urn in sorted(scope):
+                for tv in self.chains.get(urn, ()):
+                    end = tv.validity.valid_end
+                    if tv.validity.valid_start <= t and (end is None or t < end):
+                        lv_id = self._wording(tv, req.language, req.language_fallback)
+                        if lv_id is not None:
+                            found.append((store.clvs[lv_id].text_unit, (urn, tv.id, lv_id),
+                                          Aspect.CONTENT))
+        if Aspect.ACTION_DESCRIPTION in req.aspects:
+            for aid, action in sorted(store.actions.items()):
+                touched = set(action.targets) | {
+                    store.ctvs[cid].work for cid in action.terminates + action.produces}
+                if touched.isdisjoint(scope):
+                    continue
+                if action.effective_date > t and not req.include_future_actions:
+                    continue
+                target = action.targets[0] if action.targets else ""
+                anchor = [cid for cid in action.produces + action.terminates
+                          if store.ctvs[cid].work == target]
+                found.append((action.description_unit, (target, anchor[0] if anchor else "", aid),
+                              Aspect.ACTION_DESCRIPTION))
+        if Aspect.METADATA in req.aspects:
+            for uid, unit in sorted(store.units.items()):
+                if unit.aspect is Aspect.METADATA and unit.owner in scope:
+                    found.append((uid, (unit.owner, "", unit.owner), Aspect.METADATA))
+        if Aspect.THEME_DESCRIPTION in req.aspects:
+            for tid, theme in sorted(store.themes.items()):
+                overlap = sorted(set(theme.members) & scope)
+                if overlap:
+                    found.append((theme.description_unit, (overlap[0], "", tid),
+                                  Aspect.THEME_DESCRIPTION))
+        out: dict[str, tuple[tuple[str, str, str], Aspect]] = {}
+        for uid, provenance, aspect in found:
+            out.setdefault(uid, (provenance, aspect))
+        return out
+
+    def _cosine(self, text: str, uid: str) -> float:
+        key = ("vector", text, uid)
+        if key not in self._scores:
+            self._scores[key] = cosine(_dense(self.embed(text)),
+                                       _dense(self.embed(self.store.units[uid].text)))
+        return self._scores[key]
+
+    def _bm25(self, text: str, uid: str) -> float:
+        key = ("lexical", text, uid)
+        if key not in self._scores:
+            n, avgdl = max(self.n_units, 1), self.avgdl or 1.0
+            counts, dl = Counter(self.tokens[uid]), len(self.tokens[uid])
+            s = 0.0
+            for token in sorted(set(tokenize(text))):
+                tf = counts[token]
+                if tf:
+                    df = self.df[token]
+                    idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+                    s += idf * (tf * (1.5 + 1.0)) / (tf + 1.5 * (1.0 - 0.75 + 0.75 * dl / avgdl))
+            self._scores[key] = s / (1.0 + s) if s > 0 else 0.0
+        return self._scores[key]
+
+    def search(self, req: RetrievalRequest) -> list[RetrievalHit]:
+        """Every hit in rank order; scoped_search returns the first ``req.k``."""
+        found = self.candidates(req)
+        text, units = req.query_text, self.store.units
+        if req.mode is RetrievalMode.VECTOR:
+            ranked = sorted(((uid, self._cosine(text, uid)) for uid in found
+                             if units[uid].retrievable), key=lambda p: (-p[1], p[0]))
+        elif req.mode is RetrievalMode.LEXICAL:
+            ranked = sorted(((uid, self._bm25(text, uid)) for uid in found),
+                            key=lambda p: (-p[1], p[0]))
+        else:
+            vec = {uid: i for i, uid in enumerate(
+                sorted(found, key=lambda uid: (-self._cosine(text, uid), uid)))}
+            lex = {uid: i for i, uid in enumerate(
+                sorted(found, key=lambda uid: (-self._bm25(text, uid), uid)))}
+            fused = sorted(found, key=lambda uid: (vec[uid] + lex[uid], lex[uid], uid))
+            ranked = [(uid, 1.0 / (1.0 + vec[uid] + lex[uid])) for uid in fused]
+        return [RetrievalHit(uid, round(score, 12), *found[uid]) for uid, score in ranked]
+
+
+def _match_linear_scan(stores: list[GraphStore], scopes: list[frozenset[str]],
+                       days: list[date], texts: list[str]) -> Counter:
+    """Assert scoped_search equals _LinearSearch on every combination; count what the hits hold.
+
+    Every request takes all four aspects, in each mode, each language of
+    None, "es" and "en" with fallback on and off, at k=3 and at a k above
+    the candidate count.
+    """
+    seen: Counter = Counter()
+    for store in stores:
+        reference = _LinearSearch(store)
+        for t in days:
+            for scope in scopes:
+                for language in (None, "es", "en"):
+                    for fallback in (True, False):
+                        for mode, text in zip(RetrievalMode, texts * 2):
+                            # Spanish requests also take actions dated after t.
+                            kwargs = dict(aspects=frozenset(Aspect), language=language,
+                                          mode=mode, language_fallback=fallback,
+                                          include_future_actions=language == "es")
+                            req = RetrievalRequest(text, scope, t, k=10_000, **kwargs)
+                            expected = reference.search(req)
+                            assert scoped_search(store, req) == expected, (
+                                t, language, fallback, mode, len(scope))
+                            short = RetrievalRequest(text, scope, t, k=3, **kwargs)
+                            assert scoped_search(store, short) == expected[:3]
+                            seen.update(hit.aspect for hit in expected)
+                            seen[language, fallback] += sum(
+                                hit.aspect is Aspect.CONTENT for hit in expected)
+    return seen
+
+
+class TestScopedSearchReference:
+    @pytest.mark.parametrize("seed", range(0, 40, 4))
+    def test_synthetic_corpora_match_a_linear_scan(self, seed, tmp_path):
+        corpus, committed = _committed_store(seed, late_spanish=True, themes=True)
+        save(committed, tmp_path / "store.ndjson")
+        works = frozenset(committed.works)
+        article = frozenset(committed.descendants(committed.descendants(corpus.norm_urn)[1]))
+        days = sorted({t for urn in works for t in _boundary_days(committed, urn)})
+        rng = random.Random(seed)
+        texts = [" ".join(rng.sample(synthcorpus.WORDS, 3)), "agua tierra water"]
+        seen = _match_linear_scan([committed, load(tmp_path / "store.ndjson")],
+                                  [works, article], days, texts)
+        assert all(seen[aspect] for aspect in Aspect), seen
+        # Without fallback, Spanish requests skip the versions with no Spanish wording.
+        assert seen["es", False] < seen["es", True], seen
+
+    def test_the_reference_corpus_matches_a_linear_scan(self, fixture_store, snapshot_path):
+        """A Portuguese norm, so no language of the requests is the primary one."""
+        works = frozenset(fixture_store.works)
+        days = sorted({t for urn in works for t in _boundary_days(fixture_store, urn)})
+        seen = _match_linear_scan([fixture_store, load(snapshot_path)],
+                                  [works, frozenset(fixture_store.descendants(ART6))],
+                                  days, ["social rights housing", "food security"])
+        assert all(seen[aspect] for aspect in Aspect), seen
+        # English wording exists for one version only; Spanish for none.
+        assert 0 < seen["en", False] < seen["en", True] and seen["es", False] == 0, seen

@@ -20,6 +20,7 @@ from normgraph.ingest import ingest_corpus
 from normgraph.model import (
     ActionNode,
     ActionType,
+    Aspect,
     EMBEDDING_DIMENSION,
     LanguageVersion,
     TemporalVersion,
@@ -30,7 +31,13 @@ from normgraph.model import (
     validate_graph,
 )
 from normgraph.planner import QueryPattern, StructuredQuery, run
-from normgraph.retrieval import HashedTfidfEmbedder, RetrievalMode, embeddings_of
+from normgraph.retrieval import (
+    HashedTfidfEmbedder,
+    RetrievalMode,
+    RetrievalRequest,
+    embeddings_of,
+    scoped_search,
+)
 from normgraph.store import FORMAT_VERSION, GraphStore, load, save, tokenize
 from normgraph.temporal import TemporalScope
 
@@ -658,19 +665,30 @@ def _term_index_built(store: GraphStore) -> bool:
     return store._text_index is not None
 
 
-@pytest.fixture
-def slow_builds(monkeypatch) -> list[int]:
-    """Threads that built a text index; each build sleeps to widen the race."""
+def _slowed(monkeypatch, name: str) -> list[int]:
+    """Threads that ran GraphStore's ``name`` derivation; each run sleeps to widen the race."""
     builds: list[int] = []
-    rebuild = GraphStore._rebuild_text_index
+    derive = getattr(GraphStore, name)
 
-    def slow_rebuild(self):
+    def slow_derive(self):
         builds.append(threading.get_ident())
         time.sleep(0.05)  # widen the window in which every reader finds no index
-        rebuild(self)
+        return derive(self)
 
-    monkeypatch.setattr(GraphStore, "_rebuild_text_index", slow_rebuild)
+    monkeypatch.setattr(GraphStore, name, slow_derive)
     return builds
+
+
+@pytest.fixture
+def slow_builds(monkeypatch) -> list[int]:
+    """Threads that built a text index."""
+    return _slowed(monkeypatch, "_derive_text_index")
+
+
+@pytest.fixture
+def slow_chain_builds(monkeypatch) -> list[int]:
+    """Threads that built a chain index."""
+    return _slowed(monkeypatch, "_derive_chain_index")
 
 
 def _race(first_read, readers: int = 6) -> list:
@@ -800,6 +818,60 @@ class TestLazyTermIndex:
         assert len(slow_builds) == 1
         assert seen == [run(fixture_store, query, clock).annex_json()] * len(seen)
         assert entry_bits(store) == entry_bits(fixture_store)
+
+
+class TestChainIndex:
+    """Retrieval's candidates come from a chain index derived on the first retrieval."""
+
+    def test_load_and_the_other_query_patterns_leave_it_unbuilt(self, snapshot_path, clock):
+        store = load(snapshot_path)
+        assert store._chain_index is None
+        run(store, StructuredQuery(QueryPattern.POINT_IN_TIME, structural_target="art6",
+                                   temporal=TemporalScope.instant(date(2011, 1, 1))), clock)
+        run(store, StructuredQuery(
+            QueryPattern.IMPACT_ANALYSIS, structural_target="tit2_cap2",
+            temporal=TemporalScope.interval(date(2010, 1, 1), date(2019, 12, 31))), clock)
+        run(store, StructuredQuery(QueryPattern.PROVENANCE, textual_target="food"), clock)
+        assert store._chain_index is None
+        run(store, _retrieve(None, RetrievalMode.LEXICAL), clock)
+        assert store._chain_index is not None
+
+    def test_a_loaded_store_derives_the_index_the_committed_one_does(
+            self, fixture_store, snapshot_path):
+        chains, metadata_units = load(snapshot_path).chain_index
+        assert (chains, metadata_units) == fixture_store.chain_index
+        # Only works with wording have a chain, and each holds the store's own links.
+        assert set(chains) == {fixture_store.ctvs[lv.temporal_version].work
+                               for lv in fixture_store.clvs.values()}
+        for urn, (starts, ends, wordings, primary) in chains.items():
+            versions = fixture_store.versions_of(urn)
+            assert starts == [tv.validity.valid_start for tv in versions]
+            assert ends == [tv.validity.valid_end for tv in versions]
+            assert wordings == [
+                {language: (lv_id, fixture_store.clvs[lv_id].text_unit)
+                 for language, lv_id in fixture_store.clvs_by_ctv.get(tv.id, {}).items()}
+                for tv in versions]
+            assert primary == fixture_store.primary_language(urn)
+        assert metadata_units == {
+            unit.owner: [unit.id] for unit in fixture_store.units.values()
+            if unit.aspect is Aspect.METADATA}
+
+    def test_an_uncommitted_store_derives_it_afresh_and_keeps_none(self):
+        store = synthcorpus.build_store(synthcorpus.generate_corpus(3))
+        first = store.chain_index
+        assert store._chain_index is None and store.chain_index is not first
+        assert store.chain_index == first and first.chains
+
+    def test_concurrent_first_corpus_wide_retrieves_get_equal_hits(
+            self, fixture_store, snapshot_path, slow_chain_builds):
+        store = load(snapshot_path)
+        request = RetrievalRequest("social rights housing", frozenset(store.works),
+                                   date(2016, 1, 1), aspects=frozenset(Aspect), k=50,
+                                   mode=RetrievalMode.HYBRID)
+        seen = _race(lambda slot: scoped_search(store, request), readers=4)
+        assert len(slow_chain_builds) == 1
+        expected = scoped_search(fixture_store, request)
+        assert len(expected) > 8 and seen == [expected] * 4
 
 
 class TestLanguageRule:
