@@ -11,7 +11,6 @@ clock) inputs produce byte-identical answers.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
@@ -24,14 +23,14 @@ from .errors import (
     UnknownAlias,
     UnplannableQuery,
 )
-from .model import ActionNode, Aspect, TemporalVersion
+from .model import ActionNode, Aspect
 from .retrieval import (
     RetrievalMode,
     RetrievalRequest,
     locate_spans,
     scoped_search,
 )
-from .store import GraphStore
+from .store import GraphStore, pick_wording
 from .temporal import (
     MembershipPolicy,
     SnapshotPolicy,
@@ -402,19 +401,14 @@ def run_impact_analysis(store: GraphStore, q: StructuredQuery) -> Answer:
     return _finish(q, "\n".join(lines), [], action_records, [], 1.0, scoped=True)
 
 
-def _pre_state(store: GraphStore, tv: TemporalVersion) -> str | None:
-    """The version before ``tv`` in its work's chain, or None for the first."""
-    index = bisect_left(store.version_starts[tv.work], tv.validity.valid_start)
-    return store.versions[tv.work][index - 1] if index else None
-
-
 def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
     """Trace the introduction of a text span back to its causing actions.
 
     ``span_first`` reads the term's postings and ``structure_first`` walks
     the version chains of the entry's scope. Span location returns
     introductions in (work, chain position) order, and each is rendered in
-    one pass: its pre-state (the chain predecessor), the causal event, the
+    one pass from its work's chain in the chain index, read at the span's
+    position: its pre-state (the chain predecessor), the causal event, the
     post-state and the audit trail.
     """
     term = q.textual_target
@@ -427,43 +421,45 @@ def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
     if not introductions:
         raise TermNotFound(term, q.entry)
 
+    version_chains = store.chain_index.chains
     lines = [f'Provenance report: "{term}" in {_entry_label(store, q)}']
     citations: list[tuple[str, str, str]] = []
     action_records: list[dict] = []
     chains: list[list[str]] = []
     numbered = len(introductions) > 1
     for i, span in enumerate(introductions, start=1):
-        work, post_ctv = span.work, span.ctv
-        post_tv = store.ctvs[post_ctv]
-        pre_ctv = _pre_state(store, post_tv)
+        work, post_ctv, position = span.work, span.ctv, span.position
+        cids, starts, _, wordings, primary = version_chains[work]
         causal = store.actions[store.produced_by[post_ctv]]
         if numbered:
             lines.append(f"--- occurrence {i}: {store.works[work].label} ---")
-        if pre_ctv is None:
+        if position == 0:
             lines.append("Pre-state: none (term present since original enactment)")
             effect, chain = "Enacted with", (causal,)
         else:
+            pre_ctv = cids[position - 1]
             pre_producer = store.actions[store.produced_by[pre_ctv]]
             last_day = store.ctvs[pre_ctv].validity.last_valid_day
             lines.append(f'Pre-state: valid until {last_day.isoformat()} (no mention of "{term}")')
             lines.append(f"  Last change by: {pre_producer.short_label}. Source CTV: {pre_ctv}")
-            lv_id = store.clv_for(pre_ctv, work, language, fallback)
-            if lv_id:
-                citations.append((work, pre_ctv, lv_id))
+            pre_wording = pick_wording(wordings[position - 1], primary, language, fallback)
+            if pre_wording is not None:
+                citations.append((work, pre_ctv, pre_wording[0]))
             effect, chain = "Inserted", (pre_producer, causal)
         trail = " -> ".join([f"[{action.short_label}]" for action in chain])
         lines += (
             f"Causal event: {causal.short_label} "
             f"(effective {causal.effective_date.isoformat()})",
             f'  Effect: {effect} the term "{term}"',
-            f"Post-state: valid from {post_tv.validity.valid_start.isoformat()}",
+            f"Post-state: valid from {starts[position].isoformat()}",
             f"  Source CTV: {post_ctv}",
             "Audit trail:",
             f"  Causal chain: {trail}",
             "  Match confidence: Exact (1.0)",
         )
         # The locator found the term in the wording this rule picks, so there is one.
-        citations.append((work, post_ctv, store.clv_for(post_ctv, work, language, fallback)))
+        post_lv, _ = pick_wording(wordings[position], primary, language, fallback)
+        citations.append((work, post_ctv, post_lv))
         for action in chain:
             action_records.append({"action": action.id, "target": work,
                                    "date": action.effective_date.isoformat()})

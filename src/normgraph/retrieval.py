@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .errors import EmptyScope
 from .model import Aspect, EMBEDDING_DIMENSION
-from .store import GraphStore, tokenize
+from .store import GraphStore, pick_wording, tokenize
 
 _HASH_KEY = b"normgraph.embed.v1"
 
@@ -154,7 +154,7 @@ def _content_candidates(store: GraphStore, req: RetrievalRequest) -> _Candidates
 
     One pass over the chain arrays of the scoped works that have wording:
     the version valid at ``t`` is the last one starting on or before it,
-    if it has not ended, and the language rule is ``GraphStore.clv_for``'s.
+    if it has not ended, and its wording is the one ``pick_wording`` picks.
     A work with no wording in an acceptable language contributes no
     candidate (scoped_search never errors on language gaps, unlike
     snapshot reconstruction).
@@ -163,17 +163,14 @@ def _content_candidates(store: GraphStore, req: RetrievalRequest) -> _Candidates
     t, language, fallback = req.t, req.language, req.language_fallback
     out: _Candidates = []
     for urn in chains.keys() & req.scope:
-        starts, ends, wordings, primary = chains[urn]
+        _, starts, ends, wordings, primary = chains[urn]
         index = bisect_right(starts, t) - 1
         if index < 0:
             continue
         end = ends[index]
         if end is not None and t >= end:
             continue
-        languages = wordings[index]
-        picked = languages.get(language or primary)
-        if picked is None and language and fallback:
-            picked = languages.get(primary)
+        picked = pick_wording(wordings[index], primary, language, fallback)
         if picked is not None:
             lv_id, unit_id = picked
             out.append((unit_id, lv_id, Aspect.CONTENT))
@@ -334,6 +331,7 @@ class SpanLocation:
 
     work: str
     ctv: str
+    position: int  # the version's place in its work's chain
     first_containing: bool
 
 
@@ -351,15 +349,17 @@ def _walk_chains(store: GraphStore, needle: list[str], postings: list[dict[str, 
                  scope: frozenset[str], language: str | None,
                  fallback: bool) -> list[tuple[str, int, str]]:
     """(work, chain position, CTV) of each scoped version whose chosen wording holds the needle."""
+    chains = store.chain_index.chains
     found: list[tuple[str, int, str]] = []
-    for urn in sorted(scope):
-        for index, cid in enumerate(store.versions.get(urn, ())):
-            lv_id = store.clv_for(cid, urn, language, fallback)
-            if lv_id is None:
+    for urn in sorted(chains.keys() & scope):
+        cids, _, _, wordings, primary = chains[urn]
+        for position, languages in enumerate(wordings):
+            picked = pick_wording(languages, primary, language, fallback)
+            if picked is None:
                 continue
-            uid = store.clvs[lv_id].text_unit
+            uid = picked[1]
             if all(uid in p for p in postings) and _holds(store, uid, needle):
-                found.append((urn, index, cid))
+                found.append((urn, position, cids[position]))
     return found
 
 
@@ -370,17 +370,19 @@ def _read_postings(store: GraphStore, needle: list[str], postings: list[dict[str
     candidates = postings[0].keys()
     for p in postings[1:]:
         candidates &= p.keys()
-    units, clvs, ctvs, starts = store.units, store.clvs, store.ctvs, store.version_starts
+    index = store.chain_index
+    chains, placed_units = index.chains, index.placed_units
     found: list[tuple[str, int, str]] = []
     for uid in candidates:
-        lv = clvs.get(units[uid].owner)
-        # Only a language version's own unit is its wording.
-        if lv is None or lv.text_unit != uid:
+        # Only a language version's own unit is placed: no other unit is wording.
+        place = placed_units.get(uid)
+        if place is None or place[0] not in scope:
             continue
-        tv = ctvs[lv.temporal_version]
-        if (tv.work in scope and store.clv_for(tv.id, tv.work, language, fallback) == lv.id
-                and _holds(store, uid, needle)):
-            found.append((tv.work, bisect_left(starts[tv.work], tv.validity.valid_start), tv.id))
+        urn, position = place
+        cids, _, _, wordings, primary = chains[urn]
+        picked = pick_wording(wordings[position], primary, language, fallback)
+        if picked is not None and picked[1] == uid and _holds(store, uid, needle):
+            found.append((urn, position, cids[position]))
     return sorted(found)
 
 
@@ -396,16 +398,17 @@ def locate_spans(store: GraphStore, term: str, scope: Iterable[str],
     Locations come in (work, chain position) order.
 
     Membership is read from the committed store's term index (inverted-file
-    evaluation, after Zobel & Moffat), by one of two access paths that find
-    the same locations. By default the scope's version chains are walked
-    and each version's chosen wording is looked up in the postings of every
-    distinct needle token: one lookup per version in scope. With
-    ``by_postings`` the postings are read first: they are intersected,
-    smallest first, and each content unit is mapped to its language
-    version, temporal version and work, and kept only if its work is in
-    ``scope`` and ``GraphStore.clv_for`` picks that language version: one
-    lookup per unit holding the term, wherever it is. Either way only
-    multi-token needles re-read a unit's text to check adjacency.
+    evaluation, after Zobel & Moffat), and versions from its chain index,
+    by one of two access paths that find the same locations. By default the
+    chains of the scope's works are walked and the wording ``pick_wording``
+    picks for each version is looked up in the postings of every distinct
+    needle token: one lookup per version in scope. With ``by_postings`` the
+    postings are read first: they are intersected, smallest first, and each
+    unit is kept only if the chain index places it (it is a language
+    version's wording) in a work in ``scope`` and ``pick_wording`` picks it
+    at that chain position: one lookup per unit holding the term, wherever
+    it is. Either way only multi-token needles re-read a unit's text to
+    check adjacency.
     """
     needle = tokenize(term)
     postings = [store.term_index.get(token) for token in dict.fromkeys(needle)]
@@ -416,7 +419,9 @@ def locate_spans(store: GraphStore, term: str, scope: Iterable[str],
     out: list[SpanLocation] = []
     # In this order a version's chain predecessor, if it holds the term, comes just before it.
     previous = ("", -1)
-    for urn, index, cid in read(store, needle, postings, frozenset(scope), language, fallback):
-        out.append(SpanLocation(urn, cid, first_containing=(urn, index - 1) != previous))
-        previous = (urn, index)
+    for urn, position, cid in read(store, needle, postings, frozenset(scope), language,
+                                   fallback):
+        out.append(SpanLocation(urn, cid, position,
+                                first_containing=(urn, position - 1) != previous))
+        previous = (urn, position)
     return out

@@ -21,13 +21,17 @@ is derived on its first read, and each unit's embedding on the first
 vector read of that unit (see retrieval.embeddings_of), the same way for a
 committed store and a loaded one.
 
-So is the chain index that retrieval builds its candidates from
-(``GraphStore.chain_index``): for each work that has wording in some
-version, its version chain as parallel arrays (each version's valid_start
-and valid_end, and its language -> (CLV id, unit id) map) with the work's
-primary language, plus each work's metadata units. It is derived from the
-nodes on the first retrieval after commit, not on load, and is never
-persisted.
+So is the chain index (``GraphStore.chain_index``) that retrieval builds
+its candidates from and provenance locates and renders spans from: for
+each work that has wording in some version, its version chain as parallel
+arrays (each version's CTV id, valid_start and valid_end, and its
+language -> (CLV id, unit id) map) with the work's primary language; the
+work and chain position of each language version's unit; and each work's
+metadata units. It is derived from the nodes on the first retrieval or
+provenance query after commit, not on load, and is never persisted.
+
+Which of a version's wordings a reader gets is one rule, ``pick_wording``,
+over that version's language map; every reader of a wording calls it.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import chain, filterfalse
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TypeVar
 
 from .errors import DanglingReference, MalformedSnapshot, UnknownWork
 from .model import (
@@ -65,6 +69,8 @@ from .model import (
 )
 
 FORMAT_VERSION = 4
+
+_W = TypeVar("_W")
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # Serializes first builds of a committed store's derived indexes across threads.
@@ -90,9 +96,24 @@ class _TextIndex(NamedTuple):
 _UNSEALED = _TextIndex({}, {}, {}, 0, 0.0)
 
 
+def pick_wording(languages: dict[str, _W], primary: str, language: str | None,
+                 fallback: bool) -> _W | None:
+    """The language rule, over one version's language map.
+
+    ``language`` (``primary``, the norm's primary language, when None or
+    empty), else the primary language when ``fallback`` is on; None when
+    the map holds neither.
+    """
+    picked = languages.get(language or primary)
+    if picked is None and language and fallback:
+        picked = languages.get(primary)
+    return picked
+
+
 class _Chain(NamedTuple):
     """A worded work's version chain as parallel arrays, ascending by valid_start."""
 
+    ctvs: list[str]  # each version's CTV id (the store's versions list)
     starts: list[date]  # each version's valid_start (the store's version_starts list)
     ends: list[date | None]  # each version's valid_end
     wordings: list[dict[str, tuple[str, str]]]  # each version's language -> (CLV id, unit id)
@@ -100,9 +121,11 @@ class _Chain(NamedTuple):
 
 
 class _ChainIndex(NamedTuple):
-    """What retrieval builds its candidates from, derived from the nodes in one pass."""
+    """What retrieval and provenance read version chains from, derived from the nodes in one pass."""
 
     chains: dict[str, _Chain]  # work urn -> chain, for works with wording in some version
+    # Unit id of each language version -> its work and chain position.
+    placed_units: dict[str, tuple[str, int]]
     metadata_units: dict[str, list[str]]  # work urn -> ids of its metadata units
 
 
@@ -341,23 +364,32 @@ class GraphStore:
         return _TextIndex(term_index, unit_len, df, len(lengths), avgdl)
 
     def _derive_chain_index(self) -> _ChainIndex:
-        """Chain arrays of every work with wording, and every work's metadata units."""
+        """Chain arrays of every work with wording, where each wording sits, and metadata units."""
         ctvs, clvs, by_ctv = self.ctvs, self.clvs, self.clvs_by_ctv
         chains: dict[str, _Chain] = {}
+        placed_units: dict[str, tuple[str, int]] = {}
         for urn in dict.fromkeys(ctvs[cid].work for cid in by_ctv):
             cids = self.versions[urn]
+            wordings = []
+            for position, cid in enumerate(cids):
+                languages = {language: (lv_id, clvs[lv_id].text_unit)
+                             for language, lv_id in by_ctv.get(cid, {}).items()}
+                place = (urn, position)
+                for _, uid in languages.values():
+                    placed_units[uid] = place
+                wordings.append(languages)
             chains[urn] = _Chain(
+                cids,
                 self.version_starts[urn],
                 [ctvs[cid].validity.valid_end for cid in cids],
-                [{language: (lv_id, clvs[lv_id].text_unit)
-                  for language, lv_id in by_ctv.get(cid, {}).items()} for cid in cids],
+                wordings,
                 self.primary_language(urn),
             )
         metadata_units: dict[str, list[str]] = {}
         for unit in self.units.values():
             if unit.aspect is Aspect.METADATA:
                 metadata_units.setdefault(unit.owner, []).append(unit.id)
-        return _ChainIndex(chains, metadata_units)
+        return _ChainIndex(chains, placed_units, metadata_units)
 
     # -- read API ---------------------------------------------------------
 
@@ -386,19 +418,11 @@ class GraphStore:
         return tv if interval_contains(tv.validity, t) else None
 
     def clv_for(self, ctv: str, work: str, language: str | None, fallback: bool) -> str | None:
-        """The CLV a reader of ``ctv`` (a version of ``work``) gets, or None.
-
-        The language rule: ``language`` (the norm's primary language when
-        None or empty), else the primary language when ``fallback`` is on.
-        """
+        """The CLV a reader of ``ctv`` (a version of ``work``) gets by ``pick_wording``, or None."""
         languages = self.clvs_by_ctv.get(ctv)
         if not languages:
             return None
-        if language:
-            lv_id = languages.get(language)
-            if lv_id is not None or not fallback:
-                return lv_id
-        return languages.get(self.primary_language(work))
+        return pick_wording(languages, self.primary_language(work), language, fallback)
 
     def norm_of(self, urn: str) -> WorkNode:
         return self.work(self.work(urn).id.norm_urn)

@@ -14,7 +14,7 @@ from datetime import date
 
 from .errors import MissingLanguage, NotYetEnacted, RepealedAt, UnknownEntry
 from .model import TemporalVersion
-from .store import GraphStore
+from .store import GraphStore, pick_wording
 
 
 class SnapshotPolicy(str, Enum):
@@ -172,18 +172,24 @@ def snapshot_fragments(
     MissingLanguage.
     """
     out: list[SnapshotFragment] = []
+    root = ctv_at(store, work, t)
+    # validate_graph keeps a component in its parent's norm, so one primary
+    # language serves the whole aggregation closure.
+    primary = store.primary_language(work)
 
     def emit(tv: TemporalVersion) -> None:
-        lv_id = store.clv_for(tv.id, tv.work, language, language_fallback)
-        if lv_id is None and not language_fallback and tv.id in store.clvs_by_ctv:
-            raise MissingLanguage(tv.id, language or store.primary_language(work))
+        languages = store.clvs_by_ctv.get(tv.id)
+        lv_id = (pick_wording(languages, primary, language, language_fallback)
+                 if languages else None)
+        if lv_id is None and not language_fallback and languages:
+            raise MissingLanguage(tv.id, language or primary)
         if lv_id is not None:
             unit = store.units[store.clvs[lv_id].text_unit]
             out.append(SnapshotFragment(tv.work, tv.id, lv_id, unit.text))
         for child_cid in tv.aggregates:
             emit(store.ctvs[child_cid])
 
-    emit(ctv_at(store, work, t))
+    emit(root)
     return out
 
 

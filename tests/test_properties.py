@@ -21,7 +21,7 @@ from normgraph.model import (
     interval_contains,
     validate_graph,
 )
-from normgraph.planner import QueryPattern, StructuredQuery, _pre_state, run
+from normgraph.planner import QueryPattern, StructuredQuery, run
 from normgraph.retrieval import (
     HashedTfidfEmbedder,
     RetrievalHit,
@@ -295,9 +295,9 @@ def _spanish_wordings(store: GraphStore, urns: list[str], t: date) -> dict[str, 
     return translations
 
 
-def _committed_store(seed: int, shared_french: bool = False, late_spanish: bool = False,
-                     themes: bool = False) -> tuple[synthcorpus.SynthCorpus, GraphStore]:
-    """A synthetic norm with Spanish wording on some of its enacted provisions.
+def _translated_store(seed: int, shared_french: bool = False, late_spanish: bool = False,
+                      themes: bool = False) -> tuple[synthcorpus.SynthCorpus, GraphStore]:
+    """A synthetic norm with Spanish wording on some of its enacted provisions, uncommitted.
 
     With ``shared_french`` the same provisions also get one French wording.
     With ``late_spanish`` the other provisions get Spanish on the version in
@@ -322,6 +322,12 @@ def _committed_store(seed: int, shared_french: bool = False, late_spanish: bool 
         define_theme(store, "Water and land", "Rights to water, land and roads.",
                      store.descendants(provisions[1]))
         define_theme(store, "Blank", "  ", [provisions[-1]])
+    return corpus, store
+
+
+def _committed_store(seed: int, **options) -> tuple[synthcorpus.SynthCorpus, GraphStore]:
+    """``_translated_store(seed, **options)``, committed."""
+    corpus, store = _translated_store(seed, **options)
     store.commit()
     return corpus, store
 
@@ -343,7 +349,7 @@ def _reference_spans(store: GraphStore, term: str, scope, language=None,
     out: list[SpanLocation] = []
     for urn in sorted(set(scope)):
         previous = False
-        for cid in store.versions.get(urn, ()):
+        for position, cid in enumerate(store.versions.get(urn, ())):
             lv_id = _rule(store, cid, language, fallback)
             if lv_id is None:
                 previous = False
@@ -352,7 +358,7 @@ def _reference_spans(store: GraphStore, term: str, scope, language=None,
             contains = n > 0 and any(tokens[i:i + n] == needle
                                      for i in range(len(tokens) - n + 1))
             if contains:
-                out.append(SpanLocation(urn, cid, first_containing=not previous))
+                out.append(SpanLocation(urn, cid, position, first_containing=not previous))
             previous = contains
     return out
 
@@ -397,10 +403,7 @@ class TestIndexBackedSpans:
                         assert got == _reference_spans(store, term, scope, language), (
                             seed, term, language)
                         for span in got:
-                            chain = store.versions[span.work]
-                            pre = _pre_state(store, store.ctvs[span.ctv])
-                            index = chain.index(span.ctv)
-                            assert pre == (chain[index - 1] if index else None)
+                            assert span.position == store.versions[span.work].index(span.ctv)
             translated += any(lv.language == "es" for lv in store.clvs.values())
         # The probes must have reached the cases they are meant to cover.
         assert repealed >= 5 and translated >= 30
@@ -484,6 +487,54 @@ class TestIndexBackedSpans:
                         cited += 1
         # Fallback off must have hit versions with no wording in the language.
         assert cited > 50 and (gaps > 0) is not fallback
+
+    @pytest.mark.parametrize("fallback", [True, False])
+    def test_an_uncommitted_store_renders_provenance_as_the_committed_one_does(
+            self, monkeypatch, fallback):
+        """It derives the chain index afresh on each read, keeps none, and answers alike."""
+        builds: list[bool] = []  # each derivation's store.committed
+        derive = GraphStore._derive_chain_index
+
+        def counted(store: GraphStore):
+            builds.append(store.committed)
+            return derive(store)
+
+        monkeypatch.setattr(GraphStore, "_derive_chain_index", counted)
+        # "version 2" is a multi-token needle, introduced after enactment.
+        terms = [_SPANISH["water"], "water", _SPANISH["rights"], "rights", "version 2"]
+        answered = with_pre_state = 0
+        answered_terms = set()
+        for seed in range(0, 40, 5):
+            corpus, committed = _committed_store(seed, late_spanish=True)
+            _, store = _translated_store(seed, late_spanish=True)
+            # An uncommitted store derives no text index by itself, since its
+            # units may still change; give it its own, so that it locates spans.
+            store._text_index = store._derive_text_index()
+            clock = (corpus.event_dates() or [corpus.enactment])[-1]
+            for language in (None, "es", "en"):
+                for term in terms:
+                    for target in (None, corpus.norm_urn):
+                        query = StructuredQuery(
+                            QueryPattern.PROVENANCE, structural_target=target,
+                            textual_target=term, language=language,
+                            language_fallback=fallback)
+                        try:
+                            expected = run(committed, query, clock)
+                        except TermNotFound:
+                            with pytest.raises(TermNotFound):
+                                run(store, query, clock)
+                            continue
+                        builds.clear()
+                        got = run(store, query, clock)
+                        assert builds and not any(builds) and store._chain_index is None
+                        assert (got.rendered_text, got.citations, got.annex_json()) == (
+                            expected.rendered_text, expected.citations,
+                            expected.annex_json()), (seed, term, language, target)
+                        answered += 1
+                        answered_terms.add(term)
+                        with_pre_state += "Pre-state: valid until" in got.rendered_text
+        assert answered > 80 and with_pre_state > 50
+        assert {"version 2", _SPANISH["water"]} <= answered_terms
 
     def test_uncommitted_store_has_no_term_index(self):
         corpus = synthcorpus.generate_corpus(1)

@@ -821,7 +821,8 @@ class TestLazyTermIndex:
 
 
 class TestChainIndex:
-    """Retrieval's candidates come from a chain index derived on the first retrieval."""
+    """Retrieval's candidates and provenance's spans come from a chain index
+    derived on the first retrieval or provenance query."""
 
     def test_load_and_the_other_query_patterns_leave_it_unbuilt(self, snapshot_path, clock):
         store = load(snapshot_path)
@@ -831,20 +832,30 @@ class TestChainIndex:
         run(store, StructuredQuery(
             QueryPattern.IMPACT_ANALYSIS, structural_target="tit2_cap2",
             temporal=TemporalScope.interval(date(2010, 1, 1), date(2019, 12, 31))), clock)
-        run(store, StructuredQuery(QueryPattern.PROVENANCE, textual_target="food"), clock)
         assert store._chain_index is None
-        run(store, _retrieve(None, RetrievalMode.LEXICAL), clock)
-        assert store._chain_index is not None
+        # Provenance, by either strategy, and retrieval derive it.
+        for query in (StructuredQuery(QueryPattern.PROVENANCE, textual_target="food"),
+                      StructuredQuery(QueryPattern.PROVENANCE, structural_target="art6",
+                                      textual_target="food"),
+                      _retrieve(None, RetrievalMode.LEXICAL)):
+            store = load(snapshot_path)
+            run(store, query, clock)
+            assert store._chain_index is not None, query
 
     def test_a_loaded_store_derives_the_index_the_committed_one_does(
             self, fixture_store, snapshot_path):
-        chains, metadata_units = load(snapshot_path).chain_index
-        assert (chains, metadata_units) == fixture_store.chain_index
+        loaded = load(snapshot_path)
+        chains, placed_units, metadata_units = loaded.chain_index
+        assert (chains, placed_units, metadata_units) == fixture_store.chain_index
         # Only works with wording have a chain, and each holds the store's own links.
         assert set(chains) == {fixture_store.ctvs[lv.temporal_version].work
                                for lv in fixture_store.clvs.values()}
-        for urn, (starts, ends, wordings, primary) in chains.items():
+        for urn, (ctvs, starts, ends, wordings, primary) in chains.items():
             versions = fixture_store.versions_of(urn)
+            assert ctvs == [tv.id for tv in versions]
+            assert fixture_store.chain_index.chains[urn].ctvs == [tv.id for tv in versions]
+            # The store's own lists, not copies.
+            assert ctvs is loaded.versions[urn] and starts is loaded.version_starts[urn]
             assert starts == [tv.validity.valid_start for tv in versions]
             assert ends == [tv.validity.valid_end for tv in versions]
             assert wordings == [
@@ -852,6 +863,14 @@ class TestChainIndex:
                  for language, lv_id in fixture_store.clvs_by_ctv.get(tv.id, {}).items()}
                 for tv in versions]
             assert primary == fixture_store.primary_language(urn)
+        # Each language version's unit sits at its CTV's place among its work's CTVs.
+        all_ctvs = fixture_store.ctvs.values()
+        assert placed_units == {
+            lv.text_unit: (tv.work, sum(other.work == tv.work
+                                        and other.validity.valid_start < tv.validity.valid_start
+                                        for other in all_ctvs))
+            for lv in fixture_store.clvs.values()
+            for tv in [fixture_store.ctvs[lv.temporal_version]]}
         assert metadata_units == {
             unit.owner: [unit.id] for unit in fixture_store.units.values()
             if unit.aspect is Aspect.METADATA}
@@ -873,9 +892,21 @@ class TestChainIndex:
         expected = scoped_search(fixture_store, request)
         assert len(expected) > 8 and seen == [expected] * 4
 
+    def test_concurrent_first_provenance_readers_get_identical_annexes(
+            self, fixture_store, snapshot_path, slow_chain_builds, clock):
+        store = load(snapshot_path)
+        # Span first and structure first, each read by half the threads.
+        queries = [StructuredQuery(QueryPattern.PROVENANCE, textual_target="food"),
+                   StructuredQuery(QueryPattern.PROVENANCE, structural_target="art6",
+                                   textual_target="food")]
+        seen = _race(lambda slot: run(store, queries[slot % 2], clock).annex_json(), readers=4)
+        assert len(slow_chain_builds) == 1
+        expected = [run(fixture_store, query, clock).annex_json() for query in queries]
+        assert seen == expected * 2
+
 
 class TestLanguageRule:
-    """clv_for: the one rule every reader of a version's wording goes through."""
+    """The language rule (store.pick_wording), read through clv_for."""
 
     @staticmethod
     def _store(languages: tuple[str, ...]) -> GraphStore:
