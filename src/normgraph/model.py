@@ -310,6 +310,36 @@ class Violation:
         return f"{self.code}: {self.message} [{', '.join(self.nodes)}]"
 
 
+# Every id a node holds: (store map of the node, attribute, store map the id
+# names, whether the attribute is a list of ids). None names no node; every
+# other value, "" included, must.
+_REFERENCES = (
+    ("works", "parent", "works", False),
+    ("actions", "source_provision", "works", False),
+    ("actions", "terminates", "ctvs", True),
+    ("actions", "produces", "ctvs", True),
+    ("actions", "targets", "works", True),
+    ("actions", "description_unit", "units", False),
+    ("ctvs", "work", "works", False),
+    ("ctvs", "aggregates", "ctvs", True),
+    ("clvs", "temporal_version", "ctvs", False),
+    ("clvs", "text_unit", "units", False),
+    ("themes", "description_unit", "units", False),
+    ("themes", "members", "works", True),
+)
+
+
+def _check_references(graph: "GraphStore", out: list[Violation]) -> None:
+    for nodes, attr, names, many in _REFERENCES:
+        named = getattr(graph, names)
+        for referrer, node in getattr(graph, nodes).items():
+            cited = getattr(node, attr)
+            for ref in cited if many else (cited,):
+                if ref not in named and ref is not None:
+                    out.append(Violation("DanglingReference", f"{attr} names no node in {names}",
+                                         (referrer, ref)))
+
+
 def _check_work_tree(graph: "GraphStore", out: list[Violation]) -> None:
     for urn, work in graph.works.items():
         if work.kind is WorkKind.NORM:
@@ -320,7 +350,6 @@ def _check_work_tree(graph: "GraphStore", out: list[Violation]) -> None:
             out.append(Violation("UrnFormat", "component work has no parent", (urn,)))
             continue
         if work.parent not in graph.works:
-            out.append(Violation("DanglingReference", "parent work missing", (urn, work.parent)))
             continue
         norm_urn = work.id.norm_urn
         if norm_urn not in graph.works:
@@ -369,7 +398,6 @@ def _check_aggregation(graph: "GraphStore", out: list[Violation]) -> None:
         for child_ctv_id in tv.aggregates:
             child = graph.ctvs.get(child_ctv_id)
             if child is None:
-                out.append(Violation("DanglingReference", "aggregated ctv missing", (tv.id, child_ctv_id)))
                 continue
             child_work = graph.works.get(child.work)
             if child_work is None or child_work.parent != tv.work:
@@ -389,13 +417,7 @@ def _check_aggregation(graph: "GraphStore", out: list[Violation]) -> None:
                     (tv.id, child_ctv_id),
                 ))
         for child_urn in graph.children.get(tv.work, ()):
-            if child_urn in seen_children:
-                continue
-            alive = any(
-                interval_contains(graph.ctvs[cid].validity, start)
-                for cid in graph.versions.get(child_urn, ())
-            )
-            if alive:
+            if child_urn not in seen_children and graph.version_at(child_urn, start):
                 out.append(Violation(
                     "AggregationGap",
                     f"child {child_urn} is alive on {start} but not aggregated",
@@ -407,9 +429,7 @@ def _check_actions(graph: "GraphStore", out: list[Violation]) -> None:
     for act in graph.actions.values():
         for cid in act.produces:
             tv = graph.ctvs.get(cid)
-            if tv is None:
-                out.append(Violation("DanglingReference", "produced ctv missing", (act.id, cid)))
-            elif tv.validity.valid_start != act.effective_date:
+            if tv is not None and tv.validity.valid_start != act.effective_date:
                 out.append(Violation(
                     "ActionDateMismatch",
                     f"produced ctv starts {tv.validity.valid_start}, action effective {act.effective_date}",
@@ -417,9 +437,7 @@ def _check_actions(graph: "GraphStore", out: list[Violation]) -> None:
                 ))
         for cid in act.terminates:
             tv = graph.ctvs.get(cid)
-            if tv is None:
-                out.append(Violation("DanglingReference", "terminated ctv missing", (act.id, cid)))
-            elif tv.validity.valid_end != act.effective_date:
+            if tv is not None and tv.validity.valid_end != act.effective_date:
                 out.append(Violation(
                     "ActionDateMismatch",
                     f"terminated ctv ends {tv.validity.valid_end}, action effective {act.effective_date}",
@@ -428,10 +446,7 @@ def _check_actions(graph: "GraphStore", out: list[Violation]) -> None:
         if act.enactment_date > act.effective_date:
             out.append(Violation("ActionShape", "enactment_date after effective_date", (act.id,)))
         unit = graph.units.get(act.description_unit)
-        if unit is None:
-            out.append(Violation("DanglingReference", "action cites missing description unit",
-                                 (act.id, act.description_unit)))
-        elif unit.aspect is not Aspect.ACTION_DESCRIPTION or unit.owner != act.id:
+        if unit is not None and (unit.aspect is not Aspect.ACTION_DESCRIPTION or unit.owner != act.id):
             out.append(Violation("AspectOwnerMismatch",
                                  "action description unit is not one owned by it", (act.id, unit.id)))
         produced_works = {graph.ctvs[c].work for c in act.produces if c in graph.ctvs}
@@ -480,12 +495,8 @@ def _check_language_versions(graph: "GraphStore", out: list[Violation]) -> None:
     # A CLV's id is derived from (ctv, language), and the store rejects a
     # repeated id, so no CTV has two versions in one language.
     for lv in graph.clvs.values():
-        if lv.temporal_version not in graph.ctvs:
-            out.append(Violation("DanglingReference", "clv cites missing ctv", (lv.id, lv.temporal_version)))
         unit = graph.units.get(lv.text_unit)
-        if unit is None:
-            out.append(Violation("DanglingReference", "clv cites missing text unit", (lv.id, lv.text_unit)))
-        elif unit.aspect is not Aspect.CONTENT or unit.owner != lv.id:
+        if unit is not None and (unit.aspect is not Aspect.CONTENT or unit.owner != lv.id):
             out.append(Violation("AspectOwnerMismatch", "clv text unit is not content owned by it", (lv.id, unit.id)))
 
 
@@ -505,20 +516,21 @@ def _check_text_units(graph: "GraphStore", out: list[Violation]) -> None:
 
 def _check_themes(graph: "GraphStore", out: list[Violation]) -> None:
     for theme in graph.themes.values():
-        for member in theme.members:
-            if member not in graph.works:
-                out.append(Violation("DanglingReference", "theme member missing", (theme.id, member)))
         unit = graph.units.get(theme.description_unit)
-        if unit is None or unit.aspect is not Aspect.THEME_DESCRIPTION:
-            out.append(Violation("AspectOwnerMismatch", "theme description unit missing or wrong aspect", (theme.id,)))
+        if unit is not None and unit.aspect is not Aspect.THEME_DESCRIPTION:
+            out.append(Violation("AspectOwnerMismatch", "theme description unit has the wrong aspect", (theme.id,)))
 
 
 def validate_graph(graph: "GraphStore") -> list[Violation]:
     """Check every model invariant; an empty result means a consistent graph.
 
     Violations are data, not exceptions: callers decide whether to abort.
+    Every id a node holds (_REFERENCES) is checked first, so when any names
+    no node the first violation is a DanglingReference; the later checks
+    skip a missing node rather than report it again.
     """
     out: list[Violation] = []
+    _check_references(graph, out)
     _check_work_tree(graph, out)
     _check_version_tiling(graph, out)
     _check_aggregation(graph, out)

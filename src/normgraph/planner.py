@@ -339,7 +339,7 @@ def _impact_actions(
     for urn in scope:
         candidate_ids.update(store.work_actions.get(urn, ()))
     selected: list[tuple[ActionNode, list[str]]] = []
-    for aid in sorted(candidate_ids):
+    for aid in candidate_ids:
         action = store.actions[aid]
         if not (t1 <= action.effective_date <= t2):
             continue
@@ -350,6 +350,7 @@ def _impact_actions(
             hits = [w for w in hits if alive_at(store, w, action.effective_date)]
         if hits:
             selected.append((action, sorted(hits)))
+    # Action ids are unique, so this order is total whatever the set's order.
     selected.sort(key=lambda pair: (pair[0].effective_date, pair[0].id))
     return selected
 
@@ -365,6 +366,7 @@ def run_impact_analysis(store: GraphStore, q: StructuredQuery) -> Answer:
 
     matched = _impact_actions(store, q, scope, window)
     by_target: dict[str, list[ActionNode]] = {}
+    # Built in (date, action, target) order: matched is by (date, action), each targets list sorted.
     action_records: list[dict] = []
     for action, targets in matched:
         for target in targets:
@@ -374,7 +376,6 @@ def run_impact_analysis(store: GraphStore, q: StructuredQuery) -> Answer:
                 "target": target,
                 "date": action.effective_date.isoformat(),
             })
-    action_records.sort(key=lambda r: (r["date"], r["action"], r["target"]))
     impact_dates = sorted({action.effective_date.isoformat() for action, _ in matched})
 
     label = _entry_label(store, q)

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, filterfalse
 from pathlib import Path
 from typing import Callable, NamedTuple, TypeVar
 
@@ -157,7 +156,7 @@ class GraphStore:
     unit_embeddings: dict[str, dict[int, float]] = field(
         default_factory=dict, compare=False, repr=False)
 
-    # Derived indexes; rebuilt by _reindex, never persisted.
+    # Derived indexes; filed as each node is added or loaded, never persisted.
     children: dict[str, list[str]] = field(default_factory=dict, compare=False)
     versions: dict[str, list[str]] = field(default_factory=dict, compare=False)
     # valid_start of each entry of versions[urn], so version lookup bisects dates.
@@ -287,10 +286,7 @@ class GraphStore:
                    key=lambda aid: (self.actions[aid].effective_date, aid))
 
     def _reindex(self) -> None:
-        for index in (self.children, self.versions, self.version_starts, self.work_actions,
-                      self.clvs_by_ctv, self.alias_index, self.folded_alias_index,
-                      self.fragment_index):
-            index.clear()
+        """File every node of a freshly loaded store, whose indexes are empty."""
         for work in self.works.values():
             self._index_work(work)
         for tv in self.ctvs.values():
@@ -458,10 +454,11 @@ class GraphStore:
 
 # -- serialization -----------------------------------------------------------
 #
-# Every node kind's persisted form is one entry of _KINDS, which save, load
-# and _check_references all walk. Every column is required and every value
-# has an exact JSON type (bool is no integer). The meta header is written
-# and read outside the table.
+# Every node kind's persisted form is one entry of _KINDS, which save and
+# load walk. Every column is required and every value has an exact JSON type
+# (bool is no integer). The meta header is written and read outside the
+# table. Which ids must name a node is the model's table (model._REFERENCES),
+# checked by validate_graph.
 
 
 class _Type(NamedTuple):
@@ -512,9 +509,6 @@ _STR_MAP = _Type("an object of strings", frozenset({dict}), _str_map, dict)
 class _Column(NamedTuple):
     key: str
     type: _Type
-    # The store map whose ids the value names; a trailing "?" lets "" and
-    # null name no node.
-    ref: str | None = None
     # Node attribute path, when it is not the key.
     attr: str | None = None
 
@@ -523,8 +517,8 @@ class _Kind:
     """One record kind: its store map, node constructor and columns.
 
     The constructor takes the column values in column order; the node
-    derives the rest. The getters and converters that save, load and the
-    reference check use are derived here once, not per record.
+    derives the rest. The getters and converters that save and load use are
+    derived here once, not per record.
     """
 
     def __init__(self, nodes: str, build: Callable, *columns: _Column, key: str = "id") -> None:
@@ -574,7 +568,7 @@ _KINDS = {
         _Column("aliases", _STRS, attr="id.aliases"),
         _Column("work_kind", _enum(WorkKind), attr="kind"),
         _Column("component_type", _enum(ComponentType)),
-        _Column("parent", _OPTIONAL_STR, "works?"),
+        _Column("parent", _OPTIONAL_STR),
         _Column("ordinal", _INT),
         _Column("metadata", _STR_MAP),
         key="id.urn",
@@ -585,10 +579,10 @@ _KINDS = {
         _Column("action_type", _enum(ActionType)),
         _Column("enactment_date", _DATE),
         _Column("effective_date", _DATE),
-        _Column("source_provision", _OPTIONAL_STR, "works?"),
-        _Column("terminates", _STRS, "ctvs"),
-        _Column("produces", _STRS, "ctvs"),
-        _Column("targets", _STRS, "works"),
+        _Column("source_provision", _OPTIONAL_STR),
+        _Column("terminates", _STRS),
+        _Column("produces", _STRS),
+        _Column("targets", _STRS),
         _Column("effect", _OPTIONAL_STR),
         _Column("instrument", _OPTIONAL_STR),
         _Column("instrument_title", _OPTIONAL_STR),
@@ -596,22 +590,22 @@ _KINDS = {
     ),
     "ctv": _Kind(
         "ctvs", _ctv,
-        _Column("work", _STR, "works"),
+        _Column("work", _STR),
         _Column("valid_start", _DATE, attr="validity.valid_start"),
         _Column("valid_end", _OPTIONAL_DATE, attr="validity.valid_end"),
-        _Column("aggregates", _STRS, "ctvs"),
+        _Column("aggregates", _STRS),
     ),
     "clv": _Kind(
         "clvs", LanguageVersion,
-        _Column("temporal_version", _STR, "ctvs"),
+        _Column("temporal_version", _STR),
         _Column("language", _STR),
     ),
     "theme": _Kind(
         "themes", ThemeNode,
         _Column("id", _STR),
         _Column("label", _STR),
-        _Column("description_unit", _STR, "units"),
-        _Column("members", _STRS, "works"),
+        _Column("description_unit", _STR),
+        _Column("members", _STRS),
     ),
     "unit": _Kind(
         "units", TextUnit,
@@ -675,11 +669,12 @@ def load(path: str | Path) -> GraphStore:
     FORMAT_VERSION, a header whose members are not _HEADER or whose
     ``columns`` are not this version's, a record of an unknown kind, a row
     value that is missing or of the wrong type (see _KINDS), a repeated id,
-    or a CTV that two actions claim. Raises DanglingReference when a record
-    cites an id no record defines, and MalformedSnapshot, naming the first
-    and giving the count, when validate_graph reports any violation. A file
-    with no records loads as an empty store. The store is committed, as an
-    ingest ends.
+    or a CTV that two actions claim. Then validate_graph runs once: when
+    it reports any violation, raises DanglingReference if the first is one
+    (validate_graph checks references first, derived unit ids included),
+    and MalformedSnapshot, naming the first and giving the count, otherwise.
+    A file with no records loads as an empty store. The store is committed,
+    as an ingest ends.
     """
     store = GraphStore()
     spath = str(path)
@@ -745,31 +740,13 @@ def load(path: str | Path) -> GraphStore:
                 raise MalformedSnapshot(f"bad {kind!r} record: {spec.why_bad(rec, exc)}",
                                         path=spath, line=lineno) from None
 
-    _check_references(store)
     store._reindex()
     violations = validate_graph(store)
     if violations:
+        first = violations[0]
+        if first.code == "DanglingReference":
+            raise DanglingReference(*first.nodes)
         raise MalformedSnapshot(
-            f"{len(violations)} invariant violation(s); the first is {violations[0]}", path=spath)
+            f"{len(violations)} invariant violation(s); the first is {first}", path=spath)
     store.commit()
     return store
-
-
-def _check_references(store: GraphStore) -> None:
-    """Raise DanglingReference for the first id a node cites that names no node."""
-    for spec in _KINDS.values():
-        nodes = getattr(store, spec.nodes).values()
-        for column in spec.columns:
-            if column.ref is None:
-                continue
-            get = operator.attrgetter(column.attr or column.key)
-            many = column.type is _STRS
-            cited = chain.from_iterable(map(get, nodes)) if many else map(get, nodes)
-            if column.ref.endswith("?"):
-                cited = filter(None, cited)
-            target = getattr(store, column.ref.rstrip("?"))
-            missing = next(filterfalse(target.__contains__, cited), None)
-            if missing is not None:
-                referrer = next(node for node in nodes
-                                if missing in (get(node) if many else (get(node),)))
-                raise DanglingReference(spec.key(referrer), missing)

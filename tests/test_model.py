@@ -207,6 +207,38 @@ class TestValidateGraph:
         store.units["tu:act:e:desc"] = replace(store.units["tu:act:e:desc"], owner="act:e")
         assert validate_graph(store) == []
 
+    def test_a_ctv_work_an_action_target_and_a_source_provision_must_name_works(self):
+        store = _two_version_store("2000-06-15", "2000-06-15")
+        for action in store.actions.values():
+            store.add_unit(TextUnit(action.description_unit, Aspect.ACTION_DESCRIPTION,
+                                    action.id, "en", "An event."))
+        # Only None names no node: "" must name one too.
+        store.actions["act:a"] = replace(store.actions["act:a"], source_provision="",
+                                         targets=("urn:test:n", "urn:test:m"))
+        orphan = store.add_ctv(TemporalVersion(work="urn:test:m", validity=iv("2001-01-01")))
+        violations = validate_graph(store)
+        dangling = [v.nodes for v in violations if v.code == "DanglingReference"]
+        assert dangling == [("act:a", ""), ("act:a", "urn:test:m"), (orphan, "urn:test:m")]
+        # References are checked first.
+        assert [v.code for v in violations[:3]] == ["DanglingReference"] * 3
+
+    def test_a_parent_version_must_aggregate_each_child_alive_on_its_start(self):
+        store = GraphStore()
+        store.add_work(WorkNode(WorkId("urn:test:n"), WorkKind.NORM))
+        child = "urn:test:n!art1"
+        store.add_work(WorkNode(WorkId(child), WorkKind.COMPONENT, ComponentType.ARTICLE,
+                                parent="urn:test:n"))
+        store.add_ctv(TemporalVersion(work=child, validity=iv("2000-01-01", "2000-02-01")))
+        store.add_ctv(TemporalVersion(work=child, validity=iv("2000-04-01")))
+        # Before the child's chain, on its first version's start, on that
+        # version's (exclusive) end inside a gap of the chain, and on the
+        # second version's start.
+        starts = ["1999-01-01", "2000-01-01", "2000-02-01", "2000-04-01"]
+        parents = [store.add_ctv(TemporalVersion(work="urn:test:n", validity=iv(start, end)))
+                   for start, end in zip(starts, starts[1:] + [None])]
+        gaps = [v.nodes for v in validate_graph(store) if v.code == "AggregationGap"]
+        assert gaps == [(parents[1], child), (parents[3], child)]
+
     def test_synthetic_corpora_satisfy_all_invariants(self):
         for seed in range(25):
             corpus = synthcorpus.generate_corpus(seed)

@@ -28,6 +28,9 @@ from normgraph.model import (
     WorkId,
     WorkKind,
     WorkNode,
+    _REFERENCES,
+    clv_id,
+    ctv_id,
     validate_graph,
 )
 from normgraph.planner import QueryPattern, StructuredQuery, run
@@ -501,22 +504,81 @@ class TestDerivedColumns:
         assert state() == before
         assert newer not in store.produced_by
 
-    @pytest.mark.parametrize("kind, message", [
-        ("action", "action cites missing description unit"),
-        ("clv", "clv cites missing text unit"),
-    ])
+    @pytest.mark.parametrize("kind", ["action", "clv"])
     def test_a_snapshot_missing_a_derived_unit_exits_3(self, fixture_store, snapshot_path,
-                                                       tmp_path, capsys, kind, message):
+                                                       tmp_path, capsys, kind):
         node = next(iter({"action": fixture_store.actions, "clv": fixture_store.clvs}[kind].values()))
         unit = node.description_unit if kind == "action" else node.text_unit
         lines = snapshot_path.read_text(encoding="utf-8").splitlines()
         lines = [line for line in lines if json.loads(line).get("row", [None])[0] != unit]
-        with pytest.raises(MalformedSnapshot, match=message):
+        with pytest.raises(DanglingReference) as exc:
             _load_lines(lines, tmp_path)
+        assert (exc.value.referrer, exc.value.missing) == (node.id, unit)
         code = main(["query", "at", "--snapshot", str(tmp_path / "bad.ndjson"),
                      "--target", "art6", "--at", "2011-01-01"])
         assert code == 3
-        assert message in capsys.readouterr().err
+        assert f"references missing id {unit!r}" in capsys.readouterr().err
+
+
+# The snapshot record kind of each store map.
+_KIND_OF = {"works": "work", "actions": "action", "ctvs": "ctv", "clvs": "clv",
+            "themes": "theme", "units": "unit"}
+
+
+def _record_id(record: dict) -> str:
+    """The id of the node a record holds, derived as the model derives it."""
+    row = record["row"]
+    if record["kind"] == "ctv":
+        return ctv_id(row[0], date.fromisoformat(row[1]))
+    if record["kind"] == "clv":
+        return clv_id(row[0], row[1])
+    return row[0]
+
+
+def _cited(store: GraphStore, references) -> list[tuple[str, str]]:
+    """(referrer, id) for each id the rows ``references`` name, in snapshot line order."""
+    out = []
+    for nodes, attr, _, many in references:
+        for key, node in sorted(getattr(store, nodes).items()):
+            value = getattr(node, attr)
+            out.extend((key, ref) for ref in (value if many else (value,)) if ref is not None)
+    return out
+
+
+class TestReferences:
+    """Each id a node holds (model._REFERENCES) must name a node, or load raises DanglingReference."""
+
+    @pytest.mark.parametrize("row", _REFERENCES, ids=[f"{n}.{a}" for n, a, _, _ in _REFERENCES])
+    def test_an_id_that_names_no_node_exits_3(self, fixture_store, snapshot_path, tmp_path,
+                                              capsys, row):
+        nodes, attr, names, many = row
+        kind = _KIND_OF[nodes]
+        records = [json.loads(line) for line in snapshot_path.read_text(encoding="utf-8").splitlines()]
+        if attr in COLUMNS[kind] and attr != "work":
+            # Point the first id the column holds at a missing one.
+            at = COLUMNS[kind].index(attr)
+            record = next(r for r in records if r["kind"] == kind and r["row"][at])
+            missing = "missing"
+            record["row"][at] = [missing, *record["row"][at][1:]] if many else missing
+            referrer = _record_id(record)
+        else:
+            # A derived id, or a CTV's work, which the CTV's own id is derived
+            # from: drop the line of a node this row names and no earlier one does.
+            earlier = {ref for _, ref in _cited(fixture_store, _REFERENCES[:_REFERENCES.index(row)])}
+            referrer, missing = next(pair for pair in _cited(fixture_store, [row])
+                                     if pair[1] not in earlier)
+            records = [r for r in records
+                       if r["kind"] != _KIND_OF[names] or _record_id(r) != missing]
+        lines = [_encode(record) for record in records]
+        with pytest.raises(DanglingReference) as exc:
+            _load_lines(lines, tmp_path)
+        assert (exc.value.referrer, exc.value.missing) == (referrer, missing)
+        code = main(["query", "at", "--snapshot", str(tmp_path / "bad.ndjson"),
+                     "--target", "art6", "--at", "2011-01-01", "--json"])
+        assert code == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert (error["type"], error["referrer"], error["missing"]) == (
+            "DanglingReference", referrer, missing)
 
 
 # Loads a snapshot and prints, in order, what it derives from the units' text.
