@@ -54,14 +54,19 @@ _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer", boo
 _REQUIRED = object()
 
 
+def _is_json(value, kind: type) -> bool:
+    """isinstance, except that a bool is no integer."""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
 def json_field(data, key: str, path: str | None, kind: type = str, default=_REQUIRED,
                items: type | None = None):
     """``data[key]`` from a corpus or truth file, checked against its JSON type.
 
-    ``data`` must be an object and the value must be a ``kind``; ``items``
-    is the type of each element of an array, or each value of an object.
-    An absent or null field gives ``default``, and without one it is
-    missing. Any of these faults raises MalformedInput.
+    ``data`` must be an object and the value must be a ``kind`` (a bool is
+    no ``int``); ``items`` is the type of each element of an array, or each
+    value of an object. An absent or null field gives ``default``, and
+    without one it is missing. Any of these faults raises MalformedInput.
     """
     if not isinstance(data, dict):
         raise MalformedInput(f"expected a JSON object, got {data!r:.60}", path)
@@ -71,7 +76,7 @@ def json_field(data, key: str, path: str | None, kind: type = str, default=_REQU
             raise MalformedInput(f"missing required field {key!r}", path)
         return default
     elements = value.values() if isinstance(value, dict) else value
-    if not isinstance(value, kind) or (items and not all(isinstance(v, items) for v in elements)):
+    if not _is_json(value, kind) or (items and not all(_is_json(v, items) for v in elements)):
         expected = _JSON_TYPES[kind] + (f" of {_JSON_TYPES[items]}s" if items else "")
         raise MalformedInput(f"field {key!r} must be a JSON {expected}, got {value!r:.60}", path)
     return value

@@ -754,10 +754,10 @@ def add_language(store: GraphStore, norm: str, translations: dict[str, str] | No
     if not translations:
         return []
     if at is None:
-        chain = store.versions.get(norm, [])
-        if not chain:
+        span = store.lifetime(norm)
+        if span is None:
             raise UnknownWork(norm)
-        at = store.ctvs[chain[0]].validity.valid_start
+        at = span[0]
     targets: list[tuple[str, str]] = []
     for fragment, text in sorted(translations.items()):
         urn = f"{norm}{FRAGMENT_SEP}{fragment}" if fragment else norm

@@ -445,10 +445,6 @@ def _check_actions(graph: "GraphStore", out: list[Violation]) -> None:
                 ))
         if act.enactment_date > act.effective_date:
             out.append(Violation("ActionShape", "enactment_date after effective_date", (act.id,)))
-        unit = graph.units.get(act.description_unit)
-        if unit is not None and (unit.aspect is not Aspect.ACTION_DESCRIPTION or unit.owner != act.id):
-            out.append(Violation("AspectOwnerMismatch",
-                                 "action description unit is not one owned by it", (act.id, unit.id)))
         produced_works = {graph.ctvs[c].work for c in act.produces if c in graph.ctvs}
         terminated_works = {graph.ctvs[c].work for c in act.terminates if c in graph.ctvs}
         if act.action_type is ActionType.ENACTMENT:
@@ -491,13 +487,24 @@ def _check_actions(graph: "GraphStore", out: list[Violation]) -> None:
             out.append(Violation("MissingTerminator", "closed ctv has no terminating action listing it", (tv.id,)))
 
 
-def _check_language_versions(graph: "GraphStore", out: list[Violation]) -> None:
-    # A CLV's id is derived from (ctv, language), and the store rejects a
-    # repeated id, so no CTV has two versions in one language.
-    for lv in graph.clvs.values():
-        unit = graph.units.get(lv.text_unit)
-        if unit is not None and (unit.aspect is not Aspect.CONTENT or unit.owner != lv.id):
-            out.append(Violation("AspectOwnerMismatch", "clv text unit is not content owned by it", (lv.id, unit.id)))
+# The unit each node names as its own: (store map of the node, attribute,
+# the unit's aspect). The unit must have that aspect and be owned by the node.
+# A CLV's id is derived from (ctv, language), and the store rejects a
+# repeated id, so no CTV has two versions in one language.
+_OWNED_UNITS = (
+    ("actions", "description_unit", Aspect.ACTION_DESCRIPTION),
+    ("clvs", "text_unit", Aspect.CONTENT),
+    ("themes", "description_unit", Aspect.THEME_DESCRIPTION),
+)
+
+
+def _check_owned_units(graph: "GraphStore", out: list[Violation]) -> None:
+    for nodes, attr, aspect in _OWNED_UNITS:
+        for owner, node in getattr(graph, nodes).items():
+            unit = graph.units.get(getattr(node, attr))
+            if unit is not None and (unit.aspect is not aspect or unit.owner != owner):
+                out.append(Violation("AspectOwnerMismatch",
+                                     f"{attr} must be a {aspect.value} unit it owns", (owner, unit.id)))
 
 
 _ASPECT_OWNERS = {
@@ -514,13 +521,6 @@ def _check_text_units(graph: "GraphStore", out: list[Violation]) -> None:
             out.append(Violation("AspectOwnerMismatch", f"{unit.aspect.value} unit has wrong owner kind", (unit.id,)))
 
 
-def _check_themes(graph: "GraphStore", out: list[Violation]) -> None:
-    for theme in graph.themes.values():
-        unit = graph.units.get(theme.description_unit)
-        if unit is not None and unit.aspect is not Aspect.THEME_DESCRIPTION:
-            out.append(Violation("AspectOwnerMismatch", "theme description unit has the wrong aspect", (theme.id,)))
-
-
 def validate_graph(graph: "GraphStore") -> list[Violation]:
     """Check every model invariant; an empty result means a consistent graph.
 
@@ -535,9 +535,8 @@ def validate_graph(graph: "GraphStore") -> list[Violation]:
     _check_version_tiling(graph, out)
     _check_aggregation(graph, out)
     _check_actions(graph, out)
-    _check_language_versions(graph, out)
+    _check_owned_units(graph, out)
     _check_text_units(graph, out)
-    _check_themes(graph, out)
     return out
 
 

@@ -33,7 +33,6 @@ from .retrieval import (
 from .store import GraphStore, pick_wording
 from .temporal import (
     MembershipPolicy,
-    SnapshotPolicy,
     TemporalScope,
     alive_at,
     resolve_instant,
@@ -183,7 +182,7 @@ def _resolve_theme_reference(store: GraphStore, reference: str) -> str:
 
 
 def canonicalize(raw: StructuredQuery, store: GraphStore, clock: date) -> StructuredQuery:
-    """Resolve aliases, bind `now` to the clock, and fill the defaults.
+    """Resolve aliases, fill the defaults, and bind a query without a temporal scope to the clock.
 
     A ``k`` below 1 raises MalformedQuery.
     """
@@ -203,9 +202,7 @@ def canonicalize(raw: StructuredQuery, store: GraphStore, clock: date) -> Struct
     )
     theme = _resolve_theme_reference(store, raw.theme_target) if raw.theme_target else None
 
-    temporal = raw.temporal or TemporalScope.now()
-    if temporal.kind == "now":
-        temporal = TemporalScope.instant(clock, temporal.resolution_policy)
+    temporal = raw.temporal or TemporalScope.instant(clock)
 
     language = raw.language
     if language is None:
@@ -249,8 +246,7 @@ def _finish(q: StructuredQuery, rendered: str,
     ``scoped`` is True exactly when the runner called ``resolve_scope``.
     """
     policies = {
-        "resolution_policy": (q.temporal.resolution_policy if q.temporal
-                              else SnapshotPolicy.SNAPSHOT_LAST).value,
+        "resolution_policy": q.temporal.resolution_policy.value,
         "membership_policy": q.membership.value,
         "k": q.k,
         "strategy": select_strategy(q).value,
@@ -518,6 +514,6 @@ _RUNNERS = {
 
 
 def run(store: GraphStore, q: StructuredQuery, clock: date) -> Answer:
-    """Canonicalize (binding ``now`` to the clock), then dispatch to the pattern runner."""
+    """Canonicalize (a query with no temporal scope reads the clock), then run its pattern."""
     canonical = canonicalize(q, store, clock)
     return _RUNNERS[canonical.pattern](store, canonical)

@@ -413,6 +413,14 @@ class GraphStore:
         tv = self.ctvs[self.versions[urn][index - 1]]
         return tv if interval_contains(tv.validity, t) else None
 
+    def lifetime(self, urn: str) -> tuple[date, date | None] | None:
+        """``(first valid_start, last valid_end)`` of the chain, which a valid chain tiles; None without one."""
+        cids = self.versions.get(urn)
+        if not cids:
+            self.work(urn)  # raises UnknownWork for an unknown urn
+            return None
+        return self.version_starts[urn][0], self.ctvs[cids[-1]].validity.valid_end
+
     def clv_for(self, ctv: str, work: str, language: str | None, fallback: bool) -> str | None:
         """The CLV a reader of ``ctv`` (a version of ``work``) gets by ``pick_wording``, or None."""
         languages = self.clvs_by_ctv.get(ctv)

@@ -8,6 +8,7 @@ reconstruct full document text as of any date via the aggregation graph.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from datetime import date
@@ -34,9 +35,9 @@ class MembershipPolicy(str, Enum):
 
 @dataclass(frozen=True)
 class TemporalScope:
-    """Instant, interval, or now; ``now`` must be bound to an injected clock."""
+    """An instant, or an interval that ``resolution_policy`` collapses to one."""
 
-    kind: str  # "instant" | "interval" | "now"
+    kind: str  # "instant" | "interval"
     start: date | None = None
     end: date | None = None
     resolution_policy: SnapshotPolicy = SnapshotPolicy.SNAPSHOT_LAST
@@ -59,49 +60,34 @@ class TemporalScope:
                  policy: SnapshotPolicy = SnapshotPolicy.SNAPSHOT_LAST) -> "TemporalScope":
         return cls(kind="interval", start=t1, end=t2, resolution_policy=policy)
 
-    @classmethod
-    def now(cls, policy: SnapshotPolicy = SnapshotPolicy.SNAPSHOT_LAST) -> "TemporalScope":
-        return cls(kind="now", resolution_policy=policy)
 
-
-def resolve_instant(scope: TemporalScope, clock: date | None = None) -> date:
-    """Collapse a temporal scope to one date; ``now`` reads the injected clock."""
-    if scope.kind == "instant":
-        return scope.start
-    if scope.kind == "now":
-        if clock is None:
-            raise ValueError("a 'now' scope needs the injected clock")
-        return clock
-    if scope.resolution_policy is SnapshotPolicy.SNAPSHOT_FIRST:
+def resolve_instant(scope: TemporalScope) -> date:
+    """Collapse a temporal scope to one date."""
+    if scope.kind == "instant" or scope.resolution_policy is SnapshotPolicy.SNAPSHOT_FIRST:
         return scope.start
     return scope.end
 
 
 def ctv_at(store: GraphStore, work: str, t: date) -> TemporalVersion:
-    """The unique temporal version of ``work`` whose interval contains ``t``."""
+    """The unique temporal version of ``work`` whose interval contains ``t``.
+
+    Outside the work's lifetime it raises NotYetEnacted (with no
+    ``first_start`` for a work with no version) or RepealedAt.
+    """
     tv = store.version_at(work, t)
     if tv is not None:
         return tv
-    chain = store.versions_of(work)
-    if not chain:
+    span = store.lifetime(work)
+    if span is None:
         raise NotYetEnacted(work, t)
-    first = chain[0]
-    if t < first.validity.valid_start:
-        raise NotYetEnacted(work, t, first_start=first.validity.valid_start)
-    last = chain[-1]
-    raise RepealedAt(work, t, repealed_end=last.validity.valid_end)
+    first, end = span
+    if t < first:
+        raise NotYetEnacted(work, t, first_start=first)
+    raise RepealedAt(work, t, repealed_end=end)
 
 
 def alive_at(store: GraphStore, urn: str, t: date) -> bool:
     return store.version_at(urn, t) is not None
-
-
-def _existed_during(store: GraphStore, urn: str, t1: date, t2: date) -> bool:
-    for cid in store.versions.get(urn, ()):
-        validity = store.ctvs[cid].validity
-        if validity.valid_start <= t2 and (validity.valid_end is None or validity.valid_end > t1):
-            return True
-    return False
 
 
 def resolve_scope(
@@ -113,10 +99,13 @@ def resolve_scope(
 ) -> frozenset[str]:
     """The urns in the hierarchical scope of a work or theme entry point.
 
-    snapshot_anchored keeps descendants alive at the window start (or at
-    ``t``); action_time admits works alive at any in-window action's
-    effective date; lifetime admits every work that existed at any moment
-    of the window.
+    ``(t1, t2)`` is the window, or ``(t, t)`` without one. Each descendant
+    is decided from its lifetime ``[first, end)``, which its chain tiles; an
+    open end passes every test against it. snapshot_anchored keeps it if
+    ``first <= t1 < end`` (alive at the window start); lifetime if
+    ``first <= t2`` and ``t1 < end`` (alive at some moment of the window);
+    action_time if the first in-window action date ``d >= first``, of any
+    norm, exists and ``d < end``. A theme's scope is its members' union.
     """
     if entry in store.themes:
         from .themes import theme_scope
@@ -125,24 +114,25 @@ def resolve_scope(
     if entry not in store.works:
         raise UnknownEntry(entry)
 
-    anchor = window[0] if window else t
-    candidates = store.descendants(entry)
+    t1, t2 = window if window else (t, t)
     if policy is MembershipPolicy.SNAPSHOT_ANCHORED:
-        selected = {urn for urn in candidates if alive_at(store, urn, anchor)}
-    elif policy is MembershipPolicy.LIFETIME:
-        t1, t2 = window if window else (t, t)
-        selected = {urn for urn in candidates if _existed_during(store, urn, t1, t2)}
-    else:  # ACTION_TIME
-        t1, t2 = window if window else (t, t)
-        action_dates = sorted({
-            action.effective_date
-            for action in store.actions.values()
-            if t1 <= action.effective_date <= t2
-        })
-        selected = {
-            urn for urn in candidates
-            if any(alive_at(store, urn, d) for d in action_dates)
-        }
+        t2 = t1
+    elif policy is MembershipPolicy.ACTION_TIME:
+        days = sorted({action.effective_date for action in store.actions.values()
+                       if t1 <= action.effective_date <= t2})
+    selected = []
+    for urn in store.descendants(entry):
+        span = store.lifetime(urn)
+        if span is None:
+            continue
+        first, end = span
+        if policy is MembershipPolicy.ACTION_TIME:
+            index = bisect_left(days, first)
+            day = days[index] if index < len(days) else None
+        else:
+            day = t1 if first <= t2 else None
+        if day is not None and (end is None or day < end):
+            selected.append(urn)
     return frozenset(selected)
 
 

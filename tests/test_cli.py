@@ -67,6 +67,13 @@ def _set_caput_text(doc: dict) -> dict:
     return doc
 
 
+def _set_article_ordinals(doc: dict) -> dict:
+    # Read as 0 and 1 if a bool were an integer.
+    for article, ordinal in zip(doc["body"][0]["children"][0]["children"], (False, True)):
+        article["ordinal"] = ordinal
+    return doc
+
+
 def _set_first(key: str, value):
     def edit(data: dict) -> dict:
         data["events" if "events" in data else "queries"][0][key] = value
@@ -86,8 +93,11 @@ class TestMalformedFiles:
         ("constitution_1988.satdoc.json",
          lambda data: {**data, "body": [{**data["body"][0], "fragment": 5}]}),
         ("ca_90_2015.satev.json", lambda data: {**data, "instrument": 5}),
+        ("constitution_1988.satdoc.json", lambda data: {**data, "format_version": True}),
+        ("constitution_1988.satdoc.json", _set_article_ordinals),
     ], ids=["event-file-array", "unit-text-number", "new-text-number", "units-number",
-            "unit-not-object", "aliases-string", "fragment-number", "instrument-number"])
+            "unit-not-object", "aliases-string", "fragment-number", "instrument-number",
+            "format-version-bool", "ordinal-bool"])
     def test_a_field_of_the_wrong_json_type_exits_3_and_writes_no_snapshot(
             self, tmp_path, capsys, name, edit):
         corpus = tmp_path / "corpus"

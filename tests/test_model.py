@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 from datetime import date
 
 import pytest
 
+from normgraph.cli import main
 from normgraph.model import (
     ActionNode,
     ActionType,
@@ -25,6 +27,7 @@ from normgraph.model import (
     validate_graph,
 )
 from normgraph.store import GraphStore
+from normgraph.themes import define_theme
 
 import synthcorpus
 
@@ -206,6 +209,28 @@ class TestValidateGraph:
         assert wrong == [("act:e", "tu:act:e:desc")]
         store.units["tu:act:e:desc"] = replace(store.units["tu:act:e:desc"], owner="act:e")
         assert validate_graph(store) == []
+
+    def test_a_theme_description_unit_must_be_owned_by_the_theme(self, snapshot_path, tmp_path, capsys):
+        store = _two_version_store("2000-06-15", "2000-06-15")
+        first = define_theme(store, "First", "About the first.", ["urn:test:n"])
+        second = define_theme(store, "Second", "About the second.", ["urn:test:n"])
+        stolen = store.themes[first].description_unit
+        store.themes[second] = replace(store.themes[second], description_unit=stolen)
+        wrong = [v.nodes for v in validate_graph(store) if v.code == "AspectOwnerMismatch"]
+        assert wrong == [(second, stolen)]
+        # A snapshot with a second theme that names the first one's unit is rejected.
+        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
+        theme = json.loads(next(line for line in lines if line.startswith('{"kind":"theme"')))
+        theme["row"][:2] = ["theme:other", "Other"]
+        bad = tmp_path / "stolen.ndjson"
+        bad.write_text("\n".join([*lines, json.dumps(theme)]), encoding="utf-8")
+        code = main(["query", "at", "--snapshot", str(bad), "--target", "art6",
+                     "--at", "2011-01-01", "--json"])
+        assert code == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "MalformedSnapshot"
+        assert f"AspectOwnerMismatch: description_unit must be a theme_description unit it owns " \
+               f"[theme:other, {theme['row'][2]}]" in error["message"]
 
     def test_a_ctv_work_an_action_target_and_a_source_provision_must_name_works(self):
         store = _two_version_store("2000-06-15", "2000-06-15")

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from datetime import date, timedelta
 
 import pytest
 
-from normgraph.errors import MissingLanguage, NotYetEnacted, RepealedAt, UnknownEntry
+from normgraph.errors import MissingLanguage, NotYetEnacted, RepealedAt, UnknownEntry, UnknownWork
 from normgraph.ingest import enact, parse_document
+from normgraph.model import interval_contains
 from normgraph.store import GraphStore
 from normgraph.temporal import (
     MembershipPolicy,
@@ -18,6 +20,7 @@ from normgraph.temporal import (
     resolve_scope,
     snapshot_text,
 )
+from normgraph.themes import define_theme
 
 import synthcorpus
 from reference_ids import ART6, ART6_CPT, ART7, ART7_CPT, CAP2, NORM_URN
@@ -27,24 +30,16 @@ from test_ingest import amendment_file, apply_file, mini_doc
 class TestResolveInstant:
     def test_interval_snapshot_last_takes_supremum(self):
         scope = TemporalScope.interval(date(1999, 1, 1), date(1999, 12, 31))
-        assert resolve_instant(scope, date(2024, 1, 1)) == date(1999, 12, 31)
+        assert resolve_instant(scope) == date(1999, 12, 31)
 
     def test_interval_snapshot_first_takes_infimum(self):
         scope = TemporalScope.interval(
             date(1999, 1, 1), date(1999, 12, 31), SnapshotPolicy.SNAPSHOT_FIRST)
-        assert resolve_instant(scope, date(2024, 1, 1)) == date(1999, 1, 1)
+        assert resolve_instant(scope) == date(1999, 1, 1)
 
     def test_instant_is_identity(self):
         scope = TemporalScope.instant(date(2000, 2, 15))
-        assert resolve_instant(scope, date(2024, 1, 1)) == date(2000, 2, 15)
-
-    def test_now_uses_injected_clock(self):
-        assert resolve_instant(TemporalScope.now(), date(2024, 1, 2)) == date(2024, 1, 2)
-
-    def test_only_now_needs_a_clock(self):
-        assert resolve_instant(TemporalScope.instant(date(2000, 2, 15))) == date(2000, 2, 15)
-        with pytest.raises(ValueError, match="needs the injected clock"):
-            resolve_instant(TemporalScope.now())
+        assert resolve_instant(scope) == date(2000, 2, 15)
 
     def test_interval_order_enforced(self):
         with pytest.raises(ValueError):
@@ -162,6 +157,118 @@ class TestResolveScope:
             fixture_store, "theme:social-rights", date(2010, 1, 1))
         direct = resolve_scope(fixture_store, CAP2, date(2010, 1, 1))
         assert set(theme_scope_result) == set(direct)
+
+
+def _reference_scope(store, entry, t, policy, window):
+    """Scope membership as defined version by version, not from lifetimes.
+
+    snapshot_anchored: alive at the anchor; lifetime: some version overlaps
+    ``[t1, t2]``; action_time: alive on some in-window action date of any norm.
+    """
+    if entry in store.themes:
+        return set().union(*(_reference_scope(store, member, t, policy, window)
+                             for member in store.themes[entry].members))
+    t1, t2 = window if window else (t, t)
+    dates = {a.effective_date for a in store.actions.values() if t1 <= a.effective_date <= t2}
+
+    def alive(urn, day):
+        return any(interval_contains(tv.validity, day) for tv in store.versions_of(urn))
+
+    def member(urn):
+        if policy is MembershipPolicy.SNAPSHOT_ANCHORED:
+            return alive(urn, t1)
+        if policy is MembershipPolicy.LIFETIME:
+            return any(tv.validity.valid_start <= t2
+                       and (tv.validity.valid_end is None or tv.validity.valid_end > t1)
+                       for tv in store.versions_of(urn))
+        return any(alive(urn, day) for day in dates)
+
+    return {urn for urn in store.descendants(entry) if member(urn)}
+
+
+def _reference_ctv_at(store, work, t):
+    """ctv_at read from the whole chain, ``versions_of``."""
+    chain = store.versions_of(work)
+    for tv in chain:
+        if interval_contains(tv.validity, t):
+            return tv
+    if not chain:
+        raise NotYetEnacted(work, t)
+    if t < chain[0].validity.valid_start:
+        raise NotYetEnacted(work, t, first_start=chain[0].validity.valid_start)
+    raise RepealedAt(work, t, repealed_end=chain[-1].validity.valid_end)
+
+
+def _outcome(call):
+    """What a ctv_at call gives: the version's id, or the error with its attributes."""
+    try:
+        return call().id
+    except (NotYetEnacted, RepealedAt) as exc:
+        return type(exc).__name__, vars(exc)
+
+
+def _two_norm_store():
+    """Two norms as test_action_time_takes_event_dates_from_every_norm builds them, plus a repeal
+    and a theme over both."""
+    store = GraphStore()
+    enact(store, parse_document(mini_doc()))
+    other = mini_doc()
+    other["norm"].update(urn="urn:test:other", title="Other Statute", short_title="OS")
+    enact(store, parse_document(other))
+    apply_file(store, amendment_file("urn:test:other!art2_cpt", "2002-06-01", "Other v2."))
+    apply_file(store, amendment_file("urn:test:mini!art1_cpt", "2003-06-01", "", action_type="repeal"))
+    define_theme(store, "Both", "Provisions of both norms.", ["urn:test:mini!art1", "urn:test:other"])
+    return store
+
+
+def _reference_stores(fixture_store):
+    yield "fixture", fixture_store
+    yield "two norms", _two_norm_store()
+    for seed in range(25):
+        yield f"seed {seed}", synthcorpus.build_store(synthcorpus.generate_corpus(seed))
+
+
+def _probe_days(store):
+    """Each action date, the days either side of it, and days long before and after them all."""
+    dates = sorted({a.effective_date for a in store.actions.values()})
+    one = timedelta(days=1)
+    return dates, sorted({dates[0] - timedelta(days=400), dates[-1] + timedelta(days=400),
+                          *dates, *(d - one for d in dates), *(d + one for d in dates)})
+
+
+class TestAgainstReference:
+    """resolve_scope and ctv_at give what the version-by-version definitions give."""
+
+    def test_resolve_scope_matches_the_reference(self, fixture_store):
+        rng = random.Random(18)
+        checked = 0
+        for name, store in _reference_stores(fixture_store):
+            dates, days = _probe_days(store)
+            first, last = days[0], days[-1]
+            # Before enactment, after the last event (a repeal's end among
+            # them), and one day long on each action date.
+            edges = [(first, first + timedelta(days=30)), (last - timedelta(days=30), last),
+                     *((d, d) for d in dates)]
+            for entry in [*sorted(store.works), *sorted(store.themes)]:
+                windows = edges + [tuple(sorted(rng.sample(days, 2))) for _ in range(12)]
+                cases = [(day, None) for day in rng.sample(days, min(8, len(days)))]
+                cases += [(window[0], window) for window in windows]
+                for (t, window), policy in itertools.product(cases, MembershipPolicy):
+                    got = resolve_scope(store, entry, t, policy, window=window)
+                    assert got == _reference_scope(store, entry, t, policy, window), (
+                        name, entry, t, policy, window)
+                    checked += 1
+        assert checked > 40_000
+
+    def test_ctv_at_matches_the_reference(self, fixture_store):
+        for name, store in _reference_stores(fixture_store):
+            _, days = _probe_days(store)
+            for work in store.works:
+                for day in days:
+                    assert _outcome(lambda: ctv_at(store, work, day)) == \
+                        _outcome(lambda: _reference_ctv_at(store, work, day)), (name, work, day)
+        with pytest.raises(UnknownWork):
+            ctv_at(fixture_store, "urn:nowhere", date(2000, 1, 1))
 
 
 class TestSnapshotText:
