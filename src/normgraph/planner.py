@@ -11,6 +11,7 @@ clock) inputs produce byte-identical answers.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
@@ -326,19 +327,25 @@ def _impact_actions(
 ) -> list[tuple[ActionNode, list[str]]]:
     """Window-filtered actions paired with their in-scope direct targets.
 
+    Each scoped work contributes the run of its date-sorted actions that
+    falls in the window, read from the store's time index.
+
     Matching is by direct target, not by propagated ancestor versions:
     an action that only touched the scope through upward aggregation did
     not change anything *inside* it.
     """
     t1, t2 = window
+    by_work = store.time_index.actions
     candidate_ids: set[str] = set()
-    for urn in scope:
-        candidate_ids.update(store.work_actions.get(urn, ()))
+    for urn in by_work.keys() & scope:
+        ids, dates = by_work[urn]
+        lo = bisect_left(dates, t1)
+        # Most works have no action in the window: one bisect tells.
+        if lo < len(dates) and dates[lo] <= t2:
+            candidate_ids.update(ids[lo:bisect_right(dates, t2, lo)])
     selected: list[tuple[ActionNode, list[str]]] = []
     for aid in candidate_ids:
         action = store.actions[aid]
-        if not (t1 <= action.effective_date <= t2):
-            continue
         hits = [w for w in action.targets if w in scope]
         if q.membership is MembershipPolicy.ACTION_TIME:
             # The scope holds the entry's descendants alive on some in-window

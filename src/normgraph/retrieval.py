@@ -178,13 +178,21 @@ def _content_candidates(store: GraphStore, req: RetrievalRequest) -> _Candidates
 
 
 def _action_candidates(store: GraphStore, req: RetrievalRequest) -> _Candidates:
+    """The description unit of each action on a scoped work that is effective by ``req.t``.
+
+    Each work contributes the prefix of its date-sorted actions (the
+    store's time index) that ends at ``t``, or all of them when future
+    actions are asked for.
+    """
+    by_work = store.time_index.actions
+    t, future = req.t, req.include_future_actions
     action_ids: set[str] = set()
-    work_actions = store.work_actions
-    for urn in work_actions.keys() & req.scope:
-        action_ids.update(work_actions[urn])
-    actions, t, future = store.actions, req.t, req.include_future_actions
+    for urn in by_work.keys() & req.scope:
+        ids, dates = by_work[urn]
+        action_ids.update(ids if future else ids[:bisect_right(dates, t)])
+    actions = store.actions
     return [(actions[aid].description_unit, aid, Aspect.ACTION_DESCRIPTION)
-            for aid in action_ids if future or actions[aid].effective_date <= t]
+            for aid in action_ids]
 
 
 def _metadata_candidates(store: GraphStore, req: RetrievalRequest) -> _Candidates:

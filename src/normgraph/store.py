@@ -30,6 +30,21 @@ work and chain position of each language version's unit; and each work's
 metadata units. It is derived from the nodes on the first retrieval or
 provenance query after commit, not on load, and is never persisted.
 
+So is the time index (``GraphStore.time_index``), a time index after
+Elmasri, Wuu & Kim (VLDB 1990), that scope membership, impact analysis and
+action retrieval read dates from: every work with a version chain, each
+norm's works in preorder (``descendants`` order), with parallel arrays of
+each one's first valid_start and last valid_end (None for an open end), so
+that every work's subtree is one contiguous slice; each work's
+``work_actions`` ids with a parallel array of their effective dates; and
+the corpus's sorted distinct action dates. It is derived from the nodes on
+the first scope read after commit (impact, a theme entry, a scoped
+retrieval or provenance query, or an action-description retrieval), not on
+load or by a point-in-time query on a work, and is never persisted.
+
+An uncommitted store, whose nodes may still change, derives the chain and
+time indexes afresh on each read and keeps neither.
+
 Which of a version's wordings a reader gets is one rule, ``pick_wording``,
 over that version's language map; every reader of a wording calls it.
 """
@@ -119,6 +134,19 @@ class _Chain(NamedTuple):
     primary: str  # the work's primary language
 
 
+class _TimeIndex(NamedTuple):
+    """What scope, impact and action retrieval read dates from, derived from the nodes in one pass."""
+
+    works: list[str]  # every work with a chain, each norm's in preorder
+    firsts: list[date]  # each one's first valid_start
+    ends: list[date | None]  # each one's last valid_end; None while open
+    # Work urn -> the slice of works holding it and its subtree.
+    subtrees: dict[str, tuple[int, int]]
+    # Work urn -> its work_actions ids (the store's list) and their effective dates.
+    actions: dict[str, tuple[list[str], list[date]]]
+    days: list[date]  # the distinct effective dates of every action, ascending
+
+
 class _ChainIndex(NamedTuple):
     """What retrieval and provenance read version chains from, derived from the nodes in one pass."""
 
@@ -168,8 +196,9 @@ class GraphStore:
     # Read through the properties named after its members; None until the
     # first read after commit.
     _text_index: _TextIndex | None = field(default=None, compare=False, repr=False)
-    # Read through chain_index; None until the first read after commit.
+    # Read through chain_index and time_index; None until the first read after commit.
     _chain_index: _ChainIndex | None = field(default=None, compare=False, repr=False)
+    _time_index: _TimeIndex | None = field(default=None, compare=False, repr=False)
     clvs_by_ctv: dict[str, dict[str, str]] = field(default_factory=dict, compare=False)
     alias_index: dict[str, set[str]] = field(default_factory=dict, compare=False)
     # alias.casefold() -> urns, for the case-insensitive alias lookup.
@@ -326,12 +355,21 @@ class GraphStore:
     @property
     def chain_index(self) -> _ChainIndex:
         """The chain index (see the module docstring), derived on its first read."""
-        index = self._chain_index
+        return self._derived("_chain_index", self._derive_chain_index)
+
+    @property
+    def time_index(self) -> _TimeIndex:
+        """The time index (see the module docstring), derived on its first read."""
+        return self._derived("_time_index", self._derive_time_index)
+
+    def _derived(self, slot: str, derive: Callable[[], tuple]) -> tuple:
+        """The index kept in ``slot``, derived and published on a committed store's first read."""
+        index = getattr(self, slot)
         if index is None:
             if not self.committed:
                 # Its nodes may still change: derive afresh and keep nothing.
-                return self._derive_chain_index()
-            index = self._publish("_chain_index", self._derive_chain_index)
+                return derive()
+            index = self._publish(slot, derive)
         return index
 
     def _publish(self, slot: str, derive: Callable[[], tuple]) -> tuple:
@@ -386,6 +424,34 @@ class GraphStore:
             if unit.aspect is Aspect.METADATA:
                 metadata_units.setdefault(unit.owner, []).append(unit.id)
         return _ChainIndex(chains, placed_units, metadata_units)
+
+    def _derive_time_index(self) -> _TimeIndex:
+        """Lifetimes of the chained works in preorder, each subtree's slice, and action dates."""
+        versions, starts, ctvs = self.versions, self.version_starts, self.ctvs
+        works: list[str] = []
+        firsts: list[date] = []
+        ends: list[date | None] = []
+        # Each work, where its slice starts, and where it ends without the work's children.
+        preorder: list[tuple[str, int, int]] = []
+        for root in [urn for urn, work in self.works.items() if work.parent not in self.works]:
+            for urn in self.descendants(root):
+                lo = len(works)
+                cids = versions.get(urn)
+                if cids:
+                    works.append(urn)
+                    firsts.append(starts[urn][0])
+                    ends.append(ctvs[cids[-1]].validity.valid_end)
+                preorder.append((urn, lo, len(works)))
+        # A work's subtree ends where its last child's does.
+        subtrees: dict[str, tuple[int, int]] = {}
+        for urn, lo, own_end in reversed(preorder):
+            kids = self.children.get(urn)
+            subtrees[urn] = (lo, subtrees[kids[-1]][1] if kids else own_end)
+        actions = self.actions
+        by_work = {urn: (ids, [actions[aid].effective_date for aid in ids])
+                   for urn, ids in self.work_actions.items()}
+        days = sorted({action.effective_date for action in actions.values()})
+        return _TimeIndex(works, firsts, ends, subtrees, by_work, days)
 
     # -- read API ---------------------------------------------------------
 

@@ -8,7 +8,7 @@ reconstruct full document text as of any date via the aggregation graph.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from datetime import date
@@ -99,13 +99,17 @@ def resolve_scope(
 ) -> frozenset[str]:
     """The urns in the hierarchical scope of a work or theme entry point.
 
-    ``(t1, t2)`` is the window, or ``(t, t)`` without one. Each descendant
-    is decided from its lifetime ``[first, end)``, which its chain tiles; an
-    open end passes every test against it. snapshot_anchored keeps it if
-    ``first <= t1 < end`` (alive at the window start); lifetime if
-    ``first <= t2`` and ``t1 < end`` (alive at some moment of the window);
-    action_time if the first in-window action date ``d >= first``, of any
-    norm, exists and ``d < end``. A theme's scope is its members' union.
+    ``(t1, t2)`` is the window, or ``(t, t)`` without one. The entry's
+    subtree is one slice of the store's time index, which holds each
+    descendant's lifetime ``[first, end)`` (its chain tiles it; a work with
+    no version has none and is never kept); one pass over the slice decides
+    every descendant. An open end passes every test against it.
+    snapshot_anchored keeps a descendant if ``first <= t1 < end`` (alive at
+    the window start); lifetime if ``first <= t2`` and ``t1 < end`` (alive
+    at some moment of the window); action_time if the first in-window action
+    date ``d >= first``, of any norm, exists and ``d < end``: the window's
+    dates are a bisected run of the index's sorted action dates. A theme's
+    scope is its members' union.
     """
     if entry in store.themes:
         from .themes import theme_scope
@@ -114,26 +118,23 @@ def resolve_scope(
     if entry not in store.works:
         raise UnknownEntry(entry)
 
+    index = store.time_index
+    lo, hi = index.subtrees[entry]
+    subtree = zip(index.works[lo:hi], index.firsts[lo:hi], index.ends[lo:hi])
     t1, t2 = window if window else (t, t)
+    if policy is MembershipPolicy.ACTION_TIME:
+        days = index.days
+        first_day, last_day = bisect_left(days, t1), bisect_right(days, t2)
+        selected = []
+        for urn, first, end in subtree:
+            day = bisect_left(days, first, first_day, last_day)
+            if day < last_day and (end is None or days[day] < end):
+                selected.append(urn)
+        return frozenset(selected)
     if policy is MembershipPolicy.SNAPSHOT_ANCHORED:
         t2 = t1
-    elif policy is MembershipPolicy.ACTION_TIME:
-        days = sorted({action.effective_date for action in store.actions.values()
-                       if t1 <= action.effective_date <= t2})
-    selected = []
-    for urn in store.descendants(entry):
-        span = store.lifetime(urn)
-        if span is None:
-            continue
-        first, end = span
-        if policy is MembershipPolicy.ACTION_TIME:
-            index = bisect_left(days, first)
-            day = days[index] if index < len(days) else None
-        else:
-            day = t1 if first <= t2 else None
-        if day is not None and (end is None or day < end):
-            selected.append(urn)
-    return frozenset(selected)
+    return frozenset(urn for urn, first, end in subtree
+                     if first <= t2 and (end is None or t1 < end))
 
 
 @dataclass(frozen=True)

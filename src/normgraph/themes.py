@@ -41,7 +41,12 @@ def define_theme(store: GraphStore, label: str, description: str,
 
 def theme_scope(store: GraphStore, theme: str, t: date, policy,
                 window: tuple[date, date] | None = None) -> set[str]:
-    """Union of each member's hierarchical scope at ``t`` under ``policy``."""
+    """Union of each member's hierarchical scope at ``t`` under ``policy``.
+
+    Each member's scope is one pass over its slice of the store's time
+    index (see ``resolve_scope``); under action_time each member bisects
+    the index's sorted action dates, so no member reads the actions.
+    """
     from .temporal import resolve_scope  # local import avoids a module cycle
 
     node = store.themes.get(theme)

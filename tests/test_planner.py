@@ -329,7 +329,11 @@ class TestImpactAnalysis:
         assert anchored.annex["actions"] == action_time.annex["actions"]
 
     def test_action_time_matches_a_linear_reference_on_synthetic_corpora(self, clock):
-        """Each in-window action's targets in the entry's subtree, alive on its date."""
+        """Each in-window action's targets in the entry's subtree, alive on its date.
+
+        Each store is judged uncommitted, when every read derives the time
+        index afresh, and again after commit(), when the first read publishes it.
+        """
         def in_subtree(store, urn, entry):
             while urn is not None and urn != entry:
                 urn = store.works[urn].parent
@@ -351,29 +355,64 @@ class TestImpactAnalysis:
             store = synthcorpus.build_store(corpus)
             works = sorted(u for u in store.works if u.startswith(corpus.norm_urn))
             days = [corpus.enactment, *corpus.event_dates()]
-            for _ in range(8):
-                entry = rng.choice(works)
-                t1, t2 = sorted(rng.choices(days, k=2))
-                expected = sorted(
-                    ({"action": a.id, "target": w, "date": a.effective_date.isoformat()}
-                     for a in store.actions.values() if t1 <= a.effective_date <= t2
-                     for w in a.targets
-                     if in_subtree(store, w, entry) and alive(store, w, a.effective_date)),
-                    key=lambda r: (r["date"], r["action"], r["target"]))
-                query = self._query(target=entry, start=t1, end=t2)
-                try:
-                    got = run(store, replace(query, membership=MembershipPolicy.ACTION_TIME),
-                              clock).annex["actions"]
-                except EmptyScope:
-                    got = []
-                assert got == expected, (seed, entry, t1, t2)
-                answered += bool(got)
-                try:
-                    unlike_anchored += run(store, query, clock).annex["actions"] != got
-                except EmptyScope:
-                    unlike_anchored += bool(got)
-        # 25 corpora, 126 answers and 87 that differ from snapshot_anchored.
-        assert corpora >= 20 and answered >= 100 and unlike_anchored >= 50
+            probes = [(rng.choice(works), *sorted(rng.choices(days, k=2))) for _ in range(8)]
+            for stage in ("uncommitted", "committed"):
+                if stage == "committed":
+                    store.commit()
+                for entry, t1, t2 in probes:
+                    expected = sorted(
+                        ({"action": a.id, "target": w, "date": a.effective_date.isoformat()}
+                         for a in store.actions.values() if t1 <= a.effective_date <= t2
+                         for w in a.targets
+                         if in_subtree(store, w, entry) and alive(store, w, a.effective_date)),
+                        key=lambda r: (r["date"], r["action"], r["target"]))
+                    query = self._query(target=entry, start=t1, end=t2)
+                    try:
+                        got = run(store, replace(query, membership=MembershipPolicy.ACTION_TIME),
+                                  clock).annex["actions"]
+                    except EmptyScope:
+                        got = []
+                    assert got == expected, (seed, stage, entry, t1, t2)
+                    answered += bool(got)
+                    try:
+                        unlike_anchored += run(store, query, clock).annex["actions"] != got
+                    except EmptyScope:
+                        unlike_anchored += bool(got)
+        # 25 corpora, and on each pass 126 answers and 87 that differ from snapshot_anchored.
+        assert corpora >= 20 and answered >= 200 and unlike_anchored >= 100
+
+    def test_window_edges_on_a_loaded_snapshot(self, tmp_path, clock):
+        """An action effective on t1 or on t2 is kept, one a day outside is dropped, and
+        same-day actions come in id order, not in the order they were applied."""
+        store = GraphStore()
+        enact(store, parse_document(mini_doc(fragments=3)))
+        apply_file(store, amendment_file("urn:test:mini!art3_cpt", "2003-03-02", "Three v2."))
+        same_day = amendment_file("urn:test:mini!art2_cpt", "2003-03-03", "Two v2.")
+        same_day["events"].append({**same_day["events"][0], "target": "urn:test:mini!art1_cpt",
+                                   "new_text": {"en": "One v2."}})
+        apply_file(store, same_day)
+        apply_file(store, amendment_file("urn:test:mini!art3_cpt", "2003-03-04", "Three v3."))
+        store.commit()
+        save(store, tmp_path / "edges.ndjson")
+        loaded = load(tmp_path / "edges.ndjson")
+        day_before = ("act:aa-2003:art3-cpt:2003-03-02", "urn:test:mini!art3_cpt")
+        same_days = [("act:aa-2003:art1-cpt:2003-03-03", "urn:test:mini!art1_cpt"),
+                     ("act:aa-2003:art2-cpt:2003-03-03", "urn:test:mini!art2_cpt")]
+        day_after = ("act:aa-2003:art3-cpt:2003-03-04", "urn:test:mini!art3_cpt")
+        windows = {
+            (date(2003, 3, 2), date(2003, 3, 4)): [day_before, *same_days, day_after],
+            (date(2003, 3, 3), date(2003, 3, 3)): same_days,
+            (date(2003, 3, 2), date(2003, 3, 3)): [day_before, *same_days],
+            (date(2003, 3, 3), date(2003, 3, 4)): [*same_days, day_after],
+        }
+        for (start, end), expected in windows.items():
+            for membership in MembershipPolicy:
+                query = self._query(target="urn:test:mini", start=start, end=end,
+                                    membership=membership)
+                answer = run(loaded, query, clock)
+                got = [(a["action"], a["target"]) for a in answer.annex["actions"]]
+                assert got == expected, (start, end, membership)
+                assert answer.annex_json() == run(store, query, clock).annex_json()
 
     def test_art7_scope_sees_only_ca72(self, fixture_store, clock):
         answer = run(fixture_store, self._query(target="art7"), clock)

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 
 from normgraph.cli import main
 from normgraph.errors import DanglingReference, MalformedSnapshot, UnknownWork
-from normgraph.ingest import ingest_corpus
+from normgraph.ingest import enact, ingest_corpus, parse_document
 from normgraph.model import (
     ActionNode,
     ActionType,
@@ -42,10 +43,11 @@ from normgraph.retrieval import (
     scoped_search,
 )
 from normgraph.store import FORMAT_VERSION, GraphStore, load, save, tokenize
-from normgraph.temporal import TemporalScope
+from normgraph.temporal import MembershipPolicy, TemporalScope, resolve_scope
 
 import synthcorpus
 from reference_ids import ART6_CPT, NORM_URN
+from test_ingest import amendment_file, apply_file, mini_doc
 
 # A save of the fixture corpus in the current format; see TestGoldenSnapshot.
 GOLDEN = Path(__file__).parent / "data" / "golden_fixture.ndjson"
@@ -753,6 +755,12 @@ def slow_chain_builds(monkeypatch) -> list[int]:
     return _slowed(monkeypatch, "_derive_chain_index")
 
 
+@pytest.fixture
+def slow_time_builds(monkeypatch) -> list[int]:
+    """Threads that built a time index."""
+    return _slowed(monkeypatch, "_derive_time_index")
+
+
 def _race(first_read, readers: int = 6) -> list:
     """``first_read(slot)`` in ``readers`` threads released at once (more than cores)."""
     barrier = threading.Barrier(readers)
@@ -965,6 +973,70 @@ class TestChainIndex:
         assert len(slow_chain_builds) == 1
         expected = [run(fixture_store, query, clock).annex_json() for query in queries]
         assert seen == expected * 2
+
+
+def _impact(membership: MembershipPolicy = MembershipPolicy.SNAPSHOT_ANCHORED,
+            **entry) -> StructuredQuery:
+    return StructuredQuery(QueryPattern.IMPACT_ANALYSIS, membership=membership,
+                           temporal=TemporalScope.interval(date(2010, 1, 1), date(2019, 12, 31)),
+                           **(entry or {"structural_target": "tit2_cap2"}))
+
+
+class TestTimeIndex:
+    """Scope, impact and action retrieval read a time index derived on the first scope read."""
+
+    def test_load_a_point_in_time_query_and_corpus_wide_reads_leave_it_unbuilt(
+            self, snapshot_path, clock):
+        store = load(snapshot_path)
+        assert store._time_index is None
+        run(store, StructuredQuery(QueryPattern.POINT_IN_TIME, structural_target="art6",
+                                   temporal=TemporalScope.instant(date(2011, 1, 1))), clock)
+        run(store, _retrieve(None, RetrievalMode.LEXICAL), clock)
+        run(store, StructuredQuery(QueryPattern.PROVENANCE, textual_target="food"), clock)
+        assert store._time_index is None
+        # A scope read derives it: impact, a theme entry, a scoped retrieval,
+        # and action descriptions, which are read from it even corpus-wide.
+        for query in (_impact(),
+                      StructuredQuery(QueryPattern.POINT_IN_TIME, theme_target="Social Rights",
+                                      temporal=TemporalScope.instant(date(2016, 1, 1))),
+                      _retrieve("art6", RetrievalMode.LEXICAL),
+                      replace(_retrieve(None, RetrievalMode.LEXICAL),
+                              aspects=frozenset({Aspect.ACTION_DESCRIPTION}))):
+            store = load(snapshot_path)
+            run(store, query, clock)
+            assert store._time_index is not None, query
+
+    def test_concurrent_first_scope_readers_share_one_build(
+            self, fixture_store, snapshot_path, slow_time_builds, clock):
+        store = load(snapshot_path)
+        # Every membership policy, one of them through a theme entry, each read by two threads.
+        queries = [_impact(MembershipPolicy.SNAPSHOT_ANCHORED),
+                   _impact(MembershipPolicy.ACTION_TIME, theme_target="Social Rights"),
+                   _impact(MembershipPolicy.LIFETIME)]
+        seen = _race(lambda slot: run(store, queries[slot % 3], clock).annex_json())
+        assert len(slow_time_builds) == 1
+        expected = [run(fixture_store, query, clock).annex_json() for query in queries]
+        assert seen == expected * 2 and all(len(json.loads(a)["actions"]) == 3 for a in expected)
+
+    def test_an_uncommitted_store_keeps_none_and_reads_nodes_added_later(self, clock):
+        store = GraphStore()
+        enact(store, parse_document(mini_doc()))
+        norm, inserted = "urn:test:mini", "urn:test:mini!art1_par1"
+        window = (date(2001, 1, 1), date(2001, 12, 31))
+
+        def scope(policy: MembershipPolicy) -> frozenset[str]:
+            return resolve_scope(store, norm, window[0], policy, window=window)
+
+        assert scope(MembershipPolicy.ACTION_TIME) == frozenset()
+        assert inserted not in scope(MembershipPolicy.LIFETIME)
+        apply_file(store, amendment_file("urn:test:mini!art1", "2001-06-01", "", components=[
+            {"fragment": "art1_par1", "type": "paragraph", "text": "Inserted."}]))
+        assert inserted in scope(MembershipPolicy.LIFETIME)
+        assert scope(MembershipPolicy.ACTION_TIME) == set(store.descendants(norm))
+        answer = run(store, replace(_impact(MembershipPolicy.LIFETIME, structural_target=norm),
+                                    temporal=TemporalScope.interval(*window)), clock)
+        assert [a["target"] for a in answer.annex["actions"]] == [inserted]
+        assert store._time_index is None
 
 
 class TestLanguageRule:

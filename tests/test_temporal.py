@@ -8,7 +8,7 @@ from datetime import date, timedelta
 import pytest
 
 from normgraph.errors import MissingLanguage, NotYetEnacted, RepealedAt, UnknownEntry, UnknownWork
-from normgraph.ingest import enact, parse_document
+from normgraph.ingest import enact, ingest_corpus, parse_document
 from normgraph.model import interval_contains
 from normgraph.store import GraphStore
 from normgraph.temporal import (
@@ -228,37 +228,56 @@ def _reference_stores(fixture_store):
         yield f"seed {seed}", synthcorpus.build_store(synthcorpus.generate_corpus(seed))
 
 
+def _uncommitted_fixture(corpus_dir, monkeypatch):
+    """The fixture corpus ingested as ingest_corpus ingests it, but left uncommitted."""
+    with monkeypatch.context() as patch:
+        patch.setattr(GraphStore, "commit", lambda store: None)
+        store, _ = ingest_corpus(corpus_dir)
+    return store
+
+
 def _probe_days(store):
-    """Each action date, the days either side of it, and days long before and after them all."""
+    """Each action date, the days either side of it, days long before and after them all,
+    and the first and last days there are."""
     dates = sorted({a.effective_date for a in store.actions.values()})
     one = timedelta(days=1)
-    return dates, sorted({dates[0] - timedelta(days=400), dates[-1] + timedelta(days=400),
+    return dates, sorted({date.min, date.max,
+                          dates[0] - timedelta(days=400), dates[-1] + timedelta(days=400),
                           *dates, *(d - one for d in dates), *(d + one for d in dates)})
 
 
 class TestAgainstReference:
     """resolve_scope and ctv_at give what the version-by-version definitions give."""
 
-    def test_resolve_scope_matches_the_reference(self, fixture_store):
+    def test_resolve_scope_matches_the_reference(self, corpus_dir, monkeypatch):
+        """Each store is judged uncommitted, when every read derives the time index
+        afresh, and again after commit(), when the first read publishes it."""
         rng = random.Random(18)
         checked = 0
-        for name, store in _reference_stores(fixture_store):
+        for name, store in _reference_stores(_uncommitted_fixture(corpus_dir, monkeypatch)):
             dates, days = _probe_days(store)
             first, last = days[0], days[-1]
             # Before enactment, after the last event (a repeal's end among
             # them), and one day long on each action date.
             edges = [(first, first + timedelta(days=30)), (last - timedelta(days=30), last),
                      *((d, d) for d in dates)]
+            probes = []
             for entry in [*sorted(store.works), *sorted(store.themes)]:
                 windows = edges + [tuple(sorted(rng.sample(days, 2))) for _ in range(12)]
                 cases = [(day, None) for day in rng.sample(days, min(8, len(days)))]
                 cases += [(window[0], window) for window in windows]
-                for (t, window), policy in itertools.product(cases, MembershipPolicy):
+                probes += [(entry, t, policy, window)
+                           for (t, window), policy in itertools.product(cases, MembershipPolicy)]
+            expected = [_reference_scope(store, *probe) for probe in probes]
+            assert not store.committed
+            for stage in ("uncommitted", "committed"):
+                if stage == "committed":
+                    store.commit()
+                for (entry, t, policy, window), want in zip(probes, expected):
                     got = resolve_scope(store, entry, t, policy, window=window)
-                    assert got == _reference_scope(store, entry, t, policy, window), (
-                        name, entry, t, policy, window)
+                    assert got == want, (name, stage, entry, t, policy, window)
                     checked += 1
-        assert checked > 40_000
+        assert checked > 80_000
 
     def test_ctv_at_matches_the_reference(self, fixture_store):
         for name, store in _reference_stores(fixture_store):
