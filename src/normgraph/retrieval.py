@@ -39,11 +39,16 @@ def _bucket(token: str) -> int:
 
 
 class HashedTfidfEmbedder:
-    """Hashed bag-of-words with smoothed IDF weights and unit L2 norm."""
+    """Hashed bag-of-words with smoothed IDF weights and unit L2 norm.
+
+    Its statistics are fixed for its life: each token's bucket and IDF
+    weight are computed once and kept on the instance.
+    """
 
     def __init__(self, df: dict[str, int] | None = None, n_units: int = 0):
         self.df = df or {}
         self.n_units = n_units
+        self._weights: dict[str, tuple[int, float]] = {}
 
     def idf(self, token: str) -> float:
         return math.log((self.n_units + 1) / (self.df.get(token, 0) + 1)) + 1.0
@@ -53,14 +58,20 @@ class HashedTfidfEmbedder:
 
         Each bucket adds up ``count * idf`` in first-occurrence token order;
         the norm is the square root of math.fsum's correctly rounded sum of
-        squares, so the result depends on no summation order. With a
-        store's own statistics every IDF is at least 1, so no value is
-        zero.
+        squares, so the result depends on no summation order. A token's
+        (bucket, IDF) pair depends on the token alone, so it is computed on
+        the token's first occurrence in any text this embedder embeds and
+        read back after that. With a store's own statistics every IDF is at
+        least 1, so no value is zero.
         """
+        weights = self._weights
         buckets: dict[int, float] = {}
         for token, count in Counter(tokenize(text)).items():
-            bucket = _bucket(token)
-            buckets[bucket] = buckets.get(bucket, 0.0) + count * self.idf(token)
+            weight = weights.get(token)
+            if weight is None:
+                weight = weights[token] = (_bucket(token), self.idf(token))
+            bucket, idf = weight
+            buckets[bucket] = buckets.get(bucket, 0.0) + count * idf
         norm = math.sqrt(math.fsum(v * v for v in buckets.values()))
         if norm == 0.0:  # no tokens, or weights that all add up to zero
             return {}
@@ -237,20 +248,31 @@ def _provenance(store: GraphStore, req: RetrievalRequest, ref: str,
 
 def _bm25_scores(store: GraphStore, query: str,
                  unit_ids: list[str]) -> dict[str, float]:
-    tokens = tokenize(query)
+    """Each candidate's BM25 score over the query's distinct tokens, squashed into [0, 1).
+
+    For each token, the smaller of two sides is walked (document- against
+    term-at-a-time evaluation over the term index, after Zobel & Moffat):
+    the candidates, each looked up in the token's postings, when there are
+    fewer candidates than postings; otherwise the postings, each kept only
+    if it is a candidate. Either way a unit adds its tokens' terms in sorted
+    token order with the same expression, so its score has the same bits
+    whichever side each token took, and a scoped query reads what its scope
+    holds rather than every posting of the corpus.
+    """
     n = max(store.n_units, 1)
     avgdl = store.avgdl or 1.0
-    scores = {uid: 0.0 for uid in unit_ids}
-    wanted = set(unit_ids)
-    # Read once: both are store properties that may build the index.
-    term_index, unit_len = store.term_index, store.unit_len
-    for token in sorted(set(tokens)):
-        df = store.df.get(token, 0)
+    scores = dict.fromkeys(unit_ids, 0.0)
+    # Read once: these are store properties that may build the index.
+    term_index, unit_len, doc_freq = store.term_index, store.unit_len, store.df
+    for token in sorted(set(tokenize(query))):
+        df = doc_freq.get(token, 0)
         idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
         postings = term_index.get(token, {})
-        for uid, tf in postings.items():
-            if uid not in wanted:
-                continue
+        if len(scores) < len(postings):
+            found = [(uid, postings[uid]) for uid in scores if uid in postings]
+        else:
+            found = [(uid, tf) for uid, tf in postings.items() if uid in scores]
+        for uid, tf in found:
             dl = unit_len.get(uid, 0)
             denom = tf + _BM25_K1 * (1.0 - _BM25_B + _BM25_B * dl / avgdl)
             scores[uid] += idf * (tf * (_BM25_K1 + 1.0)) / denom
@@ -282,10 +304,16 @@ def _by_score(pair: tuple[str, float]) -> tuple[float, str]:
     return -pair[1], pair[0]
 
 
-def _rank(pairs: Iterable[tuple[str, float]]) -> dict[str, int]:
-    """Each unit's place in the ``_by_score`` order, sorting its keys with no key function."""
-    keys = sorted([(-score, uid) for uid, score in pairs])
-    return {uid: i for i, (_, uid) in enumerate(keys)}
+def _rank(by_id: list[str], scores: dict[str, float]) -> dict[str, int]:
+    """Each unit's place in the ``_by_score`` order: by score descending, ties by id.
+
+    ``by_id`` holds the units in ascending id order, sorted once and shared
+    by both of a hybrid query's ranks. The sort by score alone is stable,
+    and stays so with ``reverse``, so tied units keep that order without
+    comparing an id.
+    """
+    order = sorted(by_id, key=scores.__getitem__, reverse=True)
+    return {uid: i for i, uid in enumerate(order)}
 
 
 def scoped_search(store: GraphStore, req: RetrievalRequest) -> list[RetrievalHit]:
@@ -318,8 +346,9 @@ def scoped_search(store: GraphStore, req: RetrievalRequest) -> list[RetrievalHit
         top = heapq.nsmallest(req.k, _bm25_scores(store, req.query_text, unit_ids).items(),
                               key=_by_score)
     else:
-        vec_rank = _rank(_vector_scores(store, req.query_text, unit_ids))
-        lex_rank = _rank(_bm25_scores(store, req.query_text, unit_ids).items())
+        by_id = sorted(unit_ids)
+        vec_rank = _rank(by_id, dict(_vector_scores(store, req.query_text, unit_ids)))
+        lex_rank = _rank(by_id, _bm25_scores(store, req.query_text, unit_ids))
         # Rank-sum fusion; ties break on lexical rank, then unit id.
         fused = heapq.nsmallest(req.k, unit_ids, key=lambda uid: (
             vec_rank[uid] + lex_rank[uid], lex_rank[uid], uid))

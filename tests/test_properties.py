@@ -6,6 +6,7 @@ import math
 import random
 from collections import Counter
 from datetime import date, timedelta
+from types import SimpleNamespace
 
 import pytest
 
@@ -867,17 +868,62 @@ class _LinearSearch:
         return [RetrievalHit(uid, round(score, 12), *found[uid]) for uid, score in ranked]
 
 
+class _ReadPostings(dict):
+    """One token's postings, noting which side of _bm25_scores' size rule read them.
+
+    Probing a unit (``in``) is the candidate side; walking ``items()`` is
+    the postings side.
+    """
+
+    def __init__(self, token: str, postings: dict[str, int], reads: set):
+        super().__init__(postings)
+        self.token, self.reads = token, reads
+
+    def __contains__(self, uid) -> bool:
+        self.reads.add((self.token, "candidates"))
+        return dict.__contains__(self, uid)
+
+    def items(self):
+        self.reads.add((self.token, "postings"))
+        return dict.items(self)
+
+
+def _recording_statistics(store: GraphStore, reads: set) -> SimpleNamespace:
+    """The text statistics _bm25_scores reads from a store, with postings that note their reads."""
+    return SimpleNamespace(
+        term_index={token: _ReadPostings(token, postings, reads)
+                    for token, postings in store.term_index.items()},
+        unit_len=store.unit_len, df=store.df, n_units=store.n_units, avgdl=store.avgdl)
+
+
+def _lexical_probes(reference: _LinearSearch) -> list[str]:
+    """Query texts for _bm25_scores: the corpus's commonest and rarest tokens, one of them
+    repeated, a token found nowhere, and no token at all."""
+    by_count = sorted(reference.df, key=lambda token: (-reference.df[token], token))
+    common, rare = by_count[0], by_count[-1]
+    assert "zebra" not in reference.df
+    return [common, f"{rare} zebra {common} {rare}", "zebra", ""]
+
+
 def _match_linear_scan(stores: list[GraphStore], scopes: list[frozenset[str]],
                        days: list[date], texts: list[str]) -> Counter:
     """Assert scoped_search equals _LinearSearch on every combination; count what the hits hold.
 
     Every request takes all four aspects, in each mode, each language of
     None, "es" and "en" with fallback on and off, at k=3 and at a k above
-    the candidate count.
+    the candidate count. Each request's candidates are also scored by
+    _bm25_scores for every text of ``_lexical_probes``, unrounded, which
+    must equal _LinearSearch's BM25 exactly; ``seen["bm25", side,
+    fewer]`` counts the token reads that took ``side`` when the candidates
+    were (``fewer``) or were not fewer than the token's postings, and
+    ``seen["bm25", "empty text"]`` the candidates so scored that have no token.
     """
     seen: Counter = Counter()
     for store in stores:
         reference = _LinearSearch(store)
+        probes = _lexical_probes(reference)
+        reads: set = set()
+        statistics = _recording_statistics(store, reads)
         for t in days:
             for scope in scopes:
                 for language in (None, "es", "en"):
@@ -896,7 +942,25 @@ def _match_linear_scan(stores: list[GraphStore], scopes: list[frozenset[str]],
                             seen.update(hit.aspect for hit in expected)
                             seen[language, fallback] += sum(
                                 hit.aspect is Aspect.CONTENT for hit in expected)
+                        # Candidates depend on neither mode nor text: take the last request's.
+                        units = list(reference.candidates(req))
+                        for probe in probes:
+                            reads.clear()
+                            assert _bm25_scores(statistics, probe, units) == {
+                                uid: reference._bm25(probe, uid) for uid in units}, (
+                                t, language, fallback, probe, len(scope))
+                            for token, side in reads:
+                                fewer = len(units) < len(store.term_index[token])
+                                seen["bm25", side, fewer] += 1
+                        seen["bm25", "empty text"] += sum(
+                            not reference.tokens[uid] for uid in units)
     return seen
+
+
+def _assert_smaller_side(seen: Counter) -> None:
+    """Each token read walked the smaller side, and the postings side was reached."""
+    assert not seen["bm25", "candidates", False] and not seen["bm25", "postings", True], seen
+    assert seen["bm25", "postings", False], seen
 
 
 class TestScopedSearchReference:
@@ -914,6 +978,14 @@ class TestScopedSearchReference:
         assert all(seen[aspect] for aspect in Aspect), seen
         # Without fallback, Spanish requests skip the versions with no Spanish wording.
         assert seen["es", False] < seen["es", True], seen
+        # The corpus's candidates outnumber the rarest token's postings. Once
+        # the norm has events, the article's are fewer than the commonest
+        # token's; a norm without events can have too few units (5 at seed 36).
+        _assert_smaller_side(seen)
+        if corpus.event_dates():
+            assert seen["bm25", "candidates", True], seen
+        # The blank theme's description has no token.
+        assert seen["bm25", "empty text"], seen
 
     def test_the_reference_corpus_matches_a_linear_scan(self, fixture_store, snapshot_path):
         """A Portuguese norm, so no language of the requests is the primary one."""
@@ -925,3 +997,38 @@ class TestScopedSearchReference:
         assert all(seen[aspect] for aspect in Aspect), seen
         # English wording exists for one version only; Spanish for none.
         assert 0 < seen["en", False] < seen["en", True] and seen["es", False] == 0, seen
+        _assert_smaller_side(seen)
+        assert seen["bm25", "candidates", True], seen
+
+    @pytest.mark.parametrize("seed", range(2, 40, 6))
+    def test_a_scoped_lexical_query_keeps_the_corpus_wide_hits_of_its_candidates(self, seed):
+        """Lexical scores depend on the unit alone, so a scope only filters the corpus-wide ranking.
+
+        With ``k`` above the candidate count, a scoped query answers every
+        candidate, and its hits are the corpus-wide hits of those units, in
+        the same order and with the same scores.
+        """
+        corpus, store = _committed_store(seed, late_spanish=True, themes=True)
+        reference = _LinearSearch(store)
+        works = frozenset(store.works)
+        rng = random.Random(seed)
+        texts = _lexical_probes(reference) + [" ".join(rng.sample(synthcorpus.WORDS, 3))]
+        entries = rng.sample(sorted(works), min(8, len(works))) + [corpus.norm_urn]
+        days = sorted({t for urn in works for t in _boundary_days(store, urn)})
+        compared = 0
+        for t in rng.sample(days, min(6, len(days))):
+            for text in texts:
+                wide = RetrievalRequest(text, works, t, aspects=frozenset(Aspect), k=10_000,
+                                        mode=RetrievalMode.LEXICAL)
+                wide_hits = [(h.text_unit, h.score) for h in scoped_search(store, wide)]
+                assert len(wide_hits) == len(reference.candidates(wide))
+                for entry in entries:
+                    scoped = RetrievalRequest(text, frozenset(store.descendants(entry)), t,
+                                              aspects=frozenset(Aspect), k=10_000,
+                                              mode=RetrievalMode.LEXICAL)
+                    candidates = reference.candidates(scoped)
+                    hits = [(h.text_unit, h.score) for h in scoped_search(store, scoped)]
+                    assert hits == [hit for hit in wide_hits if hit[0] in candidates], (
+                        seed, t, text, entry)
+                    compared += len(hits)
+        assert compared
