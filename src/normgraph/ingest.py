@@ -45,6 +45,7 @@ from .model import (
     ComponentType,
     FRAGMENT_SEP,
     LanguageVersion,
+    PRESENTATION_KEYS,
     STRUCTURE_RULES,
     TEXT_BEARING_TYPES,
     TemporalVersion,
@@ -54,6 +55,7 @@ from .model import (
     WorkKind,
     WorkNode,
     metadata_tuple,
+    metadata_unit_id,
     parse_iso_date,
 )
 from .store import GraphStore
@@ -64,9 +66,6 @@ EVENT_SUFFIX = ".satev.json"
 LANG_SUFFIX = ".satlang.json"
 
 FORMAT_VERSION = 1
-
-# Work metadata keys that describe presentation, not facts worth textualizing.
-_PRESENTATION_KEYS = frozenset({"label", "title", "short_title", "language", "heading"})
 
 
 @cache
@@ -345,7 +344,7 @@ def textualize_metadata(node: WorkNode, language: str = "en") -> list[TextUnit]:
     title = node.meta("title") or node.label
     units: list[TextUnit] = []
     for key, value in node.metadata:
-        if key in _PRESENTATION_KEYS:
+        if key in PRESENTATION_KEYS:
             continue
         if key == "publication_date":
             try:
@@ -360,7 +359,7 @@ def textualize_metadata(node: WorkNode, language: str = "en") -> list[TextUnit]:
         else:
             text = locale["meta_generic"].format(key=key.replace("_", " "), title=title, value=value)
         units.append(TextUnit(
-            id=f"tu:{node.urn}:meta:{key}",
+            id=metadata_unit_id(node.urn, key),
             aspect=Aspect.METADATA,
             owner=node.urn,
             language=language,
@@ -565,9 +564,16 @@ def _ensure_instrument_works(
     source_fragment: str | None,
     source_label: str | None,
 ) -> str | None:
-    """Create reference stubs for the amending norm and its provision."""
+    """Create reference stubs for the amending norm and its provision.
+
+    A stub norm keeps the instrument's metadata, so its facts are textualized
+    as an enacted norm's are.
+    """
     if instrument.urn not in store.works:
         store.add_work(_norm_work(instrument))
+        if instrument.metadata:
+            for unit in textualize_metadata(store.works[instrument.urn]):
+                store.add_unit(unit)
     if source_fragment is None:
         return None
     source_urn = f"{instrument.urn}{FRAGMENT_SEP}{source_fragment}"

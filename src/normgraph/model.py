@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,6 +58,10 @@ class Aspect(str, Enum):
     METADATA = "metadata"
     THEME_DESCRIPTION = "theme_description"
 
+
+# Work metadata keys that describe presentation, not facts worth textualizing.
+# Every other key of a work's metadata has its metadata unit (metadata_unit_id).
+PRESENTATION_KEYS = frozenset({"label", "title", "short_title", "language", "heading"})
 
 # Component types that carry their own text. An article carries text only
 # when it has no subdivisions; that case is resolved at parse time.
@@ -130,9 +135,9 @@ class WorkNode:
                 return v
         return default
 
-    @property
+    @cached_property
     def label(self) -> str:
-        """Human-facing label; falls back to fragment or urn."""
+        """Human-facing label; falls back to fragment or urn. Built on first read and kept."""
         return self.meta("label") or self.id.fragment or self.urn
 
 
@@ -188,6 +193,10 @@ def ctv_id(work_urn: str, valid_start: date) -> str:
 
 def clv_id(temporal_version: str, language: str) -> str:
     return f"{temporal_version}#{language}"
+
+
+def metadata_unit_id(work_urn: str, key: str) -> str:
+    return f"tu:{work_urn}:meta:{key}"
 
 
 @dataclass(frozen=True)
@@ -507,6 +516,20 @@ def _check_owned_units(graph: "GraphStore", out: list[Violation]) -> None:
                                      f"{attr} must be a {aspect.value} unit it owns", (owner, unit.id)))
 
 
+def _check_metadata_units(graph: "GraphStore", out: list[Violation]) -> None:
+    """Each non-presentation metadata key of a work has its metadata unit, owned by the work."""
+    units = graph.units
+    for urn, work in graph.works.items():
+        for key, _ in work.metadata:
+            if key in PRESENTATION_KEYS:
+                continue
+            unit = units.get(metadata_unit_id(urn, key))
+            if unit is None or unit.aspect is not Aspect.METADATA or unit.owner != urn:
+                out.append(Violation("MissingMetadataUnit",
+                                     f"metadata key {key!r} has no metadata unit the work owns",
+                                     (urn, metadata_unit_id(urn, key))))
+
+
 _ASPECT_OWNERS = {
     Aspect.CONTENT: "clvs",
     Aspect.ACTION_DESCRIPTION: "actions",
@@ -536,6 +559,7 @@ def validate_graph(graph: "GraphStore") -> list[Violation]:
     _check_aggregation(graph, out)
     _check_actions(graph, out)
     _check_owned_units(graph, out)
+    _check_metadata_units(graph, out)
     _check_text_units(graph, out)
     return out
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from datetime import date
+from datetime import date, timedelta
 from enum import Enum
 
 from .errors import (
@@ -405,6 +405,17 @@ def run_impact_analysis(store: GraphStore, q: StructuredQuery) -> Answer:
     return _finish(q, "\n".join(lines), [], action_records, [], 1.0, scoped=True)
 
 
+_ONE_DAY = timedelta(days=1)
+
+
+class _IsoDays(dict):
+    """Each date's ISO text, formatted on its first lookup."""
+
+    def __missing__(self, day: date) -> str:
+        text = self[day] = day.isoformat()
+        return text
+
+
 def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
     """Trace the introduction of a text span back to its causing actions.
 
@@ -412,8 +423,10 @@ def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
     the version chains of the entry's scope. Span location returns
     introductions in (work, chain position) order, and each is rendered in
     one pass from its work's chain in the chain index, read at the span's
-    position: its pre-state (the chain predecessor), the causal event, the
-    post-state and the audit trail.
+    position: its pre-state (the chain predecessor, last valid the day
+    before its end), the causal event, the post-state and the audit trail.
+    Each distinct date is formatted once per query, and the phrases that
+    depend on the term alone are built once.
     """
     term = q.textual_target
     language, fallback = q.language, q.language_fallback
@@ -425,49 +438,51 @@ def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
     if not introductions:
         raise TermNotFound(term, q.entry)
 
+    works, actions, produced_by = store.works, store.actions, store.produced_by
     version_chains = store.chain_index.chains
+    days = _IsoDays()
+    absent = f' (no mention of "{term}")'
+    enacted = f'  Effect: Enacted with the term "{term}"'
+    inserted = f'  Effect: Inserted the term "{term}"'
     lines = [f'Provenance report: "{term}" in {_entry_label(store, q)}']
     citations: list[tuple[str, str, str]] = []
     action_records: list[dict] = []
     chains: list[list[str]] = []
     numbered = len(introductions) > 1
-    for i, span in enumerate(introductions, start=1):
-        work, post_ctv, position = span.work, span.ctv, span.position
-        cids, starts, _, wordings, primary = version_chains[work]
-        causal = store.actions[store.produced_by[post_ctv]]
+    for i, (work, post_ctv, position, _) in enumerate(introductions, start=1):
+        cids, starts, ends, wordings, primary = version_chains[work]
+        causal = actions[produced_by[post_ctv]]
+        causal_label, causal_day = causal.short_label, days[causal.effective_date]
         if numbered:
-            lines.append(f"--- occurrence {i}: {store.works[work].label} ---")
+            lines.append(f"--- occurrence {i}: {works[work].label} ---")
         if position == 0:
             lines.append("Pre-state: none (term present since original enactment)")
-            effect, chain = "Enacted with", (causal,)
+            effect, trail, chain = enacted, f"[{causal_label}]", [causal.id]
         else:
             pre_ctv = cids[position - 1]
-            pre_producer = store.actions[store.produced_by[pre_ctv]]
-            last_day = store.ctvs[pre_ctv].validity.last_valid_day
-            lines.append(f'Pre-state: valid until {last_day.isoformat()} (no mention of "{term}")')
-            lines.append(f"  Last change by: {pre_producer.short_label}. Source CTV: {pre_ctv}")
+            pre = actions[produced_by[pre_ctv]]
+            pre_label = pre.short_label
+            lines.append(f"Pre-state: valid until {days[ends[position - 1] - _ONE_DAY]}{absent}\n"
+                         f"  Last change by: {pre_label}. Source CTV: {pre_ctv}")
             pre_wording = pick_wording(wordings[position - 1], primary, language, fallback)
             if pre_wording is not None:
                 citations.append((work, pre_ctv, pre_wording[0]))
-            effect, chain = "Inserted", (pre_producer, causal)
-        trail = " -> ".join([f"[{action.short_label}]" for action in chain])
-        lines += (
-            f"Causal event: {causal.short_label} "
-            f"(effective {causal.effective_date.isoformat()})",
-            f'  Effect: {effect} the term "{term}"',
-            f"Post-state: valid from {starts[position].isoformat()}",
-            f"  Source CTV: {post_ctv}",
-            "Audit trail:",
-            f"  Causal chain: {trail}",
-            "  Match confidence: Exact (1.0)",
-        )
+            action_records.append({"action": pre.id, "target": work,
+                                   "date": days[pre.effective_date]})
+            effect, trail = inserted, f"[{pre_label}] -> [{causal_label}]"
+            chain = [pre.id, causal.id]
+        lines.append(f"Causal event: {causal_label} (effective {causal_day})\n"
+                     f"{effect}\n"
+                     f"Post-state: valid from {days[starts[position]]}\n"
+                     f"  Source CTV: {post_ctv}\n"
+                     "Audit trail:\n"
+                     f"  Causal chain: {trail}\n"
+                     "  Match confidence: Exact (1.0)")
         # The locator found the term in the wording this rule picks, so there is one.
         post_lv, _ = pick_wording(wordings[position], primary, language, fallback)
         citations.append((work, post_ctv, post_lv))
-        for action in chain:
-            action_records.append({"action": action.id, "target": work,
-                                   "date": action.effective_date.isoformat()})
-        chains.append([action.id for action in chain])
+        action_records.append({"action": causal.id, "target": work, "date": causal_day})
+        chains.append(chain)
     return _finish(q, "\n".join(lines), citations, action_records, chains, 1.0, scoped=scoped)
 
 

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyScope
 from .model import Aspect, EMBEDDING_DIMENSION
@@ -362,9 +362,12 @@ def scoped_search(store: GraphStore, req: RetrievalRequest) -> list[RetrievalHit
     return hits
 
 
-@dataclass(frozen=True)
-class SpanLocation:
-    """One version of a scoped work whose content contains the search term."""
+class SpanLocation(NamedTuple):
+    """One version of a scoped work whose content contains the search term.
+
+    A plain tuple of its fields, in this order: span location builds one for
+    every version that holds the term.
+    """
 
     work: str
     ctv: str
@@ -458,7 +461,6 @@ def locate_spans(store: GraphStore, term: str, scope: Iterable[str],
     previous = ("", -1)
     for urn, position, cid in read(store, needle, postings, frozenset(scope), language,
                                    fallback):
-        out.append(SpanLocation(urn, cid, position,
-                                first_containing=(urn, position - 1) != previous))
+        out.append(SpanLocation(urn, cid, position, (urn, position - 1) != previous))
         previous = (urn, position)
     return out

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 import re
 import threading
 from bisect import bisect_right, insort
@@ -698,26 +699,40 @@ _HEADER = ("kind", "format_version", "columns")
 def save(store: GraphStore, path: str | Path) -> None:
     """Write the store as sorted NDJSON; load(save(s)) == s node-for-node.
 
-    Rows are built and written one at a time, in _KINDS order and by id.
-    Raises RuntimeError on an uncommitted store, which may still change.
+    Rows are built and written one at a time, in _KINDS order and by id, to
+    a temporary file beside ``path``, which is flushed, synced and then
+    renamed over ``path`` in one step: a reader sees the old snapshot or the
+    new one, never part of one. On any failure the temporary file is removed
+    and ``path`` is left as it was. Raises RuntimeError on an uncommitted
+    store, which may still change.
     """
     if not store.committed:
         raise RuntimeError("only a committed store can be saved")
+    target = Path(path)
+    # Unique among the writers running now, so no two share one.
+    temporary = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     meta = {"kind": "meta", "format_version": FORMAT_VERSION, "columns": _COLUMNS}
     encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(encode(meta))
-        fh.write("\n")
-        for kind, spec in _KINDS.items():
-            nodes = getattr(store, spec.nodes)
-            head = f'{{"kind":"{kind}","row":'
-            for node_id in sorted(nodes):
-                row = list(spec.get_attrs(nodes[node_id]))
-                for i, to_json in spec.encoders:
-                    row[i] = to_json(row[i])
-                fh.write(head)
-                fh.write(encode(row))
-                fh.write("}\n")
+    try:
+        with open(temporary, "w", encoding="utf-8") as fh:
+            fh.write(encode(meta))
+            fh.write("\n")
+            for kind, spec in _KINDS.items():
+                nodes = getattr(store, spec.nodes)
+                head = f'{{"kind":"{kind}","row":'
+                for node_id in sorted(nodes):
+                    row = list(spec.get_attrs(nodes[node_id]))
+                    for i, to_json in spec.encoders:
+                        row[i] = to_json(row[i])
+                    fh.write(head)
+                    fh.write(encode(row))
+                    fh.write("}\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 # The C scanner behind json.loads, called without its per-call wrappers.

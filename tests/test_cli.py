@@ -56,6 +56,17 @@ class TestIngestCommand:
         assert main(["ingest", str(corpus), "--out", str(tmp_path / "x.ndjson")]) == 3
         assert "duplicate enactment" in capsys.readouterr().err
 
+    def test_a_work_fact_without_its_metadata_unit_fails_validation(
+            self, corpus_dir, tmp_path, capsys, monkeypatch):
+        from normgraph import ingest
+
+        monkeypatch.setattr(ingest, "textualize_metadata", lambda node, language="en": [])
+        out = tmp_path / "x.ndjson"
+        assert main(["ingest", str(corpus_dir), "--out", str(out)]) == 3
+        assert "violation: MissingMetadataUnit: metadata key 'publication_date'" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
 
 def _edit_json(path: Path, edit) -> None:
     data = json.loads(path.read_text(encoding="utf-8"))

@@ -30,7 +30,8 @@ from normgraph.ingest import (
     textualize_metadata,
 )
 from normgraph.model import (
-    Aspect, ComponentType, WorkId, WorkKind, WorkNode, metadata_tuple, validate_graph)
+    Aspect, ComponentType, WorkId, WorkKind, WorkNode, metadata_tuple, metadata_unit_id,
+    validate_graph)
 from normgraph.store import GraphStore, save
 
 from reference_ids import (
@@ -479,6 +480,19 @@ class TestTextualizeMetadata:
     def test_empty_metadata_yields_nothing(self):
         node = WorkNode(id=WorkId("urn:test:bare"), kind=WorkKind.NORM)
         assert textualize_metadata(node) == []
+
+    def test_an_instrument_stub_textualizes_the_facts_it_keeps(self):
+        store = GraphStore()
+        enact(store, parse_document(mini_doc()))
+        event_file = amendment_file("urn:test:mini!art1_cpt", "2003-06-01", "Amended.")
+        event_file["instrument"]["metadata"] = {"subject": "water", "heading": "Shown"}
+        apply_file(store, event_file)
+        urn = event_file["instrument"]["urn"]
+        assert dict(store.works[urn].metadata)["subject"] == "water"
+        unit = store.units[metadata_unit_id(urn, "subject")]
+        assert (unit.aspect, unit.owner) == (Aspect.METADATA, urn)
+        assert [u.id for u in store.units.values() if u.owner == urn] == [unit.id]
+        assert validate_graph(store) == []
 
 
 class TestAddLanguage:

@@ -14,6 +14,7 @@ from normgraph.model import (
     Aspect,
     ComponentType,
     LanguageVersion,
+    PRESENTATION_KEYS,
     TemporalVersion,
     TextUnit,
     ValidityInterval,
@@ -23,6 +24,8 @@ from normgraph.model import (
     clv_id,
     ctv_id,
     interval_contains,
+    metadata_tuple,
+    metadata_unit_id,
     parse_iso_date,
     validate_graph,
 )
@@ -263,6 +266,31 @@ class TestValidateGraph:
                    for start, end in zip(starts, starts[1:] + [None])]
         gaps = [v.nodes for v in validate_graph(store) if v.code == "AggregationGap"]
         assert gaps == [(parents[1], child), (parents[3], child)]
+
+    def test_each_fact_in_a_works_metadata_needs_its_own_metadata_unit(self):
+        store = _two_version_store("2000-06-15", "2000-06-15")
+        for action in store.actions.values():
+            store.add_unit(TextUnit(action.description_unit, Aspect.ACTION_DESCRIPTION,
+                                    action.id, "en", "An event."))
+        urn = "urn:test:n"
+        facts = {"subject": "water", "succeeds": "the old act"}
+        presentation = dict.fromkeys(PRESENTATION_KEYS, "shown")
+        store.works[urn] = replace(store.works[urn],
+                                   metadata=metadata_tuple({**facts, **presentation}))
+        missing = [v.nodes for v in validate_graph(store) if v.code == "MissingMetadataUnit"]
+        assert missing == [(urn, metadata_unit_id(urn, key)) for key in sorted(facts)]
+        # A unit that another work owns, or of another aspect, is not the work's.
+        store.add_work(WorkNode(WorkId("urn:test:m"), WorkKind.NORM))
+        store.add_unit(TextUnit(metadata_unit_id(urn, "subject"), Aspect.METADATA,
+                                "urn:test:m", "en", "About water."))
+        store.add_unit(TextUnit(metadata_unit_id(urn, "succeeds"), Aspect.THEME_DESCRIPTION,
+                                urn, "en", "It succeeds the old act."))
+        missing = [v.nodes[1] for v in validate_graph(store) if v.code == "MissingMetadataUnit"]
+        assert missing == [metadata_unit_id(urn, key) for key in sorted(facts)]
+        for key in facts:
+            unit_id = metadata_unit_id(urn, key)
+            store.units[unit_id] = replace(store.units[unit_id], aspect=Aspect.METADATA, owner=urn)
+        assert validate_graph(store) == []
 
     def test_synthetic_corpora_satisfy_all_invariants(self):
         for seed in range(25):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections import Counter
@@ -42,7 +43,14 @@ from normgraph.retrieval import (
     scoped_search,
 )
 from normgraph.store import GraphStore, load, save, tokenize
-from normgraph.temporal import alive_at, ctv_at, snapshot_fragments, snapshot_text
+from normgraph.temporal import (
+    MembershipPolicy,
+    alive_at,
+    ctv_at,
+    resolve_scope,
+    snapshot_fragments,
+    snapshot_text,
+)
 from normgraph.themes import define_theme
 
 import synthcorpus
@@ -384,6 +392,125 @@ def _repealed_works(store: GraphStore) -> set[str]:
         for action in store.actions.values() if action.action_type is ActionType.REPEAL
         for target in action.targets
     }
+
+
+def _reference_provenance(store: GraphStore, term: str, target: str | None,
+                          language: str | None, fallback: bool, t: date) -> tuple[str, str]:
+    """A provenance answer's rendered text and annex JSON, rendered plainly from the nodes.
+
+    Every version, date and label is read from the node it belongs to, each
+    action by a scan for the one that produced the version, and every date
+    is formatted where it is written.
+    """
+    if target:
+        scope = resolve_scope(store, target, t, MembershipPolicy.SNAPSHOT_ANCHORED)
+        norm = store.works[store.works[target].id.norm_urn]
+        language = language or norm.meta("language", "en")
+    else:
+        scope = sorted(store.works)
+    introductions = [s for s in _reference_spans(store, term, scope, language, fallback)
+                     if s.first_containing]
+    if not introductions:
+        raise TermNotFound(term, target)
+
+    def producer(ctv: str):
+        return next(a for a in store.actions.values() if ctv in a.produces)
+
+    entry = store.works[target].label if target else "corpus"
+    lines = [f'Provenance report: "{term}" in {entry}']
+    citations, actions, chains = [], [], []
+    for i, span in enumerate(introductions, start=1):
+        if len(introductions) > 1:
+            lines.append(f"--- occurrence {i}: {store.works[span.work].label} ---")
+        post = store.ctvs[span.ctv]
+        causal = producer(post.id)
+        if span.position == 0:
+            lines.append("Pre-state: none (term present since original enactment)")
+            effect, chain = "Enacted with", [causal]
+        else:
+            chain_of_work = sorted((tv for tv in store.ctvs.values() if tv.work == span.work),
+                                   key=lambda tv: tv.validity.valid_start)
+            pre = chain_of_work[span.position - 1]
+            pre_producer = producer(pre.id)
+            lines.append(f"Pre-state: valid until {pre.validity.last_valid_day.isoformat()} "
+                         f'(no mention of "{term}")')
+            lines.append(f"  Last change by: {pre_producer.short_label}. Source CTV: {pre.id}")
+            pre_clv = _rule(store, pre.id, language, fallback)
+            if pre_clv is not None:
+                citations.append({"work": span.work, "ctv": pre.id, "clv": pre_clv})
+            effect, chain = "Inserted", [pre_producer, causal]
+        lines += [
+            f"Causal event: {causal.short_label} (effective {causal.effective_date.isoformat()})",
+            f'  Effect: {effect} the term "{term}"',
+            f"Post-state: valid from {post.validity.valid_start.isoformat()}",
+            f"  Source CTV: {post.id}",
+            "Audit trail:",
+            "  Causal chain: " + " -> ".join(f"[{a.short_label}]" for a in chain),
+            "  Match confidence: Exact (1.0)",
+        ]
+        citations.append({"work": span.work, "ctv": post.id,
+                          "clv": _rule(store, post.id, language, fallback)})
+        actions += [{"action": a.id, "target": span.work, "date": a.effective_date.isoformat()}
+                    for a in chain]
+        chains.append([a.id for a in chain])
+    steps = ["canonicalize", "scope", "strategy", "retrieve", "causal_aggregation",
+             "chain_assembly", "generate"]
+    annex = {
+        "format_version": 1,
+        "pattern": "provenance",
+        "policies": {
+            "resolution_policy": "snapshot_last",
+            "membership_policy": "snapshot_anchored",
+            "k": 8,
+            "strategy": "structure_first" if target else "span_first",
+            "language": language,
+            "language_fallback": fallback,
+        },
+        "steps": steps if target else [step for step in steps if step != "scope"],
+        "citations": citations,
+        "actions": actions,
+        "chains": chains,
+        "confidence": 1.0,
+    }
+    return "\n".join(lines), json.dumps(annex, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+class TestProvenanceRendering:
+    def test_rendered_text_and_annex_equal_the_plain_reference_renderer(self):
+        """Both strategies, each language with fallback on and off, one- and two-token terms."""
+        # "version 2" is a multi-token needle, introduced after enactment.
+        terms = [_SPANISH["water"], "water", _SPANISH["rights"], "rights", "version 2"]
+        positions: Counter = Counter()
+        answered: Counter = Counter()
+        for seed in range(0, 40, 5):
+            corpus, store = _committed_store(seed, late_spanish=True)
+            clock = (corpus.event_dates() or [corpus.enactment])[-1]
+            article = store.children[corpus.norm_urn][0]
+            for target in (None, corpus.norm_urn, article):
+                for language in (None, "es", "en"):
+                    for fallback in (True, False):
+                        for term in terms:
+                            query = StructuredQuery(
+                                QueryPattern.PROVENANCE, structural_target=target,
+                                textual_target=term, language=language,
+                                language_fallback=fallback)
+                            try:
+                                expected = _reference_provenance(store, term, target, language,
+                                                                 fallback, clock)
+                            except TermNotFound:
+                                with pytest.raises(TermNotFound):
+                                    run(store, query, clock)
+                                continue
+                            answer = run(store, query, clock)
+                            assert (answer.rendered_text, answer.annex_json()) == expected, (
+                                seed, target, language, fallback, term)
+                            answered[target is None, term] += 1
+                            positions["enactment"] += expected[0].count("Pre-state: none")
+                            positions["later"] += expected[0].count("Pre-state: valid until")
+        # Both strategies answered every term, and introductions came at
+        # enactment and later.
+        assert set(answered) == {(wide, term) for wide in (True, False) for term in terms}
+        assert positions["enactment"] > 100 and positions["later"] > 100, positions
 
 
 class TestIndexBackedSpans:

@@ -32,6 +32,7 @@ from normgraph.model import (
     _REFERENCES,
     clv_id,
     ctv_id,
+    metadata_unit_id,
     validate_graph,
 )
 from normgraph.planner import QueryPattern, StructuredQuery, run
@@ -145,6 +146,63 @@ class TestRoundTrip:
         assert answer.annex_json() == run(fixture_store, query, clock).annex_json()
 
 
+def _unsavable_text(store: GraphStore, monkeypatch) -> None:
+    """Give the last unit, whose line save writes last, a text JSON cannot encode."""
+    last = max(store.units)
+    monkeypatch.setitem(store.units, last, replace(store.units[last], text=object()))
+
+
+def _fail(*args):
+    raise OSError("device full")
+
+
+class TestAtomicSave:
+    """Save writes a synced sibling file and renames it over the snapshot in one step."""
+
+    @pytest.mark.parametrize("failure", ["encode", "fsync", "replace"])
+    def test_a_failed_save_leaves_the_previous_snapshot_and_no_temporary_file(
+            self, fixture_store, tmp_path, monkeypatch, failure):
+        path = tmp_path / "fixture.ndjson"
+        save(fixture_store, path)
+        before = path.read_bytes()
+        store = load(GOLDEN)
+        raised = OSError
+        if failure == "encode":
+            # Every line but the last unit's is written first.
+            _unsavable_text(store, monkeypatch)
+            raised = TypeError
+        else:
+            monkeypatch.setattr(os, failure, _fail)
+        with pytest.raises(raised):
+            save(store, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [path.name]
+
+    def test_a_failed_first_save_writes_nothing(self, tmp_path, monkeypatch):
+        store = load(GOLDEN)
+        _unsavable_text(store, monkeypatch)
+        with pytest.raises(TypeError):
+            save(store, tmp_path / "new.ndjson")
+        assert os.listdir(tmp_path) == []
+
+    def test_the_synced_sibling_replaces_the_snapshot(self, fixture_store, tmp_path, monkeypatch):
+        path = tmp_path / "fixture.ndjson"
+        path.write_text("old", encoding="utf-8")
+        calls = []
+        fsync, rename = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(("fsync",)) or fsync(fd))
+
+        def replace_file(source, target):
+            calls.append(("replace", Path(source).parent, Path(source).read_bytes(), target))
+            rename(source, target)
+
+        monkeypatch.setattr(os, "replace", replace_file)
+        save(fixture_store, path)
+        assert calls == [("fsync",), ("replace", tmp_path, GOLDEN.read_bytes(), path)]
+        assert path.read_bytes() == GOLDEN.read_bytes()
+        assert os.listdir(tmp_path) == [path.name]
+
+
 class TestGoldenSnapshot:
     """The on-disk format is pinned by a committed save of the fixture corpus."""
 
@@ -251,6 +309,30 @@ class TestLoad:
         with pytest.raises(MalformedSnapshot, match=f"invalid JSON \\({reason}\\)") as exc:
             _load_lines(lines, tmp_path)
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("edit", ["dropped", "owned by another work"])
+    def test_a_work_fact_without_its_metadata_unit_exits_3(self, snapshot_path, tmp_path,
+                                                           capsys, edit):
+        """Loaded, the work's facts could not be retrieved, and other works' would rank first."""
+        unit_id = metadata_unit_id(NORM_URN, "publication_date")
+        records = [json.loads(line)
+                   for line in snapshot_path.read_text(encoding="utf-8").splitlines()]
+        at = next(i for i, r in enumerate(records) if r["kind"] == "unit" and r["row"][0] == unit_id)
+        if edit == "dropped":
+            del records[at]
+        else:
+            _set(records[at], "owner", ART6_CPT)
+        lines = [_encode(record) for record in records]
+        with pytest.raises(MalformedSnapshot, match="the first is MissingMetadataUnit: "
+                                                    "metadata key 'publication_date'"):
+            _load_lines(lines, tmp_path)
+        code = main(["query", "retrieve", "--snapshot", str(tmp_path / "bad.ndjson"),
+                     "--text", "published", "--mode", "lexical", "--aspects", "metadata",
+                     "--json"])
+        assert code == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "MalformedSnapshot"
+        assert f"[{NORM_URN}, {unit_id}]" in error["message"]
 
     def test_unknown_record_kind(self, tmp_path):
         path = tmp_path / "bad.ndjson"
