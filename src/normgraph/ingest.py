@@ -58,7 +58,7 @@ from .model import (
     metadata_unit_id,
     parse_iso_date,
 )
-from .store import GraphStore
+from .store import GraphStore, pick_wording
 from .themes import define_theme
 
 DOC_SUFFIX = ".satdoc.json"
@@ -420,9 +420,11 @@ def render_action_text(action: ActionNode, store: GraphStore, language: str = "e
     )
     new_text = ""
     # The wording every reader picks: ``language``, else the norm's primary one.
-    lv_id = store.clv_for(produced_tv.id, target_urn, language, True) if produced_tv else None
-    if lv_id is not None:
-        new_text = store.units[store.clvs[lv_id].text_unit].text
+    if produced_tv is not None:
+        lv_id = pick_wording(store.clvs_by_ctv.get(produced_tv.id, {}),
+                             store.primary_language(target_urn), language, True)
+        if lv_id is not None:
+            new_text = store.units[store.clvs[lv_id].text_unit].text
     return locale["action_amendment"].format(
         instrument=instrument, source=source, target=target, norm=norm_title,
         terminated=terminated, previous_start=previous_start,

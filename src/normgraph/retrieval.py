@@ -80,7 +80,8 @@ class HashedTfidfEmbedder:
 
 def embedder_for_store(store: GraphStore) -> HashedTfidfEmbedder:
     """Embedder using the IDF statistics the store derives from its units."""
-    return HashedTfidfEmbedder(store.df, store.n_units)
+    index = store.text_index
+    return HashedTfidfEmbedder(index.df, index.n_units)
 
 
 def embeddings_of(store: GraphStore, unit_ids: list[str]) -> list[dict[int, float]]:
@@ -259,11 +260,10 @@ def _bm25_scores(store: GraphStore, query: str,
     whichever side each token took, and a scoped query reads what its scope
     holds rather than every posting of the corpus.
     """
-    n = max(store.n_units, 1)
-    avgdl = store.avgdl or 1.0
+    term_index, unit_len, doc_freq, n_units, avgdl = store.text_index
+    n = max(n_units, 1)
+    avgdl = avgdl or 1.0
     scores = dict.fromkeys(unit_ids, 0.0)
-    # Read once: these are store properties that may build the index.
-    term_index, unit_len, doc_freq = store.term_index, store.unit_len, store.df
     for token in sorted(set(tokenize(query))):
         df = doc_freq.get(token, 0)
         idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
@@ -437,7 +437,7 @@ def locate_spans(store: GraphStore, term: str, scope: Iterable[str],
     language when ``fallback`` is on, and otherwise contains nothing.
     Locations come in (work, chain position) order.
 
-    Membership is read from the committed store's term index (inverted-file
+    Membership is read from the store's term index (inverted-file
     evaluation, after Zobel & Moffat), and versions from its chain index,
     by one of two access paths that find the same locations. By default the
     chains of the scope's works are walked and the wording ``pick_wording``
@@ -451,7 +451,8 @@ def locate_spans(store: GraphStore, term: str, scope: Iterable[str],
     check adjacency.
     """
     needle = tokenize(term)
-    postings = [store.term_index.get(token) for token in dict.fromkeys(needle)]
+    term_index = store.text_index.term_index
+    postings = [term_index.get(token) for token in dict.fromkeys(needle)]
     if not needle or not all(postings):
         return []
     postings.sort(key=len)

@@ -1,49 +1,52 @@
 """Indexed in-memory graph container with a diffable on-disk format.
 
-Snapshots are newline-delimited JSON, format version 4, and hold only
-nodes. The first line is the meta header: the format version and each
-record kind's column order. Every other line is one node,
-``{"kind":"<kind>","row":[v1,v2,…]}`` with its values in the header's
-column order; kinds follow _KINDS and nodes are sorted by id, so re-saving
-an unchanged store is byte-identical.
+Snapshots are newline-delimited JSON, format version 5, and hold only
+nodes. The first line is the meta header: the format version, each record
+kind's column order and each kind's row count. Every other line is one
+node, ``{"kind":"<kind>","row":[v1,v2,…]}`` with its values in the
+header's column order; kinds follow _KINDS and nodes are sorted by id, so
+re-saving an unchanged store is byte-identical. A file without its header,
+or with another count of some kind's rows than the header gives, is
+rejected, so a snapshot that lost lines does not load. Snapshots of
+earlier versions are rejected with a hint to re-run ``normgraph ingest``.
 
 Values the nodes derive are not stored: the model builds a CTV's id, a
 CLV's id and text unit, and an action's description unit from the other
-fields (see model.py), so a snapshot cannot hold a foreign one. Which
-action produced or terminated a CTV is an index, filed from the actions'
-``produces``/``terminates`` as each is added or loaded (a CTV that two
-actions claim is rejected). Snapshots of earlier versions are rejected
-with a hint to re-run ``normgraph ingest``.
+fields (see model.py), so a snapshot cannot hold a foreign one.
 
-Indexes are never persisted; they are rebuilt on load. What the units'
-text gives (the inverted term index, unit lengths and the IDF statistics)
-is derived on its first read, and each unit's embedding on the first
-vector read of that unit (see retrieval.embeddings_of), the same way for a
-committed store and a loaded one.
+Indexes are never persisted, and follow one rule. What ingest writes and
+validate_graph reads is filed per node as each is added or loaded: each
+work's children and version chain, each CTV's language versions, which
+action produced or terminated a CTV (a CTV that two actions claim is
+rejected), and the alias and fragment tables. What only queries read is
+derived from the nodes in one pass on its first read after commit, once,
+by ``GraphStore._derived``, the same way for a committed store and a
+loaded one:
 
-So is the chain index (``GraphStore.chain_index``) that retrieval builds
-its candidates from and provenance locates and renders spans from: for
-each work that has wording in some version, its version chain as parallel
-arrays (each version's CTV id, valid_start and valid_end, and its
-language -> (CLV id, unit id) map) with the work's primary language; the
-work and chain position of each language version's unit; and each work's
-metadata units. It is derived from the nodes on the first retrieval or
-provenance query after commit, not on load, and is never persisted.
+- the text index (``GraphStore.text_index``): the inverted term index,
+  each unit's length and the IDF statistics, read by span location and
+  lexical and vector scoring;
+- the chain index (``GraphStore.chain_index``) that retrieval builds its
+  candidates from and provenance locates and renders spans from: for each
+  work that has wording in some version, its version chain as parallel
+  arrays (each version's CTV id, valid_start and valid_end, and its
+  language -> (CLV id, unit id) map) with the work's primary language; the
+  work and chain position of each language version's unit; and each work's
+  metadata units;
+- the time index (``GraphStore.time_index``), after Elmasri, Wuu & Kim
+  (VLDB 1990), that scope membership, impact analysis and action retrieval
+  read dates from: every work with a version chain, each norm's works in
+  preorder (``descendants`` order), with parallel arrays of each one's
+  first valid_start and last valid_end (None for an open end), so that
+  every work's subtree is one contiguous slice; each work's actions (those
+  that target it or terminate or produce one of its CTVs), ascending by
+  (effective date, id), with a parallel array of their effective dates;
+  and the corpus's sorted distinct action dates.
 
-So is the time index (``GraphStore.time_index``), a time index after
-Elmasri, Wuu & Kim (VLDB 1990), that scope membership, impact analysis and
-action retrieval read dates from: every work with a version chain, each
-norm's works in preorder (``descendants`` order), with parallel arrays of
-each one's first valid_start and last valid_end (None for an open end), so
-that every work's subtree is one contiguous slice; each work's
-``work_actions`` ids with a parallel array of their effective dates; and
-the corpus's sorted distinct action dates. It is derived from the nodes on
-the first scope read after commit (impact, a theme entry, a scoped
-retrieval or provenance query, or an action-description retrieval), not on
-load or by a point-in-time query on a work, and is never persisted.
-
-An uncommitted store, whose nodes may still change, derives the chain and
-time indexes afresh on each read and keeps neither.
+An uncommitted store, whose nodes may still change, derives each of them
+afresh on each read and keeps none. Each unit's embedding is derived on
+the first vector read of that unit (see retrieval.embeddings_of) and kept
+only by a committed store.
 
 Which of a version's wordings a reader gets is one rule, ``pick_wording``,
 over that version's language map; every reader of a wording calls it.
@@ -83,7 +86,7 @@ from .model import (
     validate_graph,
 )
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _W = TypeVar("_W")
 
@@ -105,10 +108,6 @@ class _TextIndex(NamedTuple):
     df: dict[str, int]  # token -> number of units holding it
     n_units: int  # retrievable units
     avgdl: float  # mean length of the retrievable units, in tokens
-
-
-# An uncommitted store's units may still change, so it derives nothing from them.
-_UNSEALED = _TextIndex({}, {}, {}, 0, 0.0)
 
 
 def pick_wording(languages: dict[str, _W], primary: str, language: str | None,
@@ -143,7 +142,7 @@ class _TimeIndex(NamedTuple):
     ends: list[date | None]  # each one's last valid_end; None while open
     # Work urn -> the slice of works holding it and its subtree.
     subtrees: dict[str, tuple[int, int]]
-    # Work urn -> its work_actions ids (the store's list) and their effective dates.
+    # Work urn -> the ids of its actions, ascending by (effective date, id), and their dates.
     actions: dict[str, tuple[list[str], list[date]]]
     days: list[date]  # the distinct effective dates of every action, ascending
 
@@ -155,12 +154,6 @@ class _ChainIndex(NamedTuple):
     # Unit id of each language version -> its work and chain position.
     placed_units: dict[str, tuple[str, int]]
     metadata_units: dict[str, list[str]]  # work urn -> ids of its metadata units
-
-
-def _text_stat(name: str) -> property:
-    """A store property that reads one member of the text index, building it on first read."""
-    get = operator.attrgetter(name)
-    return property(lambda store: get(store._built_text_index()))
 
 
 @dataclass
@@ -185,19 +178,18 @@ class GraphStore:
     unit_embeddings: dict[str, dict[int, float]] = field(
         default_factory=dict, compare=False, repr=False)
 
-    # Derived indexes; filed as each node is added or loaded, never persisted.
+    # Indexes ingest and validate_graph read; filed as each node is added or
+    # loaded, never persisted.
     children: dict[str, list[str]] = field(default_factory=dict, compare=False)
     versions: dict[str, list[str]] = field(default_factory=dict, compare=False)
     # valid_start of each entry of versions[urn], so version lookup bisects dates.
     version_starts: dict[str, list[date]] = field(default_factory=dict, compare=False)
-    work_actions: dict[str, list[str]] = field(default_factory=dict, compare=False)
     # CTV id -> the action that produced / terminated it; filed by _link_action.
     produced_by: dict[str, str] = field(default_factory=dict, compare=False)
     terminated_by: dict[str, str] = field(default_factory=dict, compare=False)
-    # Read through the properties named after its members; None until the
-    # first read after commit.
+    # Indexes only queries read; each read through the property of its name
+    # (text_index, ...) and None until the first read after commit.
     _text_index: _TextIndex | None = field(default=None, compare=False, repr=False)
-    # Read through chain_index and time_index; None until the first read after commit.
     _chain_index: _ChainIndex | None = field(default=None, compare=False, repr=False)
     _time_index: _TimeIndex | None = field(default=None, compare=False, repr=False)
     clvs_by_ctv: dict[str, dict[str, str]] = field(default_factory=dict, compare=False)
@@ -251,7 +243,6 @@ class GraphStore:
             raise ValueError(f"action {action.id!r} already exists")
         self._link_action(action)
         self.actions[action.id] = action
-        self._index_action(action)
 
     def add_unit(self, unit: TextUnit) -> None:
         self._assert_mutable()
@@ -305,16 +296,6 @@ class GraphStore:
         for index, cids, _ in links:
             index.update(dict.fromkeys(cids, action.id))
 
-    def _index_action(self, action: ActionNode) -> None:
-        touched = set(action.targets)
-        for cid in action.terminates + action.produces:
-            tv = self.ctvs.get(cid)
-            if tv is not None:
-                touched.add(tv.work)
-        for urn in touched:
-            insort(self.work_actions.setdefault(urn, []), action.id,
-                   key=lambda aid: (self.actions[aid].effective_date, aid))
-
     def _reindex(self) -> None:
         """File every node of a freshly loaded store, whose indexes are empty."""
         for work in self.works.values():
@@ -323,35 +304,22 @@ class GraphStore:
             self._index_ctv(tv)
         for lv in self.clvs.values():
             self._index_clv(lv)
-        for action in self.actions.values():
-            self._index_action(action)
 
     # -- commit ---------------------------------------------------------
 
     def commit(self) -> None:
         """Seal the store; ingest and load both end here.
 
-        Nothing is computed: text statistics and embeddings are derived on
-        their first read after this.
+        Nothing is computed: the derived indexes and embeddings are derived
+        on their first read after this.
         """
         self._assert_mutable()
         self.committed = True
 
-    # Properties, not __getattr__: a class with __getattr__ makes every
-    # attribute read on the store slower, not only these.
-    term_index = _text_stat("term_index")
-    unit_len = _text_stat("unit_len")
-    df = _text_stat("df")
-    n_units = _text_stat("n_units")
-    avgdl = _text_stat("avgdl")
-
-    def _built_text_index(self) -> _TextIndex:
-        index = self._text_index
-        if index is None:
-            if not self.committed:
-                return _UNSEALED
-            index = self._publish("_text_index", self._derive_text_index)
-        return index
+    @property
+    def text_index(self) -> _TextIndex:
+        """The text index (see the module docstring), derived on its first read."""
+        return self._derived("_text_index", self._derive_text_index)
 
     @property
     def chain_index(self) -> _ChainIndex:
@@ -364,24 +332,22 @@ class GraphStore:
         return self._derived("_time_index", self._derive_time_index)
 
     def _derived(self, slot: str, derive: Callable[[], tuple]) -> tuple:
-        """The index kept in ``slot``, derived and published on a committed store's first read."""
+        """The index kept in ``slot``, derived once, on a committed store's first read.
+
+        The derivation runs under the lock and sets ``slot`` in one
+        assignment, so racing first readers wait for it and none sees a
+        part-built index.
+        """
         index = getattr(self, slot)
         if index is None:
             if not self.committed:
                 # Its nodes may still change: derive afresh and keep nothing.
                 return derive()
-            index = self._publish(slot, derive)
+            with _BUILD_LOCK:
+                if getattr(self, slot) is None:
+                    setattr(self, slot, derive())
+                index = getattr(self, slot)
         return index
-
-    def _publish(self, slot: str, derive: Callable[[], tuple]) -> tuple:
-        """Derive a committed store's index once, under the lock, and set ``slot`` in one assignment.
-
-        Racing first readers wait for the one derivation, so none sees a part-built index.
-        """
-        with _BUILD_LOCK:
-            if getattr(self, slot) is None:
-                setattr(self, slot, derive())
-            return getattr(self, slot)
 
     def _derive_text_index(self) -> _TextIndex:
         """Tokenize every unit."""
@@ -448,10 +414,21 @@ class GraphStore:
         for urn, lo, own_end in reversed(preorder):
             kids = self.children.get(urn)
             subtrees[urn] = (lo, subtrees[kids[-1]][1] if kids else own_end)
-        actions = self.actions
-        by_work = {urn: (ids, [actions[aid].effective_date for aid in ids])
-                   for urn, ids in self.work_actions.items()}
-        days = sorted({action.effective_date for action in actions.values()})
+        # Each action is filed under its targets and the works of the CTVs it
+        # terminates or produces, then each work's are sorted once.
+        keyed: dict[str, list[tuple[date, str]]] = {}
+        for action in self.actions.values():
+            key = (action.effective_date, action.id)
+            touched = set(action.targets)
+            touched.update(ctvs[cid].work for cid in action.terminates + action.produces
+                           if cid in ctvs)
+            for urn in touched:
+                keyed.setdefault(urn, []).append(key)
+        by_work: dict[str, tuple[list[str], list[date]]] = {}
+        for urn, keys in keyed.items():
+            keys.sort()
+            by_work[urn] = ([aid for _, aid in keys], [day for day, _ in keys])
+        days = sorted({action.effective_date for action in self.actions.values()})
         return _TimeIndex(works, firsts, ends, subtrees, by_work, days)
 
     # -- read API ---------------------------------------------------------
@@ -487,13 +464,6 @@ class GraphStore:
             self.work(urn)  # raises UnknownWork for an unknown urn
             return None
         return self.version_starts[urn][0], self.ctvs[cids[-1]].validity.valid_end
-
-    def clv_for(self, ctv: str, work: str, language: str | None, fallback: bool) -> str | None:
-        """The CLV a reader of ``ctv`` (a version of ``work``) gets by ``pick_wording``, or None."""
-        languages = self.clvs_by_ctv.get(ctv)
-        if not languages:
-            return None
-        return pick_wording(languages, self.primary_language(work), language, fallback)
 
     def norm_of(self, urn: str) -> WorkNode:
         return self.work(self.work(urn).id.norm_urn)
@@ -693,7 +663,7 @@ _KINDS = {
     ),
 }
 _COLUMNS = {kind: spec.keys for kind, spec in _KINDS.items()}
-_HEADER = ("kind", "format_version", "columns")
+_HEADER = ("kind", "format_version", "columns", "rows")
 
 
 def save(store: GraphStore, path: str | Path) -> None:
@@ -711,7 +681,8 @@ def save(store: GraphStore, path: str | Path) -> None:
     target = Path(path)
     # Unique among the writers running now, so no two share one.
     temporary = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    meta = {"kind": "meta", "format_version": FORMAT_VERSION, "columns": _COLUMNS}
+    meta = {"kind": "meta", "format_version": FORMAT_VERSION, "columns": _COLUMNS,
+            "rows": {kind: len(getattr(store, spec.nodes)) for kind, spec in _KINDS.items()}}
     encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
     try:
         with open(temporary, "w", encoding="utf-8") as fh:
@@ -753,22 +724,24 @@ def _parse_line(raw: str):
 def load(path: str | Path) -> GraphStore:
     """Read a snapshot, rebuild its indexes, and check every model invariant.
 
-    Raises MalformedSnapshot on parse failures: a first record that is not
-    the meta header, a second header, a ``format_version`` other than
-    FORMAT_VERSION, a header whose members are not _HEADER or whose
-    ``columns`` are not this version's, a record of an unknown kind, a row
-    value that is missing or of the wrong type (see _KINDS), a repeated id,
-    or a CTV that two actions claim. Then validate_graph runs once: when
-    it reports any violation, raises DanglingReference if the first is one
-    (validate_graph checks references first, derived unit ids included),
-    and MalformedSnapshot, naming the first and giving the count, otherwise.
-    A file with no records loads as an empty store. The store is committed,
-    as an ingest ends.
+    Raises MalformedSnapshot on parse failures: a file with no records, a
+    first record that is not the meta header, a second header, a
+    ``format_version`` other than FORMAT_VERSION, a header whose members
+    are not _HEADER, whose ``columns`` are not this version's or whose
+    ``rows`` do not give each kind an integer, a record of an unknown kind,
+    a row value that is missing or of the wrong type (see _KINDS), a
+    repeated id, or a CTV that two actions claim. Then validate_graph runs
+    once: when it reports any violation, raises DanglingReference if the
+    first is one (validate_graph checks references first, derived unit ids
+    included), and MalformedSnapshot, naming the first and giving the
+    count, otherwise. Last, raises MalformedSnapshot when some kind's rows
+    are not as many as the header gives. The store is committed, as an
+    ingest ends.
     """
     store = GraphStore()
     spath = str(path)
     node_maps = {kind: getattr(store, spec.nodes) for kind, spec in _KINDS.items()}
-    header_seen = False
+    rows: dict[str, int] | None = None  # the header's, once it is read
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -782,9 +755,8 @@ def load(path: str | Path) -> GraphStore:
                 raise MalformedSnapshot("record is not a JSON object", path=spath, line=lineno)
             kind = rec.get("kind")
             if kind == "meta":
-                if header_seen:
+                if rows is not None:
                     raise MalformedSnapshot("second meta header", path=spath, line=lineno)
-                header_seen = True
                 version = rec.get("format_version")
                 if type(version) is not int or version != FORMAT_VERSION:
                     raise MalformedSnapshot(
@@ -796,10 +768,14 @@ def load(path: str | Path) -> GraphStore:
                     why = f"the header must be an object of {', '.join(_HEADER)}"
                 elif rec["columns"] != _COLUMNS:
                     why = "'columns' must list each kind's columns in this version's order"
+                elif (type(rec["rows"]) is not dict or sorted(rec["rows"]) != sorted(_KINDS)
+                      or not all(type(n) is int for n in rec["rows"].values())):
+                    why = "'rows' must give each kind's row count as an integer"
                 else:
+                    rows = rec["rows"]
                     continue
                 raise MalformedSnapshot(f"bad meta header: {why}", path=spath, line=lineno)
-            if not header_seen:
+            if rows is None:
                 raise MalformedSnapshot(
                     f"missing meta header: the first record is a {kind!r} record",
                     path=spath, line=lineno)
@@ -829,6 +805,8 @@ def load(path: str | Path) -> GraphStore:
                 raise MalformedSnapshot(f"bad {kind!r} record: {spec.why_bad(rec, exc)}",
                                         path=spath, line=lineno) from None
 
+    if rows is None:
+        raise MalformedSnapshot("missing meta header: the file holds no records", path=spath)
     store._reindex()
     violations = validate_graph(store)
     if violations:
@@ -837,5 +815,9 @@ def load(path: str | Path) -> GraphStore:
             raise DanglingReference(*first.nodes)
         raise MalformedSnapshot(
             f"{len(violations)} invariant violation(s); the first is {first}", path=spath)
+    for kind, nodes in node_maps.items():
+        if len(nodes) != rows[kind]:
+            raise MalformedSnapshot(f"the header gives {rows[kind]} {kind} row(s), "
+                                    f"the file holds {len(nodes)}", path=spath)
     store.commit()
     return store

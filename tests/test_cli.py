@@ -426,7 +426,7 @@ class TestMoreEdges:
 
     def test_query_on_a_unit_line_with_an_embedding_exits_3(
             self, snapshot_file, tmp_path, capsys):
-        # A version 3 unit line under a version 4 header: embeddings are derived now.
+        # A version 3 unit line under a version 5 header: embeddings are derived now.
         lines = snapshot_file.read_text(encoding="utf-8").splitlines()
         index = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "unit")
         record = json.loads(lines[index])
@@ -445,22 +445,27 @@ class TestMoreEdges:
                    "metadata": {}, "ordinal": 0, "parent": None, "work_kind": "norm"}
     _V3_WORK = {"kind": "work", "row": ["urn:n", [], "norm", "other", None, 0, {}]}
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_query_on_an_older_snapshot_exits_3_and_asks_for_a_reingest(
-            self, tmp_path, capsys, version):
+            self, snapshot_file, tmp_path, capsys, version):
         # Versions 1 and 2 sort keys and key records by name; version 3 has
-        # positional rows and stores the embedding config and IDF statistics.
+        # positional rows and stores the embedding config and IDF statistics;
+        # version 4 has this version's rows but no row counts in its header.
         header = {"kind": "meta", "format_version": version,
                   "embedding": {"dimension": 256, "name": "hashed_tfidf"},
                   "idf": {"avgdl": 1.0, "df": {"food": 1}, "n_units": 1}}
-        work = self._V3_WORK if version == 3 else self._V1_V2_WORK
+        if version == 4:
+            header = json.loads(snapshot_file.read_text(encoding="utf-8").splitlines()[0])
+            header["format_version"] = 4
+            del header["rows"]
+        work = self._V1_V2_WORK if version < 3 else self._V3_WORK
         old = tmp_path / f"v{version}.ndjson"
         old.write_text(f"{json.dumps(header)}\n{json.dumps(work)}\n", encoding="utf-8")
         code = main(["query", "at", "--snapshot", str(old), "--target", "art6",
                      "--at", "2011-01-01"])
         assert code == 3
         err = capsys.readouterr().err
-        assert f":1: unsupported format_version {version} (this version reads 4)" in err
+        assert f":1: unsupported format_version {version} (this version reads 5)" in err
         assert "re-run `normgraph ingest`" in err
 
     def test_query_on_a_snapshot_without_its_header_exits_3(
@@ -472,6 +477,22 @@ class TestMoreEdges:
                      "--target", "art6", "--at", "2011-01-01", "--mode", "lexical"])
         assert code == 3
         assert ":1: missing meta header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kept", [0, 1], ids=["empty", "header-only"])
+    def test_query_on_a_truncated_snapshot_exits_3(self, snapshot_file, tmp_path, capsys,
+                                                   kept):
+        # No node is left to break an invariant: only the header's row counts
+        # tell that the rest is missing.
+        lines = snapshot_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        truncated = tmp_path / "truncated.ndjson"
+        truncated.write_text("".join(lines[:kept]), encoding="utf-8")
+        code = main(["query", "at", "--snapshot", str(truncated), "--target", "art6",
+                     "--at", "2011-01-01", "--json"])
+        assert code == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "MalformedSnapshot"
+        assert ("the file holds no records" if kept == 0
+                else "the header gives 17 work row(s), the file holds 0") in error["message"]
 
 
 # Runs point-in-time, impact and provenance queries in one process, lists the

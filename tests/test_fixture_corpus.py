@@ -6,6 +6,7 @@ from importlib import resources
 
 from normgraph.cli import main
 from normgraph.model import ActionType, WorkKind, validate_graph
+from normgraph.store import pick_wording
 
 from reference_ids import ART6_CPT, ART7_CPT, NORM_URN, RIGHTS_1999
 
@@ -66,8 +67,9 @@ def test_art7_amended_once(fixture_store):
 
 def test_1999_rights_list_is_the_published_one(fixture_store):
     first = fixture_store.versions_of(ART6_CPT)[0]
-    text = fixture_store.units[
-        fixture_store.clvs[fixture_store.clv_for(first.id, ART6_CPT, "pt", False)].text_unit].text
+    lv_id = pick_wording(fixture_store.clvs_by_ctv[first.id],
+                         fixture_store.primary_language(ART6_CPT), "pt", False)
+    text = fixture_store.units[fixture_store.clvs[lv_id].text_unit].text
     for right in RIGHTS_1999:
         assert right in text
     assert "housing" not in text

@@ -32,7 +32,7 @@ from normgraph.ingest import (
 from normgraph.model import (
     Aspect, ComponentType, WorkId, WorkKind, WorkNode, metadata_tuple, metadata_unit_id,
     validate_graph)
-from normgraph.store import GraphStore, save
+from normgraph.store import GraphStore, pick_wording, save
 
 from reference_ids import (
     ACT_CA26,
@@ -261,7 +261,9 @@ class TestEnact:
     def test_fixture_art6_caput_is_open_and_lacks_housing(self, fixture_store):
         first = fixture_store.versions_of(ART6_CPT)[0]
         assert first.validity.valid_start == date(1988, 10, 5)
-        lv = fixture_store.clvs[fixture_store.clv_for(first.id, ART6_CPT, "pt", False)]
+        lv = fixture_store.clvs[pick_wording(fixture_store.clvs_by_ctv[first.id],
+                                             fixture_store.primary_language(ART6_CPT), "pt",
+                                             False)]
         text = fixture_store.units[lv.text_unit].text
         assert "housing" not in text
         assert "education" in text
@@ -298,7 +300,9 @@ class TestApplyEvent:
         assert original.validity.valid_end == date(2000, 2, 15)
         assert fixture_store.terminated_by[original.id] == ACT_CA26
         assert ca26.validity.valid_start == date(2000, 2, 15)
-        lv = fixture_store.clvs[fixture_store.clv_for(ca26.id, ART6_CPT, "pt", False)]
+        lv = fixture_store.clvs[pick_wording(fixture_store.clvs_by_ctv[ca26.id],
+                                             fixture_store.primary_language(ART6_CPT), "pt",
+                                             False)]
         text = fixture_store.units[lv.text_unit].text
         assert "housing" in text
 
@@ -630,7 +634,7 @@ def test_two_root_insertion_merges_into_the_parent_version_of_that_day():
 
 # Every store field a write path fills, nodes and indexes alike.
 _STORE_STATE = ("works", "ctvs", "clvs", "actions", "units", "versions", "children",
-                "produced_by", "terminated_by", "work_actions")
+                "produced_by", "terminated_by")
 
 
 def _repeal_art1_then_amend_its_caput(store):

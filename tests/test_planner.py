@@ -28,7 +28,7 @@ from normgraph.planner import (
     run,
     select_strategy,
 )
-from normgraph.store import GraphStore, load, save
+from normgraph.store import GraphStore, load, pick_wording, save
 from normgraph.temporal import MembershipPolicy, TemporalScope
 
 import synthcorpus
@@ -434,9 +434,10 @@ class TestProvenance:
 
     def test_education_present_since_enactment(self, fixture_store, clock):
         # Oracle check: the term survives into every version of the caput.
+        primary = fixture_store.primary_language(ART6_CPT)
         texts = [
-            fixture_store.units[fixture_store.clvs[
-                fixture_store.clv_for(tv.id, ART6_CPT, "pt", False)].text_unit].text
+            fixture_store.units[fixture_store.clvs[pick_wording(
+                fixture_store.clvs_by_ctv[tv.id], primary, "pt", False)].text_unit].text
             for tv in fixture_store.versions_of(ART6_CPT)
         ]
         assert all("education" in t for t in texts)

@@ -202,8 +202,7 @@ class TestDerivedOnLoad:
         save(store, path)
         loaded = load(path)
         assert loaded.unit_embeddings == {}
-        for name in ("df", "n_units", "avgdl", "term_index", "unit_len"):
-            assert getattr(loaded, name) == getattr(store, name), name
+        assert loaded.text_index == store.text_index
         rng = random.Random(str(seed))
         texts = sorted(unit.text for unit in store.units.values())
         queries = rng.sample(texts, 2) + [" ".join(rng.sample(synthcorpus.WORDS, 2)), "zebra"]
@@ -219,7 +218,7 @@ class TestDerivedOnLoad:
                             t, text, mode, language)
         # Each embedding, kept by those reads or derived now, is embed(text)
         # under the committed statistics, bit for bit.
-        embed = HashedTfidfEmbedder(store.df, store.n_units).embed
+        embed = HashedTfidfEmbedder(store.text_index.df, store.text_index.n_units).embed
         assert entry_bits(loaded) == {
             uid: [(i, v.hex()) for i, v in embed(store.units[uid].text).items()]
             for uid in sorted(store.units)}
@@ -231,15 +230,16 @@ class TestDerivedOnLoad:
         _, store = _committed_store(seed, shared_french=True, late_spanish=True)
         tokens = {uid: tokenize(unit.text) for uid, unit in store.units.items()}
         lengths = [len(tokens[uid]) for uid, unit in store.units.items() if unit.retrievable]
-        assert store.n_units == len(lengths) > 0
-        assert store.avgdl == sum(lengths) / len(lengths)
-        assert store.unit_len == {uid: len(words) for uid, words in tokens.items()}
-        assert store.df == dict(Counter(t for words in tokens.values() for t in set(words)))
+        index = store.text_index
+        assert index.n_units == len(lengths) > 0
+        assert index.avgdl == sum(lengths) / len(lengths)
+        assert index.unit_len == {uid: len(words) for uid, words in tokens.items()}
+        assert index.df == dict(Counter(t for words in tokens.values() for t in set(words)))
         postings: dict[str, dict[str, int]] = {}
         for uid, words in tokens.items():
             for token, count in Counter(words).items():
                 postings.setdefault(token, {})[uid] = count
-        assert store.term_index == postings
+        assert index.term_index == postings
 
     @pytest.mark.parametrize("text", [
         pytest.param("", id="empty"),
@@ -260,11 +260,11 @@ class TestDerivedOnLoad:
         path = tmp_path / "s.ndjson"
         save(store, path)
         loaded = load(path)
-        for name in ("df", "n_units", "avgdl", "term_index", "unit_len"):
-            assert getattr(loaded, name) == getattr(store, name), name
+        index = store.text_index
+        assert loaded.text_index == index
         lengths = [len(tokenize(u.text)) for u in store.units.values() if u.retrievable]
-        assert (store.n_units, store.avgdl) == (len(lengths), sum(lengths) / len(lengths))
-        embed = HashedTfidfEmbedder(store.df, store.n_units).embed
+        assert (index.n_units, index.avgdl) == (len(lengths), sum(lengths) / len(lengths))
+        embed = HashedTfidfEmbedder(index.df, index.n_units).embed
         assert entry_bits(loaded) == {
             uid: [(i, v.hex()) for i, v in embed(store.units[uid].text).items()]
             for uid in sorted(store.units)}
@@ -619,7 +619,7 @@ class TestIndexBackedSpans:
     @pytest.mark.parametrize("fallback", [True, False])
     def test_an_uncommitted_store_renders_provenance_as_the_committed_one_does(
             self, monkeypatch, fallback):
-        """It derives the chain index afresh on each read, keeps none, and answers alike."""
+        """It derives the text and chain indexes afresh on each read, keeps none, and answers alike."""
         builds: list[bool] = []  # each derivation's store.committed
         derive = GraphStore._derive_chain_index
 
@@ -635,9 +635,6 @@ class TestIndexBackedSpans:
         for seed in range(0, 40, 5):
             corpus, committed = _committed_store(seed, late_spanish=True)
             _, store = _translated_store(seed, late_spanish=True)
-            # An uncommitted store derives no text index by itself, since its
-            # units may still change; give it its own, so that it locates spans.
-            store._text_index = store._derive_text_index()
             clock = (corpus.event_dates() or [corpus.enactment])[-1]
             for language in (None, "es", "en"):
                 for term in terms:
@@ -654,7 +651,8 @@ class TestIndexBackedSpans:
                             continue
                         builds.clear()
                         got = run(store, query, clock)
-                        assert builds and not any(builds) and store._chain_index is None
+                        assert builds and not any(builds)
+                        assert store._chain_index is None and store._text_index is None
                         assert (got.rendered_text, got.citations, got.annex_json()) == (
                             expected.rendered_text, expected.citations,
                             expected.annex_json()), (seed, term, language, target)
@@ -664,12 +662,31 @@ class TestIndexBackedSpans:
         assert answered > 80 and with_pre_state > 50
         assert {"version 2", _SPANISH["water"]} <= answered_terms
 
-    def test_uncommitted_store_has_no_term_index(self):
-        corpus = synthcorpus.generate_corpus(1)
-        store = synthcorpus.build_store(corpus)
-        for by_postings in (False, True):
-            assert locate_spans(store, "provision", sorted(store.works),
-                                by_postings=by_postings) == []
+    @pytest.mark.parametrize("seed", [1, 6, 11])
+    def test_an_uncommitted_store_locates_and_scores_as_the_committed_one_does(self, seed):
+        """Each read derives the text, chain and time indexes afresh, and none is kept."""
+        corpus, committed = _committed_store(seed, late_spanish=True, themes=True)
+        _, store = _translated_store(seed, late_spanish=True, themes=True)
+        works, uids = sorted(store.works), sorted(store.units)
+        found = 0
+        for term in ("provision", "version 2", _SPANISH["water"], "zebra"):
+            for language in (None, "es"):
+                for by_postings in (False, True):
+                    spans = locate_spans(store, term, works, language, True, by_postings)
+                    assert spans == locate_spans(committed, term, works, language, True,
+                                                 by_postings), (term, language, by_postings)
+                    found += len(spans)
+        for text in ("provision version", _SPANISH["rights"], "zebra", ""):
+            assert _bm25_scores(store, text, uids) == _bm25_scores(committed, text, uids)
+            assert _vector_scores(store, text, uids) == _vector_scores(committed, text, uids)
+            for mode in RetrievalMode:
+                # Action descriptions are read from the time index.
+                req = RetrievalRequest(text, frozenset(works), corpus.enactment, k=10_000,
+                                       aspects=frozenset(Aspect), mode=mode)
+                assert scoped_search(store, req) == scoped_search(committed, req)
+        assert found > 0 and not store.committed
+        assert (store._text_index, store._chain_index, store._time_index) == (None, None, None)
+        assert store.unit_embeddings == {}
 
     def test_a_second_unit_of_a_language_version_is_not_its_wording(self):
         corpus = synthcorpus.generate_corpus(1)
@@ -678,7 +695,7 @@ class TestIndexBackedSpans:
         store.add_unit(TextUnit(id="tu:stray", aspect=Aspect.CONTENT, owner=lv.id,
                                 language=lv.language, text="zebra"))
         store.commit()
-        assert "tu:stray" in store.term_index["zebra"]
+        assert "tu:stray" in store.text_index.term_index["zebra"]
         for by_postings in (False, True):
             assert locate_spans(store, "zebra", sorted(store.works),
                                 by_postings=by_postings) == []
@@ -1016,11 +1033,11 @@ class _ReadPostings(dict):
 
 
 def _recording_statistics(store: GraphStore, reads: set) -> SimpleNamespace:
-    """The text statistics _bm25_scores reads from a store, with postings that note their reads."""
-    return SimpleNamespace(
+    """The text index _bm25_scores reads from a store, with postings that note their reads."""
+    index = store.text_index
+    return SimpleNamespace(text_index=index._replace(
         term_index={token: _ReadPostings(token, postings, reads)
-                    for token, postings in store.term_index.items()},
-        unit_len=store.unit_len, df=store.df, n_units=store.n_units, avgdl=store.avgdl)
+                    for token, postings in index.term_index.items()}))
 
 
 def _lexical_probes(reference: _LinearSearch) -> list[str]:
@@ -1077,7 +1094,7 @@ def _match_linear_scan(stores: list[GraphStore], scopes: list[frozenset[str]],
                                 uid: reference._bm25(probe, uid) for uid in units}, (
                                 t, language, fallback, probe, len(scope))
                             for token, side in reads:
-                                fewer = len(units) < len(store.term_index[token])
+                                fewer = len(units) < len(store.text_index.term_index[token])
                                 seen["bm25", side, fewer] += 1
                         seen["bm25", "empty text"] += sum(
                             not reference.tokens[uid] for uid in units)

@@ -39,7 +39,7 @@ def _mutate_header(data, line: str) -> str:
     op = data.draw(st.sampled_from(HEADER_MUTATIONS), label="mutation")
     if op == "truncate":
         return line[:data.draw(st.integers(0, len(line) - 1), label="cut")]
-    objects = [header, header["columns"]]
+    objects = [header, header["columns"], header["rows"]]
     target = data.draw(st.sampled_from(objects), label="object")
     if op == "add_key":
         target[data.draw(st.text(max_size=8), label="key")] = data.draw(JSON_VALUES, label="value")
@@ -96,14 +96,13 @@ def _load_a_mutated_record(snapshot_path, fuzz_dir, data, kinds) -> None:
     embeddings = entry_bits(store)
     assert set(embeddings) == set(store.units)
     assert all(0 <= i < EMBEDDING_DIMENSION for entries in embeddings.values() for i, _ in entries)
-    assert set(store.unit_len) == set(store.units)
+    assert set(store.text_index.unit_len) == set(store.units)
     resaved = fuzz_dir / "resaved.ndjson"
     save(store, resaved)
     reloaded = load(resaved)
     for nodes in NODES:
         assert getattr(reloaded, nodes) == getattr(store, nodes), nodes
-    assert (reloaded.df, reloaded.n_units, reloaded.avgdl) == (store.df, store.n_units,
-                                                                store.avgdl)
+    assert reloaded.text_index == store.text_index
     assert entry_bits(reloaded) == embeddings
 
 

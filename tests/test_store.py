@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from normgraph.cli import main
-from normgraph.errors import DanglingReference, MalformedSnapshot, UnknownWork
+from normgraph.errors import DanglingReference, DataError, MalformedSnapshot, UnknownWork
 from normgraph.ingest import enact, ingest_corpus, parse_document
 from normgraph.model import (
     ActionNode,
@@ -43,7 +43,7 @@ from normgraph.retrieval import (
     embeddings_of,
     scoped_search,
 )
-from normgraph.store import FORMAT_VERSION, GraphStore, load, save, tokenize
+from normgraph.store import FORMAT_VERSION, GraphStore, load, pick_wording, save, tokenize
 from normgraph.temporal import MembershipPolicy, TemporalScope, resolve_scope
 
 import synthcorpus
@@ -52,9 +52,8 @@ from test_ingest import amendment_file, apply_file, mini_doc
 
 # A save of the fixture corpus in the current format; see TestGoldenSnapshot.
 GOLDEN = Path(__file__).parent / "data" / "golden_fixture.ndjson"
-# The golden file's header: the format version and each kind's column order.
+# The golden file's column order for each kind.
 COLUMNS = json.loads(GOLDEN.read_text(encoding="utf-8").splitlines()[0])["columns"]
-META = {"kind": "meta", "format_version": FORMAT_VERSION, "columns": COLUMNS}
 DROP = object()
 
 
@@ -104,9 +103,7 @@ class TestRoundTrip:
         assert loaded.actions == fixture_store.actions
         assert loaded.themes == fixture_store.themes
         assert loaded.units == fixture_store.units
-        assert loaded.df == fixture_store.df
-        assert loaded.n_units == fixture_store.n_units
-        assert loaded.avgdl == fixture_store.avgdl
+        assert loaded.text_index == fixture_store.text_index
 
     def test_save_load_save_is_byte_identical(self, fixture_store, tmp_path):
         first = tmp_path / "a.ndjson"
@@ -134,7 +131,7 @@ class TestRoundTrip:
         save(fixture_store, path)
         assert "term_index" not in path.read_text(encoding="utf-8")
         loaded = load(path)
-        assert loaded.term_index == fixture_store.term_index
+        assert loaded.text_index.term_index == fixture_store.text_index.term_index
 
     @pytest.mark.parametrize("mode", [RetrievalMode.VECTOR, RetrievalMode.HYBRID])
     def test_a_loaded_store_answers_vector_queries_as_the_committed_one(
@@ -244,7 +241,7 @@ class TestGoldenSnapshot:
         assert validate_graph(golden) == []
         for nodes in ("works", "ctvs", "clvs", "actions", "themes", "units"):
             assert getattr(golden, nodes) == getattr(fixture_store, nodes), nodes
-        assert (golden.df, golden.n_units) == (fixture_store.df, fixture_store.n_units)
+        assert golden.text_index == fixture_store.text_index
 
     # No snapshot byte comes from float arithmetic, so none depends on the
     # platform's math.log or on how a float is printed.
@@ -274,16 +271,20 @@ class TestLoad:
         assert store.works[NORM_URN].kind.value == "norm"
         assert len(store.versions_of(ART6_CPT)) == 4
 
-    def test_empty_file_loads_empty_store(self, tmp_path):
+    @pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank-lines"])
+    def test_a_file_with_no_records_is_rejected(self, tmp_path, text):
         path = tmp_path / "empty.ndjson"
-        path.write_text("", encoding="utf-8")
-        store = load(path)
-        assert sum(store.node_counts().values()) == 0
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedSnapshot, match="missing meta header: the file holds no "
+                                                    "records") as exc:
+            load(path)
+        assert exc.value.line is None
 
     def test_dangling_aggregate_reference(self, tmp_path):
         path = tmp_path / "bad.ndjson"
         records = [
-            META,
+            {"kind": "meta", "format_version": FORMAT_VERSION, "columns": COLUMNS,
+             "rows": {**dict.fromkeys(COLUMNS, 0), "work": 1, "ctv": 1}},
             {"kind": "work", "row": ["urn:n", [], "norm", "other", None, 0, {}]},
             {"kind": "ctv", "row": ["urn:n", "2000-01-01", None, ["urn:n!a@2000-01-01"]]},
         ]
@@ -383,7 +384,7 @@ class TestMetaHeader:
             _load_lines(lines, tmp_path)
         assert exc.value.line == 3
 
-    @pytest.mark.parametrize("version", [1, 2, 3.0, "3", None])
+    @pytest.mark.parametrize("version", [1, 2, 3.0, "3", 4, None])
     def test_another_version_is_rejected_with_a_reingest_hint(
             self, snapshot_path, tmp_path, version):
         lines = snapshot_path.read_text(encoding="utf-8").splitlines()
@@ -397,9 +398,62 @@ class TestMetaHeader:
         assert "re-run `normgraph ingest`" in str(exc.value)
 
 
+def _seed1_snapshot(tmp_path) -> Path:
+    store = synthcorpus.build_store(synthcorpus.generate_corpus(1))
+    store.commit()
+    path = tmp_path / "seed1.ndjson"
+    save(store, path)
+    return path
+
+
+class TestWholeOrRejected:
+    """A snapshot that lost any of its lines does not load: the header's row
+    counts tell what no invariant can, such as a stub work that nothing references."""
+
+    @staticmethod
+    def _snapshot(which: str, tmp_path) -> list[str]:
+        path = GOLDEN if which == "golden" else _seed1_snapshot(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == {"golden": 78, "seed1": 126}[which]
+        return lines
+
+    @staticmethod
+    def _rejected(text: str, tmp_path) -> None:
+        path = tmp_path / "cut.ndjson"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError):
+            load(path)
+
+    @pytest.mark.parametrize("which", ["golden", "seed1"])
+    def test_every_single_line_deletion_is_rejected(self, tmp_path, which):
+        lines = self._snapshot(which, tmp_path)
+        for at in range(len(lines)):
+            self._rejected("".join(lines[:at] + lines[at + 1:]), tmp_path)
+
+    @pytest.mark.parametrize("which", ["golden", "seed1"])
+    def test_every_line_boundary_truncation_is_rejected(self, tmp_path, which):
+        lines = self._snapshot(which, tmp_path)
+        for kept in range(len(lines)):
+            self._rejected("".join(lines[:kept]), tmp_path)
+        # The whole file, with or without its last newline, loads.
+        for text in ("".join(lines), "".join(lines).rstrip("\n")):
+            (tmp_path / "whole.ndjson").write_text(text, encoding="utf-8")
+            assert load(tmp_path / "whole.ndjson").committed
+
+    def test_a_missing_stub_work_is_named_with_both_counts(self, tmp_path):
+        lines = self._snapshot("seed1", tmp_path)
+        # The first work is an amending act's stub, which no other node names.
+        assert json.loads(lines[1])["row"][0].startswith("urn:test:act:")
+        works = json.loads(lines[0])["rows"]["work"]
+        with pytest.raises(MalformedSnapshot, match=re.escape(
+                f"the header gives {works} work row(s), the file holds {works - 1}")) as exc:
+            _load_lines([line.rstrip("\n") for line in lines[:1] + lines[2:]], tmp_path)
+        assert exc.value.line is None
+
+
 class TestStrictHeader:
-    """The header holds exactly kind, format_version and columns; anything else,
-    such as the embedding and IDF blocks of version 3, is a malformed snapshot."""
+    """The header holds exactly kind, format_version, columns and rows; anything
+    else, such as the embedding and IDF blocks of version 3, is a malformed snapshot."""
 
     @pytest.mark.parametrize("where, key, value, reason", [
         pytest.param(None, "columns", DROP, "the header must be an object of", id="no-columns"),
@@ -420,6 +474,15 @@ class TestStrictHeader:
                      "'columns' must list each kind's columns", id="unit-embedding-column"),
         pytest.param("columns", "unit", DROP, "'columns' must list each kind's columns",
                      id="no-unit-columns"),
+        pytest.param(None, "rows", DROP, "the header must be an object of", id="no-rows"),
+        pytest.param(None, "rows", [17, 5, 29, 9, 1, 16], "'rows' must give each kind's row",
+                     id="rows-list"),
+        pytest.param("rows", "theme", DROP, "'rows' must give each kind's row",
+                     id="no-theme-rows"),
+        pytest.param("rows", "embedding", 16, "'rows' must give each kind's row",
+                     id="embedding-rows"),
+        pytest.param("rows", "clv", "9", "'rows' must give each kind's row", id="rows-string"),
+        pytest.param("rows", "theme", True, "'rows' must give each kind's row", id="rows-bool"),
     ])
     def test_a_bad_header_exits_3(self, snapshot_path, tmp_path, capsys, where, key, value,
                                   reason):
@@ -443,7 +506,9 @@ class TestStrictHeader:
         path = tmp_path / "snap.ndjson"
         save(fixture_store, path)
         header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
-        assert header == {"kind": "meta", "format_version": 4, "columns": COLUMNS}
+        assert header == {"kind": "meta", "format_version": 5, "columns": COLUMNS,
+                          "rows": {"work": 17, "action": 5, "ctv": 29, "clv": 9, "theme": 1,
+                                   "unit": 16}}
 
 
 class TestStrictRecords:
@@ -580,7 +645,7 @@ class TestDerivedColumns:
 
         def state():
             return (dict(store.actions), dict(store.produced_by), dict(store.terminated_by),
-                    {urn: list(ids) for urn, ids in store.work_actions.items()})
+                    store.time_index.actions)
 
         before = state()
         with pytest.raises(ValueError, match=f"is {verb} by both 'act:1' and 'act:2'"):
@@ -673,8 +738,8 @@ from normgraph.store import load
 
 store = load(sys.argv[1])
 print(json.dumps({
-    "df": list(store.df.items()),
-    "avgdl": store.avgdl.hex(),
+    "df": list(store.text_index.df.items()),
+    "avgdl": store.text_index.avgdl.hex(),
     "embeddings": [[[i, v.hex()] for i, v in entries.items()]
                    for entries in embeddings_of(store, sorted(store.units))],
 }))
@@ -705,21 +770,24 @@ class TestEmbeddingEntries:
         first = embeddings_of(store, [uid])[0]
         assert list(store.unit_embeddings) == [uid]
         assert embeddings_of(store, [uid])[0] is first
-        expected = HashedTfidfEmbedder(store.df, store.n_units).embed(store.units[uid].text)
+        index = store.text_index
+        expected = HashedTfidfEmbedder(index.df, index.n_units).embed(store.units[uid].text)
         assert [(i, v.hex()) for i, v in first.items()] == [
             (i, v.hex()) for i, v in expected.items()]
 
     def test_an_uncommitted_store_derives_and_keeps_nothing(self):
-        # Its units may still change; commit is where derivation may start.
+        # Its units may still change: each read derives afresh from them.
         store = synthcorpus.build_store(synthcorpus.generate_corpus(1))
         uid = sorted(store.units)[0]
-        assert (store.df, store.n_units, store.avgdl, store.term_index) == ({}, 0, 0.0, {})
-        embeddings_of(store, [uid])
-        assert store.unit_embeddings == {}
+        first = store.text_index
+        assert first.n_units == sum(u.retrievable for u in store.units.values()) > 0
+        assert store.text_index is not first and store.text_index == first
+        embedded = embeddings_of(store, [uid])
+        assert store._text_index is None and store.unit_embeddings == {}
         store.commit()
-        assert store.n_units == sum(u.retrievable for u in store.units.values()) > 0
-        expected = HashedTfidfEmbedder(store.df, store.n_units).embed(store.units[uid].text)
-        assert embeddings_of(store, [uid]) == [expected]
+        assert store.text_index == first
+        expected = HashedTfidfEmbedder(first.df, first.n_units).embed(store.units[uid].text)
+        assert embeddings_of(store, [uid]) == embedded == [expected]
         assert list(store.unit_embeddings) == [uid]
 
     @pytest.mark.parametrize("hash_seed", ["0", "1", "4242"])
@@ -734,8 +802,8 @@ class TestEmbeddingEntries:
         store = load(GOLDEN)
         uids = sorted(store.units)
         assert json.loads(done.stdout) == {
-            "df": [list(item) for item in store.df.items()],
-            "avgdl": store.avgdl.hex(),
+            "df": [list(item) for item in store.text_index.df.items()],
+            "avgdl": store.text_index.avgdl.hex(),
             "embeddings": [[[i, v.hex()] for i, v in entries.items()]
                            for entries in embeddings_of(store, uids)],
         }
@@ -786,16 +854,17 @@ class TestIndexCoherence:
             for token in tokenize(fixture_store.units[uid].text):
                 rebuilt.setdefault(token, {}).setdefault(uid, 0)
                 rebuilt[token][uid] += 1
-        assert rebuilt == fixture_store.term_index
+        assert rebuilt == fixture_store.text_index.term_index
 
     def test_statistics_match_an_independent_count(self, fixture_store):
         units = fixture_store.units.values()
         lengths = [len(tokenize(u.text)) for u in units if u.retrievable]
-        assert fixture_store.n_units == len(lengths) == 16
-        assert fixture_store.avgdl == sum(lengths) / len(lengths)
-        assert fixture_store.unit_len == {u.id: len(tokenize(u.text)) for u in units}
+        index = fixture_store.text_index
+        assert index.n_units == len(lengths) == 16
+        assert index.avgdl == sum(lengths) / len(lengths)
+        assert index.unit_len == {u.id: len(tokenize(u.text)) for u in units}
         df = Counter(token for u in units for token in set(tokenize(u.text)))
-        assert fixture_store.df == dict(df)
+        assert index.df == dict(df)
 
     def test_committed_store_rejects_mutation(self, fixture_store):
         with pytest.raises(RuntimeError):
@@ -912,8 +981,7 @@ class TestLazyTermIndex:
         store = load(snapshot_path)
         answer = run(store, query, clock)
         assert _term_index_built(store)
-        assert store.term_index == fixture_store.term_index
-        assert store.unit_len == fixture_store.unit_len
+        assert store.text_index == fixture_store.text_index
         assert answer.annex_json() == run(fixture_store, query, clock).annex_json()
 
     @pytest.mark.parametrize("mode", [RetrievalMode.VECTOR, RetrievalMode.HYBRID])
@@ -924,7 +992,8 @@ class TestLazyTermIndex:
         candidates = set()
         for urn in store.descendants(f"{NORM_URN}!art6"):
             tv = store.version_at(urn, t)
-            lv_id = tv and store.clv_for(tv.id, urn, None, True)
+            lv_id = tv and pick_wording(store.clvs_by_ctv.get(tv.id, {}),
+                                        store.primary_language(urn), None, True)
             if lv_id and (mode is RetrievalMode.HYBRID
                           or store.units[store.clvs[lv_id].text_unit].retrievable):
                 candidates.add(store.clvs[lv_id].text_unit)
@@ -934,32 +1003,22 @@ class TestLazyTermIndex:
     @pytest.mark.parametrize("name", ["df", "n_units", "avgdl", "term_index", "unit_len"])
     def test_the_first_read_of_any_statistic_builds_them_all_once(
             self, fixture_store, snapshot_path, slow_builds, name):
-        names = ("df", "n_units", "avgdl", "term_index", "unit_len")
-        expected = {other: getattr(fixture_store, other) for other in names}
+        expected = fixture_store.text_index
         slow_builds.clear()  # the shared fixture's own first build, if it was this one
         store = load(snapshot_path)
-        assert getattr(store, name) == expected[name]
+        assert getattr(store.text_index, name) == getattr(expected, name)
         assert len(slow_builds) == 1 and _term_index_built(store)
-        assert {other: getattr(store, other) for other in names} == expected
+        assert store.text_index == expected
         assert len(slow_builds) == 1
         assert store.unit_embeddings == {}
 
     def test_concurrent_first_readers_share_one_complete_index(
             self, fixture_store, snapshot_path, slow_builds):
         store = load(snapshot_path)
-
-        def first_read(slot: int):
-            # Half the readers start with unit_len, so both names race.
-            if slot % 2:
-                unit_len = store.unit_len
-                return store.term_index, unit_len
-            return store.term_index, store.unit_len
-
-        seen = _race(first_read)
+        seen = _race(lambda slot: store.text_index)
         assert len(slow_builds) == 1
-        for term_index, unit_len in seen:
-            assert term_index is seen[0][0] and unit_len is seen[0][1]
-        assert seen[0] == (fixture_store.term_index, fixture_store.unit_len)
+        assert all(index is seen[0] for index in seen)
+        assert seen[0] == fixture_store.text_index
 
     @pytest.mark.parametrize("mode", [RetrievalMode.VECTOR, RetrievalMode.HYBRID])
     def test_concurrent_first_vector_readers_get_identical_hits(
@@ -1122,18 +1181,19 @@ class TestTimeIndex:
 
 
 class TestLanguageRule:
-    """The language rule (store.pick_wording), read through clv_for."""
+    """The language rule (store.pick_wording), over a stored version's language map."""
 
     @staticmethod
-    def _store(languages: tuple[str, ...]) -> GraphStore:
-        """A Portuguese norm whose one version has wording in ``languages``."""
+    def _read(languages: tuple[str, ...], language: str | None, fallback: bool) -> str | None:
+        """The CLV read of a Portuguese norm whose one version has wording in ``languages``."""
         store = GraphStore()
         store.add_work(WorkNode(WorkId("urn:x"), WorkKind.NORM,
                                 metadata=(("language", "pt"),)))
         store.add_ctv(TemporalVersion("urn:x", ValidityInterval(date(2000, 1, 1))))
-        for language in languages:
-            store.add_clv(LanguageVersion("urn:x@2000-01-01", language))
-        return store
+        for code in languages:
+            store.add_clv(LanguageVersion("urn:x@2000-01-01", code))
+        return pick_wording(store.clvs_by_ctv.get("urn:x@2000-01-01", {}),
+                            store.primary_language("urn:x"), language, fallback)
 
     # (requested "en" present, primary "pt" present, fallback) -> language read
     @pytest.mark.parametrize("requested, primary, fallback, read", [
@@ -1150,19 +1210,16 @@ class TestLanguageRule:
             self, requested, primary, fallback, read):
         # "fr" stands for wording in some third language, always present.
         languages = ("fr",) + ("en",) * requested + ("pt",) * primary
-        store = self._store(languages)
-        got = store.clv_for("urn:x@2000-01-01", "urn:x", "en", fallback)
+        got = self._read(languages, "en", fallback)
         assert got == (f"urn:x@2000-01-01#{read}" if read else None)
 
     @pytest.mark.parametrize("fallback", [True, False])
     def test_no_language_means_the_primary_one(self, fallback):
-        store = self._store(("en", "pt"))
-        assert store.clv_for("urn:x@2000-01-01", "urn:x", None, fallback) == (
-            "urn:x@2000-01-01#pt")
-        assert self._store(("en",)).clv_for("urn:x@2000-01-01", "urn:x", None, fallback) is None
+        assert self._read(("en", "pt"), None, fallback) == "urn:x@2000-01-01#pt"
+        assert self._read(("en",), None, fallback) is None
 
     def test_a_version_without_wording_reads_nothing(self):
-        assert self._store(()).clv_for("urn:x@2000-01-01", "urn:x", "pt", True) is None
+        assert self._read((), "pt", True) is None
 
 
 class TestAliasIndexes:
