@@ -28,11 +28,24 @@ class DataError(NormGraphError):
 # -- data / ingest errors ---------------------------------------------------
 
 class MalformedSnapshot(DataError):
-    def __init__(self, message: str, path: str | None = None, line: int | None = None):
+    """A snapshot load rejects, located by its file line and, inside a kind
+    record, by the record's kind, the row (counted from 0) and the column."""
+
+    def __init__(self, message: str, path: str | None = None, line: int | None = None,
+                 kind: str | None = None, row: int | None = None, column: str | None = None):
         locus = f"{path or '<snapshot>'}:{line}" if line is not None else (path or "<snapshot>")
+        if kind is not None:
+            locus += f": bad {kind!r} record"
+            if row is not None:
+                locus += f", row {row}"
+            if column is not None:
+                locus += f", column {column!r}"
         super().__init__(f"{locus}: {message}")
         self.path = path
         self.line = line
+        self.kind = kind
+        self.row = row
+        self.column = column
 
 
 class DanglingReference(DataError):

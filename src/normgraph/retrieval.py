@@ -84,20 +84,22 @@ def embedder_for_store(store: GraphStore) -> HashedTfidfEmbedder:
     return HashedTfidfEmbedder(index.df, index.n_units)
 
 
-def embeddings_of(store: GraphStore, unit_ids: list[str]) -> list[dict[int, float]]:
+def embeddings_of(store: GraphStore, unit_ids: list[str],
+                  embedder: HashedTfidfEmbedder | None = None) -> list[dict[int, float]]:
     """The units' embeddings, in ``unit_ids`` order.
 
     A unit's embedding is computed from its text with the store's
-    statistics on its first read, and kept in ``store.unit_embeddings`` for
-    later reads. Racing first readers compute equal maps, so whichever is
-    kept, scores are the same. An uncommitted store, whose statistics may
-    still change, keeps none. Shared with the store: treat them as
-    read-only.
+    statistics on its first read, by ``embedder`` when the caller has
+    already built it with ``embedder_for_store(store)``, and kept in
+    ``store.unit_embeddings`` for later reads. Racing first readers compute
+    equal maps, so whichever is kept, scores are the same. An uncommitted
+    store, whose statistics may still change, keeps none. Shared with the
+    store: treat them as read-only.
     """
     kept = store.unit_embeddings if store.committed else {}
     missing = [uid for uid in unit_ids if uid not in kept]
     if missing:
-        embed, units = embedder_for_store(store).embed, store.units
+        embed, units = (embedder or embedder_for_store(store)).embed, store.units
         for uid in missing:
             kept[uid] = embed(units[uid].text)
     return [kept[uid] for uid in unit_ids]
@@ -290,9 +292,10 @@ def _vector_scores(store: GraphStore, query: str,
     is. The loop is written out, not ``sum()``, whose float algorithm
     changed in Python 3.12.
     """
-    query_entries = list(embedder_for_store(store).embed(query).items())
+    embedder = embedder_for_store(store)
+    query_entries = list(embedder.embed(query).items())
     scored: list[tuple[str, float]] = []
-    for uid, entries in zip(unit_ids, embeddings_of(store, unit_ids)):
+    for uid, entries in zip(unit_ids, embeddings_of(store, unit_ids, embedder)):
         s = 0.0
         for bucket, w in query_entries:
             s += entries.get(bucket, 0.0) * w

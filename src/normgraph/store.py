@@ -1,14 +1,17 @@
-"""Indexed in-memory graph container with a diffable on-disk format.
+"""Indexed in-memory graph container and its on-disk snapshot format.
 
-Snapshots are newline-delimited JSON, format version 5, and hold only
-nodes. The first line is the meta header: the format version, each record
-kind's column order and each kind's row count. Every other line is one
-node, ``{"kind":"<kind>","row":[v1,v2,…]}`` with its values in the
-header's column order; kinds follow _KINDS and nodes are sorted by id, so
-re-saving an unchanged store is byte-identical. A file without its header,
-or with another count of some kind's rows than the header gives, is
-rejected, so a snapshot that lost lines does not load. Snapshots of
-earlier versions are rejected with a hint to re-run ``normgraph ingest``.
+Snapshots are newline-delimited JSON, format version 6, and hold only
+nodes, stored by column. The first line is the meta header: the format
+version, each record kind's column order and each kind's row count. Then
+comes one line per kind, in _KINDS order and empty kinds included:
+``{"kind":"<kind>","columns":[[…],[…],…]}``, one array per column in the
+header's column order, each row's values at one index, rows sorted by id,
+so re-saving an unchanged store is byte-identical. Load checks and decodes
+a kind one column at a time. A file without its header, a kind without its
+record, a record whose columns differ in length, or another count of some
+kind's rows than the header gives is rejected, so a snapshot that lost
+rows or values does not load. Snapshots of earlier versions are rejected
+with a hint to re-run ``normgraph ingest``.
 
 Values the nodes derive are not stored: the model builds a CTV's id, a
 CLV's id and text unit, and an action's description unit from the other
@@ -63,9 +66,10 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
 from pathlib import Path
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .errors import DanglingReference, MalformedSnapshot, UnknownWork
 from .model import (
@@ -86,7 +90,7 @@ from .model import (
     validate_graph,
 )
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _W = TypeVar("_W")
 
@@ -439,12 +443,6 @@ class GraphStore:
         except KeyError:
             raise UnknownWork(urn) from None
 
-    def versions_of(self, urn: str) -> list[TemporalVersion]:
-        """All temporal versions of a work, ascending by valid_start."""
-        if urn not in self.works:
-            raise UnknownWork(urn)
-        return [self.ctvs[cid] for cid in self.versions.get(urn, ())]
-
     def version_at(self, urn: str, t: date) -> TemporalVersion | None:
         """The version of ``urn`` valid on ``t``, or None before, between or after.
 
@@ -507,23 +505,36 @@ class GraphStore:
 
 
 class _Type(NamedTuple):
-    """A row value's exact JSON types, and its conversions to and from a node."""
+    """A column's exact JSON value types, and its conversions to and from node attributes."""
 
     name: str
     json: frozenset[type]
-    decode: Callable | None = None  # JSON value -> attribute; None keeps it
+    # A column's JSON values -> their attributes, as a list; None keeps them.
+    # Raises KeyError, TypeError or ValueError on a value it cannot convert.
+    decode: Callable[[list], list] | None = None
     encode: Callable | None = None  # attribute -> JSON value; None keeps it
 
 
-# join raises TypeError on any item that is not a string.
-def _strs(value: list) -> tuple[str, ...]:
-    "".join(value)
-    return tuple(value)
+def _each(convert: Callable) -> Callable[[list], list]:
+    return lambda values: list(map(convert, values))
 
 
-def _str_map(value: dict) -> tuple[tuple[str, str], ...]:
-    "".join(value.values())
-    return tuple(sorted(value.items()))
+_STRING = frozenset({str})
+
+
+def _only_strings(values: Iterable) -> None:
+    if not _STRING.issuperset(map(type, values)):
+        raise TypeError("a value that is not a string")
+
+
+def _strs(values: list[list]) -> list[tuple[str, ...]]:
+    _only_strings(chain.from_iterable(values))
+    return list(map(tuple, values))
+
+
+def _str_maps(values: list[dict]) -> list[tuple[tuple[str, str], ...]]:
+    _only_strings(chain.from_iterable(map(dict.values, values)))
+    return [tuple(sorted(value.items())) for value in values]
 
 
 def _or_null(convert: Callable) -> Callable:
@@ -531,24 +542,25 @@ def _or_null(convert: Callable) -> Callable:
 
 
 def _enum(cls: type[Enum]) -> _Type:
-    return _Type(f"a {cls.__name__} value", frozenset({str}),
-                 {member.value: member for member in cls}.__getitem__,
+    return _Type(f"a {cls.__name__} value", _STRING,
+                 _each({member.value: member for member in cls}.__getitem__),
                  operator.attrgetter("value"))
 
 
-# A snapshot repeats few distinct dates many times; each is parsed once.
-_parse_date = lru_cache(maxsize=1 << 16)(parse_iso_date)
+# A snapshot repeats few distinct dates many times; each is parsed once. Null
+# reaches it only from a column whose types admit null.
+_parse_date = lru_cache(maxsize=1 << 16)(_or_null(parse_iso_date))
 
-_STR = _Type("a string", frozenset({str}))
+_STR = _Type("a string", _STRING)
 _OPTIONAL_STR = _Type("a string or null", frozenset({str, type(None)}))
 _INT = _Type("an integer", frozenset({int}))
 _BOOL = _Type("a boolean", frozenset({bool}))
-_DATE = _Type("an ISO date", frozenset({str}), _parse_date, date.isoformat)
+_DATE = _Type("an ISO date", _STRING, _each(_parse_date), date.isoformat)
 _OPTIONAL_DATE = _Type("an ISO date or null", frozenset({str, type(None)}),
-                       _or_null(_parse_date), _or_null(date.isoformat))
+                       _each(_parse_date), _or_null(date.isoformat))
 # Tuples are written as JSON arrays, so a list of strings needs no encoder.
 _STRS = _Type("a list of strings", frozenset({list}), _strs)
-_STR_MAP = _Type("an object of strings", frozenset({dict}), _str_map, dict)
+_STR_MAP = _Type("an object of strings", frozenset({dict}), _str_maps, dict)
 
 
 class _Column(NamedTuple):
@@ -562,8 +574,7 @@ class _Kind:
     """One record kind: its store map, node constructor and columns.
 
     The constructor takes the column values in column order; the node
-    derives the rest. The getters and converters that save and load use are
-    derived here once, not per record.
+    derives the rest. The getters that save uses are derived here once.
     """
 
     def __init__(self, nodes: str, build: Callable, *columns: _Column, key: str = "id") -> None:
@@ -571,30 +582,10 @@ class _Kind:
         self.build = build
         self.columns = columns
         self.keys = [column.key for column in columns]
-        self.get_attrs = operator.attrgetter(*(column.attr or column.key for column in columns))
         self.key = operator.attrgetter(key)
-        self.json = [column.type.json for column in columns]
-        self.decoders = [(i, column.type.decode)
-                         for i, column in enumerate(columns) if column.type.decode]
-        self.encoders = [(i, column.type.encode)
-                         for i, column in enumerate(columns) if column.type.encode]
-
-    def why_bad(self, rec: dict, exc: Exception) -> str:
-        """Name the first wrong member or value of a record load rejected."""
-        if sorted(rec) != ["kind", "row"]:
-            return "its members must be kind, row"
-        row = rec["row"]
-        if type(row) is not list or len(row) != len(self.columns):
-            return f"'row' must be a list of {len(self.columns)} values ({', '.join(self.keys)})"
-        for column, value in zip(self.columns, row):
-            try:
-                if type(value) not in column.type.json:
-                    raise TypeError
-                if column.type.decode:
-                    column.type.decode(value)
-            except (KeyError, TypeError, ValueError):
-                return f"{column.key!r} must be {column.type.name}"
-        return str(exc)
+        # Each column's node attribute getter and its encoder, if it has one.
+        self.getters = [(operator.attrgetter(column.attr or column.key), column.type.encode)
+                        for column in columns]
 
 
 def _work(urn, aliases, *rest) -> WorkNode:
@@ -664,17 +655,20 @@ _KINDS = {
 }
 _COLUMNS = {kind: spec.keys for kind, spec in _KINDS.items()}
 _HEADER = ("kind", "format_version", "columns", "rows")
+# Values save encodes per call: a column is streamed, never built whole.
+_CHUNK = 256
 
 
 def save(store: GraphStore, path: str | Path) -> None:
-    """Write the store as sorted NDJSON; load(save(s)) == s node-for-node.
+    """Write the store as one record per kind; load(save(s)) == s node-for-node.
 
-    Rows are built and written one at a time, in _KINDS order and by id, to
-    a temporary file beside ``path``, which is flushed, synced and then
-    renamed over ``path`` in one step: a reader sees the old snapshot or the
-    new one, never part of one. On any failure the temporary file is removed
-    and ``path`` is left as it was. Raises RuntimeError on an uncommitted
-    store, which may still change.
+    Each kind's record holds one JSON array per column, its rows sorted by
+    id, and each column is encoded and written ``_CHUNK`` values at a time.
+    The file is written to a temporary file beside ``path``, which is
+    flushed, synced and then renamed over ``path`` in one step: a reader
+    sees the old snapshot or the new one, never part of one. On any failure
+    the temporary file is removed and ``path`` is left as it was. Raises
+    RuntimeError on an uncommitted store, which may still change.
     """
     if not store.committed:
         raise RuntimeError("only a committed store can be saved")
@@ -690,14 +684,19 @@ def save(store: GraphStore, path: str | Path) -> None:
             fh.write("\n")
             for kind, spec in _KINDS.items():
                 nodes = getattr(store, spec.nodes)
-                head = f'{{"kind":"{kind}","row":'
-                for node_id in sorted(nodes):
-                    row = list(spec.get_attrs(nodes[node_id]))
-                    for i, to_json in spec.encoders:
-                        row[i] = to_json(row[i])
-                    fh.write(head)
-                    fh.write(encode(row))
-                    fh.write("}\n")
+                ordered = [nodes[node_id] for node_id in sorted(nodes)]
+                fh.write(f'{{"kind":"{kind}","columns":[')
+                for column, (get, to_json) in enumerate(spec.getters):
+                    fh.write(",[" if column else "[")
+                    for start in range(0, len(ordered), _CHUNK):
+                        values = map(get, ordered[start:start + _CHUNK])
+                        if to_json:
+                            values = map(to_json, values)
+                        if start:
+                            fh.write(",")
+                        fh.write(encode(list(values))[1:-1])
+                    fh.write("]")
+                fh.write("]}\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(temporary, target)
@@ -706,19 +705,74 @@ def save(store: GraphStore, path: str | Path) -> None:
         raise
 
 
-# The C scanner behind json.loads, called without its per-call wrappers.
-_scan_once = json.JSONDecoder().scan_once
+def _decode_column(column: _Column, values: list, bad: Callable) -> list:
+    """A column's values as node attributes, checked and converted in one pass each.
 
-
-def _parse_line(raw: str):
-    """One JSON value spanning all of ``raw``, as json.loads reads it."""
+    Only a column that fails is walked value by value, to raise what
+    ``bad`` builds for its first bad row.
+    """
+    json_types, decode = column.type.json, column.type.decode
     try:
-        value, end = _scan_once(raw, 0)
-    except StopIteration as err:
-        raise json.JSONDecodeError("Expecting value", raw, err.value) from None
-    if end != len(raw):
-        raise json.JSONDecodeError("Extra data", raw, end)
-    return value
+        if json_types.issuperset(map(type, values)):
+            return decode(values) if decode else values
+    except (KeyError, TypeError, ValueError):
+        pass
+    decoded = []
+    for row, value in enumerate(values):
+        try:
+            if type(value) not in json_types:
+                raise TypeError(value)
+            decoded.extend(decode([value]) if decode else [value])
+        except (KeyError, TypeError, ValueError):
+            raise bad(f"must be {column.type.name}", row=row, column=column.key) from None
+    return decoded
+
+
+def _file_kind(store: GraphStore, kind: str, rec: dict, bad: Callable) -> None:
+    """Build the nodes of one kind record, column by column, and file them in the store.
+
+    Raises what ``bad`` builds, naming the row and column where it can, on
+    a record of another shape, columns of unequal lengths, a value of the
+    wrong type, a node its constructor refuses, a repeated id, or a CTV
+    that two actions claim.
+    """
+    spec = _KINDS[kind]
+    if sorted(rec) != ["columns", "kind"]:
+        raise bad("its members must be kind, columns")
+    columns = rec["columns"]
+    if (type(columns) is not list or len(columns) != len(spec.columns)
+            or not all(type(values) is list for values in columns)):
+        raise bad(f"'columns' must be a list of {len(spec.columns)} arrays "
+                  f"({', '.join(spec.keys)})")
+    count = len(columns[0])
+    for key, values in zip(spec.keys, columns):
+        if len(values) != count:
+            raise bad(f"holds {len(values)} values, {spec.keys[0]!r} holds {count}", column=key)
+    decoded = [_decode_column(column, values, bad) for column, values in zip(spec.columns, columns)]
+    try:
+        nodes = list(map(spec.build, *decoded))
+    except (TypeError, ValueError):
+        nodes = []
+        for row, values in enumerate(zip(*decoded)):
+            try:
+                nodes.append(spec.build(*values))
+            except (TypeError, ValueError) as exc:
+                raise bad(str(exc), row=row) from None
+    ids = list(map(spec.key, nodes))
+    table = dict(zip(ids, nodes))
+    if len(table) != len(ids):
+        seen: set[str] = set()
+        for row, node_id in enumerate(ids):
+            if node_id in seen:
+                raise bad(f"repeated {kind} {node_id!r}", row=row)
+            seen.add(node_id)
+    if kind == "action":
+        for row, action in enumerate(nodes):
+            try:
+                store._link_action(action)
+            except ValueError as exc:
+                raise bad(str(exc), row=row) from None
+    setattr(store, spec.nodes, table)
 
 
 def load(path: str | Path) -> GraphStore:
@@ -729,28 +783,30 @@ def load(path: str | Path) -> GraphStore:
     ``format_version`` other than FORMAT_VERSION, a header whose members
     are not _HEADER, whose ``columns`` are not this version's or whose
     ``rows`` do not give each kind an integer, a record of an unknown kind,
-    a row value that is missing or of the wrong type (see _KINDS), a
-    repeated id, or a CTV that two actions claim. Then validate_graph runs
-    once: when it reports any violation, raises DanglingReference if the
-    first is one (validate_graph checks references first, derived unit ids
-    included), and MalformedSnapshot, naming the first and giving the
-    count, otherwise. Last, raises MalformedSnapshot when some kind's rows
-    are not as many as the header gives. The store is committed, as an
-    ingest ends.
+    a second record of one kind, or a kind record that _file_kind rejects
+    (see _KINDS for each column's type); a fault inside a record is named
+    by its kind, row (counted from 0, as the column arrays index it) and
+    column. Then validate_graph runs once: when it reports any violation,
+    raises DanglingReference if the first is one (validate_graph checks
+    references first, derived unit ids included), and MalformedSnapshot,
+    naming the first and giving the count, otherwise. Last, raises
+    MalformedSnapshot when some kind's rows are not as many as the header
+    gives, or some kind has no record. The store is committed, as an ingest
+    ends.
     """
     store = GraphStore()
     spath = str(path)
-    node_maps = {kind: getattr(store, spec.nodes) for kind, spec in _KINDS.items()}
     rows: dict[str, int] | None = None  # the header's, once it is read
+    read: set[str] = set()  # the kinds whose record is read
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
+            if raw.isspace():
                 continue
             try:
-                rec = _parse_line(raw)
+                rec = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise MalformedSnapshot(f"invalid JSON ({exc.msg})", path=spath, line=lineno) from None
+            del raw  # a kind record's line can be megabytes long
             if type(rec) is not dict:
                 raise MalformedSnapshot("record is not a JSON object", path=spath, line=lineno)
             kind = rec.get("kind")
@@ -779,31 +835,13 @@ def load(path: str | Path) -> GraphStore:
                 raise MalformedSnapshot(
                     f"missing meta header: the first record is a {kind!r} record",
                     path=spath, line=lineno)
-            spec = _KINDS.get(kind) if type(kind) is str else None
-            if spec is None:
+            if type(kind) is not str or kind not in _KINDS:
                 raise MalformedSnapshot(f"unknown record kind {kind!r}", path=spath, line=lineno)
-            try:
-                row = rec["row"]
-                if (len(rec) != 2 or type(row) is not list
-                        or len(row) != len(spec.json)
-                        or not all(map(operator.contains, spec.json, map(type, row)))):
-                    raise TypeError("a member or value of the wrong type")
-                row = row.copy()
-                for i, decode in spec.decoders:
-                    row[i] = decode(row[i])
-                node = spec.build(*row)
-                node_id = spec.key(node)
-                nodes = node_maps[kind]
-                if node_id in nodes:
-                    raise MalformedSnapshot(f"repeated {kind} {node_id!r}", path=spath, line=lineno)
-                nodes[node_id] = node
-                if kind == "action":
-                    store._link_action(node)
-            except MalformedSnapshot:
-                raise
-            except (KeyError, ValueError, TypeError) as exc:
-                raise MalformedSnapshot(f"bad {kind!r} record: {spec.why_bad(rec, exc)}",
-                                        path=spath, line=lineno) from None
+            if kind in read:
+                raise MalformedSnapshot(f"second {kind!r} record", path=spath, line=lineno)
+            read.add(kind)
+            _file_kind(store, kind, rec, partial(MalformedSnapshot, path=spath, line=lineno,
+                                                 kind=kind))
 
     if rows is None:
         raise MalformedSnapshot("missing meta header: the file holds no records", path=spath)
@@ -815,9 +853,13 @@ def load(path: str | Path) -> GraphStore:
             raise DanglingReference(*first.nodes)
         raise MalformedSnapshot(
             f"{len(violations)} invariant violation(s); the first is {first}", path=spath)
-    for kind, nodes in node_maps.items():
-        if len(nodes) != rows[kind]:
+    for kind, spec in _KINDS.items():
+        held = len(getattr(store, spec.nodes))
+        if held != rows[kind]:
             raise MalformedSnapshot(f"the header gives {rows[kind]} {kind} row(s), "
-                                    f"the file holds {len(nodes)}", path=spath)
+                                    f"the file holds {held}", path=spath)
+    missing = [kind for kind in _KINDS if kind not in read]
+    if missing:
+        raise MalformedSnapshot(f"the file holds no {missing[0]!r} record", path=spath)
     store.commit()
     return store

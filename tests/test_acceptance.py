@@ -32,6 +32,7 @@ from reference_ids import (
     NORM_URN,
     RIGHTS_1999,
 )
+from test_ingest import versions_of
 from test_planner import rights_from_text
 
 DATA = Path(__file__).parent / "data"
@@ -162,9 +163,9 @@ def test_criterion_5_aggregation_economy(fixture_store):
 
     # Unchanged sibling versions are shared by id, not copied.
     cap2_2000 = fixture_store.ctvs[f"{NORM_URN}!tit2_cap2@2000-02-15"]
-    art7_first = fixture_store.versions_of(ART7)[0]
+    art7_first = versions_of(fixture_store, ART7)[0]
     assert art7_first.id in cap2_2000.aggregates
-    assert len(fixture_store.versions_of(ART7)) == 2  # 1988 + CA 72 only
+    assert len(versions_of(fixture_store, ART7)) == 2  # 1988 + CA 72 only
     report(5, "aggregation economy", f"{expected} temporal versions, closed form")
 
 

@@ -426,7 +426,7 @@ class TestMoreEdges:
 
     def test_query_on_a_unit_line_with_an_embedding_exits_3(
             self, snapshot_file, tmp_path, capsys):
-        # A version 3 unit line under a version 5 header: embeddings are derived now.
+        # A unit record carrying version 3's embeddings, which are derived now.
         lines = snapshot_file.read_text(encoding="utf-8").splitlines()
         index = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "unit")
         record = json.loads(lines[index])
@@ -437,7 +437,7 @@ class TestMoreEdges:
         code = main(["query", "retrieve", "--snapshot", str(bad), "--text", "food",
                      "--target", "art6", "--at", "2011-01-01"])
         assert code == 3
-        assert (f":{index + 1}: bad 'unit' record: its members must be kind, row"
+        assert (f":{index + 1}: bad 'unit' record: its members must be kind, columns"
                 in capsys.readouterr().err)
 
     # The header and first record of each older layout.
@@ -445,19 +445,21 @@ class TestMoreEdges:
                    "metadata": {}, "ordinal": 0, "parent": None, "work_kind": "norm"}
     _V3_WORK = {"kind": "work", "row": ["urn:n", [], "norm", "other", None, 0, {}]}
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_query_on_an_older_snapshot_exits_3_and_asks_for_a_reingest(
             self, snapshot_file, tmp_path, capsys, version):
         # Versions 1 and 2 sort keys and key records by name; version 3 has
         # positional rows and stores the embedding config and IDF statistics;
-        # version 4 has this version's rows but no row counts in its header.
+        # version 4 has no row counts in its header; versions 4 and 5 have
+        # this version's columns, one node's row per line.
         header = {"kind": "meta", "format_version": version,
                   "embedding": {"dimension": 256, "name": "hashed_tfidf"},
                   "idf": {"avgdl": 1.0, "df": {"food": 1}, "n_units": 1}}
-        if version == 4:
+        if version >= 4:
             header = json.loads(snapshot_file.read_text(encoding="utf-8").splitlines()[0])
-            header["format_version"] = 4
-            del header["rows"]
+            header["format_version"] = version
+            if version == 4:
+                del header["rows"]
         work = self._V1_V2_WORK if version < 3 else self._V3_WORK
         old = tmp_path / f"v{version}.ndjson"
         old.write_text(f"{json.dumps(header)}\n{json.dumps(work)}\n", encoding="utf-8")
@@ -465,7 +467,7 @@ class TestMoreEdges:
                      "--at", "2011-01-01"])
         assert code == 3
         err = capsys.readouterr().err
-        assert f":1: unsupported format_version {version} (this version reads 5)" in err
+        assert f":1: unsupported format_version {version} (this version reads 6)" in err
         assert "re-run `normgraph ingest`" in err
 
     def test_query_on_a_snapshot_without_its_header_exits_3(

@@ -9,6 +9,7 @@ from normgraph.model import ActionType, WorkKind, validate_graph
 from normgraph.store import pick_wording
 
 from reference_ids import ART6_CPT, ART7_CPT, NORM_URN, RIGHTS_1999
+from test_ingest import versions_of
 
 PACKAGE_FIXTURES = resources.files("normgraph") / "fixtures"
 
@@ -66,7 +67,7 @@ def test_art7_amended_once(fixture_store):
 
 
 def test_1999_rights_list_is_the_published_one(fixture_store):
-    first = fixture_store.versions_of(ART6_CPT)[0]
+    first = versions_of(fixture_store, ART6_CPT)[0]
     lv_id = pick_wording(fixture_store.clvs_by_ctv[first.id],
                          fixture_store.primary_language(ART6_CPT), "pt", False)
     text = fixture_store.units[fixture_store.clvs[lv_id].text_unit].text

@@ -30,8 +30,8 @@ from normgraph.ingest import (
     textualize_metadata,
 )
 from normgraph.model import (
-    Aspect, ComponentType, WorkId, WorkKind, WorkNode, metadata_tuple, metadata_unit_id,
-    validate_graph)
+    Aspect, ComponentType, TemporalVersion, WorkId, WorkKind, WorkNode, metadata_tuple,
+    metadata_unit_id, validate_graph)
 from normgraph.store import GraphStore, pick_wording, save
 
 from reference_ids import (
@@ -43,9 +43,15 @@ from reference_ids import (
     NORM_URN,
     TIT2,
 )
+from snapshot_rows import v5_node_lines
 from synthcorpus import build_store, generate_corpus
 
 DATA = Path(__file__).parent / "data"
+
+
+def versions_of(store: GraphStore, urn: str) -> list[TemporalVersion]:
+    """The work's temporal versions, ascending by valid_start, as the store files them."""
+    return [store.ctvs[cid] for cid in store.versions.get(urn, ())]
 
 
 def mini_doc(fragments: int = 2) -> dict:
@@ -259,7 +265,7 @@ def test_ordered_events_sorts_by_date_then_file_name_then_record_index():
 
 class TestEnact:
     def test_fixture_art6_caput_is_open_and_lacks_housing(self, fixture_store):
-        first = fixture_store.versions_of(ART6_CPT)[0]
+        first = versions_of(fixture_store, ART6_CPT)[0]
         assert first.validity.valid_start == date(1988, 10, 5)
         lv = fixture_store.clvs[pick_wording(fixture_store.clvs_by_ctv[first.id],
                                              fixture_store.primary_language(ART6_CPT), "pt",
@@ -288,14 +294,14 @@ class TestEnact:
     def test_parent_versions_aggregate_children_in_order(self):
         store = GraphStore()
         enact(store, parse_document(mini_doc()))
-        norm_tv = store.versions_of("urn:test:mini")[0]
+        norm_tv = versions_of(store, "urn:test:mini")[0]
         works = [store.ctvs[c].work for c in norm_tv.aggregates]
         assert works == ["urn:test:mini!art1", "urn:test:mini!art2"]
 
 
 class TestApplyEvent:
     def test_amendment_closes_old_and_creates_new(self, fixture_store):
-        versions = fixture_store.versions_of(ART6_CPT)
+        versions = versions_of(fixture_store, ART6_CPT)
         original, ca26 = versions[0], versions[1]
         assert original.validity.valid_end == date(2000, 2, 15)
         assert fixture_store.terminated_by[original.id] == ACT_CA26
@@ -309,17 +315,17 @@ class TestApplyEvent:
     def test_ancestors_gain_versions_on_amendment(self, fixture_store):
         for ancestor in (ART6, CAP2, TIT2, NORM_URN):
             starts = [tv.validity.valid_start
-                      for tv in fixture_store.versions_of(ancestor)]
+                      for tv in versions_of(fixture_store, ancestor)]
             assert date(2000, 2, 15) in starts, ancestor
 
     def test_unchanged_sibling_versions_are_shared_by_id(self, fixture_store):
         cap2_2000 = next(
-            tv for tv in fixture_store.versions_of(CAP2)
+            tv for tv in versions_of(fixture_store, CAP2)
             if tv.validity.valid_start == date(2000, 2, 15))
-        art7_first = fixture_store.versions_of(ART7)[0]
+        art7_first = versions_of(fixture_store, ART7)[0]
         assert art7_first.id in cap2_2000.aggregates
         # Art. 7 was untouched in 2000, so no new version for it exists.
-        assert len([tv for tv in fixture_store.versions_of(ART7)
+        assert len([tv for tv in versions_of(fixture_store, ART7)
                     if tv.validity.valid_start == date(2000, 2, 15)]) == 0
 
     def test_leaf_amendment_creates_depth_plus_one_versions(self):
@@ -330,7 +336,7 @@ class TestApplyEvent:
             "urn:test:mini!art1_cpt", "2003-06-01", "Provision 1 amended."))
         # caput + article + norm = depth (2) + 1 new versions
         assert len(store.ctvs) - before == 3
-        assert len(store.versions_of("urn:test:mini!art2_cpt")) == 1
+        assert len(versions_of(store, "urn:test:mini!art2_cpt")) == 1
 
     def test_unknown_target(self):
         store = GraphStore()
@@ -359,9 +365,9 @@ class TestApplyEvent:
         enact(store, parse_document(mini_doc()))
         apply_file(store, amendment_file(
             "urn:test:mini!art1_cpt", "2003-06-01", "", action_type="repeal"))
-        art1_latest = store.versions_of("urn:test:mini!art1")[-1]
+        art1_latest = versions_of(store, "urn:test:mini!art1")[-1]
         assert art1_latest.aggregates == ()
-        repealed = store.versions_of("urn:test:mini!art1_cpt")[-1]
+        repealed = versions_of(store, "urn:test:mini!art1_cpt")[-1]
         assert repealed.validity.valid_end == date(2003, 6, 1)
 
     def test_insertion_creates_works_and_extends_parent(self):
@@ -374,7 +380,7 @@ class TestApplyEvent:
         inserted = store.works["urn:test:mini!art1_par1"]
         assert inserted.parent == "urn:test:mini!art1"
         assert inserted.ordinal == 1
-        art1_latest = store.versions_of("urn:test:mini!art1")[-1]
+        art1_latest = versions_of(store, "urn:test:mini!art1")[-1]
         child_works = [store.ctvs[c].work for c in art1_latest.aggregates]
         assert child_works == ["urn:test:mini!art1_cpt", "urn:test:mini!art1_par1"]
 
@@ -533,9 +539,9 @@ class TestAddLanguage:
             "urn:test:mini!art1_cpt", "2003-06-01", "Provision 1 v2."))
         add_language(store, "urn:test:mini", {"art1_cpt": "Deuxième."}, "fr",
                      at=date(2004, 1, 1))
-        second = store.versions_of("urn:test:mini!art1_cpt")[1]
+        second = versions_of(store, "urn:test:mini!art1_cpt")[1]
         assert "fr" in store.clvs_by_ctv[second.id]
-        first = store.versions_of("urn:test:mini!art1_cpt")[0]
+        first = versions_of(store, "urn:test:mini!art1_cpt")[0]
         assert "fr" not in store.clvs_by_ctv[first.id]
 
 
@@ -572,7 +578,7 @@ class TestPropagatedContentCarry:
             "urn:test:carry!art1_it1", "2003-06-01", "Item wording v2.")
         apply_file(store, file_dict)
 
-        rolled = store.versions_of("urn:test:carry!art1_cpt")[-1]
+        rolled = versions_of(store, "urn:test:carry!art1_cpt")[-1]
         assert rolled.validity.valid_start == date(2003, 6, 1)
         for language, expected in (("en", "Caput wording."), ("fr", "Texte du caput.")):
             lv_id = store.clvs_by_ctv[rolled.id].get(language)
@@ -590,7 +596,7 @@ def test_enactment_only_store_has_open_caput_version(corpus_dir):
     doc = parse_document(
         (corpus_dir / "constitution_1988.satdoc.json").read_text(encoding="utf-8"))
     enact(store, doc)
-    (only,) = store.versions_of(ART6_CPT)
+    (only,) = versions_of(store, ART6_CPT)
     assert only.validity.valid_start == date(1988, 10, 5)
     assert only.validity.is_open
 
@@ -618,11 +624,11 @@ def test_two_root_insertion_merges_into_the_parent_version_of_that_day():
             {"fragment": "art1_par2", "type": "paragraph", "text": "Second inserted."},
         ]))
     urn = "urn:test:mini!"
-    art1 = store.versions_of(f"{urn}art1")
+    art1 = versions_of(store, f"{urn}art1")
     assert [tv.validity.valid_start for tv in art1] == [date(2000, 1, 1), date(2003, 6, 1)]
     assert [store.ctvs[c].work for c in art1[-1].aggregates] == [
         f"{urn}art1_cpt", f"{urn}art1_par1", f"{urn}art1_par2"]
-    assert len(store.versions_of("urn:test:mini")) == 2
+    assert len(versions_of(store, "urn:test:mini")) == 2
     action = store.actions[action_id]
     assert [store.ctvs[c].work for c in action.produces] == [
         f"{urn}art1_par1_it1", f"{urn}art1_par1", f"{urn}art1_par2"]
@@ -719,17 +725,13 @@ def test_a_rejected_call_leaves_the_store_unchanged(setup, error):
         assert getattr(store, name) == before[name], name
 
 
-def _node_lines_digest(path: Path) -> str:
-    """SHA-256 of a snapshot's node lines.
+def _node_rows_digest(path: Path) -> str:
+    """SHA-256 of a snapshot's node rows, each encoded as its format version 5 line.
 
-    The meta header is left out; every byte of every node line counts.
+    The meta header is left out; every byte of every row counts. Pinned
+    digests taken from version 5 files therefore still hold.
     """
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        next(fh)  # the meta header
-        for line in fh:
-            digest.update(line)
-    return digest.hexdigest()
+    return hashlib.sha256("".join(v5_node_lines(path)).encode("utf-8")).hexdigest()
 
 
 # Together these seeds hold insertions of an article with its caput,
@@ -743,4 +745,11 @@ def test_synthetic_snapshots_are_pinned(seed, expected, tmp_path):
     store = build_store(generate_corpus(seed))
     store.commit()
     save(store, tmp_path / "s.ndjson")
-    assert _node_lines_digest(tmp_path / "s.ndjson") == expected
+    assert _node_rows_digest(tmp_path / "s.ndjson") == expected
+
+
+def test_the_golden_snapshot_holds_the_rows_of_its_version_5_save():
+    # The digest of the node lines of tests/data/golden_fixture.ndjson as
+    # format version 5 wrote it.
+    assert _node_rows_digest(DATA / "golden_fixture.ndjson") == (
+        "d2c3cfb72cab6c25a571c048d4bac8111c0c586a7ddf7e649521f4b8d25e1b3e")

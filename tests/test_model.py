@@ -33,6 +33,7 @@ from normgraph.store import GraphStore
 from normgraph.themes import define_theme
 
 import synthcorpus
+from snapshot_rows import read_rows, write_rows
 
 
 class TestParseIsoDate:
@@ -222,11 +223,10 @@ class TestValidateGraph:
         wrong = [v.nodes for v in validate_graph(store) if v.code == "AspectOwnerMismatch"]
         assert wrong == [(second, stolen)]
         # A snapshot with a second theme that names the first one's unit is rejected.
-        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
-        theme = json.loads(next(line for line in lines if line.startswith('{"kind":"theme"')))
-        theme["row"][:2] = ["theme:other", "Other"]
-        bad = tmp_path / "stolen.ndjson"
-        bad.write_text("\n".join([*lines, json.dumps(theme)]), encoding="utf-8")
+        header, rows = read_rows(snapshot_path)
+        theme = next(record for record in rows if record["kind"] == "theme")
+        theme = {"kind": "theme", "row": ["theme:other", "Other", *theme["row"][2:]]}
+        bad = write_rows(tmp_path / "stolen.ndjson", header, [*rows, theme])
         code = main(["query", "at", "--snapshot", str(bad), "--target", "art6",
                      "--at", "2011-01-01", "--json"])
         assert code == 3

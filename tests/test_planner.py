@@ -44,7 +44,7 @@ from reference_ids import (
     CAP2,
     RIGHTS_1999,
 )
-from test_ingest import amendment_file, apply_file, mini_doc
+from test_ingest import amendment_file, apply_file, mini_doc, versions_of
 
 
 def rights_from_text(text: str) -> set[str]:
@@ -438,7 +438,7 @@ class TestProvenance:
         texts = [
             fixture_store.units[fixture_store.clvs[pick_wording(
                 fixture_store.clvs_by_ctv[tv.id], primary, "pt", False)].text_unit].text
-            for tv in fixture_store.versions_of(ART6_CPT)
+            for tv in versions_of(fixture_store, ART6_CPT)
         ]
         assert all("education" in t for t in texts)
         answer = run(fixture_store, self._query("education"), clock)

@@ -55,7 +55,7 @@ from normgraph.themes import define_theme
 
 import synthcorpus
 from reference_ids import ART6
-from test_ingest import amendment_file, apply_file, mini_doc
+from test_ingest import amendment_file, apply_file, mini_doc, versions_of
 from test_store import entry_bits
 
 
@@ -91,7 +91,7 @@ class TestSameDayCompositeEvents:
 
     def test_shared_ancestor_rolls_once(self):
         store = self._store_with_two_same_day_amendments()
-        norm_versions = store.versions_of("urn:test:mini")
+        norm_versions = versions_of(store, "urn:test:mini")
         assert [tv.validity.valid_start for tv in norm_versions] == [
             date(2000, 1, 1), date(2003, 6, 1)]
         merged = norm_versions[-1]
@@ -714,7 +714,7 @@ def _linear_version(store: GraphStore, urn: str, t: date):
 
 
 def _boundary_days(store: GraphStore, urn: str) -> list[date]:
-    chain = store.versions_of(urn)
+    chain = versions_of(store, urn)
     days = {date(1990, 1, 1), date(2100, 1, 1)}
     for tv in chain:
         start, end = tv.validity.valid_start, tv.validity.valid_end
@@ -731,7 +731,7 @@ class TestBisectVersionSelection:
         corpus = synthcorpus.generate_corpus(seed)
         store = synthcorpus.build_store(corpus)
         for urn in sorted(store.works):
-            chain = store.versions_of(urn)
+            chain = versions_of(store, urn)
             for t in _boundary_days(store, urn):
                 expected = _linear_version(store, urn, t)
                 assert alive_at(store, urn, t) is (expected is not None)
@@ -751,7 +751,7 @@ class TestBisectVersionSelection:
             corpus = synthcorpus.generate_corpus(seed)
             store = synthcorpus.build_store(corpus)
             for urn in _repealed_works(store):
-                end = store.versions_of(urn)[-1].validity.valid_end
+                end = versions_of(store, urn)[-1].validity.valid_end
                 assert end is not None
                 assert store.version_at(urn, end - timedelta(days=1)) is not None
                 for t in (end, end + timedelta(days=1), date(2100, 1, 1)):
@@ -774,7 +774,7 @@ class TestBisectVersionSelection:
                     apply_event(store, record, parsed.instrument)
                     for urn in sorted(store.works):
                         assert store.version_starts.get(urn, []) == [
-                            tv.validity.valid_start for tv in store.versions_of(urn)]
+                            tv.validity.valid_start for tv in versions_of(store, urn)]
                         for t in _boundary_days(store, urn):
                             assert store.version_at(urn, t) == _linear_version(store, urn, t)
                             checked += 1

@@ -17,6 +17,7 @@ from normgraph.retrieval import (
     locate_spans,
     scoped_search,
 )
+from normgraph.store import GraphStore
 from normgraph.temporal import resolve_scope
 
 import synthcorpus
@@ -181,6 +182,25 @@ class TestScopedSearch:
             fixture_store, CAP2, date(2016, 1, 1), "workers rights",
             mode=RetrievalMode.HYBRID, k=10)
         assert scoped_search(fixture_store, request) == scoped_search(fixture_store, request)
+
+    # An uncommitted store keeps no text index, so each scorer derives it:
+    # vector scoring once for the query and its units together.
+    @pytest.mark.parametrize("mode, derivations", [(RetrievalMode.VECTOR, 1),
+                                                   (RetrievalMode.LEXICAL, 1),
+                                                   (RetrievalMode.HYBRID, 2)])
+    def test_an_uncommitted_store_derives_its_text_index_once_per_scorer(
+            self, monkeypatch, mode, derivations):
+        corpus = synthcorpus.generate_corpus(1)
+        store = synthcorpus.build_store(corpus)
+        t = corpus.event_dates()[-1]
+        request = RetrievalRequest(query_text="provision rights alpha",
+                                   scope=frozenset(resolve_scope(store, corpus.norm_urn, t)),
+                                   t=t, k=50, mode=mode)
+        derive, calls = GraphStore._derive_text_index, []
+        monkeypatch.setattr(GraphStore, "_derive_text_index",
+                            lambda self: calls.append(self) or derive(self))
+        assert scoped_search(store, request)
+        assert len(calls) == derivations
 
     def test_scope_soundness_on_synthetic_corpora(self):
         for seed in (3, 17, 42):

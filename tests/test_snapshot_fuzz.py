@@ -1,11 +1,12 @@
-"""Hypothesis fuzzing of one record of the fixture snapshot.
+"""Hypothesis fuzzing of one record of the fixture and synthcorpus seed-1 snapshots.
 
 Whatever one record is turned into, ``load`` either returns a store that
 breaks no model invariant, whose lazily derived text index and embeddings
 can be read and which saves and loads back to the same nodes, statistics
 and embeddings, or raises MalformedSnapshot or DanglingReference; no other
-exception may escape. Every record kind and the meta header are fuzzed;
-rows lose, gain or retype a column.
+exception may escape. Every kind record and the meta header are fuzzed; a
+kind record is cut short, or one of its columns loses, gains or retypes a
+cell.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from normgraph.errors import DanglingReference, MalformedSnapshot
 from normgraph.model import EMBEDDING_DIMENSION, validate_graph
 from normgraph.store import load, save
 
-from test_store import entry_bits
+import synthcorpus
+from test_store import GOLDEN, entry_bits
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -28,7 +30,7 @@ JSON_VALUES = st.recursive(
                    | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
     max_leaves=8,
 )
-RECORD_MUTATIONS = ["truncate", "drop_column", "retype", "add_column"]
+RECORD_MUTATIONS = ["truncate", "drop_cell", "retype", "add_cell"]
 HEADER_MUTATIONS = ["truncate", "drop_key", "retype", "add_key"]
 NODES = ("works", "ctvs", "clvs", "actions", "themes", "units")
 
@@ -53,39 +55,40 @@ def _mutate_header(data, line: str) -> str:
     return json.dumps(header)
 
 
-def _mutate(data, line: str, peers: list[list]) -> str:
+def _mutate(data, line: str) -> str:
     """One mutation of a serialized record, drawn from ``data``.
 
-    A retyped value is arbitrary JSON or the same column of a ``peers`` row
-    (the rows of the kind's records), which the loader often accepts.
+    A retyped cell becomes arbitrary JSON or another value of its column,
+    which the loader often accepts. A dropped or added cell leaves its
+    column one value shorter or longer than the others.
     """
     record = json.loads(line)
     if record["kind"] == "meta":
         return _mutate_header(data, line)
-    row = record["row"]
-    op = data.draw(st.sampled_from(RECORD_MUTATIONS), label="mutation")
+    columns = record["columns"]
+    # An empty kind's record has no cell to drop or retype.
+    ops = RECORD_MUTATIONS if columns[0] else ["truncate", "add_cell"]
+    op = data.draw(st.sampled_from(ops), label="mutation")
     if op == "truncate":
         return line[:data.draw(st.integers(0, len(line) - 1), label="cut")]
-    if op == "drop_column":
-        del row[data.draw(st.integers(0, len(row) - 1), label="column")]
-    elif op == "retype":
-        at = data.draw(st.integers(0, len(row) - 1), label="column")
-        row[at] = data.draw(st.sampled_from([peer[at] for peer in peers]) | JSON_VALUES,
-                            label="new value")
-    elif op == "add_column":
-        row.insert(data.draw(st.integers(0, len(row)), label="at"),
-                   data.draw(JSON_VALUES, label="new value"))
+    values = columns[data.draw(st.integers(0, len(columns) - 1), label="column")]
+    if op == "add_cell":
+        values.insert(data.draw(st.integers(0, len(values)), label="at"),
+                      data.draw(JSON_VALUES, label="new value"))
+        return json.dumps(record)
+    row = data.draw(st.integers(0, len(values) - 1), label="row")
+    if op == "drop_cell":
+        del values[row]
+    else:
+        values[row] = data.draw(st.sampled_from(values) | JSON_VALUES, label="new value")
     return json.dumps(record)
 
 
 def _load_a_mutated_record(snapshot_path, fuzz_dir, data, kinds) -> None:
     lines = snapshot_path.read_text(encoding="utf-8").splitlines()
-    records = [json.loads(line) for line in lines]
-    candidates = [i for i, record in enumerate(records) if record["kind"] in kinds]
+    candidates = [i for i, line in enumerate(lines) if json.loads(line)["kind"] in kinds]
     target = data.draw(st.sampled_from(candidates), label="record line")
-    peers = [record.get("row") for record in records
-             if record["kind"] == records[target]["kind"]]
-    lines[target] = _mutate(data, lines[target], peers)
+    lines[target] = _mutate(data, lines[target])
     path = fuzz_dir / "mutated.ndjson"
     path.write_text("\n".join(lines), encoding="utf-8")
     try:
@@ -111,22 +114,31 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+@pytest.fixture(scope="module", params=["golden", "seed1"])
+def fuzzed(request, fuzz_dir):
+    """The snapshot to fuzz: the golden one, or a save of synthcorpus seed 1."""
+    if request.param == "golden":
+        return GOLDEN
+    store = synthcorpus.build_store(synthcorpus.generate_corpus(1))
+    store.commit()
+    save(store, fuzz_dir / "seed1.ndjson")
+    return fuzz_dir / "seed1.ndjson"
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_a_mutated_unit_record_loads_or_fails_with_a_snapshot_error(
-        snapshot_path, fuzz_dir, data):
-    _load_a_mutated_record(snapshot_path, fuzz_dir, data, {"unit"})
+def test_a_mutated_unit_record_loads_or_fails_with_a_snapshot_error(fuzzed, fuzz_dir, data):
+    _load_a_mutated_record(fuzzed, fuzz_dir, data, {"unit"})
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_a_mutated_record_of_another_kind_loads_or_fails_with_a_snapshot_error(
-        snapshot_path, fuzz_dir, data):
-    _load_a_mutated_record(snapshot_path, fuzz_dir, data,
-                           {"work", "ctv", "clv", "action", "theme"})
+        fuzzed, fuzz_dir, data):
+    _load_a_mutated_record(fuzzed, fuzz_dir, data, {"work", "ctv", "clv", "action", "theme"})
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_a_mutated_header_loads_or_fails_with_a_snapshot_error(snapshot_path, fuzz_dir, data):
-    _load_a_mutated_record(snapshot_path, fuzz_dir, data, {"meta"})
+def test_a_mutated_header_loads_or_fails_with_a_snapshot_error(fuzzed, fuzz_dir, data):
+    _load_a_mutated_record(fuzzed, fuzz_dir, data, {"meta"})

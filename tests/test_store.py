@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from normgraph.cli import main
-from normgraph.errors import DanglingReference, DataError, MalformedSnapshot, UnknownWork
+from normgraph.errors import DanglingReference, DataError, MalformedSnapshot
 from normgraph.ingest import enact, ingest_corpus, parse_document
 from normgraph.model import (
     ActionNode,
@@ -43,12 +43,14 @@ from normgraph.retrieval import (
     embeddings_of,
     scoped_search,
 )
+from normgraph import store as store_mod
 from normgraph.store import FORMAT_VERSION, GraphStore, load, pick_wording, save, tokenize
 from normgraph.temporal import MembershipPolicy, TemporalScope, resolve_scope
 
 import synthcorpus
 from reference_ids import ART6_CPT, NORM_URN
-from test_ingest import amendment_file, apply_file, mini_doc
+from snapshot_rows import encode, read_rows, write_rows
+from test_ingest import amendment_file, apply_file, mini_doc, versions_of
 
 # A save of the fixture corpus in the current format; see TestGoldenSnapshot.
 GOLDEN = Path(__file__).parent / "data" / "golden_fixture.ndjson"
@@ -64,18 +66,18 @@ def entry_bits(store: GraphStore) -> dict[str, list[tuple[int, str]]]:
             for uid, entries in zip(uids, embeddings_of(store, uids))}
 
 
-def _encode(record: dict) -> str:
-    """A record as save writes it."""
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
-
-
 def _set(record: dict, column: str, value) -> None:
-    """Set a column of a record's row, or drop the column when value is DROP."""
-    at = COLUMNS[record["kind"]].index(column)
-    if value is DROP:
-        del record["row"][at]
-    else:
-        record["row"][at] = value
+    """Set a column of a row record (see snapshot_rows)."""
+    record["row"][COLUMNS[record["kind"]].index(column)] = value
+
+
+def _load_rows(header: dict, rows: list[dict], tmp_path):
+    return load(write_rows(tmp_path / "bad.ndjson", header, rows))
+
+
+def _line_of(kind: str) -> int:
+    """The file line of a kind's record: the header is line 1, then one per kind."""
+    return list(COLUMNS).index(kind) + 2
 
 
 class TestTokenize:
@@ -112,12 +114,12 @@ class TestRoundTrip:
         save(load(first), second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_record_count_equals_node_count_plus_header(self, fixture_store, tmp_path):
+    def test_one_record_per_kind_holds_every_node(self, fixture_store, tmp_path):
         path = tmp_path / "snap.ndjson"
         save(fixture_store, path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        kinds = Counter(json.loads(line)["kind"] for line in lines)
-        assert kinds.pop("meta") == 1
+        assert [json.loads(line)["kind"] for line in lines] == ["meta", *COLUMNS]
+        kinds = Counter(record["kind"] for record in read_rows(path)[1])
         assert sum(kinds.values()) == sum(fixture_store.node_counts().values())
         # Hand count: 9 norm works + 8 instrument stub works; 9 works x 1
         # initial version + 4 events x (target + 4 ancestors); 9 content
@@ -125,6 +127,24 @@ class TestRoundTrip:
         # + 1 metadata + 1 theme description units.
         assert kinds == Counter(
             work=17, ctv=29, clv=9, action=5, theme=1, unit=16)
+
+    def test_an_empty_store_writes_a_record_of_empty_columns_per_kind(self, tmp_path):
+        store = GraphStore()
+        store.commit()
+        path = tmp_path / "empty.ndjson"
+        save(store, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1:] == [encode({"kind": kind, "columns": [[] for _ in keys]})
+                             for kind, keys in COLUMNS.items()]
+        assert load(path).node_counts() == store.node_counts()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 16])
+    def test_columns_written_in_chunks_are_the_golden_bytes(self, fixture_store, tmp_path,
+                                                           monkeypatch, chunk):
+        monkeypatch.setattr(store_mod, "_CHUNK", chunk)
+        path = tmp_path / "snap.ndjson"
+        save(fixture_store, path)
+        assert path.read_bytes() == GOLDEN.read_bytes()
 
     def test_indexes_are_rebuilt_not_persisted(self, fixture_store, tmp_path):
         path = tmp_path / "snap.ndjson"
@@ -144,7 +164,7 @@ class TestRoundTrip:
 
 
 def _unsavable_text(store: GraphStore, monkeypatch) -> None:
-    """Give the last unit, whose line save writes last, a text JSON cannot encode."""
+    """Give the last unit, whose text save writes in its last record, a text JSON cannot encode."""
     last = max(store.units)
     monkeypatch.setitem(store.units, last, replace(store.units[last], text=object()))
 
@@ -165,7 +185,7 @@ class TestAtomicSave:
         store = load(GOLDEN)
         raised = OSError
         if failure == "encode":
-            # Every line but the last unit's is written first.
+            # Every record but the units' is written first.
             _unsavable_text(store, monkeypatch)
             raised = TypeError
         else:
@@ -269,7 +289,7 @@ class TestLoad:
     def test_fixture_snapshot_contents(self, snapshot_path):
         store = load(snapshot_path)
         assert store.works[NORM_URN].kind.value == "norm"
-        assert len(store.versions_of(ART6_CPT)) == 4
+        assert len(versions_of(store, ART6_CPT)) == 4
 
     @pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank-lines"])
     def test_a_file_with_no_records_is_rejected(self, tmp_path, text):
@@ -281,16 +301,14 @@ class TestLoad:
         assert exc.value.line is None
 
     def test_dangling_aggregate_reference(self, tmp_path):
-        path = tmp_path / "bad.ndjson"
-        records = [
-            {"kind": "meta", "format_version": FORMAT_VERSION, "columns": COLUMNS,
-             "rows": {**dict.fromkeys(COLUMNS, 0), "work": 1, "ctv": 1}},
+        header = {"kind": "meta", "format_version": FORMAT_VERSION, "columns": COLUMNS,
+                  "rows": {**dict.fromkeys(COLUMNS, 0), "work": 1, "ctv": 1}}
+        rows = [
             {"kind": "work", "row": ["urn:n", [], "norm", "other", None, 0, {}]},
             {"kind": "ctv", "row": ["urn:n", "2000-01-01", None, ["urn:n!a@2000-01-01"]]},
         ]
-        path.write_text("\n".join(json.dumps(r) for r in records), encoding="utf-8")
         with pytest.raises(DanglingReference):
-            load(path)
+            _load_rows(header, rows, tmp_path)
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.ndjson"
@@ -316,17 +334,15 @@ class TestLoad:
                                                            capsys, edit):
         """Loaded, the work's facts could not be retrieved, and other works' would rank first."""
         unit_id = metadata_unit_id(NORM_URN, "publication_date")
-        records = [json.loads(line)
-                   for line in snapshot_path.read_text(encoding="utf-8").splitlines()]
+        header, records = read_rows(snapshot_path)
         at = next(i for i, r in enumerate(records) if r["kind"] == "unit" and r["row"][0] == unit_id)
         if edit == "dropped":
             del records[at]
         else:
             _set(records[at], "owner", ART6_CPT)
-        lines = [_encode(record) for record in records]
         with pytest.raises(MalformedSnapshot, match="the first is MissingMetadataUnit: "
                                                     "metadata key 'publication_date'"):
-            _load_lines(lines, tmp_path)
+            _load_rows(header, records, tmp_path)
         code = main(["query", "retrieve", "--snapshot", str(tmp_path / "bad.ndjson"),
                      "--text", "published", "--mode", "lexical", "--aspects", "metadata",
                      "--json"])
@@ -340,11 +356,6 @@ class TestLoad:
         path.write_text('{"kind": "mystery"}', encoding="utf-8")
         with pytest.raises(MalformedSnapshot):
             load(path)
-
-
-def _unit_lines(path):
-    lines = path.read_text(encoding="utf-8").splitlines()
-    return lines, [i for i, line in enumerate(lines) if json.loads(line)["kind"] == "unit"]
 
 
 def _load_lines(lines, tmp_path):
@@ -397,6 +408,25 @@ class TestMetaHeader:
         assert f"unsupported format_version {version!r}" in str(exc.value)
         assert "re-run `normgraph ingest`" in str(exc.value)
 
+    def test_a_second_record_of_a_kind_is_rejected(self, snapshot_path, tmp_path):
+        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
+        at = _line_of("theme")
+        lines.append(lines[at - 1])
+        with pytest.raises(MalformedSnapshot, match="second 'theme' record") as exc:
+            _load_lines(lines, tmp_path)
+        assert exc.value.line == len(lines)
+
+    def test_a_kind_without_its_record_is_rejected(self, tmp_path):
+        # No count can tell that an empty kind's record is missing.
+        store = GraphStore()
+        store.commit()
+        save(store, tmp_path / "empty.ndjson")
+        lines = (tmp_path / "empty.ndjson").read_text(encoding="utf-8").splitlines()
+        del lines[_line_of("theme") - 1]
+        with pytest.raises(MalformedSnapshot, match="the file holds no 'theme' record") as exc:
+            _load_lines(lines, tmp_path)
+        assert exc.value.line is None
+
 
 def _seed1_snapshot(tmp_path) -> Path:
     store = synthcorpus.build_store(synthcorpus.generate_corpus(1))
@@ -407,14 +437,15 @@ def _seed1_snapshot(tmp_path) -> Path:
 
 
 class TestWholeOrRejected:
-    """A snapshot that lost any of its lines does not load: the header's row
-    counts tell what no invariant can, such as a stub work that nothing references."""
+    """A snapshot that lost any of its rows, values or bytes does not load: the
+    header's row counts tell what no invariant can, such as a stub work that
+    nothing references, and each kind's columns must be of one length."""
 
     @staticmethod
     def _snapshot(which: str, tmp_path) -> list[str]:
         path = GOLDEN if which == "golden" else _seed1_snapshot(tmp_path)
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        assert len(lines) == {"golden": 78, "seed1": 126}[which]
+        assert len(lines) == 1 + len(COLUMNS)
         return lines
 
     @staticmethod
@@ -424,11 +455,35 @@ class TestWholeOrRejected:
         with pytest.raises(DataError):
             load(path)
 
+    def _each_record_edit(self, lines: list[str], tmp_path, edit) -> int:
+        """Load the snapshot with each record replaced by each columns ``edit`` yields; count them."""
+        edits = 0
+        for at in range(1, len(lines)):
+            record = json.loads(lines[at])
+            for columns in edit(record["columns"]):
+                changed = encode({"kind": record["kind"], "columns": columns}) + "\n"
+                self._rejected("".join(lines[:at] + [changed] + lines[at + 1:]), tmp_path)
+                edits += 1
+        return edits
+
     @pytest.mark.parametrize("which", ["golden", "seed1"])
-    def test_every_single_line_deletion_is_rejected(self, tmp_path, which):
-        lines = self._snapshot(which, tmp_path)
-        for at in range(len(lines)):
-            self._rejected("".join(lines[:at] + lines[at + 1:]), tmp_path)
+    def test_every_single_row_deletion_is_rejected(self, tmp_path, which):
+        def without_each_row(columns):
+            for row in range(len(columns[0])):
+                yield [values[:row] + values[row + 1:] for values in columns]
+
+        deleted = self._each_record_edit(self._snapshot(which, tmp_path), tmp_path,
+                                         without_each_row)
+        assert deleted == {"golden": 77, "seed1": 125}[which]
+
+    @pytest.mark.parametrize("which", ["golden", "seed1"])
+    def test_every_value_removed_from_one_column_is_rejected(self, tmp_path, which):
+        def one_column_short(columns):
+            for at, values in enumerate(columns):
+                for row in range(len(values)):
+                    yield [*columns[:at], values[:row] + values[row + 1:], *columns[at + 1:]]
+
+        self._each_record_edit(self._snapshot(which, tmp_path), tmp_path, one_column_short)
 
     @pytest.mark.parametrize("which", ["golden", "seed1"])
     def test_every_line_boundary_truncation_is_rejected(self, tmp_path, which):
@@ -440,14 +495,32 @@ class TestWholeOrRejected:
             (tmp_path / "whole.ndjson").write_text(text, encoding="utf-8")
             assert load(tmp_path / "whole.ndjson").committed
 
+    @pytest.mark.parametrize("which", ["golden", "seed1"])
+    def test_every_cut_inside_a_kind_record_is_rejected(self, tmp_path, which):
+        lines = self._snapshot(which, tmp_path)
+        for at in range(1, len(lines)):
+            line = lines[at]
+            record = json.loads(line)
+            # Cut where each column starts, halfway through it and where it
+            # ends, and just before the record's closing brace.
+            cuts = {len(line) - 2}
+            start = len(encode({"kind": record["kind"], "columns": []})) - 2
+            for values in record["columns"]:
+                end = start + len(encode(values))
+                assert line[end] in ",]"
+                cuts.update({start, (start + end) // 2, end})
+                start = end + 1
+            for cut in sorted(cuts):
+                self._rejected("".join(lines[:at]) + line[:cut], tmp_path)
+
     def test_a_missing_stub_work_is_named_with_both_counts(self, tmp_path):
-        lines = self._snapshot("seed1", tmp_path)
+        header, rows = read_rows(_seed1_snapshot(tmp_path))
         # The first work is an amending act's stub, which no other node names.
-        assert json.loads(lines[1])["row"][0].startswith("urn:test:act:")
-        works = json.loads(lines[0])["rows"]["work"]
+        assert rows[0]["row"][0].startswith("urn:test:act:")
+        works = header["rows"]["work"]
         with pytest.raises(MalformedSnapshot, match=re.escape(
                 f"the header gives {works} work row(s), the file holds {works - 1}")) as exc:
-            _load_lines([line.rstrip("\n") for line in lines[:1] + lines[2:]], tmp_path)
+            _load_rows(header, rows[1:], tmp_path)
         assert exc.value.line is None
 
 
@@ -506,92 +579,130 @@ class TestStrictHeader:
         path = tmp_path / "snap.ndjson"
         save(fixture_store, path)
         header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
-        assert header == {"kind": "meta", "format_version": 5, "columns": COLUMNS,
+        assert header == {"kind": "meta", "format_version": 6, "columns": COLUMNS,
                           "rows": {"work": 17, "action": 5, "ctv": 29, "clv": 9, "theme": 1,
                                    "unit": 16}}
 
 
 class TestStrictRecords:
-    """Every column of a row is required and every value has an exact type."""
+    """A kind record holds exactly its kind and one array per column, the columns
+    are of one length, and every value has an exact type."""
 
     @pytest.mark.parametrize("kind, key, value, reason", [
-        pytest.param("work", "metadata", ["label"], "'metadata' must be an object of strings",
+        pytest.param("work", "metadata", ["label"], "must be an object of strings",
                      id="work-metadata-list"),
-        pytest.param("ctv", "aggregates", [["x"]], "'aggregates' must be a list of strings",
+        pytest.param("ctv", "aggregates", [["x"]], "must be a list of strings",
                      id="ctv-aggregates-holding-a-list"),
-        pytest.param("clv", "language", 7, "'language' must be a string", id="clv-language-int"),
-        pytest.param("work", "ordinal", "0", "'ordinal' must be an integer", id="work-ordinal-string"),
-        pytest.param("action", "targets", "a", "'targets' must be a list of strings",
+        pytest.param("clv", "language", 7, "must be a string", id="clv-language-int"),
+        pytest.param("work", "ordinal", "0", "must be an integer", id="work-ordinal-string"),
+        pytest.param("action", "targets", "a", "must be a list of strings",
                      id="action-targets-string"),
-        pytest.param("work", "ordinal", False, "'ordinal' must be an integer", id="work-ordinal-bool"),
-        pytest.param("unit", "synthetic", 0, "'synthetic' must be a boolean", id="unit-synthetic-int"),
-        pytest.param("action", "effective_date", "2000-02-30", "'effective_date' must be an ISO date",
+        pytest.param("work", "ordinal", False, "must be an integer", id="work-ordinal-bool"),
+        pytest.param("unit", "synthetic", 0, "must be a boolean", id="unit-synthetic-int"),
+        pytest.param("action", "effective_date", "2000-02-30", "must be an ISO date",
                      id="action-bad-date"),
-        pytest.param("action", "enactment_date", "20000214", "'enactment_date' must be an ISO date",
+        pytest.param("action", "enactment_date", "20000214", "must be an ISO date",
                      id="action-compact-date"),
-        pytest.param("ctv", "valid_end", "2000-W07-1", "'valid_end' must be an ISO date or null",
+        pytest.param("ctv", "valid_end", "2000-W07-1", "must be an ISO date or null",
                      id="ctv-week-date"),
-        pytest.param("work", "work_kind", "statute", "'work_kind' must be a WorkKind value",
+        pytest.param("work", "work_kind", "statute", "must be a WorkKind value",
                      id="work-unknown-kind"),
-        pytest.param("ctv", "aggregates", DROP, "'row' must be a list of 4 values",
-                     id="ctv-no-aggregates"),
-        pytest.param("theme", "members", DROP, "'row' must be a list of 4 values",
-                     id="theme-no-members"),
-        pytest.param("clv", "temporal_version", DROP, "'row' must be a list of 2 values",
-                     id="clv-no-temporal_version"),
+        pytest.param("work", "metadata", {"label": 1}, "must be an object of strings",
+                     id="work-metadata-int-value"),
+        pytest.param("theme", "members", None, "must be a list of strings", id="theme-members-null"),
     ])
-    def test_a_bad_value_is_a_malformed_snapshot_naming_its_line(
+    def test_a_bad_value_is_a_malformed_snapshot_naming_its_kind_row_and_column(
             self, snapshot_path, tmp_path, capsys, kind, key, value, reason):
-        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
-        at = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
-        record = json.loads(lines[at])
-        _set(record, key, value)
-        lines[at] = json.dumps(record)
+        header, rows = read_rows(snapshot_path)
+        of_kind = [record for record in rows if record["kind"] == kind]
+        # The kind's last row, so the column is walked past good values to it.
+        at = len(of_kind) - 1
+        _set(of_kind[at], key, value)
         with pytest.raises(MalformedSnapshot) as exc:
-            _load_lines(lines, tmp_path)
-        assert exc.value.line == at + 1
-        assert f"bad {kind!r} record: {reason}" in str(exc.value)
+            _load_rows(header, rows, tmp_path)
+        line = _line_of(kind)
+        assert (exc.value.line, exc.value.kind, exc.value.row, exc.value.column) == (
+            line, kind, at, key)
+        assert f":{line}: bad {kind!r} record, row {at}, column {key!r}: {reason}" in str(exc.value)
         code = main(["query", "at", "--snapshot", str(tmp_path / "bad.ndjson"),
                      "--target", "art6", "--at", "2011-01-01"])
         assert code == 3
-        assert f":{at + 1}: bad {kind!r} record" in capsys.readouterr().err
+        assert f":{line}: bad {kind!r} record, row {at}, column {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, key, named", [
+        pytest.param("ctv", "aggregates", "aggregates", id="ctv-aggregates"),
+        pytest.param("theme", "members", "members", id="theme-members"),
+        pytest.param("action", "effective_date", "effective_date", id="action-effective_date"),
+        # The first column is the one the others are held to, so the second is named.
+        pytest.param("clv", "temporal_version", "language", id="clv-temporal_version"),
+    ])
+    def test_a_column_one_value_short_is_a_malformed_snapshot(
+            self, snapshot_path, tmp_path, kind, key, named):
+        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
+        line = _line_of(kind)
+        record = json.loads(lines[line - 1])
+        record["columns"][COLUMNS[kind].index(key)].pop()
+        lines[line - 1] = encode(record)
+        with pytest.raises(MalformedSnapshot) as exc:
+            _load_lines(lines, tmp_path)
+        assert (exc.value.line, exc.value.kind, exc.value.row, exc.value.column) == (
+            line, kind, None, named)
+        held = {key: len(values) for key, values in zip(COLUMNS[kind], record["columns"])}
+        first = COLUMNS[kind][0]
+        assert (f"bad {kind!r} record, column {named!r}: holds {held[named]} values, "
+                f"{first!r} holds {held[first]}") in str(exc.value)
 
     @pytest.mark.parametrize("kind, change, reason", [
-        pytest.param("work", lambda r: r["row"].append(0), "'row' must be a list of 7 values",
+        pytest.param("work", lambda r: r["columns"].append([]), "'columns' must be a list of 7 arrays",
                      id="work-extra-column"),
-        pytest.param("unit", lambda r: r["row"].append(""), "'row' must be a list of 6 values",
-                     id="unit-extra-column"),
-        pytest.param("clv", lambda r: r.update(row=dict(enumerate(r["row"]))),
-                     "'row' must be a list of 2 values", id="clv-row-object"),
-        pytest.param("action", lambda r: r.update(id=r["row"][0]),
-                     "its members must be kind, row", id="action-extra-member"),
-        pytest.param("theme", lambda r: r.pop("row"), "its members must be kind, row",
-                     id="theme-no-row"),
+        pytest.param("unit", lambda r: r["columns"].pop(), "'columns' must be a list of 6 arrays",
+                     id="unit-missing-column"),
+        pytest.param("clv", lambda r: r.update(columns=dict(enumerate(r["columns"]))),
+                     "'columns' must be a list of 2 arrays", id="clv-columns-object"),
+        pytest.param("ctv", lambda r: r["columns"].__setitem__(3, "aggregates"),
+                     "'columns' must be a list of 4 arrays", id="ctv-column-string"),
+        pytest.param("action", lambda r: r.update(id="act:x"),
+                     "its members must be kind, columns", id="action-extra-member"),
+        pytest.param("theme", lambda r: r.pop("columns"), "its members must be kind, columns",
+                     id="theme-no-columns"),
+        # A version 5 line, which holds one node's row.
+        pytest.param("work", lambda r: r.update(row=[values[0] for values in r.pop("columns")]),
+                     "its members must be kind, columns", id="work-v5-row"),
         # A version 3 unit line, whose embedding a version 4 store derives.
         pytest.param("unit", lambda r: r.update(embedding=[18, 0.5, 24, 0.25]),
-                     "its members must be kind, row", id="unit-v3-embedding"),
+                     "its members must be kind, columns", id="unit-v3-embedding"),
     ])
     def test_a_record_of_another_shape_is_a_malformed_snapshot(
             self, snapshot_path, tmp_path, kind, change, reason):
         lines = snapshot_path.read_text(encoding="utf-8").splitlines()
-        at = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
-        record = json.loads(lines[at])
+        line = _line_of(kind)
+        record = json.loads(lines[line - 1])
         change(record)
-        lines[at] = json.dumps(record)
+        lines[line - 1] = json.dumps(record)
         with pytest.raises(MalformedSnapshot) as exc:
             _load_lines(lines, tmp_path)
-        assert exc.value.line == at + 1
-        assert f"bad {kind!r} record: {reason}" in str(exc.value)
+        assert (exc.value.line, exc.value.row, exc.value.column) == (line, None, None)
+        assert f":{line}: bad {kind!r} record: {reason}" in str(exc.value)
 
     # Repeated units: test_load_rejects_a_repeated_unit_record.
     @pytest.mark.parametrize("kind", ["work", "ctv", "clv", "action", "theme"])
-    def test_a_repeated_id_is_a_malformed_snapshot(self, snapshot_path, tmp_path, kind):
-        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
-        at = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
-        lines.insert(at + 1, lines[at])
+    def test_a_repeated_id_is_a_malformed_snapshot_naming_its_row(
+            self, snapshot_path, tmp_path, kind):
+        header, rows = read_rows(snapshot_path)
+        at = next(i for i, record in enumerate(rows) if record["kind"] == kind)
+        rows.insert(at + 1, rows[at])
         with pytest.raises(MalformedSnapshot, match=f"repeated {kind} ") as exc:
-            _load_lines(lines, tmp_path)
-        assert exc.value.line == at + 2
+            _load_rows(header, rows, tmp_path)
+        assert (exc.value.line, exc.value.kind, exc.value.row) == (_line_of(kind), kind, 1)
+
+    def test_a_node_its_constructor_refuses_names_its_row(self, snapshot_path, tmp_path):
+        header, rows = read_rows(snapshot_path)
+        ctvs = [record for record in rows if record["kind"] == "ctv"]
+        _set(ctvs[2], "valid_end", ctvs[2]["row"][1])
+        with pytest.raises(MalformedSnapshot, match="must precede valid_end") as exc:
+            _load_rows(header, rows, tmp_path)
+        assert (exc.value.line, exc.value.kind, exc.value.row, exc.value.column) == (
+            _line_of("ctv"), "ctv", 2, None)
 
 
 class TestDerivedColumns:
@@ -611,23 +722,22 @@ class TestDerivedColumns:
         assert "description_unit" not in COLUMNS["action"]
         for line in snapshot_path.read_text(encoding="utf-8").splitlines()[1:]:
             record = json.loads(line)
-            assert len(record["row"]) == len(COLUMNS[record["kind"]])
+            assert len(record["columns"]) == len(COLUMNS[record["kind"]])
 
     @pytest.mark.parametrize("column, verb", [("produces", "produced"),
                                               ("terminates", "terminated")])
     def test_a_ctv_that_two_actions_claim_is_rejected(
             self, snapshot_path, tmp_path, column, verb):
-        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
-        actions = [i for i, line in enumerate(lines) if json.loads(line)["kind"] == "action"]
-        records = {i: json.loads(lines[i]) for i in actions}
+        header, rows = read_rows(snapshot_path)
+        actions = [record for record in rows if record["kind"] == "action"]
         at = COLUMNS["action"].index(column)
-        first, second = [i for i in actions if records[i]["row"][at]][:2]
-        claimed = records[first]["row"][at][0]
-        records[second]["row"][at].append(claimed)
-        lines[second] = json.dumps(records[second])
+        first, second = [i for i, record in enumerate(actions) if record["row"][at]][:2]
+        claimed = actions[first]["row"][at][0]
+        actions[second]["row"][at].append(claimed)
         with pytest.raises(MalformedSnapshot) as exc:
-            _load_lines(lines, tmp_path)
-        assert exc.value.line == second + 1
+            _load_rows(header, rows, tmp_path)
+        assert (exc.value.line, exc.value.kind, exc.value.row) == (_line_of("action"), "action",
+                                                                   second)
         assert f"ctv {claimed!r} is {verb} by both" in str(exc.value)
 
     @pytest.mark.parametrize("verb", ["produced", "terminated"])
@@ -658,10 +768,9 @@ class TestDerivedColumns:
                                                        tmp_path, capsys, kind):
         node = next(iter({"action": fixture_store.actions, "clv": fixture_store.clvs}[kind].values()))
         unit = node.description_unit if kind == "action" else node.text_unit
-        lines = snapshot_path.read_text(encoding="utf-8").splitlines()
-        lines = [line for line in lines if json.loads(line).get("row", [None])[0] != unit]
+        header, rows = read_rows(snapshot_path)
         with pytest.raises(DanglingReference) as exc:
-            _load_lines(lines, tmp_path)
+            _load_rows(header, [record for record in rows if record["row"][0] != unit], tmp_path)
         assert (exc.value.referrer, exc.value.missing) == (node.id, unit)
         code = main(["query", "at", "--snapshot", str(tmp_path / "bad.ndjson"),
                      "--target", "art6", "--at", "2011-01-01"])
@@ -702,7 +811,7 @@ class TestReferences:
                                               capsys, row):
         nodes, attr, names, many = row
         kind = _KIND_OF[nodes]
-        records = [json.loads(line) for line in snapshot_path.read_text(encoding="utf-8").splitlines()]
+        header, records = read_rows(snapshot_path)
         if attr in COLUMNS[kind] and attr != "work":
             # Point the first id the column holds at a missing one.
             at = COLUMNS[kind].index(attr)
@@ -712,15 +821,14 @@ class TestReferences:
             referrer = _record_id(record)
         else:
             # A derived id, or a CTV's work, which the CTV's own id is derived
-            # from: drop the line of a node this row names and no earlier one does.
+            # from: drop the row of a node this row names and no earlier one does.
             earlier = {ref for _, ref in _cited(fixture_store, _REFERENCES[:_REFERENCES.index(row)])}
             referrer, missing = next(pair for pair in _cited(fixture_store, [row])
                                      if pair[1] not in earlier)
             records = [r for r in records
                        if r["kind"] != _KIND_OF[names] or _record_id(r) != missing]
-        lines = [_encode(record) for record in records]
         with pytest.raises(DanglingReference) as exc:
-            _load_lines(lines, tmp_path)
+            _load_rows(header, records, tmp_path)
         assert (exc.value.referrer, exc.value.missing) == (referrer, missing)
         code = main(["query", "at", "--snapshot", str(tmp_path / "bad.ndjson"),
                      "--target", "art6", "--at", "2011-01-01", "--json"])
@@ -809,17 +917,18 @@ class TestEmbeddingEntries:
         }
 
     def test_load_rejects_a_repeated_unit_record(self, snapshot_path, tmp_path):
-        lines, units = _unit_lines(snapshot_path)
-        lines.insert(units[4] + 1, lines[units[4]])
+        header, rows = read_rows(snapshot_path)
+        units = [i for i, record in enumerate(rows) if record["kind"] == "unit"]
+        rows.insert(units[4] + 1, rows[units[4]])
         with pytest.raises(MalformedSnapshot, match="repeated unit") as exc:
-            _load_lines(lines, tmp_path)
-        assert exc.value.line == units[4] + 2
+            _load_rows(header, rows, tmp_path)
+        assert (exc.value.line, exc.value.row) == (_line_of("unit"), 5)
 
     def test_load_sorts_rows_of_an_unsorted_file(self, fixture_store, snapshot_path, tmp_path):
-        lines, units = _unit_lines(snapshot_path)
-        head, unit_lines = lines[:units[0]], lines[units[0]:]
-        path = tmp_path / "reversed.ndjson"
-        path.write_text("\n".join(head + unit_lines[::-1]), encoding="utf-8")
+        header, rows = read_rows(snapshot_path)
+        units = [record for record in rows if record["kind"] == "unit"]
+        others = [record for record in rows if record["kind"] != "unit"]
+        path = write_rows(tmp_path / "reversed.ndjson", header, others + units[::-1])
         loaded = load(path)
         assert entry_bits(loaded) == entry_bits(fixture_store)
         resaved = tmp_path / "resaved.ndjson"
@@ -833,18 +942,14 @@ class TestEmbeddingEntries:
         assert not path.exists()
 
 
-class TestVersionsOf:
+class TestVersionChains:
     def test_amended_component_lists_all_versions_in_order(self, fixture_store):
-        starts = [tv.validity.valid_start for tv in fixture_store.versions_of(ART6_CPT)]
-        assert starts == [
+        starts = [tv.validity.valid_start for tv in versions_of(fixture_store, ART6_CPT)]
+        assert starts == fixture_store.version_starts[ART6_CPT] == [
             date(1988, 10, 5), date(2000, 2, 15), date(2010, 2, 4), date(2015, 9, 15)]
 
     def test_never_amended_component_has_one_version(self, fixture_store):
-        assert len(fixture_store.versions_of(f"{NORM_URN}!art7_item1")) == 1
-
-    def test_unknown_work(self, fixture_store):
-        with pytest.raises(UnknownWork):
-            fixture_store.versions_of("urn:nowhere")
+        assert len(versions_of(fixture_store, f"{NORM_URN}!art7_item1")) == 1
 
 
 class TestIndexCoherence:
@@ -1062,7 +1167,7 @@ class TestChainIndex:
         assert set(chains) == {fixture_store.ctvs[lv.temporal_version].work
                                for lv in fixture_store.clvs.values()}
         for urn, (ctvs, starts, ends, wordings, primary) in chains.items():
-            versions = fixture_store.versions_of(urn)
+            versions = versions_of(fixture_store, urn)
             assert ctvs == [tv.id for tv in versions]
             assert fixture_store.chain_index.chains[urn].ctvs == [tv.id for tv in versions]
             # The store's own lists, not copies.

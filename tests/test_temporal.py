@@ -24,7 +24,7 @@ from normgraph.themes import define_theme
 
 import synthcorpus
 from reference_ids import ART6, ART6_CPT, ART7, ART7_CPT, CAP2, NORM_URN
-from test_ingest import amendment_file, apply_file, mini_doc
+from test_ingest import amendment_file, apply_file, mini_doc, versions_of
 
 
 class TestResolveInstant:
@@ -172,7 +172,7 @@ def _reference_scope(store, entry, t, policy, window):
     dates = {a.effective_date for a in store.actions.values() if t1 <= a.effective_date <= t2}
 
     def alive(urn, day):
-        return any(interval_contains(tv.validity, day) for tv in store.versions_of(urn))
+        return any(interval_contains(tv.validity, day) for tv in versions_of(store, urn))
 
     def member(urn):
         if policy is MembershipPolicy.SNAPSHOT_ANCHORED:
@@ -180,15 +180,15 @@ def _reference_scope(store, entry, t, policy, window):
         if policy is MembershipPolicy.LIFETIME:
             return any(tv.validity.valid_start <= t2
                        and (tv.validity.valid_end is None or tv.validity.valid_end > t1)
-                       for tv in store.versions_of(urn))
+                       for tv in versions_of(store, urn))
         return any(alive(urn, day) for day in dates)
 
     return {urn for urn in store.descendants(entry) if member(urn)}
 
 
 def _reference_ctv_at(store, work, t):
-    """ctv_at read from the whole chain, ``versions_of``."""
-    chain = store.versions_of(work)
+    """ctv_at read from the whole chain, as ``versions_of`` lists it."""
+    chain = versions_of(store, work)
     for tv in chain:
         if interval_contains(tv.validity, t):
             return tv
@@ -334,7 +334,7 @@ class TestSnapshotText:
                 synthcorpus.oracle_snapshot(corpus, at), at
 
     def test_snapshot_constant_inside_interval(self, fixture_store):
-        for tv in fixture_store.versions_of(NORM_URN):
+        for tv in versions_of(fixture_store, NORM_URN):
             start = tv.validity.valid_start
             end = tv.validity.valid_end or (start + timedelta(days=400))
             probes = {start, end - timedelta(days=1),
