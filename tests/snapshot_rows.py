@@ -26,25 +26,17 @@ def read_rows(path: Path) -> tuple[dict, list[dict]]:
                                   for record in records for row in zip(*record["columns"])]
 
 
-def kind_record(kind: str, rows: list[list], width: int) -> dict:
-    """The record holding ``rows`` of ``kind``, each a list of ``width`` values."""
-    return {"kind": kind, "columns": [[row[at] for row in rows] for at in range(width)]}
-
-
-def snapshot_lines(header: dict, rows: list[dict]) -> list[str]:
-    """The header, then one record for each kind the header's columns name, in that order.
+def write_rows(path: Path, header: dict, rows: list[dict]) -> Path:
+    """Write the header, then one record for each kind its columns name, in that order.
 
     The header is written as given, so its row counts may disagree with ``rows``.
     """
     lines = [encode(header)]
     for kind, keys in header["columns"].items():
-        lines.append(encode(kind_record(kind, [r["row"] for r in rows if r["kind"] == kind],
-                                        len(keys))))
-    return lines
-
-
-def write_rows(path: Path, header: dict, rows: list[dict]) -> Path:
-    Path(path).write_text("\n".join(snapshot_lines(header, rows)) + "\n", encoding="utf-8")
+        of_kind = [record["row"] for record in rows if record["kind"] == kind]
+        lines.append(encode({"kind": kind, "columns": [[row[at] for row in of_kind]
+                                                       for at in range(len(keys))]}))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return Path(path)
 
 
