@@ -85,12 +85,12 @@ def embedder_for_store(store: GraphStore) -> HashedTfidfEmbedder:
 
 
 def embeddings_of(store: GraphStore, unit_ids: list[str],
-                  embedder: HashedTfidfEmbedder | None = None) -> list[dict[int, float]]:
+                  embedder: HashedTfidfEmbedder) -> list[dict[int, float]]:
     """The units' embeddings, in ``unit_ids`` order.
 
     A unit's embedding is computed from its text with the store's
-    statistics on its first read, by ``embedder`` when the caller has
-    already built it with ``embedder_for_store(store)``, and kept in
+    statistics on its first read, by ``embedder``, which the caller builds
+    with ``embedder_for_store(store)``, and kept in
     ``store.unit_embeddings`` for later reads. Racing first readers compute
     equal maps, so whichever is kept, scores are the same. An uncommitted
     store, whose statistics may still change, keeps none. Shared with the
@@ -99,7 +99,7 @@ def embeddings_of(store: GraphStore, unit_ids: list[str],
     kept = store.unit_embeddings if store.committed else {}
     missing = [uid for uid in unit_ids if uid not in kept]
     if missing:
-        embed, units = (embedder or embedder_for_store(store)).embed, store.units
+        embed, units = embedder.embed, store.units
         for uid in missing:
             kept[uid] = embed(units[uid].text)
     return [kept[uid] for uid in unit_ids]

@@ -842,6 +842,7 @@ def load(path: str | Path) -> GraphStore:
             read.add(kind)
             _file_kind(store, kind, rec, partial(MalformedSnapshot, path=spath, line=lineno,
                                                  kind=kind))
+            del rec  # drop its parsed columns before the next record is parsed
 
     if rows is None:
         raise MalformedSnapshot("missing meta header: the file holds no records", path=spath)

@@ -40,6 +40,7 @@ from normgraph.retrieval import (
     HashedTfidfEmbedder,
     RetrievalMode,
     RetrievalRequest,
+    embedder_for_store,
     embeddings_of,
     scoped_search,
 )
@@ -63,7 +64,7 @@ def entry_bits(store: GraphStore) -> dict[str, list[tuple[int, str]]]:
     """Each unit's embedding entries in bucket order, their values as exact hex."""
     uids = sorted(store.units)
     return {uid: [(i, v.hex()) for i, v in entries.items()]
-            for uid, entries in zip(uids, embeddings_of(store, uids))}
+            for uid, entries in zip(uids, embeddings_of(store, uids, embedder_for_store(store)))}
 
 
 def _set(record: dict, column: str, value) -> None:
@@ -467,6 +468,12 @@ class TestWholeOrRejected:
         return edits
 
     @pytest.mark.parametrize("which", ["golden", "seed1"])
+    def test_every_single_line_deletion_is_rejected(self, tmp_path, which):
+        lines = self._snapshot(which, tmp_path)
+        for at in range(len(lines)):
+            self._rejected("".join(lines[:at] + lines[at + 1:]), tmp_path)
+
+    @pytest.mark.parametrize("which", ["golden", "seed1"])
     def test_every_single_row_deletion_is_rejected(self, tmp_path, which):
         def without_each_row(columns):
             for row in range(len(columns[0])):
@@ -841,7 +848,7 @@ class TestReferences:
 # Loads a snapshot and prints, in order, what it derives from the units' text.
 _DERIVE = """
 import json, sys
-from normgraph.retrieval import embeddings_of
+from normgraph.retrieval import embedder_for_store, embeddings_of
 from normgraph.store import load
 
 store = load(sys.argv[1])
@@ -849,7 +856,8 @@ print(json.dumps({
     "df": list(store.text_index.df.items()),
     "avgdl": store.text_index.avgdl.hex(),
     "embeddings": [[[i, v.hex()] for i, v in entries.items()]
-                   for entries in embeddings_of(store, sorted(store.units))],
+                   for entries in embeddings_of(store, sorted(store.units),
+                                                 embedder_for_store(store))],
 }))
 """
 
@@ -864,7 +872,8 @@ class TestEmbeddingEntries:
 
     def test_each_unit_has_its_nonzero_entries_by_ascending_bucket(self, fixture_store):
         uids = sorted(fixture_store.units)
-        for uid, entries in zip(uids, embeddings_of(fixture_store, uids)):
+        for uid, entries in zip(uids, embeddings_of(fixture_store, uids,
+                                                     embedder_for_store(fixture_store))):
             assert list(entries) == sorted(entries)
             assert all(type(i) is int and 0 <= i < EMBEDDING_DIMENSION for i in entries)
             assert all(type(v) is float and v != 0.0 for v in entries.values())
@@ -875,9 +884,9 @@ class TestEmbeddingEntries:
     def test_a_unit_is_embedded_once_with_the_store_statistics(self, snapshot_path):
         store = load(snapshot_path)
         uid = sorted(store.units)[3]
-        first = embeddings_of(store, [uid])[0]
+        first = embeddings_of(store, [uid], embedder_for_store(store))[0]
         assert list(store.unit_embeddings) == [uid]
-        assert embeddings_of(store, [uid])[0] is first
+        assert embeddings_of(store, [uid], embedder_for_store(store))[0] is first
         index = store.text_index
         expected = HashedTfidfEmbedder(index.df, index.n_units).embed(store.units[uid].text)
         assert [(i, v.hex()) for i, v in first.items()] == [
@@ -890,12 +899,12 @@ class TestEmbeddingEntries:
         first = store.text_index
         assert first.n_units == sum(u.retrievable for u in store.units.values()) > 0
         assert store.text_index is not first and store.text_index == first
-        embedded = embeddings_of(store, [uid])
+        embedded = embeddings_of(store, [uid], embedder_for_store(store))
         assert store._text_index is None and store.unit_embeddings == {}
         store.commit()
         assert store.text_index == first
         expected = HashedTfidfEmbedder(first.df, first.n_units).embed(store.units[uid].text)
-        assert embeddings_of(store, [uid]) == embedded == [expected]
+        assert embeddings_of(store, [uid], embedder_for_store(store)) == embedded == [expected]
         assert list(store.unit_embeddings) == [uid]
 
     @pytest.mark.parametrize("hash_seed", ["0", "1", "4242"])
@@ -913,7 +922,7 @@ class TestEmbeddingEntries:
             "df": [list(item) for item in store.text_index.df.items()],
             "avgdl": store.text_index.avgdl.hex(),
             "embeddings": [[[i, v.hex()] for i, v in entries.items()]
-                           for entries in embeddings_of(store, uids)],
+                           for entries in embeddings_of(store, uids, embedder_for_store(store))],
         }
 
     def test_load_rejects_a_repeated_unit_record(self, snapshot_path, tmp_path):
