@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
-from datetime import date
+from datetime import date, timedelta
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -50,13 +50,12 @@ from .model import (
     TEXT_BEARING_TYPES,
     TemporalVersion,
     TextUnit,
-    ValidityInterval,
-    WorkId,
     WorkKind,
     WorkNode,
     metadata_tuple,
     metadata_unit_id,
     parse_iso_date,
+    urn_fragment,
 )
 from .store import GraphStore, pick_wording
 from .themes import define_theme
@@ -232,7 +231,7 @@ def _parse_norm_meta(data: dict, path: str | None) -> NormMeta:
         language=json_field(data, "language", path, str, "en"),
         short_title=json_field(data, "short_title", path, str, None),
         aliases=tuple(json_field(data, "aliases", path, list, (), str)),
-        metadata=metadata_tuple(json_field(data, "metadata", path, dict, {})),
+        metadata=metadata_tuple(json_field(data, "metadata", path, dict, {}, str)),
     )
 
 
@@ -395,9 +394,9 @@ def render_action_text(action: ActionNode, store: GraphStore, language: str = "e
          if cid in store.ctvs and store.ctvs[cid].work == target_urn),
         None,
     )
-    previous_start = terminated_tv.validity.valid_start.isoformat() if terminated_tv else ""
-    last_day = terminated_tv.validity.last_valid_day if terminated_tv else None
-    terminated = last_day.isoformat() if last_day else ""
+    previous_start = terminated_tv.valid_start.isoformat() if terminated_tv else ""
+    end = terminated_tv.valid_end if terminated_tv else None
+    terminated = (end - timedelta(days=1)).isoformat() if end else ""  # its last valid day
 
     if action.action_type is ActionType.REPEAL:
         return locale["action_repeal"].format(
@@ -438,7 +437,7 @@ def _source_prose(action: ActionNode, store: GraphStore) -> str:
     label = work.meta("label") if work else None
     if label:
         return label
-    fragment = WorkId(action.source_provision).fragment
+    fragment = urn_fragment(action.source_provision)
     return f"its {fragment}" if fragment else action.source_provision
 
 
@@ -472,7 +471,8 @@ def _norm_work(norm: NormMeta, **facts: str) -> WorkNode:
         meta["short_title"] = norm.short_title
     meta.update(norm.metadata)
     return WorkNode(
-        id=WorkId(norm.urn, norm.aliases),
+        urn=norm.urn,
+        aliases=norm.aliases,
         kind=WorkKind.NORM,
         component_type=ComponentType.OTHER,
         metadata=metadata_tuple(meta),
@@ -486,9 +486,10 @@ def _build_subtree(store: GraphStore, record: ComponentRecord, parent_urn: str, 
     Text is attached in ``language``. Version ids are appended to
     ``produces`` children first; returns the id of ``record``'s own version.
     """
-    urn = f"{store.works[parent_urn].id.norm_urn}{FRAGMENT_SEP}{record.fragment}"
+    urn = f"{store.works[parent_urn].norm_urn}{FRAGMENT_SEP}{record.fragment}"
     store.add_work(WorkNode(
-        id=WorkId(urn, record.aliases),
+        urn=urn,
+        aliases=record.aliases,
         kind=WorkKind.COMPONENT,
         component_type=record.component_type,
         parent=parent_urn,
@@ -498,7 +499,7 @@ def _build_subtree(store: GraphStore, record: ComponentRecord, parent_urn: str, 
     child_cids = [_build_subtree(store, child, urn, child.ordinal, start, language, produces)
                   for child in record.children]
     cid = store.add_ctv(TemporalVersion(
-        work=urn, validity=ValidityInterval(start), aggregates=tuple(child_cids)))
+        work=urn, valid_start=start, aggregates=tuple(child_cids)))
     produces.append(cid)
     if record.text is not None:
         _attach_content(store, cid, language, record.text, record.synthetic)
@@ -540,7 +541,7 @@ def enact(store: GraphStore, doc: SourceDocument) -> str:
                                 norm.language, produced)
                  for record in doc.body]
     produced.append(store.add_ctv(TemporalVersion(
-        work=norm.urn, validity=ValidityInterval(start), aggregates=tuple(root_cids))))
+        work=norm.urn, valid_start=start, aggregates=tuple(root_cids))))
     _record_action(store, ActionNode(
         id=action_id,
         action_type=ActionType.ENACTMENT,
@@ -582,7 +583,8 @@ def _ensure_instrument_works(
     if source_urn not in store.works:
         meta = {"label": source_label} if source_label else {}
         store.add_work(WorkNode(
-            id=WorkId(source_urn),
+            urn=source_urn,
+            aliases=(),
             kind=WorkKind.COMPONENT,
             component_type=ComponentType.OTHER,
             parent=instrument.urn,
@@ -596,10 +598,10 @@ def _open_version(store: GraphStore, urn: str, effective: date) -> TemporalVersi
     """The open version of ``urn``, which must start on or before ``effective``."""
     chain = store.versions.get(urn)
     last = store.ctvs[chain[-1]] if chain else None
-    if last is None or not last.validity.is_open:
+    if last is None or last.valid_end is not None:
         raise NoOpenVersion(urn, effective)
-    if last.validity.valid_start > effective:
-        raise OutOfOrderEvent(urn, effective, last.validity.valid_start)
+    if last.valid_start > effective:
+        raise OutOfOrderEvent(urn, effective, last.valid_start)
     return last
 
 
@@ -645,13 +647,13 @@ def _propagate_up(
             aggregates.remove(old_cid)
         else:
             aggregates[aggregates.index(old_cid)] = new_cid
-        if current.validity.valid_start == effective:
+        if current.valid_start == effective:
             store.ctvs[current.id] = replace(current, aggregates=tuple(aggregates))
             return
         store.close_ctv(current.id, effective)
         terminates.append(current.id)
         successor = store.add_ctv(TemporalVersion(
-            work=ancestor, validity=ValidityInterval(effective), aggregates=tuple(aggregates)))
+            work=ancestor, valid_start=effective, aggregates=tuple(aggregates)))
         produces.append(successor)
         _carry_content(store, current.id, successor)
         old_cid, new_cid = current.id, successor
@@ -669,7 +671,7 @@ def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str
     target = store.works[ev.target]
     action_id = (
         f"act:{_slug(instrument.short_title or instrument.title)}:"
-        f"{_slug(target.id.fragment or 'norm')}:{effective.isoformat()}"
+        f"{_slug(target.fragment or 'norm')}:{effective.isoformat()}"
     )
     if action_id in store.actions:
         raise MalformedInput(
@@ -684,16 +686,16 @@ def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str
         seen: set[str] = set()
         records = [_parse_component(raw, i, parent_type, seen, ev.path)
                    for i, raw in enumerate(ev.new_components)]
-        taken = sorted(f for f in seen if f"{target.id.norm_urn}{FRAGMENT_SEP}{f}" in store.works)
+        taken = sorted(f for f in seen if f"{target.norm_urn}{FRAGMENT_SEP}{f}" in store.works)
         if taken:
             raise MalformedInput(f"inserted fragment {taken[0]!r} already exists", ev.path)
-        if instrument.urn == target.id.norm_urn and ev.source_provision in seen:
+        if instrument.urn == target.norm_urn and ev.source_provision in seen:
             # Its stub would be written first and take the inserted work's urn.
             raise MalformedInput(
                 f"source provision {ev.source_provision!r} is a fragment this event inserts",
                 ev.path)
-    elif current.validity.valid_start == effective:
-        raise OutOfOrderEvent(ev.target, effective, current.validity.valid_start)
+    elif current.valid_start == effective:
+        raise OutOfOrderEvent(ev.target, effective, current.valid_start)
     elif ev.action_type is ActionType.AMENDMENT and not store.clvs_by_ctv.get(current.id):
         raise StructureError(f"{ev.target!r} bears no text; use new_components or repeal")
     for ancestor in _ancestors(store, ev.target):
@@ -718,7 +720,7 @@ def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str
         new_cid = None
         if ev.action_type is ActionType.AMENDMENT:
             new_cid = store.add_ctv(TemporalVersion(
-                work=ev.target, validity=ValidityInterval(effective),
+                work=ev.target, valid_start=effective,
                 aggregates=current.aggregates,
             ))
             produces.append(new_cid)

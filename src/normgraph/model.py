@@ -1,11 +1,11 @@
-"""Graph node types, identifiers, and validity-interval semantics.
+"""Graph node types, identifiers, and the graph validator.
 
-Every node is a plain value object: construction fixes its identity and
-the store treats instances as immutable (updates go through
-``dataclasses.replace`` on the store side). Validity intervals are
-half-open: ``valid_start`` inclusive, ``valid_end`` exclusive, so a
-version "valid until 2010-02-03" is stored with ``valid_end``
-2010-02-04.
+Every node is a flat value object whose fields are its snapshot columns:
+construction checks it and fixes its identity, and the store treats
+instances as immutable (updates go through ``dataclasses.replace`` on the
+store side). A temporal version's validity is half-open: ``valid_start``
+inclusive, ``valid_end`` exclusive, so a version "valid until 2010-02-03"
+is stored with ``valid_end`` 2010-02-04.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .store import GraphStore
@@ -84,15 +84,27 @@ STRUCTURE_RULES: dict[ComponentType | None, frozenset[ComponentType]] = {
 }
 
 
-@dataclass(frozen=True)
-class WorkId:
-    """Canonical identifier of a norm or component work.
+def urn_fragment(urn: str) -> str | None:
+    """The component fragment path of a work urn, or None for a norm-level urn."""
+    return urn.rsplit(FRAGMENT_SEP, 1)[1] if FRAGMENT_SEP in urn else None
 
-    Equality and hashing use the urn alone; aliases are lookup helpers.
-    """
+
+def urn_norm(urn: str) -> str:
+    """The urn of the norm that owns a work urn (itself, for a norm-level urn)."""
+    return urn.split(FRAGMENT_SEP, 1)[0]
+
+
+@dataclass(frozen=True)
+class WorkNode:
+    """Abstract identity of a norm or one of its hierarchical components, named by its urn."""
 
     urn: str
-    aliases: tuple[str, ...] = field(default=(), compare=False)
+    aliases: tuple[str, ...]
+    kind: WorkKind
+    component_type: ComponentType = ComponentType.OTHER
+    parent: str | None = None
+    ordinal: int = 0
+    metadata: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.urn:
@@ -100,34 +112,11 @@ class WorkId:
 
     @property
     def fragment(self) -> str | None:
-        """Component fragment path, or None for a norm-level urn."""
-        if FRAGMENT_SEP in self.urn:
-            return self.urn.rsplit(FRAGMENT_SEP, 1)[1]
-        return None
+        return urn_fragment(self.urn)
 
     @property
     def norm_urn(self) -> str:
-        """Urn of the owning norm (itself, for a norm-level urn)."""
-        return self.urn.split(FRAGMENT_SEP, 1)[0]
-
-    def __str__(self) -> str:
-        return self.urn
-
-
-@dataclass(frozen=True)
-class WorkNode:
-    """Abstract identity of a norm or one of its hierarchical components."""
-
-    id: WorkId
-    kind: WorkKind
-    component_type: ComponentType = ComponentType.OTHER
-    parent: str | None = None
-    ordinal: int = 0
-    metadata: tuple[tuple[str, str], ...] = ()
-
-    @property
-    def urn(self) -> str:
-        return self.id.urn
+        return urn_norm(self.urn)
 
     def meta(self, key: str, default: str | None = None) -> str | None:
         for k, v in self.metadata:
@@ -138,32 +127,7 @@ class WorkNode:
     @cached_property
     def label(self) -> str:
         """Human-facing label; falls back to fragment or urn. Built on first read and kept."""
-        return self.meta("label") or self.id.fragment or self.urn
-
-
-@dataclass(frozen=True)
-class ValidityInterval:
-    """Half-open validity window: start inclusive, end exclusive."""
-
-    valid_start: date
-    valid_end: date | None = None
-
-    def __post_init__(self) -> None:
-        if self.valid_end is not None and not self.valid_start < self.valid_end:
-            raise ValueError(
-                f"valid_start {self.valid_start} must precede valid_end {self.valid_end}"
-            )
-
-    @property
-    def is_open(self) -> bool:
-        return self.valid_end is None
-
-    @property
-    def last_valid_day(self) -> date | None:
-        """Final calendar day on which the interval holds (None while open)."""
-        if self.valid_end is None:
-            return None
-        return date.fromordinal(self.valid_end.toordinal() - 1)
+        return self.meta("label") or self.fragment or self.urn
 
 
 def parse_iso_date(value: str) -> date:
@@ -178,13 +142,6 @@ def parse_iso_date(value: str) -> date:
         except ValueError:  # a month or day out of range
             pass
     raise ValueError(f"not a YYYY-MM-DD date: {value!r}")
-
-
-def interval_contains(iv: ValidityInterval, t: date) -> bool:
-    """True iff ``valid_start <= t`` and t precedes the (possibly open) end."""
-    if t < iv.valid_start:
-        return False
-    return iv.valid_end is None or t < iv.valid_end
 
 
 def ctv_id(work_urn: str, valid_start: date) -> str:
@@ -203,9 +160,10 @@ def metadata_unit_id(work_urn: str, key: str) -> str:
 class TemporalVersion:
     """Date-stamped, language-agnostic snapshot of one work (a CTV).
 
-    ``aggregates`` references one child CTV per child component alive at
-    ``validity.valid_start``, ordered by child ordinal; unchanged children
-    keep their existing CTV ids across parent versions.
+    It is valid from ``valid_start`` (inclusive) until ``valid_end``
+    (exclusive; None while open). ``aggregates`` references one child CTV
+    per child component alive at ``valid_start``, ordered by child ordinal;
+    unchanged children keep their existing CTV ids across parent versions.
 
     ``id`` is derived, ``ctv_id(work, valid_start)``, and cannot be passed
     in. The actions that produced and terminated a version are not stored
@@ -215,11 +173,20 @@ class TemporalVersion:
 
     id: str = field(init=False)
     work: str
-    validity: ValidityInterval
+    valid_start: date
+    valid_end: date | None = None
     aggregates: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "id", ctv_id(self.work, self.validity.valid_start))
+        if self.valid_end is not None and not self.valid_start < self.valid_end:
+            raise ValueError(
+                f"valid_start {self.valid_start} must precede valid_end {self.valid_end}"
+            )
+        object.__setattr__(self, "id", ctv_id(self.work, self.valid_start))
+
+    def contains(self, t: date) -> bool:
+        """True iff ``valid_start <= t`` and t precedes the (possibly open) end."""
+        return self.valid_start <= t and (self.valid_end is None or t < self.valid_end)
 
 
 @dataclass(frozen=True)
@@ -360,16 +327,16 @@ def _check_work_tree(graph: "GraphStore", out: list[Violation]) -> None:
             continue
         if work.parent not in graph.works:
             continue
-        norm_urn = work.id.norm_urn
+        norm_urn = work.norm_urn
         if norm_urn not in graph.works:
             out.append(Violation("UrnFormat", "component urn does not extend a known norm urn", (urn,)))
         expected_prefix = norm_urn + FRAGMENT_SEP
-        if not urn.startswith(expected_prefix) or not work.id.fragment:
+        if not urn.startswith(expected_prefix) or not work.fragment:
             out.append(Violation("UrnFormat", "component urn lacks a !fragment suffix", (urn,)))
     for urn, work in graph.works.items():
         if work.kind is WorkKind.COMPONENT and work.parent in graph.works:
             parent = graph.works[work.parent]
-            if parent.id.norm_urn != work.id.norm_urn:
+            if parent.norm_urn != work.norm_urn:
                 out.append(Violation("UrnFormat", "parent belongs to a different norm", (urn, parent.urn)))
     for parent_urn, children in graph.children.items():
         ordinals = sorted(graph.works[c].ordinal for c in children)
@@ -386,23 +353,23 @@ def _check_version_tiling(graph: "GraphStore", out: list[Violation]) -> None:
         # The store keeps each chain sorted by start date.
         ordered = [graph.ctvs[cid] for cid in graph.versions.get(urn, ())]
         for prev, cur in zip(ordered, ordered[1:]):
-            if prev.validity.valid_end is None or prev.validity.valid_end > cur.validity.valid_start:
+            if prev.valid_end is None or prev.valid_end > cur.valid_start:
                 out.append(Violation(
                     "OverlappingValidity",
                     "validity intervals of consecutive versions overlap",
                     (prev.id, cur.id),
                 ))
-            elif prev.validity.valid_end < cur.validity.valid_start:
+            elif prev.valid_end < cur.valid_start:
                 out.append(Violation(
                     "ValidityGap",
-                    f"validity gap between {prev.validity.valid_end} and {cur.validity.valid_start}",
+                    f"validity gap between {prev.valid_end} and {cur.valid_start}",
                     (prev.id, cur.id),
                 ))
 
 
 def _check_aggregation(graph: "GraphStore", out: list[Violation]) -> None:
     for tv in graph.ctvs.values():
-        start = tv.validity.valid_start
+        start = tv.valid_start
         seen_children: set[str] = set()
         for child_ctv_id in tv.aggregates:
             child = graph.ctvs.get(child_ctv_id)
@@ -419,7 +386,7 @@ def _check_aggregation(graph: "GraphStore", out: list[Violation]) -> None:
             if child.work in seen_children:
                 out.append(Violation("AggregationStale", "child component aggregated twice", (tv.id, child.work)))
             seen_children.add(child.work)
-            if not interval_contains(child.validity, start):
+            if not child.contains(start):
                 out.append(Violation(
                     "AggregationStale",
                     f"aggregated ctv is not valid on {start}",
@@ -438,18 +405,18 @@ def _check_actions(graph: "GraphStore", out: list[Violation]) -> None:
     for act in graph.actions.values():
         for cid in act.produces:
             tv = graph.ctvs.get(cid)
-            if tv is not None and tv.validity.valid_start != act.effective_date:
+            if tv is not None and tv.valid_start != act.effective_date:
                 out.append(Violation(
                     "ActionDateMismatch",
-                    f"produced ctv starts {tv.validity.valid_start}, action effective {act.effective_date}",
+                    f"produced ctv starts {tv.valid_start}, action effective {act.effective_date}",
                     (act.id, cid),
                 ))
         for cid in act.terminates:
             tv = graph.ctvs.get(cid)
-            if tv is not None and tv.validity.valid_end != act.effective_date:
+            if tv is not None and tv.valid_end != act.effective_date:
                 out.append(Violation(
                     "ActionDateMismatch",
-                    f"terminated ctv ends {tv.validity.valid_end}, action effective {act.effective_date}",
+                    f"terminated ctv ends {tv.valid_end}, action effective {act.effective_date}",
                     (act.id, cid),
                 ))
         if act.enactment_date > act.effective_date:
@@ -489,7 +456,7 @@ def _check_actions(graph: "GraphStore", out: list[Violation]) -> None:
     for tv in graph.ctvs.values():
         if tv.id not in graph.produced_by:
             out.append(Violation("MissingProducer", "ctv has no producing action listing it", (tv.id,)))
-        if tv.validity.valid_end is None:
+        if tv.valid_end is None:
             if tv.id in graph.terminated_by:
                 out.append(Violation("MissingTerminator", "open ctv carries a terminating action", (tv.id,)))
         elif tv.id not in graph.terminated_by:
@@ -564,7 +531,6 @@ def validate_graph(graph: "GraphStore") -> list[Violation]:
     return out
 
 
-def metadata_tuple(mapping: Iterable[tuple[str, str]] | dict[str, str]) -> tuple[tuple[str, str], ...]:
-    """Normalize a metadata mapping into the sorted tuple form nodes store."""
-    items = mapping.items() if isinstance(mapping, dict) else mapping
-    return tuple(sorted((str(k), str(v)) for k, v in items))
+def metadata_tuple(mapping: dict[str, str]) -> tuple[tuple[str, str], ...]:
+    """A metadata mapping of strings in the sorted tuple form nodes store."""
+    return tuple(sorted(mapping.items()))

@@ -13,9 +13,11 @@ kind's rows than the header gives is rejected, so a snapshot that lost
 rows or values does not load. Snapshots of earlier versions are rejected
 with a hint to re-run ``normgraph ingest``.
 
-Values the nodes derive are not stored: the model builds a CTV's id, a
-CLV's id and text unit, and an action's description unit from the other
-fields (see model.py), so a snapshot cannot hold a foreign one.
+A kind's columns are its node class's fields, in the order the class
+takes them, so load builds each node from one value per column. Values
+the nodes derive are not stored: the model builds a CTV's id, a CLV's id
+and text unit, and an action's description unit from the other fields
+(see model.py), so a snapshot cannot hold a foreign one.
 
 Indexes are never persisted, and follow one rule. What ingest writes and
 validate_graph reads is filed per node as each is added or loaded: each
@@ -81,11 +83,9 @@ from .model import (
     TemporalVersion,
     TextUnit,
     ThemeNode,
-    ValidityInterval,
-    WorkId,
     WorkKind,
     WorkNode,
-    interval_contains,
+    metadata_tuple,
     parse_iso_date,
     validate_graph,
 )
@@ -229,9 +229,9 @@ class GraphStore:
         """Set the single permitted mutation: an open version's end date."""
         self._assert_mutable()
         old = self.ctvs[ctv]
-        if not old.validity.is_open:
+        if old.valid_end is not None:
             raise ValueError(f"{ctv!r} is already closed")
-        self.ctvs[ctv] = replace(old, validity=replace(old.validity, valid_end=end))
+        self.ctvs[ctv] = replace(old, valid_end=end)
 
     def add_clv(self, lv: LanguageVersion) -> None:
         self._assert_mutable()
@@ -267,18 +267,18 @@ class GraphStore:
         if work.parent is not None:
             insort(self.children.setdefault(work.parent, []), work.urn,
                    key=lambda u: self.works[u].ordinal)
-        for alias in work.id.aliases:
+        for alias in work.aliases:
             self.alias_index.setdefault(alias, set()).add(work.urn)
             self.folded_alias_index.setdefault(alias.casefold(), set()).add(work.urn)
-        fragment = work.id.fragment
+        fragment = work.fragment
         if fragment:
             self.fragment_index.setdefault(fragment, set()).add(work.urn)
 
     def _index_ctv(self, tv: TemporalVersion) -> None:
         # Ids are unique per (work, valid_start), so no two entries share a start.
         starts = self.version_starts.setdefault(tv.work, [])
-        index = bisect_right(starts, tv.validity.valid_start)
-        starts.insert(index, tv.validity.valid_start)
+        index = bisect_right(starts, tv.valid_start)
+        starts.insert(index, tv.valid_start)
         self.versions.setdefault(tv.work, []).insert(index, tv.id)
 
     def _index_clv(self, lv: LanguageVersion) -> None:
@@ -386,7 +386,7 @@ class GraphStore:
             chains[urn] = _Chain(
                 cids,
                 self.version_starts[urn],
-                [ctvs[cid].validity.valid_end for cid in cids],
+                [ctvs[cid].valid_end for cid in cids],
                 wordings,
                 self.primary_language(urn),
             )
@@ -411,7 +411,7 @@ class GraphStore:
                 if cids:
                     works.append(urn)
                     firsts.append(starts[urn][0])
-                    ends.append(ctvs[cids[-1]].validity.valid_end)
+                    ends.append(ctvs[cids[-1]].valid_end)
                 preorder.append((urn, lo, len(works)))
         # A work's subtree ends where its last child's does.
         subtrees: dict[str, tuple[int, int]] = {}
@@ -453,7 +453,7 @@ class GraphStore:
         if index == 0:
             return None
         tv = self.ctvs[self.versions[urn][index - 1]]
-        return tv if interval_contains(tv.validity, t) else None
+        return tv if tv.contains(t) else None
 
     def lifetime(self, urn: str) -> tuple[date, date | None] | None:
         """``(first valid_start, last valid_end)`` of the chain, which a valid chain tiles; None without one."""
@@ -461,10 +461,10 @@ class GraphStore:
         if not cids:
             self.work(urn)  # raises UnknownWork for an unknown urn
             return None
-        return self.version_starts[urn][0], self.ctvs[cids[-1]].validity.valid_end
+        return self.version_starts[urn][0], self.ctvs[cids[-1]].valid_end
 
     def norm_of(self, urn: str) -> WorkNode:
-        return self.work(self.work(urn).id.norm_urn)
+        return self.work(self.work(urn).norm_urn)
 
     def primary_language(self, urn: str) -> str:
         language = self._primary_languages.get(urn)
@@ -534,7 +534,7 @@ def _strs(values: list[list]) -> list[tuple[str, ...]]:
 
 def _str_maps(values: list[dict]) -> list[tuple[tuple[str, str], ...]]:
     _only_strings(chain.from_iterable(map(dict.values, values)))
-    return [tuple(sorted(value.items())) for value in values]
+    return list(map(metadata_tuple, values))
 
 
 def _or_null(convert: Callable) -> Callable:
@@ -566,20 +566,20 @@ _STR_MAP = _Type("an object of strings", frozenset({dict}), _str_maps, dict)
 class _Column(NamedTuple):
     key: str
     type: _Type
-    # Node attribute path, when it is not the key.
+    # Node field, when it is not the key.
     attr: str | None = None
 
 
 class _Kind:
-    """One record kind: its store map, node constructor and columns.
+    """One record kind: its store map, node class and columns.
 
-    The constructor takes the column values in column order; the node
+    The node class takes the column values in column order; the node
     derives the rest. The getters that save uses are derived here once.
     """
 
-    def __init__(self, nodes: str, build: Callable, *columns: _Column, key: str = "id") -> None:
+    def __init__(self, nodes: str, cls: type, *columns: _Column, key: str = "id") -> None:
         self.nodes = nodes
-        self.build = build
+        self.cls = cls
         self.columns = columns
         self.keys = [column.key for column in columns]
         self.key = operator.attrgetter(key)
@@ -588,26 +588,18 @@ class _Kind:
                         for column in columns]
 
 
-def _work(urn, aliases, *rest) -> WorkNode:
-    return WorkNode(WorkId(urn, aliases), *rest)
-
-
-def _ctv(work, valid_start, valid_end, aggregates) -> TemporalVersion:
-    return TemporalVersion(work, ValidityInterval(valid_start, valid_end), aggregates)
-
-
-# In save order. A kind's columns are in the order its constructor takes them.
+# In save order. A kind's columns are in the order its node class takes them.
 _KINDS = {
     "work": _Kind(
-        "works", _work,
-        _Column("id", _STR, attr="id.urn"),
-        _Column("aliases", _STRS, attr="id.aliases"),
+        "works", WorkNode,
+        _Column("id", _STR, attr="urn"),
+        _Column("aliases", _STRS),
         _Column("work_kind", _enum(WorkKind), attr="kind"),
         _Column("component_type", _enum(ComponentType)),
         _Column("parent", _OPTIONAL_STR),
         _Column("ordinal", _INT),
         _Column("metadata", _STR_MAP),
-        key="id.urn",
+        key="urn",
     ),
     "action": _Kind(
         "actions", ActionNode,
@@ -625,10 +617,10 @@ _KINDS = {
         _Column("instrument_short", _OPTIONAL_STR),
     ),
     "ctv": _Kind(
-        "ctvs", _ctv,
+        "ctvs", TemporalVersion,
         _Column("work", _STR),
-        _Column("valid_start", _DATE, attr="validity.valid_start"),
-        _Column("valid_end", _OPTIONAL_DATE, attr="validity.valid_end"),
+        _Column("valid_start", _DATE),
+        _Column("valid_end", _OPTIONAL_DATE),
         _Column("aggregates", _STRS),
     ),
     "clv": _Kind(
@@ -733,7 +725,7 @@ def _file_kind(store: GraphStore, kind: str, rec: dict, bad: Callable) -> None:
 
     Raises what ``bad`` builds, naming the row and column where it can, on
     a record of another shape, columns of unequal lengths, a value of the
-    wrong type, a node its constructor refuses, a repeated id, or a CTV
+    wrong type, a node its class refuses, a repeated id, or a CTV
     that two actions claim.
     """
     spec = _KINDS[kind]
@@ -750,12 +742,12 @@ def _file_kind(store: GraphStore, kind: str, rec: dict, bad: Callable) -> None:
             raise bad(f"holds {len(values)} values, {spec.keys[0]!r} holds {count}", column=key)
     decoded = [_decode_column(column, values, bad) for column, values in zip(spec.columns, columns)]
     try:
-        nodes = list(map(spec.build, *decoded))
+        nodes = list(map(spec.cls, *decoded))
     except (TypeError, ValueError):
         nodes = []
         for row, values in enumerate(zip(*decoded)):
             try:
-                nodes.append(spec.build(*values))
+                nodes.append(spec.cls(*values))
             except (TypeError, ValueError) as exc:
                 raise bad(str(exc), row=row) from None
     ids = list(map(spec.key, nodes))

@@ -17,7 +17,6 @@ from normgraph.cli import main
 from normgraph.errors import NotYetEnacted, RepealedAt
 from normgraph.ingest import (
     add_language, apply_event, enact, ordered_events, parse_document, parse_event_file)
-from normgraph.model import interval_contains
 from normgraph.planner import QueryPattern, StructuredQuery, run
 from normgraph.store import GraphStore
 from normgraph.temporal import TemporalScope, snapshot_text
@@ -144,7 +143,7 @@ def test_criterion_4_oracle_equivalence(corpus_dir):
 def test_criterion_5_aggregation_economy(fixture_store):
     enactment_versions = [
         tv for tv in fixture_store.ctvs.values()
-        if tv.validity.valid_start == date(1988, 10, 5)]
+        if tv.valid_start == date(1988, 10, 5)]
     initial = len(enactment_versions)
 
     expected = initial
@@ -194,7 +193,7 @@ def test_criterion_6_anachronism_exclusion():
                 continue
             successes += 1
             for _, ctv, _ in answer.citations:
-                if not interval_contains(store.ctvs[ctv].validity, t):
+                if not store.ctvs[ctv].contains(t):
                     violations += 1
     assert violations == 0
     report(6, "anachronism exclusion", f"{successes} probes, 0 violations")

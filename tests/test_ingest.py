@@ -30,7 +30,7 @@ from normgraph.ingest import (
     textualize_metadata,
 )
 from normgraph.model import (
-    Aspect, ComponentType, TemporalVersion, WorkId, WorkKind, WorkNode, metadata_tuple,
+    Aspect, ComponentType, TemporalVersion, WorkKind, WorkNode, metadata_tuple,
     metadata_unit_id, validate_graph)
 from normgraph.store import GraphStore, pick_wording, save
 
@@ -203,6 +203,20 @@ class TestParseDocument:
         with pytest.raises(MalformedInput, match="'publication_date' is not an ISO date"):
             parse_document(payload)
 
+    # A metadata value is textualized as it stands, so it must be a string:
+    # null is no absent key, and no other JSON value is written as its text.
+    @pytest.mark.parametrize("value", [5, True, None, ["a"], {"y": "z"}],
+                             ids=["number", "boolean", "null", "array", "object"])
+    def test_a_metadata_value_that_is_not_a_string_is_rejected(self, value):
+        payload = mini_doc()
+        payload["norm"]["metadata"] = {"subject": "water", "x": value}
+        with pytest.raises(MalformedInput, match="field 'metadata' must be a JSON object of strings"):
+            parse_document(payload)
+        event_file = amendment_file("urn:test:mini!art1_cpt", "2003-06-01", "Amended.")
+        event_file["instrument"]["metadata"] = {"x": value}
+        with pytest.raises(MalformedInput, match="field 'metadata' must be a JSON object of strings"):
+            parse_event_file(event_file)
+
     def test_leaf_text_preserved_byte_exactly(self):
         text = "  spaced, quoted 'text' — em dash preserved "
         payload = mini_doc(1)
@@ -266,7 +280,7 @@ def test_ordered_events_sorts_by_date_then_file_name_then_record_index():
 class TestEnact:
     def test_fixture_art6_caput_is_open_and_lacks_housing(self, fixture_store):
         first = versions_of(fixture_store, ART6_CPT)[0]
-        assert first.validity.valid_start == date(1988, 10, 5)
+        assert first.valid_start == date(1988, 10, 5)
         lv = fixture_store.clvs[pick_wording(fixture_store.clvs_by_ctv[first.id],
                                              fixture_store.primary_language(ART6_CPT), "pt",
                                              False)]
@@ -303,9 +317,9 @@ class TestApplyEvent:
     def test_amendment_closes_old_and_creates_new(self, fixture_store):
         versions = versions_of(fixture_store, ART6_CPT)
         original, ca26 = versions[0], versions[1]
-        assert original.validity.valid_end == date(2000, 2, 15)
+        assert original.valid_end == date(2000, 2, 15)
         assert fixture_store.terminated_by[original.id] == ACT_CA26
-        assert ca26.validity.valid_start == date(2000, 2, 15)
+        assert ca26.valid_start == date(2000, 2, 15)
         lv = fixture_store.clvs[pick_wording(fixture_store.clvs_by_ctv[ca26.id],
                                              fixture_store.primary_language(ART6_CPT), "pt",
                                              False)]
@@ -314,19 +328,19 @@ class TestApplyEvent:
 
     def test_ancestors_gain_versions_on_amendment(self, fixture_store):
         for ancestor in (ART6, CAP2, TIT2, NORM_URN):
-            starts = [tv.validity.valid_start
+            starts = [tv.valid_start
                       for tv in versions_of(fixture_store, ancestor)]
             assert date(2000, 2, 15) in starts, ancestor
 
     def test_unchanged_sibling_versions_are_shared_by_id(self, fixture_store):
         cap2_2000 = next(
             tv for tv in versions_of(fixture_store, CAP2)
-            if tv.validity.valid_start == date(2000, 2, 15))
+            if tv.valid_start == date(2000, 2, 15))
         art7_first = versions_of(fixture_store, ART7)[0]
         assert art7_first.id in cap2_2000.aggregates
         # Art. 7 was untouched in 2000, so no new version for it exists.
         assert len([tv for tv in versions_of(fixture_store, ART7)
-                    if tv.validity.valid_start == date(2000, 2, 15)]) == 0
+                    if tv.valid_start == date(2000, 2, 15)]) == 0
 
     def test_leaf_amendment_creates_depth_plus_one_versions(self):
         store = GraphStore()
@@ -368,7 +382,7 @@ class TestApplyEvent:
         art1_latest = versions_of(store, "urn:test:mini!art1")[-1]
         assert art1_latest.aggregates == ()
         repealed = versions_of(store, "urn:test:mini!art1_cpt")[-1]
-        assert repealed.validity.valid_end == date(2003, 6, 1)
+        assert repealed.valid_end == date(2003, 6, 1)
 
     def test_insertion_creates_works_and_extends_parent(self):
         store = GraphStore()
@@ -396,7 +410,7 @@ class TestApplyEvent:
         ]
         # Exactly one pre-existing version per affected depth gets closed;
         # untouched versions are bit-identical.
-        assert all(store.ctvs[c].validity.valid_end == date(2003, 6, 1) for c in changed)
+        assert all(store.ctvs[c].valid_end == date(2003, 6, 1) for c in changed)
         assert len(changed) == 3
 
     def test_instrument_stub_works_created(self, fixture_store):
@@ -470,7 +484,8 @@ class TestTextualizeMetadata:
 
     def test_succession_sentence(self):
         node = WorkNode(
-            id=WorkId("urn:test:1967"),
+            urn="urn:test:1967",
+            aliases=(),
             kind=WorkKind.NORM,
             metadata=metadata_tuple({
                 "title": "The 1967 Constitution of Brazil",
@@ -488,7 +503,7 @@ class TestTextualizeMetadata:
         assert metadata and all(u.owner in fixture_store.works for u in metadata)
 
     def test_empty_metadata_yields_nothing(self):
-        node = WorkNode(id=WorkId("urn:test:bare"), kind=WorkKind.NORM)
+        node = WorkNode(urn="urn:test:bare", aliases=(), kind=WorkKind.NORM)
         assert textualize_metadata(node) == []
 
     def test_an_instrument_stub_textualizes_the_facts_it_keeps(self):
@@ -579,7 +594,7 @@ class TestPropagatedContentCarry:
         apply_file(store, file_dict)
 
         rolled = versions_of(store, "urn:test:carry!art1_cpt")[-1]
-        assert rolled.validity.valid_start == date(2003, 6, 1)
+        assert rolled.valid_start == date(2003, 6, 1)
         for language, expected in (("en", "Caput wording."), ("fr", "Texte du caput.")):
             lv_id = store.clvs_by_ctv[rolled.id].get(language)
             assert lv_id is not None, language
@@ -588,7 +603,7 @@ class TestPropagatedContentCarry:
         child_works = [store.ctvs[c].work for c in rolled.aggregates]
         assert child_works == ["urn:test:carry!art1_it1"]
         item_tv = store.ctvs[rolled.aggregates[0]]
-        assert item_tv.validity.valid_start == date(2003, 6, 1)
+        assert item_tv.valid_start == date(2003, 6, 1)
 
 
 def test_enactment_only_store_has_open_caput_version(corpus_dir):
@@ -597,8 +612,8 @@ def test_enactment_only_store_has_open_caput_version(corpus_dir):
         (corpus_dir / "constitution_1988.satdoc.json").read_text(encoding="utf-8"))
     enact(store, doc)
     (only,) = versions_of(store, ART6_CPT)
-    assert only.validity.valid_start == date(1988, 10, 5)
-    assert only.validity.is_open
+    assert only.valid_start == date(1988, 10, 5)
+    assert only.valid_end is None
 
 
 def test_duplicate_event_from_same_instrument_rejected():
@@ -625,7 +640,7 @@ def test_two_root_insertion_merges_into_the_parent_version_of_that_day():
         ]))
     urn = "urn:test:mini!"
     art1 = versions_of(store, f"{urn}art1")
-    assert [tv.validity.valid_start for tv in art1] == [date(2000, 1, 1), date(2003, 6, 1)]
+    assert [tv.valid_start for tv in art1] == [date(2000, 1, 1), date(2003, 6, 1)]
     assert [store.ctvs[c].work for c in art1[-1].aggregates] == [
         f"{urn}art1_cpt", f"{urn}art1_par1", f"{urn}art1_par2"]
     assert len(versions_of(store, "urn:test:mini")) == 2

@@ -17,16 +17,15 @@ from normgraph.model import (
     PRESENTATION_KEYS,
     TemporalVersion,
     TextUnit,
-    ValidityInterval,
-    WorkId,
     WorkKind,
     WorkNode,
     clv_id,
     ctv_id,
-    interval_contains,
     metadata_tuple,
     metadata_unit_id,
     parse_iso_date,
+    urn_fragment,
+    urn_norm,
     validate_graph,
 )
 from normgraph.store import GraphStore
@@ -53,62 +52,73 @@ class TestParseIsoDate:
             parse_iso_date(value)
 
 
-def iv(start: str, end: str | None = None) -> ValidityInterval:
-    return ValidityInterval(
+def ctv(work: str, start: str, end: str | None = None) -> TemporalVersion:
+    return TemporalVersion(
+        work,
         date.fromisoformat(start),
         date.fromisoformat(end) if end else None,
     )
 
 
-class TestIntervalContains:
+class TestTemporalVersionContains:
     def test_paper_1999_lookup_hits_original_version(self):
-        assert interval_contains(iv("1988-10-05", "2000-02-15"), date(1999, 6, 1))
+        assert ctv("urn:x", "1988-10-05", "2000-02-15").contains(date(1999, 6, 1))
 
     def test_start_boundary_is_inclusive(self):
-        assert interval_contains(iv("1988-10-05"), date(1988, 10, 5))
+        assert ctv("urn:x", "1988-10-05").contains(date(1988, 10, 5))
 
     def test_end_boundary_is_exclusive(self):
         # "valid until 2010-02-03" is stored as valid_end 2010-02-04
-        assert not interval_contains(iv("2000-02-15", "2010-02-04"), date(2010, 2, 4))
+        version = ctv("urn:x", "2000-02-15", "2010-02-04")
+        assert version.contains(date(2010, 2, 3))
+        assert not version.contains(date(2010, 2, 4))
 
     def test_before_start(self):
-        assert not interval_contains(iv("1988-10-05"), date(1980, 1, 1))
+        assert not ctv("urn:x", "1988-10-05").contains(date(1980, 1, 1))
 
 
-class TestValidityInterval:
-    def test_start_must_precede_end(self):
-        with pytest.raises(ValueError):
-            ValidityInterval(date(2000, 1, 2), date(2000, 1, 2))
+class TestTemporalVersionConstruction:
+    @pytest.mark.parametrize("end", [date(2000, 1, 2), date(2000, 1, 1)], ids=["equal", "before"])
+    def test_start_must_precede_end(self, end):
+        with pytest.raises(ValueError, match=f"valid_start 2000-01-02 must precede valid_end {end}"):
+            TemporalVersion("urn:x", date(2000, 1, 2), end)
 
-    def test_last_valid_day(self):
-        assert iv("2000-02-15", "2010-02-04").last_valid_day == date(2010, 2, 3)
-        assert iv("2000-02-15").last_valid_day is None
+    def test_closing_runs_the_same_check(self):
+        with pytest.raises(ValueError, match="must precede valid_end"):
+            replace(ctv("urn:x", "2000-01-02"), valid_end=date(2000, 1, 2))
+        closed = replace(ctv("urn:x", "2000-01-02"), valid_end=date(2000, 1, 3))
+        assert (closed.id, closed.valid_end) == ("urn:x@2000-01-02", date(2000, 1, 3))
 
-    def test_open_interval(self):
-        assert iv("1988-10-05").is_open
+    def test_open_version(self):
+        version = ctv("urn:x", "1988-10-05")
+        assert version.valid_end is None
+        assert version.contains(date(9999, 12, 31))
 
 
-class TestWorkId:
+class TestWorkNodeUrn:
     def test_fragment_and_norm_urn(self):
-        wid = WorkId("urn:lex:x;1988!art6_cpt")
-        assert wid.fragment == "art6_cpt"
-        assert wid.norm_urn == "urn:lex:x;1988"
+        work = WorkNode("urn:lex:x;1988!art6_cpt", (), WorkKind.COMPONENT)
+        assert work.fragment == urn_fragment(work.urn) == "art6_cpt"
+        assert work.norm_urn == urn_norm(work.urn) == "urn:lex:x;1988"
 
     def test_norm_level_urn_has_no_fragment(self):
-        assert WorkId("urn:lex:x;1988").fragment is None
+        work = WorkNode("urn:lex:x;1988", (), WorkKind.NORM)
+        assert work.fragment is urn_fragment(work.urn) is None
+        assert work.norm_urn == "urn:lex:x;1988"
 
     def test_empty_urn_rejected(self):
-        with pytest.raises(ValueError):
-            WorkId("")
+        with pytest.raises(ValueError, match="work urn must be non-empty"):
+            WorkNode("", (), WorkKind.NORM)
 
-    def test_aliases_do_not_affect_identity(self):
-        assert WorkId("urn:x", ("A",)) == WorkId("urn:x", ("B",))
+    def test_aliases_are_part_of_a_works_equality(self):
+        assert WorkNode("urn:x", ("A",), WorkKind.NORM) != WorkNode("urn:x", ("B",), WorkKind.NORM)
+        assert WorkNode("urn:x", ("A",), WorkKind.NORM) == WorkNode("urn:x", ("A",), WorkKind.NORM)
 
 
 class TestDerivedFields:
     """Ids, text units and description units are built by the node, never passed in."""
 
-    TV = TemporalVersion("urn:x", iv("2000-01-01"))
+    TV = ctv("urn:x", "2000-01-01")
     LV = LanguageVersion("urn:x@2000-01-01", "pt")
     ACTION = ActionNode("act:x", ActionType.ENACTMENT, date(2000, 1, 1), date(2000, 1, 1))
 
@@ -120,7 +130,7 @@ class TestDerivedFields:
 
     @pytest.mark.parametrize("build", [
         pytest.param(lambda: TemporalVersion(id="urn:x@1999-01-01", work="urn:x",
-                                             validity=iv("2000-01-01")), id="ctv-id"),
+                                             valid_start=date(2000, 1, 1)), id="ctv-id"),
         pytest.param(lambda: LanguageVersion(id="other", temporal_version="urn:x@2000-01-01",
                                              language="pt"), id="clv-id"),
         pytest.param(lambda: LanguageVersion(temporal_version="urn:x@2000-01-01",
@@ -145,7 +155,7 @@ class TestDerivedFields:
             replace(node, **change)
 
     def test_replace_rederives_from_the_new_fields(self):
-        assert replace(self.TV, validity=iv("2001-01-01")).id == "urn:x@2001-01-01"
+        assert replace(self.TV, valid_start=date(2001, 1, 1)).id == "urn:x@2001-01-01"
         assert replace(self.LV, language="en").text_unit == "tu:urn:x@2000-01-01#en"
         assert replace(self.ACTION, id="act:y").description_unit == "tu:act:y:desc"
 
@@ -154,10 +164,10 @@ def _two_version_store(second_start: str, first_end: str) -> GraphStore:
     """Minimal store: one norm work with two versions and their actions."""
     store = GraphStore()
     urn = "urn:test:n"
-    store.add_work(WorkNode(id=WorkId(urn), kind=WorkKind.NORM,
+    store.add_work(WorkNode(urn=urn, aliases=(), kind=WorkKind.NORM,
                             component_type=ComponentType.OTHER))
-    first = TemporalVersion(work=urn, validity=iv("2000-01-01", first_end))
-    second = TemporalVersion(work=urn, validity=iv(second_start))
+    first = ctv(urn, "2000-01-01", first_end)
+    second = ctv(urn, second_start)
     store.add_ctv(first)
     store.add_ctv(second)
     store.add_action(ActionNode(
@@ -243,7 +253,7 @@ class TestValidateGraph:
         # Only None names no node: "" must name one too.
         store.actions["act:a"] = replace(store.actions["act:a"], source_provision="",
                                          targets=("urn:test:n", "urn:test:m"))
-        orphan = store.add_ctv(TemporalVersion(work="urn:test:m", validity=iv("2001-01-01")))
+        orphan = store.add_ctv(ctv("urn:test:m", "2001-01-01"))
         violations = validate_graph(store)
         dangling = [v.nodes for v in violations if v.code == "DanglingReference"]
         assert dangling == [("act:a", ""), ("act:a", "urn:test:m"), (orphan, "urn:test:m")]
@@ -252,17 +262,17 @@ class TestValidateGraph:
 
     def test_a_parent_version_must_aggregate_each_child_alive_on_its_start(self):
         store = GraphStore()
-        store.add_work(WorkNode(WorkId("urn:test:n"), WorkKind.NORM))
+        store.add_work(WorkNode("urn:test:n", (), WorkKind.NORM))
         child = "urn:test:n!art1"
-        store.add_work(WorkNode(WorkId(child), WorkKind.COMPONENT, ComponentType.ARTICLE,
+        store.add_work(WorkNode(child, (), WorkKind.COMPONENT, ComponentType.ARTICLE,
                                 parent="urn:test:n"))
-        store.add_ctv(TemporalVersion(work=child, validity=iv("2000-01-01", "2000-02-01")))
-        store.add_ctv(TemporalVersion(work=child, validity=iv("2000-04-01")))
+        store.add_ctv(ctv(child, "2000-01-01", "2000-02-01"))
+        store.add_ctv(ctv(child, "2000-04-01"))
         # Before the child's chain, on its first version's start, on that
         # version's (exclusive) end inside a gap of the chain, and on the
         # second version's start.
         starts = ["1999-01-01", "2000-01-01", "2000-02-01", "2000-04-01"]
-        parents = [store.add_ctv(TemporalVersion(work="urn:test:n", validity=iv(start, end)))
+        parents = [store.add_ctv(ctv("urn:test:n", start, end))
                    for start, end in zip(starts, starts[1:] + [None])]
         gaps = [v.nodes for v in validate_graph(store) if v.code == "AggregationGap"]
         assert gaps == [(parents[1], child), (parents[3], child)]
@@ -280,7 +290,7 @@ class TestValidateGraph:
         missing = [v.nodes for v in validate_graph(store) if v.code == "MissingMetadataUnit"]
         assert missing == [(urn, metadata_unit_id(urn, key)) for key in sorted(facts)]
         # A unit that another work owns, or of another aspect, is not the work's.
-        store.add_work(WorkNode(WorkId("urn:test:m"), WorkKind.NORM))
+        store.add_work(WorkNode("urn:test:m", (), WorkKind.NORM))
         store.add_unit(TextUnit(metadata_unit_id(urn, "subject"), Aspect.METADATA,
                                 "urn:test:m", "en", "About water."))
         store.add_unit(TextUnit(metadata_unit_id(urn, "succeeds"), Aspect.THEME_DESCRIPTION,
@@ -305,19 +315,19 @@ class TestTilingProperty:
             chain = fixture_store.versions.get(urn, [])
             versions = [fixture_store.ctvs[c] for c in chain]
             for prev, cur in zip(versions, versions[1:]):
-                assert prev.validity.valid_end == cur.validity.valid_start
+                assert prev.valid_end == cur.valid_start
             if versions:
-                assert (versions[-1].validity.is_open
+                assert (versions[-1].valid_end is None
                         or versions[-1].id in fixture_store.terminated_by)
 
     def test_random_probe_hits_exactly_one_version(self, fixture_store):
         rng = random.Random(7)
         for urn, chain in fixture_store.versions.items():
             versions = [fixture_store.ctvs[c] for c in chain]
-            start = versions[0].validity.valid_start.toordinal()
+            start = versions[0].valid_start.toordinal()
             for _ in range(20):
                 t = date.fromordinal(rng.randint(start, start + 15000))
-                holders = [v for v in versions if interval_contains(v.validity, t)]
+                holders = [v for v in versions if v.contains(t)]
                 assert len(holders) <= 1
-                if versions[-1].validity.is_open:
+                if versions[-1].valid_end is None:
                     assert len(holders) == 1

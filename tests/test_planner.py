@@ -17,7 +17,7 @@ from normgraph.errors import (
     UnplannableQuery,
 )
 from normgraph.ingest import enact, parse_document
-from normgraph.model import Aspect, interval_contains
+from normgraph.model import Aspect
 from normgraph.planner import (
     QueryPattern,
     Strategy,
@@ -265,8 +265,7 @@ class TestPointInTime:
             answer = run(fixture_store, pit(
                 "tit2_cap2", TemporalScope.instant(probe)), clock)
             for _, ctv, _ in answer.citations:
-                validity = fixture_store.ctvs[ctv].validity
-                assert interval_contains(validity, probe)
+                assert fixture_store.ctvs[ctv].contains(probe)
 
 
 class TestImpactAnalysis:
@@ -340,7 +339,7 @@ class TestImpactAnalysis:
             return urn == entry
 
         def alive(store, urn, day):
-            return any(tv.work == urn and interval_contains(tv.validity, day)
+            return any(tv.work == urn and tv.contains(day)
                        for tv in store.ctvs.values())
 
         rng = random.Random(7)
@@ -535,7 +534,7 @@ class TestDeterminism:
                     raise
                 probes += 1
                 for _, ctv, _ in answer.citations:
-                    assert interval_contains(store.ctvs[ctv].validity, t)
+                    assert store.ctvs[ctv].contains(t)
         assert probes > 100
 
 

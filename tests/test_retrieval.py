@@ -6,7 +6,7 @@ from datetime import date
 import pytest
 
 from normgraph.errors import EmptyScope
-from normgraph.model import Aspect, EMBEDDING_DIMENSION, interval_contains
+from normgraph.model import Aspect, EMBEDDING_DIMENSION
 from normgraph.retrieval import (
     HashedTfidfEmbedder,
     RetrievalMode,
@@ -103,7 +103,7 @@ class TestScopedSearch:
         for urn in sorted(scope):
             for cid in fixture_store.versions.get(urn, ()):
                 tv = fixture_store.ctvs[cid]
-                if not interval_contains(tv.validity, t):
+                if not tv.contains(t):
                     continue
                 lv_id = fixture_store.clvs_by_ctv.get(cid, {}).get("pt")
                 if lv_id is None:
@@ -220,7 +220,7 @@ class TestScopedSearch:
             for hit in scoped_search(store, request):
                 assert hit.provenance[0] in scope
                 tv = store.ctvs[hit.provenance[1]]
-                assert interval_contains(tv.validity, t)
+                assert tv.contains(t)
 
 
 class TestLocateSpans:

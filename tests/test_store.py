@@ -25,8 +25,6 @@ from normgraph.model import (
     EMBEDDING_DIMENSION,
     LanguageVersion,
     TemporalVersion,
-    ValidityInterval,
-    WorkId,
     WorkKind,
     WorkNode,
     _REFERENCES,
@@ -263,6 +261,17 @@ class TestGoldenSnapshot:
         for nodes in ("works", "ctvs", "clvs", "actions", "themes", "units"):
             assert getattr(golden, nodes) == getattr(fixture_store, nodes), nodes
         assert golden.text_index == fixture_store.text_index
+
+    def test_a_snapshot_without_its_aliases_loads_to_another_store(self, tmp_path):
+        header, rows = read_rows(GOLDEN)
+        for record in rows:
+            if record["kind"] == "work":
+                _set(record, "aliases", [])
+        bare = _load_rows(header, rows, tmp_path)
+        golden = load(GOLDEN)
+        assert len(golden.alias_index) == 7 and bare.alias_index == {}
+        assert bare.works != golden.works
+        assert bare != golden
 
     # No snapshot byte comes from float arithmetic, so none depends on the
     # platform's math.log or on how a float is printed.
@@ -750,8 +759,8 @@ class TestDerivedColumns:
     @pytest.mark.parametrize("verb", ["produced", "terminated"])
     def test_add_action_refuses_a_double_claim_and_files_nothing(self, verb):
         store = GraphStore()
-        store.add_work(WorkNode(WorkId("urn:x"), WorkKind.NORM))
-        old, new, newer = (store.add_ctv(TemporalVersion("urn:x", ValidityInterval(date(y, 1, 1))))
+        store.add_work(WorkNode("urn:x", (), WorkKind.NORM))
+        old, new, newer = (store.add_ctv(TemporalVersion("urn:x", date(y, 1, 1)))
                            for y in (2000, 2001, 2002))
         day = date(2001, 1, 1)
         store.add_action(ActionNode("act:1", ActionType.AMENDMENT, day, day,
@@ -953,7 +962,7 @@ class TestEmbeddingEntries:
 
 class TestVersionChains:
     def test_amended_component_lists_all_versions_in_order(self, fixture_store):
-        starts = [tv.validity.valid_start for tv in versions_of(fixture_store, ART6_CPT)]
+        starts = [tv.valid_start for tv in versions_of(fixture_store, ART6_CPT)]
         assert starts == fixture_store.version_starts[ART6_CPT] == [
             date(1988, 10, 5), date(2000, 2, 15), date(2010, 2, 4), date(2015, 9, 15)]
 
@@ -1181,8 +1190,8 @@ class TestChainIndex:
             assert fixture_store.chain_index.chains[urn].ctvs == [tv.id for tv in versions]
             # The store's own lists, not copies.
             assert ctvs is loaded.versions[urn] and starts is loaded.version_starts[urn]
-            assert starts == [tv.validity.valid_start for tv in versions]
-            assert ends == [tv.validity.valid_end for tv in versions]
+            assert starts == [tv.valid_start for tv in versions]
+            assert ends == [tv.valid_end for tv in versions]
             assert wordings == [
                 {language: (lv_id, fixture_store.clvs[lv_id].text_unit)
                  for language, lv_id in fixture_store.clvs_by_ctv.get(tv.id, {}).items()}
@@ -1192,7 +1201,7 @@ class TestChainIndex:
         all_ctvs = fixture_store.ctvs.values()
         assert placed_units == {
             lv.text_unit: (tv.work, sum(other.work == tv.work
-                                        and other.validity.valid_start < tv.validity.valid_start
+                                        and other.valid_start < tv.valid_start
                                         for other in all_ctvs))
             for lv in fixture_store.clvs.values()
             for tv in [fixture_store.ctvs[lv.temporal_version]]}
@@ -1301,9 +1310,9 @@ class TestLanguageRule:
     def _read(languages: tuple[str, ...], language: str | None, fallback: bool) -> str | None:
         """The CLV read of a Portuguese norm whose one version has wording in ``languages``."""
         store = GraphStore()
-        store.add_work(WorkNode(WorkId("urn:x"), WorkKind.NORM,
+        store.add_work(WorkNode("urn:x", (), WorkKind.NORM,
                                 metadata=(("language", "pt"),)))
-        store.add_ctv(TemporalVersion("urn:x", ValidityInterval(date(2000, 1, 1))))
+        store.add_ctv(TemporalVersion("urn:x", date(2000, 1, 1)))
         for code in languages:
             store.add_clv(LanguageVersion("urn:x@2000-01-01", code))
         return pick_wording(store.clvs_by_ctv.get("urn:x@2000-01-01", {}),

@@ -9,7 +9,6 @@ import pytest
 
 from normgraph.errors import MissingLanguage, NotYetEnacted, RepealedAt, UnknownEntry, UnknownWork
 from normgraph.ingest import enact, ingest_corpus, parse_document
-from normgraph.model import interval_contains
 from normgraph.store import GraphStore
 from normgraph.temporal import (
     MembershipPolicy,
@@ -49,11 +48,11 @@ class TestResolveInstant:
 class TestCtvAt:
     def test_1999_resolves_to_original_version(self, fixture_store):
         tv = ctv_at(fixture_store, ART6_CPT, date(1999, 12, 31))
-        assert tv.validity.valid_start == date(1988, 10, 5)
+        assert tv.valid_start == date(1988, 10, 5)
 
     def test_inclusive_start_boundary(self, fixture_store):
         tv = ctv_at(fixture_store, ART6_CPT, date(1988, 10, 5))
-        assert tv.validity.valid_start == date(1988, 10, 5)
+        assert tv.valid_start == date(1988, 10, 5)
 
     def test_before_enactment_raises(self, fixture_store):
         with pytest.raises(NotYetEnacted) as exc:
@@ -71,9 +70,9 @@ class TestCtvAt:
 
     def test_amendment_day_resolves_to_new_version(self, fixture_store):
         tv = ctv_at(fixture_store, ART6_CPT, date(2000, 2, 15))
-        assert tv.validity.valid_start == date(2000, 2, 15)
+        assert tv.valid_start == date(2000, 2, 15)
         previous = ctv_at(fixture_store, ART6_CPT, date(2000, 2, 14))
-        assert previous.validity.valid_start == date(1988, 10, 5)
+        assert previous.valid_start == date(1988, 10, 5)
 
 
 class TestResolveScope:
@@ -172,14 +171,14 @@ def _reference_scope(store, entry, t, policy, window):
     dates = {a.effective_date for a in store.actions.values() if t1 <= a.effective_date <= t2}
 
     def alive(urn, day):
-        return any(interval_contains(tv.validity, day) for tv in versions_of(store, urn))
+        return any(tv.contains(day) for tv in versions_of(store, urn))
 
     def member(urn):
         if policy is MembershipPolicy.SNAPSHOT_ANCHORED:
             return alive(urn, t1)
         if policy is MembershipPolicy.LIFETIME:
-            return any(tv.validity.valid_start <= t2
-                       and (tv.validity.valid_end is None or tv.validity.valid_end > t1)
+            return any(tv.valid_start <= t2
+                       and (tv.valid_end is None or tv.valid_end > t1)
                        for tv in versions_of(store, urn))
         return any(alive(urn, day) for day in dates)
 
@@ -190,13 +189,13 @@ def _reference_ctv_at(store, work, t):
     """ctv_at read from the whole chain, as ``versions_of`` lists it."""
     chain = versions_of(store, work)
     for tv in chain:
-        if interval_contains(tv.validity, t):
+        if tv.contains(t):
             return tv
     if not chain:
         raise NotYetEnacted(work, t)
-    if t < chain[0].validity.valid_start:
-        raise NotYetEnacted(work, t, first_start=chain[0].validity.valid_start)
-    raise RepealedAt(work, t, repealed_end=chain[-1].validity.valid_end)
+    if t < chain[0].valid_start:
+        raise NotYetEnacted(work, t, first_start=chain[0].valid_start)
+    raise RepealedAt(work, t, repealed_end=chain[-1].valid_end)
 
 
 def _outcome(call):
@@ -335,8 +334,8 @@ class TestSnapshotText:
 
     def test_snapshot_constant_inside_interval(self, fixture_store):
         for tv in versions_of(fixture_store, NORM_URN):
-            start = tv.validity.valid_start
-            end = tv.validity.valid_end or (start + timedelta(days=400))
+            start = tv.valid_start
+            end = tv.valid_end or (start + timedelta(days=400))
             probes = {start, end - timedelta(days=1),
                       start + (end - start) // 2}
             snapshots = {
@@ -358,7 +357,7 @@ class TestUniquenessProperty:
                         rng.randint(corpus.enactment.toordinal(), horizon))
                     holders = [
                         v for v in versions
-                        if v.validity.valid_start <= t
-                        and (v.validity.valid_end is None or t < v.validity.valid_end)
+                        if v.valid_start <= t
+                        and (v.valid_end is None or t < v.valid_end)
                     ]
                     assert len(holders) <= 1, (seed, urn, t)
