@@ -220,18 +220,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fixture":
             return _cmd_fixture(args)
         raise AssertionError(f"unhandled command {args.command}")
-    except QueryError as exc:
+    except (QueryError, DataError) as exc:
+        kind, code = ("query", EXIT_QUERY) if isinstance(exc, QueryError) else ("data", EXIT_DATA)
         if emit_json:
             print(_error_record(exc))
         else:
-            print(f"query error: {exc}", file=sys.stderr)
-        return EXIT_QUERY
-    except DataError as exc:
-        if emit_json:
-            print(_error_record(exc))
-        else:
-            print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+            print(f"{kind} error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return code
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_DATA

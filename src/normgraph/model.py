@@ -6,6 +6,10 @@ instances as immutable (updates go through ``dataclasses.replace`` on the
 store side). A temporal version's validity is half-open: ``valid_start``
 inclusive, ``valid_end`` exclusive, so a version "valid until 2010-02-03"
 is stored with ``valid_end`` 2010-02-04.
+
+:func:`validate_graph` checks each invariant by one rule: the ids nodes
+hold, the work tree, version tiling, aggregation in ordinal order, the
+actions' shapes and dates, and that every unit is one a node names.
 """
 
 from __future__ import annotations
@@ -317,7 +321,8 @@ def _check_references(graph: "GraphStore", out: list[Violation]) -> None:
 
 
 def _check_work_tree(graph: "GraphStore", out: list[Violation]) -> None:
-    for urn, work in graph.works.items():
+    works = graph.works
+    for urn, work in works.items():
         if work.kind is WorkKind.NORM:
             if work.parent is not None:
                 out.append(Violation("UrnFormat", "norm work has a parent", (urn,)))
@@ -325,27 +330,21 @@ def _check_work_tree(graph: "GraphStore", out: list[Violation]) -> None:
         if work.parent is None:
             out.append(Violation("UrnFormat", "component work has no parent", (urn,)))
             continue
-        if work.parent not in graph.works:
+        parent = works.get(work.parent)
+        if parent is None:
             continue
-        norm_urn = work.norm_urn
-        if norm_urn not in graph.works:
+        if work.norm_urn not in works:
             out.append(Violation("UrnFormat", "component urn does not extend a known norm urn", (urn,)))
-        expected_prefix = norm_urn + FRAGMENT_SEP
-        if not urn.startswith(expected_prefix) or not work.fragment:
+        # norm_urn is the urn's prefix before its first "!", so only the fragment can be missing.
+        if not work.fragment:
             out.append(Violation("UrnFormat", "component urn lacks a !fragment suffix", (urn,)))
-    for urn, work in graph.works.items():
-        if work.kind is WorkKind.COMPONENT and work.parent in graph.works:
-            parent = graph.works[work.parent]
-            if parent.norm_urn != work.norm_urn:
-                out.append(Violation("UrnFormat", "parent belongs to a different norm", (urn, parent.urn)))
+        if parent.norm_urn != work.norm_urn:
+            out.append(Violation("UrnFormat", "parent belongs to a different norm", (urn, parent.urn)))
     for parent_urn, children in graph.children.items():
-        ordinals = sorted(graph.works[c].ordinal for c in children)
+        ordinals = sorted(works[c].ordinal for c in children)
         if ordinals != list(range(len(children))):
-            out.append(Violation(
-                "OrdinalGap",
-                f"sibling ordinals {ordinals} are not contiguous from 0",
-                (parent_urn,),
-            ))
+            out.append(Violation("OrdinalGap", f"sibling ordinals {ordinals} are not contiguous from 0",
+                                 (parent_urn,)))
 
 
 def _check_version_tiling(graph: "GraphStore", out: list[Violation]) -> None:
@@ -368,57 +367,35 @@ def _check_version_tiling(graph: "GraphStore", out: list[Violation]) -> None:
 
 
 def _check_aggregation(graph: "GraphStore", out: list[Violation]) -> None:
-    for tv in graph.ctvs.values():
-        start = tv.valid_start
-        seen_children: set[str] = set()
-        for child_ctv_id in tv.aggregates:
-            child = graph.ctvs.get(child_ctv_id)
-            if child is None:
-                continue
-            child_work = graph.works.get(child.work)
-            if child_work is None or child_work.parent != tv.work:
-                out.append(Violation(
-                    "AggregationStale",
-                    "aggregated ctv does not belong to a child component",
-                    (tv.id, child_ctv_id),
-                ))
-                continue
-            if child.work in seen_children:
-                out.append(Violation("AggregationStale", "child component aggregated twice", (tv.id, child.work)))
-            seen_children.add(child.work)
-            if not child.contains(start):
-                out.append(Violation(
-                    "AggregationStale",
-                    f"aggregated ctv is not valid on {start}",
-                    (tv.id, child_ctv_id),
-                ))
+    """Each version aggregates, in ordinal order, the version each child had on its start.
+
+    The store keeps children in ordinal order, so one walk pairs each child
+    with the next aggregate: when that is the child's, it must be valid on
+    the start; when not, the child must have no version valid then. An
+    aggregate left over is stale. It is reported ahead of the gaps its
+    misplacement may cause, since load names only the first violation.
+    """
+    ctvs, version_at = graph.ctvs, graph.version_at
+    for tv in ctvs.values():
+        start, aggregates = tv.valid_start, tv.aggregates
+        mark, taken = len(out), 0
         for child_urn in graph.children.get(tv.work, ()):
-            if child_urn not in seen_children and graph.version_at(child_urn, start):
-                out.append(Violation(
-                    "AggregationGap",
-                    f"child {child_urn} is alive on {start} but not aggregated",
-                    (tv.id, child_urn),
-                ))
+            child = ctvs.get(aggregates[taken]) if taken < len(aggregates) else None
+            if child is not None and child.work == child_urn:
+                taken += 1
+                if not child.contains(start):
+                    out.append(Violation("AggregationStale", f"aggregated ctv is not valid on {start}",
+                                         (tv.id, child.id)))
+            elif version_at(child_urn, start):
+                out.append(Violation("AggregationGap", f"child {child_urn} is alive on {start} but not aggregated",
+                                     (tv.id, child_urn)))
+        if taken < len(aggregates):
+            out[mark:mark] = [Violation("AggregationStale", "aggregated ctv is out of ordinal order or of no child",
+                                        (tv.id, cid)) for cid in aggregates[taken:] if cid in ctvs]
 
 
 def _check_actions(graph: "GraphStore", out: list[Violation]) -> None:
     for act in graph.actions.values():
-        for cid in act.produces:
-            tv = graph.ctvs.get(cid)
-            if tv is not None and tv.valid_start != act.effective_date:
-                out.append(Violation(
-                    "ActionDateMismatch",
-                    f"produced ctv starts {tv.valid_start}, action effective {act.effective_date}",
-                    (act.id, cid),
-                ))
-        for cid in act.terminates:
-            tv = graph.ctvs.get(cid)
-            if tv is not None and tv.valid_end != act.effective_date:
-                out.append(Violation(
-                    "ActionDateMismatch",
-                    f"terminated ctv ends {tv.valid_end}, action effective {act.effective_date}",
-                    (act.id, cid),
-                ))
         if act.enactment_date > act.effective_date:
             out.append(Violation("ActionShape", "enactment_date after effective_date", (act.id,)))
         produced_works = {graph.ctvs[c].work for c in act.produces if c in graph.ctvs}
@@ -452,63 +429,68 @@ def _check_actions(graph: "GraphStore", out: list[Violation]) -> None:
                 out.append(Violation("ActionShape", "repeal terminates nothing", (act.id,)))
             if not terminated_works - produced_works:
                 out.append(Violation("ActionShape", "repeal leaves no work without a successor", (act.id,)))
-    # Both indexes are filed from the actions, so every entry names one that lists the CTV.
+    # Both indexes are filed from the actions, so every entry names one that
+    # lists the CTV, and no CTV has two producers or two terminators.
+    actions = graph.actions
     for tv in graph.ctvs.values():
-        if tv.id not in graph.produced_by:
+        producer = graph.produced_by.get(tv.id)
+        if producer is None:
             out.append(Violation("MissingProducer", "ctv has no producing action listing it", (tv.id,)))
+        elif (effective := actions[producer].effective_date) != tv.valid_start:
+            out.append(Violation("ActionDateMismatch", f"produced ctv starts {tv.valid_start}, "
+                                 f"action effective {effective}", (producer, tv.id)))
+        terminator = graph.terminated_by.get(tv.id)
         if tv.valid_end is None:
-            if tv.id in graph.terminated_by:
+            if terminator is not None:
                 out.append(Violation("MissingTerminator", "open ctv carries a terminating action", (tv.id,)))
-        elif tv.id not in graph.terminated_by:
+        elif terminator is None:
             out.append(Violation("MissingTerminator", "closed ctv has no terminating action listing it", (tv.id,)))
+        elif (effective := actions[terminator].effective_date) != tv.valid_end:
+            out.append(Violation("ActionDateMismatch", f"terminated ctv ends {tv.valid_end}, "
+                                 f"action effective {effective}", (terminator, tv.id)))
 
 
-# The unit each node names as its own: (store map of the node, attribute,
-# the unit's aspect). The unit must have that aspect and be owned by the node.
-# A CLV's id is derived from (ctv, language), and the store rejects a
-# repeated id, so no CTV has two versions in one language.
-_OWNED_UNITS = (
+# The unit each node of a kind names: (store map of the node, attribute, the
+# unit's aspect). A work names one metadata unit per fact of its metadata.
+_NAMED_UNITS = (
     ("actions", "description_unit", Aspect.ACTION_DESCRIPTION),
     ("clvs", "text_unit", Aspect.CONTENT),
     ("themes", "description_unit", Aspect.THEME_DESCRIPTION),
 )
 
 
-def _check_owned_units(graph: "GraphStore", out: list[Violation]) -> None:
-    for nodes, attr, aspect in _OWNED_UNITS:
+def _check_units(graph: "GraphStore", out: list[Violation]) -> None:
+    """Each unit is one a node names, of the aspect it names it with, and owned by that node.
+
+    A missing named unit other than a metadata unit is a DanglingReference,
+    already reported. A CLV's id is derived from (ctv, language), and the
+    store rejects a repeated id, so no CTV has two versions in one language.
+    """
+    units = graph.units
+    named: set[str] = set()
+    for nodes, attr, aspect in _NAMED_UNITS:
         for owner, node in getattr(graph, nodes).items():
-            unit = graph.units.get(getattr(node, attr))
+            unit_id = getattr(node, attr)
+            named.add(unit_id)
+            unit = units.get(unit_id)
             if unit is not None and (unit.aspect is not aspect or unit.owner != owner):
                 out.append(Violation("AspectOwnerMismatch",
-                                     f"{attr} must be a {aspect.value} unit it owns", (owner, unit.id)))
-
-
-def _check_metadata_units(graph: "GraphStore", out: list[Violation]) -> None:
-    """Each non-presentation metadata key of a work has its metadata unit, owned by the work."""
-    units = graph.units
+                                     f"{attr} must be a {aspect.value} unit it owns", (owner, unit_id)))
     for urn, work in graph.works.items():
         for key, _ in work.metadata:
             if key in PRESENTATION_KEYS:
                 continue
-            unit = units.get(metadata_unit_id(urn, key))
+            unit_id = metadata_unit_id(urn, key)
+            named.add(unit_id)
+            unit = units.get(unit_id)
             if unit is None or unit.aspect is not Aspect.METADATA or unit.owner != urn:
                 out.append(Violation("MissingMetadataUnit",
                                      f"metadata key {key!r} has no metadata unit the work owns",
-                                     (urn, metadata_unit_id(urn, key))))
-
-
-_ASPECT_OWNERS = {
-    Aspect.CONTENT: "clvs",
-    Aspect.ACTION_DESCRIPTION: "actions",
-    Aspect.METADATA: "works",
-    Aspect.THEME_DESCRIPTION: "themes",
-}
-
-
-def _check_text_units(graph: "GraphStore", out: list[Violation]) -> None:
-    for unit in graph.units.values():
-        if unit.owner not in getattr(graph, _ASPECT_OWNERS[unit.aspect]):
-            out.append(Violation("AspectOwnerMismatch", f"{unit.aspect.value} unit has wrong owner kind", (unit.id,)))
+                                     (urn, unit_id)))
+    for unit_id, unit in units.items():
+        if unit_id not in named:
+            out.append(Violation("UnnamedUnit", f"{unit.aspect.value} unit is named by no node",
+                                 (unit_id,)))
 
 
 def validate_graph(graph: "GraphStore") -> list[Violation]:
@@ -517,7 +499,8 @@ def validate_graph(graph: "GraphStore") -> list[Violation]:
     Violations are data, not exceptions: callers decide whether to abort.
     Every id a node holds (_REFERENCES) is checked first, so when any names
     no node the first violation is a DanglingReference; the later checks
-    skip a missing node rather than report it again.
+    skip a missing node rather than report it again. Each later check walks
+    the store's maps in their order, so the violations come in one order.
     """
     out: list[Violation] = []
     _check_references(graph, out)
@@ -525,9 +508,7 @@ def validate_graph(graph: "GraphStore") -> list[Violation]:
     _check_version_tiling(graph, out)
     _check_aggregation(graph, out)
     _check_actions(graph, out)
-    _check_owned_units(graph, out)
-    _check_metadata_units(graph, out)
-    _check_text_units(graph, out)
+    _check_units(graph, out)
     return out
 
 

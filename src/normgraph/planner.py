@@ -150,21 +150,13 @@ def resolve_work_reference(store: GraphStore, reference: str) -> str:
     """Map a urn, alias, or fragment to exactly one work urn."""
     if reference in store.works:
         return reference
-    exact = store.alias_index.get(reference, set())
-    if len(exact) == 1:
-        return next(iter(exact))
-    if len(exact) > 1:
-        raise AmbiguousAlias(reference, sorted(exact))
-    fragments = store.fragment_index.get(reference, set())
-    if len(fragments) == 1:
-        return next(iter(fragments))
-    if len(fragments) > 1:
-        raise AmbiguousAlias(reference, sorted(fragments))
-    candidates = store.folded_alias_index.get(reference.casefold(), set())
-    if len(candidates) == 1:
-        return next(iter(candidates))
-    if len(candidates) > 1:
-        raise AmbiguousAlias(reference, sorted(candidates))
+    for index, key in ((store.alias_index, reference), (store.fragment_index, reference),
+                       (store.folded_alias_index, reference.casefold())):
+        matches = index.get(key, ())
+        if len(matches) == 1:
+            return next(iter(matches))
+        if matches:
+            raise AmbiguousAlias(reference, sorted(matches))
     raise UnknownAlias(reference)
 
 

@@ -116,7 +116,7 @@ class TestMalformedFiles:
         _edit_json(corpus / name, edit)
         out = tmp_path / "x.ndjson"
         assert main(["ingest", str(corpus), "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith(f"data error: {corpus / name}: ")
+        assert capsys.readouterr().err.startswith(f"data error: MalformedInput: {corpus / name}: ")
         assert not out.exists()
 
     def test_an_inserted_component_of_an_unknown_type_names_its_event_file(
@@ -136,7 +136,7 @@ class TestMalformedFiles:
         out = tmp_path / "x.ndjson"
         assert main(["ingest", str(corpus), "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith(
-            f"data error: {corpus / name}: unknown component type 'bogus'")
+            f"data error: MalformedInput: {corpus / name}: unknown component type 'bogus'")
         assert not out.exists()
 
     @pytest.mark.parametrize("content, reason", [
@@ -158,7 +158,7 @@ class TestMalformedFiles:
                     "--report", str(out)]
         bad.write_bytes(content)
         assert main(argv) == 3
-        assert capsys.readouterr().err.startswith(f"data error: {bad}: {reason}")
+        assert capsys.readouterr().err.startswith(f"data error: MalformedInput: {bad}: {reason}")
         assert not out.exists()
 
     @pytest.mark.parametrize("edit", [
@@ -175,7 +175,7 @@ class TestMalformedFiles:
         report = tmp_path / "report.json"
         assert main(["eval", "--snapshot", str(snapshot_file), "--truth", str(truth),
                      "--report", str(report)]) == 3
-        assert capsys.readouterr().err.startswith(f"data error: {truth}: ")
+        assert capsys.readouterr().err.startswith(f"data error: MalformedInput: {truth}: ")
         assert not report.exists()
 
 
@@ -190,7 +190,7 @@ class TestQueryValues:
         code = main(["query", "retrieve", "--snapshot", str(snapshot_file),
                      "--text", "food", "--target", "art6", *flags])
         assert code == 2
-        assert capsys.readouterr().err.startswith("query error: ")
+        assert capsys.readouterr().err.startswith("query error: MalformedQuery: ")
 
     @pytest.mark.parametrize("key, value", [
         ("membership", "bogus"), ("policy", "bogus"), ("k", 0), ("k", "x"), ("k", True),
@@ -207,7 +207,7 @@ class TestQueryValues:
             {**q, "query": {**q["query"], key: value}} for q in data["queries"]]})
         code = main(["eval", "--snapshot", str(snapshot_file), "--truth", str(truth)])
         assert code == 2
-        assert capsys.readouterr().err.startswith("query error: ")
+        assert capsys.readouterr().err.startswith("query error: MalformedQuery: ")
 
 
 class TestQueryDates:
@@ -221,14 +221,14 @@ class TestQueryDates:
     def test_a_bad_date_is_a_query_error(self, snapshot_file, capsys, argv):
         code = main(["query", argv[0], "--snapshot", str(snapshot_file), *argv[1:]])
         assert code == 2
-        assert capsys.readouterr().err.startswith("query error: ")
+        assert capsys.readouterr().err.startswith("query error: MalformedQuery: ")
 
     def test_a_bad_eval_clock_is_a_query_error(self, snapshot_file, corpus_dir, capsys):
         code = main(["eval", "--snapshot", str(snapshot_file),
                      "--truth", str(corpus_dir / "reference.sattruth.json"),
                      "--clock", "20240102"])
         assert code == 2
-        assert capsys.readouterr().err.startswith("query error: ")
+        assert capsys.readouterr().err.startswith("query error: MalformedQuery: ")
 
 
 class TestQueryCommand:
@@ -236,7 +236,7 @@ class TestQueryCommand:
         code = main(["query", "retrieve", "--snapshot", str(snapshot_file),
                      "--text", "", "--at", "2010-01-01"])
         assert code == 2
-        assert capsys.readouterr().err.startswith("query error: ")
+        assert capsys.readouterr().err.startswith("query error: UnplannableQuery: ")
 
     def test_point_in_time_discloses_policies(self, snapshot_file, capsys):
         code = main(["query", "at", "--snapshot", str(snapshot_file),
@@ -269,7 +269,8 @@ class TestQueryCommand:
         code = main(["query", "at", "--snapshot", str(snapshot_file),
                      "--target", "art6", "--at", "1980-01-01"])
         assert code == 2
-        assert "not yet enacted" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("query error: NotYetEnacted: ") and "not yet enacted" in err
 
     def test_query_error_json_record(self, snapshot_file, capsys):
         code = main(["query", "at", "--snapshot", str(snapshot_file),

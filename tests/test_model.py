@@ -209,8 +209,34 @@ class TestValidateGraph:
         store = _two_version_store("2000-06-15", "2000-06-15")
         for owner in ("urn:test:n", "urn:test:n@2000-01-01"):
             store.add_unit(TextUnit(f"tu:{owner}:meta:k", Aspect.METADATA, owner, "en", ""))
-        wrong = [v.nodes for v in validate_graph(store) if v.code == "AspectOwnerMismatch"]
-        assert wrong == [("tu:urn:test:n@2000-01-01:meta:k",)]
+        # Neither owner has a fact "k", so no node names either unit.
+        unnamed = [v.nodes for v in validate_graph(store) if v.code == "UnnamedUnit"]
+        assert unnamed == [("tu:urn:test:n:meta:k",), ("tu:urn:test:n@2000-01-01:meta:k",)]
+
+    def test_every_unit_must_be_one_a_node_names(self):
+        store = _two_version_store("2000-06-15", "2000-06-15")
+        for action in store.actions.values():
+            store.add_unit(TextUnit(action.description_unit, Aspect.ACTION_DESCRIPTION,
+                                    action.id, "en", "An event."))
+        urn = "urn:test:n"
+        store.works[urn] = replace(store.works[urn], metadata=metadata_tuple({"subject": "water"}))
+        store.add_unit(TextUnit(metadata_unit_id(urn, "subject"), Aspect.METADATA, urn, "en",
+                                "About water."))
+        lv = LanguageVersion(f"{urn}@2000-01-01", "pt")
+        store.add_clv(lv)
+        store.add_unit(TextUnit(lv.text_unit, Aspect.CONTENT, lv.id, "pt", "Texto."))
+        assert validate_graph(store) == []
+        # Each is of the aspect and owner a node names, under another id.
+        strays = [
+            TextUnit(metadata_unit_id(urn, "object"), Aspect.METADATA, urn, "en", "About land."),
+            TextUnit(f"{lv.text_unit}:old", Aspect.CONTENT, lv.id, "pt", "Texto antigo."),
+            TextUnit("tu:act:a:desc:2", Aspect.ACTION_DESCRIPTION, "act:a", "en", "Another."),
+        ]
+        for unit in strays:
+            store.add_unit(unit)
+        assert [str(v) for v in validate_graph(store)] == [
+            f"UnnamedUnit: {unit.aspect.value} unit is named by no node [{unit.id}]"
+            for unit in strays]
 
     def test_an_action_needs_its_own_description_unit(self):
         store = _two_version_store("2000-06-15", "2000-06-15")
@@ -276,6 +302,27 @@ class TestValidateGraph:
                    for start, end in zip(starts, starts[1:] + [None])]
         gaps = [v.nodes for v in validate_graph(store) if v.code == "AggregationGap"]
         assert gaps == [(parents[1], child), (parents[3], child)]
+
+    def test_a_parent_version_must_aggregate_its_children_in_ordinal_order(self):
+        store = GraphStore()
+        store.add_work(WorkNode("urn:test:n", (), WorkKind.NORM))
+        children = ["urn:test:n!art1", "urn:test:n!art2"]
+        for ordinal, child in enumerate(children):
+            store.add_work(WorkNode(child, (), WorkKind.COMPONENT, ComponentType.ARTICLE,
+                                    parent="urn:test:n", ordinal=ordinal))
+        versions = [store.add_ctv(ctv(child, "2000-01-01")) for child in children]
+        parent = store.add_ctv(TemporalVersion("urn:test:n", date(2000, 1, 1),
+                                               aggregates=tuple(versions)))
+
+        def aggregation():
+            return [(v.code, v.nodes) for v in validate_graph(store)
+                    if v.code.startswith("Aggregation")]
+
+        assert aggregation() == []
+        store.ctvs[parent] = replace(store.ctvs[parent], aggregates=tuple(reversed(versions)))
+        # The aggregate out of place comes first, then the gap it leaves.
+        assert aggregation() == [("AggregationStale", (parent, versions[0])),
+                                 ("AggregationGap", (parent, children[0]))]
 
     def test_each_fact_in_a_works_metadata_needs_its_own_metadata_unit(self):
         store = _two_version_store("2000-06-15", "2000-06-15")

@@ -459,20 +459,24 @@ class TestWholeOrRejected:
         return lines
 
     @staticmethod
-    def _rejected(text: str, tmp_path) -> None:
+    def _rejected(text: str, tmp_path, match: str | None = None) -> None:
         path = tmp_path / "cut.ndjson"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=match):
             load(path)
 
-    def _each_record_edit(self, lines: list[str], tmp_path, edit) -> int:
-        """Load the snapshot with each record replaced by each columns ``edit`` yields; count them."""
+    def _each_record_edit(self, lines: list[str], tmp_path, edit, kind: str | None = None,
+                          match: str | None = None) -> int:
+        """Load the snapshot with each record (of ``kind``, if given) replaced by each
+        columns ``edit`` yields, and expect a DataError matching ``match``; count the edits."""
         edits = 0
         for at in range(1, len(lines)):
             record = json.loads(lines[at])
+            if kind not in (None, record["kind"]):
+                continue
             for columns in edit(record["columns"]):
                 changed = encode({"kind": record["kind"], "columns": columns}) + "\n"
-                self._rejected("".join(lines[:at] + [changed] + lines[at + 1:]), tmp_path)
+                self._rejected("".join(lines[:at] + [changed] + lines[at + 1:]), tmp_path, match)
                 edits += 1
         return edits
 
@@ -502,6 +506,21 @@ class TestWholeOrRejected:
         self._each_record_edit(self._snapshot(which, tmp_path), tmp_path, one_column_short)
 
     @pytest.mark.parametrize("which", ["golden", "seed1"])
+    def test_every_swap_of_two_adjacent_aggregates_is_rejected(self, tmp_path, which):
+        at = COLUMNS["ctv"].index("aggregates")
+
+        def each_adjacent_swap(columns):
+            for row, aggregates in enumerate(columns[at]):
+                for i in range(len(aggregates) - 1):
+                    swapped = [*aggregates[:i], aggregates[i + 1], aggregates[i], *aggregates[i + 2:]]
+                    values = [*columns[at][:row], swapped, *columns[at][row + 1:]]
+                    yield [*columns[:at], values, *columns[at + 1:]]
+
+        swaps = self._each_record_edit(self._snapshot(which, tmp_path), tmp_path,
+                                       each_adjacent_swap, kind="ctv", match="AggregationStale")
+        assert swaps == {"golden": 7, "seed1": 9}[which]
+
+    @pytest.mark.parametrize("which", ["golden", "seed1"])
     def test_every_line_boundary_truncation_is_rejected(self, tmp_path, which):
         lines = self._snapshot(which, tmp_path)
         for kept in range(len(lines)):
@@ -528,6 +547,17 @@ class TestWholeOrRejected:
                 start = end + 1
             for cut in sorted(cuts):
                 self._rejected("".join(lines[:at]) + line[:cut], tmp_path)
+
+    def test_a_unit_no_node_names_is_rejected(self, tmp_path):
+        header, rows = read_rows(GOLDEN)
+        # A metadata unit of the norm for a fact its metadata does not hold.
+        stray = f"tu:{NORM_URN}:meta:zzz"
+        unit = {"kind": "unit", "row": [stray, "metadata", NORM_URN, "en",
+                                        "The capital of the republic is Atlantis.", False]}
+        header["rows"]["unit"] += 1
+        with pytest.raises(MalformedSnapshot, match=re.escape(
+                f"UnnamedUnit: metadata unit is named by no node [{stray}]")):
+            _load_rows(header, [*rows, unit], tmp_path)
 
     def test_a_missing_stub_work_is_named_with_both_counts(self, tmp_path):
         header, rows = read_rows(_seed1_snapshot(tmp_path))
