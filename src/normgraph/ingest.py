@@ -7,18 +7,20 @@ slotted in front without touching this module.
 
 Event application is strictly sequential and has one write path. An
 amendment or repeal closes the target's open version (an amendment opens a
-successor); an insertion builds its new subtrees. Each changed child is then
-rolled upward by one function: every ancestor receives a new version whose
-aggregation list swaps in, drops or appends that child and keeps the
-unchanged children's existing version ids. Every check on an event runs
-before its first write, so a rejected event leaves the store as it was.
+successor); an insertion builds its new subtrees. The changed work's
+ancestors are then rolled by one function: each receives a new version
+from the event's date, unless one that day already opened it. No version
+stores its children's versions; the store derives them from the work tree
+and the chains, so the unchanged children's existing versions are shared.
+Every check on an event runs before its first write, so a rejected event
+leaves the store as it was.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date, timedelta
 from functools import cache
 from importlib import resources
@@ -484,7 +486,7 @@ def _build_subtree(store: GraphStore, record: ComponentRecord, parent_urn: str, 
     """Add the works of ``record``'s subtree, each with a first version from ``start``.
 
     Text is attached in ``language``. Version ids are appended to
-    ``produces`` children first; returns the id of ``record``'s own version.
+    ``produces`` children first; returns the urn of ``record``'s work.
     """
     urn = f"{store.works[parent_urn].norm_urn}{FRAGMENT_SEP}{record.fragment}"
     store.add_work(WorkNode(
@@ -496,14 +498,13 @@ def _build_subtree(store: GraphStore, record: ComponentRecord, parent_urn: str, 
         ordinal=ordinal,
         metadata=_component_metadata(record),
     ))
-    child_cids = [_build_subtree(store, child, urn, child.ordinal, start, language, produces)
-                  for child in record.children]
-    cid = store.add_ctv(TemporalVersion(
-        work=urn, valid_start=start, aggregates=tuple(child_cids)))
+    for child in record.children:
+        _build_subtree(store, child, urn, child.ordinal, start, language, produces)
+    cid = store.add_ctv(TemporalVersion(work=urn, valid_start=start))
     produces.append(cid)
     if record.text is not None:
         _attach_content(store, cid, language, record.text, record.synthetic)
-    return cid
+    return urn
 
 
 def _record_action(store: GraphStore, action: ActionNode) -> str:
@@ -537,11 +538,9 @@ def enact(store: GraphStore, doc: SourceDocument) -> str:
     start = norm.publication_date
     store.add_work(_norm_work(norm, publication_date=start.isoformat(), language=norm.language))
     produced: list[str] = []
-    root_cids = [_build_subtree(store, record, norm.urn, record.ordinal, start,
-                                norm.language, produced)
-                 for record in doc.body]
-    produced.append(store.add_ctv(TemporalVersion(
-        work=norm.urn, valid_start=start, aggregates=tuple(root_cids))))
+    for record in doc.body:
+        _build_subtree(store, record, norm.urn, record.ordinal, start, norm.language, produced)
+    produced.append(store.add_ctv(TemporalVersion(work=norm.urn, valid_start=start)))
     _record_action(store, ActionNode(
         id=action_id,
         action_type=ActionType.ENACTMENT,
@@ -620,43 +619,24 @@ def _carry_content(store: GraphStore, old_cid: str, new_cid: str) -> None:
         _attach_content(store, new_cid, lv.language, unit.text, unit.synthetic)
 
 
-def _propagate_up(
-    store: GraphStore,
-    child_urn: str,
-    old_cid: str | None,
-    new_cid: str | None,
-    effective: date,
-    terminates: list[str],
-    produces: list[str],
-) -> None:
+def _propagate_up(store: GraphStore, child_urn: str, effective: date,
+                  terminates: list[str], produces: list[str]) -> None:
     """Roll every ancestor of ``child_urn``, which the caller checked open, onto ``effective``.
 
-    Each ancestor's successor version swaps ``new_cid`` in for ``old_cid``
-    in its aggregation list; a None ``new_cid`` drops ``old_cid`` (a repeal),
-    and a None ``old_cid`` appends ``new_cid`` (an insertion, whose ordinal
-    is past every sibling's). An ancestor whose open version an earlier
-    event of the same day opened is updated in place instead, and the roll
-    stops there: the ancestors above already aggregate that version.
+    Each ancestor's open version is closed on ``effective`` and succeeded
+    by one from it, which carries its wording. The roll stops at an
+    ancestor whose open version an earlier event of the same day opened:
+    that version, and every one above it, already starts on ``effective``.
     """
     for ancestor in _ancestors(store, child_urn):
         current = store.ctvs[store.versions[ancestor][-1]]
-        aggregates = list(current.aggregates)
-        if old_cid is None:
-            aggregates.append(new_cid)
-        elif new_cid is None:
-            aggregates.remove(old_cid)
-        else:
-            aggregates[aggregates.index(old_cid)] = new_cid
         if current.valid_start == effective:
-            store.ctvs[current.id] = replace(current, aggregates=tuple(aggregates))
             return
         store.close_ctv(current.id, effective)
         terminates.append(current.id)
-        successor = store.add_ctv(TemporalVersion(
-            work=ancestor, valid_start=effective, aggregates=tuple(aggregates)))
+        successor = store.add_ctv(TemporalVersion(work=ancestor, valid_start=effective))
         produces.append(successor)
         _carry_content(store, current.id, successor)
-        old_cid, new_cid = current.id, successor
 
 
 def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str:
@@ -708,26 +688,21 @@ def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str
     if records:
         language = store.primary_language(ev.target)
         base_ordinal = len(store.children.get(ev.target, ()))
-        root_cids = [_build_subtree(store, record, ev.target, base_ordinal + offset,
-                                    effective, language, produces)
-                     for offset, record in enumerate(records)]
-        targets = tuple(store.ctvs[cid].work for cid in root_cids)
-        for urn, cid in zip(targets, root_cids):
-            _propagate_up(store, urn, None, cid, effective, terminates, produces)
+        targets = tuple(_build_subtree(store, record, ev.target, base_ordinal + offset,
+                                       effective, language, produces)
+                        for offset, record in enumerate(records))
+        # Every inserted root's ancestors are the target and the target's.
+        _propagate_up(store, targets[0], effective, terminates, produces)
     else:
         store.close_ctv(current.id, effective)
         terminates.append(current.id)
-        new_cid = None
         if ev.action_type is ActionType.AMENDMENT:
-            new_cid = store.add_ctv(TemporalVersion(
-                work=ev.target, valid_start=effective,
-                aggregates=current.aggregates,
-            ))
+            new_cid = store.add_ctv(TemporalVersion(work=ev.target, valid_start=effective))
             produces.append(new_cid)
             synthetic = dict(ev.synthetic)
             for language, text in ev.new_text:
                 _attach_content(store, new_cid, language, text, synthetic.get(language, False))
-        _propagate_up(store, ev.target, current.id, new_cid, effective, terminates, produces)
+        _propagate_up(store, ev.target, effective, terminates, produces)
         targets = (ev.target,)
 
     return _record_action(store, ActionNode(

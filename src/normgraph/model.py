@@ -8,8 +8,10 @@ inclusive, ``valid_end`` exclusive, so a version "valid until 2010-02-03"
 is stored with ``valid_end`` 2010-02-04.
 
 :func:`validate_graph` checks each invariant by one rule: the ids nodes
-hold, the work tree, version tiling, aggregation in ordinal order, the
-actions' shapes and dates, and that every unit is one a node names.
+hold, the work tree, version tiling, the actions' shapes, targets and
+dates, and that every unit is one a node names. Which child versions a
+version aggregates is not stored: the store derives it from the work tree
+and the chains (``GraphStore.aggregation``).
 """
 
 from __future__ import annotations
@@ -165,9 +167,10 @@ class TemporalVersion:
     """Date-stamped, language-agnostic snapshot of one work (a CTV).
 
     It is valid from ``valid_start`` (inclusive) until ``valid_end``
-    (exclusive; None while open). ``aggregates`` references one child CTV
-    per child component alive at ``valid_start``, ordered by child ordinal;
-    unchanged children keep their existing CTV ids across parent versions.
+    (exclusive; None while open). It aggregates, in child ordinal order, the
+    version each child component has on ``valid_start``, so unchanged
+    children keep their existing CTV ids across parent versions; the store
+    derives that list (``GraphStore.aggregation``), the version holds none.
 
     ``id`` is derived, ``ctv_id(work, valid_start)``, and cannot be passed
     in. The actions that produced and terminated a version are not stored
@@ -179,7 +182,6 @@ class TemporalVersion:
     work: str
     valid_start: date
     valid_end: date | None = None
-    aggregates: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.valid_end is not None and not self.valid_start < self.valid_end:
@@ -217,10 +219,11 @@ class ActionNode:
     """Reified legislative event that terminates and/or produces CTVs.
 
     ``terminates``/``produces`` are complete: they include the versions
-    created for ancestors by upward aggregation propagation. ``targets``
-    names the directly amended/repealed/enacted works, which is what
-    impact grouping and attribution metrics key on. ``description_unit``
-    is derived, ``tu:<id>:desc``, and cannot be passed in.
+    created for ancestors rolled onto the action's date. ``targets`` names
+    the directly amended/repealed/enacted works, each the work of a version
+    the action produces or terminates; it is what impact grouping and
+    attribution metrics key on. ``description_unit`` is derived,
+    ``tu:<id>:desc``, and cannot be passed in.
     """
 
     id: str
@@ -301,7 +304,6 @@ _REFERENCES = (
     ("actions", "targets", "works", True),
     ("actions", "description_unit", "units", False),
     ("ctvs", "work", "works", False),
-    ("ctvs", "aggregates", "ctvs", True),
     ("clvs", "temporal_version", "ctvs", False),
     ("clvs", "text_unit", "units", False),
     ("themes", "description_unit", "units", False),
@@ -366,40 +368,16 @@ def _check_version_tiling(graph: "GraphStore", out: list[Violation]) -> None:
                 ))
 
 
-def _check_aggregation(graph: "GraphStore", out: list[Violation]) -> None:
-    """Each version aggregates, in ordinal order, the version each child had on its start.
-
-    The store keeps children in ordinal order, so one walk pairs each child
-    with the next aggregate: when that is the child's, it must be valid on
-    the start; when not, the child must have no version valid then. An
-    aggregate left over is stale. It is reported ahead of the gaps its
-    misplacement may cause, since load names only the first violation.
-    """
-    ctvs, version_at = graph.ctvs, graph.version_at
-    for tv in ctvs.values():
-        start, aggregates = tv.valid_start, tv.aggregates
-        mark, taken = len(out), 0
-        for child_urn in graph.children.get(tv.work, ()):
-            child = ctvs.get(aggregates[taken]) if taken < len(aggregates) else None
-            if child is not None and child.work == child_urn:
-                taken += 1
-                if not child.contains(start):
-                    out.append(Violation("AggregationStale", f"aggregated ctv is not valid on {start}",
-                                         (tv.id, child.id)))
-            elif version_at(child_urn, start):
-                out.append(Violation("AggregationGap", f"child {child_urn} is alive on {start} but not aggregated",
-                                     (tv.id, child_urn)))
-        if taken < len(aggregates):
-            out[mark:mark] = [Violation("AggregationStale", "aggregated ctv is out of ordinal order or of no child",
-                                        (tv.id, cid)) for cid in aggregates[taken:] if cid in ctvs]
-
-
 def _check_actions(graph: "GraphStore", out: list[Violation]) -> None:
     for act in graph.actions.values():
         if act.enactment_date > act.effective_date:
             out.append(Violation("ActionShape", "enactment_date after effective_date", (act.id,)))
         produced_works = {graph.ctvs[c].work for c in act.produces if c in graph.ctvs}
         terminated_works = {graph.ctvs[c].work for c in act.terminates if c in graph.ctvs}
+        for w in act.targets:
+            if w in graph.works and w not in produced_works and w not in terminated_works:
+                out.append(Violation("StrayTarget", f"target {w} is the work of no ctv the "
+                                     "action produces or terminates", (act.id, w)))
         if act.action_type is ActionType.ENACTMENT:
             if act.terminates or act.source_provision is not None:
                 out.append(Violation("ActionShape", "enactment must not terminate or cite a source provision", (act.id,)))
@@ -506,7 +484,6 @@ def validate_graph(graph: "GraphStore") -> list[Violation]:
     _check_references(graph, out)
     _check_work_tree(graph, out)
     _check_version_tiling(graph, out)
-    _check_aggregation(graph, out)
     _check_actions(graph, out)
     _check_units(graph, out)
     return out

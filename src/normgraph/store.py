@@ -1,6 +1,6 @@
 """Indexed in-memory graph container and its on-disk snapshot format.
 
-Snapshots are newline-delimited JSON, format version 6, and hold only
+Snapshots are newline-delimited JSON, format version 7, and hold only
 nodes, stored by column. The first line is the meta header: the format
 version, each record kind's column order and each kind's row count. Then
 comes one line per kind, in _KINDS order and empty kinds included:
@@ -17,7 +17,9 @@ A kind's columns are its node class's fields, in the order the class
 takes them, so load builds each node from one value per column. Values
 the nodes derive are not stored: the model builds a CTV's id, a CLV's id
 and text unit, and an action's description unit from the other fields
-(see model.py), so a snapshot cannot hold a foreign one.
+(see model.py), so a snapshot cannot hold a foreign one. Nor is which
+child versions a version aggregates: that is a function of the work tree
+and the chains, derived as the aggregation index below.
 
 Indexes are never persisted, and follow one rule. What ingest writes and
 validate_graph reads is filed per node as each is added or loaded: each
@@ -38,6 +40,10 @@ loaded one:
   language -> (CLV id, unit id) map) with the work's primary language; the
   work and chain position of each language version's unit; and each work's
   metadata units;
+- the aggregation index (``GraphStore.aggregation``) that snapshot
+  reconstruction walks: each CTV id -> the versions (nodes, not ids) its
+  work's children have on its valid_start, in ordinal order (absent when
+  there are none);
 - the time index (``GraphStore.time_index``), after Elmasri, Wuu & Kim
   (VLDB 1990), that scope membership, impact analysis and action retrieval
   read dates from: every work with a version chain, each norm's works in
@@ -69,7 +75,7 @@ from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, zip_longest
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
@@ -90,7 +96,7 @@ from .model import (
     validate_graph,
 )
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 _W = TypeVar("_W")
 
@@ -196,6 +202,8 @@ class GraphStore:
     _text_index: _TextIndex | None = field(default=None, compare=False, repr=False)
     _chain_index: _ChainIndex | None = field(default=None, compare=False, repr=False)
     _time_index: _TimeIndex | None = field(default=None, compare=False, repr=False)
+    _aggregation: dict[str, tuple[TemporalVersion, ...]] | None = field(
+        default=None, compare=False, repr=False)
     clvs_by_ctv: dict[str, dict[str, str]] = field(default_factory=dict, compare=False)
     alias_index: dict[str, set[str]] = field(default_factory=dict, compare=False)
     # alias.casefold() -> urns, for the case-insensitive alias lookup.
@@ -335,7 +343,12 @@ class GraphStore:
         """The time index (see the module docstring), derived on its first read."""
         return self._derived("_time_index", self._derive_time_index)
 
-    def _derived(self, slot: str, derive: Callable[[], tuple]) -> tuple:
+    @property
+    def aggregation(self) -> dict[str, tuple[TemporalVersion, ...]]:
+        """The aggregation index (see the module docstring), derived on its first read."""
+        return self._derived("_aggregation", self._derive_aggregation)
+
+    def _derived(self, slot: str, derive: Callable[[], _W]) -> _W:
         """The index kept in ``slot``, derived once, on a committed store's first read.
 
         The derivation runs under the lock and sets ``slot`` in one
@@ -395,6 +408,34 @@ class GraphStore:
             if unit.aspect is Aspect.METADATA:
                 metadata_units.setdefault(unit.owner, []).append(unit.id)
         return _ChainIndex(chains, placed_units, metadata_units)
+
+    def _derive_aggregation(self) -> dict[str, tuple[TemporalVersion, ...]]:
+        """Each version's children's versions on its start (version_at's), one pass per parent.
+
+        A child's version fills the child's slot from its start until its
+        end or the next version's start; the parent's versions, walked in
+        start order, each take the slots filled on their start.
+        """
+        ctvs, versions, starts = self.ctvs, self.versions, self.version_starts
+        aggregation: dict[str, tuple[TemporalVersion, ...]] = {}
+        for parent, kids in self.children.items():
+            changes: list[tuple[date, int, TemporalVersion | None]] = []  # (day, slot, version)
+            for slot, kid in enumerate(kids):
+                for cid, after in zip_longest(versions.get(kid, ()), starts.get(kid, [])[1:]):
+                    tv = ctvs[cid]
+                    changes.append((tv.valid_start, slot, tv))
+                    if tv.valid_end is not None and (after is None or tv.valid_end < after):
+                        changes.append((tv.valid_end, slot, None))
+            changes.sort(key=operator.itemgetter(0))
+            slots: list[TemporalVersion | None] = [None] * len(kids)
+            at = 0
+            for cid, day in zip(versions.get(parent, ()), starts.get(parent, ())):
+                while at < len(changes) and changes[at][0] <= day:
+                    slots[changes[at][1]] = changes[at][2]
+                    at += 1
+                if held := tuple(filter(None, slots)):
+                    aggregation[cid] = held
+        return aggregation
 
     def _derive_time_index(self) -> _TimeIndex:
         """Lifetimes of the chained works in preorder, each subtree's slice, and action dates."""
@@ -621,7 +662,6 @@ _KINDS = {
         _Column("work", _STR),
         _Column("valid_start", _DATE),
         _Column("valid_end", _OPTIONAL_DATE),
-        _Column("aggregates", _STRS),
     ),
     "clv": _Kind(
         "clvs", LanguageVersion,

@@ -3,7 +3,7 @@
 Pure read-only functions over an immutable store: pick the evaluation
 instant for a temporal scope, select the unique version valid at a date,
 resolve hierarchical scope membership under a disclosed policy, and
-reconstruct full document text as of any date via the aggregation graph.
+reconstruct full document text as of any date via the aggregation index.
 """
 
 from __future__ import annotations
@@ -156,7 +156,8 @@ def snapshot_fragments(
 ) -> list[SnapshotFragment]:
     """Reconstruct the text of ``work`` as it stood on ``t``, with citations.
 
-    Depth-first expansion of the aggregation closure, emitting each
+    Depth-first expansion of the aggregation closure (the store's
+    aggregation index, read once per call), emitting each
     text-bearing component's wording in ordinal order. Falls back to the
     norm's primary language unless disabled; without fallback, a version
     that has wording, but none in the requested language, raises
@@ -167,6 +168,7 @@ def snapshot_fragments(
     # validate_graph keeps a component in its parent's norm, so one primary
     # language serves the whole aggregation closure.
     primary = store.primary_language(work)
+    children = store.aggregation.get
 
     def emit(tv: TemporalVersion) -> None:
         languages = store.clvs_by_ctv.get(tv.id)
@@ -177,8 +179,8 @@ def snapshot_fragments(
         if lv_id is not None:
             unit = store.units[store.clvs[lv_id].text_unit]
             out.append(SnapshotFragment(tv.work, tv.id, lv_id, unit.text))
-        for child_cid in tv.aggregates:
-            emit(store.ctvs[child_cid])
+        for child in children(tv.id, ()):
+            emit(child)
 
     emit(root)
     return out

@@ -286,44 +286,6 @@ class TestValidateGraph:
         # References are checked first.
         assert [v.code for v in violations[:3]] == ["DanglingReference"] * 3
 
-    def test_a_parent_version_must_aggregate_each_child_alive_on_its_start(self):
-        store = GraphStore()
-        store.add_work(WorkNode("urn:test:n", (), WorkKind.NORM))
-        child = "urn:test:n!art1"
-        store.add_work(WorkNode(child, (), WorkKind.COMPONENT, ComponentType.ARTICLE,
-                                parent="urn:test:n"))
-        store.add_ctv(ctv(child, "2000-01-01", "2000-02-01"))
-        store.add_ctv(ctv(child, "2000-04-01"))
-        # Before the child's chain, on its first version's start, on that
-        # version's (exclusive) end inside a gap of the chain, and on the
-        # second version's start.
-        starts = ["1999-01-01", "2000-01-01", "2000-02-01", "2000-04-01"]
-        parents = [store.add_ctv(ctv("urn:test:n", start, end))
-                   for start, end in zip(starts, starts[1:] + [None])]
-        gaps = [v.nodes for v in validate_graph(store) if v.code == "AggregationGap"]
-        assert gaps == [(parents[1], child), (parents[3], child)]
-
-    def test_a_parent_version_must_aggregate_its_children_in_ordinal_order(self):
-        store = GraphStore()
-        store.add_work(WorkNode("urn:test:n", (), WorkKind.NORM))
-        children = ["urn:test:n!art1", "urn:test:n!art2"]
-        for ordinal, child in enumerate(children):
-            store.add_work(WorkNode(child, (), WorkKind.COMPONENT, ComponentType.ARTICLE,
-                                    parent="urn:test:n", ordinal=ordinal))
-        versions = [store.add_ctv(ctv(child, "2000-01-01")) for child in children]
-        parent = store.add_ctv(TemporalVersion("urn:test:n", date(2000, 1, 1),
-                                               aggregates=tuple(versions)))
-
-        def aggregation():
-            return [(v.code, v.nodes) for v in validate_graph(store)
-                    if v.code.startswith("Aggregation")]
-
-        assert aggregation() == []
-        store.ctvs[parent] = replace(store.ctvs[parent], aggregates=tuple(reversed(versions)))
-        # The aggregate out of place comes first, then the gap it leaves.
-        assert aggregation() == [("AggregationStale", (parent, versions[0])),
-                                 ("AggregationGap", (parent, children[0]))]
-
     def test_each_fact_in_a_works_metadata_needs_its_own_metadata_unit(self):
         store = _two_version_store("2000-06-15", "2000-06-15")
         for action in store.actions.values():

@@ -63,6 +63,7 @@ class TestAggregationClosure:
             corpus = synthcorpus.generate_corpus(seed)
             store = synthcorpus.build_store(corpus)
             probe_dates = [corpus.enactment] + corpus.event_dates()
+            aggregation = store.aggregation
             for t in probe_dates:
                 root = ctv_at(store, corpus.norm_urn, t)
                 reached: dict[str, str] = {}
@@ -72,7 +73,7 @@ class TestAggregationClosure:
                     assert tv.work not in reached, (seed, t, tv.work)
                     reached[tv.work] = tv.id
                     assert tv.contains(t), (seed, t, tv.id)
-                    stack.extend(store.ctvs[c] for c in tv.aggregates)
+                    stack.extend(aggregation.get(tv.id, ()))
 
 
 class TestSameDayCompositeEvents:
@@ -94,7 +95,7 @@ class TestSameDayCompositeEvents:
             date(2000, 1, 1), date(2003, 6, 1)]
         merged = norm_versions[-1]
         child_starts = sorted(
-            store.ctvs[c].valid_start for c in merged.aggregates)
+            c.valid_start for c in store.aggregation[merged.id])
         # Both same-day article versions hang off the single norm version.
         assert child_starts == [date(2003, 6, 1), date(2003, 6, 1)]
 
@@ -702,8 +703,8 @@ class TestIndexBackedSpans:
 def _reached(store: GraphStore, tv: TemporalVersion):
     """``tv`` and its aggregation closure, depth first in aggregate order."""
     yield tv
-    for cid in tv.aggregates:
-        yield from _reached(store, store.ctvs[cid])
+    for child in store.aggregation.get(tv.id, ()):
+        yield from _reached(store, child)
 
 
 def _linear_version(store: GraphStore, urn: str, t: date):

@@ -1,9 +1,10 @@
 """Hypothesis fuzzing of one record of the fixture and synthcorpus seed-1 snapshots.
 
 Whatever one record is turned into, ``load`` either returns a store that
-breaks no model invariant, whose lazily derived text index and embeddings
-can be read and which saves and loads back to the same nodes, statistics
-and embeddings, or raises MalformedSnapshot or DanglingReference; no other
+breaks no model invariant, whose lazily derived text index, embeddings and
+aggregation index can be read (the last equal to a walk of ``version_at``)
+and which saves and loads back to the same nodes, statistics, embeddings
+and aggregation, or raises MalformedSnapshot or DanglingReference; no other
 exception may escape. Every kind record and the meta header are fuzzed; a
 kind record is cut short, or one of its columns loses, gains or retypes a
 cell.
@@ -22,7 +23,7 @@ from normgraph.model import EMBEDDING_DIMENSION, validate_graph
 from normgraph.store import load, save
 
 import synthcorpus
-from test_store import GOLDEN, entry_bits
+from test_store import GOLDEN, entry_bits, reference_aggregation
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -100,6 +101,7 @@ def _load_a_mutated_record(snapshot_path, fuzz_dir, data, kinds) -> None:
     assert set(embeddings) == set(store.units)
     assert all(0 <= i < EMBEDDING_DIMENSION for entries in embeddings.values() for i, _ in entries)
     assert set(store.text_index.unit_len) == set(store.units)
+    assert store.aggregation == reference_aggregation(store)
     resaved = fuzz_dir / "resaved.ndjson"
     save(store, resaved)
     reloaded = load(resaved)
@@ -107,6 +109,7 @@ def _load_a_mutated_record(snapshot_path, fuzz_dir, data, kinds) -> None:
         assert getattr(reloaded, nodes) == getattr(store, nodes), nodes
     assert reloaded.text_index == store.text_index
     assert entry_bits(reloaded) == embeddings
+    assert reloaded.aggregation == store.aggregation
 
 
 @pytest.fixture(scope="module")

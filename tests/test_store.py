@@ -43,11 +43,11 @@ from normgraph.retrieval import (
     scoped_search,
 )
 from normgraph import store as store_mod
-from normgraph.store import FORMAT_VERSION, GraphStore, load, pick_wording, save, tokenize
+from normgraph.store import GraphStore, load, pick_wording, save, tokenize
 from normgraph.temporal import MembershipPolicy, TemporalScope, resolve_scope
 
 import synthcorpus
-from reference_ids import ART6_CPT, NORM_URN
+from reference_ids import ACT_CA26, ACT_CA72, ART6_CPT, ART7_CPT, NORM_URN
 from snapshot_rows import encode, read_rows, write_rows
 from test_ingest import amendment_file, apply_file, mini_doc, versions_of
 
@@ -310,16 +310,6 @@ class TestLoad:
             load(path)
         assert exc.value.line is None
 
-    def test_dangling_aggregate_reference(self, tmp_path):
-        header = {"kind": "meta", "format_version": FORMAT_VERSION, "columns": COLUMNS,
-                  "rows": {**dict.fromkeys(COLUMNS, 0), "work": 1, "ctv": 1}}
-        rows = [
-            {"kind": "work", "row": ["urn:n", [], "norm", "other", None, 0, {}]},
-            {"kind": "ctv", "row": ["urn:n", "2000-01-01", None, ["urn:n!a@2000-01-01"]]},
-        ]
-        with pytest.raises(DanglingReference):
-            _load_rows(header, rows, tmp_path)
-
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.ndjson"
         path.write_text('{"kind": "work"\nnot json', encoding="utf-8")
@@ -506,21 +496,6 @@ class TestWholeOrRejected:
         self._each_record_edit(self._snapshot(which, tmp_path), tmp_path, one_column_short)
 
     @pytest.mark.parametrize("which", ["golden", "seed1"])
-    def test_every_swap_of_two_adjacent_aggregates_is_rejected(self, tmp_path, which):
-        at = COLUMNS["ctv"].index("aggregates")
-
-        def each_adjacent_swap(columns):
-            for row, aggregates in enumerate(columns[at]):
-                for i in range(len(aggregates) - 1):
-                    swapped = [*aggregates[:i], aggregates[i + 1], aggregates[i], *aggregates[i + 2:]]
-                    values = [*columns[at][:row], swapped, *columns[at][row + 1:]]
-                    yield [*columns[:at], values, *columns[at + 1:]]
-
-        swaps = self._each_record_edit(self._snapshot(which, tmp_path), tmp_path,
-                                       each_adjacent_swap, kind="ctv", match="AggregationStale")
-        assert swaps == {"golden": 7, "seed1": 9}[which]
-
-    @pytest.mark.parametrize("which", ["golden", "seed1"])
     def test_every_line_boundary_truncation_is_rejected(self, tmp_path, which):
         lines = self._snapshot(which, tmp_path)
         for kept in range(len(lines)):
@@ -625,7 +600,7 @@ class TestStrictHeader:
         path = tmp_path / "snap.ndjson"
         save(fixture_store, path)
         header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
-        assert header == {"kind": "meta", "format_version": 6, "columns": COLUMNS,
+        assert header == {"kind": "meta", "format_version": 7, "columns": COLUMNS,
                           "rows": {"work": 17, "action": 5, "ctv": 29, "clv": 9, "theme": 1,
                                    "unit": 16}}
 
@@ -637,8 +612,6 @@ class TestStrictRecords:
     @pytest.mark.parametrize("kind, key, value, reason", [
         pytest.param("work", "metadata", ["label"], "must be an object of strings",
                      id="work-metadata-list"),
-        pytest.param("ctv", "aggregates", [["x"]], "must be a list of strings",
-                     id="ctv-aggregates-holding-a-list"),
         pytest.param("clv", "language", 7, "must be a string", id="clv-language-int"),
         pytest.param("work", "ordinal", "0", "must be an integer", id="work-ordinal-string"),
         pytest.param("action", "targets", "a", "must be a list of strings",
@@ -676,7 +649,7 @@ class TestStrictRecords:
         assert f":{line}: bad {kind!r} record, row {at}, column {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, key, named", [
-        pytest.param("ctv", "aggregates", "aggregates", id="ctv-aggregates"),
+        pytest.param("ctv", "valid_end", "valid_end", id="ctv-valid_end"),
         pytest.param("theme", "members", "members", id="theme-members"),
         pytest.param("action", "effective_date", "effective_date", id="action-effective_date"),
         # The first column is the one the others are held to, so the second is named.
@@ -705,8 +678,8 @@ class TestStrictRecords:
                      id="unit-missing-column"),
         pytest.param("clv", lambda r: r.update(columns=dict(enumerate(r["columns"]))),
                      "'columns' must be a list of 2 arrays", id="clv-columns-object"),
-        pytest.param("ctv", lambda r: r["columns"].__setitem__(3, "aggregates"),
-                     "'columns' must be a list of 4 arrays", id="ctv-column-string"),
+        pytest.param("ctv", lambda r: r["columns"].__setitem__(2, "valid_end"),
+                     "'columns' must be a list of 3 arrays", id="ctv-column-string"),
         pytest.param("action", lambda r: r.update(id="act:x"),
                      "its members must be kind, columns", id="action-extra-member"),
         pytest.param("theme", lambda r: r.pop("columns"), "its members must be kind, columns",
@@ -763,7 +736,7 @@ class TestDerivedColumns:
         assert loaded.terminated_by == fixture_store.terminated_by
         assert set(loaded.produced_by) == set(loaded.ctvs)
         assert loaded.terminated_by
-        assert COLUMNS["ctv"] == ["work", "valid_start", "valid_end", "aggregates"]
+        assert COLUMNS["ctv"] == ["work", "valid_start", "valid_end"]
         assert COLUMNS["clv"] == ["temporal_version", "language"]
         assert "description_unit" not in COLUMNS["action"]
         for line in snapshot_path.read_text(encoding="utf-8").splitlines()[1:]:
@@ -882,6 +855,35 @@ class TestReferences:
         error = json.loads(capsys.readouterr().out)["error"]
         assert (error["type"], error["referrer"], error["missing"]) == (
             "DanglingReference", referrer, missing)
+
+
+class TestActionTargets:
+    """Each target of an action is the work of a version the action produces or terminates."""
+
+    def test_a_target_the_action_does_not_change_exits_3(self, tmp_path, capsys):
+        header, rows = read_rows(GOLDEN)
+        actions = {record["row"][0]: record for record in rows if record["kind"] == "action"}
+        at = COLUMNS["action"].index("targets")
+        # CA 26/2000 amended Art. 6 only; give it CA 72/2013's target, Art. 7's caput.
+        assert actions[ACT_CA72]["row"][at] == [ART7_CPT]
+        _set(actions[ACT_CA26], "targets", [ART7_CPT])
+        with pytest.raises(MalformedSnapshot, match=re.escape(
+                f"1 invariant violation(s); the first is StrayTarget: target {ART7_CPT} is "
+                f"the work of no ctv the action produces or terminates [{ACT_CA26}, {ART7_CPT}]")):
+            _load_rows(header, rows, tmp_path)
+        code = main(["query", "impact", "--snapshot", str(tmp_path / "bad.ndjson"),
+                     "--target", "art7", "--between", "1999-01-01", "2001-01-01"])
+        assert code == 3
+        assert "StrayTarget" in capsys.readouterr().err
+
+    def test_every_action_ingest_writes_keeps_the_rule(self, fixture_store):
+        stores = [fixture_store, _one_day_of_insertions_and_an_amendment()]
+        stores += [synthcorpus.build_store(synthcorpus.generate_corpus(seed)) for seed in range(40)]
+        for store in stores:
+            assert validate_graph(store) == []
+            for action in store.actions.values():
+                touched = {store.ctvs[cid].work for cid in action.produces + action.terminates}
+                assert set(action.targets) <= touched and action.targets, action.id
 
 
 # Loads a snapshot and prints, in order, what it derives from the units' text.
@@ -1331,6 +1333,149 @@ class TestTimeIndex:
                                     temporal=TemporalScope.interval(*window)), clock)
         assert [a["target"] for a in answer.annex["actions"]] == [inserted]
         assert store._time_index is None
+
+
+def reference_aggregation(store: GraphStore) -> dict[str, tuple[TemporalVersion, ...]]:
+    """Each version's children's versions on its start, by ``version_at`` in ``children`` order."""
+    out = {}
+    for cid, tv in store.ctvs.items():
+        held = tuple(child for urn in store.children.get(tv.work, ())
+                     if (child := store.version_at(urn, tv.valid_start)) is not None)
+        if held:
+            out[cid] = held
+    return out
+
+
+def _ids(aggregation: dict[str, tuple[TemporalVersion, ...]]) -> dict[str, tuple[str, ...]]:
+    return {cid: tuple(child.id for child in held) for cid, held in aggregation.items()}
+
+
+def _reloaded(store: GraphStore, tmp_path) -> GraphStore:
+    store.commit()
+    save(store, tmp_path / "reloaded.ndjson")
+    return load(tmp_path / "reloaded.ndjson")
+
+
+def _one_day_of_insertions_and_an_amendment() -> GraphStore:
+    """Three articles; on 2003-06-01 an amendment and two insertions, then repeals and amendments."""
+    store = GraphStore()
+    enact(store, parse_document(mini_doc(3)))
+    apply_file(store, amendment_file(f"{MINI}!art1_cpt", "2003-06-01", "Amended."))
+    apply_file(store, amendment_file(f"{MINI}!art1", "2003-06-01", "", components=[
+        {"fragment": "art1_par1", "type": "paragraph", "text": "Inserted paragraph."}]))
+    apply_file(store, amendment_file(MINI, "2003-06-01", "", components=[
+        {"fragment": "art4", "type": "article", "children": [
+            {"fragment": "art4_cpt", "type": "caput", "text": "Inserted article."}]}]))
+    apply_file(store, amendment_file(f"{MINI}!art2_cpt", "2004-01-01", "", action_type="repeal"))
+    apply_file(store, amendment_file(f"{MINI}!art2", "2005-01-01", "", action_type="repeal"))
+    apply_file(store, amendment_file(f"{MINI}!art1_par1", "2005-01-01", "Paragraph v2."))
+    return store
+
+
+MINI = "urn:test:mini"
+
+
+class TestAggregationIndex:
+    """Which child versions each version aggregates is derived from the work tree
+    and the chains, never stored, and equals a walk of ``version_at``."""
+
+    def test_the_reference_corpus_derives_the_reference_walk(self, fixture_store, snapshot_path):
+        derived = fixture_store.aggregation
+        assert derived == reference_aggregation(fixture_store)
+        assert load(snapshot_path).aggregation == load(GOLDEN).aggregation == derived
+        # As many lists, and ids in them, as the version 6 golden snapshot stored.
+        assert len(derived) == 23 and sum(map(len, derived.values())) == 30
+
+    def test_synthetic_corpora_derive_it_alike_before_commit_and_after_a_reload(self, tmp_path):
+        held = 0
+        for seed in range(40):
+            store = synthcorpus.build_store(synthcorpus.generate_corpus(seed))
+            derived = store.aggregation
+            assert derived == reference_aggregation(store), seed
+            reloaded = _reloaded(store, tmp_path)
+            assert reloaded.aggregation == reference_aggregation(reloaded) == derived, seed
+            held += sum(map(len, derived.values()))
+        assert held > 1000
+
+    def test_same_day_insertions_and_amendment_then_repeals(self, tmp_path):
+        store = _one_day_of_insertions_and_an_amendment()
+        assert store.aggregation == reference_aggregation(store)
+        derived = _ids(store.aggregation)
+        day = {"2000-01-01": "2000-01-01", "2003": "2003-06-01", "2004": "2004-01-01",
+               "2005": "2005-01-01"}
+        at = {key: lambda urn, d=d: f"{MINI}!{urn}@{d}" for key, d in day.items()}
+        assert [derived.get(cid, ()) for cid in store.versions[MINI]] == [
+            (at["2000-01-01"]("art1"), at["2000-01-01"]("art2"), at["2000-01-01"]("art3")),
+            # One version for the day: the amended article, then the inserted one.
+            (at["2003"]("art1"), at["2000-01-01"]("art2"), at["2000-01-01"]("art3"),
+             at["2003"]("art4")),
+            (at["2003"]("art1"), at["2004"]("art2"), at["2000-01-01"]("art3"),
+             at["2003"]("art4")),
+            # The repealed article is gone; art1 rolled for its paragraph.
+            (at["2005"]("art1"), at["2000-01-01"]("art3"), at["2003"]("art4")),
+        ]
+        assert [derived.get(cid, ()) for cid in store.versions[f"{MINI}!art1"]] == [
+            (at["2000-01-01"]("art1_cpt"),),
+            (at["2003"]("art1_cpt"), at["2003"]("art1_par1")),
+            (at["2003"]("art1_cpt"), at["2005"]("art1_par1")),
+        ]
+        # A version whose children are all repealed aggregates nothing.
+        assert f"{MINI}!art2@2004-01-01" not in derived
+        assert _ids(_reloaded(store, tmp_path).aggregation) == derived
+
+    def test_a_child_without_a_version_on_a_parent_start_is_left_out(self):
+        store = GraphStore()
+        store.add_work(WorkNode("urn:n", (), WorkKind.NORM))
+        kids = ["urn:n!b", "urn:n!a"]  # added against ordinal order
+        for ordinal, kid in reversed(list(enumerate(kids))):
+            store.add_work(WorkNode(kid, (), WorkKind.COMPONENT, parent="urn:n", ordinal=ordinal))
+
+        def add(urn: str, start: str, end: str | None = None) -> str:
+            return store.add_ctv(TemporalVersion(urn, date.fromisoformat(start),
+                                                 end and date.fromisoformat(end)))
+
+        # b: a gap from 02-01 to 04-01. a: a version overlapping the next one,
+        # which ends first, so a has none from 05-01 (version_at's rule).
+        b1, b2 = add(kids[0], "2000-01-01", "2000-02-01"), add(kids[0], "2000-04-01")
+        a1, a2 = add(kids[1], "2000-01-01", "2001-01-01"), add(kids[1], "2000-03-01", "2000-05-01")
+        starts = ["1999-01-01", "2000-01-01", "2000-02-01", "2000-03-01", "2000-04-01",
+                  "2000-06-01"]
+        parents = [add("urn:n", start) for start in starts]
+        assert store.aggregation == reference_aggregation(store)
+        assert _ids(store.aggregation) == {
+            parents[1]: (b1, a1), parents[2]: (a1,), parents[3]: (a2,), parents[4]: (b2, a2),
+            parents[5]: (b2,)}
+
+    def test_an_uncommitted_store_derives_it_afresh_and_keeps_none(self):
+        store = GraphStore()
+        enact(store, parse_document(mini_doc()))
+        first = store.aggregation
+        assert store._aggregation is None
+        apply_file(store, amendment_file(f"{MINI}!art1", "2003-06-01", "", components=[
+            {"fragment": "art1_par1", "type": "paragraph", "text": "Inserted."}]))
+        assert store.aggregation == reference_aggregation(store) != first
+        assert store._aggregation is None
+
+    def test_only_a_point_in_time_query_derives_it(self, snapshot_path, clock):
+        store = load(snapshot_path)
+        run(store, _impact(), clock)
+        run(store, StructuredQuery(QueryPattern.PROVENANCE, textual_target="food"), clock)
+        run(store, _retrieve(None, RetrievalMode.LEXICAL), clock)
+        assert store._aggregation is None
+        run(store, StructuredQuery(QueryPattern.POINT_IN_TIME, structural_target="art6",
+                                   temporal=TemporalScope.instant(date(2011, 1, 1))), clock)
+        assert store._aggregation is not None and store.aggregation is store._aggregation
+
+    def test_concurrent_first_point_in_time_readers_share_one_build(
+            self, fixture_store, snapshot_path, monkeypatch, clock):
+        builds = _slowed(monkeypatch, "_derive_aggregation")
+        store = load(snapshot_path)
+        queries = [StructuredQuery(QueryPattern.POINT_IN_TIME, structural_target=target,
+                                   temporal=TemporalScope.instant(date(2011, 1, 1)))
+                   for target in ("art6", "tit2_cap2")]
+        seen = _race(lambda slot: run(store, queries[slot % 2], clock).annex_json(), readers=4)
+        assert len(builds) == 1
+        assert seen == [run(fixture_store, query, clock).annex_json() for query in queries] * 2
 
 
 class TestLanguageRule:
