@@ -5,13 +5,15 @@ Input files are explicit structured JSON (``*.satdoc.json`` documents,
 schemas mirror what an upstream segmenter would emit, so one can be
 slotted in front without touching this module.
 
-Event application is strictly sequential and has one write path. An
-amendment or repeal closes the target's open version (an amendment opens a
-successor); an insertion builds its new subtrees. The changed work's
-ancestors are then rolled by one function: each receives a new version
-from the event's date, unless one that day already opened it. No version
-stores its children's versions; the store derives them from the work tree
-and the chains, so the unchanged children's existing versions are shared.
+Event application is strictly sequential and has one write path: each
+enactment and event becomes one action, naming the works it terminates and
+produces, and ``GraphStore.replay`` of that action writes the versions. An
+amendment or repeal terminates the target (an amendment also produces it);
+an insertion produces its new subtrees. The changed work's ancestors are
+then rolled by one function: each is terminated and produced on the
+event's date, unless a version of it opened that day. No version stores
+its children's versions; the store derives them from the work tree and
+the chains, so the unchanged children's existing versions are shared.
 Every check on an event runs before its first write, so a rejected event
 leaves the store as it was.
 """
@@ -54,6 +56,7 @@ from .model import (
     TextUnit,
     WorkKind,
     WorkNode,
+    ctv_id,
     metadata_tuple,
     metadata_unit_id,
     parse_iso_date,
@@ -391,14 +394,10 @@ def render_action_text(action: ActionNode, store: GraphStore, language: str = "e
         return locale["action_enactment"].format(
             instrument=instrument, target=norm_title or target, effective=effective)
 
-    terminated_tv = next(
-        (store.ctvs[cid] for cid in action.terminates
-         if cid in store.ctvs and store.ctvs[cid].work == target_urn),
-        None,
-    )
+    terminated_tv = store.closed_by(action, target_urn)
     previous_start = terminated_tv.valid_start.isoformat() if terminated_tv else ""
-    end = terminated_tv.valid_end if terminated_tv else None
-    terminated = (end - timedelta(days=1)).isoformat() if end else ""  # its last valid day
+    # Its last valid day, the day before the action's.
+    terminated = (action.effective_date - timedelta(days=1)).isoformat() if terminated_tv else ""
 
     if action.action_type is ActionType.REPEAL:
         return locale["action_repeal"].format(
@@ -414,15 +413,10 @@ def render_action_text(action: ActionNode, store: GraphStore, language: str = "e
             instrument=instrument, source=source, inserted=inserted,
             target=parent_label, norm=norm_title, effective=effective)
 
-    produced_tv = next(
-        (store.ctvs[cid] for cid in action.produces
-         if cid in store.ctvs and store.ctvs[cid].work == target_urn),
-        None,
-    )
     new_text = ""
     # The wording every reader picks: ``language``, else the norm's primary one.
-    if produced_tv is not None:
-        lv_id = pick_wording(store.clvs_by_ctv.get(produced_tv.id, {}),
+    if target_urn in action.produces:
+        lv_id = pick_wording(store.clvs_by_ctv.get(ctv_id(target_urn, action.effective_date), {}),
                              store.primary_language(target_urn), language, True)
         if lv_id is not None:
             new_text = store.units[store.clvs[lv_id].text_unit].text
@@ -481,12 +475,17 @@ def _norm_work(norm: NormMeta, **facts: str) -> WorkNode:
     )
 
 
-def _build_subtree(store: GraphStore, record: ComponentRecord, parent_urn: str, ordinal: int,
-                   start: date, language: str, produces: list[str]) -> str:
-    """Add the works of ``record``'s subtree, each with a first version from ``start``.
+# What _record_action attaches to the version its action opens of a work:
+# (work urn, language, text, synthetic).
+_Wording = tuple[str, str, str, bool]
 
-    Text is attached in ``language``. Version ids are appended to
-    ``produces`` children first; returns the urn of ``record``'s work.
+
+def _build_subtree(store: GraphStore, record: ComponentRecord, parent_urn: str, ordinal: int,
+                   language: str, produces: list[str], wordings: list[_Wording]) -> str:
+    """Add the works of ``record``'s subtree, for the caller's action to produce.
+
+    The urns are appended to ``produces`` children first, and each text, in
+    ``language``, to ``wordings``; returns the urn of ``record``'s work.
     """
     urn = f"{store.works[parent_urn].norm_urn}{FRAGMENT_SEP}{record.fragment}"
     store.add_work(WorkNode(
@@ -499,17 +498,21 @@ def _build_subtree(store: GraphStore, record: ComponentRecord, parent_urn: str, 
         metadata=_component_metadata(record),
     ))
     for child in record.children:
-        _build_subtree(store, child, urn, child.ordinal, start, language, produces)
-    cid = store.add_ctv(TemporalVersion(work=urn, valid_start=start))
-    produces.append(cid)
+        _build_subtree(store, child, urn, child.ordinal, language, produces, wordings)
+    produces.append(urn)
     if record.text is not None:
-        _attach_content(store, cid, language, record.text, record.synthetic)
+        wordings.append((urn, language, record.text, record.synthetic))
     return urn
 
 
-def _record_action(store: GraphStore, action: ActionNode) -> str:
-    """Add ``action`` and the unit that describes it; return the action's id."""
-    store.add_action(action)
+def _record_action(store: GraphStore, action: ActionNode, wordings: list[_Wording]) -> str:
+    """Replay ``action``, attach each wording to the version it opened, describe it; return its id.
+
+    The version's id is the one its node holds, so no CLV keeps a copy.
+    """
+    store.replay((action,))
+    for urn, language, text, synthetic in wordings:
+        _attach_content(store, store.versions[urn][-1], language, text, synthetic)
     store.add_unit(TextUnit(
         id=action.description_unit,
         aspect=Aspect.ACTION_DESCRIPTION,
@@ -538,9 +541,10 @@ def enact(store: GraphStore, doc: SourceDocument) -> str:
     start = norm.publication_date
     store.add_work(_norm_work(norm, publication_date=start.isoformat(), language=norm.language))
     produced: list[str] = []
+    wordings: list[_Wording] = []
     for record in doc.body:
-        _build_subtree(store, record, norm.urn, record.ordinal, start, norm.language, produced)
-    produced.append(store.add_ctv(TemporalVersion(work=norm.urn, valid_start=start)))
+        _build_subtree(store, record, norm.urn, record.ordinal, norm.language, produced, wordings)
+    produced.append(norm.urn)
     _record_action(store, ActionNode(
         id=action_id,
         action_type=ActionType.ENACTMENT,
@@ -551,7 +555,7 @@ def enact(store: GraphStore, doc: SourceDocument) -> str:
         instrument=norm.urn,
         instrument_title=norm.title,
         instrument_short=norm.short_title,
-    ))
+    ), wordings)
     for unit in textualize_metadata(store.works[norm.urn]):
         store.add_unit(unit)
     return action_id
@@ -611,32 +615,25 @@ def _ancestors(store: GraphStore, urn: str) -> Iterator[str]:
         parent = store.works[parent].parent
 
 
-def _carry_content(store: GraphStore, old_cid: str, new_cid: str) -> None:
-    """Copy content language versions onto a propagated text-bearing version."""
-    for _, lv_id in sorted(store.clvs_by_ctv.get(old_cid, {}).items()):
-        lv = store.clvs[lv_id]
-        unit = store.units[lv.text_unit]
-        _attach_content(store, new_cid, lv.language, unit.text, unit.synthetic)
-
-
-def _propagate_up(store: GraphStore, child_urn: str, effective: date,
-                  terminates: list[str], produces: list[str]) -> None:
+def _propagate_up(store: GraphStore, child_urn: str, effective: date, terminates: list[str],
+                  produces: list[str], wordings: list[_Wording]) -> None:
     """Roll every ancestor of ``child_urn``, which the caller checked open, onto ``effective``.
 
-    Each ancestor's open version is closed on ``effective`` and succeeded
-    by one from it, which carries its wording. The roll stops at an
+    Each ancestor is terminated and produced on ``effective``, and its open
+    version's wordings are carried to ``wordings``. The roll stops at an
     ancestor whose open version an earlier event of the same day opened:
     that version, and every one above it, already starts on ``effective``.
     """
     for ancestor in _ancestors(store, child_urn):
-        current = store.ctvs[store.versions[ancestor][-1]]
-        if current.valid_start == effective:
+        current = store.versions[ancestor][-1]
+        if store.ctvs[current].valid_start == effective:
             return
-        store.close_ctv(current.id, effective)
-        terminates.append(current.id)
-        successor = store.add_ctv(TemporalVersion(work=ancestor, valid_start=effective))
-        produces.append(successor)
-        _carry_content(store, current.id, successor)
+        terminates.append(ancestor)
+        produces.append(ancestor)
+        for _, lv_id in sorted(store.clvs_by_ctv.get(current, {}).items()):
+            lv = store.clvs[lv_id]
+            unit = store.units[lv.text_unit]
+            wordings.append((ancestor, lv.language, unit.text, unit.synthetic))
 
 
 def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str:
@@ -685,24 +682,23 @@ def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str
         store, instrument, ev.source_provision, ev.source_label)
     terminates: list[str] = []
     produces: list[str] = []
+    wordings: list[_Wording] = []
     if records:
         language = store.primary_language(ev.target)
         base_ordinal = len(store.children.get(ev.target, ()))
         targets = tuple(_build_subtree(store, record, ev.target, base_ordinal + offset,
-                                       effective, language, produces)
+                                       language, produces, wordings)
                         for offset, record in enumerate(records))
         # Every inserted root's ancestors are the target and the target's.
-        _propagate_up(store, targets[0], effective, terminates, produces)
+        _propagate_up(store, targets[0], effective, terminates, produces, wordings)
     else:
-        store.close_ctv(current.id, effective)
-        terminates.append(current.id)
+        terminates.append(ev.target)
         if ev.action_type is ActionType.AMENDMENT:
-            new_cid = store.add_ctv(TemporalVersion(work=ev.target, valid_start=effective))
-            produces.append(new_cid)
+            produces.append(ev.target)
             synthetic = dict(ev.synthetic)
-            for language, text in ev.new_text:
-                _attach_content(store, new_cid, language, text, synthetic.get(language, False))
-        _propagate_up(store, ev.target, effective, terminates, produces)
+            wordings.extend((ev.target, language, text, synthetic.get(language, False))
+                            for language, text in ev.new_text)
+        _propagate_up(store, ev.target, effective, terminates, produces, wordings)
         targets = (ev.target,)
 
     return _record_action(store, ActionNode(
@@ -718,7 +714,7 @@ def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str
         instrument=instrument.urn,
         instrument_title=instrument.title,
         instrument_short=instrument.short_title,
-    ))
+    ), wordings)
 
 
 # -- translations --------------------------------------------------------------

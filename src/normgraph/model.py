@@ -2,16 +2,21 @@
 
 Every node is a flat value object whose fields are its snapshot columns:
 construction checks it and fixes its identity, and the store treats
-instances as immutable (updates go through ``dataclasses.replace`` on the
-store side). A temporal version's validity is half-open: ``valid_start``
-inclusive, ``valid_end`` exclusive, so a version "valid until 2010-02-03"
-is stored with ``valid_end`` 2010-02-04.
+instances as immutable. A temporal version's validity is half-open:
+``valid_start`` inclusive, ``valid_end`` exclusive, so a version "valid
+until 2010-02-03" has ``valid_end`` 2010-02-04.
+
+Temporal versions are not stored: the actions are the only record of
+them. An action names the works it terminates and produces; replaying the
+actions in (effective date, id) order (``GraphStore.replay``) opens each
+produced version on the action's date and closes each terminated one, so a
+replayed chain tiles time by construction.
 
 :func:`validate_graph` checks each invariant by one rule: the ids nodes
-hold, the work tree, version tiling, the actions' shapes, targets and
-dates, and that every unit is one a node names. Which child versions a
-version aggregates is not stored: the store derives it from the work tree
-and the chains (``GraphStore.aggregation``).
+hold, the work tree, the actions' shapes and targets, and that every unit
+is one a node names. Which child versions a version aggregates is not
+stored either: the store derives it from the work tree and the chains
+(``GraphStore.aggregation``).
 """
 
 from __future__ import annotations
@@ -173,9 +178,10 @@ class TemporalVersion:
     derives that list (``GraphStore.aggregation``), the version holds none.
 
     ``id`` is derived, ``ctv_id(work, valid_start)``, and cannot be passed
-    in. The actions that produced and terminated a version are not stored
-    on it: ``GraphStore.produced_by``/``terminated_by`` index them from the
-    actions' ``produces``/``terminates``.
+    in. A version is never stored: ``GraphStore.replay`` builds it from the
+    action that produces its work on ``valid_start`` and the one that
+    terminates it on ``valid_end``, and files those actions in
+    ``GraphStore.produced_by``/``terminated_by``.
     """
 
     id: str = field(init=False)
@@ -218,12 +224,14 @@ class LanguageVersion:
 class ActionNode:
     """Reified legislative event that terminates and/or produces CTVs.
 
-    ``terminates``/``produces`` are complete: they include the versions
-    created for ancestors rolled onto the action's date. ``targets`` names
-    the directly amended/repealed/enacted works, each the work of a version
-    the action produces or terminates; it is what impact grouping and
-    attribution metrics key on. ``description_unit`` is derived,
-    ``tu:<id>:desc``, and cannot be passed in.
+    ``terminates``/``produces`` name works: on ``effective_date`` the action
+    closes each terminated work's open version and opens each produced
+    work's version ``ctv_id(work, effective_date)``. They are complete: they
+    include the ancestors rolled onto the action's date. ``targets`` names
+    the directly amended/repealed/enacted works, each one the action
+    produces or terminates; it is what impact grouping and attribution
+    metrics key on. ``description_unit`` is derived, ``tu:<id>:desc``, and
+    cannot be passed in.
     """
 
     id: str
@@ -299,11 +307,10 @@ class Violation:
 _REFERENCES = (
     ("works", "parent", "works", False),
     ("actions", "source_provision", "works", False),
-    ("actions", "terminates", "ctvs", True),
-    ("actions", "produces", "ctvs", True),
+    ("actions", "terminates", "works", True),
+    ("actions", "produces", "works", True),
     ("actions", "targets", "works", True),
     ("actions", "description_unit", "units", False),
-    ("ctvs", "work", "works", False),
     ("clvs", "temporal_version", "ctvs", False),
     ("clvs", "text_unit", "units", False),
     ("themes", "description_unit", "units", False),
@@ -349,35 +356,14 @@ def _check_work_tree(graph: "GraphStore", out: list[Violation]) -> None:
                                  (parent_urn,)))
 
 
-def _check_version_tiling(graph: "GraphStore", out: list[Violation]) -> None:
-    for urn in graph.works:
-        # The store keeps each chain sorted by start date.
-        ordered = [graph.ctvs[cid] for cid in graph.versions.get(urn, ())]
-        for prev, cur in zip(ordered, ordered[1:]):
-            if prev.valid_end is None or prev.valid_end > cur.valid_start:
-                out.append(Violation(
-                    "OverlappingValidity",
-                    "validity intervals of consecutive versions overlap",
-                    (prev.id, cur.id),
-                ))
-            elif prev.valid_end < cur.valid_start:
-                out.append(Violation(
-                    "ValidityGap",
-                    f"validity gap between {prev.valid_end} and {cur.valid_start}",
-                    (prev.id, cur.id),
-                ))
-
-
 def _check_actions(graph: "GraphStore", out: list[Violation]) -> None:
     for act in graph.actions.values():
         if act.enactment_date > act.effective_date:
             out.append(Violation("ActionShape", "enactment_date after effective_date", (act.id,)))
-        produced_works = {graph.ctvs[c].work for c in act.produces if c in graph.ctvs}
-        terminated_works = {graph.ctvs[c].work for c in act.terminates if c in graph.ctvs}
         for w in act.targets:
-            if w in graph.works and w not in produced_works and w not in terminated_works:
-                out.append(Violation("StrayTarget", f"target {w} is the work of no ctv the "
-                                     "action produces or terminates", (act.id, w)))
+            if w in graph.works and w not in act.produces and w not in act.terminates:
+                out.append(Violation("StrayTarget", f"target {w} is no work the action "
+                                     "produces or terminates", (act.id, w)))
         if act.action_type is ActionType.ENACTMENT:
             if act.terminates or act.source_provision is not None:
                 out.append(Violation("ActionShape", "enactment must not terminate or cite a source provision", (act.id,)))
@@ -390,42 +376,18 @@ def _check_actions(graph: "GraphStore", out: list[Violation]) -> None:
                 # Only pure insertions merged into a same-day parent version
                 # legitimately terminate nothing: every produced version must
                 # then open its work's chain.
-                opens_only = all(
-                    graph.versions.get(graph.ctvs[c].work, [None])[0] == c
-                    for c in act.produces if c in graph.ctvs
-                )
-                if not opens_only:
-                    out.append(Violation(
-                        "ActionShape",
-                        "amendment rewrites existing works without terminating them",
-                        (act.id,),
-                    ))
-            for w in terminated_works - produced_works:
-                out.append(Violation("ActionShape", f"amendment terminates {w} without a successor", (act.id,)))
+                if any(graph.version_starts[w][0] != act.effective_date for w in act.produces):
+                    out.append(Violation("ActionShape", "amendment rewrites existing works "
+                                         "without terminating them", (act.id,)))
+            for w in act.terminates:
+                if w not in act.produces:
+                    out.append(Violation("ActionShape", f"amendment terminates {w} without a successor",
+                                         (act.id,)))
         elif act.action_type is ActionType.REPEAL:
             if not act.terminates:
                 out.append(Violation("ActionShape", "repeal terminates nothing", (act.id,)))
-            if not terminated_works - produced_works:
+            if all(w in act.produces for w in act.terminates):
                 out.append(Violation("ActionShape", "repeal leaves no work without a successor", (act.id,)))
-    # Both indexes are filed from the actions, so every entry names one that
-    # lists the CTV, and no CTV has two producers or two terminators.
-    actions = graph.actions
-    for tv in graph.ctvs.values():
-        producer = graph.produced_by.get(tv.id)
-        if producer is None:
-            out.append(Violation("MissingProducer", "ctv has no producing action listing it", (tv.id,)))
-        elif (effective := actions[producer].effective_date) != tv.valid_start:
-            out.append(Violation("ActionDateMismatch", f"produced ctv starts {tv.valid_start}, "
-                                 f"action effective {effective}", (producer, tv.id)))
-        terminator = graph.terminated_by.get(tv.id)
-        if tv.valid_end is None:
-            if terminator is not None:
-                out.append(Violation("MissingTerminator", "open ctv carries a terminating action", (tv.id,)))
-        elif terminator is None:
-            out.append(Violation("MissingTerminator", "closed ctv has no terminating action listing it", (tv.id,)))
-        elif (effective := actions[terminator].effective_date) != tv.valid_end:
-            out.append(Violation("ActionDateMismatch", f"terminated ctv ends {tv.valid_end}, "
-                                 f"action effective {effective}", (terminator, tv.id)))
 
 
 # The unit each node of a kind names: (store map of the node, attribute, the
@@ -483,7 +445,6 @@ def validate_graph(graph: "GraphStore") -> list[Violation]:
     out: list[Violation] = []
     _check_references(graph, out)
     _check_work_tree(graph, out)
-    _check_version_tiling(graph, out)
     _check_actions(graph, out)
     _check_units(graph, out)
     return out

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyScope
-from .model import Aspect, EMBEDDING_DIMENSION
+from .model import Aspect, EMBEDDING_DIMENSION, ctv_id
 from .store import GraphStore, pick_wording, tokenize
 
 _HASH_KEY = b"normgraph.embed.v1"
@@ -237,12 +237,10 @@ def _provenance(store: GraphStore, req: RetrievalRequest, ref: str,
     if aspect is Aspect.ACTION_DESCRIPTION:
         action = store.actions[ref]
         target = action.targets[0] if action.targets else ""
-        anchor_ctv = next(
-            (cid for cid in action.produces + action.terminates
-             if cid in store.ctvs and store.ctvs[cid].work == target),
-            "",
-        )
-        return target, anchor_ctv, ref
+        if target in action.produces:
+            return target, ctv_id(target, action.effective_date), ref
+        closed = store.closed_by(action, target)
+        return target, closed.id if closed else "", ref
     if aspect is Aspect.METADATA:
         return ref, "", ref
     theme = store.themes[ref]

@@ -1,6 +1,6 @@
 """Indexed in-memory graph container and its on-disk snapshot format.
 
-Snapshots are newline-delimited JSON, format version 7, and hold only
+Snapshots are newline-delimited JSON, format version 8, and hold only
 nodes, stored by column. The first line is the meta header: the format
 version, each record kind's column order and each kind's row count. Then
 comes one line per kind, in _KINDS order and empty kinds included:
@@ -15,20 +15,21 @@ with a hint to re-run ``normgraph ingest``.
 
 A kind's columns are its node class's fields, in the order the class
 takes them, so load builds each node from one value per column. Values
-the nodes derive are not stored: the model builds a CTV's id, a CLV's id
-and text unit, and an action's description unit from the other fields
-(see model.py), so a snapshot cannot hold a foreign one. Nor is which
-child versions a version aggregates: that is a function of the work tree
-and the chains, derived as the aggregation index below.
+the nodes derive are not stored: the model builds a CLV's id and text
+unit and an action's description unit from the other fields (see
+model.py), so a snapshot cannot hold a foreign one. Nor are the temporal
+versions: ``GraphStore.replay`` builds them from the actions, which name
+the works they terminate and produce. Nor is which child versions a
+version aggregates: that is a function of the work tree and the chains,
+derived as the aggregation index below.
 
 Indexes are never persisted, and follow one rule. What ingest writes and
-validate_graph reads is filed per node as each is added or loaded: each
-work's children and version chain, each CTV's language versions, which
-action produced or terminated a CTV (a CTV that two actions claim is
-rejected), and the alias and fragment tables. What only queries read is
-derived from the nodes in one pass on its first read after commit, once,
-by ``GraphStore._derived``, the same way for a committed store and a
-loaded one:
+validate_graph reads is filed per node as each is added, loaded or
+replayed: each work's children and version chain, each CTV's language
+versions, which action produced or terminated a CTV, and the alias and
+fragment tables. What only queries read is derived from the nodes in one
+pass on its first read after commit, once, by ``GraphStore._derived``, the
+same way for a committed store and a loaded one:
 
 - the text index (``GraphStore.text_index``): the inverted term index,
   each unit's length and the IDF statistics, read by span location and
@@ -50,7 +51,7 @@ loaded one:
   preorder (``descendants`` order), with parallel arrays of each one's
   first valid_start and last valid_end (None for an open end), so that
   every work's subtree is one contiguous slice; each work's actions (those
-  that target it or terminate or produce one of its CTVs), ascending by
+  that target, terminate or produce it), ascending by
   (effective date, id), with a parallel array of their effective dates;
   and the corpus's sorted distinct action dates.
 
@@ -71,8 +72,8 @@ import os
 import re
 import threading
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field, replace
-from datetime import date
+from dataclasses import dataclass, field
+from datetime import date, timedelta
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import chain, zip_longest
@@ -96,7 +97,7 @@ from .model import (
     validate_graph,
 )
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 _W = TypeVar("_W")
 
@@ -166,6 +167,14 @@ class _ChainIndex(NamedTuple):
     metadata_units: dict[str, list[str]]  # work urn -> ids of its metadata units
 
 
+class ReplayFault(ValueError):
+    """Actions that do not replay (GraphStore.replay); ``action`` is the one at fault."""
+
+    def __init__(self, action: ActionNode, fault: str) -> None:
+        super().__init__(f"action {action.id!r} {fault}")
+        self.action = action
+
+
 @dataclass
 class GraphStore:
     """All graph nodes plus the index structures every query path uses.
@@ -194,7 +203,7 @@ class GraphStore:
     versions: dict[str, list[str]] = field(default_factory=dict, compare=False)
     # valid_start of each entry of versions[urn], so version lookup bisects dates.
     version_starts: dict[str, list[date]] = field(default_factory=dict, compare=False)
-    # CTV id -> the action that produced / terminated it; filed by _link_action.
+    # CTV id -> the action that produced / terminated it; filed by replay.
     produced_by: dict[str, str] = field(default_factory=dict, compare=False)
     terminated_by: dict[str, str] = field(default_factory=dict, compare=False)
     # Indexes only queries read; each read through the property of its name
@@ -225,22 +234,6 @@ class GraphStore:
         self.works[work.urn] = work
         self._index_work(work)
 
-    def add_ctv(self, tv: TemporalVersion) -> str:
-        self._assert_mutable()
-        if tv.id in self.ctvs:
-            raise ValueError(f"temporal version {tv.id!r} already exists")
-        self.ctvs[tv.id] = tv
-        self._index_ctv(tv)
-        return tv.id
-
-    def close_ctv(self, ctv: str, end: date) -> None:
-        """Set the single permitted mutation: an open version's end date."""
-        self._assert_mutable()
-        old = self.ctvs[ctv]
-        if old.valid_end is not None:
-            raise ValueError(f"{ctv!r} is already closed")
-        self.ctvs[ctv] = replace(old, valid_end=end)
-
     def add_clv(self, lv: LanguageVersion) -> None:
         self._assert_mutable()
         if lv.id in self.clvs:
@@ -248,13 +241,92 @@ class GraphStore:
         self.clvs[lv.id] = lv
         self._index_clv(lv)
 
-    def add_action(self, action: ActionNode) -> None:
-        """Add an action; raise ValueError, adding nothing, on a CTV another claims."""
+    def replay(self, actions: Iterable[ActionNode]) -> None:
+        """File ``actions`` and write the versions they name: the one writer of versions.
+
+        In (effective date, id) order, an action closes the open version of
+        each work it terminates, then opens ``ctv_id(work, date)`` for each
+        it produces, and is filed in ``produced_by``/``terminated_by``. Each
+        work's events are walked once from its chain's last version, and
+        each version is built once, so a closed version replaces its open
+        self. Nothing is written unless the whole batch replays: raises
+        ReplayFault on an id already filed, else on the first action, in
+        replay order, that repeats a (work, date), terminates a work with no
+        open version or on the day its version opens, opens a version after
+        a gap, or opens one while the work's version is still open.
+        """
         self._assert_mutable()
-        if action.id in self.actions:
-            raise ValueError(f"action {action.id!r} already exists")
-        self._link_action(action)
-        self.actions[action.id] = action
+        filed: dict[str, ActionNode] = {}  # in the order given, as the store keeps them
+        for action in actions:
+            if action.id in self.actions or action.id in filed:
+                raise ReplayFault(action, "is already filed")
+            filed[action.id] = action
+        ordered = sorted(filed.values(), key=lambda action: (action.effective_date, action.id))
+        # Work urn -> its events, terminations first within an action. An event
+        # is 2 * its action's place in ``ordered``, plus 1 for a production: an
+        # int, which the garbage collector does not track, as it would a tuple.
+        events: dict[str, list[int]] = {}
+        for at, action in enumerate(ordered):
+            for urn in action.terminates:
+                events.setdefault(urn, []).append(2 * at)
+            for urn in action.produces:
+                events.setdefault(urn, []).append(2 * at + 1)
+        built: list[TemporalVersion] = []
+        produced: dict[str, str] = {}
+        terminated: dict[str, str] = {}
+        faults: dict[int, str] = {}  # place in ordered -> its fault, the first of each work
+        for urn, todo in events.items():
+            cids = self.versions.get(urn)
+            # The last version's start and end, and the action of this batch that opened it.
+            start = end = producer = None
+            if cids:
+                last = self.ctvs[cids[-1]]
+                start, end = last.valid_start, last.valid_end
+            for event in todo:
+                action = ordered[event >> 1]
+                day = action.effective_date
+                if event & 1:
+                    if day == start:
+                        fault = f"produces {urn!r} on {day}, when a version of it already starts"
+                    elif start is not None and end is None:
+                        fault = f"produces {urn!r} on {day} while its version from {start} is open"
+                    elif end is not None and end != day:
+                        fault = f"produces {urn!r} on {day}, but its last version ends {end}"
+                    else:
+                        start, end, producer = day, None, action.id
+                        continue
+                elif start is None or end is not None:
+                    fault = f"terminates {urn!r}, which has no open version on {day}"
+                elif not start < day:
+                    fault = f"terminates {urn!r} on {day}, but its open version starts {start}"
+                else:
+                    tv = TemporalVersion(urn, start, day)
+                    built.append(tv)
+                    terminated[tv.id] = action.id
+                    if producer is not None:
+                        produced[tv.id] = producer
+                    end, producer = day, None
+                    continue
+                faults.setdefault(event >> 1, fault)
+                break
+            else:
+                if producer is not None:
+                    tv = TemporalVersion(urn, start)
+                    built.append(tv)
+                    produced[tv.id] = producer
+        if faults:
+            at = min(faults)
+            raise ReplayFault(ordered[at], faults[at])
+        ctvs, versions, starts = self.ctvs, self.versions, self.version_starts
+        for tv in built:
+            # A chain only grows at its end; a closed version replaces its open self.
+            if tv.id not in ctvs:
+                versions.setdefault(tv.work, []).append(tv.id)
+                starts.setdefault(tv.work, []).append(tv.valid_start)
+            ctvs[tv.id] = tv
+        self.produced_by.update(produced)
+        self.terminated_by.update(terminated)
+        self.actions.update(filed)
 
     def add_unit(self, unit: TextUnit) -> None:
         self._assert_mutable()
@@ -282,38 +354,13 @@ class GraphStore:
         if fragment:
             self.fragment_index.setdefault(fragment, set()).add(work.urn)
 
-    def _index_ctv(self, tv: TemporalVersion) -> None:
-        # Ids are unique per (work, valid_start), so no two entries share a start.
-        starts = self.version_starts.setdefault(tv.work, [])
-        index = bisect_right(starts, tv.valid_start)
-        starts.insert(index, tv.valid_start)
-        self.versions.setdefault(tv.work, []).insert(index, tv.id)
-
     def _index_clv(self, lv: LanguageVersion) -> None:
         self.clvs_by_ctv.setdefault(lv.temporal_version, {})[lv.language] = lv.id
-
-    def _link_action(self, action: ActionNode) -> None:
-        """File the action's CTVs in produced_by and terminated_by.
-
-        Every CTV is checked before any is filed: raises ValueError, filing
-        nothing, on a CTV that another action already claims.
-        """
-        links = ((self.produced_by, action.produces, "produced"),
-                 (self.terminated_by, action.terminates, "terminated"))
-        for index, cids, verb in links:
-            for cid in cids:
-                other = index.get(cid, action.id)
-                if other != action.id:
-                    raise ValueError(f"ctv {cid!r} is {verb} by both {other!r} and {action.id!r}")
-        for index, cids, _ in links:
-            index.update(dict.fromkeys(cids, action.id))
 
     def _reindex(self) -> None:
         """File every node of a freshly loaded store, whose indexes are empty."""
         for work in self.works.values():
             self._index_work(work)
-        for tv in self.ctvs.values():
-            self._index_ctv(tv)
         for lv in self.clvs.values():
             self._index_clv(lv)
 
@@ -459,15 +506,12 @@ class GraphStore:
         for urn, lo, own_end in reversed(preorder):
             kids = self.children.get(urn)
             subtrees[urn] = (lo, subtrees[kids[-1]][1] if kids else own_end)
-        # Each action is filed under its targets and the works of the CTVs it
-        # terminates or produces, then each work's are sorted once.
+        # Each action is filed under its targets and the works it terminates
+        # or produces, then each work's are sorted once.
         keyed: dict[str, list[tuple[date, str]]] = {}
         for action in self.actions.values():
             key = (action.effective_date, action.id)
-            touched = set(action.targets)
-            touched.update(ctvs[cid].work for cid in action.terminates + action.produces
-                           if cid in ctvs)
-            for urn in touched:
+            for urn in {*action.targets, *action.terminates, *action.produces}:
                 keyed.setdefault(urn, []).append(key)
         by_work: dict[str, tuple[list[str], list[date]]] = {}
         for urn, keys in keyed.items():
@@ -495,6 +539,12 @@ class GraphStore:
             return None
         tv = self.ctvs[self.versions[urn][index - 1]]
         return tv if tv.contains(t) else None
+
+    def closed_by(self, action: ActionNode, urn: str) -> TemporalVersion | None:
+        """The version of ``urn`` that ``action`` terminates, or None when it terminates none."""
+        if urn not in action.terminates:
+            return None
+        return self.version_at(urn, action.effective_date - timedelta(days=1))
 
     def lifetime(self, urn: str) -> tuple[date, date | None] | None:
         """``(first valid_start, last valid_end)`` of the chain, which a valid chain tiles; None without one."""
@@ -578,27 +628,20 @@ def _str_maps(values: list[dict]) -> list[tuple[tuple[str, str], ...]]:
     return list(map(metadata_tuple, values))
 
 
-def _or_null(convert: Callable) -> Callable:
-    return lambda value: None if value is None else convert(value)
-
-
 def _enum(cls: type[Enum]) -> _Type:
     return _Type(f"a {cls.__name__} value", _STRING,
                  _each({member.value: member for member in cls}.__getitem__),
                  operator.attrgetter("value"))
 
 
-# A snapshot repeats few distinct dates many times; each is parsed once. Null
-# reaches it only from a column whose types admit null.
-_parse_date = lru_cache(maxsize=1 << 16)(_or_null(parse_iso_date))
+# A snapshot repeats few distinct dates many times; each is parsed once.
+_parse_date = lru_cache(maxsize=1 << 16)(parse_iso_date)
 
 _STR = _Type("a string", _STRING)
 _OPTIONAL_STR = _Type("a string or null", frozenset({str, type(None)}))
 _INT = _Type("an integer", frozenset({int}))
 _BOOL = _Type("a boolean", frozenset({bool}))
 _DATE = _Type("an ISO date", _STRING, _each(_parse_date), date.isoformat)
-_OPTIONAL_DATE = _Type("an ISO date or null", frozenset({str, type(None)}),
-                       _each(_parse_date), _or_null(date.isoformat))
 # Tuples are written as JSON arrays, so a list of strings needs no encoder.
 _STRS = _Type("a list of strings", frozenset({list}), _strs)
 _STR_MAP = _Type("an object of strings", frozenset({dict}), _str_maps, dict)
@@ -656,12 +699,6 @@ _KINDS = {
         _Column("instrument", _OPTIONAL_STR),
         _Column("instrument_title", _OPTIONAL_STR),
         _Column("instrument_short", _OPTIONAL_STR),
-    ),
-    "ctv": _Kind(
-        "ctvs", TemporalVersion,
-        _Column("work", _STR),
-        _Column("valid_start", _DATE),
-        _Column("valid_end", _OPTIONAL_DATE),
     ),
     "clv": _Kind(
         "clvs", LanguageVersion,
@@ -765,8 +802,8 @@ def _file_kind(store: GraphStore, kind: str, rec: dict, bad: Callable) -> None:
 
     Raises what ``bad`` builds, naming the row and column where it can, on
     a record of another shape, columns of unequal lengths, a value of the
-    wrong type, a node its class refuses, a repeated id, or a CTV
-    that two actions claim.
+    wrong type, a node its class refuses, a repeated id, or actions that do
+    not replay (GraphStore.replay), which builds every version.
     """
     spec = _KINDS[kind]
     if sorted(rec) != ["columns", "kind"]:
@@ -798,13 +835,13 @@ def _file_kind(store: GraphStore, kind: str, rec: dict, bad: Callable) -> None:
             if node_id in seen:
                 raise bad(f"repeated {kind} {node_id!r}", row=row)
             seen.add(node_id)
-    if kind == "action":
-        for row, action in enumerate(nodes):
-            try:
-                store._link_action(action)
-            except ValueError as exc:
-                raise bad(str(exc), row=row) from None
-    setattr(store, spec.nodes, table)
+    if kind != "action":
+        setattr(store, spec.nodes, table)
+        return
+    try:  # the actions are filed by their replay, which builds every version
+        store.replay(nodes)
+    except ReplayFault as exc:
+        raise bad(str(exc), row=ids.index(exc.action.id)) from None
 
 
 def load(path: str | Path) -> GraphStore:

@@ -646,7 +646,7 @@ def test_two_root_insertion_merges_into_the_parent_version_of_that_day():
         f"{urn}art1_cpt", f"{urn}art1_par1", f"{urn}art1_par2"]
     assert len(versions_of(store, "urn:test:mini")) == 2
     action = store.actions[action_id]
-    assert [store.ctvs[c].work for c in action.produces] == [
+    assert list(action.produces) == [
         f"{urn}art1_par1_it1", f"{urn}art1_par1", f"{urn}art1_par2"]
     assert action.terminates == ()
     assert action.targets == (f"{urn}art1_par1", f"{urn}art1_par2")
@@ -745,8 +745,9 @@ def _node_rows_digest(path: Path) -> str:
     """SHA-256 of a snapshot's node rows, each encoded as its format version 5 line.
 
     The meta header is left out; every byte of every row counts. The pins
-    below were retaken when version 7 dropped the ctv ``aggregates`` column;
-    each equals the digest of the version 6 rows without that cell.
+    below were retaken when version 8 dropped the ctv record and let the
+    actions name works; each store they pin equals its version 7 one in
+    every version, chain and producer and terminator link.
     """
     return hashlib.sha256("".join(v5_node_lines(path)).encode("utf-8")).hexdigest()
 
@@ -754,9 +755,9 @@ def _node_rows_digest(path: Path) -> str:
 # Together these seeds hold insertions of an article with its caput,
 # repeals and same-day events, none of which the golden fixture pins.
 @pytest.mark.parametrize("seed, expected", [
-    (1, "ece915a88465606c5a90260c7e3c6754a209c5ec4a03be23b3fe273ff438ee8e"),
-    (9, "df52e605396d7689fbed537e1e6f96ade8e5495abd796f167fc87e55257256ad"),
-    (18, "96feedf8398f3b5d506b745af4f526c2b23e15e4cb2ed89fb80a05c35b516882"),
+    (1, "cae98d7bd16b7978c0dac547afa5255b8d4e34a04d55b1fb6bdb661745394dee"),
+    (9, "698843a0f80071db51061556083a4199a06a777c86ad39dca03d256bdd860afd"),
+    (18, "da95c00986744e8781631db902f79fe03ab336106138da5d1ac16e116d2ee01a"),
 ])
 def test_synthetic_snapshots_are_pinned(seed, expected, tmp_path):
     store = build_store(generate_corpus(seed))
@@ -765,8 +766,8 @@ def test_synthetic_snapshots_are_pinned(seed, expected, tmp_path):
     assert _node_rows_digest(tmp_path / "s.ndjson") == expected
 
 
-def test_the_golden_snapshot_holds_the_rows_of_its_version_7_save():
+def test_the_golden_snapshot_holds_the_rows_of_its_version_8_save():
     # The digest of the node lines of tests/data/golden_fixture.ndjson as
-    # format version 7 wrote it.
+    # format version 8 wrote it.
     assert _node_rows_digest(DATA / "golden_fixture.ndjson") == (
-        "8744ace992ef40066b0697712101b09a2fb75f0da9f125ccd617aba4b2c369aa")
+        "f09ebbcae1334f74ac36067bf61a5befa0772feb15acde0e7ceb5a3ce5f10429")

@@ -160,26 +160,19 @@ class TestDerivedFields:
         assert replace(self.ACTION, id="act:y").description_unit == "tu:act:y:desc"
 
 
-def _two_version_store(second_start: str, first_end: str) -> GraphStore:
-    """Minimal store: one norm work with two versions and their actions."""
+def _two_version_store() -> GraphStore:
+    """Minimal store: one norm work, enacted 2000-01-01 and amended 2000-06-15."""
     store = GraphStore()
     urn = "urn:test:n"
     store.add_work(WorkNode(urn=urn, aliases=(), kind=WorkKind.NORM,
                             component_type=ComponentType.OTHER))
-    first = ctv(urn, "2000-01-01", first_end)
-    second = ctv(urn, second_start)
-    store.add_ctv(first)
-    store.add_ctv(second)
-    store.add_action(ActionNode(
-        id="act:e", action_type=ActionType.ENACTMENT,
-        enactment_date=date(2000, 1, 1), effective_date=date(2000, 1, 1),
-        produces=(first.id,), targets=(urn,)))
-    store.add_action(ActionNode(
-        id="act:a", action_type=ActionType.AMENDMENT,
-        enactment_date=date.fromisoformat(first_end),
-        effective_date=date.fromisoformat(first_end),
-        terminates=(first.id,), produces=(second.id,),
-        source_provision=None, targets=(urn,)))
+    enacted, amended = date(2000, 1, 1), date(2000, 6, 15)
+    store.replay([
+        ActionNode(id="act:e", action_type=ActionType.ENACTMENT, enactment_date=enacted,
+                   effective_date=enacted, produces=(urn,), targets=(urn,)),
+        ActionNode(id="act:a", action_type=ActionType.AMENDMENT, enactment_date=amended,
+                   effective_date=amended, terminates=(urn,), produces=(urn,), targets=(urn,)),
+    ])
     return store
 
 
@@ -187,26 +180,8 @@ class TestValidateGraph:
     def test_fixture_graph_is_clean(self, fixture_store):
         assert validate_graph(fixture_store) == []
 
-    def test_overlapping_versions_reported(self):
-        # Second version starts one day before the first one ends.
-        store = _two_version_store("2000-06-14", "2000-06-15")
-        codes = [v.code for v in validate_graph(store)]
-        assert codes.count("OverlappingValidity") == 1
-
-    def test_gap_between_versions_reported(self):
-        store = _two_version_store("2000-06-20", "2000-06-15")
-        codes = [v.code for v in validate_graph(store)]
-        assert "ValidityGap" in codes
-
-    def test_action_date_mismatch_reported(self):
-        # Amendment effective 2000-06-15 but the produced version starts later.
-        store = _two_version_store("2000-06-16", "2000-06-15")
-        violations = [v for v in validate_graph(store) if v.code == "ActionDateMismatch"]
-        assert len(violations) == 1
-        assert "act:a" in violations[0].nodes
-
     def test_a_metadata_unit_must_belong_to_a_work(self):
-        store = _two_version_store("2000-06-15", "2000-06-15")
+        store = _two_version_store()
         for owner in ("urn:test:n", "urn:test:n@2000-01-01"):
             store.add_unit(TextUnit(f"tu:{owner}:meta:k", Aspect.METADATA, owner, "en", ""))
         # Neither owner has a fact "k", so no node names either unit.
@@ -214,7 +189,7 @@ class TestValidateGraph:
         assert unnamed == [("tu:urn:test:n:meta:k",), ("tu:urn:test:n@2000-01-01:meta:k",)]
 
     def test_every_unit_must_be_one_a_node_names(self):
-        store = _two_version_store("2000-06-15", "2000-06-15")
+        store = _two_version_store()
         for action in store.actions.values():
             store.add_unit(TextUnit(action.description_unit, Aspect.ACTION_DESCRIPTION,
                                     action.id, "en", "An event."))
@@ -239,7 +214,7 @@ class TestValidateGraph:
             for unit in strays]
 
     def test_an_action_needs_its_own_description_unit(self):
-        store = _two_version_store("2000-06-15", "2000-06-15")
+        store = _two_version_store()
         missing = [v.nodes for v in validate_graph(store) if v.code == "DanglingReference"]
         assert missing == [("act:e", "tu:act:e:desc"), ("act:a", "tu:act:a:desc")]
         for action in store.actions.values():
@@ -251,7 +226,7 @@ class TestValidateGraph:
         assert validate_graph(store) == []
 
     def test_a_theme_description_unit_must_be_owned_by_the_theme(self, snapshot_path, tmp_path, capsys):
-        store = _two_version_store("2000-06-15", "2000-06-15")
+        store = _two_version_store()
         first = define_theme(store, "First", "About the first.", ["urn:test:n"])
         second = define_theme(store, "Second", "About the second.", ["urn:test:n"])
         stolen = store.themes[first].description_unit
@@ -271,23 +246,27 @@ class TestValidateGraph:
         assert f"AspectOwnerMismatch: description_unit must be a theme_description unit it owns " \
                f"[theme:other, {theme['row'][2]}]" in error["message"]
 
-    def test_a_ctv_work_an_action_target_and_a_source_provision_must_name_works(self):
-        store = _two_version_store("2000-06-15", "2000-06-15")
+    def test_a_produced_work_an_action_target_and_a_source_provision_must_name_works(self):
+        store = _two_version_store()
+        day = date(2001, 1, 1)
+        # The replay opens a version of a work no node is.
+        store.replay([ActionNode("act:m", ActionType.ENACTMENT, day, day,
+                                 produces=("urn:test:m",), targets=("urn:test:m",))])
         for action in store.actions.values():
             store.add_unit(TextUnit(action.description_unit, Aspect.ACTION_DESCRIPTION,
                                     action.id, "en", "An event."))
         # Only None names no node: "" must name one too.
         store.actions["act:a"] = replace(store.actions["act:a"], source_provision="",
                                          targets=("urn:test:n", "urn:test:m"))
-        orphan = store.add_ctv(ctv("urn:test:m", "2001-01-01"))
         violations = validate_graph(store)
         dangling = [v.nodes for v in violations if v.code == "DanglingReference"]
-        assert dangling == [("act:a", ""), ("act:a", "urn:test:m"), (orphan, "urn:test:m")]
+        assert dangling == [("act:a", ""), ("act:m", "urn:test:m"), ("act:a", "urn:test:m"),
+                            ("act:m", "urn:test:m")]
         # References are checked first.
-        assert [v.code for v in violations[:3]] == ["DanglingReference"] * 3
+        assert [v.code for v in violations[:4]] == ["DanglingReference"] * 4
 
     def test_each_fact_in_a_works_metadata_needs_its_own_metadata_unit(self):
-        store = _two_version_store("2000-06-15", "2000-06-15")
+        store = _two_version_store()
         for action in store.actions.values():
             store.add_unit(TextUnit(action.description_unit, Aspect.ACTION_DESCRIPTION,
                                     action.id, "en", "An event."))

@@ -462,8 +462,9 @@ class TestProvenance:
         answer = run(fixture_store, self._query("transportation"), clock)
         for chain in answer.annex["chains"]:
             for first, second in zip(chain, chain[1:]):
-                produced = set(fixture_store.actions[first].produces)
-                terminated = set(fixture_store.actions[second].terminates)
+                produced = {cid for cid, aid in fixture_store.produced_by.items() if aid == first}
+                terminated = {cid for cid, aid in fixture_store.terminated_by.items()
+                              if aid == second}
                 assert produced & terminated
 
     def test_multi_work_spans_yield_one_chain_per_work(self, fixture_store, clock):

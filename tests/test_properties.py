@@ -12,13 +12,21 @@ from types import SimpleNamespace
 import pytest
 
 from normgraph.errors import MissingLanguage, NotYetEnacted, RepealedAt, TermNotFound
-from normgraph.ingest import add_language, apply_event, enact, parse_document, parse_event_file
+from normgraph.ingest import (
+    add_language,
+    apply_event,
+    enact,
+    ingest_corpus,
+    parse_document,
+    parse_event_file,
+)
 from normgraph.model import (
     ActionType,
     Aspect,
     EMBEDDING_DIMENSION,
     TemporalVersion,
     TextUnit,
+    ctv_id,
     validate_graph,
 )
 from normgraph.planner import QueryPattern, StructuredQuery, run
@@ -104,7 +112,8 @@ class TestSameDayCompositeEvents:
         assert validate_graph(store) == []
         produced: dict[str, str] = {}
         for action in store.actions.values():
-            for cid in action.produces:
+            for urn in action.produces:
+                cid = ctv_id(urn, action.effective_date)
                 assert cid not in produced, cid
                 produced[cid] = action.id
         assert produced == store.produced_by
@@ -184,6 +193,56 @@ class TestSnapshotRoundTripOnSyntheticCorpora:
         assert loaded.units == store.units
         assert entry_bits(loaded) == entry_bits(store)
         assert "educação" in path.read_text(encoding="utf-8")
+
+
+# What the replay of the actions builds.
+_REPLAYED = ("ctvs", "versions", "version_starts", "produced_by", "terminated_by")
+
+
+class TestLoadReplaysWhatIngestBuilt:
+    """Ingest replays each action as it applies its event, in (effective date,
+    file name, record index) order; load replays the whole action record in
+    (effective date, id) order. Both build the same versions."""
+
+    @staticmethod
+    def _assert_load_rebuilds(store: GraphStore, path) -> None:
+        save(store, path)
+        loaded = load(path)
+        for name in _REPLAYED:
+            assert getattr(loaded, name) == getattr(store, name), name
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_synthetic_corpora(self, tmp_path, seed):
+        store = synthcorpus.build_store(synthcorpus.generate_corpus(seed))
+        store.commit()
+        self._assert_load_rebuilds(store, tmp_path / "s.ndjson")
+
+    def test_same_day_events_whose_file_order_is_not_their_id_order(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "mini.satdoc.json").write_text(json.dumps(mini_doc(3)), encoding="utf-8")
+        day = "2003-06-01"
+        # (file, instrument short title, event): applied in file order, each
+        # action's id begins with its short title's slug.
+        events = [
+            ("a", "ZZ 2003", amendment_file("urn:test:mini!art1_cpt", day, "Amended.")),
+            ("b", "AA 2003", amendment_file("urn:test:mini!art1", day, "", components=[
+                {"fragment": "art1_par1", "type": "paragraph", "text": "Inserted."}])),
+            ("c", "MM 2003", amendment_file("urn:test:mini!art3_cpt", day, "",
+                                            action_type="repeal")),
+            ("d", "BB 2003", amendment_file("urn:test:mini!art2_cpt", day, "Also amended.")),
+            ("e", "CC 2004", amendment_file("urn:test:mini!art1_par1", "2004-01-01", "Later.")),
+        ]
+        for name, short, file_dict in events:
+            file_dict["instrument"].update(urn=f"urn:test:act:{name}", short_title=short)
+            (corpus / f"{name}.satev.json").write_text(json.dumps(file_dict), encoding="utf-8")
+        store, _ = ingest_corpus(corpus)
+        same_day = [aid for aid, action in store.actions.items()
+                    if action.effective_date == date(2003, 6, 1)]
+        assert [aid.split(":")[1] for aid in same_day] == ["zz-2003", "aa-2003", "mm-2003",
+                                                           "bb-2003"]
+        assert validate_graph(store) == []
+        self._assert_load_rebuilds(store, tmp_path / "s.ndjson")
 
 
 class TestDerivedOnLoad:
@@ -413,7 +472,9 @@ def _reference_provenance(store: GraphStore, term: str, target: str | None,
         raise TermNotFound(term, target)
 
     def producer(ctv: str):
-        return next(a for a in store.actions.values() if ctv in a.produces)
+        tv = store.ctvs[ctv]
+        return next(a for a in store.actions.values()
+                    if tv.work in a.produces and a.effective_date == tv.valid_start)
 
     entry = store.works[target].label if target else "corpus"
     lines = [f'Provenance report: "{term}" in {entry}']
@@ -761,7 +822,7 @@ class TestBisectVersionSelection:
         assert seen >= 5
 
     def test_version_at_tracks_a_store_being_built(self):
-        # add_ctv keeps version_starts beside versions event by event.
+        # replay keeps version_starts beside versions event by event.
         checked = 0
         for seed in (2, 9, 17):
             corpus = synthcorpus.generate_corpus(seed)
@@ -778,23 +839,6 @@ class TestBisectVersionSelection:
                             assert store.version_at(urn, t) == _linear_version(store, urn, t)
                             checked += 1
         assert checked > 2_000
-
-    def test_add_ctv_out_of_order_matches_a_stable_sort(self):
-        store = GraphStore()
-        days = [date(2010, 1, 1), date(2000, 1, 1), date(2005, 1, 1)]
-        for start in days:
-            store.add_ctv(TemporalVersion("w", start))
-        chain = ["w@2000-01-01", "w@2005-01-01", "w@2010-01-01"]
-        assert store.versions["w"] == chain
-        assert store.version_starts["w"] == sorted(days)
-        # A version's id is derived from its start, so a work holds one per start.
-        with pytest.raises(ValueError, match="already exists"):
-            store.add_ctv(TemporalVersion("w", date(2000, 1, 1), date(2001, 1, 1)))
-        assert store.versions["w"] == chain
-        assert store.version_starts["w"] == sorted(days)
-        assert store.version_at("w", date(1999, 12, 31)) is None
-        assert store.version_at("w", date(2004, 1, 1)).id == "w@2000-01-01"
-        assert store.version_at("w", date(2011, 1, 1)).id == "w@2010-01-01"
 
     @pytest.mark.parametrize("seed", range(1, 40, 4))
     def test_content_candidates_match_a_linear_scan(self, seed):
@@ -942,16 +986,20 @@ class _LinearSearch:
                                           Aspect.CONTENT))
         if Aspect.ACTION_DESCRIPTION in req.aspects:
             for aid, action in sorted(store.actions.items()):
-                touched = set(action.targets) | {
-                    store.ctvs[cid].work for cid in action.terminates + action.produces}
+                touched = {*action.targets, *action.terminates, *action.produces}
                 if touched.isdisjoint(scope):
                     continue
-                if action.effective_date > t and not req.include_future_actions:
+                day = action.effective_date
+                if day > t and not req.include_future_actions:
                     continue
                 target = action.targets[0] if action.targets else ""
-                anchor = [cid for cid in action.produces + action.terminates
-                          if store.ctvs[cid].work == target]
-                found.append((action.description_unit, (target, anchor[0] if anchor else "", aid),
+                # The version the action produces of its target, else the one it closes.
+                chain = self.chains.get(target, ())
+                anchors = [tv.id for tv in chain
+                           if target in action.produces and tv.valid_start == day]
+                anchors += [tv.id for tv in chain
+                            if target in action.terminates and tv.valid_end == day]
+                found.append((action.description_unit, (target, anchors[0] if anchors else "", aid),
                               Aspect.ACTION_DESCRIPTION))
         if Aspect.METADATA in req.aspects:
             for uid, unit in sorted(store.units.items()):

@@ -138,7 +138,7 @@ def test_a_mutated_unit_record_loads_or_fails_with_a_snapshot_error(fuzzed, fuzz
 @given(data=st.data())
 def test_a_mutated_record_of_another_kind_loads_or_fails_with_a_snapshot_error(
         fuzzed, fuzz_dir, data):
-    _load_a_mutated_record(fuzzed, fuzz_dir, data, {"work", "ctv", "clv", "action", "theme"})
+    _load_a_mutated_record(fuzzed, fuzz_dir, data, {"work", "clv", "action", "theme"})
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

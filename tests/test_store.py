@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -29,7 +30,6 @@ from normgraph.model import (
     WorkNode,
     _REFERENCES,
     clv_id,
-    ctv_id,
     metadata_unit_id,
     validate_graph,
 )
@@ -47,7 +47,9 @@ from normgraph.store import GraphStore, load, pick_wording, save, tokenize
 from normgraph.temporal import MembershipPolicy, TemporalScope, resolve_scope
 
 import synthcorpus
-from reference_ids import ACT_CA26, ACT_CA72, ART6_CPT, ART7_CPT, NORM_URN
+from reference_ids import (
+    ACT_CA26, ACT_CA64, ACT_CA72, ACT_CA90, ACT_ENACT, ART6_CPT, ART7_CPT, NORM_URN,
+)
 from snapshot_rows import encode, read_rows, write_rows
 from test_ingest import amendment_file, apply_file, mini_doc, versions_of
 
@@ -119,13 +121,15 @@ class TestRoundTrip:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["kind"] for line in lines] == ["meta", *COLUMNS]
         kinds = Counter(record["kind"] for record in read_rows(path)[1])
-        assert sum(kinds.values()) == sum(fixture_store.node_counts().values())
-        # Hand count: 9 norm works + 8 instrument stub works; 9 works x 1
-        # initial version + 4 events x (target + 4 ancestors); 9 content
+        counts = fixture_store.node_counts()
+        # Every node but the temporal versions, which the actions replay.
+        assert sum(kinds.values()) == sum(counts.values()) - counts["temporal_versions"]
+        # Hand count: 9 norm works + 8 instrument stub works; 9 content
         # versions; enactment + 4 amendments; 1 theme; 9 content + 5 action
         # + 1 metadata + 1 theme description units.
-        assert kinds == Counter(
-            work=17, ctv=29, clv=9, action=5, theme=1, unit=16)
+        assert kinds == Counter(work=17, clv=9, action=5, theme=1, unit=16)
+        # 9 works x 1 initial version + 4 events x (target + 4 ancestors).
+        assert counts["temporal_versions"] == len(load(path).ctvs) == 29
 
     def test_an_empty_store_writes_a_record_of_empty_columns_per_kind(self, tmp_path):
         store = GraphStore()
@@ -484,7 +488,7 @@ class TestWholeOrRejected:
 
         deleted = self._each_record_edit(self._snapshot(which, tmp_path), tmp_path,
                                          without_each_row)
-        assert deleted == {"golden": 77, "seed1": 125}[which]
+        assert deleted == {"golden": 48, "seed1": 82}[which]
 
     @pytest.mark.parametrize("which", ["golden", "seed1"])
     def test_every_value_removed_from_one_column_is_rejected(self, tmp_path, which):
@@ -600,9 +604,8 @@ class TestStrictHeader:
         path = tmp_path / "snap.ndjson"
         save(fixture_store, path)
         header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
-        assert header == {"kind": "meta", "format_version": 7, "columns": COLUMNS,
-                          "rows": {"work": 17, "action": 5, "ctv": 29, "clv": 9, "theme": 1,
-                                   "unit": 16}}
+        assert header == {"kind": "meta", "format_version": 8, "columns": COLUMNS,
+                          "rows": {"work": 17, "action": 5, "clv": 9, "theme": 1, "unit": 16}}
 
 
 class TestStrictRecords:
@@ -622,8 +625,8 @@ class TestStrictRecords:
                      id="action-bad-date"),
         pytest.param("action", "enactment_date", "20000214", "must be an ISO date",
                      id="action-compact-date"),
-        pytest.param("ctv", "valid_end", "2000-W07-1", "must be an ISO date or null",
-                     id="ctv-week-date"),
+        pytest.param("action", "produces", [1], "must be a list of strings",
+                     id="action-produces-int"),
         pytest.param("work", "work_kind", "statute", "must be a WorkKind value",
                      id="work-unknown-kind"),
         pytest.param("work", "metadata", {"label": 1}, "must be an object of strings",
@@ -649,7 +652,7 @@ class TestStrictRecords:
         assert f":{line}: bad {kind!r} record, row {at}, column {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, key, named", [
-        pytest.param("ctv", "valid_end", "valid_end", id="ctv-valid_end"),
+        pytest.param("action", "produces", "produces", id="action-produces"),
         pytest.param("theme", "members", "members", id="theme-members"),
         pytest.param("action", "effective_date", "effective_date", id="action-effective_date"),
         # The first column is the one the others are held to, so the second is named.
@@ -678,8 +681,8 @@ class TestStrictRecords:
                      id="unit-missing-column"),
         pytest.param("clv", lambda r: r.update(columns=dict(enumerate(r["columns"]))),
                      "'columns' must be a list of 2 arrays", id="clv-columns-object"),
-        pytest.param("ctv", lambda r: r["columns"].__setitem__(2, "valid_end"),
-                     "'columns' must be a list of 3 arrays", id="ctv-column-string"),
+        pytest.param("action", lambda r: r["columns"].__setitem__(6, "produces"),
+                     "'columns' must be a list of 12 arrays", id="action-column-string"),
         pytest.param("action", lambda r: r.update(id="act:x"),
                      "its members must be kind, columns", id="action-extra-member"),
         pytest.param("theme", lambda r: r.pop("columns"), "its members must be kind, columns",
@@ -704,7 +707,7 @@ class TestStrictRecords:
         assert f":{line}: bad {kind!r} record: {reason}" in str(exc.value)
 
     # Repeated units: test_load_rejects_a_repeated_unit_record.
-    @pytest.mark.parametrize("kind", ["work", "ctv", "clv", "action", "theme"])
+    @pytest.mark.parametrize("kind", ["work", "clv", "action", "theme"])
     def test_a_repeated_id_is_a_malformed_snapshot_naming_its_row(
             self, snapshot_path, tmp_path, kind):
         header, rows = read_rows(snapshot_path)
@@ -716,12 +719,12 @@ class TestStrictRecords:
 
     def test_a_node_its_constructor_refuses_names_its_row(self, snapshot_path, tmp_path):
         header, rows = read_rows(snapshot_path)
-        ctvs = [record for record in rows if record["kind"] == "ctv"]
-        _set(ctvs[2], "valid_end", ctvs[2]["row"][1])
-        with pytest.raises(MalformedSnapshot, match="must precede valid_end") as exc:
+        works = [record for record in rows if record["kind"] == "work"]
+        _set(works[2], "id", "")
+        with pytest.raises(MalformedSnapshot, match="work urn must be non-empty") as exc:
             _load_rows(header, rows, tmp_path)
         assert (exc.value.line, exc.value.kind, exc.value.row, exc.value.column) == (
-            _line_of("ctv"), "ctv", 2, None)
+            _line_of("work"), "work", 2, None)
 
 
 class TestDerivedColumns:
@@ -736,51 +739,12 @@ class TestDerivedColumns:
         assert loaded.terminated_by == fixture_store.terminated_by
         assert set(loaded.produced_by) == set(loaded.ctvs)
         assert loaded.terminated_by
-        assert COLUMNS["ctv"] == ["work", "valid_start", "valid_end"]
+        assert "ctv" not in COLUMNS
         assert COLUMNS["clv"] == ["temporal_version", "language"]
         assert "description_unit" not in COLUMNS["action"]
         for line in snapshot_path.read_text(encoding="utf-8").splitlines()[1:]:
             record = json.loads(line)
             assert len(record["columns"]) == len(COLUMNS[record["kind"]])
-
-    @pytest.mark.parametrize("column, verb", [("produces", "produced"),
-                                              ("terminates", "terminated")])
-    def test_a_ctv_that_two_actions_claim_is_rejected(
-            self, snapshot_path, tmp_path, column, verb):
-        header, rows = read_rows(snapshot_path)
-        actions = [record for record in rows if record["kind"] == "action"]
-        at = COLUMNS["action"].index(column)
-        first, second = [i for i, record in enumerate(actions) if record["row"][at]][:2]
-        claimed = actions[first]["row"][at][0]
-        actions[second]["row"][at].append(claimed)
-        with pytest.raises(MalformedSnapshot) as exc:
-            _load_rows(header, rows, tmp_path)
-        assert (exc.value.line, exc.value.kind, exc.value.row) == (_line_of("action"), "action",
-                                                                   second)
-        assert f"ctv {claimed!r} is {verb} by both" in str(exc.value)
-
-    @pytest.mark.parametrize("verb", ["produced", "terminated"])
-    def test_add_action_refuses_a_double_claim_and_files_nothing(self, verb):
-        store = GraphStore()
-        store.add_work(WorkNode("urn:x", (), WorkKind.NORM))
-        old, new, newer = (store.add_ctv(TemporalVersion("urn:x", date(y, 1, 1)))
-                           for y in (2000, 2001, 2002))
-        day = date(2001, 1, 1)
-        store.add_action(ActionNode("act:1", ActionType.AMENDMENT, day, day,
-                                    terminates=(old,), produces=(new,)))
-        # Each second action also makes a fresh claim, listed before the double one.
-        claims = {"produced": {"produces": (newer, new)},
-                  "terminated": {"produces": (newer,), "terminates": (old,)}}[verb]
-
-        def state():
-            return (dict(store.actions), dict(store.produced_by), dict(store.terminated_by),
-                    store.time_index.actions)
-
-        before = state()
-        with pytest.raises(ValueError, match=f"is {verb} by both 'act:1' and 'act:2'"):
-            store.add_action(ActionNode("act:2", ActionType.AMENDMENT, day, day, **claims))
-        assert state() == before
-        assert newer not in store.produced_by
 
     @pytest.mark.parametrize("kind", ["action", "clv"])
     def test_a_snapshot_missing_a_derived_unit_exits_3(self, fixture_store, snapshot_path,
@@ -797,16 +761,132 @@ class TestDerivedColumns:
         assert f"references missing id {unit!r}" in capsys.readouterr().err
 
 
+# The instrument of CA 26/2000: a stub work, which has no version.
+CA26 = "urn:lex:br:federal:emenda.constitucional:2000-02-14;26"
+
+
+def _action_cell(record: dict, column: str):
+    """A column's value in an action's row record."""
+    return record["row"][COLUMNS["action"].index(column)]
+
+
+def _two_amendments_of_one_day(actions: dict) -> None:
+    # CA 64/2010 takes CA 26/2000's day and produces Art. 6's caput again.
+    for column in ("enactment_date", "effective_date"):
+        _set(actions[ACT_CA64], column, "2000-02-15")
+    _set(actions[ACT_CA64], "terminates", [])
+
+
+def _a_gap(actions: dict) -> None:
+    # CA 64/2010 closes Art. 6's caput without a successor; CA 90/2015 opens one.
+    _action_cell(actions[ACT_CA64], "produces").remove(ART6_CPT)
+    _action_cell(actions[ACT_CA90], "terminates").remove(ART6_CPT)
+
+
+class TestReplay:
+    """The actions are the only record of the versions: load replays them, and
+    actions that do not replay are refused, naming the first at fault."""
+
+    @pytest.mark.parametrize("edit, culprit, fault", [
+        pytest.param(lambda actions: _action_cell(actions[ACT_ENACT], "produces").append(ART6_CPT),
+                     ACT_ENACT, f"produces {ART6_CPT!r} on 1988-10-05, when a version of it "
+                     "already starts", id="repeated-in-one-action"),
+        pytest.param(_two_amendments_of_one_day, ACT_CA64,
+                     f"produces {ART6_CPT!r} on 2000-02-15, when a version of it already starts",
+                     id="repeated-by-two-actions"),
+        pytest.param(lambda actions: _action_cell(actions[ACT_CA26], "terminates").append(CA26),
+                     ACT_CA26, f"terminates {CA26!r}, which has no open version on 2000-02-15",
+                     id="no-open-version"),
+        pytest.param(_a_gap, ACT_CA90,
+                     f"produces {ART6_CPT!r} on 2015-09-15, but its last version ends 2010-02-04",
+                     id="gap"),
+        # CA 72/2013 closes Art. 6 instead of Art. 7, so Art. 7's caput is still
+        # open when it produces the next one; CA 90/2015 then finds Art. 6's
+        # caput closed, a later fault.
+        pytest.param(lambda actions: _set(actions[ACT_CA72], "terminates",
+                                          list(_action_cell(actions[ACT_CA26], "terminates"))),
+                     ACT_CA72, f"produces {ART7_CPT!r} on 2013-04-02 while its version from "
+                     "1988-10-05 is open", id="still-open"),
+        pytest.param(lambda actions: [_set(actions[ACT_CA64], column, "2000-02-15")
+                                      for column in ("enactment_date", "effective_date")],
+                     ACT_CA64, f"terminates {ART6_CPT!r} on 2000-02-15, but its open version "
+                     "starts 2000-02-15", id="closed-on-its-first-day"),
+    ])
+    def test_actions_that_do_not_replay_are_a_malformed_snapshot_naming_the_action(
+            self, tmp_path, capsys, edit, culprit, fault):
+        header, rows = read_rows(GOLDEN)
+        actions = {record["row"][0]: record for record in rows if record["kind"] == "action"}
+        edit(actions)
+        with pytest.raises(MalformedSnapshot) as exc:
+            _load_rows(header, rows, tmp_path)
+        row = sorted(actions).index(culprit)
+        assert (exc.value.line, exc.value.kind, exc.value.row, exc.value.column) == (
+            _line_of("action"), "action", row, None)
+        assert f"bad 'action' record, row {row}: action {culprit!r} {fault}" in str(exc.value)
+        code = main(["query", "at", "--snapshot", str(tmp_path / "bad.ndjson"),
+                     "--target", "art6", "--at", "2011-01-01", "--json"])
+        assert code == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "MalformedSnapshot" and f"action {culprit!r} {fault}" in error["message"]
+
+    # Each second action is a year after the good one, unless it says otherwise.
+    @pytest.mark.parametrize("second, fault", [
+        pytest.param({"produces": ("urn:x",), "effective_date": date(2001, 1, 1)},
+                     "when a version of it already starts", id="repeated"),
+        pytest.param({"terminates": ("urn:x", "urn:x")}, "which has no open version",
+                     id="no-open-version"),
+        pytest.param({"produces": ("urn:y",)}, "while its version from 2001-01-01 is open",
+                     id="still-open"),
+        pytest.param({"terminates": ("urn:x",), "effective_date": date(2001, 1, 1)},
+                     "but its open version starts 2001-01-01", id="closed-on-its-first-day"),
+        pytest.param({"id": "act:1"}, "is already filed", id="repeated-id"),
+    ])
+    def test_a_batch_that_does_not_replay_files_nothing(self, second, fault):
+        store = GraphStore()
+        for urn in ("urn:x", "urn:y"):
+            store.add_work(WorkNode(urn, (), WorkKind.NORM))
+        day = date(2000, 1, 1)
+        store.replay([ActionNode("act:0", ActionType.ENACTMENT, day, day, produces=("urn:x",))])
+
+        def state():
+            return (dict(store.actions), dict(store.ctvs), copy.deepcopy(store.versions),
+                    copy.deepcopy(store.version_starts), dict(store.produced_by),
+                    dict(store.terminated_by))
+
+        before = state()
+        later = date(2001, 1, 1)
+        # A good action, which opens urn:y and closes and reopens urn:x, then the faulty one.
+        good = ActionNode("act:1", ActionType.AMENDMENT, later, later,
+                          terminates=("urn:x",), produces=("urn:x", "urn:y"))
+        after = date(2002, 1, 1)
+        bad = replace(ActionNode("act:2", ActionType.AMENDMENT, later, after), **second)
+        with pytest.raises(ValueError, match=re.escape(fault)):
+            store.replay([good, bad])
+        assert state() == before
+        store.replay([good])
+        assert store.versions == {"urn:x": ["urn:x@2000-01-01", "urn:x@2001-01-01"],
+                                  "urn:y": ["urn:y@2001-01-01"]}
+        assert store.ctvs["urn:x@2000-01-01"].valid_end == later
+
+    def test_one_action_at_a_time_builds_what_one_batch_does(self):
+        # Ingest replays each action alone, closing an open version by
+        # replacing it; load replays them all at once.
+        for seed in range(0, 40, 3):
+            store = synthcorpus.build_store(synthcorpus.generate_corpus(seed))
+            whole = GraphStore()
+            whole.replay(reversed(list(store.actions.values())))
+            for name in ("ctvs", "versions", "version_starts", "produced_by", "terminated_by"):
+                assert getattr(whole, name) == getattr(store, name), (seed, name)
+
+
 # The snapshot record kind of each store map.
-_KIND_OF = {"works": "work", "actions": "action", "ctvs": "ctv", "clvs": "clv",
-            "themes": "theme", "units": "unit"}
+_KIND_OF = {"works": "work", "actions": "action", "clvs": "clv", "themes": "theme",
+            "units": "unit"}
 
 
 def _record_id(record: dict) -> str:
     """The id of the node a record holds, derived as the model derives it."""
     row = record["row"]
-    if record["kind"] == "ctv":
-        return ctv_id(row[0], date.fromisoformat(row[1]))
     if record["kind"] == "clv":
         return clv_id(row[0], row[1])
     return row[0]
@@ -831,7 +911,7 @@ class TestReferences:
         nodes, attr, names, many = row
         kind = _KIND_OF[nodes]
         header, records = read_rows(snapshot_path)
-        if attr in COLUMNS[kind] and attr != "work":
+        if attr in COLUMNS[kind] and attr not in ("terminates", "produces"):
             # Point the first id the column holds at a missing one.
             at = COLUMNS[kind].index(attr)
             record = next(r for r in records if r["kind"] == kind and r["row"][at])
@@ -839,8 +919,9 @@ class TestReferences:
             record["row"][at] = [missing, *record["row"][at][1:]] if many else missing
             referrer = _record_id(record)
         else:
-            # A derived id, or a CTV's work, which the CTV's own id is derived
-            # from: drop the row of a node this row names and no earlier one does.
+            # A derived id, or a work an action replays, whose place in the
+            # replay a missing id cannot take: drop the row of a node this row
+            # names and no earlier one does.
             earlier = {ref for _, ref in _cited(fixture_store, _REFERENCES[:_REFERENCES.index(row)])}
             referrer, missing = next(pair for pair in _cited(fixture_store, [row])
                                      if pair[1] not in earlier)
@@ -869,7 +950,7 @@ class TestActionTargets:
         _set(actions[ACT_CA26], "targets", [ART7_CPT])
         with pytest.raises(MalformedSnapshot, match=re.escape(
                 f"1 invariant violation(s); the first is StrayTarget: target {ART7_CPT} is "
-                f"the work of no ctv the action produces or terminates [{ACT_CA26}, {ART7_CPT}]")):
+                f"no work the action produces or terminates [{ACT_CA26}, {ART7_CPT}]")):
             _load_rows(header, rows, tmp_path)
         code = main(["query", "impact", "--snapshot", str(tmp_path / "bad.ndjson"),
                      "--target", "art7", "--between", "1999-01-01", "2001-01-01"])
@@ -882,7 +963,7 @@ class TestActionTargets:
         for store in stores:
             assert validate_graph(store) == []
             for action in store.actions.values():
-                touched = {store.ctvs[cid].work for cid in action.produces + action.terminates}
+                touched = {*action.produces, *action.terminates}
                 assert set(action.targets) <= touched and action.targets, action.id
 
 
@@ -1426,25 +1507,33 @@ class TestAggregationIndex:
     def test_a_child_without_a_version_on_a_parent_start_is_left_out(self):
         store = GraphStore()
         store.add_work(WorkNode("urn:n", (), WorkKind.NORM))
-        kids = ["urn:n!b", "urn:n!a"]  # added against ordinal order
+        kids = ["urn:n!b", "urn:n!a", "urn:n!c"]  # added against ordinal order
         for ordinal, kid in reversed(list(enumerate(kids))):
             store.add_work(WorkNode(kid, (), WorkKind.COMPONENT, parent="urn:n", ordinal=ordinal))
 
-        def add(urn: str, start: str, end: str | None = None) -> str:
-            return store.add_ctv(TemporalVersion(urn, date.fromisoformat(start),
-                                                 end and date.fromisoformat(end)))
+        def act(day: str, terminates: tuple[str, ...], produces: tuple[str, ...]) -> ActionNode:
+            d = date.fromisoformat(day)
+            return ActionNode(f"act:{day}", ActionType.AMENDMENT, d, d, terminates=terminates,
+                              produces=produces)
 
-        # b: a gap from 02-01 to 04-01. a: a version overlapping the next one,
-        # which ends first, so a has none from 05-01 (version_at's rule).
-        b1, b2 = add(kids[0], "2000-01-01", "2000-02-01"), add(kids[0], "2000-04-01")
-        a1, a2 = add(kids[1], "2000-01-01", "2001-01-01"), add(kids[1], "2000-03-01", "2000-05-01")
-        starts = ["1999-01-01", "2000-01-01", "2000-02-01", "2000-03-01", "2000-04-01",
-                  "2000-06-01"]
-        parents = [add("urn:n", start) for start in starts]
+        n, (b, a, c) = "urn:n", kids
+        # b is repealed on 02-01, a amended on 03-01 and repealed on 05-01, c
+        # inserted on 04-01; n rolls with each, and has a version before any.
+        store.replay([
+            act("1999-01-01", (), (n,)),
+            act("2000-01-01", (n,), (n, b, a)),
+            act("2000-02-01", (n, b), (n,)),
+            act("2000-03-01", (n, a), (n, a)),
+            act("2000-04-01", (n,), (n, c)),
+            act("2000-05-01", (n, a), (n,)),
+        ])
         assert store.aggregation == reference_aggregation(store)
         assert _ids(store.aggregation) == {
-            parents[1]: (b1, a1), parents[2]: (a1,), parents[3]: (a2,), parents[4]: (b2, a2),
-            parents[5]: (b2,)}
+            f"{n}@2000-01-01": (f"{b}@2000-01-01", f"{a}@2000-01-01"),
+            f"{n}@2000-02-01": (f"{a}@2000-01-01",),
+            f"{n}@2000-03-01": (f"{a}@2000-03-01",),
+            f"{n}@2000-04-01": (f"{a}@2000-03-01", f"{c}@2000-04-01"),
+            f"{n}@2000-05-01": (f"{c}@2000-04-01",)}
 
     def test_an_uncommitted_store_derives_it_afresh_and_keeps_none(self):
         store = GraphStore()
@@ -1487,7 +1576,8 @@ class TestLanguageRule:
         store = GraphStore()
         store.add_work(WorkNode("urn:x", (), WorkKind.NORM,
                                 metadata=(("language", "pt"),)))
-        store.add_ctv(TemporalVersion("urn:x", date(2000, 1, 1)))
+        day = date(2000, 1, 1)
+        store.replay([ActionNode("act:x", ActionType.ENACTMENT, day, day, produces=("urn:x",))])
         for code in languages:
             store.add_clv(LanguageVersion("urn:x@2000-01-01", code))
         return pick_wording(store.clvs_by_ctv.get("urn:x@2000-01-01", {}),
