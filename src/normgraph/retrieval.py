@@ -376,31 +376,38 @@ class SpanLocation(NamedTuple):
     first_containing: bool
 
 
-def _contains_tokens(haystack: list[str], needle: list[str]) -> bool:
-    n = len(needle)
-    return any(haystack[i:i + n] == needle for i in range(len(haystack) - n + 1))
-
-
 def _holds(store: GraphStore, uid: str, needle: list[str]) -> bool:
-    """Whether a unit already in every needle token's postings holds the tokens adjacently."""
-    return len(needle) == 1 or _contains_tokens(tokenize(store.units[uid].text), needle)
+    """Whether a unit already in every needle token's postings holds the tokens adjacently.
+
+    Only a needle of more than one token needs this: a single token's
+    postings already say it.
+    """
+    haystack, n = tokenize(store.units[uid].text), len(needle)
+    return any(haystack[i:i + n] == needle for i in range(len(haystack) - n + 1))
 
 
 def _walk_chains(store: GraphStore, needle: list[str], postings: list[dict[str, int]],
                  scope: frozenset[str], language: str | None,
                  fallback: bool) -> list[tuple[str, int, str]]:
-    """(work, chain position, CTV) of each scoped version whose chosen wording holds the needle."""
+    """(work, chain position, CTV) of each scoped version whose chosen wording holds the needle.
+
+    Each version costs one probe of ``postings[0]``, the smallest list; only
+    a unit found there is looked up in the other lists, and only then, for a
+    needle of more than one token, is its text re-read for adjacency.
+    """
     chains = store.chain_index.chains
+    smallest, others, adjacent = postings[0], postings[1:], len(needle) > 1
     found: list[tuple[str, int, str]] = []
     for urn in sorted(chains.keys() & scope):
         cids, _, _, wordings, primary = chains[urn]
         for position, languages in enumerate(wordings):
             picked = pick_wording(languages, primary, language, fallback)
-            if picked is None:
+            if picked is None or picked[1] not in smallest:
                 continue
             uid = picked[1]
-            if all(uid in p for p in postings) and _holds(store, uid, needle):
-                found.append((urn, position, cids[position]))
+            if adjacent and not (all(uid in p for p in others) and _holds(store, uid, needle)):
+                continue
+            found.append((urn, position, cids[position]))
     return found
 
 
@@ -413,6 +420,7 @@ def _read_postings(store: GraphStore, needle: list[str], postings: list[dict[str
         candidates &= p.keys()
     index = store.chain_index
     chains, placed_units = index.chains, index.placed_units
+    adjacent = len(needle) > 1
     found: list[tuple[str, int, str]] = []
     for uid in candidates:
         # Only a language version's own unit is placed: no other unit is wording.
@@ -422,7 +430,8 @@ def _read_postings(store: GraphStore, needle: list[str], postings: list[dict[str
         urn, position = place
         cids, _, _, wordings, primary = chains[urn]
         picked = pick_wording(wordings[position], primary, language, fallback)
-        if picked is not None and picked[1] == uid and _holds(store, uid, needle):
+        if (picked is not None and picked[1] == uid
+                and (not adjacent or _holds(store, uid, needle))):
             found.append((urn, position, cids[position]))
     return sorted(found)
 
@@ -442,14 +451,15 @@ def locate_spans(store: GraphStore, term: str, scope: Iterable[str],
     evaluation, after Zobel & Moffat), and versions from its chain index,
     by one of two access paths that find the same locations. By default the
     chains of the scope's works are walked and the wording ``pick_wording``
-    picks for each version is looked up in the postings of every distinct
-    needle token: one lookup per version in scope. With ``by_postings`` the
-    postings are read first: they are intersected, smallest first, and each
-    unit is kept only if the chain index places it (it is a language
-    version's wording) in a work in ``scope`` and ``pick_wording`` picks it
-    at that chain position: one lookup per unit holding the term, wherever
-    it is. Either way only multi-token needles re-read a unit's text to
-    check adjacency.
+    picks for each version is probed in the smallest posting list of the
+    needle's distinct tokens: one probe per version in scope. Only a unit
+    found there is looked up in the other lists, and only then is its text
+    re-read. With ``by_postings`` the postings are read first: they are
+    intersected, smallest first, and each unit is kept only if the chain
+    index places it (it is a language version's wording) in a work in
+    ``scope`` and ``pick_wording`` picks it at that chain position: one
+    lookup per unit holding the term, wherever it is. Either way only
+    multi-token needles re-read a unit's text, to check adjacency.
     """
     needle = tokenize(term)
     term_index = store.text_index.term_index
@@ -459,10 +469,11 @@ def locate_spans(store: GraphStore, term: str, scope: Iterable[str],
     postings.sort(key=len)
     read = _read_postings if by_postings else _walk_chains
     out: list[SpanLocation] = []
+    make = SpanLocation._make  # cheaper than SpanLocation(...), which binds its arguments
     # In this order a version's chain predecessor, if it holds the term, comes just before it.
-    previous = ("", -1)
+    last_urn, last_position = "", -1
     for urn, position, cid in read(store, needle, postings, frozenset(scope), language,
                                    fallback):
-        out.append(SpanLocation(urn, cid, position, (urn, position - 1) != previous))
-        previous = (urn, position)
+        out.append(make((urn, cid, position, position != last_position + 1 or urn != last_urn)))
+        last_urn, last_position = urn, position
     return out

@@ -78,7 +78,7 @@ from enum import Enum
 from functools import lru_cache, partial
 from itertools import chain, zip_longest
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO, TypeVar
 
 from .errors import DanglingReference, MalformedSnapshot, UnknownWork
 from .model import (
@@ -844,10 +844,32 @@ def _file_kind(store: GraphStore, kind: str, rec: dict, bad: Callable) -> None:
         raise bad(str(exc), row=ids.index(exc.action.id)) from None
 
 
+def _numbered_lines(fh: TextIO, spath: str) -> Iterator[tuple[int, str]]:
+    """The snapshot's lines, numbered from 1, as ``fh`` decodes them.
+
+    A byte that is not UTF-8 raises MalformedSnapshot naming the line that
+    holds it. The reader decodes ahead of the line it hands out, so that
+    line is found again from the file's bytes, with line breaks counted as
+    the reader counts them; a clean file pays for none of this.
+    """
+    try:
+        yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        fh.buffer.seek(0)
+        data, line = fh.buffer.read(), None  # no line if the bytes changed since
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as found:
+            text = data[:found.start].decode("utf-8")
+            line = text.count("\n") + text.count("\r") - text.count("\r\n") + 1
+        raise MalformedSnapshot(f"invalid UTF-8 ({exc.reason})", path=spath, line=line) from None
+
+
 def load(path: str | Path) -> GraphStore:
     """Read a snapshot, rebuild its indexes, and check every model invariant.
 
-    Raises MalformedSnapshot on parse failures: a file with no records, a
+    Raises MalformedSnapshot on parse failures: a byte that is not UTF-8
+    (naming its line), a file with no records, a
     first record that is not the meta header, a second header, a
     ``format_version`` other than FORMAT_VERSION, a header whose members
     are not _HEADER, whose ``columns`` are not this version's or whose
@@ -868,7 +890,7 @@ def load(path: str | Path) -> GraphStore:
     rows: dict[str, int] | None = None  # the header's, once it is read
     read: set[str] = set()  # the kinds whose record is read
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in _numbered_lines(fh, spath):
             if raw.isspace():
                 continue
             try:

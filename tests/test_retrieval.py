@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import math
 from datetime import date
+from pathlib import Path
 
 import pytest
 
+from normgraph.cli import main
 from normgraph.errors import EmptyScope
 from normgraph.model import Aspect, EMBEDDING_DIMENSION
 from normgraph.retrieval import (
@@ -22,6 +24,8 @@ from normgraph.temporal import resolve_scope
 
 import synthcorpus
 from reference_ids import ART6, ART6_CPT, ART7_CPT, CAP2, NORM_URN
+
+DATA = Path(__file__).parent / "data"
 
 
 def dense(entries: dict[int, float]) -> list[float]:
@@ -221,6 +225,36 @@ class TestScopedSearch:
                 assert hit.provenance[0] in scope
                 tv = store.ctvs[hit.provenance[1]]
                 assert tv.contains(t)
+
+
+class TestGoldenRetrieval:
+    """Every aspect's scores, pinned byte for byte.
+
+    A corpus-wide retrieval of the golden snapshot over all four aspects,
+    with k above its 16 units, so every candidate is a hit: the rendered
+    answer gives each hit's unit id and score, and the annex each hit's
+    citation or action. Each golden file is the output of::
+
+        normgraph query retrieve --snapshot tests/data/golden_fixture.ndjson \\
+          --text "social rights of workers in the constitution" --at 2020-01-01 \\
+          --clock 2024-01-02 --mode MODE --k 100 \\
+          --aspects content,action_description,metadata,theme_description [--json]
+    """
+
+    @pytest.mark.parametrize("mode", ["lexical", "vector"])
+    @pytest.mark.parametrize("flags, suffix", [([], ".txt"), (["--json"], "_annex.json")],
+                             ids=["rendered", "annex"])
+    def test_every_aspect_scores_as_the_golden_file(self, capsys, mode, flags, suffix):
+        code = main(["query", "retrieve", "--snapshot", str(DATA / "golden_fixture.ndjson"),
+                     "--text", "social rights of workers in the constitution",
+                     "--at", "2020-01-01", "--clock", "2024-01-02", "--mode", mode, "--k", "100",
+                     "--aspects", "content,action_description,metadata,theme_description",
+                     *flags])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.encode("utf-8") == (DATA / f"golden_retrieve_{mode}{suffix}").read_bytes()
+        if not flags:
+            assert all(f"({aspect.value})" in out for aspect in Aspect)
 
 
 class TestLocateSpans:

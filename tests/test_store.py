@@ -333,6 +333,28 @@ class TestLoad:
             _load_lines(lines, tmp_path)
         assert exc.value.line == 2
 
+    def test_a_byte_that_is_not_utf8_is_a_malformed_snapshot_naming_its_line(self, tmp_path,
+                                                                             capsys):
+        """The reader decodes the file ahead of the line it hands out, so a bad
+        byte in the third line is met while the first is read; the error still
+        names the byte's own line."""
+        lines = GOLDEN.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 1 + len(COLUMNS)
+        path = tmp_path / "bad.ndjson"
+        for at, line in enumerate(lines):
+            middle = len(line) // 2
+            path.write_bytes(b"".join(
+                lines[:at] + [line[:middle] + b"\xff" + line[middle + 1:]] + lines[at + 1:]))
+            with pytest.raises(MalformedSnapshot, match="invalid UTF-8") as exc:
+                load(path)
+            assert exc.value.line == at + 1
+        code = main(["query", "at", "--snapshot", str(path), "--target", "art6",
+                     "--at", "2011-01-01", "--json"])
+        assert code == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "MalformedSnapshot"
+        assert f"{path}:{len(lines)}: invalid UTF-8" in error["message"]
+
     @pytest.mark.parametrize("edit", ["dropped", "owned by another work"])
     def test_a_work_fact_without_its_metadata_unit_exits_3(self, snapshot_path, tmp_path,
                                                            capsys, edit):
