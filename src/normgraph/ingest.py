@@ -45,11 +45,9 @@ from .errors import (
 from .model import (
     ActionNode,
     ActionType,
-    Aspect,
     ComponentType,
     FRAGMENT_SEP,
     LanguageVersion,
-    PRESENTATION_KEYS,
     STRUCTURE_RULES,
     TEXT_BEARING_TYPES,
     TemporalVersion,
@@ -339,17 +337,15 @@ def parse_translation_file(source: str | bytes | dict, path: str | None = None) 
 
 
 def textualize_metadata(node: WorkNode, language: str = "en") -> list[TextUnit]:
-    """One declarative metadata sentence per informative property of a work.
+    """One declarative metadata sentence per informative property of a work, in ``language``.
 
-    Presentation-only keys (label, title, ...) are skipped. Every metadata
-    unit is owned by a work.
+    Presentation-only keys (label, title, ...) are skipped. Each unit is the
+    one the work names for its key (``metadata_unit_id``).
     """
     locale = _load_locale(language)
     title = node.meta("title") or node.label
     units: list[TextUnit] = []
-    for key, value in node.metadata:
-        if key in PRESENTATION_KEYS:
-            continue
+    for key, value in node.facts:
         if key == "publication_date":
             try:
                 spelled = _spell_date(parse_iso_date(value), locale)
@@ -362,13 +358,7 @@ def textualize_metadata(node: WorkNode, language: str = "en") -> list[TextUnit]:
             text = locale["meta_alternative_title"].format(title=title, value=value)
         else:
             text = locale["meta_generic"].format(key=key.replace("_", " "), title=title, value=value)
-        units.append(TextUnit(
-            id=metadata_unit_id(node.urn, key),
-            aspect=Aspect.METADATA,
-            owner=node.urn,
-            language=language,
-            text=text,
-        ))
+        units.append(TextUnit(id=metadata_unit_id(node.urn, key), text=text))
     return units
 
 
@@ -378,7 +368,12 @@ def _label_of(store: GraphStore, urn: str) -> str:
 
 
 def render_action_text(action: ActionNode, store: GraphStore, language: str = "en") -> str:
-    """Deterministic natural-language summary of a legislative event."""
+    """Deterministic natural-language summary of a legislative event, in ``language``'s locale.
+
+    An amendment quotes the produced version's primary-language wording,
+    whichever translations the version has, so re-rendering a stored
+    action gives the description ingest stored.
+    """
     locale = _load_locale(language)
     instrument = action.instrument_title or action.instrument or action.id
     target_urn = action.targets[0] if action.targets else ""
@@ -414,10 +409,9 @@ def render_action_text(action: ActionNode, store: GraphStore, language: str = "e
             target=parent_label, norm=norm_title, effective=effective)
 
     new_text = ""
-    # The wording every reader picks: ``language``, else the norm's primary one.
     if target_urn in action.produces:
         lv_id = pick_wording(store.clvs_by_ctv.get(ctv_id(target_urn, action.effective_date), {}),
-                             store.primary_language(target_urn), language, True)
+                             store.primary_language(target_urn), None, True)
         if lv_id is not None:
             new_text = store.units[store.clvs[lv_id].text_unit].text
     return locale["action_amendment"].format(
@@ -453,10 +447,7 @@ def _attach_content(store: GraphStore, cid: str, language: str, text: str,
                     synthetic: bool) -> str:
     lv = LanguageVersion(temporal_version=cid, language=language)
     store.add_clv(lv)
-    store.add_unit(TextUnit(
-        id=lv.text_unit, aspect=Aspect.CONTENT, owner=lv.id,
-        language=language, text=text, synthetic=synthetic,
-    ))
+    store.add_unit(TextUnit(id=lv.text_unit, text=text, synthetic=synthetic))
     return lv.id
 
 
@@ -513,13 +504,7 @@ def _record_action(store: GraphStore, action: ActionNode, wordings: list[_Wordin
     store.replay((action,))
     for urn, language, text, synthetic in wordings:
         _attach_content(store, store.versions[urn][-1], language, text, synthetic)
-    store.add_unit(TextUnit(
-        id=action.description_unit,
-        aspect=Aspect.ACTION_DESCRIPTION,
-        owner=action.id,
-        language="en",
-        text=render_action_text(action, store),
-    ))
+    store.add_unit(TextUnit(id=action.description_unit, text=render_action_text(action, store)))
     return action.id
 
 

@@ -12,11 +12,16 @@ actions in (effective date, id) order (``GraphStore.replay``) opens each
 produced version on the action's date and closes each terminated one, so a
 replayed chain tiles time by construction.
 
+A text unit is its id, text and synthetic flag. Its aspect, owner and
+language are not stored on it: the node that names it fixes them, as a
+CLV's content unit, an action's or theme's description unit (each id
+derived from the node's), or a work's metadata unit for one fact.
+
 :func:`validate_graph` checks each invariant by one rule: the ids nodes
-hold, the work tree, the actions' shapes and targets, and that every unit
-is one a node names. Which child versions a version aggregates is not
-stored either: the store derives it from the work tree and the chains
-(``GraphStore.aggregation``).
+hold, the work tree, the actions' shapes and targets, and that every
+metadata fact has its unit and every unit is one a node names. Which
+child versions a version aggregates is not stored either: the store
+derives it from the work tree and the chains (``GraphStore.aggregation``).
 """
 
 from __future__ import annotations
@@ -129,6 +134,11 @@ class WorkNode:
     def norm_urn(self) -> str:
         return urn_norm(self.urn)
 
+    @property
+    def facts(self) -> list[tuple[str, str]]:
+        """Its metadata less the presentation keys; each fact names one metadata unit."""
+        return [(k, v) for k, v in self.metadata if k not in PRESENTATION_KEYS]
+
     def meta(self, key: str, default: str | None = None) -> str | None:
         for k, v in self.metadata:
             if k == key:
@@ -180,8 +190,9 @@ class TemporalVersion:
     ``id`` is derived, ``ctv_id(work, valid_start)``, and cannot be passed
     in. A version is never stored: ``GraphStore.replay`` builds it from the
     action that produces its work on ``valid_start`` and the one that
-    terminates it on ``valid_end``, and files those actions in
-    ``GraphStore.produced_by``/``terminated_by``.
+    terminates it on ``valid_end``, and files the producer in
+    ``GraphStore.produced_by``; ``GraphStore.closed_by`` finds the version
+    an action terminates.
     """
 
     id: str = field(init=False)
@@ -260,17 +271,17 @@ class ActionNode:
 class TextUnit:
     """Atomic retrievable text span.
 
-    Its embedding is not stored: a committed store derives it from ``text``
-    on the unit's first vector read (``retrieval.embeddings_of``), as
-    ``{bucket: value}`` with buckets below EMBEDDING_DIMENSION, of unit L2
-    norm, except for text with no tokens, which has no entries. Empty text
-    is skipped by vector retrieval.
+    Its aspect, owner and language are the naming node's: a CLV names its
+    content unit, an action or theme its description unit, and a work one
+    metadata unit per fact (``metadata_unit_id``). Its embedding is not
+    stored: a committed store derives it from ``text`` on the unit's first
+    vector read (``retrieval.embeddings_of``), as ``{bucket: value}`` with
+    buckets below EMBEDDING_DIMENSION, of unit L2 norm, except for text
+    with no tokens, which has no entries. Empty text is skipped by vector
+    retrieval.
     """
 
     id: str
-    aspect: Aspect
-    owner: str
-    language: str
     text: str
     synthetic: bool = False
 
@@ -281,12 +292,18 @@ class TextUnit:
 
 @dataclass(frozen=True)
 class ThemeNode:
-    """Curated cross-document community of works."""
+    """Curated cross-document community of works.
+
+    ``description_unit`` is derived, ``tu:<id>:desc``, and cannot be passed in.
+    """
 
     id: str
     label: str
-    description_unit: str
+    description_unit: str = field(init=False)
     members: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "description_unit", f"tu:{self.id}:desc")
 
 
 @dataclass(frozen=True)
@@ -390,47 +407,28 @@ def _check_actions(graph: "GraphStore", out: list[Violation]) -> None:
                 out.append(Violation("ActionShape", "repeal leaves no work without a successor", (act.id,)))
 
 
-# The unit each node of a kind names: (store map of the node, attribute, the
-# unit's aspect). A work names one metadata unit per fact of its metadata.
-_NAMED_UNITS = (
-    ("actions", "description_unit", Aspect.ACTION_DESCRIPTION),
-    ("clvs", "text_unit", Aspect.CONTENT),
-    ("themes", "description_unit", Aspect.THEME_DESCRIPTION),
-)
-
-
 def _check_units(graph: "GraphStore", out: list[Violation]) -> None:
-    """Each unit is one a node names, of the aspect it names it with, and owned by that node.
+    """Each metadata fact has its unit, and each unit is one a node names.
 
-    A missing named unit other than a metadata unit is a DanglingReference,
+    A node names its units through the _REFERENCES rows into ``units``, each
+    a single id, and a work names one metadata unit per fact of its
+    metadata. A missing unit a reference names is a DanglingReference,
     already reported. A CLV's id is derived from (ctv, language), and the
     store rejects a repeated id, so no CTV has two versions in one language.
     """
     units = graph.units
-    named: set[str] = set()
-    for nodes, attr, aspect in _NAMED_UNITS:
-        for owner, node in getattr(graph, nodes).items():
-            unit_id = getattr(node, attr)
-            named.add(unit_id)
-            unit = units.get(unit_id)
-            if unit is not None and (unit.aspect is not aspect or unit.owner != owner):
-                out.append(Violation("AspectOwnerMismatch",
-                                     f"{attr} must be a {aspect.value} unit it owns", (owner, unit_id)))
+    named = {getattr(node, attr) for nodes, attr, names, _ in _REFERENCES if names == "units"
+             for node in getattr(graph, nodes).values()}
     for urn, work in graph.works.items():
-        for key, _ in work.metadata:
-            if key in PRESENTATION_KEYS:
-                continue
+        for key, _ in work.facts:
             unit_id = metadata_unit_id(urn, key)
             named.add(unit_id)
-            unit = units.get(unit_id)
-            if unit is None or unit.aspect is not Aspect.METADATA or unit.owner != urn:
+            if unit_id not in units:
                 out.append(Violation("MissingMetadataUnit",
-                                     f"metadata key {key!r} has no metadata unit the work owns",
-                                     (urn, unit_id)))
-    for unit_id, unit in units.items():
+                                     f"metadata key {key!r} has no metadata unit", (urn, unit_id)))
+    for unit_id in units:
         if unit_id not in named:
-            out.append(Violation("UnnamedUnit", f"{unit.aspect.value} unit is named by no node",
-                                 (unit_id,)))
+            out.append(Violation("UnnamedUnit", "unit is named by no node", (unit_id,)))
 
 
 def validate_graph(graph: "GraphStore") -> list[Violation]:

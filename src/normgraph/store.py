@@ -1,6 +1,6 @@
 """Indexed in-memory graph container and its on-disk snapshot format.
 
-Snapshots are newline-delimited JSON, format version 8, and hold only
+Snapshots are newline-delimited JSON, format version 9, and hold only
 nodes, stored by column. The first line is the meta header: the format
 version, each record kind's column order and each kind's row count. Then
 comes one line per kind, in _KINDS order and empty kinds included:
@@ -16,20 +16,22 @@ with a hint to re-run ``normgraph ingest``.
 A kind's columns are its node class's fields, in the order the class
 takes them, so load builds each node from one value per column. Values
 the nodes derive are not stored: the model builds a CLV's id and text
-unit and an action's description unit from the other fields (see
-model.py), so a snapshot cannot hold a foreign one. Nor are the temporal
-versions: ``GraphStore.replay`` builds them from the actions, which name
-the works they terminate and produce. Nor is which child versions a
-version aggregates: that is a function of the work tree and the chains,
-derived as the aggregation index below.
+unit and an action's and a theme's description unit from the other fields
+(see model.py), so a snapshot cannot hold a foreign one. A unit stores
+only its id, text and synthetic flag: its aspect, owner and language are
+those of the node that names it. Nor are the temporal versions:
+``GraphStore.replay`` builds them from the actions, which name the works
+they terminate and produce. Nor is which child versions a version
+aggregates: that is a function of the work tree and the chains, derived
+as the aggregation index below.
 
 Indexes are never persisted, and follow one rule. What ingest writes and
 validate_graph reads is filed per node as each is added, loaded or
 replayed: each work's children and version chain, each CTV's language
-versions, which action produced or terminated a CTV, and the alias and
-fragment tables. What only queries read is derived from the nodes in one
-pass on its first read after commit, once, by ``GraphStore._derived``, the
-same way for a committed store and a loaded one:
+versions, which action produced a CTV, and the alias and fragment
+tables. What only queries read is derived from the nodes in one pass on
+its first read after commit, once, by ``GraphStore._derived``, the same
+way for a committed store and a loaded one:
 
 - the text index (``GraphStore.text_index``): the inverted term index,
   each unit's length and the IDF statistics, read by span location and
@@ -40,7 +42,7 @@ same way for a committed store and a loaded one:
   arrays (each version's CTV id, valid_start and valid_end, and its
   language -> (CLV id, unit id) map) with the work's primary language; the
   work and chain position of each language version's unit; and each work's
-  metadata units;
+  metadata units, one per fact of its metadata;
 - the aggregation index (``GraphStore.aggregation``) that snapshot
   reconstruction walks: each CTV id -> the versions (nodes, not ids) its
   work's children have on its valid_start, in ordinal order (absent when
@@ -84,7 +86,6 @@ from .errors import DanglingReference, MalformedSnapshot, UnknownWork
 from .model import (
     ActionNode,
     ActionType,
-    Aspect,
     ComponentType,
     LanguageVersion,
     TemporalVersion,
@@ -93,11 +94,12 @@ from .model import (
     WorkKind,
     WorkNode,
     metadata_tuple,
+    metadata_unit_id,
     parse_iso_date,
     validate_graph,
 )
 
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 _W = TypeVar("_W")
 
@@ -203,9 +205,8 @@ class GraphStore:
     versions: dict[str, list[str]] = field(default_factory=dict, compare=False)
     # valid_start of each entry of versions[urn], so version lookup bisects dates.
     version_starts: dict[str, list[date]] = field(default_factory=dict, compare=False)
-    # CTV id -> the action that produced / terminated it; filed by replay.
+    # CTV id -> the action that produced it; filed by replay.
     produced_by: dict[str, str] = field(default_factory=dict, compare=False)
-    terminated_by: dict[str, str] = field(default_factory=dict, compare=False)
     # Indexes only queries read; each read through the property of its name
     # (text_index, ...) and None until the first read after commit.
     _text_index: _TextIndex | None = field(default=None, compare=False, repr=False)
@@ -246,7 +247,7 @@ class GraphStore:
 
         In (effective date, id) order, an action closes the open version of
         each work it terminates, then opens ``ctv_id(work, date)`` for each
-        it produces, and is filed in ``produced_by``/``terminated_by``. Each
+        it produces, and is filed in ``produced_by``. Each
         work's events are walked once from its chain's last version, and
         each version is built once, so a closed version replaces its open
         self. Nothing is written unless the whole batch replays: raises
@@ -273,7 +274,6 @@ class GraphStore:
                 events.setdefault(urn, []).append(2 * at + 1)
         built: list[TemporalVersion] = []
         produced: dict[str, str] = {}
-        terminated: dict[str, str] = {}
         faults: dict[int, str] = {}  # place in ordered -> its fault, the first of each work
         for urn, todo in events.items():
             cids = self.versions.get(urn)
@@ -302,7 +302,6 @@ class GraphStore:
                 else:
                     tv = TemporalVersion(urn, start, day)
                     built.append(tv)
-                    terminated[tv.id] = action.id
                     if producer is not None:
                         produced[tv.id] = producer
                     end, producer = day, None
@@ -325,7 +324,6 @@ class GraphStore:
                 starts.setdefault(tv.work, []).append(tv.valid_start)
             ctvs[tv.id] = tv
         self.produced_by.update(produced)
-        self.terminated_by.update(terminated)
         self.actions.update(filed)
 
     def add_unit(self, unit: TextUnit) -> None:
@@ -451,9 +449,9 @@ class GraphStore:
                 self.primary_language(urn),
             )
         metadata_units: dict[str, list[str]] = {}
-        for unit in self.units.values():
-            if unit.aspect is Aspect.METADATA:
-                metadata_units.setdefault(unit.owner, []).append(unit.id)
+        for urn, work in self.works.items():
+            if facts := [metadata_unit_id(urn, key) for key, _ in work.facts]:
+                metadata_units[urn] = facts
         return _ChainIndex(chains, placed_units, metadata_units)
 
     def _derive_aggregation(self) -> dict[str, tuple[TemporalVersion, ...]]:
@@ -709,15 +707,11 @@ _KINDS = {
         "themes", ThemeNode,
         _Column("id", _STR),
         _Column("label", _STR),
-        _Column("description_unit", _STR),
         _Column("members", _STRS),
     ),
     "unit": _Kind(
         "units", TextUnit,
         _Column("id", _STR),
-        _Column("aspect", _enum(Aspect)),
-        _Column("owner", _STR),
-        _Column("language", _STR),
         _Column("text", _STR),
         _Column("synthetic", _BOOL),
     ),

@@ -6,7 +6,7 @@ import re
 from datetime import date
 
 from .errors import DuplicateLabel, UnknownMember, UnknownTheme
-from .model import Aspect, TextUnit, ThemeNode
+from .model import TextUnit, ThemeNode
 from .store import GraphStore
 
 THEME_PREFIX = "theme:"
@@ -26,16 +26,9 @@ def define_theme(store: GraphStore, label: str, description: str,
     for member in members:
         if member not in store.works:
             raise UnknownMember(member)
-    unit_id = f"tu:{theme_id}:desc"
-    store.add_unit(TextUnit(
-        id=unit_id,
-        aspect=Aspect.THEME_DESCRIPTION,
-        owner=theme_id,
-        language="en",
-        text=description,
-    ))
-    store.add_theme(ThemeNode(
-        id=theme_id, label=label, description_unit=unit_id, members=tuple(members)))
+    theme = ThemeNode(id=theme_id, label=label, members=tuple(members))
+    store.add_unit(TextUnit(id=theme.description_unit, text=description))
+    store.add_theme(theme)
     return theme_id
 
 

@@ -446,22 +446,27 @@ class TestMoreEdges:
                    "metadata": {}, "ordinal": 0, "parent": None, "work_kind": "norm"}
     _V3_WORK = {"kind": "work", "row": ["urn:n", [], "norm", "other", None, 0, {}]}
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_query_on_an_older_snapshot_exits_3_and_asks_for_a_reingest(
             self, snapshot_file, tmp_path, capsys, version):
         # Versions 1 and 2 sort keys and key records by name; version 3 has
         # positional rows and stores the embedding config and IDF statistics;
         # version 4 has no row counts in its header; versions 4 and 5 hold
         # one node's row per line; versions 4 to 7 store a ctv record, and
-        # versions 4 to 6 each CTV's aggregates in it.
+        # versions 4 to 6 each CTV's aggregates in it; versions 4 to 8 store
+        # each theme's description unit and each unit's aspect, owner and
+        # language.
         header = {"kind": "meta", "format_version": version,
                   "embedding": {"dimension": 256, "name": "hashed_tfidf"},
                   "idf": {"avgdl": 1.0, "df": {"food": 1}, "n_units": 1}}
         if version >= 4:
             header = json.loads(snapshot_file.read_text(encoding="utf-8").splitlines()[0])
             header["format_version"] = version
-            header["columns"]["ctv"] = ["work", "valid_start", "valid_end"]
-            header["rows"]["ctv"] = 29
+            header["columns"]["theme"] = ["id", "label", "description_unit", "members"]
+            header["columns"]["unit"] = ["id", "aspect", "owner", "language", "text", "synthetic"]
+            if version < 8:
+                header["columns"]["ctv"] = ["work", "valid_start", "valid_end"]
+                header["rows"]["ctv"] = 29
             if version < 7:
                 header["columns"]["ctv"].append("aggregates")
             if version == 4:
@@ -473,7 +478,7 @@ class TestMoreEdges:
                      "--at", "2011-01-01"])
         assert code == 3
         err = capsys.readouterr().err
-        assert f":1: unsupported format_version {version} (this version reads 8)" in err
+        assert f":1: unsupported format_version {version} (this version reads 9)" in err
         assert "re-run `normgraph ingest`" in err
 
     def test_query_on_a_snapshot_without_its_header_exits_3(

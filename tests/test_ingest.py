@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import json
+import shutil
 from datetime import date
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from normgraph.ingest import (
     add_language,
     apply_event,
     enact,
+    ingest_corpus,
     ordered_events,
     parse_document,
     parse_event_file,
@@ -30,7 +33,7 @@ from normgraph.ingest import (
     textualize_metadata,
 )
 from normgraph.model import (
-    Aspect, ComponentType, TemporalVersion, WorkKind, WorkNode, metadata_tuple,
+    ComponentType, TemporalVersion, WorkKind, WorkNode, metadata_tuple,
     metadata_unit_id, validate_graph)
 from normgraph.store import GraphStore, pick_wording, save
 
@@ -318,7 +321,7 @@ class TestApplyEvent:
         versions = versions_of(fixture_store, ART6_CPT)
         original, ca26 = versions[0], versions[1]
         assert original.valid_end == date(2000, 2, 15)
-        assert fixture_store.terminated_by[original.id] == ACT_CA26
+        assert fixture_store.closed_by(fixture_store.actions[ACT_CA26], ART6_CPT) == original
         assert ca26.valid_start == date(2000, 2, 15)
         lv = fixture_store.clvs[pick_wording(fixture_store.clvs_by_ctv[ca26.id],
                                              fixture_store.primary_language(ART6_CPT), "pt",
@@ -469,10 +472,27 @@ class TestRenderActionText:
         assert "Texto novo." in text and "Texto nuevo." not in text
         assert store.units[action.description_unit].text == text
 
+    def test_each_stored_description_is_its_re_rendering_after_a_translation(
+            self, corpus_dir, tmp_path):
+        # An English wording of the version of Art. 6's caput that CA 26/2000
+        # opens, attached after ingest described that action: re-rendering it
+        # quotes the norm's primary (Portuguese) wording, as the stored text does.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        (corpus / "art6_ca26_en.satlang.json").write_text(json.dumps({
+            "format_version": 1, "norm": NORM_URN, "language": "en", "at": "2000-02-15",
+            "units": [{"fragment": "art6_cpt", "text": "Social rights are education, "
+                       "health, work, housing, leisure and security."}],
+        }), encoding="utf-8")
+        store, _ = ingest_corpus(corpus)
+        assert "en" in store.clvs_by_ctv[f"{ART6_CPT}@2000-02-15"]
+        for action in store.actions.values():
+            assert store.units[action.description_unit].text == render_action_text(
+                action, store), action.id
+
     def test_description_unit_stored_on_apply(self, fixture_store):
         action = fixture_store.actions[ACT_CA26]
         unit = fixture_store.units[action.description_unit]
-        assert unit.aspect.value == "action_description"
         assert unit.text == render_action_text(action, fixture_store)
 
 
@@ -498,9 +518,11 @@ class TestTextualizeMetadata:
             "the 1946 Constitution of the United States of Brazil."
         ]
 
-    def test_every_metadata_unit_is_owned_by_a_work(self, fixture_store):
-        metadata = [u for u in fixture_store.units.values() if u.aspect is Aspect.METADATA]
-        assert metadata and all(u.owner in fixture_store.works for u in metadata)
+    def test_every_metadata_unit_is_one_a_work_names(self, fixture_store):
+        metadata = {uid for uid in fixture_store.units if ":meta:" in uid}
+        assert metadata and metadata == {metadata_unit_id(urn, key)
+                                         for urn, work in fixture_store.works.items()
+                                         for key, _ in work.facts}
 
     def test_empty_metadata_yields_nothing(self):
         node = WorkNode(urn="urn:test:bare", aliases=(), kind=WorkKind.NORM)
@@ -515,8 +537,8 @@ class TestTextualizeMetadata:
         urn = event_file["instrument"]["urn"]
         assert dict(store.works[urn].metadata)["subject"] == "water"
         unit = store.units[metadata_unit_id(urn, "subject")]
-        assert (unit.aspect, unit.owner) == (Aspect.METADATA, urn)
-        assert [u.id for u in store.units.values() if u.owner == urn] == [unit.id]
+        assert unit.text.endswith("water.")
+        assert [uid for uid in store.units if uid.startswith(f"tu:{urn}:")] == [unit.id]
         assert validate_graph(store) == []
 
 
@@ -656,7 +678,7 @@ def test_two_root_insertion_merges_into_the_parent_version_of_that_day():
 
 # Every store field a write path fills, nodes and indexes alike.
 _STORE_STATE = ("works", "ctvs", "clvs", "actions", "units", "versions", "children",
-                "produced_by", "terminated_by")
+                "produced_by")
 
 
 def _repeal_art1_then_amend_its_caput(store):
@@ -745,9 +767,9 @@ def _node_rows_digest(path: Path) -> str:
     """SHA-256 of a snapshot's node rows, each encoded as its format version 5 line.
 
     The meta header is left out; every byte of every row counts. The pins
-    below were retaken when version 8 dropped the ctv record and let the
-    actions name works; each store they pin equals its version 7 one in
-    every version, chain and producer and terminator link.
+    below were retaken when version 9 dropped each unit's aspect, owner and
+    language and each theme's description unit; each equals the digest of
+    its version 8 rows cut to the columns version 9 keeps.
     """
     return hashlib.sha256("".join(v5_node_lines(path)).encode("utf-8")).hexdigest()
 
@@ -755,9 +777,9 @@ def _node_rows_digest(path: Path) -> str:
 # Together these seeds hold insertions of an article with its caput,
 # repeals and same-day events, none of which the golden fixture pins.
 @pytest.mark.parametrize("seed, expected", [
-    (1, "cae98d7bd16b7978c0dac547afa5255b8d4e34a04d55b1fb6bdb661745394dee"),
-    (9, "698843a0f80071db51061556083a4199a06a777c86ad39dca03d256bdd860afd"),
-    (18, "da95c00986744e8781631db902f79fe03ab336106138da5d1ac16e116d2ee01a"),
+    (1, "4a61a6490a8dc33d6ed0b2f292dce3f438537a6ad4ab5fbe7a177fca76d1cc08"),
+    (9, "09e27558c42bbff804b1c1659f64d1a2d9bdf9a9ae1df7d4eee3b292874889dc"),
+    (18, "0311b0b7665e7f6b17e0b3ec31c6ae7975213b9f60119c3b2bc109ddfa50661c"),
 ])
 def test_synthetic_snapshots_are_pinned(seed, expected, tmp_path):
     store = build_store(generate_corpus(seed))
@@ -766,8 +788,8 @@ def test_synthetic_snapshots_are_pinned(seed, expected, tmp_path):
     assert _node_rows_digest(tmp_path / "s.ndjson") == expected
 
 
-def test_the_golden_snapshot_holds_the_rows_of_its_version_8_save():
+def test_the_golden_snapshot_holds_the_rows_of_its_version_9_save():
     # The digest of the node lines of tests/data/golden_fixture.ndjson as
-    # format version 8 wrote it.
+    # format version 9 wrote it.
     assert _node_rows_digest(DATA / "golden_fixture.ndjson") == (
-        "f09ebbcae1334f74ac36067bf61a5befa0772feb15acde0e7ceb5a3ce5f10429")
+        "fb96cd6be131eb4b69f23c63c896f2143c8528efd98260a7d4202d31b4b0e674")

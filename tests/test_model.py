@@ -1,22 +1,20 @@
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import replace
 from datetime import date
 
 import pytest
 
-from normgraph.cli import main
 from normgraph.model import (
     ActionNode,
     ActionType,
-    Aspect,
     ComponentType,
     LanguageVersion,
     PRESENTATION_KEYS,
     TemporalVersion,
     TextUnit,
+    ThemeNode,
     WorkKind,
     WorkNode,
     clv_id,
@@ -32,7 +30,6 @@ from normgraph.store import GraphStore
 from normgraph.themes import define_theme
 
 import synthcorpus
-from snapshot_rows import read_rows, write_rows
 
 
 class TestParseIsoDate:
@@ -121,12 +118,14 @@ class TestDerivedFields:
     TV = ctv("urn:x", "2000-01-01")
     LV = LanguageVersion("urn:x@2000-01-01", "pt")
     ACTION = ActionNode("act:x", ActionType.ENACTMENT, date(2000, 1, 1), date(2000, 1, 1))
+    THEME = ThemeNode("theme:x", "X", ("urn:x",))
 
     def test_each_node_derives_its_fields(self):
         assert self.TV.id == ctv_id("urn:x", date(2000, 1, 1)) == "urn:x@2000-01-01"
         assert self.LV.id == clv_id("urn:x@2000-01-01", "pt")
         assert self.LV.text_unit == f"tu:{self.LV.id}"
         assert self.ACTION.description_unit == "tu:act:x:desc"
+        assert self.THEME.description_unit == "tu:theme:x:desc"
 
     @pytest.mark.parametrize("build", [
         pytest.param(lambda: TemporalVersion(id="urn:x@1999-01-01", work="urn:x",
@@ -139,6 +138,8 @@ class TestDerivedFields:
         pytest.param(lambda: ActionNode("act:x", ActionType.ENACTMENT, date(2000, 1, 1),
                                         date(2000, 1, 1), description_unit=""),
                      id="action-description_unit"),
+        pytest.param(lambda: ThemeNode("theme:x", "X", description_unit="tu:other"),
+                     id="theme-description_unit"),
     ])
     def test_a_constructor_takes_no_derived_field(self, build):
         with pytest.raises(TypeError):
@@ -149,6 +150,7 @@ class TestDerivedFields:
         pytest.param(LV, {"id": "other"}, id="clv-id"),
         pytest.param(LV, {"text_unit": "tu:other"}, id="clv-text_unit"),
         pytest.param(ACTION, {"description_unit": ""}, id="action-description_unit"),
+        pytest.param(THEME, {"description_unit": ""}, id="theme-description_unit"),
     ])
     def test_replace_takes_no_derived_field(self, node, change):
         with pytest.raises(ValueError):
@@ -158,6 +160,7 @@ class TestDerivedFields:
         assert replace(self.TV, valid_start=date(2001, 1, 1)).id == "urn:x@2001-01-01"
         assert replace(self.LV, language="en").text_unit == "tu:urn:x@2000-01-01#en"
         assert replace(self.ACTION, id="act:y").description_unit == "tu:act:y:desc"
+        assert replace(self.THEME, id="theme:y").description_unit == "tu:theme:y:desc"
 
 
 def _two_version_store() -> GraphStore:
@@ -183,7 +186,7 @@ class TestValidateGraph:
     def test_a_metadata_unit_must_belong_to_a_work(self):
         store = _two_version_store()
         for owner in ("urn:test:n", "urn:test:n@2000-01-01"):
-            store.add_unit(TextUnit(f"tu:{owner}:meta:k", Aspect.METADATA, owner, "en", ""))
+            store.add_unit(TextUnit(f"tu:{owner}:meta:k", ""))
         # Neither owner has a fact "k", so no node names either unit.
         unnamed = [v.nodes for v in validate_graph(store) if v.code == "UnnamedUnit"]
         assert unnamed == [("tu:urn:test:n:meta:k",), ("tu:urn:test:n@2000-01-01:meta:k",)]
@@ -191,60 +194,34 @@ class TestValidateGraph:
     def test_every_unit_must_be_one_a_node_names(self):
         store = _two_version_store()
         for action in store.actions.values():
-            store.add_unit(TextUnit(action.description_unit, Aspect.ACTION_DESCRIPTION,
-                                    action.id, "en", "An event."))
+            store.add_unit(TextUnit(action.description_unit, "An event."))
         urn = "urn:test:n"
         store.works[urn] = replace(store.works[urn], metadata=metadata_tuple({"subject": "water"}))
-        store.add_unit(TextUnit(metadata_unit_id(urn, "subject"), Aspect.METADATA, urn, "en",
-                                "About water."))
+        store.add_unit(TextUnit(metadata_unit_id(urn, "subject"), "About water."))
         lv = LanguageVersion(f"{urn}@2000-01-01", "pt")
         store.add_clv(lv)
-        store.add_unit(TextUnit(lv.text_unit, Aspect.CONTENT, lv.id, "pt", "Texto."))
+        store.add_unit(TextUnit(lv.text_unit, "Texto."))
+        theme = define_theme(store, "Water", "About water.", [urn])
         assert validate_graph(store) == []
-        # Each is of the aspect and owner a node names, under another id.
+        # Each is the id a node names, extended or with another key.
         strays = [
-            TextUnit(metadata_unit_id(urn, "object"), Aspect.METADATA, urn, "en", "About land."),
-            TextUnit(f"{lv.text_unit}:old", Aspect.CONTENT, lv.id, "pt", "Texto antigo."),
-            TextUnit("tu:act:a:desc:2", Aspect.ACTION_DESCRIPTION, "act:a", "en", "Another."),
+            TextUnit(metadata_unit_id(urn, "object"), "About land."),
+            TextUnit(f"{lv.text_unit}:old", "Texto antigo."),
+            TextUnit("tu:act:a:desc:2", "Another."),
+            TextUnit(f"{store.themes[theme].description_unit}:2", "About water again."),
         ]
         for unit in strays:
             store.add_unit(unit)
         assert [str(v) for v in validate_graph(store)] == [
-            f"UnnamedUnit: {unit.aspect.value} unit is named by no node [{unit.id}]"
-            for unit in strays]
+            f"UnnamedUnit: unit is named by no node [{unit.id}]" for unit in strays]
 
     def test_an_action_needs_its_own_description_unit(self):
         store = _two_version_store()
         missing = [v.nodes for v in validate_graph(store) if v.code == "DanglingReference"]
         assert missing == [("act:e", "tu:act:e:desc"), ("act:a", "tu:act:a:desc")]
         for action in store.actions.values():
-            store.add_unit(TextUnit(action.description_unit, Aspect.ACTION_DESCRIPTION,
-                                    "act:a", "en", "An event."))
-        wrong = [v.nodes for v in validate_graph(store) if v.code == "AspectOwnerMismatch"]
-        assert wrong == [("act:e", "tu:act:e:desc")]
-        store.units["tu:act:e:desc"] = replace(store.units["tu:act:e:desc"], owner="act:e")
+            store.add_unit(TextUnit(action.description_unit, "An event."))
         assert validate_graph(store) == []
-
-    def test_a_theme_description_unit_must_be_owned_by_the_theme(self, snapshot_path, tmp_path, capsys):
-        store = _two_version_store()
-        first = define_theme(store, "First", "About the first.", ["urn:test:n"])
-        second = define_theme(store, "Second", "About the second.", ["urn:test:n"])
-        stolen = store.themes[first].description_unit
-        store.themes[second] = replace(store.themes[second], description_unit=stolen)
-        wrong = [v.nodes for v in validate_graph(store) if v.code == "AspectOwnerMismatch"]
-        assert wrong == [(second, stolen)]
-        # A snapshot with a second theme that names the first one's unit is rejected.
-        header, rows = read_rows(snapshot_path)
-        theme = next(record for record in rows if record["kind"] == "theme")
-        theme = {"kind": "theme", "row": ["theme:other", "Other", *theme["row"][2:]]}
-        bad = write_rows(tmp_path / "stolen.ndjson", header, [*rows, theme])
-        code = main(["query", "at", "--snapshot", str(bad), "--target", "art6",
-                     "--at", "2011-01-01", "--json"])
-        assert code == 3
-        error = json.loads(capsys.readouterr().out)["error"]
-        assert error["type"] == "MalformedSnapshot"
-        assert f"AspectOwnerMismatch: description_unit must be a theme_description unit it owns " \
-               f"[theme:other, {theme['row'][2]}]" in error["message"]
 
     def test_a_produced_work_an_action_target_and_a_source_provision_must_name_works(self):
         store = _two_version_store()
@@ -253,8 +230,7 @@ class TestValidateGraph:
         store.replay([ActionNode("act:m", ActionType.ENACTMENT, day, day,
                                  produces=("urn:test:m",), targets=("urn:test:m",))])
         for action in store.actions.values():
-            store.add_unit(TextUnit(action.description_unit, Aspect.ACTION_DESCRIPTION,
-                                    action.id, "en", "An event."))
+            store.add_unit(TextUnit(action.description_unit, "An event."))
         # Only None names no node: "" must name one too.
         store.actions["act:a"] = replace(store.actions["act:a"], source_provision="",
                                          targets=("urn:test:n", "urn:test:m"))
@@ -268,8 +244,7 @@ class TestValidateGraph:
     def test_each_fact_in_a_works_metadata_needs_its_own_metadata_unit(self):
         store = _two_version_store()
         for action in store.actions.values():
-            store.add_unit(TextUnit(action.description_unit, Aspect.ACTION_DESCRIPTION,
-                                    action.id, "en", "An event."))
+            store.add_unit(TextUnit(action.description_unit, "An event."))
         urn = "urn:test:n"
         facts = {"subject": "water", "succeeds": "the old act"}
         presentation = dict.fromkeys(PRESENTATION_KEYS, "shown")
@@ -277,17 +252,10 @@ class TestValidateGraph:
                                    metadata=metadata_tuple({**facts, **presentation}))
         missing = [v.nodes for v in validate_graph(store) if v.code == "MissingMetadataUnit"]
         assert missing == [(urn, metadata_unit_id(urn, key)) for key in sorted(facts)]
-        # A unit that another work owns, or of another aspect, is not the work's.
-        store.add_work(WorkNode("urn:test:m", (), WorkKind.NORM))
-        store.add_unit(TextUnit(metadata_unit_id(urn, "subject"), Aspect.METADATA,
-                                "urn:test:m", "en", "About water."))
-        store.add_unit(TextUnit(metadata_unit_id(urn, "succeeds"), Aspect.THEME_DESCRIPTION,
-                                urn, "en", "It succeeds the old act."))
+        store.add_unit(TextUnit(metadata_unit_id(urn, "subject"), "About water."))
         missing = [v.nodes[1] for v in validate_graph(store) if v.code == "MissingMetadataUnit"]
-        assert missing == [metadata_unit_id(urn, key) for key in sorted(facts)]
-        for key in facts:
-            unit_id = metadata_unit_id(urn, key)
-            store.units[unit_id] = replace(store.units[unit_id], aspect=Aspect.METADATA, owner=urn)
+        assert missing == [metadata_unit_id(urn, "succeeds")]
+        store.add_unit(TextUnit(metadata_unit_id(urn, "succeeds"), "It succeeds the old act."))
         assert validate_graph(store) == []
 
     def test_synthetic_corpora_satisfy_all_invariants(self):
@@ -304,9 +272,11 @@ class TestTilingProperty:
             versions = [fixture_store.ctvs[c] for c in chain]
             for prev, cur in zip(versions, versions[1:]):
                 assert prev.valid_end == cur.valid_start
-            if versions:
-                assert (versions[-1].valid_end is None
-                        or versions[-1].id in fixture_store.terminated_by)
+            if versions and versions[-1].valid_end is not None:
+                # The action effective on its end closes it.
+                assert any(fixture_store.closed_by(action, urn) == versions[-1]
+                           for action in fixture_store.actions.values()
+                           if action.effective_date == versions[-1].valid_end)
 
     def test_random_probe_hits_exactly_one_version(self, fixture_store):
         rng = random.Random(7)

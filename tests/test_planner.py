@@ -463,8 +463,8 @@ class TestProvenance:
         for chain in answer.annex["chains"]:
             for first, second in zip(chain, chain[1:]):
                 produced = {cid for cid, aid in fixture_store.produced_by.items() if aid == first}
-                terminated = {cid for cid, aid in fixture_store.terminated_by.items()
-                              if aid == second}
+                closer = fixture_store.actions[second]
+                terminated = {fixture_store.closed_by(closer, urn).id for urn in closer.terminates}
                 assert produced & terminated
 
     def test_multi_work_spans_yield_one_chain_per_work(self, fixture_store, clock):

@@ -24,9 +24,11 @@ from normgraph.model import (
     ActionType,
     Aspect,
     EMBEDDING_DIMENSION,
+    PRESENTATION_KEYS,
     TemporalVersion,
     TextUnit,
     ctv_id,
+    metadata_unit_id,
     validate_graph,
 )
 from normgraph.planner import QueryPattern, StructuredQuery, run
@@ -196,7 +198,7 @@ class TestSnapshotRoundTripOnSyntheticCorpora:
 
 
 # What the replay of the actions builds.
-_REPLAYED = ("ctvs", "versions", "version_starts", "produced_by", "terminated_by")
+_REPLAYED = ("ctvs", "versions", "version_starts", "produced_by")
 
 
 class TestLoadReplaysWhatIngestBuilt:
@@ -618,7 +620,8 @@ class TestIndexBackedSpans:
 
     def test_translated_wording_is_searched_in_the_requested_language(self):
         _, store = _committed_store(3)
-        unit = next(u for u in store.units.values() if u.language == "es")
+        lv = next(lv for lv in store.clvs.values() if lv.language == "es")
+        unit = store.units[lv.text_unit]
         term = next(token for token in tokenize(unit.text) if token in _SPANISH.values())
         spanish = locate_spans(store, term, sorted(store.works), "es")
         assert spanish
@@ -751,9 +754,7 @@ class TestIndexBackedSpans:
     def test_a_second_unit_of_a_language_version_is_not_its_wording(self):
         corpus = synthcorpus.generate_corpus(1)
         store = synthcorpus.build_store(corpus)
-        lv = next(iter(store.clvs.values()))
-        store.add_unit(TextUnit(id="tu:stray", aspect=Aspect.CONTENT, owner=lv.id,
-                                language=lv.language, text="zebra"))
+        store.add_unit(TextUnit(id="tu:stray", text="zebra"))
         store.commit()
         assert "tu:stray" in store.text_index.term_index["zebra"]
         for by_postings in (False, True):
@@ -1002,9 +1003,11 @@ class _LinearSearch:
                 found.append((action.description_unit, (target, anchors[0] if anchors else "", aid),
                               Aspect.ACTION_DESCRIPTION))
         if Aspect.METADATA in req.aspects:
-            for uid, unit in sorted(store.units.items()):
-                if unit.aspect is Aspect.METADATA and unit.owner in scope:
-                    found.append((uid, (unit.owner, "", unit.owner), Aspect.METADATA))
+            # Each fact of a work's metadata, other than a presentation key, is a unit.
+            for urn in sorted(scope):
+                for key, _ in store.works[urn].metadata:
+                    if key not in PRESENTATION_KEYS:
+                        found.append((metadata_unit_id(urn, key), (urn, "", urn), Aspect.METADATA))
         if Aspect.THEME_DESCRIPTION in req.aspects:
             for tid, theme in sorted(store.themes.items()):
                 overlap = sorted(set(theme.members) & scope)

@@ -309,8 +309,7 @@ class TestLanguageFiltering:
             query_text="rights", scope=scope, t=t, language="en",
             language_fallback=False, k=20))
         assert [h.provenance[0] for h in hits] == [ART6_CPT]
-        assert all(
-            fixture_store.units[h.text_unit].language == "en" for h in hits)
+        assert all(fixture_store.clvs[h.provenance[2]].language == "en" for h in hits)
 
     def test_fallback_enabled_serves_primary_language(self, fixture_store):
         t = date(1999, 6, 1)

@@ -355,17 +355,12 @@ class TestLoad:
         assert error["type"] == "MalformedSnapshot"
         assert f"{path}:{len(lines)}: invalid UTF-8" in error["message"]
 
-    @pytest.mark.parametrize("edit", ["dropped", "owned by another work"])
-    def test_a_work_fact_without_its_metadata_unit_exits_3(self, snapshot_path, tmp_path,
-                                                           capsys, edit):
+    def test_a_work_fact_without_its_metadata_unit_exits_3(self, snapshot_path, tmp_path, capsys):
         """Loaded, the work's facts could not be retrieved, and other works' would rank first."""
         unit_id = metadata_unit_id(NORM_URN, "publication_date")
         header, records = read_rows(snapshot_path)
         at = next(i for i, r in enumerate(records) if r["kind"] == "unit" and r["row"][0] == unit_id)
-        if edit == "dropped":
-            del records[at]
-        else:
-            _set(records[at], "owner", ART6_CPT)
+        del records[at]
         with pytest.raises(MalformedSnapshot, match="the first is MissingMetadataUnit: "
                                                     "metadata key 'publication_date'"):
             _load_rows(header, records, tmp_path)
@@ -553,11 +548,10 @@ class TestWholeOrRejected:
         header, rows = read_rows(GOLDEN)
         # A metadata unit of the norm for a fact its metadata does not hold.
         stray = f"tu:{NORM_URN}:meta:zzz"
-        unit = {"kind": "unit", "row": [stray, "metadata", NORM_URN, "en",
-                                        "The capital of the republic is Atlantis.", False]}
+        unit = {"kind": "unit", "row": [stray, "The capital of the republic is Atlantis.", False]}
         header["rows"]["unit"] += 1
         with pytest.raises(MalformedSnapshot, match=re.escape(
-                f"UnnamedUnit: metadata unit is named by no node [{stray}]")):
+                f"UnnamedUnit: unit is named by no node [{stray}]")):
             _load_rows(header, [*rows, unit], tmp_path)
 
     def test_a_missing_stub_work_is_named_with_both_counts(self, tmp_path):
@@ -626,7 +620,7 @@ class TestStrictHeader:
         path = tmp_path / "snap.ndjson"
         save(fixture_store, path)
         header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
-        assert header == {"kind": "meta", "format_version": 8, "columns": COLUMNS,
+        assert header == {"kind": "meta", "format_version": 9, "columns": COLUMNS,
                           "rows": {"work": 17, "action": 5, "clv": 9, "theme": 1, "unit": 16}}
 
 
@@ -699,7 +693,7 @@ class TestStrictRecords:
     @pytest.mark.parametrize("kind, change, reason", [
         pytest.param("work", lambda r: r["columns"].append([]), "'columns' must be a list of 7 arrays",
                      id="work-extra-column"),
-        pytest.param("unit", lambda r: r["columns"].pop(), "'columns' must be a list of 6 arrays",
+        pytest.param("unit", lambda r: r["columns"].pop(), "'columns' must be a list of 3 arrays",
                      id="unit-missing-column"),
         pytest.param("clv", lambda r: r.update(columns=dict(enumerate(r["columns"]))),
                      "'columns' must be a list of 2 arrays", id="clv-columns-object"),
@@ -758,12 +752,12 @@ class TestDerivedColumns:
         assert loaded.clvs == fixture_store.clvs
         assert loaded.actions == fixture_store.actions
         assert loaded.produced_by == fixture_store.produced_by
-        assert loaded.terminated_by == fixture_store.terminated_by
         assert set(loaded.produced_by) == set(loaded.ctvs)
-        assert loaded.terminated_by
         assert "ctv" not in COLUMNS
         assert COLUMNS["clv"] == ["temporal_version", "language"]
         assert "description_unit" not in COLUMNS["action"]
+        assert COLUMNS["theme"] == ["id", "label", "members"]
+        assert COLUMNS["unit"] == ["id", "text", "synthetic"]
         for line in snapshot_path.read_text(encoding="utf-8").splitlines()[1:]:
             record = json.loads(line)
             assert len(record["columns"]) == len(COLUMNS[record["kind"]])
@@ -872,8 +866,7 @@ class TestReplay:
 
         def state():
             return (dict(store.actions), dict(store.ctvs), copy.deepcopy(store.versions),
-                    copy.deepcopy(store.version_starts), dict(store.produced_by),
-                    dict(store.terminated_by))
+                    copy.deepcopy(store.version_starts), dict(store.produced_by))
 
         before = state()
         later = date(2001, 1, 1)
@@ -897,7 +890,7 @@ class TestReplay:
             store = synthcorpus.build_store(synthcorpus.generate_corpus(seed))
             whole = GraphStore()
             whole.replay(reversed(list(store.actions.values())))
-            for name in ("ctvs", "versions", "version_starts", "produced_by", "terminated_by"):
+            for name in ("ctvs", "versions", "version_starts", "produced_by"):
                 assert getattr(whole, name) == getattr(store, name), (seed, name)
 
 
@@ -1340,9 +1333,8 @@ class TestChainIndex:
                                         for other in all_ctvs))
             for lv in fixture_store.clvs.values()
             for tv in [fixture_store.ctvs[lv.temporal_version]]}
-        assert metadata_units == {
-            unit.owner: [unit.id] for unit in fixture_store.units.values()
-            if unit.aspect is Aspect.METADATA}
+        # The norm's one fact, its publication date.
+        assert metadata_units == {NORM_URN: [metadata_unit_id(NORM_URN, "publication_date")]}
 
     def test_an_uncommitted_store_derives_it_afresh_and_keeps_none(self):
         store = synthcorpus.build_store(synthcorpus.generate_corpus(3))

@@ -29,9 +29,8 @@ class TestDefineTheme:
                            ["urn:test:mini!art1"])
         theme = store.themes[tid]
         assert theme.members == ("urn:test:mini!art1",)
-        unit = store.units[theme.description_unit]
-        assert unit.aspect is Aspect.THEME_DESCRIPTION
-        assert unit.text == "Provisions about taxes."
+        assert theme.description_unit == f"tu:{tid}:desc"
+        assert store.units[theme.description_unit].text == "Provisions about taxes."
 
     def test_empty_member_list_is_valid(self):
         store = fresh_store()
