@@ -18,7 +18,7 @@ _EXPORTS = {
     ], "ingest"),
     **dict.fromkeys([
         "ActionNode", "ActionType", "Aspect", "ComponentType", "LanguageVersion",
-        "TemporalVersion", "TextUnit", "ThemeNode", "WorkKind", "WorkNode", "validate_graph",
+        "TemporalVersion", "TextUnit", "ThemeNode", "WorkNode", "validate_graph",
     ], "model"),
     **dict.fromkeys(["Answer", "QueryPattern", "Strategy", "StructuredQuery", "run"], "planner"),
     **dict.fromkeys([

@@ -249,32 +249,25 @@ def summary_completeness(
 # -- full harness ----------------------------------------------------------------
 
 
+# The metrics a report scores, in the order its table lists them.
+SCORED_METRICS = ("temporal_precision", "temporal_recall", "action_attribution_f1",
+                  "chain_completeness", "summary_completeness")
+
+
 @dataclass
 class EvalReport:
     metrics: dict[str, float | bool | int] = field(default_factory=dict)
     answers: dict[str, Answer] = field(default_factory=dict)
 
     def table(self) -> str:
-        rows = [
-            ("temporal_precision", self.metrics["temporal_precision"]),
-            ("temporal_recall", self.metrics["temporal_recall"]),
-            ("action_attribution_f1", self.metrics["action_attribution_f1"]),
-            ("chain_completeness", self.metrics["chain_completeness"]),
-            ("summary_completeness", self.metrics["summary_completeness"]),
-        ]
-        width = max(len(name) for name, _ in rows)
+        width = max(map(len, SCORED_METRICS))
         lines = [f"{'metric'.ljust(width)}  value", f"{'-' * width}  -----"]
-        for name, value in rows:
-            lines.append(f"{name.ljust(width)}  {value:.3f}")
+        for name in SCORED_METRICS:
+            lines.append(f"{name.ljust(width)}  {self.metrics[name]:.3f}")
         return "\n".join(lines)
 
     def scored_metrics(self) -> list[float]:
-        return [
-            float(self.metrics[name])
-            for name in ("temporal_precision", "temporal_recall",
-                         "action_attribution_f1", "chain_completeness",
-                         "summary_completeness")
-        ]
+        return [float(self.metrics[name]) for name in SCORED_METRICS]
 
 
 def evaluate(store: GraphStore, truth: GroundTruth, clock: date | None = None) -> EvalReport:

@@ -52,7 +52,6 @@ from .model import (
     TEXT_BEARING_TYPES,
     TemporalVersion,
     TextUnit,
-    WorkKind,
     WorkNode,
     ctv_id,
     metadata_tuple,
@@ -71,14 +70,10 @@ FORMAT_VERSION = 1
 
 
 @cache
-def _load_locale(language: str) -> dict:
-    """The locale's templates, read once per language; callers must not mutate them."""
-    # Only English templates ship; every language falls back to them.
-    base = resources.files("normgraph").joinpath("locales")
-    candidate = base.joinpath(f"{language}.json")
-    if not candidate.is_file():
-        candidate = base.joinpath("en.json")
-    return json.loads(candidate.read_text(encoding="utf-8"))
+def _load_locale() -> dict:
+    """The English templates, the one locale that ships, read once; callers must not mutate them."""
+    return json.loads(resources.files("normgraph").joinpath("locales", "en.json")
+                      .read_text(encoding="utf-8"))
 
 
 def _spell_date(d: date, locale: dict) -> str:
@@ -188,6 +183,8 @@ def _parse_component(
     path: str | None,
 ) -> ComponentRecord:
     fragment = json_field(data, "fragment", path)
+    if FRAGMENT_SEP in fragment:
+        raise MalformedInput(f"fragment {fragment!r} holds '!', which ends a norm urn", path)
     if fragment in seen_fragments:
         raise DuplicateFragment(fragment)
     seen_fragments.add(fragment)
@@ -226,7 +223,8 @@ def _parse_component(
 
 
 def _parse_norm_meta(data: dict, path: str | None) -> NormMeta:
-    return NormMeta(
+    """A norm or instrument block; its urn names no component, and its metadata keeps its titles."""
+    norm = NormMeta(
         urn=json_field(data, "urn", path),
         title=json_field(data, "title", path),
         publication_date=_parse_date_field(
@@ -236,6 +234,13 @@ def _parse_norm_meta(data: dict, path: str | None) -> NormMeta:
         aliases=tuple(json_field(data, "aliases", path, list, (), str)),
         metadata=metadata_tuple(json_field(data, "metadata", path, dict, {}, str)),
     )
+    if FRAGMENT_SEP in norm.urn:
+        raise MalformedInput(f"norm urn {norm.urn!r} holds '!', which starts a component fragment",
+                             path)
+    for key, own in (("title", norm.title), ("short_title", norm.short_title)):
+        if dict(norm.metadata).get(key, own) != own:
+            raise MalformedInput(f"metadata {key!r} of {norm.urn!r} overrides its own {key}", path)
+    return norm
 
 
 def _parse_themes(data: dict, path: str | None) -> tuple[ThemeSpec, ...]:
@@ -323,12 +328,16 @@ def parse_event_file(source: str | bytes | dict, path: str | None = None) -> Eve
 def parse_translation_file(source: str | bytes | dict, path: str | None = None) -> TranslationFile:
     data = decode_input(source, path, FORMAT_VERSION)
     at = json_field(data, "at", path, str, None)
+    units = sorted((json_field(u, "fragment", path), json_field(u, "text", path))
+                   for u in json_field(data, "units", path, list, ()))
+    for (fragment, _), (following, _) in zip(units, units[1:]):
+        if fragment == following:
+            raise MalformedInput(f"fragment {fragment!r} is listed twice", path)
     return TranslationFile(
         norm=json_field(data, "norm", path),
         language=json_field(data, "language", path),
         at=_parse_date_field(at, "at", path) if at else None,
-        units=tuple(sorted((json_field(u, "fragment", path), json_field(u, "text", path))
-                           for u in json_field(data, "units", path, list, ()))),
+        units=tuple(units),
         synthetic=json_field(data, "synthetic", path, bool, True),
     )
 
@@ -336,13 +345,13 @@ def parse_translation_file(source: str | bytes | dict, path: str | None = None) 
 # -- metadata and action textualization ---------------------------------------
 
 
-def textualize_metadata(node: WorkNode, language: str = "en") -> list[TextUnit]:
-    """One declarative metadata sentence per informative property of a work, in ``language``.
+def textualize_metadata(node: WorkNode) -> list[TextUnit]:
+    """One declarative metadata sentence per informative property of a work.
 
     Presentation-only keys (label, title, ...) are skipped. Each unit is the
     one the work names for its key (``metadata_unit_id``).
     """
-    locale = _load_locale(language)
+    locale = _load_locale()
     title = node.meta("title") or node.label
     units: list[TextUnit] = []
     for key, value in node.facts:
@@ -367,15 +376,17 @@ def _label_of(store: GraphStore, urn: str) -> str:
     return work.label if work else urn
 
 
-def render_action_text(action: ActionNode, store: GraphStore, language: str = "en") -> str:
-    """Deterministic natural-language summary of a legislative event, in ``language``'s locale.
+def render_action_text(action: ActionNode, store: GraphStore) -> str:
+    """Deterministic natural-language summary of a legislative event.
 
-    An amendment quotes the produced version's primary-language wording,
-    whichever translations the version has, so re-rendering a stored
-    action gives the description ingest stored.
+    The instrument is named by its work's title. An amendment quotes the
+    produced version's primary-language wording, whichever translations
+    the version has, so re-rendering a stored action gives the description
+    ingest stored.
     """
-    locale = _load_locale(language)
-    instrument = action.instrument_title or action.instrument or action.id
+    locale = _load_locale()
+    work = store.works.get(action.instrument)
+    instrument = (work.meta("title") if work else None) or action.instrument or action.id
     target_urn = action.targets[0] if action.targets else ""
     target = _label_of(store, target_urn)
     norm_title = ""
@@ -452,18 +463,12 @@ def _attach_content(store: GraphStore, cid: str, language: str, text: str,
 
 
 def _norm_work(norm: NormMeta, **facts: str) -> WorkNode:
-    """The work of a norm: its titles and ``facts``, overridden by its own metadata."""
+    """The work of a norm: its titles, and ``facts`` overridden by its own metadata."""
     meta = {**facts, "title": norm.title}
     if norm.short_title:
         meta["short_title"] = norm.short_title
     meta.update(norm.metadata)
-    return WorkNode(
-        urn=norm.urn,
-        aliases=norm.aliases,
-        kind=WorkKind.NORM,
-        component_type=ComponentType.OTHER,
-        metadata=metadata_tuple(meta),
-    )
+    return WorkNode(norm.urn, norm.aliases, metadata=metadata_tuple(meta))
 
 
 # What _record_action attaches to the version its action opens of a work:
@@ -482,7 +487,6 @@ def _build_subtree(store: GraphStore, record: ComponentRecord, parent_urn: str, 
     store.add_work(WorkNode(
         urn=urn,
         aliases=record.aliases,
-        kind=WorkKind.COMPONENT,
         component_type=record.component_type,
         parent=parent_urn,
         ordinal=ordinal,
@@ -538,8 +542,6 @@ def enact(store: GraphStore, doc: SourceDocument) -> str:
         produces=tuple(produced),
         targets=(norm.urn,),
         instrument=norm.urn,
-        instrument_title=norm.title,
-        instrument_short=norm.short_title,
     ), wordings)
     for unit in textualize_metadata(store.works[norm.urn]):
         store.add_unit(unit)
@@ -570,15 +572,9 @@ def _ensure_instrument_works(
     source_urn = f"{instrument.urn}{FRAGMENT_SEP}{source_fragment}"
     if source_urn not in store.works:
         meta = {"label": source_label} if source_label else {}
-        store.add_work(WorkNode(
-            urn=source_urn,
-            aliases=(),
-            kind=WorkKind.COMPONENT,
-            component_type=ComponentType.OTHER,
-            parent=instrument.urn,
-            ordinal=len(store.children.get(instrument.urn, ())),
-            metadata=metadata_tuple(meta),
-        ))
+        store.add_work(WorkNode(source_urn, (), parent=instrument.urn,
+                                ordinal=len(store.children.get(instrument.urn, ())),
+                                metadata=metadata_tuple(meta)))
     return source_urn
 
 
@@ -640,11 +636,17 @@ def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str
             f"duplicate event: {instrument.short_title or instrument.title} "
             f"already acts on {ev.target!r} effective {effective.isoformat()}"
         )
+    # The titles its work holds label the instrument's actions.
+    work = store.works.get(instrument.urn)
+    held = work and (work.meta("title"), work.meta("short_title"))
+    if held and held != (instrument.title, instrument.short_title or None):
+        raise MalformedInput(f"instrument {instrument.urn!r} is titled otherwise than its work "
+                             f"({held[0]!r}, short title {held[1]!r})", ev.path)
     current = _open_version(store, ev.target, effective)
     records: list[ComponentRecord] = []
     if ev.new_components:
         # An insertion may join a target version opened earlier that day.
-        parent_type = None if target.kind is WorkKind.NORM else target.component_type
+        parent_type = None if target.parent is None else target.component_type
         seen: set[str] = set()
         records = [_parse_component(raw, i, parent_type, seen, ev.path)
                    for i, raw in enumerate(ev.new_components)]
@@ -697,8 +699,6 @@ def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str
         targets=targets,
         effect=ev.effect,
         instrument=instrument.urn,
-        instrument_title=instrument.title,
-        instrument_short=instrument.short_title,
     ), wordings)
 
 

@@ -17,6 +17,10 @@ language are not stored on it: the node that names it fixes them, as a
 CLV's content unit, an action's or theme's description unit (each id
 derived from the node's), or a work's metadata unit for one fact.
 
+Nor does a node repeat what another fixes: a work is a norm exactly when
+it has no parent, an action is labelled by its instrument work's titles
+(``GraphStore.action_labels``), and a theme's id is ``theme_id_for(label)``.
+
 :func:`validate_graph` checks each invariant by one rule: the ids nodes
 hold, the work tree, the actions' shapes and targets, and that every
 metadata fact has its unit and every unit is one a node names. Which
@@ -44,11 +48,6 @@ FRAGMENT_SEP = "!"
 VERSION_SEP = "@"
 
 _ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII).fullmatch
-
-
-class WorkKind(str, Enum):
-    NORM = "norm"
-    COMPONENT = "component"
 
 
 class ComponentType(str, Enum):
@@ -112,11 +111,10 @@ def urn_norm(urn: str) -> str:
 
 @dataclass(frozen=True)
 class WorkNode:
-    """Abstract identity of a norm or one of its hierarchical components, named by its urn."""
+    """Identity of a norm (a work with no parent) or of one of its components, named by its urn."""
 
     urn: str
     aliases: tuple[str, ...]
-    kind: WorkKind
     component_type: ComponentType = ComponentType.OTHER
     parent: str | None = None
     ordinal: int = 0
@@ -175,6 +173,11 @@ def clv_id(temporal_version: str, language: str) -> str:
 
 def metadata_unit_id(work_urn: str, key: str) -> str:
     return f"tu:{work_urn}:meta:{key}"
+
+
+def theme_id_for(label: str) -> str:
+    slug = re.sub(r"[^a-z0-9]+", "-", label.casefold()).strip("-")
+    return f"theme:{slug or 'unnamed'}"
 
 
 @dataclass(frozen=True)
@@ -242,7 +245,8 @@ class ActionNode:
     the directly amended/repealed/enacted works, each one the action
     produces or terminates; it is what impact grouping and attribution
     metrics key on. ``description_unit`` is derived, ``tu:<id>:desc``, and
-    cannot be passed in.
+    cannot be passed in. ``instrument`` names the work of the enacting or
+    amending norm, whose titles label the action (``GraphStore.action_labels``).
     """
 
     id: str
@@ -256,15 +260,9 @@ class ActionNode:
     targets: tuple[str, ...] = ()
     effect: str | None = None
     instrument: str | None = None
-    instrument_title: str | None = None
-    instrument_short: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "description_unit", f"tu:{self.id}:desc")
-
-    @property
-    def short_label(self) -> str:
-        return self.instrument_short or self.instrument_title or self.id
 
 
 @dataclass(frozen=True)
@@ -294,16 +292,19 @@ class TextUnit:
 class ThemeNode:
     """Curated cross-document community of works.
 
-    ``description_unit`` is derived, ``tu:<id>:desc``, and cannot be passed in.
+    ``id`` (``theme_id_for(label)``) and ``description_unit`` (``tu:<id>:desc``)
+    are derived and cannot be passed in.
     """
 
-    id: str
+    id: str = field(init=False)
     label: str
     description_unit: str = field(init=False)
     members: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "description_unit", f"tu:{self.id}:desc")
+        theme_id = theme_id_for(self.label)
+        object.__setattr__(self, "id", theme_id)
+        object.__setattr__(self, "description_unit", f"tu:{theme_id}:desc")
 
 
 @dataclass(frozen=True)
@@ -328,6 +329,7 @@ _REFERENCES = (
     ("actions", "produces", "works", True),
     ("actions", "targets", "works", True),
     ("actions", "description_unit", "units", False),
+    ("actions", "instrument", "works", False),
     ("clvs", "temporal_version", "ctvs", False),
     ("clvs", "text_unit", "units", False),
     ("themes", "description_unit", "units", False),
@@ -349,12 +351,9 @@ def _check_references(graph: "GraphStore", out: list[Violation]) -> None:
 def _check_work_tree(graph: "GraphStore", out: list[Violation]) -> None:
     works = graph.works
     for urn, work in works.items():
-        if work.kind is WorkKind.NORM:
-            if work.parent is not None:
-                out.append(Violation("UrnFormat", "norm work has a parent", (urn,)))
-            continue
         if work.parent is None:
-            out.append(Violation("UrnFormat", "component work has no parent", (urn,)))
+            if FRAGMENT_SEP in urn:
+                out.append(Violation("UrnFormat", "a parentless work's urn holds '!'", (urn,)))
             continue
         parent = works.get(work.parent)
         if parent is None:

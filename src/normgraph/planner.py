@@ -373,7 +373,7 @@ def run_impact_analysis(store: GraphStore, q: StructuredQuery) -> Answer:
             })
     impact_dates = sorted({action.effective_date.isoformat() for action, _ in matched})
 
-    label = _entry_label(store, q)
+    label, labels = _entry_label(store, q), store.action_labels
     lines = [f"Impact summary for {label} [{window[0].isoformat()} .. {window[1].isoformat()}]:"]
     groups = sorted(by_target)
     if not groups:
@@ -389,7 +389,7 @@ def run_impact_analysis(store: GraphStore, q: StructuredQuery) -> Answer:
             inner = "'--" if ai == len(group_actions) - 1 else "+--"
             effect = action.effect or action.action_type.value
             lines.append(
-                f"{stem}{inner} {action.short_label} "
+                f"{stem}{inner} {labels[action.id]} "
                 f"(effective {action.effective_date.isoformat()}): {effect}"
             )
     lines.append(
@@ -431,7 +431,7 @@ def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
         raise TermNotFound(term, q.entry)
 
     works, actions, produced_by = store.works, store.actions, store.produced_by
-    version_chains = store.chain_index.chains
+    version_chains, labels = store.chain_index.chains, store.action_labels
     days = _IsoDays()
     absent = f' (no mention of "{term}")'
     enacted = f'  Effect: Enacted with the term "{term}"'
@@ -444,7 +444,7 @@ def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
     for i, (work, post_ctv, position, _) in enumerate(introductions, start=1):
         cids, starts, ends, wordings, primary = version_chains[work]
         causal = actions[produced_by[post_ctv]]
-        causal_label, causal_day = causal.short_label, days[causal.effective_date]
+        causal_label, causal_day = labels[causal.id], days[causal.effective_date]
         if numbered:
             lines.append(f"--- occurrence {i}: {works[work].label} ---")
         if position == 0:
@@ -453,7 +453,7 @@ def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
         else:
             pre_ctv = cids[position - 1]
             pre = actions[produced_by[pre_ctv]]
-            pre_label = pre.short_label
+            pre_label = labels[pre.id]
             lines.append(f"Pre-state: valid until {days[ends[position - 1] - _ONE_DAY]}{absent}\n"
                          f"  Last change by: {pre_label}. Source CTV: {pre_ctv}")
             pre_wording = pick_wording(wordings[position - 1], primary, language, fallback)

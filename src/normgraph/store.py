@@ -1,6 +1,6 @@
 """Indexed in-memory graph container and its on-disk snapshot format.
 
-Snapshots are newline-delimited JSON, format version 9, and hold only
+Snapshots are newline-delimited JSON, format version 10, and hold only
 nodes, stored by column. The first line is the meta header: the format
 version, each record kind's column order and each kind's row count. Then
 comes one line per kind, in _KINDS order and empty kinds included:
@@ -16,10 +16,12 @@ with a hint to re-run ``normgraph ingest``.
 A kind's columns are its node class's fields, in the order the class
 takes them, so load builds each node from one value per column. Values
 the nodes derive are not stored: the model builds a CLV's id and text
-unit and an action's and a theme's description unit from the other fields
-(see model.py), so a snapshot cannot hold a foreign one. A unit stores
-only its id, text and synthetic flag: its aspect, owner and language are
-those of the node that names it. Nor are the temporal versions:
+unit, an action's description unit, and a theme's id and description unit
+from the other fields (see model.py), so a snapshot cannot hold a foreign
+one. A unit stores only its id, text and synthetic flag: its aspect, owner
+and language are those of the node that names it. A work stores no kind:
+it is a norm exactly when its parent is null. An action stores no titles:
+its instrument's work holds them. Nor are the temporal versions:
 ``GraphStore.replay`` builds them from the actions, which name the works
 they terminate and produce. Nor is which child versions a version
 aggregates: that is a function of the work tree and the chains, derived
@@ -55,7 +57,10 @@ way for a committed store and a loaded one:
   every work's subtree is one contiguous slice; each work's actions (those
   that target, terminate or produce it), ascending by
   (effective date, id), with a parallel array of their effective dates;
-  and the corpus's sorted distinct action dates.
+  and the corpus's sorted distinct action dates;
+- the action labels (``GraphStore.action_labels``) that answers name
+  actions by: each action's instrument work's short title, else its
+  title, else the action's id.
 
 An uncommitted store, whose nodes may still change, derives each of them
 afresh on each read and keeps none. Each unit's embedding is derived on
@@ -91,7 +96,6 @@ from .model import (
     TemporalVersion,
     TextUnit,
     ThemeNode,
-    WorkKind,
     WorkNode,
     metadata_tuple,
     metadata_unit_id,
@@ -99,7 +103,7 @@ from .model import (
     validate_graph,
 )
 
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 
 _W = TypeVar("_W")
 
@@ -214,6 +218,7 @@ class GraphStore:
     _time_index: _TimeIndex | None = field(default=None, compare=False, repr=False)
     _aggregation: dict[str, tuple[TemporalVersion, ...]] | None = field(
         default=None, compare=False, repr=False)
+    _action_labels: dict[str, str] | None = field(default=None, compare=False, repr=False)
     clvs_by_ctv: dict[str, dict[str, str]] = field(default_factory=dict, compare=False)
     alias_index: dict[str, set[str]] = field(default_factory=dict, compare=False)
     # alias.casefold() -> urns, for the case-insensitive alias lookup.
@@ -393,6 +398,11 @@ class GraphStore:
         """The aggregation index (see the module docstring), derived on its first read."""
         return self._derived("_aggregation", self._derive_aggregation)
 
+    @property
+    def action_labels(self) -> dict[str, str]:
+        """The action labels (see the module docstring), derived on their first read."""
+        return self._derived("_action_labels", self._derive_action_labels)
+
     def _derived(self, slot: str, derive: Callable[[], _W]) -> _W:
         """The index kept in ``slot``, derived once, on a committed store's first read.
 
@@ -481,6 +491,14 @@ class GraphStore:
                 if held := tuple(filter(None, slots)):
                     aggregation[cid] = held
         return aggregation
+
+    def _derive_action_labels(self) -> dict[str, str]:
+        labels: dict[str, str] = {}
+        for action_id, action in self.actions.items():
+            work = self.works.get(action.instrument)
+            meta = dict(work.metadata) if work else {}
+            labels[action_id] = meta.get("short_title") or meta.get("title") or action_id
+        return labels
 
     def _derive_time_index(self) -> _TimeIndex:
         """Lifetimes of the chained works in preorder, each subtree's slice, and action dates."""
@@ -676,7 +694,6 @@ _KINDS = {
         "works", WorkNode,
         _Column("id", _STR, attr="urn"),
         _Column("aliases", _STRS),
-        _Column("work_kind", _enum(WorkKind), attr="kind"),
         _Column("component_type", _enum(ComponentType)),
         _Column("parent", _OPTIONAL_STR),
         _Column("ordinal", _INT),
@@ -695,8 +712,6 @@ _KINDS = {
         _Column("targets", _STRS),
         _Column("effect", _OPTIONAL_STR),
         _Column("instrument", _OPTIONAL_STR),
-        _Column("instrument_title", _OPTIONAL_STR),
-        _Column("instrument_short", _OPTIONAL_STR),
     ),
     "clv": _Kind(
         "clvs", LanguageVersion,
@@ -705,7 +720,6 @@ _KINDS = {
     ),
     "theme": _Kind(
         "themes", ThemeNode,
-        _Column("id", _STR),
         _Column("label", _STR),
         _Column("members", _STRS),
     ),

@@ -2,34 +2,25 @@
 
 from __future__ import annotations
 
-import re
 from datetime import date
 
 from .errors import DuplicateLabel, UnknownMember, UnknownTheme
 from .model import TextUnit, ThemeNode
 from .store import GraphStore
 
-THEME_PREFIX = "theme:"
-
-
-def theme_id_for(label: str) -> str:
-    slug = re.sub(r"[^a-z0-9]+", "-", label.casefold()).strip("-")
-    return f"{THEME_PREFIX}{slug or 'unnamed'}"
-
 
 def define_theme(store: GraphStore, label: str, description: str,
                  members: list[str]) -> str:
-    """Create a theme node with an embedded description unit."""
-    theme_id = theme_id_for(label)
-    if theme_id in store.themes or any(t.label == label for t in store.themes.values()):
+    """Create a theme node with an embedded description unit; its id derives from ``label``."""
+    theme = ThemeNode(label=label, members=tuple(members))
+    if theme.id in store.themes:
         raise DuplicateLabel(label)
     for member in members:
         if member not in store.works:
             raise UnknownMember(member)
-    theme = ThemeNode(id=theme_id, label=label, members=tuple(members))
     store.add_unit(TextUnit(id=theme.description_unit, text=description))
     store.add_theme(theme)
-    return theme_id
+    return theme.id
 
 
 def theme_scope(store: GraphStore, theme: str, t: date, policy,

@@ -60,7 +60,7 @@ class TestIngestCommand:
             self, corpus_dir, tmp_path, capsys, monkeypatch):
         from normgraph import ingest
 
-        monkeypatch.setattr(ingest, "textualize_metadata", lambda node, language="en": [])
+        monkeypatch.setattr(ingest, "textualize_metadata", lambda node: [])
         out = tmp_path / "x.ndjson"
         assert main(["ingest", str(corpus_dir), "--out", str(out)]) == 3
         assert "violation: MissingMetadataUnit: metadata key 'publication_date'" in (
@@ -177,6 +177,75 @@ class TestMalformedFiles:
                      "--report", str(report)]) == 3
         assert capsys.readouterr().err.startswith(f"data error: MalformedInput: {truth}: ")
         assert not report.exists()
+
+
+_CA26 = "urn:lex:br:federal:emenda.constitucional:2000-02-14;26"
+
+
+def _insert_under_art7_caput(fragment: str):
+    """CA 72/2013 inserting one item, named ``fragment``, under Art. 7's caput."""
+    def edit(data: dict) -> dict:
+        event = data["events"][0]
+        del event["new_text"]
+        event.pop("synthetic", None)
+        event["new_components"] = [{"fragment": fragment, "type": "item",
+                                    "text": "Domestic workers have the right to rest."}]
+        return data
+    return edit
+
+
+def _set_norm(block: str, **values):
+    """Set members of a file's norm or instrument block."""
+    def edit(data: dict) -> dict:
+        data[block].update(values)
+        return data
+    return edit
+
+
+class TestIngestRejections:
+    """Input that would ingest a graph the snapshot rules refuse, or render
+    another label than its own blocks give, is rejected at ingest."""
+
+    @pytest.mark.parametrize("name, edit, reason", [
+        pytest.param("constitution_1988.satdoc.json",
+                     _set_norm("norm", urn="urn:lex:br:federal:constituicao:1988-10-05;1988!x"),
+                     "norm urn 'urn:lex:br:federal:constituicao:1988-10-05;1988!x' holds '!'",
+                     id="document-urn"),
+        pytest.param("constitution_1988.satdoc.json",
+                     lambda data: {**data, "body": [{**data["body"][0], "fragment": "tit!2"}]},
+                     "fragment 'tit!2' holds '!'", id="document-fragment"),
+        pytest.param("ca_26_2000.satev.json", _set_norm("instrument", urn=f"{_CA26}!art1"),
+                     f"norm urn '{_CA26}!art1' holds '!'", id="instrument-urn"),
+        pytest.param("ca_72_2013.satev.json", _insert_under_art7_caput("art7!item2"),
+                     "fragment 'art7!item2' holds '!'", id="new-components-fragment"),
+        pytest.param("art6_original_en.satlang.json",
+                     lambda data: {**data, "units": [*data["units"], *data["units"],
+                                                      {"fragment": "art6_cpt",
+                                                       "text": "ZZZ other text"}]},
+                     "fragment 'art6_cpt' is listed twice", id="translation-repeated-fragment"),
+        pytest.param("constitution_1988.satdoc.json",
+                     _set_norm("norm", metadata={"title": "The Constitution"}),
+                     "metadata 'title' of 'urn:lex:br:federal:constituicao:1988-10-05;1988' "
+                     "overrides its own title", id="metadata-title"),
+        pytest.param("ca_26_2000.satev.json", _set_norm("instrument", metadata={"short_title": "EC 26"}),
+                     f"metadata 'short_title' of '{_CA26}' overrides its own short_title",
+                     id="metadata-short-title"),
+        # CA 64/2010 under CA 26/2000's urn, which CA 26/2000's stub already titles.
+        pytest.param("ca_64_2010.satev.json", _set_norm("instrument", urn=_CA26),
+                     f"instrument '{_CA26}' is titled otherwise than its work "
+                     "('Constitutional Amendment no. 26, of February 14, 2000', "
+                     "short title 'CA 26/2000')", id="instrument-titled-otherwise"),
+    ])
+    def test_it_exits_3_naming_the_file_and_writes_no_snapshot(
+            self, tmp_path, capsys, name, edit, reason):
+        corpus = tmp_path / "corpus"
+        assert main(["fixture", "--out", str(corpus)]) == 0
+        _edit_json(corpus / name, edit)
+        out = tmp_path / "x.ndjson"
+        assert main(["ingest", str(corpus), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"data error: MalformedInput: {corpus / name}: {reason}")
+        assert not out.exists()
 
 
 class TestQueryValues:
@@ -446,7 +515,7 @@ class TestMoreEdges:
                    "metadata": {}, "ordinal": 0, "parent": None, "work_kind": "norm"}
     _V3_WORK = {"kind": "work", "row": ["urn:n", [], "norm", "other", None, 0, {}]}
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9])
     def test_query_on_an_older_snapshot_exits_3_and_asks_for_a_reingest(
             self, snapshot_file, tmp_path, capsys, version):
         # Versions 1 and 2 sort keys and key records by name; version 3 has
@@ -455,15 +524,21 @@ class TestMoreEdges:
         # one node's row per line; versions 4 to 7 store a ctv record, and
         # versions 4 to 6 each CTV's aggregates in it; versions 4 to 8 store
         # each theme's description unit and each unit's aspect, owner and
-        # language.
+        # language; versions 4 to 9 store each work's kind, each action's
+        # instrument titles and each theme's id.
         header = {"kind": "meta", "format_version": version,
                   "embedding": {"dimension": 256, "name": "hashed_tfidf"},
                   "idf": {"avgdl": 1.0, "df": {"food": 1}, "n_units": 1}}
         if version >= 4:
             header = json.loads(snapshot_file.read_text(encoding="utf-8").splitlines()[0])
             header["format_version"] = version
-            header["columns"]["theme"] = ["id", "label", "description_unit", "members"]
-            header["columns"]["unit"] = ["id", "aspect", "owner", "language", "text", "synthetic"]
+            header["columns"]["work"].insert(2, "work_kind")
+            header["columns"]["action"] += ["instrument_title", "instrument_short"]
+            header["columns"]["theme"] = ["id", "label", "members"]
+            if version < 9:
+                header["columns"]["theme"].insert(2, "description_unit")
+                header["columns"]["unit"] = ["id", "aspect", "owner", "language", "text",
+                                             "synthetic"]
             if version < 8:
                 header["columns"]["ctv"] = ["work", "valid_start", "valid_end"]
                 header["rows"]["ctv"] = 29
@@ -478,7 +553,7 @@ class TestMoreEdges:
                      "--at", "2011-01-01"])
         assert code == 3
         err = capsys.readouterr().err
-        assert f":1: unsupported format_version {version} (this version reads 9)" in err
+        assert f":1: unsupported format_version {version} (this version reads 10)" in err
         assert "re-run `normgraph ingest`" in err
 
     def test_query_on_a_snapshot_without_its_header_exits_3(

@@ -5,7 +5,7 @@ from datetime import date
 from importlib import resources
 
 from normgraph.cli import main
-from normgraph.model import ActionType, WorkKind, validate_graph
+from normgraph.model import ActionType, validate_graph
 from normgraph.store import pick_wording
 
 from reference_ids import ART6_CPT, ART7_CPT, NORM_URN, RIGHTS_1999
@@ -42,7 +42,7 @@ def test_fixture_graph_validates_clean(fixture_store):
 def test_exactly_one_enacted_norm(fixture_store):
     enacted = [
         w.urn for w in fixture_store.works.values()
-        if w.kind is WorkKind.NORM and fixture_store.versions.get(w.urn)
+        if w.parent is None and fixture_store.versions.get(w.urn)
     ]
     assert enacted == [NORM_URN]
 

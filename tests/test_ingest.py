@@ -33,7 +33,7 @@ from normgraph.ingest import (
     textualize_metadata,
 )
 from normgraph.model import (
-    ComponentType, TemporalVersion, WorkKind, WorkNode, metadata_tuple,
+    ComponentType, TemporalVersion, WorkNode, metadata_tuple,
     metadata_unit_id, validate_graph)
 from normgraph.store import GraphStore, pick_wording, save
 
@@ -418,7 +418,7 @@ class TestApplyEvent:
 
     def test_instrument_stub_works_created(self, fixture_store):
         instrument = "urn:lex:br:federal:emenda.constitucional:2000-02-14;26"
-        assert fixture_store.works[instrument].kind is WorkKind.NORM
+        assert fixture_store.works[instrument].parent is None
         assert f"{instrument}!art1_cpt" in fixture_store.works
 
 
@@ -506,7 +506,6 @@ class TestTextualizeMetadata:
         node = WorkNode(
             urn="urn:test:1967",
             aliases=(),
-            kind=WorkKind.NORM,
             metadata=metadata_tuple({
                 "title": "The 1967 Constitution of Brazil",
                 "succeeds": "the 1946 Constitution of the United States of Brazil",
@@ -525,7 +524,7 @@ class TestTextualizeMetadata:
                                          for key, _ in work.facts}
 
     def test_empty_metadata_yields_nothing(self):
-        node = WorkNode(urn="urn:test:bare", aliases=(), kind=WorkKind.NORM)
+        node = WorkNode(urn="urn:test:bare", aliases=())
         assert textualize_metadata(node) == []
 
     def test_an_instrument_stub_textualizes_the_facts_it_keeps(self):
@@ -729,6 +728,14 @@ def _insert_the_events_own_source_provision(store):
     return lambda: apply_file(store, file_dict)
 
 
+def _retitle_an_instrument(store):
+    apply_file(store, amendment_file("urn:test:mini!art1_cpt", "2003-06-01", "Amended."))
+    file_dict = amendment_file("urn:test:mini!art2_cpt", "2004-06-01", "Amended.")
+    # The first act's urn, which its stub already titles "AA 2003".
+    file_dict["instrument"]["urn"] = "urn:test:act:2003-06-01"
+    return lambda: apply_file(store, file_dict)
+
+
 def _translate_an_unknown_fragment(store):
     return lambda: add_language(store, "urn:test:mini", {"art1_cpt": "ola", "zz": "x"}, "pt")
 
@@ -749,6 +756,7 @@ def _translate_twice(store):
                  id="enact-taken-short-title"),
     pytest.param(_insert_the_events_own_source_provision, MalformedInput,
                  id="insert-own-source-provision"),
+    pytest.param(_retitle_an_instrument, MalformedInput, id="instrument-titled-otherwise"),
     pytest.param(_translate_an_unknown_fragment, UnknownWork, id="translate-unknown-fragment"),
     pytest.param(_translate_twice, TranslationConflict, id="translate-conflict"),
 ])
@@ -767,9 +775,9 @@ def _node_rows_digest(path: Path) -> str:
     """SHA-256 of a snapshot's node rows, each encoded as its format version 5 line.
 
     The meta header is left out; every byte of every row counts. The pins
-    below were retaken when version 9 dropped each unit's aspect, owner and
-    language and each theme's description unit; each equals the digest of
-    its version 8 rows cut to the columns version 9 keeps.
+    below were retaken when version 10 dropped each work's kind, each
+    action's instrument titles and each theme's id; each equals the digest
+    of its version 9 rows cut to the columns version 10 keeps.
     """
     return hashlib.sha256("".join(v5_node_lines(path)).encode("utf-8")).hexdigest()
 
@@ -777,9 +785,9 @@ def _node_rows_digest(path: Path) -> str:
 # Together these seeds hold insertions of an article with its caput,
 # repeals and same-day events, none of which the golden fixture pins.
 @pytest.mark.parametrize("seed, expected", [
-    (1, "4a61a6490a8dc33d6ed0b2f292dce3f438537a6ad4ab5fbe7a177fca76d1cc08"),
-    (9, "09e27558c42bbff804b1c1659f64d1a2d9bdf9a9ae1df7d4eee3b292874889dc"),
-    (18, "0311b0b7665e7f6b17e0b3ec31c6ae7975213b9f60119c3b2bc109ddfa50661c"),
+    (1, "d1a4b9818c773fdd0b268828b05e59163e4ba04d0ca979f3d73560c8bce0c8a0"),
+    (9, "dcefba1680463f9629a408fb5f25975328de85cdc62b81d1c63595abd8e90443"),
+    (18, "2cf3a5308636b49bec8db855e3943ea5a578512cac2f8b5e3ee55d5da3625d65"),
 ])
 def test_synthetic_snapshots_are_pinned(seed, expected, tmp_path):
     store = build_store(generate_corpus(seed))
@@ -788,8 +796,8 @@ def test_synthetic_snapshots_are_pinned(seed, expected, tmp_path):
     assert _node_rows_digest(tmp_path / "s.ndjson") == expected
 
 
-def test_the_golden_snapshot_holds_the_rows_of_its_version_9_save():
+def test_the_golden_snapshot_holds_the_rows_of_its_version_10_save():
     # The digest of the node lines of tests/data/golden_fixture.ndjson as
-    # format version 9 wrote it.
+    # format version 10 wrote it.
     assert _node_rows_digest(DATA / "golden_fixture.ndjson") == (
-        "fb96cd6be131eb4b69f23c63c896f2143c8528efd98260a7d4202d31b4b0e674")
+        "4434a2421941b3eec398f183f6832d8b6fbc82c997143366a9b7d7c656162454")

@@ -15,13 +15,13 @@ from normgraph.model import (
     TemporalVersion,
     TextUnit,
     ThemeNode,
-    WorkKind,
     WorkNode,
     clv_id,
     ctv_id,
     metadata_tuple,
     metadata_unit_id,
     parse_iso_date,
+    theme_id_for,
     urn_fragment,
     urn_norm,
     validate_graph,
@@ -94,22 +94,22 @@ class TestTemporalVersionConstruction:
 
 class TestWorkNodeUrn:
     def test_fragment_and_norm_urn(self):
-        work = WorkNode("urn:lex:x;1988!art6_cpt", (), WorkKind.COMPONENT)
+        work = WorkNode("urn:lex:x;1988!art6_cpt", ())
         assert work.fragment == urn_fragment(work.urn) == "art6_cpt"
         assert work.norm_urn == urn_norm(work.urn) == "urn:lex:x;1988"
 
     def test_norm_level_urn_has_no_fragment(self):
-        work = WorkNode("urn:lex:x;1988", (), WorkKind.NORM)
+        work = WorkNode("urn:lex:x;1988", ())
         assert work.fragment is urn_fragment(work.urn) is None
         assert work.norm_urn == "urn:lex:x;1988"
 
     def test_empty_urn_rejected(self):
         with pytest.raises(ValueError, match="work urn must be non-empty"):
-            WorkNode("", (), WorkKind.NORM)
+            WorkNode("", ())
 
     def test_aliases_are_part_of_a_works_equality(self):
-        assert WorkNode("urn:x", ("A",), WorkKind.NORM) != WorkNode("urn:x", ("B",), WorkKind.NORM)
-        assert WorkNode("urn:x", ("A",), WorkKind.NORM) == WorkNode("urn:x", ("A",), WorkKind.NORM)
+        assert WorkNode("urn:x", ("A",)) != WorkNode("urn:x", ("B",))
+        assert WorkNode("urn:x", ("A",)) == WorkNode("urn:x", ("A",))
 
 
 class TestDerivedFields:
@@ -118,13 +118,14 @@ class TestDerivedFields:
     TV = ctv("urn:x", "2000-01-01")
     LV = LanguageVersion("urn:x@2000-01-01", "pt")
     ACTION = ActionNode("act:x", ActionType.ENACTMENT, date(2000, 1, 1), date(2000, 1, 1))
-    THEME = ThemeNode("theme:x", "X", ("urn:x",))
+    THEME = ThemeNode("X", ("urn:x",))
 
     def test_each_node_derives_its_fields(self):
         assert self.TV.id == ctv_id("urn:x", date(2000, 1, 1)) == "urn:x@2000-01-01"
         assert self.LV.id == clv_id("urn:x@2000-01-01", "pt")
         assert self.LV.text_unit == f"tu:{self.LV.id}"
         assert self.ACTION.description_unit == "tu:act:x:desc"
+        assert self.THEME.id == theme_id_for("X") == "theme:x"
         assert self.THEME.description_unit == "tu:theme:x:desc"
 
     @pytest.mark.parametrize("build", [
@@ -138,7 +139,8 @@ class TestDerivedFields:
         pytest.param(lambda: ActionNode("act:x", ActionType.ENACTMENT, date(2000, 1, 1),
                                         date(2000, 1, 1), description_unit=""),
                      id="action-description_unit"),
-        pytest.param(lambda: ThemeNode("theme:x", "X", description_unit="tu:other"),
+        pytest.param(lambda: ThemeNode(id="theme:y", label="X"), id="theme-id"),
+        pytest.param(lambda: ThemeNode("X", description_unit="tu:other"),
                      id="theme-description_unit"),
     ])
     def test_a_constructor_takes_no_derived_field(self, build):
@@ -150,6 +152,7 @@ class TestDerivedFields:
         pytest.param(LV, {"id": "other"}, id="clv-id"),
         pytest.param(LV, {"text_unit": "tu:other"}, id="clv-text_unit"),
         pytest.param(ACTION, {"description_unit": ""}, id="action-description_unit"),
+        pytest.param(THEME, {"id": "theme:y"}, id="theme-id"),
         pytest.param(THEME, {"description_unit": ""}, id="theme-description_unit"),
     ])
     def test_replace_takes_no_derived_field(self, node, change):
@@ -160,15 +163,15 @@ class TestDerivedFields:
         assert replace(self.TV, valid_start=date(2001, 1, 1)).id == "urn:x@2001-01-01"
         assert replace(self.LV, language="en").text_unit == "tu:urn:x@2000-01-01#en"
         assert replace(self.ACTION, id="act:y").description_unit == "tu:act:y:desc"
-        assert replace(self.THEME, id="theme:y").description_unit == "tu:theme:y:desc"
+        assert replace(self.THEME, label="Y").id == "theme:y"
+        assert replace(self.THEME, label="Y").description_unit == "tu:theme:y:desc"
 
 
 def _two_version_store() -> GraphStore:
     """Minimal store: one norm work, enacted 2000-01-01 and amended 2000-06-15."""
     store = GraphStore()
     urn = "urn:test:n"
-    store.add_work(WorkNode(urn=urn, aliases=(), kind=WorkKind.NORM,
-                            component_type=ComponentType.OTHER))
+    store.add_work(WorkNode(urn=urn, aliases=(), component_type=ComponentType.OTHER))
     enacted, amended = date(2000, 1, 1), date(2000, 6, 15)
     store.replay([
         ActionNode(id="act:e", action_type=ActionType.ENACTMENT, enactment_date=enacted,
@@ -182,6 +185,13 @@ def _two_version_store() -> GraphStore:
 class TestValidateGraph:
     def test_fixture_graph_is_clean(self, fixture_store):
         assert validate_graph(fixture_store) == []
+
+    def test_a_parentless_work_is_a_norm_whose_urn_holds_no_fragment(self):
+        store = GraphStore()
+        store.add_work(WorkNode("urn:n", ()))
+        store.add_work(WorkNode("urn:n!art1", ()))
+        assert [str(v) for v in validate_graph(store)] == [
+            "UrnFormat: a parentless work's urn holds '!' [urn:n!art1]"]
 
     def test_a_metadata_unit_must_belong_to_a_work(self):
         store = _two_version_store()

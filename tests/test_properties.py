@@ -478,6 +478,12 @@ def _reference_provenance(store: GraphStore, term: str, target: str | None,
         return next(a for a in store.actions.values()
                     if tv.work in a.produces and a.effective_date == tv.valid_start)
 
+    def label(action) -> str:
+        """The short title, else the title, of the instrument's work, else the action's id."""
+        work = store.works.get(action.instrument)
+        meta = dict(work.metadata) if work else {}
+        return meta.get("short_title") or meta.get("title") or action.id
+
     entry = store.works[target].label if target else "corpus"
     lines = [f'Provenance report: "{term}" in {entry}']
     citations, actions, chains = [], [], []
@@ -496,18 +502,18 @@ def _reference_provenance(store: GraphStore, term: str, target: str | None,
             pre_producer = producer(pre.id)
             lines.append(f"Pre-state: valid until {(pre.valid_end - timedelta(days=1)).isoformat()} "
                          f'(no mention of "{term}")')
-            lines.append(f"  Last change by: {pre_producer.short_label}. Source CTV: {pre.id}")
+            lines.append(f"  Last change by: {label(pre_producer)}. Source CTV: {pre.id}")
             pre_clv = _rule(store, pre.id, language, fallback)
             if pre_clv is not None:
                 citations.append({"work": span.work, "ctv": pre.id, "clv": pre_clv})
             effect, chain = "Inserted", [pre_producer, causal]
         lines += [
-            f"Causal event: {causal.short_label} (effective {causal.effective_date.isoformat()})",
+            f"Causal event: {label(causal)} (effective {causal.effective_date.isoformat()})",
             f'  Effect: {effect} the term "{term}"',
             f"Post-state: valid from {post.valid_start.isoformat()}",
             f"  Source CTV: {post.id}",
             "Audit trail:",
-            "  Causal chain: " + " -> ".join(f"[{a.short_label}]" for a in chain),
+            "  Causal chain: " + " -> ".join(f"[{label(a)}]" for a in chain),
             "  Match confidence: Exact (1.0)",
         ]
         citations.append({"work": span.work, "ctv": post.id,

@@ -11,7 +11,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import replace
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -26,11 +26,11 @@ from normgraph.model import (
     EMBEDDING_DIMENSION,
     LanguageVersion,
     TemporalVersion,
-    WorkKind,
     WorkNode,
     _REFERENCES,
     clv_id,
     metadata_unit_id,
+    theme_id_for,
     validate_graph,
 )
 from normgraph.planner import QueryPattern, StructuredQuery, run
@@ -302,7 +302,7 @@ class TestGoldenSnapshot:
 class TestLoad:
     def test_fixture_snapshot_contents(self, snapshot_path):
         store = load(snapshot_path)
-        assert store.works[NORM_URN].kind.value == "norm"
+        assert store.works[NORM_URN].parent is None
         assert len(versions_of(store, ART6_CPT)) == 4
 
     @pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank-lines"])
@@ -556,8 +556,14 @@ class TestWholeOrRejected:
 
     def test_a_missing_stub_work_is_named_with_both_counts(self, tmp_path):
         header, rows = read_rows(_seed1_snapshot(tmp_path))
-        # The first work is an amending act's stub, which no other node names.
-        assert rows[0]["row"][0].startswith("urn:test:act:")
+        # The first work is an amending act's stub; with the instrument of each
+        # action that names it cleared, no other node names it.
+        stub = rows[0]["row"][0]
+        assert stub.startswith("urn:test:act:")
+        instrument = COLUMNS["action"].index("instrument")
+        for record in rows:
+            if record["kind"] == "action" and record["row"][instrument] == stub:
+                record["row"][instrument] = None
         works = header["rows"]["work"]
         with pytest.raises(MalformedSnapshot, match=re.escape(
                 f"the header gives {works} work row(s), the file holds {works - 1}")) as exc:
@@ -620,7 +626,7 @@ class TestStrictHeader:
         path = tmp_path / "snap.ndjson"
         save(fixture_store, path)
         header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
-        assert header == {"kind": "meta", "format_version": 9, "columns": COLUMNS,
+        assert header == {"kind": "meta", "format_version": 10, "columns": COLUMNS,
                           "rows": {"work": 17, "action": 5, "clv": 9, "theme": 1, "unit": 16}}
 
 
@@ -643,8 +649,8 @@ class TestStrictRecords:
                      id="action-compact-date"),
         pytest.param("action", "produces", [1], "must be a list of strings",
                      id="action-produces-int"),
-        pytest.param("work", "work_kind", "statute", "must be a WorkKind value",
-                     id="work-unknown-kind"),
+        pytest.param("work", "component_type", "statute", "must be a ComponentType value",
+                     id="work-unknown-component-type"),
         pytest.param("work", "metadata", {"label": 1}, "must be an object of strings",
                      id="work-metadata-int-value"),
         pytest.param("theme", "members", None, "must be a list of strings", id="theme-members-null"),
@@ -691,14 +697,14 @@ class TestStrictRecords:
                 f"{first!r} holds {held[first]}") in str(exc.value)
 
     @pytest.mark.parametrize("kind, change, reason", [
-        pytest.param("work", lambda r: r["columns"].append([]), "'columns' must be a list of 7 arrays",
+        pytest.param("work", lambda r: r["columns"].append([]), "'columns' must be a list of 6 arrays",
                      id="work-extra-column"),
         pytest.param("unit", lambda r: r["columns"].pop(), "'columns' must be a list of 3 arrays",
                      id="unit-missing-column"),
         pytest.param("clv", lambda r: r.update(columns=dict(enumerate(r["columns"]))),
                      "'columns' must be a list of 2 arrays", id="clv-columns-object"),
         pytest.param("action", lambda r: r["columns"].__setitem__(6, "produces"),
-                     "'columns' must be a list of 12 arrays", id="action-column-string"),
+                     "'columns' must be a list of 10 arrays", id="action-column-string"),
         pytest.param("action", lambda r: r.update(id="act:x"),
                      "its members must be kind, columns", id="action-extra-member"),
         pytest.param("theme", lambda r: r.pop("columns"), "its members must be kind, columns",
@@ -756,7 +762,10 @@ class TestDerivedColumns:
         assert "ctv" not in COLUMNS
         assert COLUMNS["clv"] == ["temporal_version", "language"]
         assert "description_unit" not in COLUMNS["action"]
-        assert COLUMNS["theme"] == ["id", "label", "members"]
+        assert "work_kind" not in COLUMNS["work"]
+        assert "instrument_title" not in COLUMNS["action"]
+        assert "instrument_short" not in COLUMNS["action"]
+        assert COLUMNS["theme"] == ["label", "members"]
         assert COLUMNS["unit"] == ["id", "text", "synthetic"]
         for line in snapshot_path.read_text(encoding="utf-8").splitlines()[1:]:
             record = json.loads(line)
@@ -775,6 +784,50 @@ class TestDerivedColumns:
                      "--target", "art6", "--at", "2011-01-01"])
         assert code == 3
         assert f"references missing id {unit!r}" in capsys.readouterr().err
+
+    def test_an_action_is_labelled_by_its_instrument_works_titles(self):
+        assert load(GOLDEN).action_labels == {
+            ACT_ENACT: "CF/1988", ACT_CA26: "CA 26/2000", ACT_CA64: "CA 64/2010",
+            ACT_CA72: "CA 72/2013", ACT_CA90: "CA 90/2015"}
+        # Without a short title the title labels it, and without an instrument its id.
+        store = GraphStore()
+        store.add_work(WorkNode("urn:x", (), metadata=(("title", "The X Act"),)))
+        day = date(2000, 1, 1)
+        store.replay([ActionNode("act:x", ActionType.ENACTMENT, day, day, produces=("urn:x",),
+                                 instrument="urn:x"),
+                      ActionNode("act:y", ActionType.AMENDMENT, day + timedelta(days=1),
+                                 day + timedelta(days=1), terminates=("urn:x",),
+                                 produces=("urn:x",))])
+        assert store.action_labels == {"act:x": "The X Act", "act:y": "act:y"}
+
+    def test_a_parentless_work_whose_urn_holds_a_fragment_exits_3(self, tmp_path, capsys):
+        # A work with no parent is a norm, so its urn names no component.
+        header, rows = read_rows(GOLDEN)
+        stub = f"{CA26}!art1_cpt"
+        work = next(record for record in rows if record["row"][0] == stub)
+        _set(work, "parent", None)
+        with pytest.raises(MalformedSnapshot, match=re.escape(
+                f"1 invariant violation(s); the first is UrnFormat: a parentless work's urn "
+                f"holds '!' [{stub}]")):
+            _load_rows(header, rows, tmp_path)
+        code = main(["query", "at", "--snapshot", str(tmp_path / "bad.ndjson"),
+                     "--target", "art6", "--at", "2011-01-01"])
+        assert code == 3
+        assert "UrnFormat" in capsys.readouterr().err
+
+    def test_an_instrument_that_names_no_work_exits_3(self, tmp_path, capsys):
+        # An action is labelled by its instrument's work, which must exist.
+        header, rows = read_rows(GOLDEN)
+        action = next(record for record in rows if record["row"][0] == ACT_CA26)
+        missing = "urn:lex:br:federal:emenda.constitucional:2000-02-14;27"
+        _set(action, "instrument", missing)
+        bad = write_rows(tmp_path / "bad.ndjson", header, rows)
+        code = main(["query", "at", "--snapshot", str(bad), "--target", "art6",
+                     "--at", "2011-01-01", "--json"])
+        assert code == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert (error["type"], error["referrer"], error["missing"]) == (
+            "DanglingReference", ACT_CA26, missing)
 
 
 # The instrument of CA 26/2000: a stub work, which has no version.
@@ -860,7 +913,7 @@ class TestReplay:
     def test_a_batch_that_does_not_replay_files_nothing(self, second, fault):
         store = GraphStore()
         for urn in ("urn:x", "urn:y"):
-            store.add_work(WorkNode(urn, (), WorkKind.NORM))
+            store.add_work(WorkNode(urn, ()))
         day = date(2000, 1, 1)
         store.replay([ActionNode("act:0", ActionType.ENACTMENT, day, day, produces=("urn:x",))])
 
@@ -904,6 +957,8 @@ def _record_id(record: dict) -> str:
     row = record["row"]
     if record["kind"] == "clv":
         return clv_id(row[0], row[1])
+    if record["kind"] == "theme":
+        return theme_id_for(row[0])
     return row[0]
 
 
@@ -1520,10 +1575,10 @@ class TestAggregationIndex:
 
     def test_a_child_without_a_version_on_a_parent_start_is_left_out(self):
         store = GraphStore()
-        store.add_work(WorkNode("urn:n", (), WorkKind.NORM))
+        store.add_work(WorkNode("urn:n", ()))
         kids = ["urn:n!b", "urn:n!a", "urn:n!c"]  # added against ordinal order
         for ordinal, kid in reversed(list(enumerate(kids))):
-            store.add_work(WorkNode(kid, (), WorkKind.COMPONENT, parent="urn:n", ordinal=ordinal))
+            store.add_work(WorkNode(kid, (), parent="urn:n", ordinal=ordinal))
 
         def act(day: str, terminates: tuple[str, ...], produces: tuple[str, ...]) -> ActionNode:
             d = date.fromisoformat(day)
@@ -1588,8 +1643,7 @@ class TestLanguageRule:
     def _read(languages: tuple[str, ...], language: str | None, fallback: bool) -> str | None:
         """The CLV read of a Portuguese norm whose one version has wording in ``languages``."""
         store = GraphStore()
-        store.add_work(WorkNode("urn:x", (), WorkKind.NORM,
-                                metadata=(("language", "pt"),)))
+        store.add_work(WorkNode("urn:x", (), metadata=(("language", "pt"),)))
         day = date(2000, 1, 1)
         store.replay([ActionNode("act:x", ActionType.ENACTMENT, day, day, produces=("urn:x",))])
         for code in languages:
