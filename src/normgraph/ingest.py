@@ -6,16 +6,14 @@ schemas mirror what an upstream segmenter would emit, so one can be
 slotted in front without touching this module.
 
 Event application is strictly sequential and has one write path: each
-enactment and event becomes one action, naming the works it terminates and
-produces, and ``GraphStore.replay`` of that action writes the versions. An
-amendment or repeal terminates the target (an amendment also produces it);
-an insertion produces its new subtrees. The changed work's ancestors are
-then rolled by one function: each is terminated and produced on the
-event's date, unless a version of it opened that day. No version stores
-its children's versions; the store derives them from the work tree and
-the chains, so the unchanged children's existing versions are shared.
-Every check on an event runs before its first write, so a rejected event
-leaves the store as it was.
+enactment and event becomes one action, which holds only the event, and
+``GraphStore.replay`` of that action derives the versions it closes and
+opens and writes them (see its rule). Each version it opens gets the
+event's wording, else its predecessor's. No version stores its children's
+versions; the store derives them from the work tree and the chains, so
+the unchanged children's existing versions are shared. Every check on an
+event runs before its first write, so a rejected event leaves the store
+as it was.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from datetime import date, timedelta
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     DuplicateFragment,
@@ -309,12 +307,16 @@ def parse_event_file(source: str | bytes | dict, path: str | None = None) -> Eve
             raise MalformedInput(f"event {i}: amendment needs new_text or new_components", path)
         if action_type is ActionType.REPEAL and (raw_components or new_text):
             raise MalformedInput(f"event {i}: repeal carries no replacement content", path)
+        source_provision = json_field(item, "source_provision", path, str, None)
+        if source_provision is not None and FRAGMENT_SEP in source_provision:
+            raise MalformedInput(f"event {i}: source_provision {source_provision!r} holds '!', "
+                                 "which ends a norm urn", path)
         events.append(EventRecord(
             action_type=action_type,
             target=json_field(item, "target", path),
             enactment_date=enacted,
             effective_date=effective,
-            source_provision=json_field(item, "source_provision", path, str, None),
+            source_provision=source_provision,
             source_label=json_field(item, "source_label", path, str, None),
             effect=json_field(item, "effect", path, str, None),
             new_text=new_text,
@@ -371,11 +373,6 @@ def textualize_metadata(node: WorkNode) -> list[TextUnit]:
     return units
 
 
-def _label_of(store: GraphStore, urn: str) -> str:
-    work = store.works.get(urn)
-    return work.label if work else urn
-
-
 def render_action_text(action: ActionNode, store: GraphStore) -> str:
     """Deterministic natural-language summary of a legislative event.
 
@@ -387,12 +384,10 @@ def render_action_text(action: ActionNode, store: GraphStore) -> str:
     locale = _load_locale()
     work = store.works.get(action.instrument)
     instrument = (work.meta("title") if work else None) or action.instrument or action.id
-    target_urn = action.targets[0] if action.targets else ""
-    target = _label_of(store, target_urn)
-    norm_title = ""
-    if target_urn in store.works:
-        norm = store.norm_of(target_urn)
-        norm_title = norm.meta("title") or norm.label
+    target_urn = action.targets[0]
+    target = store.works[target_urn].label
+    norm = store.norm_of(target_urn)
+    norm_title = norm.meta("title") or norm.label
     source = _source_prose(action, store)
     effective = action.effective_date.isoformat()
 
@@ -410,21 +405,19 @@ def render_action_text(action: ActionNode, store: GraphStore) -> str:
             instrument=instrument, source=source, target=target, norm=norm_title,
             terminated=terminated, previous_start=previous_start)
 
-    if terminated_tv is None:
-        # Insertion: the named targets are new works without predecessors.
-        inserted = ", ".join(_label_of(store, w) for w in action.targets) or "new provisions"
-        first = store.works.get(target_urn)
-        parent_label = _label_of(store, first.parent) if first and first.parent else norm_title
+    if action.inserts:
+        # The named targets are new works without predecessors.
+        inserted = ", ".join(store.works[w].label for w in action.targets)
         return locale["action_insertion"].format(
             instrument=instrument, source=source, inserted=inserted,
-            target=parent_label, norm=norm_title, effective=effective)
+            target=store.works[store.works[target_urn].parent].label, norm=norm_title,
+            effective=effective)
 
     new_text = ""
-    if target_urn in action.produces:
-        lv_id = pick_wording(store.clvs_by_ctv.get(ctv_id(target_urn, action.effective_date), {}),
-                             store.primary_language(target_urn), None, True)
-        if lv_id is not None:
-            new_text = store.units[store.clvs[lv_id].text_unit].text
+    lv_id = pick_wording(store.clvs_by_ctv.get(ctv_id(target_urn, action.effective_date), {}),
+                         store.primary_language(target_urn), None, True)
+    if lv_id is not None:
+        new_text = store.units[store.clvs[lv_id].text_unit].text
     return locale["action_amendment"].format(
         instrument=instrument, source=source, target=target, norm=norm_title,
         terminated=terminated, previous_start=previous_start,
@@ -471,17 +464,15 @@ def _norm_work(norm: NormMeta, **facts: str) -> WorkNode:
     return WorkNode(norm.urn, norm.aliases, metadata=metadata_tuple(meta))
 
 
-# What _record_action attaches to the version its action opens of a work:
-# (work urn, language, text, synthetic).
-_Wording = tuple[str, str, str, bool]
+# What the event gives a work's version: (language, text, synthetic) of each wording.
+_Wordings = dict[str, list[tuple[str, str, bool]]]
 
 
 def _build_subtree(store: GraphStore, record: ComponentRecord, parent_urn: str, ordinal: int,
-                   language: str, produces: list[str], wordings: list[_Wording]) -> str:
-    """Add the works of ``record``'s subtree, for the caller's action to produce.
+                   language: str, wordings: _Wordings) -> str:
+    """Add the works of ``record``'s subtree, each text in ``language`` to ``wordings``.
 
-    The urns are appended to ``produces`` children first, and each text, in
-    ``language``, to ``wordings``; returns the urn of ``record``'s work.
+    Returns the urn of ``record``'s work.
     """
     urn = f"{store.works[parent_urn].norm_urn}{FRAGMENT_SEP}{record.fragment}"
     store.add_work(WorkNode(
@@ -493,21 +484,29 @@ def _build_subtree(store: GraphStore, record: ComponentRecord, parent_urn: str, 
         metadata=_component_metadata(record),
     ))
     for child in record.children:
-        _build_subtree(store, child, urn, child.ordinal, language, produces, wordings)
-    produces.append(urn)
+        _build_subtree(store, child, urn, child.ordinal, language, wordings)
     if record.text is not None:
-        wordings.append((urn, language, record.text, record.synthetic))
+        wordings[urn] = [(language, record.text, record.synthetic)]
     return urn
 
 
-def _record_action(store: GraphStore, action: ActionNode, wordings: list[_Wording]) -> str:
-    """Replay ``action``, attach each wording to the version it opened, describe it; return its id.
+def _record_action(store: GraphStore, action: ActionNode, wordings: _Wordings) -> str:
+    """Replay ``action``, word each version it opened, describe it; return its id.
 
-    The version's id is the one its node holds, so no CLV keeps a copy.
+    A version gets the wordings the event gives its work, else a copy of
+    its predecessor's (a rolled ancestor's). Its id is the one its node
+    holds, so no CLV keeps a copy.
     """
-    store.replay((action,))
-    for urn, language, text, synthetic in wordings:
-        _attach_content(store, store.versions[urn][-1], language, text, synthetic)
+    for cid in store.replay((action,)):
+        work = store.ctvs[cid].work
+        chain = store.versions[work]
+        if work not in wordings and len(chain) > 1:
+            for _, lv_id in sorted(store.clvs_by_ctv.get(chain[-2], {}).items()):
+                lv = store.clvs[lv_id]
+                unit = store.units[lv.text_unit]
+                _attach_content(store, cid, lv.language, unit.text, unit.synthetic)
+        for language, text, synthetic in wordings.get(work, ()):
+            _attach_content(store, cid, language, text, synthetic)
     store.add_unit(TextUnit(id=action.description_unit, text=render_action_text(action, store)))
     return action.id
 
@@ -529,17 +528,14 @@ def enact(store: GraphStore, doc: SourceDocument) -> str:
                              f"{norm.urn!r} shares its short title with an enacted norm")
     start = norm.publication_date
     store.add_work(_norm_work(norm, publication_date=start.isoformat(), language=norm.language))
-    produced: list[str] = []
-    wordings: list[_Wording] = []
+    wordings: _Wordings = {}
     for record in doc.body:
-        _build_subtree(store, record, norm.urn, record.ordinal, norm.language, produced, wordings)
-    produced.append(norm.urn)
+        _build_subtree(store, record, norm.urn, record.ordinal, norm.language, wordings)
     _record_action(store, ActionNode(
         id=action_id,
         action_type=ActionType.ENACTMENT,
         enactment_date=start,
         effective_date=start,
-        produces=tuple(produced),
         targets=(norm.urn,),
         instrument=norm.urn,
     ), wordings)
@@ -589,34 +585,6 @@ def _open_version(store: GraphStore, urn: str, effective: date) -> TemporalVersi
     return last
 
 
-def _ancestors(store: GraphStore, urn: str) -> Iterator[str]:
-    parent = store.works[urn].parent
-    while parent is not None:
-        yield parent
-        parent = store.works[parent].parent
-
-
-def _propagate_up(store: GraphStore, child_urn: str, effective: date, terminates: list[str],
-                  produces: list[str], wordings: list[_Wording]) -> None:
-    """Roll every ancestor of ``child_urn``, which the caller checked open, onto ``effective``.
-
-    Each ancestor is terminated and produced on ``effective``, and its open
-    version's wordings are carried to ``wordings``. The roll stops at an
-    ancestor whose open version an earlier event of the same day opened:
-    that version, and every one above it, already starts on ``effective``.
-    """
-    for ancestor in _ancestors(store, child_urn):
-        current = store.versions[ancestor][-1]
-        if store.ctvs[current].valid_start == effective:
-            return
-        terminates.append(ancestor)
-        produces.append(ancestor)
-        for _, lv_id in sorted(store.clvs_by_ctv.get(current, {}).items()):
-            lv = store.clvs[lv_id]
-            unit = store.units[lv.text_unit]
-            wordings.append((ancestor, lv.language, unit.text, unit.synthetic))
-
-
 def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str:
     """Apply one amendment, insertion, or repeal and return its action id.
 
@@ -653,40 +621,34 @@ def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str
         taken = sorted(f for f in seen if f"{target.norm_urn}{FRAGMENT_SEP}{f}" in store.works)
         if taken:
             raise MalformedInput(f"inserted fragment {taken[0]!r} already exists", ev.path)
-        if instrument.urn == target.norm_urn and ev.source_provision in seen:
-            # Its stub would be written first and take the inserted work's urn.
-            raise MalformedInput(
-                f"source provision {ev.source_provision!r} is a fragment this event inserts",
-                ev.path)
     elif current.valid_start == effective:
         raise OutOfOrderEvent(ev.target, effective, current.valid_start)
     elif ev.action_type is ActionType.AMENDMENT and not store.clvs_by_ctv.get(current.id):
         raise StructureError(f"{ev.target!r} bears no text; use new_components or repeal")
-    for ancestor in _ancestors(store, ev.target):
+    ancestor = target.parent
+    while ancestor is not None:
         _open_version(store, ancestor, effective)
+        ancestor = store.works[ancestor].parent
+    if (ev.source_provision is not None and instrument.urn in store.versions
+            and f"{instrument.urn}{FRAGMENT_SEP}{ev.source_provision}" not in store.works):
+        # A stub inside an enacted tree would be opened by its enactment's replay.
+        raise MalformedInput(f"source provision {ev.source_provision!r} names no work of "
+                             f"{instrument.urn!r}, which the corpus enacts", ev.path)
 
     source_urn = _ensure_instrument_works(
         store, instrument, ev.source_provision, ev.source_label)
-    terminates: list[str] = []
-    produces: list[str] = []
-    wordings: list[_Wording] = []
+    wordings: _Wordings = {}
     if records:
         language = store.primary_language(ev.target)
         base_ordinal = len(store.children.get(ev.target, ()))
         targets = tuple(_build_subtree(store, record, ev.target, base_ordinal + offset,
-                                       language, produces, wordings)
+                                       language, wordings)
                         for offset, record in enumerate(records))
-        # Every inserted root's ancestors are the target and the target's.
-        _propagate_up(store, targets[0], effective, terminates, produces, wordings)
     else:
-        terminates.append(ev.target)
-        if ev.action_type is ActionType.AMENDMENT:
-            produces.append(ev.target)
-            synthetic = dict(ev.synthetic)
-            wordings.extend((ev.target, language, text, synthetic.get(language, False))
-                            for language, text in ev.new_text)
-        _propagate_up(store, ev.target, effective, terminates, produces, wordings)
         targets = (ev.target,)
+        synthetic = dict(ev.synthetic)
+        wordings[ev.target] = [(language, text, synthetic.get(language, False))
+                               for language, text in ev.new_text]
 
     return _record_action(store, ActionNode(
         id=action_id,
@@ -694,11 +656,10 @@ def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str
         enactment_date=ev.enactment_date,
         effective_date=effective,
         source_provision=source_urn,
-        terminates=tuple(terminates),
-        produces=tuple(produces),
         targets=targets,
         effect=ev.effect,
         instrument=instrument.urn,
+        inserts=bool(records),
     ), wordings)
 
 
@@ -803,8 +764,11 @@ def ingest_corpus(corpus_dir: str | Path) -> tuple[GraphStore, IngestSummary]:
 
     for path in lang_paths:
         tf = parse_translation_file(path.read_bytes(), path=str(path))
-        created = add_language(store, tf.norm, dict(tf.units), tf.language,
-                               at=tf.at, synthetic=tf.synthetic)
+        try:
+            created = add_language(store, tf.norm, dict(tf.units), tf.language,
+                                   at=tf.at, synthetic=tf.synthetic)
+        except UnknownWork as exc:  # add_language attaches nothing when it raises
+            raise MalformedInput(f"the translation names {exc}", str(path)) from None
         summary.translations += len(created)
 
     store.commit()

@@ -7,10 +7,10 @@ instances as immutable. A temporal version's validity is half-open:
 until 2010-02-03" has ``valid_end`` 2010-02-04.
 
 Temporal versions are not stored: the actions are the only record of
-them. An action names the works it terminates and produces; replaying the
-actions in (effective date, id) order (``GraphStore.replay``) opens each
-produced version on the action's date and closes each terminated one, so a
-replayed chain tiles time by construction.
+them, and an action stores only its event. Replaying the actions a day at
+a time in (effective date, id) order (``GraphStore.replay``) derives what
+each closes and opens from its event and the work tree, so a replayed
+chain tiles time by construction.
 
 A text unit is its id, text and synthetic flag. Its aspect, owner and
 language are not stored on it: the node that names it fixes them, as a
@@ -22,9 +22,9 @@ it has no parent, an action is labelled by its instrument work's titles
 (``GraphStore.action_labels``), and a theme's id is ``theme_id_for(label)``.
 
 :func:`validate_graph` checks each invariant by one rule: the ids nodes
-hold, the work tree, the actions' shapes and targets, and that every
-metadata fact has its unit and every unit is one a node names. Which
-child versions a version aggregates is not stored either: the store
+hold, the work tree, and that every metadata fact has its unit and every
+unit is one a node names; an action's shape is checked as it is built.
+Which child versions a version aggregates is not stored either: the store
 derives it from the work tree and the chains (``GraphStore.aggregation``).
 """
 
@@ -236,17 +236,19 @@ class LanguageVersion:
 
 @dataclass(frozen=True)
 class ActionNode:
-    """Reified legislative event that terminates and/or produces CTVs.
+    """Reified legislative event; it stores the event, not the versions it changes.
 
-    ``terminates``/``produces`` name works: on ``effective_date`` the action
-    closes each terminated work's open version and opens each produced
-    work's version ``ctv_id(work, effective_date)``. They are complete: they
-    include the ancestors rolled onto the action's date. ``targets`` names
-    the directly amended/repealed/enacted works, each one the action
-    produces or terminates; it is what impact grouping and attribution
-    metrics key on. ``description_unit`` is derived, ``tu:<id>:desc``, and
-    cannot be passed in. ``instrument`` names the work of the enacting or
-    amending norm, whose titles label the action (``GraphStore.action_labels``).
+    ``targets`` names the works the event acts on: the norm an enactment
+    enacts, the work an amendment or repeal changes, or the roots, of one
+    parent, of the subtrees an insertion (an amendment with ``inserts``)
+    adds. ``GraphStore.replay`` derives from them and the work tree which
+    versions it closes and opens. ``description_unit`` is derived,
+    ``tu:<id>:desc``, and cannot be passed in. ``instrument`` names the
+    work of the enacting or amending norm, whose titles label the action
+    (``GraphStore.action_labels``). Construction refuses a shape no event
+    has: an action enacted after it takes effect, an enactment citing a
+    source provision or inserting, and one of other than one target unless
+    it inserts.
     """
 
     id: str
@@ -254,14 +256,23 @@ class ActionNode:
     enactment_date: date
     effective_date: date
     source_provision: str | None = None
-    terminates: tuple[str, ...] = ()
-    produces: tuple[str, ...] = ()
     description_unit: str = field(init=False)
     targets: tuple[str, ...] = ()
     effect: str | None = None
     instrument: str | None = None
+    inserts: bool = False
 
     def __post_init__(self) -> None:
+        if self.enactment_date > self.effective_date:
+            raise ValueError(f"enactment_date {self.enactment_date} is after effective_date "
+                             f"{self.effective_date}")
+        if self.action_type is ActionType.ENACTMENT and self.source_provision is not None:
+            raise ValueError("an enactment cites no source provision")
+        if self.inserts and self.action_type is not ActionType.AMENDMENT:
+            raise ValueError(f"only an amendment inserts, not this {self.action_type.value}")
+        if len(self.targets) != 1 and not (self.inserts and self.targets):
+            raise ValueError(f"{len(self.targets)} targets: an action has one, an insertion "
+                             "one or more")
         object.__setattr__(self, "description_unit", f"tu:{self.id}:desc")
 
 
@@ -325,8 +336,6 @@ class Violation:
 _REFERENCES = (
     ("works", "parent", "works", False),
     ("actions", "source_provision", "works", False),
-    ("actions", "terminates", "works", True),
-    ("actions", "produces", "works", True),
     ("actions", "targets", "works", True),
     ("actions", "description_unit", "units", False),
     ("actions", "instrument", "works", False),
@@ -372,40 +381,6 @@ def _check_work_tree(graph: "GraphStore", out: list[Violation]) -> None:
                                  (parent_urn,)))
 
 
-def _check_actions(graph: "GraphStore", out: list[Violation]) -> None:
-    for act in graph.actions.values():
-        if act.enactment_date > act.effective_date:
-            out.append(Violation("ActionShape", "enactment_date after effective_date", (act.id,)))
-        for w in act.targets:
-            if w in graph.works and w not in act.produces and w not in act.terminates:
-                out.append(Violation("StrayTarget", f"target {w} is no work the action "
-                                     "produces or terminates", (act.id, w)))
-        if act.action_type is ActionType.ENACTMENT:
-            if act.terminates or act.source_provision is not None:
-                out.append(Violation("ActionShape", "enactment must not terminate or cite a source provision", (act.id,)))
-            if not act.produces:
-                out.append(Violation("ActionShape", "enactment produces nothing", (act.id,)))
-        elif act.action_type is ActionType.AMENDMENT:
-            if not act.produces:
-                out.append(Violation("ActionShape", "amendment produces nothing", (act.id,)))
-            if not act.terminates:
-                # Only pure insertions merged into a same-day parent version
-                # legitimately terminate nothing: every produced version must
-                # then open its work's chain.
-                if any(graph.version_starts[w][0] != act.effective_date for w in act.produces):
-                    out.append(Violation("ActionShape", "amendment rewrites existing works "
-                                         "without terminating them", (act.id,)))
-            for w in act.terminates:
-                if w not in act.produces:
-                    out.append(Violation("ActionShape", f"amendment terminates {w} without a successor",
-                                         (act.id,)))
-        elif act.action_type is ActionType.REPEAL:
-            if not act.terminates:
-                out.append(Violation("ActionShape", "repeal terminates nothing", (act.id,)))
-            if all(w in act.produces for w in act.terminates):
-                out.append(Violation("ActionShape", "repeal leaves no work without a successor", (act.id,)))
-
-
 def _check_units(graph: "GraphStore", out: list[Violation]) -> None:
     """Each metadata fact has its unit, and each unit is one a node names.
 
@@ -442,7 +417,6 @@ def validate_graph(graph: "GraphStore") -> list[Violation]:
     out: list[Violation] = []
     _check_references(graph, out)
     _check_work_tree(graph, out)
-    _check_actions(graph, out)
     _check_units(graph, out)
     return out
 

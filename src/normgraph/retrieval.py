@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyScope
-from .model import Aspect, EMBEDDING_DIMENSION, ctv_id
+from .model import ActionType, Aspect, EMBEDDING_DIMENSION, ctv_id
 from .store import GraphStore, pick_wording, tokenize
 
 _HASH_KEY = b"normgraph.embed.v1"
@@ -236,11 +236,10 @@ def _provenance(store: GraphStore, req: RetrievalRequest, ref: str,
         return tv.work, tv.id, ref
     if aspect is Aspect.ACTION_DESCRIPTION:
         action = store.actions[ref]
-        target = action.targets[0] if action.targets else ""
-        if target in action.produces:
+        target = action.targets[0]
+        if action.action_type is not ActionType.REPEAL:  # it opens its target's version
             return target, ctv_id(target, action.effective_date), ref
-        closed = store.closed_by(action, target)
-        return target, closed.id if closed else "", ref
+        return target, store.closed_by(action, target).id, ref  # a repeal closes its target
     if aspect is Aspect.METADATA:
         return ref, "", ref
     theme = store.themes[ref]

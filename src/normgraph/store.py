@@ -1,6 +1,6 @@
 """Indexed in-memory graph container and its on-disk snapshot format.
 
-Snapshots are newline-delimited JSON, format version 10, and hold only
+Snapshots are newline-delimited JSON, format version 11, and hold only
 nodes, stored by column. The first line is the meta header: the format
 version, each record kind's column order and each kind's row count. Then
 comes one line per kind, in _KINDS order and empty kinds included:
@@ -21,11 +21,11 @@ from the other fields (see model.py), so a snapshot cannot hold a foreign
 one. A unit stores only its id, text and synthetic flag: its aspect, owner
 and language are those of the node that names it. A work stores no kind:
 it is a norm exactly when its parent is null. An action stores no titles:
-its instrument's work holds them. Nor are the temporal versions:
-``GraphStore.replay`` builds them from the actions, which name the works
-they terminate and produce. Nor is which child versions a version
-aggregates: that is a function of the work tree and the chains, derived
-as the aggregation index below.
+its instrument's work holds them, nor which versions it closes and opens:
+``GraphStore.replay`` derives them, and so builds every temporal version,
+from the actions' events and the work tree. Nor is which child versions
+a version aggregates: that is a function of the work tree and the
+chains, derived as the aggregation index below.
 
 Indexes are never persisted, and follow one rule. What ingest writes and
 validate_graph reads is filed per node as each is added, loaded or
@@ -55,7 +55,7 @@ way for a committed store and a loaded one:
   preorder (``descendants`` order), with parallel arrays of each one's
   first valid_start and last valid_end (None for an open end), so that
   every work's subtree is one contiguous slice; each work's actions (those
-  that target, terminate or produce it), ascending by
+  that target it or produced a version of it), ascending by
   (effective date, id), with a parallel array of their effective dates;
   and the corpus's sorted distinct action dates;
 - the action labels (``GraphStore.action_labels``) that answers name
@@ -83,7 +83,7 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
 from functools import lru_cache, partial
-from itertools import chain, zip_longest
+from itertools import chain, groupby, zip_longest
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO, TypeVar
 
@@ -97,13 +97,14 @@ from .model import (
     TextUnit,
     ThemeNode,
     WorkNode,
+    ctv_id,
     metadata_tuple,
     metadata_unit_id,
     parse_iso_date,
     validate_graph,
 )
 
-FORMAT_VERSION = 10
+FORMAT_VERSION = 11
 
 _W = TypeVar("_W")
 
@@ -247,19 +248,29 @@ class GraphStore:
         self.clvs[lv.id] = lv
         self._index_clv(lv)
 
-    def replay(self, actions: Iterable[ActionNode]) -> None:
-        """File ``actions`` and write the versions they name: the one writer of versions.
+    def replay(self, actions: Iterable[ActionNode]) -> list[str]:
+        """File ``actions`` and write the versions they close and open: the one writer of versions.
 
-        In (effective date, id) order, an action closes the open version of
-        each work it terminates, then opens ``ctv_id(work, date)`` for each
-        it produces, and is filed in ``produced_by``. Each
-        work's events are walked once from its chain's last version, and
-        each version is built once, so a closed version replaces its open
-        self. Nothing is written unless the whole batch replays: raises
-        ReplayFault on an id already filed, else on the first action, in
-        replay order, that repeats a (work, date), terminates a work with no
-        open version or on the day its version opens, opens a version after
-        a gap, or opens one while the work's version is still open.
+        What an action closes and opens is derived from its event and the
+        work tree, a day at a time in (effective date, id) order. First each
+        action's own effects: an enactment opens its norm's tree and an
+        insertion its targets' subtrees, short of the roots another one
+        creates; an amendment closes its target and reopens it; a repeal
+        closes it. Then the rolls, in id order: each other action closes and
+        reopens every ancestor of its target, from the parent up, and stops
+        at the first whose version already opens that day. A rolled version
+        is produced by the first action whose roll reaches it, so a roll
+        that reaches one a larger id of that day rolled in an earlier call
+        re-files it in ``produced_by`` and climbs on: one action at a time
+        (ingest) files what one batch (load) does. A target that names no
+        work has no effect: validate_graph reports it.
+
+        Returns the ids of the versions opened. Nothing is written unless the
+        whole batch replays: raises ReplayFault on an id already filed, else
+        on the first fault met: an enactment of a work with a parent, an
+        insertion under two parents, or a work opened on a day a version of
+        it already starts, while its version is open or after a gap, or
+        closed with no open version or on the day its version opens.
         """
         self._assert_mutable()
         filed: dict[str, ActionNode] = {}  # in the order given, as the store keeps them
@@ -268,68 +279,97 @@ class GraphStore:
                 raise ReplayFault(action, "is already filed")
             filed[action.id] = action
         ordered = sorted(filed.values(), key=lambda action: (action.effective_date, action.id))
-        # Work urn -> its events, terminations first within an action. An event
-        # is 2 * its action's place in ``ordered``, plus 1 for a production: an
-        # int, which the garbage collector does not track, as it would a tuple.
-        events: dict[str, list[int]] = {}
-        for at, action in enumerate(ordered):
-            for urn in action.terminates:
-                events.setdefault(urn, []).append(2 * at)
-            for urn in action.produces:
-                events.setdefault(urn, []).append(2 * at + 1)
-        built: list[TemporalVersion] = []
-        produced: dict[str, str] = {}
-        faults: dict[int, str] = {}  # place in ordered -> its fault, the first of each work
-        for urn, todo in events.items():
-            cids = self.versions.get(urn)
-            # The last version's start and end, and the action of this batch that opened it.
-            start = end = producer = None
-            if cids:
-                last = self.ctvs[cids[-1]]
-                start, end = last.valid_start, last.valid_end
-            for event in todo:
-                action = ordered[event >> 1]
-                day = action.effective_date
-                if event & 1:
-                    if day == start:
-                        fault = f"produces {urn!r} on {day}, when a version of it already starts"
-                    elif start is not None and end is None:
-                        fault = f"produces {urn!r} on {day} while its version from {start} is open"
-                    elif end is not None and end != day:
-                        fault = f"produces {urn!r} on {day}, but its last version ends {end}"
+        works, children, enactment = self.works, self.children, ActionType.ENACTMENT
+        creators = {urn: action for action in ordered  # each created root -> its action
+                    if action.inserts or action.action_type is enactment for urn in action.targets}
+        # Work urn -> [start, end, producer] of the version it held, if any, then
+        # of each version this batch opens; a producer is an action of this batch.
+        spans: dict[str, list[list]] = {}
+
+        def chain(urn: str) -> list[list]:
+            held = spans.get(urn)
+            if held is None:
+                cids = self.versions.get(urn)
+                tv = self.ctvs[cids[-1]] if cids else None
+                held = spans[urn] = [[tv.valid_start, tv.valid_end, None]] if tv else []
+            return held
+
+        def close(action: ActionNode, urn: str, held: list[list]) -> None:
+            day = action.effective_date
+            if not held or held[-1][1] is not None:
+                raise ReplayFault(action, f"terminates {urn!r}, which has no open version on {day}")
+            if not held[-1][0] < day:
+                raise ReplayFault(action, f"terminates {urn!r} on {day}, but its open version "
+                                          f"starts {held[-1][0]}")
+            held[-1][1] = day
+
+        def open_(action: ActionNode, urn: str, held: list[list]) -> None:
+            day = action.effective_date
+            if held:
+                start, end, _ = held[-1]
+                if day == start:
+                    raise ReplayFault(action, f"produces {urn!r} on {day}, when a version of it "
+                                              "already starts")
+                if end is None:
+                    raise ReplayFault(action, f"produces {urn!r} on {day} while its version "
+                                              f"from {start} is open")
+                if end != day:
+                    raise ReplayFault(action, f"produces {urn!r} on {day}, but its last version "
+                                              f"ends {end}")
+            held.append([day, None, action.id])
+
+        for day, group in groupby(ordered, key=operator.attrgetter("effective_date")):
+            group = list(group)
+            for action in group:
+                if action.inserts or action.action_type is enactment:
+                    todo = [urn for urn in reversed(action.targets) if urn in works]
+                    parents = {works[urn].parent for urn in todo}
+                    if len(parents) > 1:
+                        raise ReplayFault(action, "inserts works under more than one parent")
+                    if parents - {None} and not action.inserts:
+                        raise ReplayFault(action, f"enacts {todo[0]!r}, which has a parent")
+                    while todo:
+                        open_(action, urn := todo.pop(), chain(urn))
+                        if kids := children.get(urn):
+                            todo.extend(kid for kid in reversed(kids)
+                                        if creators.get(kid, action) is action)
+                elif (urn := action.targets[0]) in works:
+                    close(action, urn, held := chain(urn))
+                    if action.action_type is ActionType.AMENDMENT:  # it reopens what it closed
+                        held.append([day, None, action.id])
+            for action in group:
+                target = works.get(action.targets[0])
+                urn = target.parent if target and action.action_type is not enactment else None
+                while urn in works:  # a parent that names no work is validate_graph's to report
+                    held = chain(urn)
+                    if not held or held[-1][0] != day:
+                        close(action, urn, held)
+                        held.append([day, None, action.id])
                     else:
-                        start, end, producer = day, None, action.id
-                        continue
-                elif start is None or end is not None:
-                    fault = f"terminates {urn!r}, which has no open version on {day}"
-                elif not start < day:
-                    fault = f"terminates {urn!r} on {day}, but its open version starts {start}"
-                else:
-                    tv = TemporalVersion(urn, start, day)
-                    built.append(tv)
-                    if producer is not None:
-                        produced[tv.id] = producer
-                    end, producer = day, None
-                    continue
-                faults.setdefault(event >> 1, fault)
-                break
-            else:
+                        producer = held[-1][2] or self.produced_by[ctv_id(urn, day)]
+                        # Only a larger id's roll is re-filed: a rolled version
+                        # has a predecessor and is none of its producer's targets.
+                        if (producer <= action.id or len(self.versions.get(urn, ())) < 2
+                                or urn in (filed.get(producer) or self.actions[producer]).targets):
+                            break
+                        held[-1][2] = action.id
+                    urn = works[urn].parent
+        ctvs, opened = self.ctvs, []
+        for urn, held in spans.items():
+            cids = self.versions.setdefault(urn, [])
+            starts = self.version_starts.setdefault(urn, [])
+            for start, end, producer in held:
+                tv = TemporalVersion(urn, start, end)
+                # A chain only grows at its end; a closed version replaces its open self.
+                if tv.id not in ctvs:
+                    cids.append(tv.id)
+                    starts.append(start)
+                    opened.append(tv.id)
+                ctvs[tv.id] = tv
                 if producer is not None:
-                    tv = TemporalVersion(urn, start)
-                    built.append(tv)
-                    produced[tv.id] = producer
-        if faults:
-            at = min(faults)
-            raise ReplayFault(ordered[at], faults[at])
-        ctvs, versions, starts = self.ctvs, self.versions, self.version_starts
-        for tv in built:
-            # A chain only grows at its end; a closed version replaces its open self.
-            if tv.id not in ctvs:
-                versions.setdefault(tv.work, []).append(tv.id)
-                starts.setdefault(tv.work, []).append(tv.valid_start)
-            ctvs[tv.id] = tv
-        self.produced_by.update(produced)
+                    self.produced_by[tv.id] = producer
         self.actions.update(filed)
+        return opened
 
     def add_unit(self, unit: TextUnit) -> None:
         self._assert_mutable()
@@ -361,8 +401,11 @@ class GraphStore:
         self.clvs_by_ctv.setdefault(lv.temporal_version, {})[lv.language] = lv.id
 
     def _reindex(self) -> None:
-        """File every node of a freshly loaded store, whose indexes are empty."""
+        """File every node of a freshly loaded store, whose indexes are empty; a parent
+        that names no work, a hole in the tree the replay walks, raises DanglingReference."""
         for work in self.works.values():
+            if work.parent is not None and work.parent not in self.works:
+                raise DanglingReference(work.urn, work.parent)
             self._index_work(work)
         for lv in self.clvs.values():
             self._index_clv(lv)
@@ -522,16 +565,19 @@ class GraphStore:
         for urn, lo, own_end in reversed(preorder):
             kids = self.children.get(urn)
             subtrees[urn] = (lo, subtrees[kids[-1]][1] if kids else own_end)
-        # Each action is filed under its targets and the works it terminates
-        # or produces, then each work's are sorted once.
-        keyed: dict[str, list[tuple[date, str]]] = {}
-        for action in self.actions.values():
-            key = (action.effective_date, action.id)
-            for urn in {*action.targets, *action.terminates, *action.produces}:
-                keyed.setdefault(urn, []).append(key)
+        # Each action is filed under its targets and the works whose versions
+        # it produced, the works it terminates among them, then each work's
+        # are sorted once.
+        actions = self.actions
+        keyed: dict[str, set[str]] = {}
+        for action_id, action in actions.items():
+            for urn in action.targets:
+                keyed.setdefault(urn, set()).add(action_id)
+        for cid, action_id in self.produced_by.items():
+            keyed.setdefault(ctvs[cid].work, set()).add(action_id)
         by_work: dict[str, tuple[list[str], list[date]]] = {}
-        for urn, keys in keyed.items():
-            keys.sort()
+        for urn, ids in keyed.items():
+            keys = sorted((actions[aid].effective_date, aid) for aid in ids)
             by_work[urn] = ([aid for _, aid in keys], [day for day, _ in keys])
         days = sorted({action.effective_date for action in self.actions.values()})
         return _TimeIndex(works, firsts, ends, subtrees, by_work, days)
@@ -557,10 +603,16 @@ class GraphStore:
         return tv if tv.contains(t) else None
 
     def closed_by(self, action: ActionNode, urn: str) -> TemporalVersion | None:
-        """The version of ``urn`` that ``action`` terminates, or None when it terminates none."""
-        if urn not in action.terminates:
-            return None
-        return self.version_at(urn, action.effective_date - timedelta(days=1))
+        """The version of ``urn`` that ``action`` terminates, or None when it terminates none.
+
+        An amendment or repeal closes its target, and each action what it rolls.
+        """
+        day = action.effective_date
+        if urn in action.targets:
+            closes = not action.inserts and action.action_type is not ActionType.ENACTMENT
+        else:
+            closes = self.produced_by.get(ctv_id(urn, day)) == action.id
+        return self.version_at(urn, day - timedelta(days=1)) if closes else None
 
     def lifetime(self, urn: str) -> tuple[date, date | None] | None:
         """``(first valid_start, last valid_end)`` of the chain, which a valid chain tiles; None without one."""
@@ -707,11 +759,10 @@ _KINDS = {
         _Column("enactment_date", _DATE),
         _Column("effective_date", _DATE),
         _Column("source_provision", _OPTIONAL_STR),
-        _Column("terminates", _STRS),
-        _Column("produces", _STRS),
         _Column("targets", _STRS),
         _Column("effect", _OPTIONAL_STR),
         _Column("instrument", _OPTIONAL_STR),
+        _Column("inserts", _BOOL),
     ),
     "clv": _Kind(
         "clvs", LanguageVersion,
@@ -805,13 +856,14 @@ def _decode_column(column: _Column, values: list, bad: Callable) -> list:
     return decoded
 
 
-def _file_kind(store: GraphStore, kind: str, rec: dict, bad: Callable) -> None:
+def _file_kind(store: GraphStore, kind: str, rec: dict, bad: Callable) -> list | None:
     """Build the nodes of one kind record, column by column, and file them in the store.
 
+    The actions are returned instead: their replay (GraphStore.replay)
+    reads the work tree, so load files them once every record is read.
     Raises what ``bad`` builds, naming the row and column where it can, on
     a record of another shape, columns of unequal lengths, a value of the
-    wrong type, a node its class refuses, a repeated id, or actions that do
-    not replay (GraphStore.replay), which builds every version.
+    wrong type, a node its class refuses, or a repeated id.
     """
     spec = _KINDS[kind]
     if sorted(rec) != ["columns", "kind"]:
@@ -843,13 +895,10 @@ def _file_kind(store: GraphStore, kind: str, rec: dict, bad: Callable) -> None:
             if node_id in seen:
                 raise bad(f"repeated {kind} {node_id!r}", row=row)
             seen.add(node_id)
-    if kind != "action":
-        setattr(store, spec.nodes, table)
-        return
-    try:  # the actions are filed by their replay, which builds every version
-        store.replay(nodes)
-    except ReplayFault as exc:
-        raise bad(str(exc), row=ids.index(exc.action.id)) from None
+    if kind == "action":
+        return nodes
+    setattr(store, spec.nodes, table)
+    return None
 
 
 def _numbered_lines(fh: TextIO, spath: str) -> Iterator[tuple[int, str]]:
@@ -882,10 +931,13 @@ def load(path: str | Path) -> GraphStore:
     ``format_version`` other than FORMAT_VERSION, a header whose members
     are not _HEADER, whose ``columns`` are not this version's or whose
     ``rows`` do not give each kind an integer, a record of an unknown kind,
-    a second record of one kind, or a kind record that _file_kind rejects
-    (see _KINDS for each column's type); a fault inside a record is named
-    by its kind, row (counted from 0, as the column arrays index it) and
-    column. Then validate_graph runs once: when it reports any violation,
+    a second record of one kind, a kind record that _file_kind rejects
+    (see _KINDS for each column's type), or actions that do not replay
+    (GraphStore.replay, run once every record is read); a fault inside a
+    record is named by its kind, row (counted from 0, as the column arrays
+    index it) and column. A work whose parent names no work raises
+    DanglingReference before the replay. Then validate_graph runs once:
+    when it reports any violation,
     raises DanglingReference if the first is one (validate_graph checks
     references first, derived unit ids included), and MalformedSnapshot,
     naming the first and giving the count, otherwise. Last, raises
@@ -897,6 +949,7 @@ def load(path: str | Path) -> GraphStore:
     spath = str(path)
     rows: dict[str, int] | None = None  # the header's, once it is read
     read: set[str] = set()  # the kinds whose record is read
+    actions = None  # the action record's nodes and its fault builder, once it is read
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in _numbered_lines(fh, spath):
             if raw.isspace():
@@ -939,13 +992,20 @@ def load(path: str | Path) -> GraphStore:
             if kind in read:
                 raise MalformedSnapshot(f"second {kind!r} record", path=spath, line=lineno)
             read.add(kind)
-            _file_kind(store, kind, rec, partial(MalformedSnapshot, path=spath, line=lineno,
-                                                 kind=kind))
+            bad = partial(MalformedSnapshot, path=spath, line=lineno, kind=kind)
+            if (nodes := _file_kind(store, kind, rec, bad)) is not None:
+                actions = (nodes, bad)
             del rec  # drop its parsed columns before the next record is parsed
 
     if rows is None:
         raise MalformedSnapshot("missing meta header: the file holds no records", path=spath)
     store._reindex()
+    if actions:
+        nodes, bad = actions
+        try:  # the actions are filed by their replay, which builds every version
+            store.replay(nodes)
+        except ReplayFault as exc:
+            raise bad(str(exc), row=nodes.index(exc.action)) from None
     violations = validate_graph(store)
     if violations:
         first = violations[0]

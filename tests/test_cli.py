@@ -119,6 +119,42 @@ class TestMalformedFiles:
         assert capsys.readouterr().err.startswith(f"data error: MalformedInput: {corpus / name}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, edit, reason", [
+        pytest.param("art6_original_en.satlang.json",
+                     lambda data: {**data, "units": [{**data["units"][0], "fragment": "art99_cpt"}]},
+                     "the translation names unknown work "
+                     "'urn:lex:br:federal:constituicao:1988-10-05;1988!art99_cpt'",
+                     id="translation-unknown-fragment"),
+        pytest.param("art6_original_en.satlang.json",
+                     lambda data: {**data, "norm": "urn:lex:br:federal:lei:2000;1"},
+                     "the translation names unknown work 'urn:lex:br:federal:lei:2000;1'",
+                     id="translation-unknown-norm"),
+        pytest.param("art6_original_en.satlang.json", lambda data: {**data, "at": "1980-01-01"},
+                     "has no version valid on 1980-01-01", id="translation-before-enactment"),
+        pytest.param("ca_26_2000.satev.json", _set_first("source_provision", "art1!x"),
+                     "event 0: source_provision 'art1!x' holds '!', which ends a norm urn",
+                     id="source-provision-with-fragment-separator"),
+        # A self-amending event must cite a provision its enacted norm has.
+        pytest.param("ca_26_2000.satev.json", lambda data: {
+            **data, "instrument": {"urn": "urn:lex:br:federal:constituicao:1988-10-05;1988",
+                                   "title": "Brazilian Federal Constitution of 1988",
+                                   "short_title": "CF/1988", "publication_date": "1988-10-05"},
+            "events": [{**data["events"][0], "source_provision": "adct_art99"}]},
+                     "source provision 'adct_art99' names no work of "
+                     "'urn:lex:br:federal:constituicao:1988-10-05;1988', which the corpus enacts",
+                     id="self-amending-stub"),
+    ])
+    def test_a_file_naming_what_the_corpus_lacks_exits_3_and_writes_no_snapshot(
+            self, tmp_path, capsys, name, edit, reason):
+        corpus = tmp_path / "corpus"
+        assert main(["fixture", "--out", str(corpus)]) == 0
+        _edit_json(corpus / name, edit)
+        out = tmp_path / "x.ndjson"
+        assert main(["ingest", str(corpus), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: MalformedInput: {corpus / name}: ") and reason in err
+        assert not out.exists()
+
     def test_an_inserted_component_of_an_unknown_type_names_its_event_file(
             self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -515,7 +551,7 @@ class TestMoreEdges:
                    "metadata": {}, "ordinal": 0, "parent": None, "work_kind": "norm"}
     _V3_WORK = {"kind": "work", "row": ["urn:n", [], "norm", "other", None, 0, {}]}
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
     def test_query_on_an_older_snapshot_exits_3_and_asks_for_a_reingest(
             self, snapshot_file, tmp_path, capsys, version):
         # Versions 1 and 2 sort keys and key records by name; version 3 has
@@ -525,13 +561,18 @@ class TestMoreEdges:
         # versions 4 to 6 each CTV's aggregates in it; versions 4 to 8 store
         # each theme's description unit and each unit's aspect, owner and
         # language; versions 4 to 9 store each work's kind, each action's
-        # instrument titles and each theme's id.
+        # instrument titles and each theme's id; versions 4 to 10 store the
+        # works each action terminates and produces, and no inserts flag.
         header = {"kind": "meta", "format_version": version,
                   "embedding": {"dimension": 256, "name": "hashed_tfidf"},
                   "idf": {"avgdl": 1.0, "df": {"food": 1}, "n_units": 1}}
         if version >= 4:
             header = json.loads(snapshot_file.read_text(encoding="utf-8").splitlines()[0])
             header["format_version"] = version
+            header["columns"]["action"] = [
+                "id", "action_type", "enactment_date", "effective_date", "source_provision",
+                "terminates", "produces", "targets", "effect", "instrument"]
+        if 4 <= version < 10:
             header["columns"]["work"].insert(2, "work_kind")
             header["columns"]["action"] += ["instrument_title", "instrument_short"]
             header["columns"]["theme"] = ["id", "label", "members"]
@@ -553,7 +594,7 @@ class TestMoreEdges:
                      "--at", "2011-01-01"])
         assert code == 3
         err = capsys.readouterr().err
-        assert f":1: unsupported format_version {version} (this version reads 10)" in err
+        assert f":1: unsupported format_version {version} (this version reads 11)" in err
         assert "re-run `normgraph ingest`" in err
 
     def test_query_on_a_snapshot_without_its_header_exits_3(

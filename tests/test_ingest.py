@@ -667,10 +667,11 @@ def test_two_root_insertion_merges_into_the_parent_version_of_that_day():
         f"{urn}art1_cpt", f"{urn}art1_par1", f"{urn}art1_par2"]
     assert len(versions_of(store, "urn:test:mini")) == 2
     action = store.actions[action_id]
-    assert list(action.produces) == [
-        f"{urn}art1_par1_it1", f"{urn}art1_par1", f"{urn}art1_par2"]
-    assert action.terminates == ()
-    assert action.targets == (f"{urn}art1_par1", f"{urn}art1_par2")
+    assert sorted(cid for cid, aid in store.produced_by.items() if aid == action_id) == [
+        f"{urn}art1_par1@2003-06-01", f"{urn}art1_par1_it1@2003-06-01",
+        f"{urn}art1_par2@2003-06-01"]
+    assert [store.closed_by(action, w) for w in store.works] == [None] * len(store.works)
+    assert action.targets == (f"{urn}art1_par1", f"{urn}art1_par2") and action.inserts
     store.commit()
     assert validate_graph(store) == []
 
@@ -775,9 +776,11 @@ def _node_rows_digest(path: Path) -> str:
     """SHA-256 of a snapshot's node rows, each encoded as its format version 5 line.
 
     The meta header is left out; every byte of every row counts. The pins
-    below were retaken when version 10 dropped each work's kind, each
-    action's instrument titles and each theme's id; each equals the digest
-    of its version 9 rows cut to the columns version 10 keeps.
+    below were retaken when version 11 dropped each action's terminated and
+    produced works and added its ``inserts`` flag; each equals the digest
+    of its version 10 rows cut to the columns version 11 keeps, each
+    action's flag appended (set on an amendment that terminates none of its
+    targets).
     """
     return hashlib.sha256("".join(v5_node_lines(path)).encode("utf-8")).hexdigest()
 
@@ -785,9 +788,9 @@ def _node_rows_digest(path: Path) -> str:
 # Together these seeds hold insertions of an article with its caput,
 # repeals and same-day events, none of which the golden fixture pins.
 @pytest.mark.parametrize("seed, expected", [
-    (1, "d1a4b9818c773fdd0b268828b05e59163e4ba04d0ca979f3d73560c8bce0c8a0"),
-    (9, "dcefba1680463f9629a408fb5f25975328de85cdc62b81d1c63595abd8e90443"),
-    (18, "2cf3a5308636b49bec8db855e3943ea5a578512cac2f8b5e3ee55d5da3625d65"),
+    (1, "f57218781f0e7a890e16160c3c4842539ff15d74ae1aa3d656cea02da8b08107"),
+    (9, "733ffd24d8fae8f791c195dada8623fe513088f459d74320a3f1ba8008223327"),
+    (18, "73ea823bfa21c9d5af539f24f263eafad1c94c21d90eccfede47f3f8cc1ac646"),
 ])
 def test_synthetic_snapshots_are_pinned(seed, expected, tmp_path):
     store = build_store(generate_corpus(seed))
@@ -796,8 +799,8 @@ def test_synthetic_snapshots_are_pinned(seed, expected, tmp_path):
     assert _node_rows_digest(tmp_path / "s.ndjson") == expected
 
 
-def test_the_golden_snapshot_holds_the_rows_of_its_version_10_save():
+def test_the_golden_snapshot_holds_the_rows_of_its_version_11_save():
     # The digest of the node lines of tests/data/golden_fixture.ndjson as
-    # format version 10 wrote it.
+    # format version 11 wrote it.
     assert _node_rows_digest(DATA / "golden_fixture.ndjson") == (
-        "4434a2421941b3eec398f183f6832d8b6fbc82c997143366a9b7d7c656162454")
+        "7e5749bde69181f7e49869ad279cc96bbf6a92f1e87823ee17ca55078d784e76")

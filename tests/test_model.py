@@ -117,7 +117,8 @@ class TestDerivedFields:
 
     TV = ctv("urn:x", "2000-01-01")
     LV = LanguageVersion("urn:x@2000-01-01", "pt")
-    ACTION = ActionNode("act:x", ActionType.ENACTMENT, date(2000, 1, 1), date(2000, 1, 1))
+    ACTION = ActionNode("act:x", ActionType.ENACTMENT, date(2000, 1, 1), date(2000, 1, 1),
+                        targets=("urn:x",))
     THEME = ThemeNode("X", ("urn:x",))
 
     def test_each_node_derives_its_fields(self):
@@ -175,11 +176,47 @@ def _two_version_store() -> GraphStore:
     enacted, amended = date(2000, 1, 1), date(2000, 6, 15)
     store.replay([
         ActionNode(id="act:e", action_type=ActionType.ENACTMENT, enactment_date=enacted,
-                   effective_date=enacted, produces=(urn,), targets=(urn,)),
+                   effective_date=enacted, targets=(urn,)),
         ActionNode(id="act:a", action_type=ActionType.AMENDMENT, enactment_date=amended,
-                   effective_date=amended, terminates=(urn,), produces=(urn,), targets=(urn,)),
+                   effective_date=amended, targets=(urn,)),
     ])
     return store
+
+
+class TestActionShape:
+    """An action's constructor refuses a shape no event has."""
+
+    DAY = date(2000, 1, 1)
+
+    @pytest.mark.parametrize("action_type, fields, reason", [
+        pytest.param(ActionType.ENACTMENT, {"targets": ("urn:a", "urn:b")}, "2 targets",
+                     id="enactment-of-two"),
+        pytest.param(ActionType.ENACTMENT, {"targets": ()}, "0 targets", id="enactment-of-none"),
+        pytest.param(ActionType.ENACTMENT, {"targets": ("urn:a",), "source_provision": "urn:s"},
+                     "an enactment cites no source provision", id="enactment-citing-a-provision"),
+        pytest.param(ActionType.ENACTMENT, {"targets": ("urn:a",), "inserts": True},
+                     "only an amendment inserts, not this enactment", id="enactment-inserting"),
+        pytest.param(ActionType.AMENDMENT, {"targets": ("urn:a", "urn:b")}, "2 targets",
+                     id="amendment-of-two"),
+        pytest.param(ActionType.REPEAL, {"targets": ()}, "0 targets", id="repeal-of-none"),
+        pytest.param(ActionType.REPEAL, {"targets": ("urn:a",), "inserts": True},
+                     "only an amendment inserts, not this repeal", id="repeal-inserting"),
+        pytest.param(ActionType.AMENDMENT, {"targets": (), "inserts": True}, "0 targets",
+                     id="insertion-of-none"),
+        pytest.param(ActionType.AMENDMENT, {"targets": ("urn:a",),
+                                            "enactment_date": date(2000, 1, 2)},
+                     "enactment_date 2000-01-02 is after effective_date 2000-01-01",
+                     id="enacted-after-it-takes-effect"),
+    ])
+    def test_a_shape_no_event_has_is_refused(self, action_type, fields, reason):
+        fields = {"enactment_date": self.DAY, **fields}
+        with pytest.raises(ValueError, match=reason):
+            ActionNode("act:x", action_type, effective_date=self.DAY, **fields)
+
+    def test_an_insertion_may_have_several_targets(self):
+        action = ActionNode("act:x", ActionType.AMENDMENT, self.DAY, self.DAY,
+                            targets=("urn:a", "urn:b"), inserts=True)
+        assert action.targets == ("urn:a", "urn:b")
 
 
 class TestValidateGraph:
@@ -233,23 +270,23 @@ class TestValidateGraph:
             store.add_unit(TextUnit(action.description_unit, "An event."))
         assert validate_graph(store) == []
 
-    def test_a_produced_work_an_action_target_and_a_source_provision_must_name_works(self):
+    def test_an_action_target_and_a_source_provision_must_name_works(self):
         store = _two_version_store()
         day = date(2001, 1, 1)
-        # The replay opens a version of a work no node is.
+        # The replay leaves a target that names no work alone.
         store.replay([ActionNode("act:m", ActionType.ENACTMENT, day, day,
-                                 produces=("urn:test:m",), targets=("urn:test:m",))])
+                                 targets=("urn:test:m",))])
+        assert "urn:test:m" not in store.versions
         for action in store.actions.values():
             store.add_unit(TextUnit(action.description_unit, "An event."))
         # Only None names no node: "" must name one too.
         store.actions["act:a"] = replace(store.actions["act:a"], source_provision="",
-                                         targets=("urn:test:n", "urn:test:m"))
+                                         targets=("urn:test:m",))
         violations = validate_graph(store)
         dangling = [v.nodes for v in violations if v.code == "DanglingReference"]
-        assert dangling == [("act:a", ""), ("act:m", "urn:test:m"), ("act:a", "urn:test:m"),
-                            ("act:m", "urn:test:m")]
+        assert dangling == [("act:a", ""), ("act:a", "urn:test:m"), ("act:m", "urn:test:m")]
         # References are checked first.
-        assert [v.code for v in violations[:4]] == ["DanglingReference"] * 4
+        assert [v.code for v in violations[:3]] == ["DanglingReference"] * 3
 
     def test_each_fact_in_a_works_metadata_needs_its_own_metadata_unit(self):
         store = _two_version_store()

@@ -31,6 +31,7 @@ from normgraph.planner import (
 from normgraph.store import GraphStore, load, pick_wording, save
 from normgraph.temporal import MembershipPolicy, TemporalScope
 
+import day_rule
 import synthcorpus
 from reference_ids import (
     ACT_CA26,
@@ -464,7 +465,8 @@ class TestProvenance:
             for first, second in zip(chain, chain[1:]):
                 produced = {cid for cid, aid in fixture_store.produced_by.items() if aid == first}
                 closer = fixture_store.actions[second]
-                terminated = {fixture_store.closed_by(closer, urn).id for urn in closer.terminates}
+                terminated = {fixture_store.closed_by(closer, urn).id
+                              for urn in day_rule.effects(fixture_store)[second][0]}
                 assert produced & terminated
 
     def test_multi_work_spans_yield_one_chain_per_work(self, fixture_store, clock):

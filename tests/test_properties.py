@@ -5,13 +5,16 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from collections import Counter
 from datetime import date, timedelta
 from types import SimpleNamespace
 
 import pytest
 
-from normgraph.errors import MissingLanguage, NotYetEnacted, RepealedAt, TermNotFound
+from normgraph.errors import (
+    MalformedInput, MissingLanguage, NotYetEnacted, RepealedAt, TermNotFound,
+)
 from normgraph.ingest import (
     add_language,
     apply_event,
@@ -61,6 +64,7 @@ from normgraph.temporal import (
 )
 from normgraph.themes import define_theme
 
+import day_rule
 import synthcorpus
 from reference_ids import ART6
 from test_ingest import amendment_file, apply_file, mini_doc, versions_of
@@ -113,13 +117,16 @@ class TestSameDayCompositeEvents:
         store = self._store_with_two_same_day_amendments()
         assert validate_graph(store) == []
         produced: dict[str, str] = {}
-        for action in store.actions.values():
-            for urn in action.produces:
-                cid = ctv_id(urn, action.effective_date)
+        for aid, (_, produces) in day_rule.effects(store).items():
+            for urn in produces:
+                cid = ctv_id(urn, store.actions[aid].effective_date)
                 assert cid not in produced, cid
-                produced[cid] = action.id
+                produced[cid] = aid
         assert produced == store.produced_by
         assert set(produced) == set(store.ctvs)
+        # The two amendments share the norm's roll, which the smaller id produces.
+        assert store.produced_by["urn:test:mini@2003-06-01"] == min(
+            aid for aid in store.actions if aid.endswith("2003-06-01"))
 
     def test_snapshot_after_merge_shows_both_amendments(self):
         store = self._store_with_two_same_day_amendments()
@@ -203,8 +210,9 @@ _REPLAYED = ("ctvs", "versions", "version_starts", "produced_by")
 
 class TestLoadReplaysWhatIngestBuilt:
     """Ingest replays each action as it applies its event, in (effective date,
-    file name, record index) order; load replays the whole action record in
-    (effective date, id) order. Both build the same versions."""
+    file name, record index) order; load replays the whole action record a
+    day at a time in (effective date, id) order. Both build the same
+    versions, each filed under the producer the day rule gives."""
 
     @staticmethod
     def _assert_load_rebuilds(store: GraphStore, path) -> None:
@@ -212,8 +220,9 @@ class TestLoadReplaysWhatIngestBuilt:
         loaded = load(path)
         for name in _REPLAYED:
             assert getattr(loaded, name) == getattr(store, name), name
+        assert store.produced_by == day_rule.produced_by(store)
 
-    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("seed", range(60))
     def test_synthetic_corpora(self, tmp_path, seed):
         store = synthcorpus.build_store(synthcorpus.generate_corpus(seed))
         store.commit()
@@ -245,6 +254,87 @@ class TestLoadReplaysWhatIngestBuilt:
                                                            "bb-2003"]
         assert validate_graph(store) == []
         self._assert_load_rebuilds(store, tmp_path / "s.ndjson")
+
+
+def _one_day_corpus(tmp_path, doc: dict, events: list[tuple[str, str, dict]]):
+    """Ingest ``doc`` and each (file, instrument short title, event file), in file order.
+
+    An event file's instrument is given its own urn and the short title, if one is given.
+    """
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "mini.satdoc.json").write_text(json.dumps(doc), encoding="utf-8")
+    for name, short, file_dict in events:
+        if short:
+            file_dict["instrument"].update(urn=f"urn:test:act:{name}", short_title=short)
+        (corpus / f"{name}.satev.json").write_text(json.dumps(file_dict), encoding="utf-8")
+    store, _ = ingest_corpus(corpus)
+    return store
+
+
+class TestTheDayRule:
+    """Same-day events, applied by ingest in file order, which here is the reverse
+    of their id order (an id begins with its instrument's short title): the
+    versions and producers ingest builds are those load's one replay builds."""
+
+    DAY = "2003-06-01"
+
+    def _producers(self, store: GraphStore, *works: str) -> list[str]:
+        return [store.produced_by[f"urn:test:mini{work}@{self.DAY}"].split(":")[1]
+                for work in works]
+
+    def test_a_caput_amended_before_its_item_on_one_day(self, tmp_path):
+        # The caput's event is applied first, though the item's action has the
+        # smaller id: a plain replay in id order would roll the caput for the
+        # item, then find the caput's version already open that day.
+        doc = mini_doc(2)
+        doc["body"][0]["children"][0]["children"] = [
+            {"fragment": "art1_i1", "type": "item", "text": "Item one."}]
+        store = _one_day_corpus(tmp_path, doc, [
+            ("a", "ZZ 2003", amendment_file("urn:test:mini!art1_cpt", self.DAY, "Caput v2.")),
+            ("b", "AA 2003", amendment_file("urn:test:mini!art1_i1", self.DAY, "Item v2.")),
+        ])
+        assert self._producers(store, "!art1_i1", "!art1_cpt", "!art1", "") == [
+            "aa-2003", "zz-2003", "zz-2003", "zz-2003"]
+        TestLoadReplaysWhatIngestBuilt._assert_load_rebuilds(store, tmp_path / "s.ndjson")
+
+    def test_sibling_rolls_file_the_shared_ancestor_under_the_smaller_id(self, tmp_path):
+        store = _one_day_corpus(tmp_path, mini_doc(2), [
+            ("a", "ZZ 2003", amendment_file("urn:test:mini!art1_cpt", self.DAY, "One v2.")),
+            ("b", "AA 2003", amendment_file("urn:test:mini!art2_cpt", self.DAY, "Two v2.")),
+        ])
+        # ZZ rolled the norm first; AA's roll re-files it.
+        assert self._producers(store, "!art1", "!art2", "") == ["zz-2003", "aa-2003", "aa-2003"]
+        TestLoadReplaysWhatIngestBuilt._assert_load_rebuilds(store, tmp_path / "s.ndjson")
+
+    def test_an_insertion_joins_a_version_a_roll_opened_that_day(self, tmp_path):
+        store = _one_day_corpus(tmp_path, mini_doc(2), [
+            ("a", "ZZ 2003", amendment_file("urn:test:mini!art1_cpt", self.DAY, "One v2.")),
+            ("b", "AA 2003", amendment_file("urn:test:mini!art1", self.DAY, "", components=[
+                {"fragment": "art1_par1", "type": "paragraph", "text": "Inserted."}])),
+        ])
+        assert self._producers(store, "!art1_cpt", "!art1_par1", "!art1", "") == [
+            "zz-2003", "aa-2003", "aa-2003", "aa-2003"]
+        assert [tv.valid_start for tv in versions_of(store, "urn:test:mini!art1")] == [
+            date(2000, 1, 1), date(2003, 6, 1)]
+        TestLoadReplaysWhatIngestBuilt._assert_load_rebuilds(store, tmp_path / "s.ndjson")
+
+    def test_a_self_amending_event_cites_a_provision_its_norm_has(self, tmp_path):
+        # Its enactment's replay would open a stub inside the enacted tree.
+        event = amendment_file("urn:test:mini!art1_cpt", self.DAY, "One v2.")
+        event["events"][0]["source_provision"] = "art99"
+        event["instrument"].update(urn="urn:test:mini", title="Mini Statute", short_title="MS")
+        with pytest.raises(MalformedInput, match=re.escape(
+                "source provision 'art99' names no work of 'urn:test:mini', which the corpus "
+                "enacts")) as exc:
+            _one_day_corpus(tmp_path, mini_doc(2), [("a", None, event)])
+        assert exc.value.path.endswith("a.satev.json")
+        event["events"][0]["source_provision"] = "art2"
+        (tmp_path / "corpus" / "a.satev.json").write_text(json.dumps(event), encoding="utf-8")
+        store, _ = ingest_corpus(tmp_path / "corpus")
+        assert store.actions[f"act:ms:art1-cpt:{self.DAY}"].source_provision == (
+            "urn:test:mini!art2")
+        TestLoadReplaysWhatIngestBuilt._assert_load_rebuilds(store, tmp_path / "s.ndjson")
 
 
 class TestDerivedOnLoad:
@@ -459,7 +549,8 @@ def _reference_provenance(store: GraphStore, term: str, target: str | None,
     """A provenance answer's rendered text and annex JSON, rendered plainly from the nodes.
 
     Every version, date and label is read from the node it belongs to, each
-    action by a scan for the one that produced the version, and every date
+    action by a scan for the one that produced the version under the day
+    rule (day_rule.effects), and every date
     is formatted where it is written.
     """
     if target:
@@ -473,10 +564,12 @@ def _reference_provenance(store: GraphStore, term: str, target: str | None,
     if not introductions:
         raise TermNotFound(term, target)
 
+    effects = day_rule.effects(store)
+
     def producer(ctv: str):
         tv = store.ctvs[ctv]
         return next(a for a in store.actions.values()
-                    if tv.work in a.produces and a.effective_date == tv.valid_start)
+                    if tv.work in effects[a.id][1] and a.effective_date == tv.valid_start)
 
     def label(action) -> str:
         """The short title, else the title, of the instrument's work, else the action's id."""
@@ -969,6 +1062,7 @@ class _LinearSearch:
         for lv in store.clvs.values():
             self.wordings.setdefault(lv.temporal_version, {})[lv.language] = lv.id
         self._scores: dict[tuple[str, str, str], float] = {}
+        self.effects = day_rule.effects(store)
 
     def _wording(self, tv: TemporalVersion, language: str | None, fallback: bool) -> str | None:
         works = self.store.works
@@ -993,19 +1087,20 @@ class _LinearSearch:
                                           Aspect.CONTENT))
         if Aspect.ACTION_DESCRIPTION in req.aspects:
             for aid, action in sorted(store.actions.items()):
-                touched = {*action.targets, *action.terminates, *action.produces}
+                terminates, produces = self.effects[aid]
+                touched = {*action.targets, *terminates, *produces}
                 if touched.isdisjoint(scope):
                     continue
                 day = action.effective_date
                 if day > t and not req.include_future_actions:
                     continue
-                target = action.targets[0] if action.targets else ""
+                target = action.targets[0]
                 # The version the action produces of its target, else the one it closes.
                 chain = self.chains.get(target, ())
                 anchors = [tv.id for tv in chain
-                           if target in action.produces and tv.valid_start == day]
+                           if target in produces and tv.valid_start == day]
                 anchors += [tv.id for tv in chain
-                            if target in action.terminates and tv.valid_end == day]
+                            if target in terminates and tv.valid_end == day]
                 found.append((action.description_unit, (target, anchors[0] if anchors else "", aid),
                               Aspect.ACTION_DESCRIPTION))
         if Aspect.METADATA in req.aspects:

@@ -46,6 +46,7 @@ from normgraph import store as store_mod
 from normgraph.store import GraphStore, load, pick_wording, save, tokenize
 from normgraph.temporal import MembershipPolicy, TemporalScope, resolve_scope
 
+import day_rule
 import synthcorpus
 from reference_ids import (
     ACT_CA26, ACT_CA64, ACT_CA72, ACT_CA90, ACT_ENACT, ART6_CPT, ART7_CPT, NORM_URN,
@@ -626,7 +627,7 @@ class TestStrictHeader:
         path = tmp_path / "snap.ndjson"
         save(fixture_store, path)
         header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
-        assert header == {"kind": "meta", "format_version": 10, "columns": COLUMNS,
+        assert header == {"kind": "meta", "format_version": 11, "columns": COLUMNS,
                           "rows": {"work": 17, "action": 5, "clv": 9, "theme": 1, "unit": 16}}
 
 
@@ -647,8 +648,7 @@ class TestStrictRecords:
                      id="action-bad-date"),
         pytest.param("action", "enactment_date", "20000214", "must be an ISO date",
                      id="action-compact-date"),
-        pytest.param("action", "produces", [1], "must be a list of strings",
-                     id="action-produces-int"),
+        pytest.param("action", "inserts", 0, "must be a boolean", id="action-inserts-int"),
         pytest.param("work", "component_type", "statute", "must be a ComponentType value",
                      id="work-unknown-component-type"),
         pytest.param("work", "metadata", {"label": 1}, "must be an object of strings",
@@ -674,7 +674,7 @@ class TestStrictRecords:
         assert f":{line}: bad {kind!r} record, row {at}, column {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, key, named", [
-        pytest.param("action", "produces", "produces", id="action-produces"),
+        pytest.param("action", "targets", "targets", id="action-targets"),
         pytest.param("theme", "members", "members", id="theme-members"),
         pytest.param("action", "effective_date", "effective_date", id="action-effective_date"),
         # The first column is the one the others are held to, so the second is named.
@@ -703,8 +703,8 @@ class TestStrictRecords:
                      id="unit-missing-column"),
         pytest.param("clv", lambda r: r.update(columns=dict(enumerate(r["columns"]))),
                      "'columns' must be a list of 2 arrays", id="clv-columns-object"),
-        pytest.param("action", lambda r: r["columns"].__setitem__(6, "produces"),
-                     "'columns' must be a list of 10 arrays", id="action-column-string"),
+        pytest.param("action", lambda r: r["columns"].__setitem__(5, "targets"),
+                     "'columns' must be a list of 9 arrays", id="action-column-string"),
         pytest.param("action", lambda r: r.update(id="act:x"),
                      "its members must be kind, columns", id="action-extra-member"),
         pytest.param("theme", lambda r: r.pop("columns"), "its members must be kind, columns",
@@ -793,11 +793,10 @@ class TestDerivedColumns:
         store = GraphStore()
         store.add_work(WorkNode("urn:x", (), metadata=(("title", "The X Act"),)))
         day = date(2000, 1, 1)
-        store.replay([ActionNode("act:x", ActionType.ENACTMENT, day, day, produces=("urn:x",),
+        store.replay([ActionNode("act:x", ActionType.ENACTMENT, day, day, targets=("urn:x",),
                                  instrument="urn:x"),
                       ActionNode("act:y", ActionType.AMENDMENT, day + timedelta(days=1),
-                                 day + timedelta(days=1), terminates=("urn:x",),
-                                 produces=("urn:x",))])
+                                 day + timedelta(days=1), targets=("urn:x",))])
         assert store.action_labels == {"act:x": "The X Act", "act:y": "act:y"}
 
     def test_a_parentless_work_whose_urn_holds_a_fragment_exits_3(self, tmp_path, capsys):
@@ -834,52 +833,63 @@ class TestDerivedColumns:
 CA26 = "urn:lex:br:federal:emenda.constitucional:2000-02-14;26"
 
 
-def _action_cell(record: dict, column: str):
-    """A column's value in an action's row record."""
-    return record["row"][COLUMNS["action"].index(column)]
-
-
-def _two_amendments_of_one_day(actions: dict) -> None:
-    # CA 64/2010 takes CA 26/2000's day and produces Art. 6's caput again.
+def _on_day(record: dict, day: str) -> None:
+    """Move an action's row record to ``day``, enacted that day too."""
     for column in ("enactment_date", "effective_date"):
-        _set(actions[ACT_CA64], column, "2000-02-15")
-    _set(actions[ACT_CA64], "terminates", [])
+        _set(record, column, day)
+
+
+def _inserting(record: dict, *targets: str) -> None:
+    """Make an action's row record an insertion of ``targets``."""
+    _set(record, "inserts", True)
+    if targets:
+        _set(record, "targets", list(targets))
 
 
 def _a_gap(actions: dict) -> None:
-    # CA 64/2010 closes Art. 6's caput without a successor; CA 90/2015 opens one.
-    _action_cell(actions[ACT_CA64], "produces").remove(ART6_CPT)
-    _action_cell(actions[ACT_CA90], "terminates").remove(ART6_CPT)
+    # CA 26/2000 inserts Art. 6's caput, CA 64/2010 repeals it and CA 90/2015
+    # inserts it again.
+    _inserting(actions[ACT_CA26])
+    _set(actions[ACT_CA64], "action_type", "repeal")
+    _inserting(actions[ACT_CA90])
 
 
 class TestReplay:
-    """The actions are the only record of the versions: load replays them, and
+    """The actions are the only record of the versions: load replays them,
+    deriving what each closes and opens from its event and the work tree, and
     actions that do not replay are refused, naming the first at fault."""
 
     @pytest.mark.parametrize("edit, culprit, fault", [
-        pytest.param(lambda actions: _action_cell(actions[ACT_ENACT], "produces").append(ART6_CPT),
-                     ACT_ENACT, f"produces {ART6_CPT!r} on 1988-10-05, when a version of it "
-                     "already starts", id="repeated-in-one-action"),
-        pytest.param(_two_amendments_of_one_day, ACT_CA64,
-                     f"produces {ART6_CPT!r} on 2000-02-15, when a version of it already starts",
-                     id="repeated-by-two-actions"),
-        pytest.param(lambda actions: _action_cell(actions[ACT_CA26], "terminates").append(CA26),
+        # CA 26/2000 and CA 64/2010, on CA 26/2000's day, each insert Art. 6's
+        # caput, which the enactment then leaves out.
+        pytest.param(lambda actions: [_on_day(actions[ACT_CA64], "2000-02-15"),
+                                      _inserting(actions[ACT_CA26]),
+                                      _inserting(actions[ACT_CA64])],
+                     ACT_CA64, f"produces {ART6_CPT!r} on 2000-02-15, when a version of it "
+                     "already starts", id="repeated-by-two-actions"),
+        pytest.param(lambda actions: _set(actions[ACT_CA26], "targets", [CA26]),
                      ACT_CA26, f"terminates {CA26!r}, which has no open version on 2000-02-15",
                      id="no-open-version"),
+        # CA 26/2000 made effective on the day of the enactment, whose id is larger.
+        pytest.param(lambda actions: _on_day(actions[ACT_CA26], "1988-10-05"),
+                     ACT_CA26, f"terminates {ART6_CPT!r}, which has no open version on "
+                     "1988-10-05", id="before-the-enactment"),
         pytest.param(_a_gap, ACT_CA90,
                      f"produces {ART6_CPT!r} on 2015-09-15, but its last version ends 2010-02-04",
                      id="gap"),
-        # CA 72/2013 closes Art. 6 instead of Art. 7, so Art. 7's caput is still
-        # open when it produces the next one; CA 90/2015 then finds Art. 6's
-        # caput closed, a later fault.
-        pytest.param(lambda actions: _set(actions[ACT_CA72], "terminates",
-                                          list(_action_cell(actions[ACT_CA26], "terminates"))),
-                     ACT_CA72, f"produces {ART7_CPT!r} on 2013-04-02 while its version from "
-                     "1988-10-05 is open", id="still-open"),
-        pytest.param(lambda actions: [_set(actions[ACT_CA64], column, "2000-02-15")
-                                      for column in ("enactment_date", "effective_date")],
+        pytest.param(lambda actions: [_inserting(actions[ACT_CA26]),
+                                      _inserting(actions[ACT_CA64])],
+                     ACT_CA64, f"produces {ART6_CPT!r} on 2010-02-04 while its version from "
+                     "2000-02-15 is open", id="still-open"),
+        pytest.param(lambda actions: _on_day(actions[ACT_CA64], "2000-02-15"),
                      ACT_CA64, f"terminates {ART6_CPT!r} on 2000-02-15, but its open version "
                      "starts 2000-02-15", id="closed-on-its-first-day"),
+        pytest.param(lambda actions: _set(actions[ACT_ENACT], "targets", [f"{NORM_URN}!art6"]),
+                     ACT_ENACT, f"enacts '{NORM_URN}!art6', which has a parent",
+                     id="enacting-a-component"),
+        pytest.param(lambda actions: _inserting(actions[ACT_CA26], ART6_CPT, ART7_CPT),
+                     ACT_CA26, "inserts works under more than one parent",
+                     id="inserting-under-two-parents"),
     ])
     def test_actions_that_do_not_replay_are_a_malformed_snapshot_naming_the_action(
             self, tmp_path, capsys, edit, culprit, fault):
@@ -898,24 +908,35 @@ class TestReplay:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "MalformedSnapshot" and f"action {culprit!r} {fault}" in error["message"]
 
+    def test_an_enactment_flagged_as_inserting_is_refused_as_its_row(self, tmp_path):
+        header, rows = read_rows(GOLDEN)
+        actions = {record["row"][0]: record for record in rows if record["kind"] == "action"}
+        _inserting(actions[ACT_ENACT])
+        with pytest.raises(MalformedSnapshot, match=re.escape(
+                f"row {sorted(actions).index(ACT_ENACT)}: only an amendment inserts, not this "
+                "enactment")):
+            _load_rows(header, rows, tmp_path)
+
     # Each second action is a year after the good one, unless it says otherwise.
     @pytest.mark.parametrize("second, fault", [
-        pytest.param({"produces": ("urn:x",), "effective_date": date(2001, 1, 1)},
+        pytest.param({"targets": ("urn:x!y",), "inserts": True,
+                      "effective_date": date(2001, 1, 1)},
                      "when a version of it already starts", id="repeated"),
-        pytest.param({"terminates": ("urn:x", "urn:x")}, "which has no open version",
-                     id="no-open-version"),
-        pytest.param({"produces": ("urn:y",)}, "while its version from 2001-01-01 is open",
-                     id="still-open"),
-        pytest.param({"terminates": ("urn:x",), "effective_date": date(2001, 1, 1)},
+        pytest.param({"action_type": ActionType.REPEAL, "targets": ("urn:z",)},
+                     "which has no open version", id="no-open-version"),
+        pytest.param({"action_type": ActionType.ENACTMENT},
+                     "while its version from 2001-01-01 is open", id="still-open"),
+        pytest.param({"targets": ("urn:x!y",), "effective_date": date(2001, 1, 1)},
                      "but its open version starts 2001-01-01", id="closed-on-its-first-day"),
         pytest.param({"id": "act:1"}, "is already filed", id="repeated-id"),
     ])
     def test_a_batch_that_does_not_replay_files_nothing(self, second, fault):
         store = GraphStore()
-        for urn in ("urn:x", "urn:y"):
-            store.add_work(WorkNode(urn, ()))
+        for work in (WorkNode("urn:x", ()), WorkNode("urn:x!y", (), parent="urn:x"),
+                     WorkNode("urn:z", ())):
+            store.add_work(work)
         day = date(2000, 1, 1)
-        store.replay([ActionNode("act:0", ActionType.ENACTMENT, day, day, produces=("urn:x",))])
+        store.replay([ActionNode("act:0", ActionType.ENACTMENT, day, day, targets=("urn:x",))])
 
         def state():
             return (dict(store.actions), dict(store.ctvs), copy.deepcopy(store.versions),
@@ -923,18 +944,20 @@ class TestReplay:
 
         before = state()
         later = date(2001, 1, 1)
-        # A good action, which opens urn:y and closes and reopens urn:x, then the faulty one.
-        good = ActionNode("act:1", ActionType.AMENDMENT, later, later,
-                          terminates=("urn:x",), produces=("urn:x", "urn:y"))
+        # A good action, which amends urn:x!y and rolls urn:x, then the faulty one.
+        good = ActionNode("act:1", ActionType.AMENDMENT, later, later, targets=("urn:x!y",))
         after = date(2002, 1, 1)
-        bad = replace(ActionNode("act:2", ActionType.AMENDMENT, later, after), **second)
+        bad = replace(ActionNode("act:2", ActionType.AMENDMENT, later, after,
+                                 targets=("urn:x",)), **second)
         with pytest.raises(ValueError, match=re.escape(fault)):
             store.replay([good, bad])
         assert state() == before
         store.replay([good])
         assert store.versions == {"urn:x": ["urn:x@2000-01-01", "urn:x@2001-01-01"],
-                                  "urn:y": ["urn:y@2001-01-01"]}
+                                  "urn:x!y": ["urn:x!y@2000-01-01", "urn:x!y@2001-01-01"]}
         assert store.ctvs["urn:x@2000-01-01"].valid_end == later
+        assert store.produced_by == {"urn:x@2000-01-01": "act:0", "urn:x!y@2000-01-01": "act:0",
+                                     "urn:x@2001-01-01": "act:1", "urn:x!y@2001-01-01": "act:1"}
 
     def test_one_action_at_a_time_builds_what_one_batch_does(self):
         # Ingest replays each action alone, closing an open version by
@@ -942,6 +965,8 @@ class TestReplay:
         for seed in range(0, 40, 3):
             store = synthcorpus.build_store(synthcorpus.generate_corpus(seed))
             whole = GraphStore()
+            for work in store.works.values():
+                whole.add_work(work)
             whole.replay(reversed(list(store.actions.values())))
             for name in ("ctvs", "versions", "version_starts", "produced_by"):
                 assert getattr(whole, name) == getattr(store, name), (seed, name)
@@ -1008,33 +1033,52 @@ class TestReferences:
             "DanglingReference", referrer, missing)
 
 
-class TestActionTargets:
-    """Each target of an action is the work of a version the action produces or terminates."""
+class TestDerivedEffects:
+    """What an action closes and opens is derived from its event and the work tree."""
 
     def test_a_target_the_action_does_not_change_exits_3(self, tmp_path, capsys):
         header, rows = read_rows(GOLDEN)
         actions = {record["row"][0]: record for record in rows if record["kind"] == "action"}
-        at = COLUMNS["action"].index("targets")
-        # CA 26/2000 amended Art. 6 only; give it CA 72/2013's target, Art. 7's caput.
-        assert actions[ACT_CA72]["row"][at] == [ART7_CPT]
+        # CA 26/2000 amended Art. 6 only; give it CA 72/2013's target, Art. 7's
+        # caput. It then amends that caput, and the wording it gave Art. 6's
+        # caput names a version no action opens.
+        assert actions[ACT_CA72]["row"][COLUMNS["action"].index("targets")] == [ART7_CPT]
         _set(actions[ACT_CA26], "targets", [ART7_CPT])
-        with pytest.raises(MalformedSnapshot, match=re.escape(
-                f"1 invariant violation(s); the first is StrayTarget: target {ART7_CPT} is "
-                f"no work the action produces or terminates [{ACT_CA26}, {ART7_CPT}]")):
+        with pytest.raises(DanglingReference) as exc:
             _load_rows(header, rows, tmp_path)
+        assert (exc.value.referrer, exc.value.missing) == (
+            f"{ART6_CPT}@2000-02-15#pt", f"{ART6_CPT}@2000-02-15")
         code = main(["query", "impact", "--snapshot", str(tmp_path / "bad.ndjson"),
                      "--target", "art7", "--between", "1999-01-01", "2001-01-01"])
         assert code == 3
-        assert "StrayTarget" in capsys.readouterr().err
+        assert "DanglingReference" in capsys.readouterr().err
 
-    def test_every_action_ingest_writes_keeps_the_rule(self, fixture_store):
+    def test_no_column_holds_what_an_action_closes_or_opens(self, tmp_path):
+        # A version 10 action record listed them, so a file could make an
+        # action roll a work its event never reaches.
+        assert COLUMNS["action"] == ["id", "action_type", "enactment_date", "effective_date",
+                                     "source_provision", "targets", "effect", "instrument",
+                                     "inserts"]
+        lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["columns"]["action"][5:5] = ["terminates", "produces"]
+        lines[0] = encode(header)
+        with pytest.raises(MalformedSnapshot, match="'columns' must list each kind's columns"):
+            _load_lines(lines, tmp_path)
+
+    def test_every_action_ingest_writes_keeps_the_day_rule(self, fixture_store):
         stores = [fixture_store, _one_day_of_insertions_and_an_amendment()]
         stores += [synthcorpus.build_store(synthcorpus.generate_corpus(seed)) for seed in range(40)]
         for store in stores:
             assert validate_graph(store) == []
-            for action in store.actions.values():
-                touched = {*action.produces, *action.terminates}
-                assert set(action.targets) <= touched and action.targets, action.id
+            assert store.produced_by == day_rule.produced_by(store)
+            assert set(store.produced_by) == set(store.ctvs)
+            for aid, (terminates, produces) in day_rule.effects(store).items():
+                assert set(store.actions[aid].targets) <= terminates | produces, aid
+                for urn in terminates:
+                    closed = store.closed_by(store.actions[aid], urn)
+                    assert closed is not None and closed.valid_end == (
+                        store.actions[aid].effective_date), (aid, urn)
 
 
 # Loads a snapshot and prints, in order, what it derives from the units' text.
@@ -1580,21 +1624,22 @@ class TestAggregationIndex:
         for ordinal, kid in reversed(list(enumerate(kids))):
             store.add_work(WorkNode(kid, (), parent="urn:n", ordinal=ordinal))
 
-        def act(day: str, terminates: tuple[str, ...], produces: tuple[str, ...]) -> ActionNode:
+        def act(day: str, action_type: ActionType, *targets: str) -> ActionNode:
             d = date.fromisoformat(day)
-            return ActionNode(f"act:{day}", ActionType.AMENDMENT, d, d, terminates=terminates,
-                              produces=produces)
+            return ActionNode(f"act:{day}", action_type, d, d, targets=targets,
+                              inserts=len(targets) > 1 or targets == (c,))
 
         n, (b, a, c) = "urn:n", kids
-        # b is repealed on 02-01, a amended on 03-01 and repealed on 05-01, c
-        # inserted on 04-01; n rolls with each, and has a version before any.
+        # n is enacted without its children; b and a are inserted on 01-01, b
+        # is repealed on 02-01, a amended on 03-01 and repealed on 05-01, c
+        # inserted on 04-01; n rolls with each.
         store.replay([
-            act("1999-01-01", (), (n,)),
-            act("2000-01-01", (n,), (n, b, a)),
-            act("2000-02-01", (n, b), (n,)),
-            act("2000-03-01", (n, a), (n, a)),
-            act("2000-04-01", (n,), (n, c)),
-            act("2000-05-01", (n, a), (n,)),
+            act("1999-01-01", ActionType.ENACTMENT, n),
+            act("2000-01-01", ActionType.AMENDMENT, b, a),
+            act("2000-02-01", ActionType.REPEAL, b),
+            act("2000-03-01", ActionType.AMENDMENT, a),
+            act("2000-04-01", ActionType.AMENDMENT, c),
+            act("2000-05-01", ActionType.REPEAL, a),
         ])
         assert store.aggregation == reference_aggregation(store)
         assert _ids(store.aggregation) == {
@@ -1645,7 +1690,7 @@ class TestLanguageRule:
         store = GraphStore()
         store.add_work(WorkNode("urn:x", (), metadata=(("language", "pt"),)))
         day = date(2000, 1, 1)
-        store.replay([ActionNode("act:x", ActionType.ENACTMENT, day, day, produces=("urn:x",))])
+        store.replay([ActionNode("act:x", ActionType.ENACTMENT, day, day, targets=("urn:x",))])
         for code in languages:
             store.add_clv(LanguageVersion("urn:x@2000-01-01", code))
         return pick_wording(store.clvs_by_ctv.get("urn:x@2000-01-01", {}),
