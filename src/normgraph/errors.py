@@ -148,7 +148,7 @@ class NoOpenVersion(DataError):
 class OutOfOrderEvent(DataError):
     def __init__(self, urn: str, effective: date, current_start: date):
         super().__init__(
-            f"event effective {effective.isoformat()} precedes current version "
+            f"event effective {effective.isoformat()} does not follow current version "
             f"start {current_start.isoformat()} of {urn!r}"
         )
         self.urn = urn

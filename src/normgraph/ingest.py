@@ -625,6 +625,10 @@ def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str
         raise OutOfOrderEvent(ev.target, effective, current.valid_start)
     elif ev.action_type is ActionType.AMENDMENT and not store.clvs_by_ctv.get(current.id):
         raise StructureError(f"{ev.target!r} bears no text; use new_components or repeal")
+    elif ev.new_text and (language := store.primary_language(ev.target)) not in dict(ev.new_text):
+        # Readers fall back to the primary language, so every version has wording in it.
+        raise MalformedInput(f"new_text for {ev.target!r} has no wording in its norm's primary "
+                             f"language {language!r}", ev.path)
     ancestor = target.parent
     while ancestor is not None:
         _open_version(store, ancestor, effective)

@@ -1,10 +1,15 @@
 """Graph node types, identifiers, and the graph validator.
 
 Every node is a flat value object whose fields are its snapshot columns:
-construction checks it and fixes its identity, and the store treats
-instances as immutable. A temporal version's validity is half-open:
-``valid_start`` inclusive, ``valid_end`` exclusive, so a version "valid
-until 2010-02-03" has ``valid_end`` 2010-02-04.
+construction checks it and fixes its identity, and assigning or deleting
+a field raises FrozenInstanceError. The kinds that load and the replay
+build in bulk (works, versions, language versions, actions and units) are
+slotted, and each ``__init__`` checks its arguments, derives the derived
+fields from them and sets every field once, through its slot; a work's
+label is kept in a slot filled on its first read. A temporal version's
+validity is half-open: ``valid_start`` inclusive, ``valid_end``
+exclusive, so a version "valid until 2010-02-03" has ``valid_end``
+2010-02-04.
 
 Temporal versions are not stored: the actions are the only record of
 them, and an action stores only its event. Replaying the actions a day at
@@ -25,7 +30,8 @@ it has no parent, an action is labelled by its instrument work's titles
 hold, the work tree, and that every metadata fact has its unit and every
 unit is one a node names; an action's shape is checked as it is built.
 Which child versions a version aggregates is not stored either: the store
-derives it from the work tree and the chains (``GraphStore.aggregation``).
+derives it from the work tree and the chains, one norm at a time
+(``GraphStore.aggregation_of``).
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -109,7 +114,12 @@ def urn_norm(urn: str) -> str:
     return urn.split(FRAGMENT_SEP, 1)[0]
 
 
-@dataclass(frozen=True)
+def _setters(cls: type) -> tuple:
+    """Each slot's setter, in field order: a node's ``__init__`` sets each field once by it."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class WorkNode:
     """Identity of a norm (a work with no parent) or of one of its components, named by its urn."""
 
@@ -119,10 +129,30 @@ class WorkNode:
     parent: str | None = None
     ordinal: int = 0
     metadata: tuple[tuple[str, str], ...] = ()
+    _label: str | None = field(init=False, repr=False, compare=False)  # label, once read
 
-    def __post_init__(self) -> None:
-        if not self.urn:
+    def __init__(self, urn: str, aliases: tuple[str, ...],
+                 component_type: ComponentType = ComponentType.OTHER, parent: str | None = None,
+                 ordinal: int = 0, metadata: tuple[tuple[str, str], ...] = ()) -> None:
+        if not urn:
             raise ValueError("work urn must be non-empty")
+        set_urn, set_aliases, set_type, set_parent, set_ordinal, set_metadata, set_label = _WORK
+        set_urn(self, urn)
+        set_aliases(self, aliases)
+        set_type(self, component_type)
+        set_parent(self, parent)
+        set_ordinal(self, ordinal)
+        set_metadata(self, metadata)
+        set_label(self, None)
+
+    @property
+    def label(self) -> str:
+        """Human-facing label; falls back to fragment or urn. Built on first read and kept."""
+        label = self._label
+        if label is None:  # the first read: build it and keep it in its slot
+            label = self.meta("label") or self.fragment or self.urn
+            _WORK[-1](self, label)
+        return label
 
     @property
     def fragment(self) -> str | None:
@@ -142,11 +172,6 @@ class WorkNode:
             if k == key:
                 return v
         return default
-
-    @cached_property
-    def label(self) -> str:
-        """Human-facing label; falls back to fragment or urn. Built on first read and kept."""
-        return self.meta("label") or self.fragment or self.urn
 
 
 def parse_iso_date(value: str) -> date:
@@ -180,7 +205,7 @@ def theme_id_for(label: str) -> str:
     return f"theme:{slug or 'unnamed'}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TemporalVersion:
     """Date-stamped, language-agnostic snapshot of one work (a CTV).
 
@@ -188,7 +213,7 @@ class TemporalVersion:
     (exclusive; None while open). It aggregates, in child ordinal order, the
     version each child component has on ``valid_start``, so unchanged
     children keep their existing CTV ids across parent versions; the store
-    derives that list (``GraphStore.aggregation``), the version holds none.
+    derives that list (``GraphStore.aggregation_of``), the version holds none.
 
     ``id`` is derived, ``ctv_id(work, valid_start)``, and cannot be passed
     in. A version is never stored: ``GraphStore.replay`` builds it from the
@@ -203,19 +228,21 @@ class TemporalVersion:
     valid_start: date
     valid_end: date | None = None
 
-    def __post_init__(self) -> None:
-        if self.valid_end is not None and not self.valid_start < self.valid_end:
-            raise ValueError(
-                f"valid_start {self.valid_start} must precede valid_end {self.valid_end}"
-            )
-        object.__setattr__(self, "id", ctv_id(self.work, self.valid_start))
+    def __init__(self, work: str, valid_start: date, valid_end: date | None = None) -> None:
+        if valid_end is not None and not valid_start < valid_end:
+            raise ValueError(f"valid_start {valid_start} must precede valid_end {valid_end}")
+        set_id, set_work, set_start, set_end = _CTV
+        set_id(self, ctv_id(work, valid_start))
+        set_work(self, work)
+        set_start(self, valid_start)
+        set_end(self, valid_end)
 
     def contains(self, t: date) -> bool:
         """True iff ``valid_start <= t`` and t precedes the (possibly open) end."""
         return self.valid_start <= t and (self.valid_end is None or t < self.valid_end)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LanguageVersion:
     """Language-specific realization of a CTV; owns one content text unit.
 
@@ -228,13 +255,16 @@ class LanguageVersion:
     language: str
     text_unit: str = field(init=False)
 
-    def __post_init__(self) -> None:
-        lv_id = clv_id(self.temporal_version, self.language)
-        object.__setattr__(self, "id", lv_id)
-        object.__setattr__(self, "text_unit", f"tu:{lv_id}")
+    def __init__(self, temporal_version: str, language: str) -> None:
+        lv_id = clv_id(temporal_version, language)
+        set_id, set_version, set_language, set_unit = _CLV
+        set_id(self, lv_id)
+        set_version(self, temporal_version)
+        set_language(self, language)
+        set_unit(self, f"tu:{lv_id}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ActionNode:
     """Reified legislative event; it stores the event, not the versions it changes.
 
@@ -262,21 +292,35 @@ class ActionNode:
     instrument: str | None = None
     inserts: bool = False
 
-    def __post_init__(self) -> None:
-        if self.enactment_date > self.effective_date:
-            raise ValueError(f"enactment_date {self.enactment_date} is after effective_date "
-                             f"{self.effective_date}")
-        if self.action_type is ActionType.ENACTMENT and self.source_provision is not None:
+    def __init__(self, id: str, action_type: ActionType, enactment_date: date,
+                 effective_date: date, source_provision: str | None = None,
+                 targets: tuple[str, ...] = (), effect: str | None = None,
+                 instrument: str | None = None, inserts: bool = False) -> None:
+        if enactment_date > effective_date:
+            raise ValueError(f"enactment_date {enactment_date} is after effective_date "
+                             f"{effective_date}")
+        if action_type is ActionType.ENACTMENT and source_provision is not None:
             raise ValueError("an enactment cites no source provision")
-        if self.inserts and self.action_type is not ActionType.AMENDMENT:
-            raise ValueError(f"only an amendment inserts, not this {self.action_type.value}")
-        if len(self.targets) != 1 and not (self.inserts and self.targets):
-            raise ValueError(f"{len(self.targets)} targets: an action has one, an insertion "
+        if inserts and action_type is not ActionType.AMENDMENT:
+            raise ValueError(f"only an amendment inserts, not this {action_type.value}")
+        if len(targets) != 1 and not (inserts and targets):
+            raise ValueError(f"{len(targets)} targets: an action has one, an insertion "
                              "one or more")
-        object.__setattr__(self, "description_unit", f"tu:{self.id}:desc")
+        (set_id, set_type, set_enacted, set_effective, set_source, set_unit, set_targets,
+         set_effect, set_instrument, set_inserts) = _ACTION
+        set_id(self, id)
+        set_type(self, action_type)
+        set_enacted(self, enactment_date)
+        set_effective(self, effective_date)
+        set_source(self, source_provision)
+        set_unit(self, f"tu:{id}:desc")
+        set_targets(self, targets)
+        set_effect(self, effect)
+        set_instrument(self, instrument)
+        set_inserts(self, inserts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TextUnit:
     """Atomic retrievable text span.
 
@@ -294,9 +338,19 @@ class TextUnit:
     text: str
     synthetic: bool = False
 
+    def __init__(self, id: str, text: str, synthetic: bool = False) -> None:
+        set_id, set_text, set_synthetic = _UNIT
+        set_id(self, id)
+        set_text(self, text)
+        set_synthetic(self, synthetic)
+
     @property
     def retrievable(self) -> bool:
         return bool(self.text.strip())
+
+
+_WORK, _CTV, _CLV, _ACTION, _UNIT = map(
+    _setters, (WorkNode, TemporalVersion, LanguageVersion, ActionNode, TextUnit))
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,11 @@ way for a committed store and a loaded one:
   language -> (CLV id, unit id) map) with the work's primary language; the
   work and chain position of each language version's unit; and each work's
   metadata units, one per fact of its metadata;
-- the aggregation index (``GraphStore.aggregation``) that snapshot
-  reconstruction walks: each CTV id -> the versions (nodes, not ids) its
+- the aggregation index that snapshot reconstruction walks, one per norm
+  (``GraphStore.aggregation_of``), derived on that norm's first read: each
+  CTV id of a work in the norm's tree -> the versions (nodes, not ids) its
   work's children have on its valid_start, in ordinal order (absent when
-  there are none);
+  there are none); ``GraphStore.aggregation`` is every norm's in one map;
 - the time index (``GraphStore.time_index``), after Elmasri, Wuu & Kim
   (VLDB 1990), that scope membership, impact analysis and action retrieval
   read dates from: every work with a version chain, each norm's works in
@@ -217,8 +218,9 @@ class GraphStore:
     _text_index: _TextIndex | None = field(default=None, compare=False, repr=False)
     _chain_index: _ChainIndex | None = field(default=None, compare=False, repr=False)
     _time_index: _TimeIndex | None = field(default=None, compare=False, repr=False)
-    _aggregation: dict[str, tuple[TemporalVersion, ...]] | None = field(
-        default=None, compare=False, repr=False)
+    # Norm urn -> its aggregation index (aggregation_of), each set on the norm's first read.
+    _aggregations: dict[str, dict[str, tuple[TemporalVersion, ...]]] = field(
+        default_factory=dict, compare=False, repr=False)
     _action_labels: dict[str, str] | None = field(default=None, compare=False, repr=False)
     clvs_by_ctv: dict[str, dict[str, str]] = field(default_factory=dict, compare=False)
     alias_index: dict[str, set[str]] = field(default_factory=dict, compare=False)
@@ -438,8 +440,25 @@ class GraphStore:
 
     @property
     def aggregation(self) -> dict[str, tuple[TemporalVersion, ...]]:
-        """The aggregation index (see the module docstring), derived on its first read."""
-        return self._derived("_aggregation", self._derive_aggregation)
+        """Every norm's aggregation index (aggregation_of), in one map."""
+        return {cid: held for urn, work in self.works.items() if work.parent is None
+                for cid, held in self.aggregation_of(urn).items()}
+
+    def aggregation_of(self, norm: str) -> dict[str, tuple[TemporalVersion, ...]]:
+        """The aggregation index of ``norm``'s tree (see the module docstring).
+
+        Derived as ``_derived`` derives an index, but kept per norm and read
+        with one dict lookup, since every point-in-time query reads it.
+        """
+        index = self._aggregations.get(norm)
+        if index is None:
+            if not self.committed:
+                return self._derive_norm_aggregation(norm)
+            with _BUILD_LOCK:
+                if norm not in self._aggregations:
+                    self._aggregations[norm] = self._derive_norm_aggregation(norm)
+                index = self._aggregations[norm]
+        return index
 
     @property
     def action_labels(self) -> dict[str, str]:
@@ -507,8 +526,9 @@ class GraphStore:
                 metadata_units[urn] = facts
         return _ChainIndex(chains, placed_units, metadata_units)
 
-    def _derive_aggregation(self) -> dict[str, tuple[TemporalVersion, ...]]:
-        """Each version's children's versions on its start (version_at's), one pass per parent.
+    def _derive_norm_aggregation(self, norm: str) -> dict[str, tuple[TemporalVersion, ...]]:
+        """Each version's children's versions on its start (version_at's), one pass per parent
+        of ``norm``'s tree.
 
         A child's version fills the child's slot from its start until its
         end or the next version's start; the parent's versions, walked in
@@ -516,7 +536,9 @@ class GraphStore:
         """
         ctvs, versions, starts = self.ctvs, self.versions, self.version_starts
         aggregation: dict[str, tuple[TemporalVersion, ...]] = {}
-        for parent, kids in self.children.items():
+        for parent in self.descendants(norm):
+            if not (kids := self.children.get(parent)):
+                continue
             changes: list[tuple[date, int, TemporalVersion | None]] = []  # (day, slot, version)
             for slot, kid in enumerate(kids):
                 for cid, after in zip_longest(versions.get(kid, ()), starts.get(kid, [])[1:]):

@@ -14,7 +14,7 @@ from enum import Enum
 from datetime import date
 
 from .errors import MissingLanguage, NotYetEnacted, RepealedAt, UnknownEntry
-from .model import TemporalVersion
+from .model import TemporalVersion, urn_norm
 from .store import GraphStore, pick_wording
 
 
@@ -156,8 +156,8 @@ def snapshot_fragments(
 ) -> list[SnapshotFragment]:
     """Reconstruct the text of ``work`` as it stood on ``t``, with citations.
 
-    Depth-first expansion of the aggregation closure (the store's
-    aggregation index, read once per call), emitting each
+    Depth-first expansion of the aggregation closure (the aggregation
+    index of the work's norm, read once per call), emitting each
     text-bearing component's wording in ordinal order. Falls back to the
     norm's primary language unless disabled; without fallback, a version
     that has wording, but none in the requested language, raises
@@ -166,9 +166,9 @@ def snapshot_fragments(
     out: list[SnapshotFragment] = []
     root = ctv_at(store, work, t)
     # validate_graph keeps a component in its parent's norm, so one primary
-    # language serves the whole aggregation closure.
+    # language and one norm's aggregation index serve the whole closure.
     primary = store.primary_language(work)
-    children = store.aggregation.get
+    children = store.aggregation_of(urn_norm(work)).get
 
     def emit(tv: TemporalVersion) -> None:
         languages = store.clvs_by_ctv.get(tv.id)

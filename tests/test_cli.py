@@ -143,6 +143,12 @@ class TestMalformedFiles:
                      "source provision 'adct_art99' names no work of "
                      "'urn:lex:br:federal:constituicao:1988-10-05;1988', which the corpus enacts",
                      id="self-amending-stub"),
+        # Readers fall back to the norm's primary language, so an amendment must word it.
+        pytest.param("ca_26_2000.satev.json", lambda data: {**data, "events": [
+            {**data["events"][0], "new_text": {"en": data["events"][0]["new_text"]["pt"]}}]},
+                     "new_text for 'urn:lex:br:federal:constituicao:1988-10-05;1988!art6_cpt' "
+                     "has no wording in its norm's primary language 'pt'",
+                     id="amendment-without-primary-language"),
     ])
     def test_a_file_naming_what_the_corpus_lacks_exits_3_and_writes_no_snapshot(
             self, tmp_path, capsys, name, edit, reason):
@@ -153,6 +159,24 @@ class TestMalformedFiles:
         assert main(["ingest", str(corpus), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"data error: MalformedInput: {corpus / name}: ") and reason in err
+        assert not out.exists()
+
+    def test_a_second_amendment_on_the_same_day_does_not_follow_the_first(
+            self, tmp_path, capsys):
+        # CA 27/2000 amends Art. 6's caput on the day CA 26/2000 does: its event
+        # file sorts second, so the version it would close starts that very day.
+        corpus = tmp_path / "corpus"
+        assert main(["fixture", "--out", str(corpus)]) == 0
+        data = json.loads((corpus / "ca_26_2000.satev.json").read_text(encoding="utf-8"))
+        data["instrument"].update(urn="urn:lex:br:federal:emenda.constitucional:2000-02-14;27",
+                                  title="Constitutional Amendment no. 27, of February 14, 2000",
+                                  short_title="CA 27/2000")
+        (corpus / "ca_27_2000.satev.json").write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "x.ndjson"
+        assert main(["ingest", str(corpus), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.rstrip("\n").endswith(
+            "OutOfOrderEvent: event effective 2000-02-15 does not follow current version start "
+            "2000-02-15 of 'urn:lex:br:federal:constituicao:1988-10-05;1988!art6_cpt'")
         assert not out.exists()
 
     def test_an_inserted_component_of_an_unknown_type_names_its_event_file(

@@ -373,7 +373,8 @@ class TestApplyEvent:
     def test_out_of_order_event(self):
         store = GraphStore()
         enact(store, parse_document(mini_doc()))
-        with pytest.raises(OutOfOrderEvent):
+        with pytest.raises(OutOfOrderEvent, match="event effective 1999-12-31 does not follow "
+                                                  "current version start 2000-01-01 of"):
             apply_file(store, amendment_file(
                 "urn:test:mini!art1_cpt", "1999-12-31", "before enactment"))
 
@@ -737,6 +738,13 @@ def _retitle_an_instrument(store):
     return lambda: apply_file(store, file_dict)
 
 
+def _amend_without_the_primary_language(store):
+    file_dict = amendment_file("urn:test:mini!art1_cpt", "2003-06-01", "")
+    # The norm is English: readers fall back to English wording, which this lacks.
+    file_dict["events"][0]["new_text"] = {"fr": "Texte nouveau.", "pt": "Texto novo."}
+    return lambda: apply_file(store, file_dict)
+
+
 def _translate_an_unknown_fragment(store):
     return lambda: add_language(store, "urn:test:mini", {"art1_cpt": "ola", "zz": "x"}, "pt")
 
@@ -758,6 +766,8 @@ def _translate_twice(store):
     pytest.param(_insert_the_events_own_source_provision, MalformedInput,
                  id="insert-own-source-provision"),
     pytest.param(_retitle_an_instrument, MalformedInput, id="instrument-titled-otherwise"),
+    pytest.param(_amend_without_the_primary_language, MalformedInput,
+                 id="amend-without-primary-language"),
     pytest.param(_translate_an_unknown_fragment, UnknownWork, id="translate-unknown-fragment"),
     pytest.param(_translate_twice, TranslationConflict, id="translate-conflict"),
 ])

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from datetime import date
 
 import pytest
@@ -166,6 +166,58 @@ class TestDerivedFields:
         assert replace(self.ACTION, id="act:y").description_unit == "tu:act:y:desc"
         assert replace(self.THEME, label="Y").id == "theme:y"
         assert replace(self.THEME, label="Y").description_unit == "tu:theme:y:desc"
+
+
+# One node of each kind that load or the replay builds, every field set.
+_NODES = {
+    "work": WorkNode("urn:x!art1", ("Art. 1",), ComponentType.ARTICLE, "urn:x", 0,
+                     (("label", "Art. 1"),)),
+    "ctv": ctv("urn:x", "2000-01-01", "2001-01-01"),
+    "clv": LanguageVersion("urn:x@2000-01-01", "pt"),
+    "action": ActionNode("act:x", ActionType.AMENDMENT, date(2000, 1, 1), date(2000, 1, 1),
+                         "urn:s!art2", ("urn:x",), "amended", "urn:s"),
+    "unit": TextUnit("tu:x", "Text.", True),
+}
+
+
+class TestNodesAreImmutable:
+    """No field of a built node can be assigned or deleted, derived ones included."""
+
+    CASES = [pytest.param(node, f.name, id=f"{kind}-{f.name}")
+             for kind, node in _NODES.items() for f in fields(node)]
+
+    @pytest.mark.parametrize("node, name", CASES)
+    def test_assigning_a_field_raises(self, node, name):
+        before = getattr(node, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, "other")
+        assert getattr(node, name) == before
+
+    @pytest.mark.parametrize("node, name", CASES)
+    def test_deleting_a_field_raises(self, node, name):
+        before = getattr(node, name)
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, name)
+        assert getattr(node, name) == before
+
+    def test_a_name_that_is_no_field_cannot_be_set_either(self):
+        # A slotted frozen dataclass refuses it with TypeError on Python 3.10 and 3.11.
+        for node in _NODES.values():
+            with pytest.raises((FrozenInstanceError, TypeError)):
+                node.note = "other"
+        with pytest.raises((FrozenInstanceError, TypeError)):
+            _NODES["work"].label = "other"
+        assert not hasattr(_NODES["unit"], "note")
+
+    def test_a_works_label_is_built_once_and_kept(self):
+        work = WorkNode("urn:x!art1", (), metadata=(("label", "Art. 1"),))
+        assert work._label is None
+        assert work.label == "Art. 1" and work._label is work.label
+        assert WorkNode("urn:x!art1", ()).label == "art1"
+        assert WorkNode("urn:x", ()).label == "urn:x"
+        # Read or not, the label is no part of a work's value.
+        assert work == WorkNode("urn:x!art1", (), metadata=(("label", "Art. 1"),))
+        assert hash(work) == hash(WorkNode("urn:x!art1", (), metadata=(("label", "Art. 1"),)))
 
 
 def _two_version_store() -> GraphStore:

@@ -31,6 +31,7 @@ from normgraph.model import (
     clv_id,
     metadata_unit_id,
     theme_id_for,
+    urn_norm,
     validate_graph,
 )
 from normgraph.planner import QueryPattern, StructuredQuery, run
@@ -1235,10 +1236,10 @@ def _slowed(monkeypatch, name: str) -> list[int]:
     builds: list[int] = []
     derive = getattr(GraphStore, name)
 
-    def slow_derive(self):
+    def slow_derive(self, *args):
         builds.append(threading.get_ident())
         time.sleep(0.05)  # widen the window in which every reader finds no index
-        return derive(self)
+        return derive(self, *args)
 
     monkeypatch.setattr(GraphStore, name, slow_derive)
     return builds
@@ -1653,25 +1654,31 @@ class TestAggregationIndex:
         store = GraphStore()
         enact(store, parse_document(mini_doc()))
         first = store.aggregation
-        assert store._aggregation is None
+        assert store.aggregation_of(MINI) == first and store._aggregations == {}
         apply_file(store, amendment_file(f"{MINI}!art1", "2003-06-01", "", components=[
             {"fragment": "art1_par1", "type": "paragraph", "text": "Inserted."}]))
         assert store.aggregation == reference_aggregation(store) != first
-        assert store._aggregation is None
+        assert store._aggregations == {}
 
     def test_only_a_point_in_time_query_derives_it(self, snapshot_path, clock):
         store = load(snapshot_path)
         run(store, _impact(), clock)
         run(store, StructuredQuery(QueryPattern.PROVENANCE, textual_target="food"), clock)
         run(store, _retrieve(None, RetrievalMode.LEXICAL), clock)
-        assert store._aggregation is None
+        assert store._aggregations == {}
         run(store, StructuredQuery(QueryPattern.POINT_IN_TIME, structural_target="art6",
                                    temporal=TemporalScope.instant(date(2011, 1, 1))), clock)
-        assert store._aggregation is not None and store.aggregation is store._aggregation
+        # Only the queried norm's, though the instruments' stub norms have components too.
+        assert list(store._aggregations) == [NORM_URN]
+        assert len({urn_norm(parent) for parent in store.children}) > 1
+        held = store._aggregations[NORM_URN]
+        assert store.aggregation_of(NORM_URN) is held
+        assert held == {cid: versions for cid, versions in reference_aggregation(store).items()
+                        if urn_norm(store.ctvs[cid].work) == NORM_URN}
 
     def test_concurrent_first_point_in_time_readers_share_one_build(
             self, fixture_store, snapshot_path, monkeypatch, clock):
-        builds = _slowed(monkeypatch, "_derive_aggregation")
+        builds = _slowed(monkeypatch, "_derive_norm_aggregation")
         store = load(snapshot_path)
         queries = [StructuredQuery(QueryPattern.POINT_IN_TIME, structural_target=target,
                                    temporal=TemporalScope.instant(date(2011, 1, 1)))
@@ -1679,6 +1686,23 @@ class TestAggregationIndex:
         seen = _race(lambda slot: run(store, queries[slot % 2], clock).annex_json(), readers=4)
         assert len(builds) == 1
         assert seen == [run(fixture_store, query, clock).annex_json() for query in queries] * 2
+
+    def test_concurrent_readers_of_two_norms_build_one_each(self, tmp_path, monkeypatch, clock):
+        unsaved = GraphStore()
+        other = mini_doc()
+        other["norm"].update(urn="urn:test:other", title="Other Statute", short_title="OS")
+        for doc in (mini_doc(), other):
+            enact(unsaved, parse_document(doc))
+        store = _reloaded(unsaved, tmp_path)
+        builds = _slowed(monkeypatch, "_derive_norm_aggregation")
+        queries = [StructuredQuery(QueryPattern.POINT_IN_TIME, structural_target=target,
+                                   temporal=TemporalScope.instant(date(2011, 1, 1)))
+                   for target in (MINI, "urn:test:other")]
+        seen = _race(lambda slot: run(store, queries[slot % 2], clock).annex_json(), readers=4)
+        assert len(builds) == 2
+        assert sorted(store._aggregations) == [MINI, "urn:test:other"]
+        assert seen == [run(unsaved, query, clock).annex_json() for query in queries] * 2
+        assert store.aggregation == reference_aggregation(store) == unsaved.aggregation
 
 
 class TestLanguageRule:
