@@ -14,7 +14,7 @@ import sys
 from datetime import date
 from pathlib import Path
 
-from . import evaluation, planner, store as store_mod
+from . import planner, store as store_mod
 from .errors import DataError, NormGraphError, QueryError
 from .model import validate_graph
 
@@ -76,7 +76,18 @@ def _add_query_flags(parser: argparse.ArgumentParser, *, term: bool = False,
     parser.add_argument("--clock", metavar="DATE", help="injected current date")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Each query pattern's planner pattern and help.
+_PATTERNS = {
+    "at": (planner.QueryPattern.POINT_IN_TIME, "point-in-time reconstruction"),
+    "impact": (planner.QueryPattern.IMPACT_ANALYSIS, "hierarchical impact analysis"),
+    "provenance": (planner.QueryPattern.PROVENANCE, "causal lineage of a text span"),
+    "retrieve": (planner.QueryPattern.RETRIEVE, "scoped ranked retrieval"),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of every command. A query pattern gets its flags only if ``argv`` runs it,
+    so a cold query does not build the other three patterns' parsers."""
     parser = argparse.ArgumentParser(
         prog="normgraph",
         description="Deterministic temporal knowledge-graph engine for versioned documents.",
@@ -89,12 +100,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_query = sub.add_parser("query", help="run a query against a snapshot")
     q_sub = p_query.add_subparsers(dest="pattern", required=True)
-    _add_query_flags(q_sub.add_parser("at", help="point-in-time reconstruction"))
-    _add_query_flags(q_sub.add_parser("impact", help="hierarchical impact analysis"))
-    _add_query_flags(q_sub.add_parser("provenance", help="causal lineage of a text span"),
-                     term=True)
-    _add_query_flags(q_sub.add_parser("retrieve", help="scoped ranked retrieval"),
-                     text=True)
+    for name, (_, help_text) in _PATTERNS.items():
+        p_pattern = q_sub.add_parser(name, help=help_text)
+        if argv[:2] == ["query", name]:
+            _add_query_flags(p_pattern, term=name == "provenance", text=name == "retrieve")
 
     p_eval = sub.add_parser("eval", help="score planner answers against a truth file")
     p_eval.add_argument("--snapshot", help="snapshot path (default: $NORMGRAPH_SNAPSHOT)")
@@ -109,16 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PATTERNS = {
-    "at": planner.QueryPattern.POINT_IN_TIME,
-    "impact": planner.QueryPattern.IMPACT_ANALYSIS,
-    "provenance": planner.QueryPattern.PROVENANCE,
-    "retrieve": planner.QueryPattern.RETRIEVE,
-}
-
-
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    # Imported by the commands that run them, so queries never load them.
+    # Ingest and evaluation are imported by the commands that run them, so queries never load them.
     from . import ingest
 
     out = _snapshot_path(args.out)
@@ -165,8 +166,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         mapping["lang"] = args.lang
     mapping["k"] = args.k
     mapping["language_fallback"] = not args.no_fallback
-    query = evaluation.build_query(_PATTERNS[args.pattern], mapping)
-    clock = evaluation.query_date(args.clock) if args.clock else date.today()
+    query = planner.build_query(_PATTERNS[args.pattern][0], mapping)
+    clock = planner.query_date(args.clock) if args.clock else date.today()
     answer = planner.run(graph, query, clock)
     if args.json:
         sys.stdout.write(answer.annex_json())
@@ -177,9 +178,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from . import evaluation
+
     graph = store_mod.load(_snapshot_path(args.snapshot))
     truth = evaluation.load_truth(args.truth)
-    clock = evaluation.query_date(args.clock) if args.clock else None
+    clock = planner.query_date(args.clock) if args.clock else None
     report = evaluation.evaluate(graph, truth, clock=clock)
     print(report.table())
     if args.report:
@@ -208,7 +211,8 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     emit_json = bool(getattr(args, "json", False))
     try:
         if args.command == "ingest":

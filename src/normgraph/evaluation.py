@@ -8,36 +8,33 @@ over id sets so they stay order-insensitive and trivially parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from datetime import date
-from enum import Enum
 from pathlib import Path
 
-from .errors import MalformedInput, MalformedQuery, MismatchedQueryIds, decode_input, json_field
-from .model import Aspect, parse_iso_date
-from .planner import Answer, QueryPattern, StructuredQuery, run
-from .retrieval import RetrievalMode
+from .errors import MalformedInput, MismatchedQueryIds, decode_input, json_field
+from .model import Record, parse_iso_date
+from .planner import Answer, QueryPattern, build_query, query_date, run  # noqa: F401 (re-export)
 from .store import GraphStore
-from .temporal import MembershipPolicy, SnapshotPolicy, TemporalScope
 
 TRUTH_SUFFIX = ".sattruth.json"
 FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class TruthQuery:
-    id: str
-    pattern: QueryPattern
-    query: dict
-    expected_ctvs: frozenset[str] = frozenset()
-    expected_actions: frozenset[tuple[str, str]] = frozenset()
-    expected_chains: tuple[tuple[str, ...], ...] = ()
+class TruthQuery(Record):
+    __slots__ = ("id", "pattern", "query", "expected_ctvs", "expected_actions", "expected_chains")
+
+    def __init__(self, id: str, pattern: QueryPattern, query: dict,
+                 expected_ctvs: frozenset[str] = frozenset(),
+                 expected_actions: frozenset[tuple[str, str]] = frozenset(),
+                 expected_chains: tuple[tuple[str, ...], ...] = ()) -> None:
+        self._assign(id, pattern, query, expected_ctvs, expected_actions, expected_chains)
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    queries: tuple[TruthQuery, ...]
-    clock: date | None = None
+class GroundTruth(Record):
+    __slots__ = ("queries", "clock")
+
+    def __init__(self, queries: tuple[TruthQuery, ...], clock: date | None = None) -> None:
+        self._assign(queries, clock)
 
 
 def parse_truth_file(source: str | bytes | dict, path: str | None = None) -> GroundTruth:
@@ -68,82 +65,6 @@ def parse_truth_file(source: str | bytes | dict, path: str | None = None) -> Gro
     except ValueError as exc:
         raise MalformedInput(f"clock: {exc}", path) from None
     return GroundTruth(queries=tuple(queries), clock=clock)
-
-
-def query_date(value: str) -> date:
-    """A query's date, read strictly; MalformedQuery if it is not YYYY-MM-DD."""
-    try:
-        return parse_iso_date(value)
-    except ValueError as exc:
-        raise MalformedQuery(str(exc)) from None
-
-
-def _choice(kind: type[Enum], value):
-    """``kind(value)``, or MalformedQuery naming the values ``kind`` allows."""
-    try:
-        return kind(value)
-    except ValueError:
-        allowed = ", ".join(member.value for member in kind)
-        raise MalformedQuery(f"{value!r} is not one of: {allowed}") from None
-
-
-# A query value's allowed JSON types, by name; bool is no integer, and no string a boolean.
-_TEXT = ("a string or null", frozenset({str, type(None)}))
-_FLAG = ("a boolean", frozenset({bool}))
-_INTEGER = ("an integer", frozenset({int}))
-_LIST = ("a list", frozenset({list}))
-
-
-def _value(mapping: dict, key: str, kind: tuple[str, frozenset[type]], default=None):
-    """``mapping[key]``, or ``default`` if absent; MalformedQuery unless its type is of ``kind``."""
-    if key not in mapping:
-        return default
-    value = mapping[key]
-    name, types = kind
-    if type(value) not in types:
-        raise MalformedQuery(f"{key} must be {name}, not {value!r}")
-    return value
-
-
-def build_query(pattern: QueryPattern, mapping: dict) -> StructuredQuery:
-    """Translate a truth-file (or CLI-shaped) query mapping into a record.
-
-    A date that is not YYYY-MM-DD, a ``between`` that is not two dates in
-    order, a ``k`` that is not an integer, ``aspects`` that are not a list,
-    a target, theme, term, text or language that is neither a string nor
-    null, a fallback or future-actions flag that is not a boolean, or an
-    aspect, mode, membership or policy value that names no member raises
-    MalformedQuery.
-    """
-    temporal = None
-    if "at" in mapping:
-        temporal = TemporalScope.instant(query_date(mapping["at"]))
-    elif "between" in mapping:
-        window = mapping["between"]
-        if type(window) is not list or len(window) != 2:
-            raise MalformedQuery(f"'between' must be a list of two dates, not {window!r}")
-        t1, t2 = map(query_date, window)
-        policy = _choice(SnapshotPolicy, mapping.get("policy", "snapshot_last"))
-        try:
-            temporal = TemporalScope.interval(t1, t2, policy)
-        except ValueError as exc:  # a reversed window
-            raise MalformedQuery(str(exc)) from None
-    aspects = frozenset(_choice(Aspect, a) for a in _value(mapping, "aspects", _LIST, ()))
-    term, text = _value(mapping, "term", _TEXT), _value(mapping, "text", _TEXT)
-    return StructuredQuery(
-        pattern=pattern,
-        structural_target=_value(mapping, "target", _TEXT),
-        theme_target=_value(mapping, "theme", _TEXT),
-        temporal=temporal,
-        textual_target=term or text,
-        language=_value(mapping, "lang", _TEXT),
-        membership=_choice(MembershipPolicy, mapping.get("membership", "snapshot_anchored")),
-        k=_value(mapping, "k", _INTEGER, 8),
-        mode=_choice(RetrievalMode, mapping.get("mode", "vector")),
-        aspects=aspects or frozenset({Aspect.CONTENT}),
-        language_fallback=_value(mapping, "language_fallback", _FLAG, True),
-        include_future_actions=_value(mapping, "include_future_actions", _FLAG, False),
-    )
 
 
 # -- metric primitives --------------------------------------------------------
@@ -254,10 +175,10 @@ SCORED_METRICS = ("temporal_precision", "temporal_recall", "action_attribution_f
                   "chain_completeness", "summary_completeness")
 
 
-@dataclass
 class EvalReport:
-    metrics: dict[str, float | bool | int] = field(default_factory=dict)
-    answers: dict[str, Answer] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.metrics: dict[str, float | bool | int] = {}
+        self.answers: dict[str, Answer] = {}
 
     def table(self) -> str:
         width = max(map(len, SCORED_METRICS))

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from datetime import date, timedelta
 from functools import cache
 from importlib import resources
@@ -46,6 +45,7 @@ from .model import (
     ComponentType,
     FRAGMENT_SEP,
     LanguageVersion,
+    Record,
     STRUCTURE_RULES,
     TEXT_BEARING_TYPES,
     TemporalVersion,
@@ -85,48 +85,46 @@ def _slug(text: str) -> str:
 # -- parsed input types -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComponentRecord:
+class ComponentRecord(Record):
     """One node of a parsed document body."""
 
-    fragment: str
-    component_type: ComponentType
-    ordinal: int
-    heading: str | None = None
-    label: str | None = None
-    text: str | None = None
-    synthetic: bool = False
-    aliases: tuple[str, ...] = ()
-    children: tuple["ComponentRecord", ...] = ()
+    __slots__ = ("fragment", "component_type", "ordinal", "heading", "label", "text",
+                 "synthetic", "aliases", "children")
+
+    def __init__(self, fragment: str, component_type: ComponentType, ordinal: int,
+                 heading: str | None = None, label: str | None = None, text: str | None = None,
+                 synthetic: bool = False, aliases: tuple[str, ...] = (),
+                 children: tuple[ComponentRecord, ...] = ()) -> None:
+        self._assign(fragment, component_type, ordinal, heading, label, text, synthetic, aliases,
+                     children)
 
 
-@dataclass(frozen=True)
-class NormMeta:
-    urn: str
-    title: str
-    publication_date: date
-    language: str
-    short_title: str | None = None
-    aliases: tuple[str, ...] = ()
-    metadata: tuple[tuple[str, str], ...] = ()
+class NormMeta(Record):
+    __slots__ = ("urn", "title", "publication_date", "language", "short_title", "aliases",
+                 "metadata")
+
+    def __init__(self, urn: str, title: str, publication_date: date, language: str,
+                 short_title: str | None = None, aliases: tuple[str, ...] = (),
+                 metadata: tuple[tuple[str, str], ...] = ()) -> None:
+        self._assign(urn, title, publication_date, language, short_title, aliases, metadata)
 
 
-@dataclass(frozen=True)
-class ThemeSpec:
-    label: str
-    description: str
-    members: tuple[str, ...] = ()
+class ThemeSpec(Record):
+    __slots__ = ("label", "description", "members")
+
+    def __init__(self, label: str, description: str, members: tuple[str, ...] = ()) -> None:
+        self._assign(label, description, members)
 
 
-@dataclass(frozen=True)
-class SourceDocument:
-    norm: NormMeta
-    body: tuple[ComponentRecord, ...] = ()
-    themes: tuple[ThemeSpec, ...] = ()
+class SourceDocument(Record):
+    __slots__ = ("norm", "body", "themes")
+
+    def __init__(self, norm: NormMeta, body: tuple[ComponentRecord, ...] = (),
+                 themes: tuple[ThemeSpec, ...] = ()) -> None:
+        self._assign(norm, body, themes)
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(Record):
     """One amendment/insertion/repeal command from an event file.
 
     ``new_components`` holds the raw subtree records; they are validated
@@ -134,33 +132,33 @@ class EventRecord:
     errors in them name ``path``, the event file.
     """
 
-    action_type: ActionType
-    target: str
-    enactment_date: date
-    effective_date: date
-    source_provision: str | None = None
-    source_label: str | None = None
-    effect: str | None = None
-    new_text: tuple[tuple[str, str], ...] = ()
-    synthetic: tuple[tuple[str, bool], ...] = ()
-    new_components: tuple[dict, ...] = ()
-    path: str | None = None
+    __slots__ = ("action_type", "target", "enactment_date", "effective_date", "source_provision",
+                 "source_label", "effect", "new_text", "synthetic", "new_components", "path")
+
+    def __init__(self, action_type: ActionType, target: str, enactment_date: date,
+                 effective_date: date, source_provision: str | None = None,
+                 source_label: str | None = None, effect: str | None = None,
+                 new_text: tuple[tuple[str, str], ...] = (),
+                 synthetic: tuple[tuple[str, bool], ...] = (),
+                 new_components: tuple[dict, ...] = (), path: str | None = None) -> None:
+        self._assign(action_type, target, enactment_date, effective_date, source_provision,
+                     source_label, effect, new_text, synthetic, new_components, path)
 
 
-@dataclass(frozen=True)
-class EventFile:
-    instrument: NormMeta | None
-    events: tuple[EventRecord, ...] = ()
-    themes: tuple[ThemeSpec, ...] = ()
+class EventFile(Record):
+    __slots__ = ("instrument", "events", "themes")
+
+    def __init__(self, instrument: NormMeta | None, events: tuple[EventRecord, ...] = (),
+                 themes: tuple[ThemeSpec, ...] = ()) -> None:
+        self._assign(instrument, events, themes)
 
 
-@dataclass(frozen=True)
-class TranslationFile:
-    norm: str
-    language: str
-    at: date | None
-    units: tuple[tuple[str, str], ...]
-    synthetic: bool = True
+class TranslationFile(Record):
+    __slots__ = ("norm", "language", "at", "units", "synthetic")
+
+    def __init__(self, norm: str, language: str, at: date | None,
+                 units: tuple[tuple[str, str], ...], synthetic: bool = True) -> None:
+        self._assign(norm, language, at, units, synthetic)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -706,13 +704,10 @@ def add_language(store: GraphStore, norm: str, translations: dict[str, str] | No
 # -- corpus-level driver ---------------------------------------------------------
 
 
-@dataclass
 class IngestSummary:
-    documents: int = 0
-    events: int = 0
-    themes: int = 0
-    translations: int = 0
-    counts: dict = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.documents = self.events = self.themes = self.translations = 0
+        self.counts: dict = {}
 
 
 def ordered_events(

@@ -1,12 +1,11 @@
 """Graph node types, identifiers, and the graph validator.
 
-Every node is a flat value object whose fields are its snapshot columns:
-construction checks it and fixes its identity, and assigning or deleting
-a field raises FrozenInstanceError. The kinds that load and the replay
-build in bulk (works, versions, language versions, actions and units) are
-slotted, and each ``__init__`` checks its arguments, derives the derived
-fields from them and sets every field once, through its slot; a work's
-label is kept in a slot filled on its first read. A temporal version's
+Every node is a :class:`Record`, a flat value object whose fields are its
+snapshot columns: construction checks it and fixes its identity, and
+assigning or deleting a field raises FrozenInstanceError. Each
+``__init__`` checks its arguments, derives the derived fields from them
+and sets every field once, through its slot; a work's label is kept in a
+slot filled on its first read. A temporal version's
 validity is half-open: ``valid_start`` inclusive, ``valid_end``
 exclusive, so a version "valid until 2010-02-03" has ``valid_end``
 2010-02-04.
@@ -36,8 +35,8 @@ derives it from the work tree and the chains, one norm at a time
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -119,17 +118,77 @@ def _setters(cls: type) -> tuple:
     return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class WorkNode:
+class FrozenInstanceError(AttributeError):
+    """An attribute of a record was assigned or deleted."""
+
+
+class Record:
+    """A frozen value object whose fields are its slots.
+
+    A subclass names its fields, in order, in ``__slots__`` (a slot whose
+    name starts with ``_`` is a cache, not a field), kept in ``_fields``,
+    and the ones its ``__init__`` derives in ``_derived``; its ``__init__``
+    takes the others (``_args``), in field order, and sets every slot once,
+    through ``_assign`` or the slot setters (``_setters``). ``==`` and
+    ``hash`` compare the fields, ``repr`` shows them, and ``copy`` and
+    ``pickle`` rebuild a record through its ``__init__``. Assigning or
+    deleting any attribute raises FrozenInstanceError.
+    """
+
+    __slots__ = ()
+    _derived: frozenset[str] = frozenset()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._args = tuple(name for name in cls._fields if name not in cls._derived)
+        cls._values = operator.attrgetter(*cls._fields)
+        cls._arg_values = operator.attrgetter(*cls._args)  # a tuple: each takes two or more
+        cls._slot_setters = _setters(cls)
+
+    def _assign(self, *values) -> None:
+        for set_value, value in zip(self._slot_setters, values):
+            set_value(self, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._arg_values(self)
+
+
+def replace(record: Record, /, **changes) -> Record:
+    """A new record of ``record``'s kind, its fields with ``changes``, built by its ``__init__``.
+
+    So the new fields are checked and the derived ones re-derived; a
+    derived field cannot be changed (ValueError).
+    """
+    cls = type(record)
+    if not cls._derived.isdisjoint(changes):
+        derived = min(cls._derived.intersection(changes))
+        raise ValueError(f"{cls.__name__}.{derived} is derived; it cannot be replaced")
+    values = dict(zip(cls._args, cls._arg_values(record)))
+    values.update(changes)
+    return cls(**values)
+
+
+class WorkNode(Record):
     """Identity of a norm (a work with no parent) or of one of its components, named by its urn."""
 
-    urn: str
-    aliases: tuple[str, ...]
-    component_type: ComponentType = ComponentType.OTHER
-    parent: str | None = None
-    ordinal: int = 0
-    metadata: tuple[tuple[str, str], ...] = ()
-    _label: str | None = field(init=False, repr=False, compare=False)  # label, once read
+    __slots__ = ("urn", "aliases", "component_type", "parent", "ordinal", "metadata", "_label")
 
     def __init__(self, urn: str, aliases: tuple[str, ...],
                  component_type: ComponentType = ComponentType.OTHER, parent: str | None = None,
@@ -205,8 +264,7 @@ def theme_id_for(label: str) -> str:
     return f"theme:{slug or 'unnamed'}"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class TemporalVersion:
+class TemporalVersion(Record):
     """Date-stamped, language-agnostic snapshot of one work (a CTV).
 
     It is valid from ``valid_start`` (inclusive) until ``valid_end``
@@ -223,10 +281,8 @@ class TemporalVersion:
     an action terminates.
     """
 
-    id: str = field(init=False)
-    work: str
-    valid_start: date
-    valid_end: date | None = None
+    __slots__ = ("id", "work", "valid_start", "valid_end")
+    _derived = frozenset({"id"})
 
     def __init__(self, work: str, valid_start: date, valid_end: date | None = None) -> None:
         if valid_end is not None and not valid_start < valid_end:
@@ -242,18 +298,15 @@ class TemporalVersion:
         return self.valid_start <= t and (self.valid_end is None or t < self.valid_end)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class LanguageVersion:
+class LanguageVersion(Record):
     """Language-specific realization of a CTV; owns one content text unit.
 
     ``id`` (``clv_id(temporal_version, language)``) and ``text_unit``
     (``tu:`` plus the id) are derived and cannot be passed in.
     """
 
-    id: str = field(init=False)
-    temporal_version: str
-    language: str
-    text_unit: str = field(init=False)
+    __slots__ = ("id", "temporal_version", "language", "text_unit")
+    _derived = frozenset({"id", "text_unit"})
 
     def __init__(self, temporal_version: str, language: str) -> None:
         lv_id = clv_id(temporal_version, language)
@@ -264,8 +317,7 @@ class LanguageVersion:
         set_unit(self, f"tu:{lv_id}")
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ActionNode:
+class ActionNode(Record):
     """Reified legislative event; it stores the event, not the versions it changes.
 
     ``targets`` names the works the event acts on: the norm an enactment
@@ -281,16 +333,9 @@ class ActionNode:
     it inserts.
     """
 
-    id: str
-    action_type: ActionType
-    enactment_date: date
-    effective_date: date
-    source_provision: str | None = None
-    description_unit: str = field(init=False)
-    targets: tuple[str, ...] = ()
-    effect: str | None = None
-    instrument: str | None = None
-    inserts: bool = False
+    __slots__ = ("id", "action_type", "enactment_date", "effective_date", "source_provision",
+                 "description_unit", "targets", "effect", "instrument", "inserts")
+    _derived = frozenset({"description_unit"})
 
     def __init__(self, id: str, action_type: ActionType, enactment_date: date,
                  effective_date: date, source_provision: str | None = None,
@@ -320,8 +365,7 @@ class ActionNode:
         set_inserts(self, inserts)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class TextUnit:
+class TextUnit(Record):
     """Atomic retrievable text span.
 
     Its aspect, owner and language are the naming node's: a CLV names its
@@ -334,9 +378,7 @@ class TextUnit:
     retrieval.
     """
 
-    id: str
-    text: str
-    synthetic: bool = False
+    __slots__ = ("id", "text", "synthetic")
 
     def __init__(self, id: str, text: str, synthetic: bool = False) -> None:
         set_id, set_text, set_synthetic = _UNIT
@@ -349,36 +391,32 @@ class TextUnit:
         return bool(self.text.strip())
 
 
-_WORK, _CTV, _CLV, _ACTION, _UNIT = map(
-    _setters, (WorkNode, TemporalVersion, LanguageVersion, ActionNode, TextUnit))
+_WORK, _CTV, _CLV, _ACTION, _UNIT = (
+    cls._slot_setters for cls in (WorkNode, TemporalVersion, LanguageVersion, ActionNode, TextUnit))
 
 
-@dataclass(frozen=True)
-class ThemeNode:
+class ThemeNode(Record):
     """Curated cross-document community of works.
 
     ``id`` (``theme_id_for(label)``) and ``description_unit`` (``tu:<id>:desc``)
     are derived and cannot be passed in.
     """
 
-    id: str = field(init=False)
-    label: str
-    description_unit: str = field(init=False)
-    members: tuple[str, ...] = ()
+    __slots__ = ("id", "label", "description_unit", "members")
+    _derived = frozenset({"id", "description_unit"})
 
-    def __post_init__(self) -> None:
-        theme_id = theme_id_for(self.label)
-        object.__setattr__(self, "id", theme_id)
-        object.__setattr__(self, "description_unit", f"tu:{theme_id}:desc")
+    def __init__(self, label: str, members: tuple[str, ...] = ()) -> None:
+        theme_id = theme_id_for(label)
+        self._assign(theme_id, label, f"tu:{theme_id}:desc", members)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One invariant breach found by :func:`validate_graph`."""
 
-    code: str
-    message: str
-    nodes: tuple[str, ...] = ()
+    __slots__ = ("code", "message", "nodes")
+
+    def __init__(self, code: str, message: str, nodes: tuple[str, ...] = ()) -> None:
+        self._assign(code, message, nodes)
 
     def __str__(self) -> str:
         return f"{self.code}: {self.message} [{', '.join(self.nodes)}]"
@@ -459,6 +497,25 @@ def _check_units(graph: "GraphStore", out: list[Violation]) -> None:
             out.append(Violation("UnnamedUnit", "unit is named by no node", (unit_id,)))
 
 
+def _check_wording(graph: "GraphStore", out: list[Violation]) -> None:
+    """Once a work's version has wording in its norm's primary language, which readers fall
+    back to, every later version has it."""
+    worded = graph.clvs_by_ctv
+    for urn, chain in graph.versions.items():
+        norm = urn_norm(urn)
+        if len(chain) < 2 or norm not in graph.works:  # one version loses nothing
+            continue
+        primary = graph.primary_language(norm)
+        had = False
+        for cid in chain:
+            has = primary in worded.get(cid, ())
+            if had and not has:
+                out.append(Violation("LostPrimaryWording", "version lacks the wording in its "
+                                     f"norm's language {primary!r} an earlier one has", (cid,)))
+                break
+            had = has
+
+
 def validate_graph(graph: "GraphStore") -> list[Violation]:
     """Check every model invariant; an empty result means a consistent graph.
 
@@ -472,6 +529,7 @@ def validate_graph(graph: "GraphStore") -> list[Violation]:
     _check_references(graph, out)
     _check_work_tree(graph, out)
     _check_units(graph, out)
+    _check_wording(graph, out)
     return out
 
 

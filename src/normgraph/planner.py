@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from enum import Enum
 
@@ -24,7 +23,7 @@ from .errors import (
     UnknownAlias,
     UnplannableQuery,
 )
-from .model import ActionNode, Aspect
+from .model import ActionNode, Aspect, Record, parse_iso_date, replace
 from .retrieval import (
     RetrievalMode,
     RetrievalRequest,
@@ -34,6 +33,7 @@ from .retrieval import (
 from .store import GraphStore, pick_wording
 from .temporal import (
     MembershipPolicy,
+    SnapshotPolicy,
     TemporalScope,
     alive_at,
     resolve_instant,
@@ -88,22 +88,22 @@ _PATTERN_STEPS = {
 }
 
 
-@dataclass(frozen=True)
-class StructuredQuery:
+class StructuredQuery(Record):
     """Canonical query record; the only way into the pipeline."""
 
-    pattern: QueryPattern
-    structural_target: str | None = None
-    theme_target: str | None = None
-    temporal: TemporalScope | None = None
-    textual_target: str | None = None
-    language: str | None = None
-    membership: MembershipPolicy = MembershipPolicy.SNAPSHOT_ANCHORED
-    k: int = 8
-    mode: RetrievalMode = RetrievalMode.VECTOR
-    aspects: frozenset[Aspect] = frozenset({Aspect.CONTENT})
-    language_fallback: bool = True
-    include_future_actions: bool = False
+    __slots__ = ("pattern", "structural_target", "theme_target", "temporal", "textual_target",
+                 "language", "membership", "k", "mode", "aspects", "language_fallback",
+                 "include_future_actions")
+
+    def __init__(self, pattern: QueryPattern, structural_target: str | None = None,
+                 theme_target: str | None = None, temporal: TemporalScope | None = None,
+                 textual_target: str | None = None, language: str | None = None,
+                 membership: MembershipPolicy = MembershipPolicy.SNAPSHOT_ANCHORED, k: int = 8,
+                 mode: RetrievalMode = RetrievalMode.VECTOR,
+                 aspects: frozenset[Aspect] = frozenset({Aspect.CONTENT}),
+                 language_fallback: bool = True, include_future_actions: bool = False) -> None:
+        self._assign(pattern, structural_target, theme_target, temporal, textual_target, language,
+                     membership, k, mode, aspects, language_fallback, include_future_actions)
 
     @property
     def entry(self) -> str | None:
@@ -111,17 +111,16 @@ class StructuredQuery:
         return self.structural_target or self.theme_target
 
 
-@dataclass(frozen=True)
-class Answer:
+class Answer(Record):
     """Rendered answer plus the disclosed policies and machine annex."""
 
-    pattern: QueryPattern
-    rendered_text: str
-    citations: tuple[tuple[str, str, str], ...]
-    actions: tuple[str, ...]
-    policies: dict
-    annex: dict
-    confidence: float
+    __slots__ = ("pattern", "rendered_text", "citations", "actions", "policies", "annex",
+                 "confidence")
+
+    def __init__(self, pattern: QueryPattern, rendered_text: str,
+                 citations: tuple[tuple[str, str, str], ...], actions: tuple[str, ...],
+                 policies: dict, annex: dict, confidence: float) -> None:
+        self._assign(pattern, rendered_text, citations, actions, policies, annex, confidence)
 
     def annex_json(self) -> str:
         return json.dumps(self.annex, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
@@ -144,6 +143,82 @@ def policies_footer(policies: dict) -> str:
 
 
 # -- canonicalization ----------------------------------------------------------
+
+
+def query_date(value: str) -> date:
+    """A query's date, read strictly; MalformedQuery if it is not YYYY-MM-DD."""
+    try:
+        return parse_iso_date(value)
+    except ValueError as exc:
+        raise MalformedQuery(str(exc)) from None
+
+
+def _choice(kind: type[Enum], value):
+    """``kind(value)``, or MalformedQuery naming the values ``kind`` allows."""
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(member.value for member in kind)
+        raise MalformedQuery(f"{value!r} is not one of: {allowed}") from None
+
+
+# A query value's allowed JSON types, by name; bool is no integer, and no string a boolean.
+_TEXT = ("a string or null", frozenset({str, type(None)}))
+_FLAG = ("a boolean", frozenset({bool}))
+_INTEGER = ("an integer", frozenset({int}))
+_LIST = ("a list", frozenset({list}))
+
+
+def _value(mapping: dict, key: str, kind: tuple[str, frozenset[type]], default=None):
+    """``mapping[key]``, or ``default`` if absent; MalformedQuery unless its type is of ``kind``."""
+    if key not in mapping:
+        return default
+    value = mapping[key]
+    name, types = kind
+    if type(value) not in types:
+        raise MalformedQuery(f"{key} must be {name}, not {value!r}")
+    return value
+
+
+def build_query(pattern: QueryPattern, mapping: dict) -> StructuredQuery:
+    """Translate a truth-file (or CLI-shaped) query mapping into a record.
+
+    A date that is not YYYY-MM-DD, a ``between`` that is not two dates in
+    order, a ``k`` that is not an integer, ``aspects`` that are not a list,
+    a target, theme, term, text or language that is neither a string nor
+    null, a fallback or future-actions flag that is not a boolean, or an
+    aspect, mode, membership or policy value that names no member raises
+    MalformedQuery.
+    """
+    temporal = None
+    if "at" in mapping:
+        temporal = TemporalScope.instant(query_date(mapping["at"]))
+    elif "between" in mapping:
+        window = mapping["between"]
+        if type(window) is not list or len(window) != 2:
+            raise MalformedQuery(f"'between' must be a list of two dates, not {window!r}")
+        t1, t2 = map(query_date, window)
+        policy = _choice(SnapshotPolicy, mapping.get("policy", "snapshot_last"))
+        try:
+            temporal = TemporalScope.interval(t1, t2, policy)
+        except ValueError as exc:  # a reversed window
+            raise MalformedQuery(str(exc)) from None
+    aspects = frozenset(_choice(Aspect, a) for a in _value(mapping, "aspects", _LIST, ()))
+    term, text = _value(mapping, "term", _TEXT), _value(mapping, "text", _TEXT)
+    return StructuredQuery(
+        pattern=pattern,
+        structural_target=_value(mapping, "target", _TEXT),
+        theme_target=_value(mapping, "theme", _TEXT),
+        temporal=temporal,
+        textual_target=term or text,
+        language=_value(mapping, "lang", _TEXT),
+        membership=_choice(MembershipPolicy, mapping.get("membership", "snapshot_anchored")),
+        k=_value(mapping, "k", _INTEGER, 8),
+        mode=_choice(RetrievalMode, mapping.get("mode", "vector")),
+        aspects=aspects or frozenset({Aspect.CONTENT}),
+        language_fallback=_value(mapping, "language_fallback", _FLAG, True),
+        include_future_actions=_value(mapping, "include_future_actions", _FLAG, False),
+    )
 
 
 def resolve_work_reference(store: GraphStore, reference: str) -> str:

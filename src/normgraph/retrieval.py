@@ -12,18 +12,16 @@ their bits depend on no BLAS kernel.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyScope
-from .model import ActionType, Aspect, EMBEDDING_DIMENSION, ctv_id
+from .model import ActionType, Aspect, EMBEDDING_DIMENSION, Record, ctv_id
 from .store import GraphStore, pick_wording, tokenize
 
 _HASH_KEY = b"normgraph.embed.v1"
@@ -34,6 +32,7 @@ _BM25_B = 0.75
 
 
 def _bucket(token: str) -> int:
+    import hashlib  # on the first bucket: its OpenSSL load costs a query that embeds nothing
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=_HASH_KEY).digest()
     return int.from_bytes(digest, "big") % EMBEDDING_DIMENSION
 
@@ -122,27 +121,25 @@ class RetrievalMode(str, Enum):
     HYBRID = "hybrid"
 
 
-@dataclass(frozen=True)
-class RetrievalRequest:
-    query_text: str
-    scope: frozenset[str]
-    t: date
-    aspects: frozenset[Aspect] = frozenset({Aspect.CONTENT})
-    language: str | None = None
-    k: int = 8
-    mode: RetrievalMode = RetrievalMode.VECTOR
-    language_fallback: bool = True
-    # Action descriptions dated after t are anachronistic for the query
-    # instant; include them only on request.
-    include_future_actions: bool = False
+class RetrievalRequest(Record):
+    """What scoped_search ranks; action descriptions dated after ``t``, anachronistic for
+    the query instant, only with ``include_future_actions``."""
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    __slots__ = ("query_text", "scope", "t", "aspects", "language", "k", "mode",
+                 "language_fallback", "include_future_actions")
+
+    def __init__(self, query_text: str, scope: frozenset[str], t: date,
+                 aspects: frozenset[Aspect] = frozenset({Aspect.CONTENT}),
+                 language: str | None = None, k: int = 8,
+                 mode: RetrievalMode = RetrievalMode.VECTOR, language_fallback: bool = True,
+                 include_future_actions: bool = False) -> None:
+        if k < 1:
             raise ValueError("k must be at least 1")
+        self._assign(query_text, scope, t, aspects, language, k, mode, language_fallback,
+                     include_future_actions)
 
 
-@dataclass(frozen=True)
-class RetrievalHit:
+class RetrievalHit(Record):
     """One ranked text unit with resolvable provenance.
 
     ``provenance`` is (work urn, temporal version id, owning node id);
@@ -151,10 +148,11 @@ class RetrievalHit:
     not version-bound (work-level metadata, themes).
     """
 
-    text_unit: str
-    score: float
-    provenance: tuple[str, str, str]
-    aspect: Aspect
+    __slots__ = ("text_unit", "score", "provenance", "aspect")
+
+    def __init__(self, text_unit: str, score: float, provenance: tuple[str, str, str],
+                 aspect: Aspect) -> None:
+        self._assign(text_unit, score, provenance, aspect)
 
 
 # A candidate is (unit id, reference, aspect). The reference is the owning

@@ -80,7 +80,6 @@ import os
 import re
 import threading
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
 from functools import lru_cache, partial
@@ -183,7 +182,10 @@ class ReplayFault(ValueError):
         self.action = action
 
 
-@dataclass
+# What a store's == compares: its nodes and whether it is committed, not what it derives.
+_STORED = operator.attrgetter("works", "ctvs", "clvs", "actions", "themes", "units", "committed")
+
+
 class GraphStore:
     """All graph nodes plus the index structures every query path uses.
 
@@ -191,44 +193,45 @@ class GraphStore:
     is treated as immutable and may be shared across threads.
     """
 
-    works: dict[str, WorkNode] = field(default_factory=dict)
-    ctvs: dict[str, TemporalVersion] = field(default_factory=dict)
-    clvs: dict[str, LanguageVersion] = field(default_factory=dict)
-    actions: dict[str, ActionNode] = field(default_factory=dict)
-    themes: dict[str, ThemeNode] = field(default_factory=dict)
-    units: dict[str, TextUnit] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.works: dict[str, WorkNode] = {}
+        self.ctvs: dict[str, TemporalVersion] = {}
+        self.clvs: dict[str, LanguageVersion] = {}
+        self.actions: dict[str, ActionNode] = {}
+        self.themes: dict[str, ThemeNode] = {}
+        self.units: dict[str, TextUnit] = {}
+        self.committed = False
+        # Unit id -> its embedding's entries, as {bucket: value} in ascending
+        # bucket order; each filled on the unit's first vector read.
+        self.unit_embeddings: dict[str, dict[int, float]] = {}
+        # Indexes ingest and validate_graph read; filed as each node is added or
+        # loaded, never persisted.
+        self.children: dict[str, list[str]] = {}
+        self.versions: dict[str, list[str]] = {}
+        # valid_start of each entry of versions[urn], so version lookup bisects dates.
+        self.version_starts: dict[str, list[date]] = {}
+        # CTV id -> the action that produced it; filed by replay.
+        self.produced_by: dict[str, str] = {}
+        # Indexes only queries read; each read through the property of its name
+        # (text_index, ...) and None until the first read after commit.
+        self._text_index: _TextIndex | None = None
+        self._chain_index: _ChainIndex | None = None
+        self._time_index: _TimeIndex | None = None
+        # Norm urn -> its aggregation index (aggregation_of), each set on the norm's first read.
+        self._aggregations: dict[str, dict[str, tuple[TemporalVersion, ...]]] = {}
+        self._action_labels: dict[str, str] | None = None
+        self.clvs_by_ctv: dict[str, dict[str, str]] = {}
+        self.alias_index: dict[str, set[str]] = {}
+        # alias.casefold() -> urns, for the case-insensitive alias lookup.
+        self.folded_alias_index: dict[str, set[str]] = {}
+        self.fragment_index: dict[str, set[str]] = {}
+        # Works are never replaced once added, so a urn's primary language is fixed.
+        self._primary_languages: dict[str, str] = {}
 
-    committed: bool = False
-
-    # Unit id -> its embedding's entries, as {bucket: value} in ascending
-    # bucket order; each filled on the unit's first vector read.
-    unit_embeddings: dict[str, dict[int, float]] = field(
-        default_factory=dict, compare=False, repr=False)
-
-    # Indexes ingest and validate_graph read; filed as each node is added or
-    # loaded, never persisted.
-    children: dict[str, list[str]] = field(default_factory=dict, compare=False)
-    versions: dict[str, list[str]] = field(default_factory=dict, compare=False)
-    # valid_start of each entry of versions[urn], so version lookup bisects dates.
-    version_starts: dict[str, list[date]] = field(default_factory=dict, compare=False)
-    # CTV id -> the action that produced it; filed by replay.
-    produced_by: dict[str, str] = field(default_factory=dict, compare=False)
-    # Indexes only queries read; each read through the property of its name
-    # (text_index, ...) and None until the first read after commit.
-    _text_index: _TextIndex | None = field(default=None, compare=False, repr=False)
-    _chain_index: _ChainIndex | None = field(default=None, compare=False, repr=False)
-    _time_index: _TimeIndex | None = field(default=None, compare=False, repr=False)
-    # Norm urn -> its aggregation index (aggregation_of), each set on the norm's first read.
-    _aggregations: dict[str, dict[str, tuple[TemporalVersion, ...]]] = field(
-        default_factory=dict, compare=False, repr=False)
-    _action_labels: dict[str, str] | None = field(default=None, compare=False, repr=False)
-    clvs_by_ctv: dict[str, dict[str, str]] = field(default_factory=dict, compare=False)
-    alias_index: dict[str, set[str]] = field(default_factory=dict, compare=False)
-    # alias.casefold() -> urns, for the case-insensitive alias lookup.
-    folded_alias_index: dict[str, set[str]] = field(default_factory=dict, compare=False)
-    fragment_index: dict[str, set[str]] = field(default_factory=dict, compare=False)
-    # Works are never replaced once added, so a urn's primary language is fixed.
-    _primary_languages: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return _STORED(self) == _STORED(other)
+        return NotImplemented
 
     # -- mutation (ingestion only) -------------------------------------
 

@@ -9,12 +9,11 @@ reconstruct full document text as of any date via the aggregation index.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from datetime import date
 
 from .errors import MissingLanguage, NotYetEnacted, RepealedAt, UnknownEntry
-from .model import TemporalVersion, urn_norm
+from .model import Record, TemporalVersion, urn_norm
 from .store import GraphStore, pick_wording
 
 
@@ -33,23 +32,21 @@ class MembershipPolicy(str, Enum):
     LIFETIME = "lifetime"
 
 
-@dataclass(frozen=True)
-class TemporalScope:
-    """An instant, or an interval that ``resolution_policy`` collapses to one."""
+class TemporalScope(Record):
+    """An instant, or an interval that ``resolution_policy`` collapses to one (``kind``: which)."""
 
-    kind: str  # "instant" | "interval"
-    start: date | None = None
-    end: date | None = None
-    resolution_policy: SnapshotPolicy = SnapshotPolicy.SNAPSHOT_LAST
+    __slots__ = ("kind", "start", "end", "resolution_policy")
 
-    def __post_init__(self) -> None:
-        if self.kind == "instant" and self.start is None:
+    def __init__(self, kind: str, start: date | None = None, end: date | None = None,
+                 resolution_policy: SnapshotPolicy = SnapshotPolicy.SNAPSHOT_LAST) -> None:
+        if kind == "instant" and start is None:
             raise ValueError("instant scope needs a date")
-        if self.kind == "interval":
-            if self.start is None or self.end is None:
+        if kind == "interval":
+            if start is None or end is None:
                 raise ValueError("interval scope needs both dates")
-            if self.start > self.end:
-                raise ValueError(f"interval start {self.start} after end {self.end}")
+            if start > end:
+                raise ValueError(f"interval start {start} after end {end}")
+        self._assign(kind, start, end, resolution_policy)
 
     @classmethod
     def instant(cls, t: date, policy: SnapshotPolicy = SnapshotPolicy.SNAPSHOT_LAST) -> "TemporalScope":
@@ -137,14 +134,21 @@ def resolve_scope(
                      if first <= t2 and (end is None or t1 < end))
 
 
-@dataclass(frozen=True)
-class SnapshotFragment:
+class SnapshotFragment(Record):
     """One text-bearing component of a reconstructed snapshot."""
 
-    work: str
-    ctv: str
-    clv: str
-    text: str
+    __slots__ = ("work", "ctv", "clv", "text")
+
+    def __init__(self, work: str, ctv: str, clv: str, text: str) -> None:
+        # One per fragment a point-in-time query emits: each slot's setter, called directly.
+        set_work, set_ctv, set_clv, set_text = _FRAGMENT
+        set_work(self, work)
+        set_ctv(self, ctv)
+        set_clv(self, clv)
+        set_text(self, text)
+
+
+_FRAGMENT = SnapshotFragment._slot_setters
 
 
 def snapshot_fragments(

@@ -699,7 +699,44 @@ print("ok")
 """
 
 
+# Runs one command in a fresh interpreter; prints which of the modules a
+# cold query has no use for it loaded.
+_IMPORT_BUDGET_SCRIPT = """
+import contextlib, io, json, sys
+from normgraph.cli import main
+
+answer = io.StringIO()
+with contextlib.redirect_stdout(answer):
+    assert main(json.loads(sys.argv[1])) == 0
+unused = ["dataclasses", "inspect", "hashlib", "normgraph.evaluation", "normgraph.ingest"]
+print(json.dumps([name for name in unused if name in sys.modules]))
+sys.stdout.write(answer.getvalue())
+"""
+# A vector retrieve whose annex is pinned by the golden file.
+_VECTOR_RETRIEVE = ["retrieve", "--text", "social rights of workers in the constitution",
+                    "--at", "2020-01-01", "--mode", "vector", "--k", "100",
+                    "--aspects", "content,action_description,metadata,theme_description"]
+
+
 class TestLeanQueryPath:
+    @pytest.mark.parametrize("command, loaded", [
+        pytest.param(["at", "--target", "art6", "--at", "2011-01-01"], [], id="at"),
+        pytest.param(["impact", "--target", "tit2_cap2", "--between", "2010-01-01", "2019-12-31"],
+                     [], id="impact"),
+        pytest.param(["retrieve", "--text", "food security", "--target", "art6",
+                      "--at", "2011-01-01", "--mode", "lexical"], [], id="lexical-retrieve"),
+        # Its first bucket imports hashlib; every embedding keeps its bits.
+        pytest.param(_VECTOR_RETRIEVE, ["hashlib"], id="vector-retrieve"),
+    ])
+    def test_a_cold_query_imports_only_what_it_runs(self, command, loaded):
+        argv = ["query", *command, "--snapshot", str(GOLDEN), "--json", "--clock", "2024-01-02"]
+        imported, annex = _python("-c", _IMPORT_BUDGET_SCRIPT, json.dumps(argv)).split("\n", 1)
+        assert json.loads(imported) == loaded
+        assert "citations" in json.loads(annex)  # the answer follows
+        if command == _VECTOR_RETRIEVE:
+            assert annex.encode("utf-8") == (
+                GOLDEN.parent / "golden_retrieve_vector_annex.json").read_bytes()
+
     def test_every_command_runs_without_numpy(self, corpus_dir, tmp_path):
         out = tmp_path / "no-numpy.ndjson"
         assert _python("-c", _NO_NUMPY_SCRIPT, str(corpus_dir), str(out)).strip() == "ok"

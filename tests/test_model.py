@@ -1,32 +1,43 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
-from dataclasses import FrozenInstanceError, fields, replace
 from datetime import date
 
 import pytest
 
+from normgraph.evaluation import GroundTruth, TruthQuery
+from normgraph.ingest import (
+    ComponentRecord, EventFile, EventRecord, NormMeta, SourceDocument, ThemeSpec, TranslationFile)
 from normgraph.model import (
     ActionNode,
     ActionType,
+    Aspect,
     ComponentType,
+    FrozenInstanceError,
     LanguageVersion,
     PRESENTATION_KEYS,
     TemporalVersion,
     TextUnit,
     ThemeNode,
+    Violation,
     WorkNode,
     clv_id,
     ctv_id,
     metadata_tuple,
     metadata_unit_id,
     parse_iso_date,
+    replace,
     theme_id_for,
     urn_fragment,
     urn_norm,
     validate_graph,
 )
+from normgraph.planner import Answer, QueryPattern, StructuredQuery
+from normgraph.retrieval import RetrievalHit, RetrievalMode, RetrievalRequest
 from normgraph.store import GraphStore
+from normgraph.temporal import MembershipPolicy, SnapshotFragment, SnapshotPolicy, TemporalScope
 from normgraph.themes import define_theme
 
 import synthcorpus
@@ -178,13 +189,95 @@ _NODES = {
                          "urn:s!art2", ("urn:x",), "amended", "urn:s"),
     "unit": TextUnit("tu:x", "Text.", True),
 }
+_NORM = NormMeta("urn:x", "Act X", date(2000, 1, 1), "pt", "AX", ("X",), (("k", "v"),))
+_COMPONENT = ComponentRecord("art1", ComponentType.ARTICLE, 0, "Heading", "Art. 1", "Text.",
+                             True, ("A1",), (ComponentRecord("art1_cpt", ComponentType.CAPUT, 0),))
+_SCOPE = TemporalScope("interval", date(2000, 1, 1), date(2001, 1, 1),
+                       SnapshotPolicy.SNAPSHOT_FIRST)
+_EVENT = EventRecord(ActionType.AMENDMENT, "urn:x!art1", date(2000, 1, 1), date(2000, 2, 1),
+                     "art2", "Art. 2", "amended", (("pt", "Texto."),), (("pt", True),),
+                     ({"fragment": "art9"},), "x.satev.json")
+_TRUTH = TruthQuery("q1", QueryPattern.IMPACT_ANALYSIS, {"target": "art1"},
+                    frozenset({"urn:x@2000-01-01"}), frozenset({("act:x", "urn:x")}),
+                    (("act:x",),))
+# One record of every other kind, every field set.
+_RECORDS = {
+    **_NODES,
+    "theme": ThemeNode("X", ("urn:x",)),
+    "violation": Violation("UrnFormat", "a message", ("urn:x",)),
+    "query": StructuredQuery(QueryPattern.RETRIEVE, "art1", "theme:x", _SCOPE, "text", "en",
+                             MembershipPolicy.LIFETIME, 3, RetrievalMode.LEXICAL,
+                             frozenset({Aspect.METADATA}), False, True),
+    "answer": Answer(QueryPattern.POINT_IN_TIME, "Text.", (("urn:x", "urn:x@2000-01-01", "c"),),
+                     ("act:x",), {"k": 8}, {"steps": []}, 1.0),
+    "request": RetrievalRequest("text", frozenset({"urn:x"}), date(2000, 1, 1),
+                                frozenset({Aspect.CONTENT}), "pt", 3, RetrievalMode.HYBRID,
+                                False, True),
+    "hit": RetrievalHit("tu:x", 0.5, ("urn:x", "urn:x@2000-01-01", "c"), Aspect.CONTENT),
+    "scope": _SCOPE,
+    "fragment": SnapshotFragment("urn:x", "urn:x@2000-01-01", "urn:x@2000-01-01#pt", "Text."),
+    "truth-query": _TRUTH,
+    "ground-truth": GroundTruth((_TRUTH,), date(2000, 1, 1)),
+    "component": _COMPONENT,
+    "norm-meta": _NORM,
+    "theme-spec": ThemeSpec("X", "About x.", ("art1",)),
+    "source-document": SourceDocument(_NORM, (_COMPONENT,), (ThemeSpec("X", "About x."),)),
+    "event": _EVENT,
+    "event-file": EventFile(_NORM, (_EVENT,), (ThemeSpec("X", "About x."),)),
+    "translation": TranslationFile("urn:x", "en", date(2000, 1, 1), (("art1", "Text."),), False),
+}
+
+
+class TestRecords:
+    """Every record kind compares, hashes, copies and pickles by its fields."""
+
+    @pytest.mark.parametrize("record", _RECORDS.values(), ids=_RECORDS.keys())
+    def test_copies_and_pickles_rebuild_an_equal_record(self, record):
+        for rebuilt in (copy.copy(record), copy.deepcopy(record),
+                        pickle.loads(pickle.dumps(record))):
+            assert type(rebuilt) is type(record) and rebuilt is not record
+            assert rebuilt == record
+            assert [getattr(rebuilt, name) for name in record._fields] == [
+                getattr(record, name) for name in record._fields]
+
+    @pytest.mark.parametrize("record", _RECORDS.values(), ids=_RECORDS.keys())
+    def test_replace_rebuilds_with_the_changes(self, record):
+        assert replace(record) == record
+        name = record._args[-1]
+        changed = replace(record, **{name: None})
+        assert getattr(changed, name) is None and changed != record
+        with pytest.raises(TypeError):
+            replace(record, no_such_field=1)
+
+    @pytest.mark.parametrize("record", _RECORDS.values(), ids=_RECORDS.keys())
+    def test_replace_takes_no_derived_field(self, record):
+        for name in record._derived:
+            with pytest.raises(ValueError, match=f"{name} is derived"):
+                replace(record, **{name: "other"})
+        derives = {kind for kind, record in _RECORDS.items() if record._derived}
+        assert derives == {"ctv", "clv", "action", "theme"}
+
+    @pytest.mark.parametrize("record", _RECORDS.values(), ids=_RECORDS.keys())
+    def test_a_copy_is_equal_and_hashes_alike(self, record):
+        assert None not in [getattr(record, name) for name in record._fields]  # every field set
+        assert record == copy.copy(record) and record != object()
+        if not isinstance(record, (Answer, TruthQuery, GroundTruth, EventRecord, EventFile)):
+            # A record holding a dict (or a record of one) is unhashable, as a tuple of it is.
+            assert hash(record) == hash(copy.copy(record))
+
+    def test_repr_shows_the_fields(self):
+        assert repr(_NODES["clv"]) == (
+            "LanguageVersion(id='urn:x@2000-01-01#pt', temporal_version='urn:x@2000-01-01', "
+            "language='pt', text_unit='tu:urn:x@2000-01-01#pt')")
+        assert "_label" not in repr(_NODES["work"])
 
 
 class TestNodesAreImmutable:
-    """No field of a built node can be assigned or deleted, derived ones included."""
+    """No slot of a built record can be assigned or deleted: derived fields and caches
+    (a work's ``_label``) included."""
 
-    CASES = [pytest.param(node, f.name, id=f"{kind}-{f.name}")
-             for kind, node in _NODES.items() for f in fields(node)]
+    CASES = [pytest.param(node, name, id=f"{kind}-{name}")
+             for kind, node in _RECORDS.items() for name in type(node).__slots__]
 
     @pytest.mark.parametrize("node, name", CASES)
     def test_assigning_a_field_raises(self, node, name):
@@ -201,13 +294,13 @@ class TestNodesAreImmutable:
         assert getattr(node, name) == before
 
     def test_a_name_that_is_no_field_cannot_be_set_either(self):
-        # A slotted frozen dataclass refuses it with TypeError on Python 3.10 and 3.11.
-        for node in _NODES.values():
-            with pytest.raises((FrozenInstanceError, TypeError)):
+        for node in _RECORDS.values():
+            with pytest.raises(FrozenInstanceError):
                 node.note = "other"
-        with pytest.raises((FrozenInstanceError, TypeError)):
-            _NODES["work"].label = "other"
-        assert not hasattr(_NODES["unit"], "note")
+            assert not hasattr(node, "note")
+        for name in ("label", "_label"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(_NODES["work"], name, "other")
 
     def test_a_works_label_is_built_once_and_kept(self):
         work = WorkNode("urn:x!art1", (), metadata=(("label", "Art. 1"),))

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
@@ -17,7 +16,7 @@ from normgraph.errors import (
     UnplannableQuery,
 )
 from normgraph.ingest import enact, parse_document
-from normgraph.model import Aspect
+from normgraph.model import Aspect, replace
 from normgraph.planner import (
     QueryPattern,
     Strategy,

@@ -10,7 +10,6 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from normgraph.model import (
     _REFERENCES,
     clv_id,
     metadata_unit_id,
+    replace,
     theme_id_for,
     urn_norm,
     validate_graph,
@@ -555,6 +555,27 @@ class TestWholeOrRejected:
         with pytest.raises(MalformedSnapshot, match=re.escape(
                 f"UnnamedUnit: unit is named by no node [{stray}]")):
             _load_rows(header, [*rows, unit], tmp_path)
+
+    def test_a_version_that_loses_its_primary_wording_exits_3(self, tmp_path, capsys):
+        # Art. 7's caput as CA 72/2013 worded it, its only wording, cut with its unit: the
+        # 2013 version would have no text in Portuguese, which its 1988 version has.
+        header, rows = read_rows(GOLDEN)
+        version = f"{NORM_URN}!art7_cpt@2013-04-02"
+        clv = next(record for record in rows
+                   if record["kind"] == "clv" and record["row"] == [version, "pt"])
+        unit = next(record for record in rows if record["row"][0] == f"tu:{version}#pt")
+        rows = [record for record in rows if record is not clv and record is not unit]
+        header["rows"]["clv"] -= 1
+        header["rows"]["unit"] -= 1
+        with pytest.raises(MalformedSnapshot, match=re.escape(
+                "1 invariant violation(s); the first is LostPrimaryWording: version lacks the "
+                f"wording in its norm's language 'pt' an earlier one has [{version}]")):
+            _load_rows(header, rows, tmp_path)
+        code = main(["query", "at", "--snapshot", str(tmp_path / "bad.ndjson"),
+                     "--target", "art7", "--at", "2020-01-01", "--json"])
+        assert code == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "MalformedSnapshot" and "LostPrimaryWording" in error["message"]
 
     def test_a_missing_stub_work_is_named_with_both_counts(self, tmp_path):
         header, rows = read_rows(_seed1_snapshot(tmp_path))
