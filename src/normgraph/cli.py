@@ -41,8 +41,7 @@ def _error_record(exc: NormGraphError) -> str:
         for key, value in vars(exc).items()
         if isinstance(value, (str, int, float, bool, date)) or value is None
     }
-    record = {"error": {"type": type(exc).__name__, "message": str(exc), **detail}}
-    return json.dumps(record, sort_keys=True, indent=2, ensure_ascii=False)
+    return planner.encode_json({"error": {"type": type(exc).__name__, "message": str(exc), **detail}})
 
 
 def _add_query_flags(parser: argparse.ArgumentParser, *, term: bool = False,
@@ -227,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     except (QueryError, DataError) as exc:
         kind, code = ("query", EXIT_QUERY) if isinstance(exc, QueryError) else ("data", EXIT_DATA)
         if emit_json:
-            print(_error_record(exc))
+            sys.stdout.write(_error_record(exc))
         else:
             print(f"{kind} error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return code

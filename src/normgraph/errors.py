@@ -163,6 +163,10 @@ class TranslationConflict(DataError):
         self.language = language
 
 
+class LostPrimaryWording(DataError):
+    """A version would get wording in its norm's primary language that the next one lacks."""
+
+
 class UnknownMember(DataError):
     def __init__(self, urn: str):
         super().__init__(f"theme member {urn!r} does not resolve to a work")

@@ -29,6 +29,7 @@ from typing import Iterable
 from .errors import (
     DuplicateFragment,
     DuplicateNorm,
+    LostPrimaryWording,
     MalformedInput,
     NoOpenVersion,
     OutOfOrderEvent,
@@ -672,11 +673,10 @@ def add_language(store: GraphStore, norm: str, translations: dict[str, str] | No
                  language: str, at: date | None = None, synthetic: bool = True) -> list[str]:
     """Attach a new language's wording to existing temporal versions.
 
-    Creates language versions and content units only; the work tree and
-    the version chains are untouched. ``at`` selects which temporal
-    version of each fragment receives the wording (default: the norm's
-    first enactment date). Every fragment is resolved before any wording
-    is attached, so a rejected call adds nothing.
+    Creates language versions and content units only. ``at`` picks each
+    fragment's version (default: the norm's enactment date), which may not get
+    a wording in the norm's primary language that its next version lacks. Every
+    fragment is checked before any wording is attached: a rejected call adds nothing.
     """
     if norm not in store.works:
         raise UnknownWork(norm)
@@ -697,6 +697,11 @@ def add_language(store: GraphStore, norm: str, translations: dict[str, str] | No
             raise UnknownWork(f"{urn} has no version valid on {at.isoformat()}")
         if language in store.clvs_by_ctv.get(target.id, ()):
             raise TranslationConflict(target.id, language)
+        after = target.valid_end and store.version_at(urn, target.valid_end)
+        if (after and language == store.primary_language(norm)
+                and language not in store.clvs_by_ctv.get(after.id, ())):
+            raise LostPrimaryWording(f"{target.id!r} may not be worded in its norm's primary "
+                                     f"language {language!r}: the next version {after.id!r} is not")
         targets.append((target.id, text))
     return [_attach_content(store, cid, language, text, synthetic) for cid, text in targets]
 
@@ -768,6 +773,8 @@ def ingest_corpus(corpus_dir: str | Path) -> tuple[GraphStore, IngestSummary]:
                                    at=tf.at, synthetic=tf.synthetic)
         except UnknownWork as exc:  # add_language attaches nothing when it raises
             raise MalformedInput(f"the translation names {exc}", str(path)) from None
+        except LostPrimaryWording as exc:
+            raise MalformedInput(str(exc), str(path)) from None
         summary.translations += len(created)
 
     store.commit()

@@ -3,7 +3,7 @@
 Queries arrive as structured records (the CLI maps its flags onto them),
 get canonicalized against the alias table and the injected clock, and are
 dispatched to a pattern runner. Every answer carries the policies it was
-resolved under and a machine-readable annex with the executed step list,
+resolved under and a machine-readable annex with the pattern's step list,
 citations, actions, and provenance chains; identical (store, query,
 clock) inputs produce byte-identical answers.
 """
@@ -41,7 +41,12 @@ from .temporal import (
     snapshot_fragments,
 )
 
-ANNEX_FORMAT_VERSION = 1
+ANNEX_FORMAT_VERSION = 2
+
+
+def encode_json(value) -> str:
+    """Annex and error-record JSON: sorted keys, no whitespace, non-ASCII kept, final newline."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
 class QueryPattern(str, Enum):
@@ -123,7 +128,7 @@ class Answer(Record):
         self._assign(pattern, rendered_text, citations, actions, policies, annex, confidence)
 
     def annex_json(self) -> str:
-        return json.dumps(self.annex, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        return encode_json(self.annex)
 
 
 def _camel(value: str) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -131,6 +132,14 @@ class TestMalformedFiles:
                      id="translation-unknown-norm"),
         pytest.param("art6_original_en.satlang.json", lambda data: {**data, "at": "1980-01-01"},
                      "has no version valid on 1980-01-01", id="translation-before-enactment"),
+        # Readers fall back to the norm's primary language, so a version may not get its
+        # wording when a later version of the work has none: CA 72/2013 rolls the textless art7.
+        pytest.param("art6_original_en.satlang.json", lambda data: {
+            **data, "language": "pt", "units": [{"fragment": "art7", "text": "Direitos"}]},
+                     "'urn:lex:br:federal:constituicao:1988-10-05;1988!art7@1988-10-05' may not "
+                     "be worded in its norm's primary language 'pt': the next version "
+                     "'urn:lex:br:federal:constituicao:1988-10-05;1988!art7@2013-04-02' is not",
+                     id="translation-primary-wording-a-later-version-lacks"),
         pytest.param("ca_26_2000.satev.json", _set_first("source_provision", "art1!x"),
                      "event 0: source_provision 'art1!x' holds '!', which ends a norm urn",
                      id="source-provision-with-fragment-separator"),
@@ -483,6 +492,47 @@ class TestDeterminism:
         assert main(["ingest", str(corpus_dir), "--out", str(a)]) == 0
         assert main(["ingest", str(corpus_dir), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# The sha256 of each golden annex in annex format 1: sorted keys, indent=2, non-ASCII kept.
+_FORMAT_1_DIGESTS = {
+    "golden_provenance_annex.json":
+        "8525a3678a89f212b9cf40c39d4559b55277caeeae38a7a75d9e4bb49cc975cd",
+    "golden_retrieve_lexical_annex.json":
+        "7ebe9f6ddc725910b4970a9be460ac0f65d3de698e0499158d4df2cdd9c0847d",
+    "golden_retrieve_vector_annex.json":
+        "16d5795e9140f3b43e4f7e6d6defab1dc724043fad5066c05c5a4b18f4b6ba1d",
+}
+
+
+def _compact(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+
+
+class TestAnnexEncoding:
+    @pytest.mark.parametrize("name", sorted(_FORMAT_1_DIGESTS))
+    def test_a_golden_annex_is_its_format_1_annex_encoded_compactly(self, name):
+        text = (GOLDEN.parent / name).read_text(encoding="utf-8")
+        annex = json.loads(text)
+        assert annex["format_version"] == 2
+        assert text == _compact(annex)
+        annex["format_version"] = 1
+        format_1 = json.dumps(annex, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        assert hashlib.sha256(format_1.encode("utf-8")).hexdigest() == _FORMAT_1_DIGESTS[name]
+
+    @pytest.mark.parametrize("command, code", [
+        (["at", "--target", "art6", "--at", "2011-01-01"], 0),
+        (["impact", "--target", "tit2_cap2", "--between", "2010-01-01", "2019-12-31"], 0),
+        (["provenance", "--target", "art6", "--term", "food"], 0),
+        (["retrieve", "--text", "food security", "--target", "art6", "--at", "2011-01-01"], 0),
+        (["at", "--target", "artigo 6º", "--at", "2011-01-01"], 2),
+    ], ids=["at", "impact", "provenance", "retrieve", "error"])
+    def test_every_json_output_is_the_compact_encoding_of_its_parse(self, capsys, command, code):
+        assert main(["query", *command, "--snapshot", str(GOLDEN), "--json",
+                     "--clock", "2024-01-02"]) == code
+        out = capsys.readouterr().out
+        assert out == _compact(json.loads(out))
+        assert ("error" in json.loads(out)) == bool(code)
 
 
 class TestFixtureCommand:

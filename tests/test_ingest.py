@@ -12,6 +12,7 @@ import pytest
 from normgraph.errors import (
     DuplicateFragment,
     DuplicateNorm,
+    LostPrimaryWording,
     MalformedInput,
     NoOpenVersion,
     OutOfOrderEvent,
@@ -754,6 +755,12 @@ def _translate_twice(store):
     return lambda: add_language(store, "urn:test:mini", {"art1_cpt": "Premier.", "art2_cpt": "Encore."}, "fr")
 
 
+def _word_a_version_a_later_one_lacks_in_the_primary_language(store):
+    # Amending art1's caput rolls the textless art1, whose later version has no English wording.
+    apply_file(store, amendment_file("urn:test:mini!art1_cpt", "2003-06-01", "Amended."))
+    return lambda: add_language(store, "urn:test:mini", {"art1": "Art. 1"}, "en")
+
+
 @pytest.mark.parametrize("setup, error", [
     pytest.param(_repeal_art1_then_amend_its_caput, NoOpenVersion, id="closed-ancestor"),
     pytest.param(_repeat_an_event, MalformedInput, id="duplicate-event"),
@@ -770,6 +777,8 @@ def _translate_twice(store):
                  id="amend-without-primary-language"),
     pytest.param(_translate_an_unknown_fragment, UnknownWork, id="translate-unknown-fragment"),
     pytest.param(_translate_twice, TranslationConflict, id="translate-conflict"),
+    pytest.param(_word_a_version_a_later_one_lacks_in_the_primary_language, LostPrimaryWording,
+                 id="translate-primary-wording-a-later-version-lacks"),
 ])
 def test_a_rejected_call_leaves_the_store_unchanged(setup, error):
     store = GraphStore()

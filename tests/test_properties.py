@@ -617,7 +617,7 @@ def _reference_provenance(store: GraphStore, term: str, target: str | None,
     steps = ["canonicalize", "scope", "strategy", "retrieve", "causal_aggregation",
              "chain_assembly", "generate"]
     annex = {
-        "format_version": 1,
+        "format_version": 2,
         "pattern": "provenance",
         "policies": {
             "resolution_policy": "snapshot_last",
@@ -633,7 +633,8 @@ def _reference_provenance(store: GraphStore, term: str, target: str | None,
         "chains": chains,
         "confidence": 1.0,
     }
-    return "\n".join(lines), json.dumps(annex, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    encoded = json.dumps(annex, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return "\n".join(lines), encoded + "\n"
 
 
 class TestProvenanceRendering:
