@@ -393,19 +393,50 @@ def run_point_in_time(store: GraphStore, q: StructuredQuery) -> Answer:
     return _finish(q, "\n".join(lines), citations, [], [], 1.0, scoped=scoped)
 
 
-def _impact_actions(
-    store: GraphStore, q: StructuredQuery, scope: frozenset[str],
-    window: tuple[date, date],
-) -> list[tuple[ActionNode, list[str]]]:
-    """Window-filtered actions paired with their in-scope direct targets.
+class _IsoDays(dict):
+    """Each date's ISO text, formatted on its first lookup."""
 
-    Each scoped work contributes the run of its date-sorted actions that
-    falls in the window, read from the store's time index.
+    def __missing__(self, day: date) -> str:
+        text = self[day] = day.isoformat()
+        return text
+
+
+_Impacts = list[tuple[ActionNode, list[str]]]
+
+
+def _impact_actions(store: GraphStore, q: StructuredQuery, scope: frozenset[str],
+                    window: tuple[date, date]) -> _Impacts:
+    """Window-filtered actions paired with their in-scope direct targets, by (date, id).
+
+    Two walks of the store's time index find the same actions, and the
+    smaller side is walked (after Zobel & Moffat): the window's slice of the
+    action run when it holds fewer actions than the scope holds works, and
+    otherwise each scoped work's actions in the window.
 
     Matching is by direct target, not by propagated ancestor versions:
     an action that only touched the scope through upward aggregation did
     not change anything *inside* it.
     """
+    _, dates = store.time_index.run
+    t1, t2 = window
+    lo = bisect_left(dates, t1)
+    if bisect_right(dates, t2, lo) - lo < len(scope):
+        return _impact_by_run(store, q, scope, window)
+    return _impact_by_works(store, q, scope, window)
+
+
+def _impact_by_run(store: GraphStore, q: StructuredQuery, scope: frozenset[str],
+                   window: tuple[date, date]) -> _Impacts:
+    """``_impact_actions`` from the window's slice of the action run, in (date, id) order."""
+    ids, dates = store.time_index.run
+    t1, t2 = window
+    lo = bisect_left(dates, t1)
+    return _in_scope(store, q, scope, ids[lo:bisect_right(dates, t2, lo)])
+
+
+def _impact_by_works(store: GraphStore, q: StructuredQuery, scope: frozenset[str],
+                     window: tuple[date, date]) -> _Impacts:
+    """``_impact_actions`` from each scoped work's date-sorted actions that fall in the window."""
     t1, t2 = window
     by_work = store.time_index.actions
     candidate_ids: set[str] = set()
@@ -415,23 +446,34 @@ def _impact_actions(
         # Most works have no action in the window: one bisect tells.
         if lo < len(dates) and dates[lo] <= t2:
             candidate_ids.update(ids[lo:bisect_right(dates, t2, lo)])
-    selected: list[tuple[ActionNode, list[str]]] = []
-    for aid in candidate_ids:
-        action = store.actions[aid]
-        hits = [w for w in action.targets if w in scope]
-        if q.membership is MembershipPolicy.ACTION_TIME:
-            # The scope holds the entry's descendants alive on some in-window
-            # action date; keep those alive on this action's.
-            hits = [w for w in hits if alive_at(store, w, action.effective_date)]
-        if hits:
-            selected.append((action, sorted(hits)))
+    selected = _in_scope(store, q, scope, candidate_ids)
     # Action ids are unique, so this order is total whatever the set's order.
     selected.sort(key=lambda pair: (pair[0].effective_date, pair[0].id))
     return selected
 
 
+def _in_scope(store: GraphStore, q: StructuredQuery, scope: frozenset[str],
+              action_ids: list[str] | set[str]) -> _Impacts:
+    """Each of ``action_ids`` with a direct target in scope, in their order, with those targets."""
+    actions, action_time = store.actions, q.membership is MembershipPolicy.ACTION_TIME
+    selected: _Impacts = []
+    for aid in action_ids:
+        action = actions[aid]
+        hits = [w for w in action.targets if w in scope]
+        if action_time:
+            # The scope holds the entry's descendants alive on some in-window
+            # action date; keep those alive on this action's.
+            hits = [w for w in hits if alive_at(store, w, action.effective_date)]
+        if hits:
+            selected.append((action, sorted(hits)))
+    return selected
+
+
 def run_impact_analysis(store: GraphStore, q: StructuredQuery) -> Answer:
-    """Aggregate the actions that changed anything inside the scope window."""
+    """Aggregate the actions that changed anything inside the scope window.
+
+    Each distinct date is formatted once per query.
+    """
     if q.temporal is None or q.temporal.kind != "interval":
         raise UnplannableQuery("impact analysis needs a date window (use an interval scope)")
     window = (q.temporal.start, q.temporal.end)
@@ -440,18 +482,17 @@ def run_impact_analysis(store: GraphStore, q: StructuredQuery) -> Answer:
         raise EmptyScope(q.entry)
 
     matched = _impact_actions(store, q, scope, window)
+    days = _IsoDays()
     by_target: dict[str, list[ActionNode]] = {}
     # Built in (date, action, target) order: matched is by (date, action), each targets list sorted.
     action_records: list[dict] = []
     for action, targets in matched:
+        day = days[action.effective_date]
         for target in targets:
             by_target.setdefault(target, []).append(action)
-            action_records.append({
-                "action": action.id,
-                "target": target,
-                "date": action.effective_date.isoformat(),
-            })
-    impact_dates = sorted({action.effective_date.isoformat() for action, _ in matched})
+            action_records.append({"action": action.id, "target": target, "date": day})
+    # Filled in matched's date order, so these are the distinct impact dates, ascending.
+    impact_dates = list(days.values())
 
     label, labels = _entry_label(store, q), store.action_labels
     lines = [f"Impact summary for {label} [{window[0].isoformat()} .. {window[1].isoformat()}]:"]
@@ -470,7 +511,7 @@ def run_impact_analysis(store: GraphStore, q: StructuredQuery) -> Answer:
             effect = action.effect or action.action_type.value
             lines.append(
                 f"{stem}{inner} {labels[action.id]} "
-                f"(effective {action.effective_date.isoformat()}): {effect}"
+                f"(effective {days[action.effective_date]}): {effect}"
             )
     lines.append(
         "Impact dates: " + (", ".join(impact_dates) if impact_dates else "none"))
@@ -478,14 +519,6 @@ def run_impact_analysis(store: GraphStore, q: StructuredQuery) -> Answer:
 
 
 _ONE_DAY = timedelta(days=1)
-
-
-class _IsoDays(dict):
-    """Each date's ISO text, formatted on its first lookup."""
-
-    def __missing__(self, day: date) -> str:
-        text = self[day] = day.isoformat()
-        return text
 
 
 def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:

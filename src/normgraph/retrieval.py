@@ -164,13 +164,46 @@ _Candidates = list[tuple[str, str, Aspect]]
 def _content_candidates(store: GraphStore, req: RetrievalRequest) -> _Candidates:
     """The wording each scoped work's version valid at ``req.t`` has in the language the rule picks.
 
-    One pass over the chain arrays of the scoped works that have wording:
-    the version valid at ``t`` is the last one starting on or before it,
-    if it has not ended, and its wording is the one ``pick_wording`` picks.
-    A work with no wording in an acceptable language contributes no
-    candidate (scoped_search never errors on language gaps, unlike
-    snapshot reconstruction).
+    The version valid at ``t`` is the one that started on or before it and
+    has not ended, and its wording is the one ``pick_wording`` picks. A work
+    with no wording in an acceptable language contributes no candidate
+    (scoped_search never errors on language gaps, unlike snapshot
+    reconstruction).
+
+    Two walks find the same candidates, and the smaller side is walked, as
+    ``_bm25_scores`` and ``locate_spans`` choose theirs (after Zobel &
+    Moffat): the chain index's version run up to ``t`` when it holds fewer
+    versions than the scope holds works, and otherwise each scoped work's
+    chain.
     """
+    if bisect_right(store.chain_index.run.starts, req.t) < len(req.scope):
+        return _content_by_run(store, req)
+    return _content_by_chains(store, req)
+
+
+def _content_by_run(store: GraphStore, req: RetrievalRequest) -> _Candidates:
+    """``_content_candidates`` from the versions that started by ``t``, one pass in start order.
+
+    Chains tile time, so a work has at most one started version that has
+    not ended; it is kept if its work is in scope. An open end stays None,
+    since 9999-12-31 is a legal date.
+    """
+    run, t, scope = store.chain_index.run, req.t, req.scope
+    language, fallback = req.language, req.language_fallback
+    started = bisect_right(run.starts, t)
+    out: _Candidates = []
+    for end, urn, languages, primary in zip(run.ends[:started], run.works[:started],
+                                            run.wordings[:started], run.primaries[:started]):
+        if (end is None or t < end) and urn in scope:
+            picked = pick_wording(languages, primary, language, fallback)
+            if picked is not None:
+                lv_id, unit_id = picked
+                out.append((unit_id, lv_id, Aspect.CONTENT))
+    return out
+
+
+def _content_by_chains(store: GraphStore, req: RetrievalRequest) -> _Candidates:
+    """``_content_candidates`` from each scoped worded work's chain, bisected at ``t``."""
     chains = store.chain_index.chains
     t, language, fallback = req.t, req.language, req.language_fallback
     out: _Candidates = []

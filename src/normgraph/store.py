@@ -43,8 +43,10 @@ way for a committed store and a loaded one:
   work that has wording in some version, its version chain as parallel
   arrays (each version's CTV id, valid_start and valid_end, and its
   language -> (CLV id, unit id) map) with the work's primary language; the
-  work and chain position of each language version's unit; and each work's
-  metadata units, one per fact of its metadata;
+  version run, every worded version of the corpus ascending by
+  valid_start, as parallel arrays of its start, end, work, language map and
+  primary language; the work and chain position of each language version's
+  unit; and each work's metadata units, one per fact of its metadata;
 - the aggregation index that snapshot reconstruction walks, one per norm
   (``GraphStore.aggregation_of``), derived on that norm's first read: each
   CTV id of a work in the norm's tree -> the versions (nodes, not ids) its
@@ -58,7 +60,8 @@ way for a committed store and a loaded one:
   every work's subtree is one contiguous slice; each work's actions (those
   that target it or produced a version of it), ascending by
   (effective date, id), with a parallel array of their effective dates;
-  and the corpus's sorted distinct action dates;
+  and the action run, every action of the corpus in that order, with its
+  dates beside it;
 - the action labels (``GraphStore.action_labels``) that answers name
   actions by: each action's instrument work's short title, else its
   title, else the action's id.
@@ -152,6 +155,16 @@ class _Chain(NamedTuple):
     primary: str  # the work's primary language
 
 
+class _VersionRun(NamedTuple):
+    """Every worded version of the corpus, ascending by valid_start, as parallel arrays."""
+
+    starts: list[date]  # each version's valid_start
+    ends: list[date | None]  # each version's valid_end
+    works: list[str]  # each version's work urn
+    wordings: list[dict[str, tuple[str, str]]]  # each version's language map, its chain's own
+    primaries: list[str]  # each version's work's primary language
+
+
 class _TimeIndex(NamedTuple):
     """What scope, impact and action retrieval read dates from, derived from the nodes in one pass."""
 
@@ -162,13 +175,15 @@ class _TimeIndex(NamedTuple):
     subtrees: dict[str, tuple[int, int]]
     # Work urn -> the ids of its actions, ascending by (effective date, id), and their dates.
     actions: dict[str, tuple[list[str], list[date]]]
-    days: list[date]  # the distinct effective dates of every action, ascending
+    # The action run: every action id, ascending by (effective date, id), and their dates.
+    run: tuple[list[str], list[date]]
 
 
 class _ChainIndex(NamedTuple):
     """What retrieval and provenance read version chains from, derived from the nodes in one pass."""
 
     chains: dict[str, _Chain]  # work urn -> chain, for works with wording in some version
+    run: _VersionRun  # the version run
     # Unit id of each language version -> its work and chain position.
     placed_units: dict[str, tuple[str, int]]
     metadata_units: dict[str, list[str]]  # work urn -> ids of its metadata units
@@ -502,12 +517,16 @@ class GraphStore:
         return _TextIndex(term_index, unit_len, df, len(lengths), avgdl)
 
     def _derive_chain_index(self) -> _ChainIndex:
-        """Chain arrays of every work with wording, where each wording sits, and metadata units."""
+        """Chain arrays of every work with wording, the version run, where each wording sits,
+        and metadata units."""
         ctvs, clvs, by_ctv = self.ctvs, self.clvs, self.clvs_by_ctv
         chains: dict[str, _Chain] = {}
         placed_units: dict[str, tuple[str, int]] = {}
+        worded: list[tuple[date, date | None, str, dict[str, tuple[str, str]], str]] = []
         for urn in dict.fromkeys(ctvs[cid].work for cid in by_ctv):
             cids = self.versions[urn]
+            starts, primary = self.version_starts[urn], self.primary_language(urn)
+            ends = [ctvs[cid].valid_end for cid in cids]
             wordings = []
             for position, cid in enumerate(cids):
                 languages = {language: (lv_id, clvs[lv_id].text_unit)
@@ -515,19 +534,17 @@ class GraphStore:
                 place = (urn, position)
                 for _, uid in languages.values():
                     placed_units[uid] = place
+                if languages:
+                    worded.append((starts[position], ends[position], urn, languages, primary))
                 wordings.append(languages)
-            chains[urn] = _Chain(
-                cids,
-                self.version_starts[urn],
-                [ctvs[cid].valid_end for cid in cids],
-                wordings,
-                self.primary_language(urn),
-            )
+            chains[urn] = _Chain(cids, starts, ends, wordings, primary)
+        worded.sort(key=operator.itemgetter(0))
+        run = _VersionRun(*map(list, zip(*worded))) if worded else _VersionRun([], [], [], [], [])
         metadata_units: dict[str, list[str]] = {}
         for urn, work in self.works.items():
             if facts := [metadata_unit_id(urn, key) for key, _ in work.facts]:
                 metadata_units[urn] = facts
-        return _ChainIndex(chains, placed_units, metadata_units)
+        return _ChainIndex(chains, run, placed_units, metadata_units)
 
     def _derive_norm_aggregation(self, norm: str) -> dict[str, tuple[TemporalVersion, ...]]:
         """Each version's children's versions on its start (version_at's), one pass per parent
@@ -590,22 +607,21 @@ class GraphStore:
         for urn, lo, own_end in reversed(preorder):
             kids = self.children.get(urn)
             subtrees[urn] = (lo, subtrees[kids[-1]][1] if kids else own_end)
-        # Each action is filed under its targets and the works whose versions
-        # it produced, the works it terminates among them, then each work's
-        # are sorted once.
-        actions = self.actions
-        keyed: dict[str, set[str]] = {}
-        for action_id, action in actions.items():
-            for urn in action.targets:
-                keyed.setdefault(urn, set()).add(action_id)
+        # The action run is sorted once; each action is then filed, in run
+        # order, under its targets and the works whose versions it produced,
+        # the works it terminates among them.
+        keys = sorted((action.effective_date, aid) for aid, action in self.actions.items())
+        filed = {aid: set(action.targets) for aid, action in self.actions.items()}
         for cid, action_id in self.produced_by.items():
-            keyed.setdefault(ctvs[cid].work, set()).add(action_id)
+            filed[action_id].add(ctvs[cid].work)
         by_work: dict[str, tuple[list[str], list[date]]] = {}
-        for urn, ids in keyed.items():
-            keys = sorted((actions[aid].effective_date, aid) for aid in ids)
-            by_work[urn] = ([aid for _, aid in keys], [day for day, _ in keys])
-        days = sorted({action.effective_date for action in self.actions.values()})
-        return _TimeIndex(works, firsts, ends, subtrees, by_work, days)
+        for day, aid in keys:
+            for urn in filed[aid]:
+                ids, days = by_work.setdefault(urn, ([], []))
+                ids.append(aid)
+                days.append(day)
+        run = ([aid for _, aid in keys], [day for day, _ in keys])
+        return _TimeIndex(works, firsts, ends, subtrees, by_work, run)
 
     # -- read API ---------------------------------------------------------
 

@@ -105,8 +105,8 @@ def resolve_scope(
     the window start); lifetime if ``first <= t2`` and ``t1 < end`` (alive
     at some moment of the window); action_time if the first in-window action
     date ``d >= first``, of any norm, exists and ``d < end``: the window's
-    dates are a bisected run of the index's sorted action dates. A theme's
-    scope is its members' union.
+    dates are a bisected slice of the dates of the index's action run. A
+    theme's scope is its members' union.
     """
     if entry in store.themes:
         from .themes import theme_scope
@@ -120,7 +120,7 @@ def resolve_scope(
     subtree = zip(index.works[lo:hi], index.firsts[lo:hi], index.ends[lo:hi])
     t1, t2 = window if window else (t, t)
     if policy is MembershipPolicy.ACTION_TIME:
-        days = index.days
+        _, days = index.run
         first_day, last_day = bisect_left(days, t1), bisect_right(days, t2)
         selected = []
         for urn, first, end in subtree:

@@ -1428,8 +1428,8 @@ class TestChainIndex:
     def test_a_loaded_store_derives_the_index_the_committed_one_does(
             self, fixture_store, snapshot_path):
         loaded = load(snapshot_path)
-        chains, placed_units, metadata_units = loaded.chain_index
-        assert (chains, placed_units, metadata_units) == fixture_store.chain_index
+        chains, run, placed_units, metadata_units = loaded.chain_index
+        assert (chains, run, placed_units, metadata_units) == fixture_store.chain_index
         # Only works with wording have a chain, and each holds the store's own links.
         assert set(chains) == {fixture_store.ctvs[lv.temporal_version].work
                                for lv in fixture_store.clvs.values()}
@@ -1446,6 +1446,14 @@ class TestChainIndex:
                  for language, lv_id in fixture_store.clvs_by_ctv.get(tv.id, {}).items()}
                 for tv in versions]
             assert primary == fixture_store.primary_language(urn)
+        # The version run: every worded version once, by valid_start, holding its chain's map.
+        assert run.starts == sorted(run.starts)
+        assert sorted(f"{urn}@{start.isoformat()}" for urn, start in zip(run.works, run.starts)) \
+            == sorted({lv.temporal_version for lv in fixture_store.clvs.values()})
+        for start, end, urn, languages, primary in zip(*run):
+            position = chains[urn].starts.index(start)
+            assert end == chains[urn].ends[position]
+            assert languages is chains[urn].wordings[position] and primary == chains[urn].primary
         # Each language version's unit sits at its CTV's place among its work's CTVs.
         all_ctvs = fixture_store.ctvs.values()
         assert placed_units == {

@@ -1,0 +1,169 @@
+"""Both walks of each wide read find the same answer, and the lengths rule picks each.
+
+Content candidates come from the version run or from each scoped work's
+chain, and impact actions from the window's slice of the action run or from
+each scoped work's actions; each side is called directly here, on
+multi-norm synthetic stores and on the reference corpus.
+"""
+
+from __future__ import annotations
+
+from datetime import date, timedelta
+from functools import lru_cache
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from normgraph import planner, retrieval
+from normgraph.ingest import add_language, apply_event, enact, parse_document, parse_event_file
+from normgraph.planner import QueryPattern, StructuredQuery
+from normgraph.retrieval import RetrievalRequest
+from normgraph.store import GraphStore
+from normgraph.temporal import MembershipPolicy, alive_at, resolve_scope
+from normgraph.themes import define_theme
+
+import synthcorpus
+from test_properties import _spanish_wordings
+
+_OPEN_END = date(9999, 12, 31)  # a legal query date: an open version is valid on it
+_LANGUAGES = [None, "en", "es", "pt", "fr"]
+
+
+@lru_cache(maxsize=None)
+def _multi_norm_store(seeds: tuple[int, ...]) -> GraphStore:
+    """The synthetic norms of ``seeds`` in one store, committed.
+
+    Every other provision of each norm gets Spanish wording at its
+    enactment, and a theme holds the first article of every norm.
+    """
+    store = GraphStore()
+    corpora = [synthcorpus.generate_corpus(seed) for seed in seeds]
+    for corpus in corpora:
+        enact(store, parse_document(corpus.doc))
+        for event_file in corpus.event_files:
+            parsed = parse_event_file(event_file)
+            for record in parsed.events:
+                apply_event(store, record, parsed.instrument)
+    for corpus in corpora:
+        provisions = store.descendants(corpus.norm_urn)
+        add_language(store, corpus.norm_urn,
+                     _spanish_wordings(store, provisions[1::2], corpus.enactment), "es",
+                     at=corpus.enactment)
+    define_theme(store, "First articles", "The first article of every norm.",
+                 [store.descendants(corpus.norm_urn)[1] for corpus in corpora])
+    store.commit()
+    return store
+
+
+_STORES = [(3, 8, 13), (5, 21, 34, 40), (11, 17)]
+
+
+def _stores(fixture_store: GraphStore) -> list[GraphStore]:
+    return [fixture_store] + [_multi_norm_store(seeds) for seeds in _STORES]
+
+
+def _days(store: GraphStore) -> list[date]:
+    """Each version's start and end and the days beside them, a day before every start,
+    and 9999-12-31."""
+    days = {_OPEN_END}
+    for tv in store.ctvs.values():
+        days.update({tv.valid_start - timedelta(days=1), tv.valid_start})
+        if tv.valid_end is not None:
+            days.update({tv.valid_end - timedelta(days=1), tv.valid_end})
+    return sorted(days)
+
+
+def _draw_day(data, store: GraphStore) -> date:
+    days = _days(store)
+    return data.draw(st.one_of(st.sampled_from(days),
+                               st.dates(min_value=days[0], max_value=days[-2])))
+
+
+def _draw_scope(data, store: GraphStore, t: date, window=None) -> frozenset[str]:
+    """One subtree, a theme's union or every work."""
+    kind = data.draw(st.sampled_from(["subtree", "theme", "every"]))
+    if kind == "every":
+        return frozenset(store.works)
+    policy = data.draw(st.sampled_from(list(MembershipPolicy)))
+    if kind == "theme":
+        return resolve_scope(store, data.draw(st.sampled_from(sorted(store.themes))), t, policy,
+                             window=window)
+    return resolve_scope(store, data.draw(st.sampled_from(sorted(store.works))), t, policy,
+                         window=window)
+
+
+class TestBothSides:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_content_candidates_are_the_same_from_the_run_and_the_chains(
+            self, fixture_store, data):
+        store = data.draw(st.sampled_from(_stores(fixture_store)))
+        t = _draw_day(data, store)
+        request = RetrievalRequest(
+            query_text="", scope=_draw_scope(data, store, t), t=t,
+            language=data.draw(st.sampled_from(_LANGUAGES)),
+            language_fallback=data.draw(st.booleans()))
+        by_run = retrieval._content_by_run(store, request)
+        by_chains = retrieval._content_by_chains(store, request)
+        assert len(set(by_run)) == len(by_run) and len(set(by_chains)) == len(by_chains)
+        assert set(by_run) == set(by_chains) == set(retrieval._content_candidates(store, request))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_impact_actions_are_the_same_from_the_run_and_the_works(self, fixture_store, data):
+        store = data.draw(st.sampled_from(_stores(fixture_store)))
+        t1, t2 = sorted((_draw_day(data, store), _draw_day(data, store)))
+        policy = data.draw(st.sampled_from(list(MembershipPolicy)))
+        scope = _draw_scope(data, store, t1, window=(t1, t2))
+        query = StructuredQuery(QueryPattern.IMPACT_ANALYSIS, membership=policy)
+        found, calls = [], []
+        for side in (planner._impact_by_run, planner._impact_by_works, planner._impact_actions):
+            with mock.patch.object(planner, "alive_at", wraps=alive_at) as counted:
+                found.append(side(store, query, scope, (t1, t2)))
+            calls.append(counted.call_count)
+        assert found[0] == found[1] == found[2]
+        # Both sides check the same targets' lifetimes, so the alive_at count repeats.
+        assert calls[0] == calls[1] == calls[2]
+        assert policy is MembershipPolicy.ACTION_TIME or calls[0] == 0
+
+
+class TestTheLengthsRule:
+    def test_each_wide_read_takes_each_side(self, fixture_store):
+        for store in _stores(fixture_store):
+            every = frozenset(store.works)
+            run = store.chain_index.run
+            leaf = frozenset({run.works[-1]})
+            with mock.patch.object(retrieval, "_content_by_run",
+                                   wraps=retrieval._content_by_run) as by_run, \
+                    mock.patch.object(retrieval, "_content_by_chains",
+                                      wraps=retrieval._content_by_chains) as by_chains:
+                # Every work at the first start: a few started versions against every work.
+                retrieval._content_candidates(store, RetrievalRequest("", every, run.starts[0]))
+                assert (by_run.call_count, by_chains.call_count) == (1, 0)
+                # One work at the open end: every worded version has started.
+                retrieval._content_candidates(store, RetrievalRequest("", leaf, _OPEN_END))
+                assert (by_run.call_count, by_chains.call_count) == (1, 1)
+
+            _, dates = store.time_index.run
+            query = StructuredQuery(QueryPattern.IMPACT_ANALYSIS)
+            with mock.patch.object(planner, "_impact_by_run",
+                                   wraps=planner._impact_by_run) as by_run, \
+                    mock.patch.object(planner, "_impact_by_works",
+                                      wraps=planner._impact_by_works) as by_works:
+                # Every work over the first action's day against one work over every day.
+                planner._impact_actions(store, query, every, (dates[0], dates[0]))
+                assert (by_run.call_count, by_works.call_count) == (1, 0)
+                planner._impact_actions(store, query, leaf, (dates[0], dates[-1]))
+                assert (by_run.call_count, by_works.call_count) == (1, 1)
+
+    def test_an_open_version_is_a_candidate_on_9999_12_31_and_none_before_every_start(
+            self, fixture_store):
+        for store in _stores(fixture_store):
+            run = store.chain_index.run
+            every = frozenset(store.works)
+            before = run.starts[0] - timedelta(days=1)
+            for read in (retrieval._content_by_run, retrieval._content_by_chains):
+                open_end = read(store, RetrievalRequest("", every, _OPEN_END))
+                assert len(open_end) == run.ends.count(None) > 0
+                assert read(store, RetrievalRequest("", every, before)) == []
