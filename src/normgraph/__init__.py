@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(["DataError", "NormGraphError", "QueryError"], "errors"),
     **dict.fromkeys([
-        "add_language", "apply_event", "enact", "ingest_corpus", "parse_document",
+        "add_language", "apply_events", "enact", "ingest_corpus", "parse_document",
         "parse_event_file", "render_action_text", "textualize_metadata",
     ], "ingest"),
     **dict.fromkeys([

@@ -5,15 +5,16 @@ Input files are explicit structured JSON (``*.satdoc.json`` documents,
 schemas mirror what an upstream segmenter would emit, so one can be
 slotted in front without touching this module.
 
-Event application is strictly sequential and has one write path: each
-enactment and event becomes one action, which holds only the event, and
-``GraphStore.replay`` of that action derives the versions it closes and
-opens and writes them (see its rule). Each version it opens gets the
-event's wording, else its predecessor's. No version stores its children's
-versions; the store derives them from the work tree and the chains, so
-the unchanged children's existing versions are shared. Every check on an
-event runs before its first write, so a rejected event leaves the store
-as it was.
+Event application has one order and one write path. Events are applied a
+day at a time in (effective date, action id) order, the order in which
+``GraphStore.replay`` files actions, so file names play no part. A day's
+events are checked against the store as the day found it, every check
+before the day's first write, so a rejected day leaves the store as it
+was. Each enactment and event becomes one action, which holds only the
+event, and one ``replay`` of a day's actions derives the versions they
+close and open (see its rule). Each version opened gets its event's
+wording, else its predecessor's. No version stores its children's; the
+store derives them from the work tree and the chains.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ import re
 from datetime import date, timedelta
 from functools import cache
 from importlib import resources
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     DuplicateFragment,
@@ -172,6 +175,15 @@ def _parse_date_field(value, key: str, path: str | None) -> date:
         raise MalformedInput(f"field {key!r} is not an ISO date: {value!r}", path) from None
 
 
+def _checked_name(value: str | None, what: str, ends: str, path: str | None) -> str | None:
+    """``value``, part of a work's urn, unless it is empty or holds '!', which ``ends``."""
+    if value == "":
+        raise MalformedInput(f"{what} is empty", path)
+    if value is not None and FRAGMENT_SEP in value:
+        raise MalformedInput(f"{what} {value!r} holds '!', which {ends}", path)
+    return value
+
+
 def _parse_component(
     data: dict,
     position: int,
@@ -179,9 +191,8 @@ def _parse_component(
     seen_fragments: set[str],
     path: str | None,
 ) -> ComponentRecord:
-    fragment = json_field(data, "fragment", path)
-    if FRAGMENT_SEP in fragment:
-        raise MalformedInput(f"fragment {fragment!r} holds '!', which ends a norm urn", path)
+    fragment = _checked_name(json_field(data, "fragment", path), "fragment", "ends a norm urn",
+                             path)
     if fragment in seen_fragments:
         raise DuplicateFragment(fragment)
     seen_fragments.add(fragment)
@@ -231,9 +242,7 @@ def _parse_norm_meta(data: dict, path: str | None) -> NormMeta:
         aliases=tuple(json_field(data, "aliases", path, list, (), str)),
         metadata=metadata_tuple(json_field(data, "metadata", path, dict, {}, str)),
     )
-    if FRAGMENT_SEP in norm.urn:
-        raise MalformedInput(f"norm urn {norm.urn!r} holds '!', which starts a component fragment",
-                             path)
+    _checked_name(norm.urn, "norm urn", "starts a component fragment", path)
     for key, own in (("title", norm.title), ("short_title", norm.short_title)):
         if dict(norm.metadata).get(key, own) != own:
             raise MalformedInput(f"metadata {key!r} of {norm.urn!r} overrides its own {key}", path)
@@ -306,10 +315,8 @@ def parse_event_file(source: str | bytes | dict, path: str | None = None) -> Eve
             raise MalformedInput(f"event {i}: amendment needs new_text or new_components", path)
         if action_type is ActionType.REPEAL and (raw_components or new_text):
             raise MalformedInput(f"event {i}: repeal carries no replacement content", path)
-        source_provision = json_field(item, "source_provision", path, str, None)
-        if source_provision is not None and FRAGMENT_SEP in source_provision:
-            raise MalformedInput(f"event {i}: source_provision {source_provision!r} holds '!', "
-                                 "which ends a norm urn", path)
+        source_provision = _checked_name(json_field(item, "source_provision", path, str, None),
+                                         f"event {i}: source_provision", "ends a norm urn", path)
         events.append(EventRecord(
             action_type=action_type,
             target=json_field(item, "target", path),
@@ -437,15 +444,6 @@ def _source_prose(action: ActionNode, store: GraphStore) -> str:
 # -- enactment ----------------------------------------------------------------
 
 
-def _component_metadata(record: ComponentRecord) -> tuple[tuple[str, str], ...]:
-    meta: dict[str, str] = {}
-    if record.heading:
-        meta["heading"] = record.heading
-    if record.label:
-        meta["label"] = record.label
-    return metadata_tuple(meta)
-
-
 def _attach_content(store: GraphStore, cid: str, language: str, text: str,
                     synthetic: bool) -> str:
     lv = LanguageVersion(temporal_version=cid, language=language)
@@ -454,13 +452,19 @@ def _attach_content(store: GraphStore, cid: str, language: str, text: str,
     return lv.id
 
 
-def _norm_work(norm: NormMeta, **facts: str) -> WorkNode:
-    """The work of a norm: its titles, and ``facts`` overridden by its own metadata."""
+def _add_norm(store: GraphStore, norm: NormMeta, **facts: str) -> None:
+    """Add the work of a norm, an enacted one or an instrument's stub, and its metadata units.
+
+    The work holds the norm's titles, and ``facts`` overridden by its own
+    metadata; a unit states each fact.
+    """
     meta = {**facts, "title": norm.title}
     if norm.short_title:
         meta["short_title"] = norm.short_title
     meta.update(norm.metadata)
-    return WorkNode(norm.urn, norm.aliases, metadata=metadata_tuple(meta))
+    store.add_work(WorkNode(norm.urn, norm.aliases, metadata=metadata_tuple(meta)))
+    for unit in textualize_metadata(store.works[norm.urn]):
+        store.add_unit(unit)
 
 
 # What the event gives a work's version: (language, text, synthetic) of each wording.
@@ -468,11 +472,8 @@ _Wordings = dict[str, list[tuple[str, str, bool]]]
 
 
 def _build_subtree(store: GraphStore, record: ComponentRecord, parent_urn: str, ordinal: int,
-                   language: str, wordings: _Wordings) -> str:
-    """Add the works of ``record``'s subtree, each text in ``language`` to ``wordings``.
-
-    Returns the urn of ``record``'s work.
-    """
+                   language: str, wordings: _Wordings) -> None:
+    """Add the works of ``record``'s subtree, each text in ``language`` to ``wordings``."""
     urn = f"{store.works[parent_urn].norm_urn}{FRAGMENT_SEP}{record.fragment}"
     store.add_work(WorkNode(
         urn=urn,
@@ -480,23 +481,23 @@ def _build_subtree(store: GraphStore, record: ComponentRecord, parent_urn: str, 
         component_type=record.component_type,
         parent=parent_urn,
         ordinal=ordinal,
-        metadata=_component_metadata(record),
+        metadata=metadata_tuple({key: value for key, value in (
+            ("heading", record.heading), ("label", record.label)) if value}),
     ))
     for child in record.children:
         _build_subtree(store, child, urn, child.ordinal, language, wordings)
     if record.text is not None:
         wordings[urn] = [(language, record.text, record.synthetic)]
-    return urn
 
 
-def _record_action(store: GraphStore, action: ActionNode, wordings: _Wordings) -> str:
-    """Replay ``action``, word each version it opened, describe it; return its id.
+def _record_actions(store: GraphStore, actions: Sequence[ActionNode], wordings: _Wordings) -> None:
+    """Replay ``actions`` as one, word each version they opened, and describe each action.
 
-    A version gets the wordings the event gives its work, else a copy of
+    A version gets the wordings the events give its work, else a copy of
     its predecessor's (a rolled ancestor's). Its id is the one its node
     holds, so no CLV keeps a copy.
     """
-    for cid in store.replay((action,)):
+    for cid in store.replay(actions):
         work = store.ctvs[cid].work
         chain = store.versions[work]
         if work not in wordings and len(chain) > 1:
@@ -506,8 +507,9 @@ def _record_action(store: GraphStore, action: ActionNode, wordings: _Wordings) -
                 _attach_content(store, cid, lv.language, unit.text, unit.synthetic)
         for language, text, synthetic in wordings.get(work, ()):
             _attach_content(store, cid, language, text, synthetic)
-    store.add_unit(TextUnit(id=action.description_unit, text=render_action_text(action, store)))
-    return action.id
+    for action in actions:
+        store.add_unit(TextUnit(id=action.description_unit,
+                                text=render_action_text(action, store)))
 
 
 def enact(store: GraphStore, doc: SourceDocument) -> str:
@@ -526,51 +528,42 @@ def enact(store: GraphStore, doc: SourceDocument) -> str:
         raise MalformedInput(f"duplicate enactment: {action_id!r} already exists; "
                              f"{norm.urn!r} shares its short title with an enacted norm")
     start = norm.publication_date
-    store.add_work(_norm_work(norm, publication_date=start.isoformat(), language=norm.language))
+    _add_norm(store, norm, publication_date=start.isoformat(), language=norm.language)
     wordings: _Wordings = {}
     for record in doc.body:
         _build_subtree(store, record, norm.urn, record.ordinal, norm.language, wordings)
-    _record_action(store, ActionNode(
+    _record_actions(store, [ActionNode(
         id=action_id,
         action_type=ActionType.ENACTMENT,
         enactment_date=start,
         effective_date=start,
         targets=(norm.urn,),
         instrument=norm.urn,
-    ), wordings)
-    for unit in textualize_metadata(store.works[norm.urn]):
-        store.add_unit(unit)
+    )], wordings)
     return action_id
 
 
 # -- event application ---------------------------------------------------------
 
 
-def _ensure_instrument_works(
-    store: GraphStore,
-    instrument: NormMeta,
-    source_fragment: str | None,
-    source_label: str | None,
-) -> str | None:
-    """Create reference stubs for the amending norm and its provision.
+def _action_id(instrument: NormMeta, ev: EventRecord) -> str:
+    """The id of the action ``ev``, an event of ``instrument``'s, becomes."""
+    return (f"act:{_slug(instrument.short_title or instrument.title)}:"
+            f"{_slug(urn_fragment(ev.target) or 'norm')}:{ev.effective_date.isoformat()}")
 
-    A stub norm keeps the instrument's metadata, so its facts are textualized
-    as an enacted norm's are.
-    """
-    if instrument.urn not in store.works:
-        store.add_work(_norm_work(instrument))
-        if instrument.metadata:
-            for unit in textualize_metadata(store.works[instrument.urn]):
-                store.add_unit(unit)
-    if source_fragment is None:
-        return None
-    source_urn = f"{instrument.urn}{FRAGMENT_SEP}{source_fragment}"
-    if source_urn not in store.works:
-        meta = {"label": source_label} if source_label else {}
-        store.add_work(WorkNode(source_urn, (), parent=instrument.urn,
-                                ordinal=len(store.children.get(instrument.urn, ())),
-                                metadata=metadata_tuple(meta)))
-    return source_urn
+
+class _Day:
+    """What a day's events are checked against: the whole day, and its events checked so far."""
+
+    __slots__ = ("duplicated", "repealed", "events", "changed", "titles")
+
+    def __init__(self, pending: list[tuple[date, str, EventRecord, NormMeta]]) -> None:
+        ids = [action_id for _, action_id, _, _ in pending]
+        self.duplicated = {a for a, b in zip(ids, ids[1:]) if a == b}  # ids two events share
+        self.repealed = {e.target for _, _, e, _ in pending if e.action_type is ActionType.REPEAL}
+        self.events: list[tuple] = []  # (action, event, instrument, inserted records), in id order
+        self.changed: set[str] = set()  # every work amended, repealed or inserted
+        self.titles: dict[str, tuple[str, str | None]] = {}  # instrument urn -> its titles
 
 
 def _open_version(store: GraphStore, urn: str, effective: date) -> TemporalVersion:
@@ -584,76 +577,68 @@ def _open_version(store: GraphStore, urn: str, effective: date) -> TemporalVersi
     return last
 
 
-def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str:
-    """Apply one amendment, insertion, or repeal and return its action id.
+def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta, action_id: str,
+                day: _Day) -> None:
+    """Check one amendment, insertion, or repeal, and add its action ``action_id`` to ``day``.
 
-    Every check runs before the first write, so a rejected event leaves the
-    store as it was.
+    It is checked against the store as the day found it, which holds no work
+    the day inserts, and the day's events: no work is amended or repealed
+    twice, nor changed beneath a work the day repeals. Nothing is written.
     """
     if ev.target not in store.works:
         raise UnknownTarget(ev.target)
     effective = ev.effective_date
     target = store.works[ev.target]
-    action_id = (
-        f"act:{_slug(instrument.short_title or instrument.title)}:"
-        f"{_slug(target.fragment or 'norm')}:{effective.isoformat()}"
-    )
-    if action_id in store.actions:
-        raise MalformedInput(
-            f"duplicate event: {instrument.short_title or instrument.title} "
-            f"already acts on {ev.target!r} effective {effective.isoformat()}"
-        )
-    # The titles its work holds label the instrument's actions.
+    if action_id in store.actions or action_id in day.duplicated:
+        raise MalformedInput(f"duplicate event: {instrument.short_title or instrument.title} "
+                             f"already acts on {ev.target!r} effective {effective.isoformat()}")
+    # The titles its work holds, else the day's first block's, label the instrument's actions.
     work = store.works.get(instrument.urn)
-    held = work and (work.meta("title"), work.meta("short_title"))
-    if held and held != (instrument.title, instrument.short_title or None):
+    titles = (instrument.title, instrument.short_title or None)
+    held = day.titles.setdefault(
+        instrument.urn, (work.meta("title"), work.meta("short_title")) if work else titles)
+    if held != titles:
         raise MalformedInput(f"instrument {instrument.urn!r} is titled otherwise than its work "
                              f"({held[0]!r}, short title {held[1]!r})", ev.path)
     current = _open_version(store, ev.target, effective)
     records: list[ComponentRecord] = []
+    # The works it acts on, and those it amends, repeals or inserts.
+    targets = changed = (ev.target,)
     if ev.new_components:
-        # An insertion may join a target version opened earlier that day.
+        # An insertion may join a target version another action opens that day.
         parent_type = None if target.parent is None else target.component_type
         seen: set[str] = set()
         records = [_parse_component(raw, i, parent_type, seen, ev.path)
                    for i, raw in enumerate(ev.new_components)]
-        taken = sorted(f for f in seen if f"{target.norm_urn}{FRAGMENT_SEP}{f}" in store.works)
+        targets = tuple(f"{target.norm_urn}{FRAGMENT_SEP}{record.fragment}" for record in records)
+        changed = tuple(f"{target.norm_urn}{FRAGMENT_SEP}{f}" for f in sorted(seen))
+        taken = [urn for urn in changed if urn in store.works or urn in day.changed]
         if taken:
-            raise MalformedInput(f"inserted fragment {taken[0]!r} already exists", ev.path)
-    elif current.valid_start == effective:
-        raise OutOfOrderEvent(ev.target, effective, current.valid_start)
+            raise MalformedInput(f"inserted fragment {urn_fragment(taken[0])!r} already exists",
+                                 ev.path)
+    elif ev.target in day.changed or current.valid_start == effective:
+        raise OutOfOrderEvent(ev.target, effective, effective)  # a version of it opens that day
     elif ev.action_type is ActionType.AMENDMENT and not store.clvs_by_ctv.get(current.id):
         raise StructureError(f"{ev.target!r} bears no text; use new_components or repeal")
     elif ev.new_text and (language := store.primary_language(ev.target)) not in dict(ev.new_text):
         # Readers fall back to the primary language, so every version has wording in it.
         raise MalformedInput(f"new_text for {ev.target!r} has no wording in its norm's primary "
                              f"language {language!r}", ev.path)
-    ancestor = target.parent
+    # Its roll, from the parent of the works it changes up.
+    ancestor = ev.target if records else target.parent
     while ancestor is not None:
         _open_version(store, ancestor, effective)
+        if ancestor in day.repealed:
+            raise NoOpenVersion(ancestor, effective)
         ancestor = store.works[ancestor].parent
-    if (ev.source_provision is not None and instrument.urn in store.versions
-            and f"{instrument.urn}{FRAGMENT_SEP}{ev.source_provision}" not in store.works):
+    source_urn = ev.source_provision and f"{instrument.urn}{FRAGMENT_SEP}{ev.source_provision}"
+    if source_urn and instrument.urn in store.versions and source_urn not in store.works:
         # A stub inside an enacted tree would be opened by its enactment's replay.
         raise MalformedInput(f"source provision {ev.source_provision!r} names no work of "
                              f"{instrument.urn!r}, which the corpus enacts", ev.path)
 
-    source_urn = _ensure_instrument_works(
-        store, instrument, ev.source_provision, ev.source_label)
-    wordings: _Wordings = {}
-    if records:
-        language = store.primary_language(ev.target)
-        base_ordinal = len(store.children.get(ev.target, ()))
-        targets = tuple(_build_subtree(store, record, ev.target, base_ordinal + offset,
-                                       language, wordings)
-                        for offset, record in enumerate(records))
-    else:
-        targets = (ev.target,)
-        synthetic = dict(ev.synthetic)
-        wordings[ev.target] = [(language, text, synthetic.get(language, False))
-                               for language, text in ev.new_text]
-
-    return _record_action(store, ActionNode(
+    day.changed.update(changed)
+    day.events.append((ActionNode(
         id=action_id,
         action_type=ev.action_type,
         enactment_date=ev.enactment_date,
@@ -663,7 +648,44 @@ def apply_event(store: GraphStore, ev: EventRecord, instrument: NormMeta) -> str
         effect=ev.effect,
         instrument=instrument.urn,
         inserts=bool(records),
-    ), wordings)
+    ), ev, instrument, records))
+
+
+def apply_events(store: GraphStore, event_files: Iterable[tuple[str, EventFile]]) -> list[str]:
+    """Apply every event of the ``(file name, parsed event file)`` pairs; return the action ids.
+
+    A day at a time, its events are applied in action id order, as
+    ``GraphStore.replay`` files them, so file names and the order of a day's
+    records do not count. Each is checked (``apply_event``) before the day's
+    first write, so a rejected day leaves the store as it was; then the new
+    works are added, in id order, and the actions replayed in one call.
+    """
+    pending = sorted(((ev.effective_date, _action_id(file.instrument, ev), ev, file.instrument)
+                      for _, file in event_files for ev in file.events), key=itemgetter(0, 1))
+    for _, group in groupby(pending, key=itemgetter(0)):
+        group = list(group)
+        day = _Day(group)
+        for _, action_id, ev, instrument in group:
+            apply_event(store, ev, instrument, action_id, day)
+        wordings: _Wordings = {}
+        for action, ev, instrument, records in day.events:
+            if instrument.urn not in store.works:  # a stub, for the instrument and its provision
+                _add_norm(store, instrument)
+            if action.source_provision and action.source_provision not in store.works:
+                store.add_work(WorkNode(
+                    action.source_provision, (), parent=instrument.urn,
+                    ordinal=len(store.children.get(instrument.urn, ())),
+                    metadata=metadata_tuple({"label": ev.source_label} if ev.source_label else {})))
+            base_ordinal = len(store.children.get(ev.target, ()))
+            for offset, record in enumerate(records):
+                _build_subtree(store, record, ev.target, base_ordinal + offset,
+                               store.primary_language(ev.target), wordings)
+            if not records:
+                synthetic = dict(ev.synthetic)
+                wordings[ev.target] = [(language, text, synthetic.get(language, False))
+                                       for language, text in ev.new_text]
+        _record_actions(store, [action for action, *_ in day.events], wordings)
+    return [action_id for _, action_id, *_ in pending]
 
 
 # -- translations --------------------------------------------------------------
@@ -715,25 +737,11 @@ class IngestSummary:
         self.counts: dict = {}
 
 
-def ordered_events(
-        event_files: Iterable[tuple[str, EventFile]]) -> list[tuple[EventRecord, NormMeta | None]]:
-    """Every event of the given ``(file name, parsed event file)`` pairs.
-
-    Each comes with its file's instrument, in (effective_date, file name,
-    record index) order.
-    """
-    pending = [(record.effective_date, name, index, record, event_file.instrument)
-               for name, event_file in event_files
-               for index, record in enumerate(event_file.events)]
-    pending.sort(key=lambda item: item[:3])
-    return [(record, instrument) for *_, record, instrument in pending]
-
-
 def ingest_corpus(corpus_dir: str | Path) -> tuple[GraphStore, IngestSummary]:
     """Enact every document and apply every event file in deterministic order.
 
     Documents are enacted in file-name order; event records across all
-    files are applied by (effective_date, file name, record index);
+    files are applied a day at a time in action id order (``apply_events``);
     themes and translations follow, then the store is committed.
     """
     corpus = Path(corpus_dir)
@@ -753,14 +761,10 @@ def ingest_corpus(corpus_dir: str | Path) -> tuple[GraphStore, IngestSummary]:
         theme_specs.extend(doc.themes)
         summary.documents += 1
 
-    event_files: list[tuple[str, EventFile]] = []
-    for path in event_paths:
-        event_file = parse_event_file(path.read_bytes(), path=str(path))
-        theme_specs.extend(event_file.themes)
-        event_files.append((path.name, event_file))
-    for record, instrument in ordered_events(event_files):
-        apply_event(store, record, instrument)
-        summary.events += 1
+    event_files = [(path.name, parse_event_file(path.read_bytes(), path=str(path)))
+                   for path in event_paths]
+    theme_specs.extend(spec for _, event_file in event_files for spec in event_file.themes)
+    summary.events = len(apply_events(store, event_files))
 
     for spec in theme_specs:
         define_theme(store, spec.label, spec.description, list(spec.members))

@@ -278,12 +278,11 @@ class GraphStore:
         creates; an amendment closes its target and reopens it; a repeal
         closes it. Then the rolls, in id order: each other action closes and
         reopens every ancestor of its target, from the parent up, and stops
-        at the first whose version already opens that day. A rolled version
-        is produced by the first action whose roll reaches it, so a roll
-        that reaches one a larger id of that day rolled in an earlier call
-        re-files it in ``produced_by`` and climbs on: one action at a time
-        (ingest) files what one batch (load) does. A target that names no
-        work has no effect: validate_graph reports it.
+        at the first whose version already opens that day, whichever call
+        opened it. So a rolled version is produced by the first action whose
+        roll reaches it, and a day's actions are given in one call (ingest
+        gives each day's, load all). A target that names no work has no
+        effect: validate_graph reports it.
 
         Returns the ids of the versions opened. Nothing is written unless the
         whole batch replays: raises ReplayFault on an id already filed, else
@@ -362,17 +361,10 @@ class GraphStore:
                 urn = target.parent if target and action.action_type is not enactment else None
                 while urn in works:  # a parent that names no work is validate_graph's to report
                     held = chain(urn)
-                    if not held or held[-1][0] != day:
-                        close(action, urn, held)
-                        held.append([day, None, action.id])
-                    else:
-                        producer = held[-1][2] or self.produced_by[ctv_id(urn, day)]
-                        # Only a larger id's roll is re-filed: a rolled version
-                        # has a predecessor and is none of its producer's targets.
-                        if (producer <= action.id or len(self.versions.get(urn, ())) < 2
-                                or urn in (filed.get(producer) or self.actions[producer]).targets):
-                            break
-                        held[-1][2] = action.id
+                    if held and held[-1][0] == day:
+                        break
+                    close(action, urn, held)
+                    held.append([day, None, action.id])
                     urn = works[urn].parent
         ctvs, opened = self.ctvs, []
         for urn, held in spans.items():

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 
-from normgraph.ingest import apply_event, enact, parse_document, parse_event_file
+from normgraph.ingest import EventFile, apply_events, enact, parse_document, parse_event_file
 from normgraph.store import GraphStore
 
 WORDS = [
@@ -202,11 +202,13 @@ def build_store(corpus: SynthCorpus) -> GraphStore:
     """Ingest the corpus through the real engine, without committing."""
     store = GraphStore()
     enact(store, parse_document(corpus.doc))
-    for event_file in corpus.event_files:
-        parsed = parse_event_file(event_file)
-        for record in parsed.events:
-            apply_event(store, record, parsed.instrument)
+    apply_events(store, event_files(corpus))
     return store
+
+
+def event_files(corpus: SynthCorpus) -> list[tuple[str, EventFile]]:
+    """The corpus's parsed event files, each named by its place in the corpus."""
+    return [(f"e{i:03d}", parse_event_file(file)) for i, file in enumerate(corpus.event_files)]
 
 
 class ReplayOracle:

@@ -16,7 +16,7 @@ from pathlib import Path
 from normgraph.cli import main
 from normgraph.errors import NotYetEnacted, RepealedAt
 from normgraph.ingest import (
-    add_language, apply_event, enact, ordered_events, parse_document, parse_event_file)
+    add_language, apply_events, enact, parse_document, parse_event_file)
 from normgraph.planner import QueryPattern, StructuredQuery, run
 from normgraph.store import GraphStore
 from normgraph.temporal import TemporalScope, snapshot_text
@@ -206,8 +206,7 @@ def test_criterion_7_multilingual_economy(corpus_dir):
     enact(store, doc)
     event_files = [(path.name, parse_event_file(path.read_text(encoding="utf-8"), path=str(path)))
                    for path in sorted(corpus_dir.glob("*.satev.json"))]
-    for record, instrument in ordered_events(event_files):
-        apply_event(store, record, instrument)
+    apply_events(store, event_files)
 
     before = store.node_counts()
     created = add_language(

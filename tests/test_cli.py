@@ -172,8 +172,8 @@ class TestMalformedFiles:
 
     def test_a_second_amendment_on_the_same_day_does_not_follow_the_first(
             self, tmp_path, capsys):
-        # CA 27/2000 amends Art. 6's caput on the day CA 26/2000 does: its event
-        # file sorts second, so the version it would close starts that very day.
+        # CA 27/2000 amends Art. 6's caput on the day CA 26/2000 does: its action
+        # id sorts second, and one work is amended at most once a day.
         corpus = tmp_path / "corpus"
         assert main(["fixture", "--out", str(corpus)]) == 0
         data = json.loads((corpus / "ca_26_2000.satev.json").read_text(encoding="utf-8"))
@@ -287,6 +287,14 @@ class TestIngestRejections:
                      f"norm urn '{_CA26}!art1' holds '!'", id="instrument-urn"),
         pytest.param("ca_72_2013.satev.json", _insert_under_art7_caput("art7!item2"),
                      "fragment 'art7!item2' holds '!'", id="new-components-fragment"),
+        # An empty urn, fragment or source provision names no work.
+        pytest.param("ca_26_2000.satev.json", _set_norm("instrument", urn=""),
+                     "norm urn is empty", id="instrument-urn-empty"),
+        pytest.param("constitution_1988.satdoc.json",
+                     lambda data: {**data, "body": [{**data["body"][0], "fragment": ""}]},
+                     "fragment is empty", id="document-fragment-empty"),
+        pytest.param("ca_26_2000.satev.json", _set_first("source_provision", ""),
+                     "event 0: source_provision is empty", id="source-provision-empty"),
         pytest.param("art6_original_en.satlang.json",
                      lambda data: {**data, "units": [*data["units"], *data["units"],
                                                       {"fragment": "art6_cpt",
@@ -315,6 +323,93 @@ class TestIngestRejections:
         assert capsys.readouterr().err.startswith(
             f"data error: MalformedInput: {corpus / name}: {reason}")
         assert not out.exists()
+
+
+_NORM = "urn:lex:br:federal:constituicao:1988-10-05;1988"
+
+
+def _same_day_file(short_title: str, event: dict) -> dict:
+    """An event file of the instrument ``short_title`` names, its one event effective 2003-06-01."""
+    return {"format_version": 1,
+            "instrument": {"urn": f"urn:test:act:{short_title}", "title": f"Act {short_title}",
+                           "short_title": short_title, "publication_date": "2003-06-01"},
+            "events": [{"effective_date": "2003-06-01", **event}]}
+
+
+def _amend(fragment: str) -> dict:
+    return {"action_type": "amendment", "target": f"{_NORM}!{fragment}",
+            "new_text": {"pt": f"{fragment} as amended."}}
+
+
+def _insert(host: str, component: dict) -> dict:
+    return {"action_type": "amendment", "target": f"{_NORM}!{host}", "new_components": [component]}
+
+
+def _paragraph(fragment: str) -> dict:
+    return {"fragment": fragment, "type": "paragraph", "text": f"{fragment} inserted."}
+
+
+# Two events of one day, each in its own event file, whose outcome the file
+# names must not decide, and the error class the corpus is rejected with
+# (None: it ingests).
+_SAME_DAY_PAIRS = {
+    "caput-and-its-item": (("CAP 2003", _amend("art7_cpt")), ("ITEM 2003", _amend("art7_item1")),
+                           None),
+    # The caput's action has the smaller id; art7 is not open beneath its repeal.
+    "repeal-and-amend-beneath": (("REP 2003", {"action_type": "repeal", "target": f"{_NORM}!art7"}),
+                                 ("CAP 2003", _amend("art7_cpt")), "NoOpenVersion"),
+    "two-insertions-under-one-article": (("P9 2003", _insert("art7", _paragraph("art7_par9"))),
+                                         ("P8 2003", _insert("art7", _paragraph("art7_par8"))),
+                                         None),
+    # Art. 99 is inserted that day, so it is no target yet.
+    "insertion-under-an-insertion": (
+        ("ART 2003", _insert("tit2", {"fragment": "art99", "type": "article", "children": [
+            {"fragment": "art99_cpt", "type": "caput", "text": "Art. 99 inserted."}]})),
+        ("PAR 2003", _insert("art99", _paragraph("art99_par1"))), "UnknownTarget"),
+    # One action id twice, and the second event would fail on its own: Art. 7 bears no text.
+    "one-action-id-twice": (("X 2003", _insert("art7", _paragraph("art7_par9"))),
+                            ("X 2003", _amend("art7")), "MalformedInput"),
+}
+
+
+class TestSameDayEvents:
+    """A day's events are applied in action id order, so the names of their files do not count."""
+
+    @pytest.mark.parametrize("case", list(_SAME_DAY_PAIRS))
+    def test_a_same_day_pair_gives_one_outcome_under_either_file_naming(
+            self, tmp_path, capsys, case):
+        first, second, error = _SAME_DAY_PAIRS[case]
+        outcomes = []
+        for naming in (("aa", "zz"), ("zz", "aa")):
+            corpus = tmp_path / "_".join(naming)
+            assert main(["fixture", "--out", str(corpus)]) == 0
+            for prefix, (short_title, event) in zip(naming, (first, second)):
+                name = f"{prefix}_{short_title.split()[0].lower()}.satev.json"
+                (corpus / name).write_text(json.dumps(_same_day_file(short_title, event)),
+                                           encoding="utf-8")
+            out = tmp_path / f"{corpus.name}.ndjson"
+            capsys.readouterr()
+            # A ReplayFault is no DataError: it would escape main, not exit 3.
+            code = main(["ingest", str(corpus), "--out", str(out)])
+            err = capsys.readouterr().err
+            outcomes.append((code, out.read_bytes() if code == 0 else err.split(":")[1].strip()))
+            assert (code == 0) == (error is None) and out.exists() == (code == 0), err
+        assert outcomes[0] == outcomes[1]
+        if error is not None:
+            assert outcomes[0] == (3, error)
+
+    def test_two_insertions_under_one_article_take_ordinals_in_id_order(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert main(["fixture", "--out", str(corpus)]) == 0
+        (first, second, _) = _SAME_DAY_PAIRS["two-insertions-under-one-article"]
+        for name, (short_title, event) in (("a", first), ("b", second)):
+            (corpus / f"{name}.satev.json").write_text(
+                json.dumps(_same_day_file(short_title, event)), encoding="utf-8")
+        out = tmp_path / "x.ndjson"
+        assert main(["ingest", str(corpus), "--out", str(out)]) == 0
+        art7 = store_mod.load(out).children[f"{_NORM}!art7"]
+        # act:p8-2003:… sorts before act:p9-2003:…, though P9's file sorts first.
+        assert art7 == [f"{_NORM}!art7_cpt", f"{_NORM}!art7_par8", f"{_NORM}!art7_par9"]
 
 
 class TestQueryValues:

@@ -21,12 +21,12 @@ from normgraph.errors import (
     UnknownTarget,
     UnknownWork,
 )
+from normgraph import ingest
 from normgraph.ingest import (
     add_language,
-    apply_event,
+    apply_events,
     enact,
     ingest_corpus,
-    ordered_events,
     parse_document,
     parse_event_file,
     parse_translation_file,
@@ -111,11 +111,9 @@ def amendment_file(target: str, effective: str, text: str, *,
 
 
 def apply_file(store: GraphStore, file_dict: dict) -> str:
-    parsed = parse_event_file(file_dict)
-    action_id = ""
-    for record in parsed.events:
-        action_id = apply_event(store, record, parsed.instrument)
-    return action_id
+    """Apply one event file's events; return the id of the last action applied."""
+    action_ids = apply_events(store, [("event.satev.json", parse_event_file(file_dict))])
+    return action_ids[-1] if action_ids else ""
 
 
 class TestParseDocument:
@@ -266,19 +264,34 @@ class TestParseEventFile:
         assert parsed.themes[0].label == "X"
 
 
-def test_ordered_events_sorts_by_date_then_file_name_then_record_index():
+def test_apply_events_applies_by_date_then_action_id(monkeypatch):
+    # Neither file names nor record order count. Ids compare as strings, so
+    # AA 10/2003's actions come before AA 9/2003's.
     late = amendment_file("urn:test:mini!art1_cpt", "2005-01-01", "late")
     early = amendment_file("urn:test:mini!art2_cpt", "2001-01-01", "early")
-    same_day = amendment_file("urn:test:mini!art2_cpt", "2003-01-01", "same day")
-    two = amendment_file("urn:test:mini!art1_cpt", "2003-01-01", "first")
-    two["events"].append(dict(two["events"][0], new_text={"en": "second"}))
-    files = [("b.satev.json", parse_event_file(two)), ("c.satev.json", parse_event_file(late)),
-             ("a.satev.json", parse_event_file(same_day)), ("d.satev.json", parse_event_file(early))]
-    ordered = ordered_events(files)
-    assert [record.new_text[0][1] for record, _ in ordered] == [
-        "early", "same day", "first", "second", "late"]
-    assert [instrument.urn[-10:] for _, instrument in ordered] == [
-        "2001-01-01", "2003-01-01", "2003-01-01", "2003-01-01", "2005-01-01"]
+    nine = amendment_file("urn:test:mini!art1_cpt", "2003-01-01", "nine")
+    nine["instrument"].update(urn="urn:test:act:9", short_title="AA 9/2003")
+    ten = amendment_file("urn:test:mini!art3_cpt", "2003-01-01", "ten, first record")
+    ten["events"].append(dict(ten["events"][0], target="urn:test:mini!art2_cpt",
+                              new_text={"en": "ten, second record"}))
+    ten["instrument"].update(urn="urn:test:act:10", short_title="AA 10/2003")
+    files = [("a.satev.json", parse_event_file(nine)), ("b.satev.json", parse_event_file(ten)),
+             ("c.satev.json", parse_event_file(late)), ("d.satev.json", parse_event_file(early))]
+    applied = []
+    check = ingest.apply_event
+
+    def spy(store, record, instrument, action_id, day):
+        applied.append(record.new_text[0][1])
+        return check(store, record, instrument, action_id, day)
+
+    monkeypatch.setattr(ingest, "apply_event", spy)
+    store = GraphStore()
+    enact(store, parse_document(mini_doc(3)))
+    assert apply_events(store, files) == [
+        "act:aa-2001:art2-cpt:2001-01-01", "act:aa-10-2003:art2-cpt:2003-01-01",
+        "act:aa-10-2003:art3-cpt:2003-01-01", "act:aa-9-2003:art1-cpt:2003-01-01",
+        "act:aa-2005:art1-cpt:2005-01-01"]
+    assert applied == ["early", "ten, second record", "ten, first record", "nine", "late"]
 
 
 class TestEnact:
@@ -746,6 +759,18 @@ def _amend_without_the_primary_language(store):
     return lambda: apply_file(store, file_dict)
 
 
+def _insert_then_amend_without_the_primary_language_on_one_day(store):
+    # The insertion's id sorts first and it passes its checks; the day's
+    # second event fails them before anything of the day is written.
+    insertion = amendment_file("urn:test:mini!art1", "2003-06-01", "", components=[
+        {"fragment": "art1_par1", "type": "paragraph", "text": "Inserted."}])
+    rejected = amendment_file("urn:test:mini!art2_cpt", "2003-06-01", "")
+    rejected["events"][0]["new_text"] = {"fr": "Texte nouveau."}
+    files = [("a.satev.json", parse_event_file(rejected)),
+             ("b.satev.json", parse_event_file(insertion))]
+    return lambda: apply_events(store, files)
+
+
 def _translate_an_unknown_fragment(store):
     return lambda: add_language(store, "urn:test:mini", {"art1_cpt": "ola", "zz": "x"}, "pt")
 
@@ -775,6 +800,8 @@ def _word_a_version_a_later_one_lacks_in_the_primary_language(store):
     pytest.param(_retitle_an_instrument, MalformedInput, id="instrument-titled-otherwise"),
     pytest.param(_amend_without_the_primary_language, MalformedInput,
                  id="amend-without-primary-language"),
+    pytest.param(_insert_then_amend_without_the_primary_language_on_one_day, MalformedInput,
+                 id="day-of-an-insertion-and-a-rejected-amendment"),
     pytest.param(_translate_an_unknown_fragment, UnknownWork, id="translate-unknown-fragment"),
     pytest.param(_translate_twice, TranslationConflict, id="translate-conflict"),
     pytest.param(_word_a_version_a_later_one_lacks_in_the_primary_language, LostPrimaryWording,

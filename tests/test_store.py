@@ -17,7 +17,7 @@ import pytest
 
 from normgraph.cli import main
 from normgraph.errors import DanglingReference, DataError, MalformedSnapshot
-from normgraph.ingest import enact, ingest_corpus, parse_document
+from normgraph.ingest import apply_events, enact, ingest_corpus, parse_document, parse_event_file
 from normgraph.model import (
     ActionNode,
     ActionType,
@@ -981,9 +981,9 @@ class TestReplay:
         assert store.produced_by == {"urn:x@2000-01-01": "act:0", "urn:x!y@2000-01-01": "act:0",
                                      "urn:x@2001-01-01": "act:1", "urn:x!y@2001-01-01": "act:1"}
 
-    def test_one_action_at_a_time_builds_what_one_batch_does(self):
-        # Ingest replays each action alone, closing an open version by
-        # replacing it; load replays them all at once.
+    def test_one_day_at_a_time_builds_what_one_batch_does(self):
+        # Ingest replays each day's actions in one call, closing an open
+        # version by replacing it; load replays them all at once.
         for seed in range(0, 40, 3):
             store = synthcorpus.build_store(synthcorpus.generate_corpus(seed))
             whole = GraphStore()
@@ -1584,15 +1584,18 @@ def _one_day_of_insertions_and_an_amendment() -> GraphStore:
     """Three articles; on 2003-06-01 an amendment and two insertions, then repeals and amendments."""
     store = GraphStore()
     enact(store, parse_document(mini_doc(3)))
-    apply_file(store, amendment_file(f"{MINI}!art1_cpt", "2003-06-01", "Amended."))
-    apply_file(store, amendment_file(f"{MINI}!art1", "2003-06-01", "", components=[
-        {"fragment": "art1_par1", "type": "paragraph", "text": "Inserted paragraph."}]))
-    apply_file(store, amendment_file(MINI, "2003-06-01", "", components=[
-        {"fragment": "art4", "type": "article", "children": [
-            {"fragment": "art4_cpt", "type": "caput", "text": "Inserted article."}]}]))
-    apply_file(store, amendment_file(f"{MINI}!art2_cpt", "2004-01-01", "", action_type="repeal"))
-    apply_file(store, amendment_file(f"{MINI}!art2", "2005-01-01", "", action_type="repeal"))
-    apply_file(store, amendment_file(f"{MINI}!art1_par1", "2005-01-01", "Paragraph v2."))
+    files = [
+        amendment_file(f"{MINI}!art1_cpt", "2003-06-01", "Amended."),
+        amendment_file(f"{MINI}!art1", "2003-06-01", "", components=[
+            {"fragment": "art1_par1", "type": "paragraph", "text": "Inserted paragraph."}]),
+        amendment_file(MINI, "2003-06-01", "", components=[
+            {"fragment": "art4", "type": "article", "children": [
+                {"fragment": "art4_cpt", "type": "caput", "text": "Inserted article."}]}]),
+        amendment_file(f"{MINI}!art2_cpt", "2004-01-01", "", action_type="repeal"),
+        amendment_file(f"{MINI}!art2", "2005-01-01", "", action_type="repeal"),
+        amendment_file(f"{MINI}!art1_par1", "2005-01-01", "Paragraph v2."),
+    ]
+    apply_events(store, [(f"e{i}", parse_event_file(file)) for i, file in enumerate(files)])
     return store
 
 

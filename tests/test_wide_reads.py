@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normgraph import planner, retrieval
-from normgraph.ingest import add_language, apply_event, enact, parse_document, parse_event_file
+from normgraph.ingest import add_language, apply_events, enact, parse_document
 from normgraph.planner import QueryPattern, StructuredQuery
 from normgraph.retrieval import RetrievalRequest
 from normgraph.store import GraphStore
@@ -41,10 +41,7 @@ def _multi_norm_store(seeds: tuple[int, ...]) -> GraphStore:
     corpora = [synthcorpus.generate_corpus(seed) for seed in seeds]
     for corpus in corpora:
         enact(store, parse_document(corpus.doc))
-        for event_file in corpus.event_files:
-            parsed = parse_event_file(event_file)
-            for record in parsed.events:
-                apply_event(store, record, parsed.instrument)
+        apply_events(store, synthcorpus.event_files(corpus))
     for corpus in corpora:
         provisions = store.descendants(corpus.norm_urn)
         add_language(store, corpus.norm_urn,
