@@ -317,9 +317,12 @@ def parse_event_file(source: str | bytes | dict, path: str | None = None) -> Eve
             raise MalformedInput(f"event {i}: repeal carries no replacement content", path)
         source_provision = _checked_name(json_field(item, "source_provision", path, str, None),
                                          f"event {i}: source_provision", "ends a norm urn", path)
+        target = json_field(item, "target", path)
+        if target == "":  # names no work, as an empty source provision does
+            raise MalformedInput(f"event {i}: target is empty", path)
         events.append(EventRecord(
             action_type=action_type,
-            target=json_field(item, "target", path),
+            target=target,
             enactment_date=enacted,
             effective_date=effective,
             source_provision=source_provision,

@@ -374,8 +374,9 @@ class TextUnit(Record):
     stored: a committed store derives it from ``text`` on the unit's first
     vector read (``retrieval.embeddings_of``), as ``{bucket: value}`` with
     buckets below EMBEDDING_DIMENSION, of unit L2 norm, except for text
-    with no tokens, which has no entries. Empty text is skipped by vector
-    retrieval.
+    with no tokens, which has no entries. A blank (empty or whitespace-only)
+    unit is not retrievable: the store's text index lists it, and vector
+    retrieval skips it.
     """
 
     __slots__ = ("id", "text", "synthetic")

@@ -364,11 +364,12 @@ def _snapshot_roots(store: GraphStore, q: StructuredQuery) -> list[str]:
 def _scope_works(store: GraphStore, q: StructuredQuery, t: date) -> tuple[frozenset[str], bool]:
     """The works a query reads under its strategy, and whether it resolved a scope.
 
-    Structure first reads its entry's scope; span first reads every work.
+    Structure first reads its entry's scope; span first reads every work,
+    the store's work set.
     """
     if select_strategy(q) is Strategy.STRUCTURE_FIRST:
         return resolve_scope(store, q.entry, t, q.membership), True
-    return frozenset(store.works), False
+    return store.work_set, False
 
 
 # -- pattern runners --------------------------------------------------------------

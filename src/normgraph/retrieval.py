@@ -18,17 +18,13 @@ from bisect import bisect_right
 from collections import Counter
 from datetime import date
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import EmptyScope
 from .model import ActionType, Aspect, EMBEDDING_DIMENSION, Record, ctv_id
-from .store import GraphStore, pick_wording, tokenize
+from .store import BM25_K1, GraphStore, pick_wording, tokenize
 
 _HASH_KEY = b"normgraph.embed.v1"
-
-# BM25 shape parameters for the lexical route.
-_BM25_K1 = 1.5
-_BM25_B = 0.75
 
 
 def _bucket(token: str) -> int:
@@ -89,7 +85,7 @@ def embeddings_of(store: GraphStore, unit_ids: list[str],
 
     A unit's embedding is computed from its text with the store's
     statistics on its first read, by ``embedder``, which the caller builds
-    with ``embedder_for_store(store)``, and kept in
+    from the store's text index (as ``embedder_for_store`` does), and kept in
     ``store.unit_embeddings`` for later reads. Racing first readers compute
     equal maps, so whichever is kept, scores are the same. An uncommitted
     store, whose statistics may still change, keeps none. Shared with the
@@ -155,13 +151,14 @@ class RetrievalHit(Record):
         self._assign(text_unit, score, provenance, aspect)
 
 
-# A candidate is (unit id, reference, aspect). The reference is the owning
-# node's id (language version, action, work or theme), from which _provenance
-# builds the hit's provenance; only the k returned hits need it.
-_Candidates = list[tuple[str, str, Aspect]]
+# scoped_search's candidate map: unit id -> (reference, aspect), into which
+# each finder files its candidates. The reference is the owning node's id
+# (language version, action, work or theme), from which _provenance builds
+# the hit's provenance; only the k returned hits need it.
+_Found = dict[str, tuple[str, Aspect]]
 
 
-def _content_candidates(store: GraphStore, req: RetrievalRequest) -> _Candidates:
+def _content_candidates(store: GraphStore, req: RetrievalRequest, found: _Found) -> None:
     """The wording each scoped work's version valid at ``req.t`` has in the language the rule picks.
 
     The version valid at ``t`` is the one that started on or before it and
@@ -177,11 +174,12 @@ def _content_candidates(store: GraphStore, req: RetrievalRequest) -> _Candidates
     chain.
     """
     if bisect_right(store.chain_index.run.starts, req.t) < len(req.scope):
-        return _content_by_run(store, req)
-    return _content_by_chains(store, req)
+        _content_by_run(store, req, found)
+    else:
+        _content_by_chains(store, req, found)
 
 
-def _content_by_run(store: GraphStore, req: RetrievalRequest) -> _Candidates:
+def _content_by_run(store: GraphStore, req: RetrievalRequest, found: _Found) -> None:
     """``_content_candidates`` from the versions that started by ``t``, one pass in start order.
 
     Chains tile time, so a work has at most one started version that has
@@ -189,24 +187,21 @@ def _content_by_run(store: GraphStore, req: RetrievalRequest) -> _Candidates:
     since 9999-12-31 is a legal date.
     """
     run, t, scope = store.chain_index.run, req.t, req.scope
-    language, fallback = req.language, req.language_fallback
+    language, fallback, content = req.language, req.language_fallback, Aspect.CONTENT
     started = bisect_right(run.starts, t)
-    out: _Candidates = []
-    for end, urn, languages, primary in zip(run.ends[:started], run.works[:started],
-                                            run.wordings[:started], run.primaries[:started]):
+    for end, urn, languages, primary in zip(run.ends[:started], run.works,
+                                            run.wordings, run.primaries):
         if (end is None or t < end) and urn in scope:
             picked = pick_wording(languages, primary, language, fallback)
             if picked is not None:
                 lv_id, unit_id = picked
-                out.append((unit_id, lv_id, Aspect.CONTENT))
-    return out
+                found[unit_id] = (lv_id, content)
 
 
-def _content_by_chains(store: GraphStore, req: RetrievalRequest) -> _Candidates:
+def _content_by_chains(store: GraphStore, req: RetrievalRequest, found: _Found) -> None:
     """``_content_candidates`` from each scoped worded work's chain, bisected at ``t``."""
     chains = store.chain_index.chains
     t, language, fallback = req.t, req.language, req.language_fallback
-    out: _Candidates = []
     for urn in chains.keys() & req.scope:
         _, starts, ends, wordings, primary = chains[urn]
         index = bisect_right(starts, t) - 1
@@ -218,44 +213,72 @@ def _content_by_chains(store: GraphStore, req: RetrievalRequest) -> _Candidates:
         picked = pick_wording(wordings[index], primary, language, fallback)
         if picked is not None:
             lv_id, unit_id = picked
-            out.append((unit_id, lv_id, Aspect.CONTENT))
-    return out
+            found[unit_id] = (lv_id, Aspect.CONTENT)
 
 
-def _action_candidates(store: GraphStore, req: RetrievalRequest) -> _Candidates:
-    """The description unit of each action on a scoped work that is effective by ``req.t``.
+def _action_candidates(store: GraphStore, req: RetrievalRequest, found: _Found) -> None:
+    """The description unit of each action filed under a scoped work and effective by ``req.t``.
 
-    Each work contributes the prefix of its date-sorted actions (the
-    store's time index) that ends at ``t``, or all of them when future
-    actions are asked for.
+    The actions are those of the store's time index, filed under the works
+    they target or produced a version of, up to ``t``, or all of them when
+    future actions are asked for. As ``_content_candidates`` does, the
+    smaller side is walked, by the lengths rule impact analysis uses: the
+    action run's prefix when it holds fewer actions than the scope holds
+    works, and otherwise each scoped work's date-sorted actions.
     """
+    _, dates = store.time_index.run
+    taken = len(dates) if req.include_future_actions else bisect_right(dates, req.t)
+    if taken < len(req.scope):
+        _actions_by_run(store, req, found)
+    else:
+        _actions_by_works(store, req, found)
+
+
+def _actions_by_run(store: GraphStore, req: RetrievalRequest, found: _Found) -> None:
+    """``_action_candidates`` from the action run's prefix, one pass in run order."""
+    index = store.time_index
+    ids, dates = index.run
+    taken = len(ids) if req.include_future_actions else bisect_right(dates, req.t)
+    actions, disjoint, aspect = store.actions, req.scope.isdisjoint, Aspect.ACTION_DESCRIPTION
+    for aid, works in zip(ids[:taken], index.filed):
+        if not disjoint(works):
+            found[actions[aid].description_unit] = (aid, aspect)
+
+
+def _actions_by_works(store: GraphStore, req: RetrievalRequest, found: _Found) -> None:
+    """``_action_candidates`` from the prefix of each scoped work's actions."""
     by_work = store.time_index.actions
     t, future = req.t, req.include_future_actions
     action_ids: set[str] = set()
     for urn in by_work.keys() & req.scope:
         ids, dates = by_work[urn]
         action_ids.update(ids if future else ids[:bisect_right(dates, t)])
-    actions = store.actions
-    return [(actions[aid].description_unit, aid, Aspect.ACTION_DESCRIPTION)
-            for aid in action_ids]
+    actions, aspect = store.actions, Aspect.ACTION_DESCRIPTION
+    for aid in action_ids:
+        found[actions[aid].description_unit] = (aid, aspect)
 
 
-def _metadata_candidates(store: GraphStore, req: RetrievalRequest) -> _Candidates:
+def _metadata_candidates(store: GraphStore, req: RetrievalRequest, found: _Found) -> None:
     metadata_units = store.chain_index.metadata_units
-    return [(uid, urn, Aspect.METADATA)
-            for urn in metadata_units.keys() & req.scope for uid in metadata_units[urn]]
+    for urn in metadata_units.keys() & req.scope:
+        entry = (urn, Aspect.METADATA)
+        for uid in metadata_units[urn]:
+            found[uid] = entry
 
 
-def _theme_candidates(store: GraphStore, req: RetrievalRequest) -> _Candidates:
-    return [(theme.description_unit, tid, Aspect.THEME_DESCRIPTION)
-            for tid, theme in store.themes.items() if not req.scope.isdisjoint(theme.members)]
+def _theme_candidates(store: GraphStore, req: RetrievalRequest, found: _Found) -> None:
+    for tid, theme in store.themes.items():
+        if not req.scope.isdisjoint(theme.members):
+            found[theme.description_unit] = (tid, Aspect.THEME_DESCRIPTION)
 
 
+# In reverse aspect order: a unit that two aspects find keeps the entry of
+# the first aspect, which is filed last.
 _CANDIDATES = (
-    (Aspect.CONTENT, _content_candidates),
-    (Aspect.ACTION_DESCRIPTION, _action_candidates),
-    (Aspect.METADATA, _metadata_candidates),
     (Aspect.THEME_DESCRIPTION, _theme_candidates),
+    (Aspect.METADATA, _metadata_candidates),
+    (Aspect.ACTION_DESCRIPTION, _action_candidates),
+    (Aspect.CONTENT, _content_candidates),
 )
 
 
@@ -277,74 +300,95 @@ def _provenance(store: GraphStore, req: RetrievalRequest, ref: str,
     return min(urn for urn in theme.members if urn in req.scope), "", ref
 
 
-def _bm25_scores(store: GraphStore, query: str,
-                 unit_ids: list[str]) -> dict[str, float]:
+# A scorer's result: (-score, unit id) per candidate. Ascending, these pairs
+# rank by score descending, ties by id, so top-k selects without a key.
+_Ranked = list[tuple[float, str]]
+
+_TF_SCALE = BM25_K1 + 1.0
+
+
+def _bm25_scores(store: GraphStore, query: str, candidates: Collection[str]) -> _Ranked:
     """Each candidate's BM25 score over the query's distinct tokens, squashed into [0, 1).
 
-    For each token, the smaller of two sides is walked (document- against
+    ``candidates`` holds unit ids and answers ``in`` for them (the candidate
+    map). For each token, the smaller of two sides is read (document- against
     term-at-a-time evaluation over the term index, after Zobel & Moffat):
-    the candidates, each looked up in the token's postings, when there are
-    fewer candidates than postings; otherwise the postings, each kept only
-    if it is a candidate. Either way a unit adds its tokens' terms in sorted
-    token order with the same expression, so its score has the same bits
-    whichever side each token took, and a scoped query reads what its scope
-    holds rather than every posting of the corpus.
+    the token's postings are probed for each candidate when there are fewer
+    candidates than postings; otherwise the postings are walked once, each
+    kept only if it is a candidate. Then each candidate is scored in one
+    pass: it adds, in sorted token order, the term of each token that holds
+    it, with its length term from the text index. A candidate that no walked
+    token holds reads only the probed tokens, which is the same sum. So a
+    unit's score has the same bits whichever side each token took, and a
+    scoped query reads what its scope holds rather than every posting of
+    the corpus.
     """
-    term_index, unit_len, doc_freq, n_units, avgdl = store.text_index
-    n = max(n_units, 1)
-    avgdl = avgdl or 1.0
-    scores = dict.fromkeys(unit_ids, 0.0)
+    index = store.text_index
+    term_index, doc_freq, length_terms = index.term_index, index.df, index.length_terms
+    n = max(index.n_units, 1)
+    every: list[tuple[dict[str, int], float]] = []  # each token's units and IDF, sorted
+    probed: list[tuple[dict[str, int], float]] = []  # those of the tokens probed per candidate
+    walked: set[str] = set()  # the candidates a walked token holds
     for token in sorted(set(tokenize(query))):
+        postings = term_index.get(token)
+        if not postings:
+            continue
         df = doc_freq.get(token, 0)
         idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
-        postings = term_index.get(token, {})
-        if len(scores) < len(postings):
-            found = [(uid, postings[uid]) for uid in scores if uid in postings]
+        if len(candidates) < len(postings):
+            probed.append((postings, idf))
+            every.append((postings, idf))
         else:
-            found = [(uid, tf) for uid, tf in postings.items() if uid in scores]
-        for uid, tf in found:
-            dl = unit_len.get(uid, 0)
-            denom = tf + _BM25_K1 * (1.0 - _BM25_B + _BM25_B * dl / avgdl)
-            scores[uid] += idf * (tf * (_BM25_K1 + 1.0)) / denom
-    # Keep scores inside the documented [-1, 1] band.
-    return {uid: s / (1.0 + s) if s > 0 else 0.0 for uid, s in scores.items()}
+            held = {uid: tf for uid, tf in postings.items() if uid in candidates}
+            walked.update(held)
+            every.append((held, idf))
+    ranked: _Ranked = []
+    for uid in candidates:
+        s = 0.0
+        for holders, idf in every if uid in walked else probed:
+            if uid in holders:
+                tf = holders[uid]
+                s += idf * (tf * _TF_SCALE) / (tf + length_terms[uid])
+        # Keep scores inside the documented [-1, 1] band.
+        ranked.append((-s / (1.0 + s) if s > 0 else 0.0, uid))
+    return ranked
 
 
-def _vector_scores(store: GraphStore, query: str,
-                   unit_ids: list[str]) -> list[tuple[str, float]]:
-    """Cosine of the query with each unit, read from the units' embedding entries.
+def _vector_scores(store: GraphStore, query: str, candidates: Iterable[str],
+                   skip_blank: bool = False) -> _Ranked:
+    """Cosine of the query with each candidate, read from its embedding entries.
 
+    With ``skip_blank``, a candidate the text index holds blank (not
+    retrievable) is left out. Each unit's embedding is read where
+    ``embeddings_of`` keeps it, and derived by it on the unit's first read.
     Each score adds ``v * w`` over the query's buckets in ascending order,
     which is ``cosine`` of the dense vectors bit for bit: every other dense
     term has a zero factor, and adding a zero leaves the running sum as it
     is. The loop is written out, not ``sum()``, whose float algorithm
     changed in Python 3.12.
     """
-    embedder = embedder_for_store(store)
+    index = store.text_index  # read once: an uncommitted store derives it on each read
+    embedder = HashedTfidfEmbedder(index.df, index.n_units)
+    skip = index.blank if skip_blank else frozenset()
     query_entries = list(embedder.embed(query).items())
-    scored: list[tuple[str, float]] = []
-    for uid, entries in zip(unit_ids, embeddings_of(store, unit_ids, embedder)):
+    kept = store.unit_embeddings if store.committed else {}
+    ranked: _Ranked = []
+    for uid in candidates:
+        if uid in skip:
+            continue
+        entries = kept.get(uid)
+        if entries is None:
+            entries = embeddings_of(store, [uid], embedder)[0]
         s = 0.0
         for bucket, w in query_entries:
             s += entries.get(bucket, 0.0) * w
-        scored.append((uid, s))
-    return scored
+        ranked.append((-s, uid))
+    return ranked
 
 
-def _by_score(pair: tuple[str, float]) -> tuple[float, str]:
-    return -pair[1], pair[0]
-
-
-def _rank(by_id: list[str], scores: dict[str, float]) -> dict[str, int]:
-    """Each unit's place in the ``_by_score`` order: by score descending, ties by id.
-
-    ``by_id`` holds the units in ascending id order, sorted once and shared
-    by both of a hybrid query's ranks. The sort by score alone is stable,
-    and stays so with ``reverse``, so tied units keep that order without
-    comparing an id.
-    """
-    order = sorted(by_id, key=scores.__getitem__, reverse=True)
-    return {uid: i for i, uid in enumerate(order)}
+def _rank(ranked: _Ranked) -> dict[str, int]:
+    """Each unit's place in score order: by score descending, ties by id."""
+    return {uid: i for i, (_, uid) in enumerate(sorted(ranked))}
 
 
 def scoped_search(store: GraphStore, req: RetrievalRequest) -> list[RetrievalHit]:
@@ -358,38 +402,32 @@ def scoped_search(store: GraphStore, req: RetrievalRequest) -> list[RetrievalHit
     """
     if not req.scope:
         raise EmptyScope("<empty>")
-    candidates: _Candidates = []
+    found: _Found = {}
     for aspect, find in _CANDIDATES:
         if aspect in req.aspects:
-            candidates += find(store, req)
-    by_unit: dict[str, tuple[str, Aspect]] = {}
-    for uid, ref, aspect in candidates:
-        by_unit.setdefault(uid, (ref, aspect))
-    if not by_unit:
+            find(store, req, found)
+    if not found:
         return []
-    unit_ids = list(by_unit)
 
     if req.mode is RetrievalMode.VECTOR:
-        retrievable = [uid for uid in unit_ids if store.units[uid].retrievable]
-        top = heapq.nsmallest(req.k, _vector_scores(store, req.query_text, retrievable),
-                              key=_by_score)
+        top = heapq.nsmallest(req.k, _vector_scores(store, req.query_text, found,
+                                                    skip_blank=True))
     elif req.mode is RetrievalMode.LEXICAL:
-        top = heapq.nsmallest(req.k, _bm25_scores(store, req.query_text, unit_ids).items(),
-                              key=_by_score)
+        top = heapq.nsmallest(req.k, _bm25_scores(store, req.query_text, found))
     else:
-        by_id = sorted(unit_ids)
-        vec_rank = _rank(by_id, dict(_vector_scores(store, req.query_text, unit_ids)))
-        lex_rank = _rank(by_id, _bm25_scores(store, req.query_text, unit_ids))
+        vec_rank = _rank(_vector_scores(store, req.query_text, found))
+        lex_rank = _rank(_bm25_scores(store, req.query_text, found))
         # Rank-sum fusion; ties break on lexical rank, then unit id.
-        fused = heapq.nsmallest(req.k, unit_ids, key=lambda uid: (
-            vec_rank[uid] + lex_rank[uid], lex_rank[uid], uid))
-        top = [(uid, 1.0 / (1.0 + vec_rank[uid] + lex_rank[uid])) for uid in fused]
+        fused = heapq.nsmallest(req.k, [(vec_rank[uid] + lex, lex, uid)
+                                        for uid, lex in lex_rank.items()])
+        top = [(-1.0 / (1.0 + rank_sum), uid) for rank_sum, _, uid in fused]
 
     hits = []
-    for uid, score in top:
-        ref, aspect = by_unit[uid]
-        hits.append(RetrievalHit(uid, round(score, 12), _provenance(store, req, ref, aspect),
-                                 aspect))
+    for negated, uid in top:
+        ref, aspect = found[uid]
+        # 0.0 - negated is the score, and 0.0 (not -0.0) for a zero score.
+        hits.append(RetrievalHit(uid, round(0.0 - negated, 12),
+                                 _provenance(store, req, ref, aspect), aspect))
     return hits
 
 

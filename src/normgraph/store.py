@@ -35,9 +35,12 @@ tables. What only queries read is derived from the nodes in one pass on
 its first read after commit, once, by ``GraphStore._derived``, the same
 way for a committed store and a loaded one:
 
+- the work set (``GraphStore.work_set``): every work's urn, the scope a
+  corpus-wide (span-first) query reads;
 - the text index (``GraphStore.text_index``): the inverted term index,
-  each unit's length and the IDF statistics, read by span location and
-  lexical and vector scoring;
+  each unit's BM25 length term (``bm25_length_term`` of its length in
+  tokens), the IDF statistics, and which units are blank (not
+  retrievable), read by span location and lexical and vector scoring;
 - the chain index (``GraphStore.chain_index``) that retrieval builds its
   candidates from and provenance locates and renders spans from: for each
   work that has wording in some version, its version chain as parallel
@@ -51,7 +54,7 @@ way for a committed store and a loaded one:
   (``GraphStore.aggregation_of``), derived on that norm's first read: each
   CTV id of a work in the norm's tree -> the versions (nodes, not ids) its
   work's children have on its valid_start, in ordinal order (absent when
-  there are none); ``GraphStore.aggregation`` is every norm's in one map;
+  there are none);
 - the time index (``GraphStore.time_index``), after Elmasri, Wuu & Kim
   (VLDB 1990), that scope membership, impact analysis and action retrieval
   read dates from: every work with a version chain, each norm's works in
@@ -61,7 +64,7 @@ way for a committed store and a loaded one:
   that target it or produced a version of it), ascending by
   (effective date, id), with a parallel array of their effective dates;
   and the action run, every action of the corpus in that order, with its
-  dates beside it;
+  dates and the works it is filed under beside it;
 - the action labels (``GraphStore.action_labels``) that answers name
   actions by: each action's instrument work's short title, else its
   title, else the action's id.
@@ -111,6 +114,10 @@ FORMAT_VERSION = 11
 
 _W = TypeVar("_W")
 
+# BM25 shape parameters for the lexical route.
+BM25_K1 = 1.5
+BM25_B = 0.75
+
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # Serializes first builds of a committed store's derived indexes across threads.
 _BUILD_LOCK = threading.Lock()
@@ -125,10 +132,17 @@ class _TextIndex(NamedTuple):
     """What a store derives from its units' text, built in one pass."""
 
     term_index: dict[str, dict[str, int]]  # token -> {unit id: term frequency}
-    unit_len: dict[str, int]  # unit id -> length in tokens
+    # Unit id -> its BM25 length term (bm25_length_term of its length in tokens).
+    length_terms: dict[str, float]
     df: dict[str, int]  # token -> number of units holding it
     n_units: int  # retrievable units
     avgdl: float  # mean length of the retrievable units, in tokens
+    blank: frozenset[str]  # ids of the units that are not retrievable
+
+
+def bm25_length_term(length: int, avgdl: float) -> float:
+    """The BM25 term a unit of ``length`` tokens adds to each token's denominator."""
+    return BM25_K1 * (1.0 - BM25_B + BM25_B * length / (avgdl or 1.0))
 
 
 def pick_wording(languages: dict[str, _W], primary: str, language: str | None,
@@ -177,6 +191,7 @@ class _TimeIndex(NamedTuple):
     actions: dict[str, tuple[list[str], list[date]]]
     # The action run: every action id, ascending by (effective date, id), and their dates.
     run: tuple[list[str], list[date]]
+    filed: list[tuple[str, ...]]  # the works each action of the run is filed under in actions
 
 
 class _ChainIndex(NamedTuple):
@@ -229,6 +244,7 @@ class GraphStore:
         self.produced_by: dict[str, str] = {}
         # Indexes only queries read; each read through the property of its name
         # (text_index, ...) and None until the first read after commit.
+        self._work_set: frozenset[str] | None = None
         self._text_index: _TextIndex | None = None
         self._chain_index: _ChainIndex | None = None
         self._time_index: _TimeIndex | None = None
@@ -434,6 +450,11 @@ class GraphStore:
         self.committed = True
 
     @property
+    def work_set(self) -> frozenset[str]:
+        """Every work's urn (see the module docstring), derived on its first read."""
+        return self._derived("_work_set", lambda: frozenset(self.works))
+
+    @property
     def text_index(self) -> _TextIndex:
         """The text index (see the module docstring), derived on its first read."""
         return self._derived("_text_index", self._derive_text_index)
@@ -447,12 +468,6 @@ class GraphStore:
     def time_index(self) -> _TimeIndex:
         """The time index (see the module docstring), derived on its first read."""
         return self._derived("_time_index", self._derive_time_index)
-
-    @property
-    def aggregation(self) -> dict[str, tuple[TemporalVersion, ...]]:
-        """Every norm's aggregation index (aggregation_of), in one map."""
-        return {cid: held for urn, work in self.works.items() if work.parent is None
-                for cid, held in self.aggregation_of(urn).items()}
 
     def aggregation_of(self, norm: str) -> dict[str, tuple[TemporalVersion, ...]]:
         """The aggregation index of ``norm``'s tree (see the module docstring).
@@ -503,10 +518,14 @@ class GraphStore:
             for token in tokens:
                 postings = term_index.setdefault(token, {})
                 postings[uid] = postings.get(uid, 0) + 1
-        lengths = [unit_len[u.id] for u in self.units.values() if u.retrievable]
+        blank = frozenset(uid for uid, unit in self.units.items() if not unit.retrievable)
+        lengths = [n for uid, n in unit_len.items() if uid not in blank]
         df = {token: len(postings) for token, postings in term_index.items()}
         avgdl = sum(lengths) / len(lengths) if lengths else 0.0
-        return _TextIndex(term_index, unit_len, df, len(lengths), avgdl)
+        # Units of one length share one term, so the map holds no more objects than lengths.
+        terms = {n: bm25_length_term(n, avgdl) for n in set(unit_len.values())}
+        length_terms = {uid: terms[n] for uid, n in unit_len.items()}
+        return _TextIndex(term_index, length_terms, df, len(lengths), avgdl, blank)
 
     def _derive_chain_index(self) -> _ChainIndex:
         """Chain arrays of every work with wording, the version run, where each wording sits,
@@ -607,13 +626,15 @@ class GraphStore:
         for cid, action_id in self.produced_by.items():
             filed[action_id].add(ctvs[cid].work)
         by_work: dict[str, tuple[list[str], list[date]]] = {}
+        run_filed: list[tuple[str, ...]] = []
         for day, aid in keys:
-            for urn in filed[aid]:
+            run_filed.append(urns := tuple(filed[aid]))
+            for urn in urns:
                 ids, days = by_work.setdefault(urn, ([], []))
                 ids.append(aid)
                 days.append(day)
         run = ([aid for _, aid in keys], [day for day, _ in keys])
-        return _TimeIndex(works, firsts, ends, subtrees, by_work, run)
+        return _TimeIndex(works, firsts, ends, subtrees, by_work, run, run_filed)
 
     # -- read API ---------------------------------------------------------
 

@@ -31,7 +31,7 @@ from reference_ids import (
     NORM_URN,
     RIGHTS_1999,
 )
-from test_ingest import versions_of
+from test_ingest import aggregation, versions_of
 from test_planner import rights_from_text
 
 DATA = Path(__file__).parent / "data"
@@ -163,7 +163,7 @@ def test_criterion_5_aggregation_economy(fixture_store):
     # Unchanged sibling versions are shared by id, not copied.
     cap2_2000 = fixture_store.ctvs[f"{NORM_URN}!tit2_cap2@2000-02-15"]
     art7_first = versions_of(fixture_store, ART7)[0]
-    assert art7_first in fixture_store.aggregation[cap2_2000.id]
+    assert art7_first in aggregation(fixture_store)[cap2_2000.id]
     assert len(versions_of(fixture_store, ART7)) == 2  # 1988 + CA 72 only
     report(5, "aggregation economy", f"{expected} temporal versions, closed form")
 

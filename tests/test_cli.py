@@ -287,7 +287,7 @@ class TestIngestRejections:
                      f"norm urn '{_CA26}!art1' holds '!'", id="instrument-urn"),
         pytest.param("ca_72_2013.satev.json", _insert_under_art7_caput("art7!item2"),
                      "fragment 'art7!item2' holds '!'", id="new-components-fragment"),
-        # An empty urn, fragment or source provision names no work.
+        # An empty urn, fragment, source provision or target names no work.
         pytest.param("ca_26_2000.satev.json", _set_norm("instrument", urn=""),
                      "norm urn is empty", id="instrument-urn-empty"),
         pytest.param("constitution_1988.satdoc.json",
@@ -295,6 +295,8 @@ class TestIngestRejections:
                      "fragment is empty", id="document-fragment-empty"),
         pytest.param("ca_26_2000.satev.json", _set_first("source_provision", ""),
                      "event 0: source_provision is empty", id="source-provision-empty"),
+        pytest.param("ca_26_2000.satev.json", _set_first("target", ""),
+                     "event 0: target is empty", id="target-empty"),
         pytest.param("art6_original_en.satlang.json",
                      lambda data: {**data, "units": [*data["units"], *data["units"],
                                                       {"fragment": "art6_cpt",

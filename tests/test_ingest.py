@@ -53,6 +53,12 @@ from synthcorpus import build_store, generate_corpus
 DATA = Path(__file__).parent / "data"
 
 
+def aggregation(store: GraphStore) -> dict[str, tuple[TemporalVersion, ...]]:
+    """Every norm's aggregation index (``GraphStore.aggregation_of``), in one map."""
+    return {cid: held for urn, work in store.works.items() if work.parent is None
+            for cid, held in store.aggregation_of(urn).items()}
+
+
 def versions_of(store: GraphStore, urn: str) -> list[TemporalVersion]:
     """The work's temporal versions, ascending by valid_start, as the store files them."""
     return [store.ctvs[cid] for cid in store.versions.get(urn, ())]
@@ -326,7 +332,7 @@ class TestEnact:
         store = GraphStore()
         enact(store, parse_document(mini_doc()))
         norm_tv = versions_of(store, "urn:test:mini")[0]
-        works = [c.work for c in store.aggregation[norm_tv.id]]
+        works = [c.work for c in aggregation(store)[norm_tv.id]]
         assert works == ["urn:test:mini!art1", "urn:test:mini!art2"]
 
 
@@ -354,7 +360,7 @@ class TestApplyEvent:
             tv for tv in versions_of(fixture_store, CAP2)
             if tv.valid_start == date(2000, 2, 15))
         art7_first = versions_of(fixture_store, ART7)[0]
-        assert art7_first in fixture_store.aggregation[cap2_2000.id]
+        assert art7_first in aggregation(fixture_store)[cap2_2000.id]
         # Art. 7 was untouched in 2000, so no new version for it exists.
         assert len([tv for tv in versions_of(fixture_store, ART7)
                     if tv.valid_start == date(2000, 2, 15)]) == 0
@@ -398,7 +404,7 @@ class TestApplyEvent:
         apply_file(store, amendment_file(
             "urn:test:mini!art1_cpt", "2003-06-01", "", action_type="repeal"))
         art1_latest = versions_of(store, "urn:test:mini!art1")[-1]
-        assert store.aggregation.get(art1_latest.id, ()) == ()
+        assert aggregation(store).get(art1_latest.id, ()) == ()
         repealed = versions_of(store, "urn:test:mini!art1_cpt")[-1]
         assert repealed.valid_end == date(2003, 6, 1)
 
@@ -413,7 +419,7 @@ class TestApplyEvent:
         assert inserted.parent == "urn:test:mini!art1"
         assert inserted.ordinal == 1
         art1_latest = versions_of(store, "urn:test:mini!art1")[-1]
-        child_works = [c.work for c in store.aggregation[art1_latest.id]]
+        child_works = [c.work for c in aggregation(store)[art1_latest.id]]
         assert child_works == ["urn:test:mini!art1_cpt", "urn:test:mini!art1_par1"]
 
     def test_monotone_growth_only_one_end_set_per_event(self):
@@ -636,7 +642,7 @@ class TestPropagatedContentCarry:
             assert lv_id is not None, language
             assert store.units[store.clvs[lv_id].text_unit].text == expected
         # The rolled caput aggregates the item's new version.
-        aggregated = store.aggregation[rolled.id]
+        aggregated = aggregation(store)[rolled.id]
         child_works = [c.work for c in aggregated]
         assert child_works == ["urn:test:carry!art1_it1"]
         item_tv = aggregated[0]
@@ -678,7 +684,7 @@ def test_two_root_insertion_merges_into_the_parent_version_of_that_day():
     urn = "urn:test:mini!"
     art1 = versions_of(store, f"{urn}art1")
     assert [tv.valid_start for tv in art1] == [date(2000, 1, 1), date(2003, 6, 1)]
-    assert [c.work for c in store.aggregation[art1[-1].id]] == [
+    assert [c.work for c in aggregation(store)[art1[-1].id]] == [
         f"{urn}art1_cpt", f"{urn}art1_par1", f"{urn}art1_par2"]
     assert len(versions_of(store, "urn:test:mini")) == 2
     action = store.actions[action_id]

@@ -34,6 +34,7 @@ from normgraph.model import (
     metadata_unit_id,
     validate_graph,
 )
+from normgraph import planner
 from normgraph.planner import QueryPattern, StructuredQuery, run
 from normgraph.retrieval import (
     HashedTfidfEmbedder,
@@ -56,6 +57,7 @@ from normgraph.retrieval import (
 from normgraph.store import GraphStore, load, save, tokenize
 from normgraph.temporal import (
     MembershipPolicy,
+    TemporalScope,
     alive_at,
     ctv_at,
     resolve_scope,
@@ -67,9 +69,21 @@ from normgraph.themes import define_theme
 import day_rule
 import synthcorpus
 from reference_ids import ART6
-from test_ingest import amendment_file, apply_file, mini_doc, versions_of
+from test_ingest import aggregation, amendment_file, apply_file, mini_doc, versions_of
 from test_store import entry_bits
 
+
+
+def _candidates(find, store: GraphStore, req: RetrievalRequest) -> list[tuple[str, str, Aspect]]:
+    """The (unit id, reference, aspect) of each candidate that ``find`` files."""
+    found: dict[str, tuple[str, Aspect]] = {}
+    find(store, req, found)
+    return [(uid, ref, aspect) for uid, (ref, aspect) in found.items()]
+
+
+def _scores(ranked: list[tuple[float, str]]) -> dict[str, float]:
+    """A scorer's (-score, unit id) pairs as {unit id: score}, in their order."""
+    return {uid: 0.0 - negated for negated, uid in ranked}
 
 class TestAggregationClosure:
     def test_expansion_reaches_exactly_one_version_per_attached_component(self):
@@ -77,7 +91,7 @@ class TestAggregationClosure:
             corpus = synthcorpus.generate_corpus(seed)
             store = synthcorpus.build_store(corpus)
             probe_dates = [corpus.enactment] + corpus.event_dates()
-            aggregation = store.aggregation
+            held_by = aggregation(store)
             for t in probe_dates:
                 root = ctv_at(store, corpus.norm_urn, t)
                 reached: dict[str, str] = {}
@@ -87,7 +101,7 @@ class TestAggregationClosure:
                     assert tv.work not in reached, (seed, t, tv.work)
                     reached[tv.work] = tv.id
                     assert tv.contains(t), (seed, t, tv.id)
-                    stack.extend(aggregation.get(tv.id, ()))
+                    stack.extend(held_by.get(tv.id, ()))
 
 
 class TestSameDayCompositeEvents:
@@ -109,7 +123,7 @@ class TestSameDayCompositeEvents:
             date(2000, 1, 1), date(2003, 6, 1)]
         merged = norm_versions[-1]
         child_starts = sorted(
-            c.valid_start for c in store.aggregation[merged.id])
+            c.valid_start for c in aggregation(store)[merged.id])
         # Both same-day article versions hang off the single norm version.
         assert child_starts == [date(2003, 6, 1), date(2003, 6, 1)]
 
@@ -209,10 +223,10 @@ _REPLAYED = ("ctvs", "versions", "version_starts", "produced_by")
 
 
 class TestLoadReplaysWhatIngestBuilt:
-    """Ingest replays each action as it applies its event, in (effective date,
-    file name, record index) order; load replays the whole action record a
-    day at a time in (effective date, id) order. Both build the same
-    versions, each filed under the producer the day rule gives."""
+    """Ingest applies each day's events in action id order and replays that day's
+    actions in one call; load replays the whole action record a day at a time
+    in (effective date, id) order. Both build the same versions, each filed
+    under the producer the day rule gives."""
 
     @staticmethod
     def _assert_load_rebuilds(store: GraphStore, path) -> None:
@@ -233,8 +247,8 @@ class TestLoadReplaysWhatIngestBuilt:
         corpus.mkdir()
         (corpus / "mini.satdoc.json").write_text(json.dumps(mini_doc(3)), encoding="utf-8")
         day = "2003-06-01"
-        # (file, instrument short title, event): applied in file order, each
-        # action's id begins with its short title's slug.
+        # (file, instrument short title, event): the file names sort otherwise
+        # than the ids, each of which begins with its short title's slug.
         events = [
             ("a", "ZZ 2003", amendment_file("urn:test:mini!art1_cpt", day, "Amended.")),
             ("b", "AA 2003", amendment_file("urn:test:mini!art1", day, "", components=[
@@ -258,7 +272,7 @@ class TestLoadReplaysWhatIngestBuilt:
 
 
 def _one_day_corpus(tmp_path, doc: dict, events: list[tuple[str, str, dict]]):
-    """Ingest ``doc`` and each (file, instrument short title, event file), in file order.
+    """Ingest ``doc`` and each (file, instrument short title, event file) under its file name.
 
     An event file's instrument is given its own urn and the short title, if one is given.
     """
@@ -274,9 +288,10 @@ def _one_day_corpus(tmp_path, doc: dict, events: list[tuple[str, str, dict]]):
 
 
 class TestTheDayRule:
-    """Same-day events, applied by ingest in file order, which here is the reverse
-    of their id order (an id begins with its instrument's short title): the
-    versions and producers ingest builds are those load's one replay builds."""
+    """Same-day events whose file order is the reverse of their id order (an id
+    begins with its instrument's short title): ingest applies them in id order,
+    whatever the file order, and the versions and producers it builds are those
+    load's one replay builds."""
 
     DAY = "2003-06-01"
 
@@ -285,9 +300,9 @@ class TestTheDayRule:
                 for work in works]
 
     def test_a_caput_amended_before_its_item_on_one_day(self, tmp_path):
-        # The caput's event is applied first, though the item's action has the
-        # smaller id: a plain replay in id order would roll the caput for the
-        # item, then find the caput's version already open that day.
+        # The item's action has the smaller id, but each action's own effect
+        # comes before any roll: the caput's amendment opens its version, so
+        # the item's roll stops there, and the caput's action rolls the rest.
         doc = mini_doc(2)
         doc["body"][0]["children"][0]["children"] = [
             {"fragment": "art1_i1", "type": "item", "text": "Item one."}]
@@ -304,7 +319,7 @@ class TestTheDayRule:
             ("a", "ZZ 2003", amendment_file("urn:test:mini!art1_cpt", self.DAY, "One v2.")),
             ("b", "AA 2003", amendment_file("urn:test:mini!art2_cpt", self.DAY, "Two v2.")),
         ])
-        # ZZ rolled the norm first; AA's roll re-files it.
+        # Rolls go in id order: AA's reaches the norm first, and ZZ's stops there.
         assert self._producers(store, "!art1", "!art2", "") == ["zz-2003", "aa-2003", "aa-2003"]
         TestLoadReplaysWhatIngestBuilt._assert_load_rebuilds(store, tmp_path / "s.ndjson")
 
@@ -375,6 +390,34 @@ class TestDerivedOnLoad:
             for uid in sorted(store.units)}
 
 
+    @pytest.mark.parametrize("seed", [2, 9, 17])
+    def test_the_work_set_blank_units_and_length_terms_match_a_fresh_count(self, tmp_path, seed):
+        corpus, store = _translated_store(seed, late_spanish=True, themes=True)
+        # Uncommitted, each read derives them afresh and none is kept.
+        assert store.work_set == frozenset(store.works) and store.work_set is not store.work_set
+        assert store.text_index is not store.text_index
+        assert (store._work_set, store._text_index) == (None, None)
+        store.commit()
+        path = tmp_path / "s.ndjson"
+        save(store, path)
+        tokens = {uid: tokenize(unit.text) for uid, unit in store.units.items()}
+        blank = {uid for uid, unit in store.units.items() if not unit.text.strip()}
+        lengths = [len(words) for uid, words in tokens.items() if uid not in blank]
+        avgdl = sum(lengths) / len(lengths)
+        query = StructuredQuery(QueryPattern.RETRIEVE, textual_target="provision",
+                                temporal=TemporalScope.instant(corpus.enactment))
+        for derived in (store, load(path)):
+            works = derived.work_set
+            assert works == frozenset(store.works) and derived.work_set is works
+            # A span-first query reads the set itself, not a copy.
+            assert planner._scope_works(derived, query, corpus.enactment) == (works, False)
+            assert planner._scope_works(derived, query, corpus.enactment)[0] is works
+            index = derived.text_index
+            assert index.blank == blank and len(blank) == 1  # the blank theme's description
+            assert index.length_terms == {
+                uid: 1.5 * (1.0 - 0.75 + 0.75 * len(words) / avgdl)
+                for uid, words in tokens.items()}
+
     @pytest.mark.parametrize("seed", [3, 8, 14, 27])
     def test_statistics_match_an_independent_count(self, seed):
         # Shared French wording gives units of equal text, which df counts once each.
@@ -384,7 +427,9 @@ class TestDerivedOnLoad:
         index = store.text_index
         assert index.n_units == len(lengths) > 0
         assert index.avgdl == sum(lengths) / len(lengths)
-        assert index.unit_len == {uid: len(words) for uid, words in tokens.items()}
+        assert index.length_terms == {uid: 1.5 * (1.0 - 0.75 + 0.75 * len(words) / index.avgdl)
+                                      for uid, words in tokens.items()}
+        assert index.blank == {uid for uid, unit in store.units.items() if not unit.text.strip()}
         assert index.df == dict(Counter(t for words in tokens.values() for t in set(words)))
         postings: dict[str, dict[str, int]] = {}
         for uid, words in tokens.items():
@@ -760,7 +805,7 @@ class TestIndexBackedSpans:
                         if clv:
                             expected.add((urn, tv.id, clv))
                     assert {_provenance(store, request, ref, aspect)
-                            for _, ref, aspect in _content_candidates(store, request)
+                            for _, ref, aspect in _candidates(_content_candidates, store, request)
                             } == expected, (seed, t, language)
                 for term in terms:
                     spans = _reference_spans(store, term, works, language, fallback)
@@ -866,7 +911,7 @@ class TestIndexBackedSpans:
 def _reached(store: GraphStore, tv: TemporalVersion):
     """``tv`` and its aggregation closure, depth first in aggregate order."""
     yield tv
-    for child in store.aggregation.get(tv.id, ()):
+    for child in aggregation(store).get(tv.id, ()):
         yield from _reached(store, child)
 
 
@@ -951,7 +996,7 @@ class TestBisectVersionSelection:
             for language in (None, "es"):
                 request = RetrievalRequest(query_text="", scope=works, t=t, language=language)
                 got = {}
-                for _, ref, aspect in _content_candidates(store, request):
+                for _, ref, aspect in _candidates(_content_candidates, store, request):
                     urn, ctv, _ = _provenance(store, request, ref, aspect)
                     got[urn] = ctv
                 expected = {}
@@ -976,8 +1021,10 @@ def _unit_vector(store: GraphStore, uid: str) -> list[float]:
 def _cosine_reference(store: GraphStore, req: RetrievalRequest) -> list[RetrievalHit]:
     """scoped_search's ranking, scoring each candidate's dense vector with its own cosine call."""
     by_unit = {}
-    for uid, ref, aspect in (_content_candidates(store, req) + _action_candidates(store, req)
-                             + _metadata_candidates(store, req) + _theme_candidates(store, req)):
+    for uid, ref, aspect in (_candidates(_content_candidates, store, req)
+                             + _candidates(_action_candidates, store, req)
+                             + _candidates(_metadata_candidates, store, req)
+                             + _candidates(_theme_candidates, store, req)):
         by_unit.setdefault(uid, (_provenance(store, req, ref, aspect), aspect))
     unit_ids = sorted(by_unit)
     query = _dense(embedder_for_store(store).embed(req.query_text))
@@ -985,7 +1032,7 @@ def _cosine_reference(store: GraphStore, req: RetrievalRequest) -> list[Retrieva
         scored = sorted(((uid, cosine(query, _unit_vector(store, uid))) for uid in unit_ids
                          if store.units[uid].retrievable), key=lambda p: (-p[1], p[0]))
     else:
-        lexical = _bm25_scores(store, req.query_text, unit_ids)
+        lexical = _scores(_bm25_scores(store, req.query_text, unit_ids))
         vec_order = sorted(unit_ids,
                            key=lambda uid: (-cosine(query, _unit_vector(store, uid)), uid))
         lex_order = sorted(unit_ids, key=lambda uid: (-lexical[uid], uid))
@@ -1021,11 +1068,13 @@ class TestMatrixScoring:
                     # Unrounded scores of the French candidates (req is the last,
                     # French, request of the loop above), bit for bit.
                     assert req.language == "fr"
-                    uids = sorted({uid for uid, _, _ in _content_candidates(store, req)})
+                    uids = sorted(uid for uid, _, _ in
+                                  _candidates(_content_candidates, store, req))
                     query = _dense(embedder_for_store(store).embed(text))
                     reference = [(uid, cosine(query, _unit_vector(store, uid)))
                                  for uid in uids]
-                    assert _vector_scores(store, text, uids) == reference
+                    scores = _scores(_vector_scores(store, text, uids))
+                    assert list(scores.items()) == reference
                     # Units with the same text tie at a nonzero score and rank by id.
                     shared = [h for h in vector_hits
                               if store.units[h.text_unit].text == _SHARED_FRENCH]
@@ -1242,7 +1291,8 @@ def _match_linear_scan(stores: list[GraphStore], scopes: list[frozenset[str]],
                         units = list(reference.candidates(req))
                         for probe in probes:
                             reads.clear()
-                            assert _bm25_scores(statistics, probe, units) == {
+                            assert _scores(_bm25_scores(statistics, probe,
+                                                        dict.fromkeys(units))) == {
                                 uid: reference._bm25(probe, uid) for uid in units}, (
                                 t, language, fallback, probe, len(scope))
                             for token, side in reads:

@@ -19,11 +19,13 @@ from normgraph.retrieval import (
     locate_spans,
     scoped_search,
 )
+from normgraph.planner import QueryPattern, StructuredQuery, run
 from normgraph.store import GraphStore
-from normgraph.temporal import resolve_scope
+from normgraph.temporal import TemporalScope, resolve_scope
 
 import synthcorpus
 from reference_ids import ART6, ART6_CPT, ART7_CPT, CAP2, NORM_URN
+from test_properties import _committed_store
 
 DATA = Path(__file__).parent / "data"
 
@@ -227,13 +229,55 @@ class TestScopedSearch:
                 assert tv.contains(t)
 
 
+class TestBlankUnitsAndZeroScores:
+    """A whitespace-only unit, and candidates whose score is zero, corpus-wide.
+
+    The store's second theme has a blank description.
+    """
+
+    def test_a_blank_unit_is_a_lexical_and_hybrid_candidate_but_never_a_vector_hit(self):
+        corpus, store = _committed_store(4, themes=True)
+        blank, = store.text_index.blank
+        assert store.units[blank].text == "  "
+        for text in ("provision", "zebra", ""):
+            for mode in RetrievalMode:
+                request = RetrievalRequest(text, store.work_set, corpus.enactment,
+                                           aspects=frozenset(Aspect), k=10_000, mode=mode)
+                hits = {hit.text_unit: hit for hit in scoped_search(store, request)}
+                assert len(hits) > 1, (text, mode)
+                if mode is RetrievalMode.VECTOR:
+                    assert blank not in hits, text
+                else:
+                    assert hits[blank].aspect is Aspect.THEME_DESCRIPTION, (text, mode)
+                    assert mode is RetrievalMode.HYBRID or hits[blank].score == 0.0
+
+    @pytest.mark.parametrize("mode", list(RetrievalMode))
+    def test_a_zero_score_renders_as_zero_never_as_negative_zero(self, mode):
+        # No unit holds "zebra", so every vector and lexical score is zero.
+        corpus, store = _committed_store(4, themes=True)
+        query = StructuredQuery(QueryPattern.RETRIEVE, textual_target="zebra", mode=mode,
+                                k=10_000, aspects=frozenset(Aspect),
+                                temporal=TemporalScope.instant(corpus.enactment))
+        answer = run(store, query, corpus.enactment)
+        hits = scoped_search(store, RetrievalRequest("zebra", store.work_set, corpus.enactment,
+                                                      aspects=frozenset(Aspect), k=10_000,
+                                                      mode=mode))
+        assert all(math.copysign(1.0, hit.score) == 1.0 for hit in hits)
+        assert "-0." not in answer.rendered_text and "-0." not in answer.annex_json()
+        if mode is not RetrievalMode.HYBRID:
+            assert {hit.score for hit in hits} == {0.0}
+            assert answer.rendered_text.count("[0.000000]") == len(hits) > 1
+            assert '"confidence":0.0' in answer.annex_json()
+
+
 class TestGoldenRetrieval:
     """Every aspect's scores, pinned byte for byte.
 
     A corpus-wide retrieval of the golden snapshot over all four aspects,
     with k above its 16 units, so every candidate is a hit: the rendered
-    answer gives each hit's unit id and score, and the annex each hit's
-    citation or action. Each golden file is the output of::
+    answer gives each hit's unit id and score (a hybrid hit's is its fused
+    rank's), and the annex each hit's citation or action. Each golden file
+    is the output of::
 
         normgraph query retrieve --snapshot tests/data/golden_fixture.ndjson \\
           --text "social rights of workers in the constitution" --at 2020-01-01 \\
@@ -241,7 +285,7 @@ class TestGoldenRetrieval:
           --aspects content,action_description,metadata,theme_description [--json]
     """
 
-    @pytest.mark.parametrize("mode", ["lexical", "vector"])
+    @pytest.mark.parametrize("mode", ["lexical", "vector", "hybrid"])
     @pytest.mark.parametrize("flags, suffix", [([], ".txt"), (["--json"], "_annex.json")],
                              ids=["rendered", "annex"])
     def test_every_aspect_scores_as_the_golden_file(self, capsys, mode, flags, suffix):

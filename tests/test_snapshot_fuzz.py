@@ -23,6 +23,7 @@ from normgraph.model import EMBEDDING_DIMENSION, validate_graph
 from normgraph.store import load, save
 
 import synthcorpus
+from test_ingest import aggregation
 from test_store import GOLDEN, entry_bits, reference_aggregation
 
 JSON_VALUES = st.recursive(
@@ -100,8 +101,8 @@ def _load_a_mutated_record(snapshot_path, fuzz_dir, data, kinds) -> None:
     embeddings = entry_bits(store)
     assert set(embeddings) == set(store.units)
     assert all(0 <= i < EMBEDDING_DIMENSION for entries in embeddings.values() for i, _ in entries)
-    assert set(store.text_index.unit_len) == set(store.units)
-    assert store.aggregation == reference_aggregation(store)
+    assert set(store.text_index.length_terms) == set(store.units)
+    assert aggregation(store) == reference_aggregation(store)
     resaved = fuzz_dir / "resaved.ndjson"
     save(store, resaved)
     reloaded = load(resaved)
@@ -109,7 +110,7 @@ def _load_a_mutated_record(snapshot_path, fuzz_dir, data, kinds) -> None:
         assert getattr(reloaded, nodes) == getattr(store, nodes), nodes
     assert reloaded.text_index == store.text_index
     assert entry_bits(reloaded) == embeddings
-    assert reloaded.aggregation == store.aggregation
+    assert aggregation(reloaded) == aggregation(store)
 
 
 @pytest.fixture(scope="module")

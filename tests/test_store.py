@@ -53,7 +53,7 @@ from reference_ids import (
     ACT_CA26, ACT_CA64, ACT_CA72, ACT_CA90, ACT_ENACT, ART6_CPT, ART7_CPT, NORM_URN,
 )
 from snapshot_rows import encode, read_rows, write_rows
-from test_ingest import amendment_file, apply_file, mini_doc, versions_of
+from test_ingest import aggregation, amendment_file, apply_file, mini_doc, versions_of
 
 # A save of the fixture corpus in the current format; see TestGoldenSnapshot.
 GOLDEN = Path(__file__).parent / "data" / "golden_fixture.ndjson"
@@ -1234,7 +1234,9 @@ class TestIndexCoherence:
         index = fixture_store.text_index
         assert index.n_units == len(lengths) == 16
         assert index.avgdl == sum(lengths) / len(lengths)
-        assert index.unit_len == {u.id: len(tokenize(u.text)) for u in units}
+        assert index.length_terms == {
+            u.id: 1.5 * (1.0 - 0.75 + 0.75 * len(tokenize(u.text)) / index.avgdl) for u in units}
+        assert index.blank == {u.id for u in units if not u.text.strip()}
         df = Counter(token for u in units for token in set(tokenize(u.text)))
         assert index.df == dict(df)
 
@@ -1372,7 +1374,8 @@ class TestLazyTermIndex:
         assert candidates and set(store.unit_embeddings) == candidates
         assert len(candidates) < len(store.units)
 
-    @pytest.mark.parametrize("name", ["df", "n_units", "avgdl", "term_index", "unit_len"])
+    @pytest.mark.parametrize("name", ["df", "n_units", "avgdl", "term_index", "length_terms",
+                                      "blank"])
     def test_the_first_read_of_any_statistic_builds_them_all_once(
             self, fixture_store, snapshot_path, slow_builds, name):
         expected = fixture_store.text_index
@@ -1570,8 +1573,8 @@ def reference_aggregation(store: GraphStore) -> dict[str, tuple[TemporalVersion,
     return out
 
 
-def _ids(aggregation: dict[str, tuple[TemporalVersion, ...]]) -> dict[str, tuple[str, ...]]:
-    return {cid: tuple(child.id for child in held) for cid, held in aggregation.items()}
+def _ids(index: dict[str, tuple[TemporalVersion, ...]]) -> dict[str, tuple[str, ...]]:
+    return {cid: tuple(child.id for child in held) for cid, held in index.items()}
 
 
 def _reloaded(store: GraphStore, tmp_path) -> GraphStore:
@@ -1607,9 +1610,9 @@ class TestAggregationIndex:
     and the chains, never stored, and equals a walk of ``version_at``."""
 
     def test_the_reference_corpus_derives_the_reference_walk(self, fixture_store, snapshot_path):
-        derived = fixture_store.aggregation
+        derived = aggregation(fixture_store)
         assert derived == reference_aggregation(fixture_store)
-        assert load(snapshot_path).aggregation == load(GOLDEN).aggregation == derived
+        assert aggregation(load(snapshot_path)) == aggregation(load(GOLDEN)) == derived
         # As many lists, and ids in them, as the version 6 golden snapshot stored.
         assert len(derived) == 23 and sum(map(len, derived.values())) == 30
 
@@ -1617,17 +1620,17 @@ class TestAggregationIndex:
         held = 0
         for seed in range(40):
             store = synthcorpus.build_store(synthcorpus.generate_corpus(seed))
-            derived = store.aggregation
+            derived = aggregation(store)
             assert derived == reference_aggregation(store), seed
             reloaded = _reloaded(store, tmp_path)
-            assert reloaded.aggregation == reference_aggregation(reloaded) == derived, seed
+            assert aggregation(reloaded) == reference_aggregation(reloaded) == derived, seed
             held += sum(map(len, derived.values()))
         assert held > 1000
 
     def test_same_day_insertions_and_amendment_then_repeals(self, tmp_path):
         store = _one_day_of_insertions_and_an_amendment()
-        assert store.aggregation == reference_aggregation(store)
-        derived = _ids(store.aggregation)
+        assert aggregation(store) == reference_aggregation(store)
+        derived = _ids(aggregation(store))
         day = {"2000-01-01": "2000-01-01", "2003": "2003-06-01", "2004": "2004-01-01",
                "2005": "2005-01-01"}
         at = {key: lambda urn, d=d: f"{MINI}!{urn}@{d}" for key, d in day.items()}
@@ -1648,7 +1651,7 @@ class TestAggregationIndex:
         ]
         # A version whose children are all repealed aggregates nothing.
         assert f"{MINI}!art2@2004-01-01" not in derived
-        assert _ids(_reloaded(store, tmp_path).aggregation) == derived
+        assert _ids(aggregation(_reloaded(store, tmp_path))) == derived
 
     def test_a_child_without_a_version_on_a_parent_start_is_left_out(self):
         store = GraphStore()
@@ -1674,8 +1677,8 @@ class TestAggregationIndex:
             act("2000-04-01", ActionType.AMENDMENT, c),
             act("2000-05-01", ActionType.REPEAL, a),
         ])
-        assert store.aggregation == reference_aggregation(store)
-        assert _ids(store.aggregation) == {
+        assert aggregation(store) == reference_aggregation(store)
+        assert _ids(aggregation(store)) == {
             f"{n}@2000-01-01": (f"{b}@2000-01-01", f"{a}@2000-01-01"),
             f"{n}@2000-02-01": (f"{a}@2000-01-01",),
             f"{n}@2000-03-01": (f"{a}@2000-03-01",),
@@ -1685,11 +1688,11 @@ class TestAggregationIndex:
     def test_an_uncommitted_store_derives_it_afresh_and_keeps_none(self):
         store = GraphStore()
         enact(store, parse_document(mini_doc()))
-        first = store.aggregation
+        first = aggregation(store)
         assert store.aggregation_of(MINI) == first and store._aggregations == {}
         apply_file(store, amendment_file(f"{MINI}!art1", "2003-06-01", "", components=[
             {"fragment": "art1_par1", "type": "paragraph", "text": "Inserted."}]))
-        assert store.aggregation == reference_aggregation(store) != first
+        assert aggregation(store) == reference_aggregation(store) != first
         assert store._aggregations == {}
 
     def test_only_a_point_in_time_query_derives_it(self, snapshot_path, clock):
@@ -1734,7 +1737,7 @@ class TestAggregationIndex:
         assert len(builds) == 2
         assert sorted(store._aggregations) == [MINI, "urn:test:other"]
         assert seen == [run(unsaved, query, clock).annex_json() for query in queries] * 2
-        assert store.aggregation == reference_aggregation(store) == unsaved.aggregation
+        assert aggregation(store) == reference_aggregation(store) == aggregation(unsaved)
 
 
 class TestLanguageRule:

@@ -1,9 +1,10 @@
 """Both walks of each wide read find the same answer, and the lengths rule picks each.
 
 Content candidates come from the version run or from each scoped work's
-chain, and impact actions from the window's slice of the action run or from
-each scoped work's actions; each side is called directly here, on
-multi-norm synthetic stores and on the reference corpus.
+chain, action candidates from the action run's prefix or from each scoped
+work's actions, and impact actions from the window's slice of the action
+run or from each scoped work's actions; each side is called directly here,
+on multi-norm synthetic stores and on the reference corpus.
 """
 
 from __future__ import annotations
@@ -90,6 +91,21 @@ def _draw_scope(data, store: GraphStore, t: date, window=None) -> frozenset[str]
                          window=window)
 
 
+class _Filed(dict):
+    """A candidate map that fails when a finder files one unit twice."""
+
+    def __setitem__(self, uid, entry) -> None:
+        assert uid not in self, uid
+        super().__setitem__(uid, entry)
+
+
+def _filed(find, store: GraphStore, request: RetrievalRequest) -> dict:
+    """The unit -> (reference, aspect) map that ``find`` files, each unit once."""
+    found = _Filed()
+    find(store, request, found)
+    return dict(found)
+
+
 class TestBothSides:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -101,10 +117,21 @@ class TestBothSides:
             query_text="", scope=_draw_scope(data, store, t), t=t,
             language=data.draw(st.sampled_from(_LANGUAGES)),
             language_fallback=data.draw(st.booleans()))
-        by_run = retrieval._content_by_run(store, request)
-        by_chains = retrieval._content_by_chains(store, request)
-        assert len(set(by_run)) == len(by_run) and len(set(by_chains)) == len(by_chains)
-        assert set(by_run) == set(by_chains) == set(retrieval._content_candidates(store, request))
+        by_run = _filed(retrieval._content_by_run, store, request)
+        by_chains = _filed(retrieval._content_by_chains, store, request)
+        assert by_run == by_chains == _filed(retrieval._content_candidates, store, request)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_action_candidates_are_the_same_from_the_run_and_the_works(self, fixture_store, data):
+        store = data.draw(st.sampled_from(_stores(fixture_store)))
+        t = _draw_day(data, store)
+        request = RetrievalRequest(
+            query_text="", scope=_draw_scope(data, store, t), t=t,
+            include_future_actions=data.draw(st.booleans()))
+        by_run = _filed(retrieval._actions_by_run, store, request)
+        by_works = _filed(retrieval._actions_by_works, store, request)
+        assert by_run == by_works == _filed(retrieval._action_candidates, store, request)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -136,13 +163,30 @@ class TestTheLengthsRule:
                     mock.patch.object(retrieval, "_content_by_chains",
                                       wraps=retrieval._content_by_chains) as by_chains:
                 # Every work at the first start: a few started versions against every work.
-                retrieval._content_candidates(store, RetrievalRequest("", every, run.starts[0]))
+                _filed(retrieval._content_candidates, store, RetrievalRequest("", every,
+                                                                              run.starts[0]))
                 assert (by_run.call_count, by_chains.call_count) == (1, 0)
                 # One work at the open end: every worded version has started.
-                retrieval._content_candidates(store, RetrievalRequest("", leaf, _OPEN_END))
+                _filed(retrieval._content_candidates, store, RetrievalRequest("", leaf, _OPEN_END))
                 assert (by_run.call_count, by_chains.call_count) == (1, 1)
 
-            _, dates = store.time_index.run
+            ids, dates = store.time_index.run
+            with mock.patch.object(retrieval, "_actions_by_run",
+                                   wraps=retrieval._actions_by_run) as by_run, \
+                    mock.patch.object(retrieval, "_actions_by_works",
+                                      wraps=retrieval._actions_by_works) as by_works:
+                # Every work on the first action's day: the actions of that day against every work.
+                _filed(retrieval._action_candidates, store, RetrievalRequest("", every, dates[0]))
+                assert (by_run.call_count, by_works.call_count) == (1, 0)
+                # One work with future actions: the prefix is the whole run.
+                future = RetrievalRequest("", leaf, dates[0], include_future_actions=True)
+                _filed(retrieval._action_candidates, store, future)
+                assert (by_run.call_count, by_works.call_count) == (1, 1)
+                # Every work on the last action's day: each store has fewer actions than works.
+                assert len(ids) < len(every)
+                _filed(retrieval._action_candidates, store, RetrievalRequest("", every, dates[-1]))
+                assert (by_run.call_count, by_works.call_count) == (2, 1)
+
             query = StructuredQuery(QueryPattern.IMPACT_ANALYSIS)
             with mock.patch.object(planner, "_impact_by_run",
                                    wraps=planner._impact_by_run) as by_run, \
@@ -161,6 +205,6 @@ class TestTheLengthsRule:
             every = frozenset(store.works)
             before = run.starts[0] - timedelta(days=1)
             for read in (retrieval._content_by_run, retrieval._content_by_chains):
-                open_end = read(store, RetrievalRequest("", every, _OPEN_END))
+                open_end = _filed(read, store, RetrievalRequest("", every, _OPEN_END))
                 assert len(open_end) == run.ends.count(None) > 0
-                assert read(store, RetrievalRequest("", every, before)) == []
+                assert _filed(read, store, RetrievalRequest("", every, before)) == {}
