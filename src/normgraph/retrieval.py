@@ -18,11 +18,11 @@ from bisect import bisect_right
 from collections import Counter
 from datetime import date
 from enum import Enum
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyScope
 from .model import ActionType, Aspect, EMBEDDING_DIMENSION, Record, ctv_id
-from .store import BM25_K1, GraphStore, pick_wording, tokenize
+from .store import BM25_K1, GraphStore, _TextIndex, pick_wording, tokenize
 
 _HASH_KEY = b"normgraph.embed.v1"
 
@@ -73,10 +73,20 @@ class HashedTfidfEmbedder:
         return {bucket: buckets[bucket] / norm for bucket in sorted(buckets)}
 
 
-def embedder_for_store(store: GraphStore) -> HashedTfidfEmbedder:
-    """Embedder using the IDF statistics the store derives from its units."""
-    index = store.text_index
+def embedder_for_store(store: GraphStore, index: _TextIndex | None = None) -> HashedTfidfEmbedder:
+    """Embedder using the IDF statistics the store derives from its units.
+
+    ``index`` is the store's text index, for a caller that has read it
+    already: an uncommitted store derives it again on each read.
+    """
+    if index is None:
+        index = store.text_index
     return HashedTfidfEmbedder(index.df, index.n_units)
+
+
+def _kept_embeddings(store: GraphStore) -> dict[str, dict[int, float]]:
+    """Where a unit's embedding is kept: the store's map, or a throwaway one while uncommitted."""
+    return store.unit_embeddings if store.committed else {}
 
 
 def embeddings_of(store: GraphStore, unit_ids: list[str],
@@ -85,13 +95,13 @@ def embeddings_of(store: GraphStore, unit_ids: list[str],
 
     A unit's embedding is computed from its text with the store's
     statistics on its first read, by ``embedder``, which the caller builds
-    from the store's text index (as ``embedder_for_store`` does), and kept in
-    ``store.unit_embeddings`` for later reads. Racing first readers compute
-    equal maps, so whichever is kept, scores are the same. An uncommitted
-    store, whose statistics may still change, keeps none. Shared with the
-    store: treat them as read-only.
+    with ``embedder_for_store``, and kept in ``store.unit_embeddings`` for
+    later reads. Racing first readers compute equal maps, so whichever is
+    kept, scores are the same. An uncommitted store, whose statistics may
+    still change, keeps none. Shared with the store: treat them as
+    read-only.
     """
-    kept = store.unit_embeddings if store.committed else {}
+    kept = _kept_embeddings(store)
     missing = [uid for uid in unit_ids if uid not in kept]
     if missing:
         embed, units = embedder.embed, store.units
@@ -229,18 +239,17 @@ def _action_candidates(store: GraphStore, req: RetrievalRequest, found: _Found) 
     _, dates = store.time_index.run
     taken = len(dates) if req.include_future_actions else bisect_right(dates, req.t)
     if taken < len(req.scope):
-        _actions_by_run(store, req, found)
+        _actions_by_run(store, req, taken, found)
     else:
         _actions_by_works(store, req, found)
 
 
-def _actions_by_run(store: GraphStore, req: RetrievalRequest, found: _Found) -> None:
-    """``_action_candidates`` from the action run's prefix, one pass in run order."""
+def _actions_by_run(store: GraphStore, req: RetrievalRequest, taken: int,
+                    found: _Found) -> None:
+    """``_action_candidates`` from the first ``taken`` actions of the action run, in run order."""
     index = store.time_index
-    ids, dates = index.run
-    taken = len(ids) if req.include_future_actions else bisect_right(dates, req.t)
     actions, disjoint, aspect = store.actions, req.scope.isdisjoint, Aspect.ACTION_DESCRIPTION
-    for aid, works in zip(ids[:taken], index.filed):
+    for aid, works in zip(index.run[0][:taken], index.filed):
         if not disjoint(works):
             found[actions[aid].description_unit] = (aid, aspect)
 
@@ -307,51 +316,37 @@ _Ranked = list[tuple[float, str]]
 _TF_SCALE = BM25_K1 + 1.0
 
 
-def _bm25_scores(store: GraphStore, query: str, candidates: Collection[str]) -> _Ranked:
+def _bm25_scores(store: GraphStore, query: str, candidates: Iterable[str]) -> _Ranked:
     """Each candidate's BM25 score over the query's distinct tokens, squashed into [0, 1).
 
-    ``candidates`` holds unit ids and answers ``in`` for them (the candidate
-    map). For each token, the smaller of two sides is read (document- against
+    For each token, the smaller of two sides is walked (document- against
     term-at-a-time evaluation over the term index, after Zobel & Moffat):
-    the token's postings are probed for each candidate when there are fewer
-    candidates than postings; otherwise the postings are walked once, each
-    kept only if it is a candidate. Then each candidate is scored in one
-    pass: it adds, in sorted token order, the term of each token that holds
-    it, with its length term from the text index. A candidate that no walked
-    token holds reads only the probed tokens, which is the same sum. So a
-    unit's score has the same bits whichever side each token took, and a
-    scoped query reads what its scope holds rather than every posting of
-    the corpus.
+    the candidates, each looked up in the token's postings, when there are
+    fewer candidates than postings; otherwise the postings, each kept only
+    if it is a candidate. Either way a unit adds its tokens' terms in sorted
+    token order with the same expression, its length term read from the
+    text index, so its score has the same bits whichever side each token
+    took, and a scoped query reads what its scope holds rather than every
+    posting of the corpus.
     """
     index = store.text_index
     term_index, doc_freq, length_terms = index.term_index, index.df, index.length_terms
     n = max(index.n_units, 1)
-    every: list[tuple[dict[str, int], float]] = []  # each token's units and IDF, sorted
-    probed: list[tuple[dict[str, int], float]] = []  # those of the tokens probed per candidate
-    walked: set[str] = set()  # the candidates a walked token holds
+    scores = dict.fromkeys(candidates, 0.0)
     for token in sorted(set(tokenize(query))):
         postings = term_index.get(token)
         if not postings:
             continue
         df = doc_freq.get(token, 0)
         idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
-        if len(candidates) < len(postings):
-            probed.append((postings, idf))
-            every.append((postings, idf))
+        if len(scores) < len(postings):
+            held = [(uid, postings[uid]) for uid in scores if uid in postings]
         else:
-            held = {uid: tf for uid, tf in postings.items() if uid in candidates}
-            walked.update(held)
-            every.append((held, idf))
-    ranked: _Ranked = []
-    for uid in candidates:
-        s = 0.0
-        for holders, idf in every if uid in walked else probed:
-            if uid in holders:
-                tf = holders[uid]
-                s += idf * (tf * _TF_SCALE) / (tf + length_terms[uid])
-        # Keep scores inside the documented [-1, 1] band.
-        ranked.append((-s / (1.0 + s) if s > 0 else 0.0, uid))
-    return ranked
+            held = [(uid, tf) for uid, tf in postings.items() if uid in scores]
+        for uid, tf in held:
+            scores[uid] += idf * (tf * _TF_SCALE) / (tf + length_terms[uid])
+    # Keep scores inside the documented [-1, 1] band.
+    return [(-s / (1.0 + s) if s > 0 else 0.0, uid) for uid, s in scores.items()]
 
 
 def _vector_scores(store: GraphStore, query: str, candidates: Iterable[str],
@@ -368,10 +363,10 @@ def _vector_scores(store: GraphStore, query: str, candidates: Iterable[str],
     changed in Python 3.12.
     """
     index = store.text_index  # read once: an uncommitted store derives it on each read
-    embedder = HashedTfidfEmbedder(index.df, index.n_units)
+    embedder = embedder_for_store(store, index)
     skip = index.blank if skip_blank else frozenset()
     query_entries = list(embedder.embed(query).items())
-    kept = store.unit_embeddings if store.committed else {}
+    kept = _kept_embeddings(store)
     ranked: _Ranked = []
     for uid in candidates:
         if uid in skip:

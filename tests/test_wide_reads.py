@@ -129,7 +129,10 @@ class TestBothSides:
         request = RetrievalRequest(
             query_text="", scope=_draw_scope(data, store, t), t=t,
             include_future_actions=data.draw(st.booleans()))
-        by_run = _filed(retrieval._actions_by_run, store, request)
+        _, dates = store.time_index.run
+        taken = len(dates) if request.include_future_actions else sum(d <= t for d in dates)
+        by_run = _filed(lambda s, r, found: retrieval._actions_by_run(s, r, taken, found),
+                        store, request)
         by_works = _filed(retrieval._actions_by_works, store, request)
         assert by_run == by_works == _filed(retrieval._action_candidates, store, request)
 
