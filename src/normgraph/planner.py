@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from datetime import date, timedelta
+from datetime import date
 from enum import Enum
 
 from .errors import (
@@ -395,7 +395,7 @@ def run_point_in_time(store: GraphStore, q: StructuredQuery) -> Answer:
 
 
 class _IsoDays(dict):
-    """Each date's ISO text, formatted on its first lookup."""
+    """Each date's ISO text, formatted on its first lookup, for one impact analysis."""
 
     def __missing__(self, day: date) -> str:
         text = self[day] = day.isoformat()
@@ -519,9 +519,6 @@ def run_impact_analysis(store: GraphStore, q: StructuredQuery) -> Answer:
     return _finish(q, "\n".join(lines), [], action_records, [], 1.0, scoped=True)
 
 
-_ONE_DAY = timedelta(days=1)
-
-
 def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
     """Trace the introduction of a text span back to its causing actions.
 
@@ -529,10 +526,12 @@ def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
     the version chains of the entry's scope. Span location returns
     introductions in (work, chain position) order, and each is rendered in
     one pass from its work's chain in the chain index, read at the span's
-    position: its pre-state (the chain predecessor, last valid the day
-    before its end), the causal event, the post-state and the audit trail.
-    Each distinct date is formatted once per query, and the phrases that
-    depend on the term alone are built once.
+    position: its pre-state (the chain predecessor and its last valid day),
+    the causal event, the post-state and the audit trail. Replay opens each
+    version on its producer's effective date, so a version's start day is
+    also its cause's day. The chain index holds each version's cause and
+    days as ISO text, formatted once per store, and the phrases that depend
+    on the term alone are built once per query.
     """
     term = q.textual_target
     language, fallback = q.language, q.language_fallback
@@ -544,9 +543,7 @@ def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
     if not introductions:
         raise TermNotFound(term, q.entry)
 
-    works, actions, produced_by = store.works, store.actions, store.produced_by
-    version_chains, labels = store.chain_index.chains, store.action_labels
-    days = _IsoDays()
+    works, version_chains, labels = store.works, store.chain_index.chains, store.action_labels
     absent = f' (no mention of "{term}")'
     enacted = f'  Effect: Enacted with the term "{term}"'
     inserted = f'  Effect: Inserted the term "{term}"'
@@ -556,30 +553,29 @@ def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
     chains: list[list[str]] = []
     numbered = len(introductions) > 1
     for i, (work, post_ctv, position, _) in enumerate(introductions, start=1):
-        cids, starts, ends, wordings, primary = version_chains[work]
-        causal = actions[produced_by[post_ctv]]
-        causal_label, causal_day = labels[causal.id], days[causal.effective_date]
+        cids, _, _, wordings, primary, causes, start_days, last_days = version_chains[work]
+        cause, causal_day = causes[position], start_days[position]
+        causal_label = labels[cause]
         if numbered:
             lines.append(f"--- occurrence {i}: {works[work].label} ---")
         if position == 0:
             lines.append("Pre-state: none (term present since original enactment)")
-            effect, trail, chain = enacted, f"[{causal_label}]", [causal.id]
+            effect, trail, chain = enacted, f"[{causal_label}]", [cause]
         else:
-            pre_ctv = cids[position - 1]
-            pre = actions[produced_by[pre_ctv]]
-            pre_label = labels[pre.id]
-            lines.append(f"Pre-state: valid until {days[ends[position - 1] - _ONE_DAY]}{absent}\n"
+            before = position - 1
+            pre_ctv, pre = cids[before], causes[before]
+            pre_label = labels[pre]
+            lines.append(f"Pre-state: valid until {last_days[before]}{absent}\n"
                          f"  Last change by: {pre_label}. Source CTV: {pre_ctv}")
-            pre_wording = pick_wording(wordings[position - 1], primary, language, fallback)
+            pre_wording = pick_wording(wordings[before], primary, language, fallback)
             if pre_wording is not None:
                 citations.append((work, pre_ctv, pre_wording[0]))
-            action_records.append({"action": pre.id, "target": work,
-                                   "date": days[pre.effective_date]})
+            action_records.append({"action": pre, "target": work, "date": start_days[before]})
             effect, trail = inserted, f"[{pre_label}] -> [{causal_label}]"
-            chain = [pre.id, causal.id]
+            chain = [pre, cause]
         lines.append(f"Causal event: {causal_label} (effective {causal_day})\n"
                      f"{effect}\n"
-                     f"Post-state: valid from {days[starts[position]]}\n"
+                     f"Post-state: valid from {causal_day}\n"
                      f"  Source CTV: {post_ctv}\n"
                      "Audit trail:\n"
                      f"  Causal chain: {trail}\n"
@@ -587,7 +583,7 @@ def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
         # The locator found the term in the wording this rule picks, so there is one.
         post_lv, _ = pick_wording(wordings[position], primary, language, fallback)
         citations.append((work, post_ctv, post_lv))
-        action_records.append({"action": causal.id, "target": work, "date": causal_day})
+        action_records.append({"action": cause, "target": work, "date": causal_day})
         chains.append(chain)
     return _finish(q, "\n".join(lines), citations, action_records, chains, 1.0, scoped=scoped)
 

@@ -213,7 +213,7 @@ def _content_by_chains(store: GraphStore, req: RetrievalRequest, found: _Found) 
     chains = store.chain_index.chains
     t, language, fallback = req.t, req.language, req.language_fallback
     for urn in chains.keys() & req.scope:
-        _, starts, ends, wordings, primary = chains[urn]
+        _, starts, ends, wordings, primary, _, _, _ = chains[urn]
         index = bisect_right(starts, t) - 1
         if index < 0:
             continue
@@ -462,7 +462,7 @@ def _walk_chains(store: GraphStore, needle: list[str], postings: list[dict[str, 
     smallest, others, adjacent = postings[0], postings[1:], len(needle) > 1
     found: list[tuple[str, int, str]] = []
     for urn in sorted(chains.keys() & scope):
-        cids, _, _, wordings, primary = chains[urn]
+        cids, _, _, wordings, primary, _, _, _ = chains[urn]
         for position, languages in enumerate(wordings):
             picked = pick_wording(languages, primary, language, fallback)
             if picked is None or picked[1] not in smallest:
@@ -491,7 +491,7 @@ def _read_postings(store: GraphStore, needle: list[str], postings: list[dict[str
         if place is None or place[0] not in scope:
             continue
         urn, position = place
-        cids, _, _, wordings, primary = chains[urn]
+        cids, _, _, wordings, primary, _, _, _ = chains[urn]
         picked = pick_wording(wordings[position], primary, language, fallback)
         if (picked is not None and picked[1] == uid
                 and (not adjacent or _holds(store, uid, needle))):

@@ -44,12 +44,14 @@ way for a committed store and a loaded one:
 - the chain index (``GraphStore.chain_index``) that retrieval builds its
   candidates from and provenance locates and renders spans from: for each
   work that has wording in some version, its version chain as parallel
-  arrays (each version's CTV id, valid_start and valid_end, and its
-  language -> (CLV id, unit id) map) with the work's primary language; the
-  version run, every worded version of the corpus ascending by
-  valid_start, as parallel arrays of its start, end, work, language map and
-  primary language; the work and chain position of each language version's
-  unit; and each work's metadata units, one per fact of its metadata;
+  arrays (each version's CTV id, valid_start and valid_end, its
+  language -> (CLV id, unit id) map, the id of the action that opened it,
+  and its first and last valid days as ISO text, each distinct date
+  formatted once) with the work's primary language; the version run, every
+  worded version of the corpus ascending by valid_start, as parallel arrays
+  of its start, end, work, language map and primary language; the work and
+  chain position of each language version's unit; and each work's metadata
+  units, one per fact of its metadata;
 - the aggregation index that snapshot reconstruction walks, one per norm
   (``GraphStore.aggregation_of``), derived on that norm's first read: each
   CTV id of a work in the norm's tree -> the versions (nodes, not ids) its
@@ -119,6 +121,7 @@ BM25_K1 = 1.5
 BM25_B = 0.75
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+_ONE_DAY = timedelta(days=1)
 # Serializes first builds of a committed store's derived indexes across threads.
 _BUILD_LOCK = threading.Lock()
 
@@ -160,13 +163,20 @@ def pick_wording(languages: dict[str, _W], primary: str, language: str | None,
 
 
 class _Chain(NamedTuple):
-    """A worded work's version chain as parallel arrays, ascending by valid_start."""
+    """A worded work's version chain as parallel arrays, ascending by valid_start.
+
+    Replay opens each version on its producer's effective date, so
+    ``start_days[i]`` is also the day of the action ``causes[i]``.
+    """
 
     ctvs: list[str]  # each version's CTV id (the store's versions list)
     starts: list[date]  # each version's valid_start (the store's version_starts list)
     ends: list[date | None]  # each version's valid_end
     wordings: list[dict[str, tuple[str, str]]]  # each version's language -> (CLV id, unit id)
     primary: str  # the work's primary language
+    causes: list[str]  # the id of the action that opened each version (its produced_by)
+    start_days: list[str]  # each version's valid_start as ISO text
+    last_days: list[str | None]  # the ISO text of each version's last day; None while open
 
 
 class _VersionRun(NamedTuple):
@@ -530,10 +540,19 @@ class GraphStore:
     def _derive_chain_index(self) -> _ChainIndex:
         """Chain arrays of every work with wording, the version run, where each wording sits,
         and metadata units."""
-        ctvs, clvs, by_ctv = self.ctvs, self.clvs, self.clvs_by_ctv
+        ctvs, clvs, by_ctv, produced_by = self.ctvs, self.clvs, self.clvs_by_ctv, self.produced_by
         chains: dict[str, _Chain] = {}
         placed_units: dict[str, tuple[str, int]] = {}
         worded: list[tuple[date, date | None, str, dict[str, tuple[str, str]], str]] = []
+        # Date -> its ISO text, so each distinct date is formatted once and its text shared.
+        iso: dict[date, str] = {}
+
+        def text(day: date) -> str:
+            found = iso.get(day)
+            if found is None:
+                found = iso[day] = day.isoformat()
+            return found
+
         for urn in dict.fromkeys(ctvs[cid].work for cid in by_ctv):
             cids = self.versions[urn]
             starts, primary = self.version_starts[urn], self.primary_language(urn)
@@ -548,7 +567,10 @@ class GraphStore:
                 if languages:
                     worded.append((starts[position], ends[position], urn, languages, primary))
                 wordings.append(languages)
-            chains[urn] = _Chain(cids, starts, ends, wordings, primary)
+            chains[urn] = _Chain(cids, starts, ends, wordings, primary,
+                                 [produced_by[cid] for cid in cids],
+                                 [text(day) for day in starts],
+                                 [None if end is None else text(end - _ONE_DAY) for end in ends])
         worded.sort(key=operator.itemgetter(0))
         run = _VersionRun(*map(list, zip(*worded))) if worded else _VersionRun([], [], [], [], [])
         metadata_units: dict[str, list[str]] = {}
@@ -666,7 +688,7 @@ class GraphStore:
             closes = not action.inserts and action.action_type is not ActionType.ENACTMENT
         else:
             closes = self.produced_by.get(ctv_id(urn, day)) == action.id
-        return self.version_at(urn, day - timedelta(days=1)) if closes else None
+        return self.version_at(urn, day - _ONE_DAY) if closes else None
 
     def lifetime(self, urn: str) -> tuple[date, date | None] | None:
         """``(first valid_start, last valid_end)`` of the chain, which a valid chain tiles; None without one."""

@@ -492,6 +492,24 @@ class TestQueryCommand:
             "act:ca-26-2000:art6-cpt:2000-02-15",
             "act:ca-64-2010:art6-cpt:2010-02-04"]]
 
+    @pytest.mark.parametrize("flags, suffix", [([], ".txt"), (["--json"], "_annex.json")],
+                             ids=["rendered", "annex"])
+    def test_corpus_wide_provenance_is_the_golden_file(self, capsys, flags, suffix):
+        """Two numbered introductions: art6_cpt's insertion by CA 26/2000, with a
+        pre-state, and art7_cpt's since enactment. Each golden file is the output of::
+
+            normgraph query provenance --snapshot tests/data/golden_fixture.ndjson \\
+              --term include --clock 2024-01-02 [--json]
+        """
+        code = main(["query", "provenance", "--snapshot", str(GOLDEN), "--term", "include",
+                     "--clock", "2024-01-02", *flags])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.encode("utf-8") == (
+            GOLDEN.parent / f"golden_provenance_wide{suffix}").read_bytes()
+        if not flags:
+            assert "strategy: SpanFirst" in out and "--- occurrence 2: Art. 7 (caput) ---" in out
+
     def test_default_temporal_scope_is_the_clock(self, snapshot_file, capsys):
         code = main(["query", "at", "--snapshot", str(snapshot_file),
                      "--target", "art6", "--clock", "2024-01-01"])

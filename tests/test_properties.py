@@ -10,6 +10,7 @@ from collections import Counter
 from datetime import date, timedelta
 from itertools import groupby
 from types import SimpleNamespace
+from typing import Iterator
 
 import pytest
 
@@ -683,6 +684,33 @@ def _reference_provenance(store: GraphStore, term: str, target: str | None,
     return "\n".join(lines), encoded + "\n"
 
 
+def _answers_as_the_reference(store: GraphStore, targets, terms: list[str], clock: date,
+                              where) -> Iterator[tuple[str | None, str, planner.Answer]]:
+    """(target, term, answer) of each provenance query of ``targets``, each language with
+    fallback on and off, and ``terms`` that has an answer, once its rendered text and
+    annex are checked against the plain reference renderer's; a query that has none
+    must raise TermNotFound. ``where`` names the store in a failure."""
+    for target in targets:
+        for language in (None, "es", "en"):
+            for fallback in (True, False):
+                for term in terms:
+                    query = StructuredQuery(
+                        QueryPattern.PROVENANCE, structural_target=target,
+                        textual_target=term, language=language,
+                        language_fallback=fallback)
+                    try:
+                        expected = _reference_provenance(store, term, target, language,
+                                                         fallback, clock)
+                    except TermNotFound:
+                        with pytest.raises(TermNotFound):
+                            run(store, query, clock)
+                        continue
+                    answer = run(store, query, clock)
+                    assert (answer.rendered_text, answer.annex_json()) == expected, (
+                        where, target, language, fallback, term)
+                    yield target, term, answer
+
+
 class TestProvenanceRendering:
     def test_rendered_text_and_annex_equal_the_plain_reference_renderer(self):
         """Both strategies, each language with fallback on and off, one- and two-token terms."""
@@ -694,31 +722,42 @@ class TestProvenanceRendering:
             corpus, store = _committed_store(seed, late_spanish=True)
             clock = (corpus.event_dates() or [corpus.enactment])[-1]
             article = store.children[corpus.norm_urn][0]
-            for target in (None, corpus.norm_urn, article):
-                for language in (None, "es", "en"):
-                    for fallback in (True, False):
-                        for term in terms:
-                            query = StructuredQuery(
-                                QueryPattern.PROVENANCE, structural_target=target,
-                                textual_target=term, language=language,
-                                language_fallback=fallback)
-                            try:
-                                expected = _reference_provenance(store, term, target, language,
-                                                                 fallback, clock)
-                            except TermNotFound:
-                                with pytest.raises(TermNotFound):
-                                    run(store, query, clock)
-                                continue
-                            answer = run(store, query, clock)
-                            assert (answer.rendered_text, answer.annex_json()) == expected, (
-                                seed, target, language, fallback, term)
-                            answered[target is None, term] += 1
-                            positions["enactment"] += expected[0].count("Pre-state: none")
-                            positions["later"] += expected[0].count("Pre-state: valid until")
+            for target, term, answer in _answers_as_the_reference(
+                    store, (None, corpus.norm_urn, article), terms, clock, seed):
+                answered[target is None, term] += 1
+                positions["enactment"] += answer.rendered_text.count("Pre-state: none")
+                positions["later"] += answer.rendered_text.count("Pre-state: valid until")
         # Both strategies answered every term, and introductions came at
         # enactment and later.
         assert set(answered) == {(wide, term) for wide in (True, False) for term in terms}
         assert positions["enactment"] > 100 and positions["later"] > 100, positions
+
+    def test_a_version_two_same_day_events_roll_is_rendered_under_the_smaller_id(self, tmp_path):
+        # ZZ amends item 1 and AA item 2 on one day, in the reverse of their
+        # file order: both roll the caput, whose version AA's roll opens.
+        # MM's later amendment of the caput then has that version as its pre-state.
+        day = TestTheDayRule.DAY
+        doc = mini_doc(1)
+        doc["body"][0]["children"][0]["children"] = [
+            {"fragment": "art1_i1", "type": "item", "text": "Item one."},
+            {"fragment": "art1_i2", "type": "item", "text": "Item two."}]
+        store = _one_day_corpus(tmp_path, doc, [
+            ("a", "ZZ 2003", amendment_file("urn:test:mini!art1_i1", day, "Item one v2.")),
+            ("b", "AA 2003", amendment_file("urn:test:mini!art1_i2", day, "Item two v2.")),
+            ("c", "MM 2005", amendment_file("urn:test:mini!art1_cpt", "2005-01-01",
+                                            "Provision 1 on water.")),
+        ])
+        markers = {
+            "water": "Last change by: AA 2003. Source CTV: urn:test:mini!art1_cpt@2003-06-01",
+            # ZZ's own amendment stays ZZ's, though AA's id is smaller.
+            "v2": "Causal chain: [MS] -> [ZZ 2003]",
+        }
+        answered: Counter = Counter()
+        for target, term, answer in _answers_as_the_reference(
+                store, (None, "urn:test:mini"), list(markers), date(2024, 1, 2), "same day"):
+            assert markers[term] in answer.rendered_text, (target, term)
+            answered[target, term] += 1
+        assert len(answered) == 4, answered
 
 
 class TestIndexBackedSpans:

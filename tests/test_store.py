@@ -1436,7 +1436,7 @@ class TestChainIndex:
         # Only works with wording have a chain, and each holds the store's own links.
         assert set(chains) == {fixture_store.ctvs[lv.temporal_version].work
                                for lv in fixture_store.clvs.values()}
-        for urn, (ctvs, starts, ends, wordings, primary) in chains.items():
+        for urn, (ctvs, starts, ends, wordings, primary, _, _, _) in chains.items():
             versions = versions_of(fixture_store, urn)
             assert ctvs == [tv.id for tv in versions]
             assert fixture_store.chain_index.chains[urn].ctvs == [tv.id for tv in versions]
@@ -1467,6 +1467,24 @@ class TestChainIndex:
             for tv in [fixture_store.ctvs[lv.temporal_version]]}
         # The norm's one fact, its publication date.
         assert metadata_units == {NORM_URN: [metadata_unit_id(NORM_URN, "publication_date")]}
+
+    @pytest.mark.parametrize("which", ["committed", "loaded", "uncommitted"])
+    def test_each_version_holds_its_cause_and_its_days_as_text(
+            self, fixture_store, snapshot_path, which):
+        store = {"committed": lambda: fixture_store, "loaded": lambda: load(snapshot_path),
+                 "uncommitted": lambda: synthcorpus.build_store(
+                     synthcorpus.generate_corpus(3))}[which]()
+        seen = set()
+        for ctvs, starts, ends, _, _, causes, start_days, last_days in \
+                store.chain_index.chains.values():
+            for i, cid in enumerate(ctvs):
+                assert causes[i] == store.produced_by[cid]
+                assert start_days[i] == starts[i].isoformat()
+                assert last_days[i] == (
+                    None if ends[i] is None else (ends[i] - timedelta(days=1)).isoformat())
+            seen.update(last_days)
+        # Both open versions and closed ones were checked.
+        assert None in seen and len(seen) > 1
 
     def test_an_uncommitted_store_derives_it_afresh_and_keeps_none(self):
         store = synthcorpus.build_store(synthcorpus.generate_corpus(3))

@@ -4,7 +4,9 @@ Content candidates come from the version run or from each scoped work's
 chain, action candidates from the action run's prefix or from each scoped
 work's actions, and impact actions from the window's slice of the action
 run or from each scoped work's actions; each side is called directly here,
-on multi-norm synthetic stores and on the reference corpus.
+on multi-norm synthetic stores and on the reference corpus. Provenance,
+corpus-wide and per norm, renders on the multi-norm stores as the plain
+reference renderer does.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from normgraph.temporal import MembershipPolicy, alive_at, resolve_scope
 from normgraph.themes import define_theme
 
 import synthcorpus
-from test_properties import _spanish_wordings
+from test_properties import _SPANISH, _answers_as_the_reference, _spanish_wordings
 
 _OPEN_END = date(9999, 12, 31)  # a legal query date: an open version is valid on it
 _LANGUAGES = [None, "en", "es", "pt", "fr"]
@@ -211,3 +213,23 @@ class TestTheLengthsRule:
                 open_end = _filed(read, store, RetrievalRequest("", every, _OPEN_END))
                 assert len(open_end) == run.ends.count(None) > 0
                 assert _filed(read, store, RetrievalRequest("", every, before)) == {}
+
+
+class TestProvenance:
+    def test_rendered_text_and_annex_equal_the_plain_reference_renderer(self):
+        """Corpus-wide (span_first) and per norm (structure_first) on every multi-norm store."""
+        later = 0
+        norms_cited: set[int] = set()
+        for seeds in _STORES:
+            store = _multi_norm_store(seeds)
+            clock = max(tv.valid_start for tv in store.ctvs.values())
+            roots = sorted(urn for urn, work in store.works.items() if work.parent is None)
+            for target, _, answer in _answers_as_the_reference(
+                    store, (None, *roots), [_SPANISH["water"], "water", "rights", "version 2"],
+                    clock, seeds):
+                later += answer.rendered_text.count("Pre-state: valid until")
+                if target is None:
+                    norms_cited.add(len({store.works[work].norm_urn
+                                         for work, _, _ in answer.citations}))
+        # Corpus-wide answers cited more than one norm, and introductions came after enactment.
+        assert max(norms_cited) > 1 and later > 50, (norms_cited, later)
