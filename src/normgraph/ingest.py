@@ -20,6 +20,7 @@ store derives them from the work tree and the chains.
 from __future__ import annotations
 
 import json
+import os
 import re
 from datetime import date, timedelta
 from functools import cache
@@ -748,9 +749,11 @@ def ingest_corpus(corpus_dir: str | Path) -> tuple[GraphStore, IngestSummary]:
     themes and translations follow, then the store is committed.
     """
     corpus = Path(corpus_dir)
-    doc_paths = sorted(p for p in corpus.iterdir() if p.name.endswith(DOC_SUFFIX))
-    event_paths = sorted(p for p in corpus.iterdir() if p.name.endswith(EVENT_SUFFIX))
-    lang_paths = sorted(p for p in corpus.iterdir() if p.name.endswith(LANG_SUFFIX))
+    # One listing, its names sorted as strings: a POSIX path of one directory sorts by its name.
+    names = sorted(os.listdir(corpus))
+    doc_paths = [corpus / name for name in names if name.endswith(DOC_SUFFIX)]
+    event_paths = [corpus / name for name in names if name.endswith(EVENT_SUFFIX)]
+    lang_paths = [corpus / name for name in names if name.endswith(LANG_SUFFIX)]
     if not doc_paths:
         raise MalformedInput("no documents (*.satdoc.json) found", str(corpus))
 

@@ -524,9 +524,10 @@ def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
 
     ``span_first`` reads the term's postings and ``structure_first`` walks
     the version chains of the entry's scope. Span location returns
-    introductions in (work, chain position) order, and each is rendered in
-    one pass from its work's chain in the chain index, read at the span's
-    position: its pre-state (the chain predecessor and its last valid day),
+    introductions in (work, chain position) order, each with the language
+    version the post-state cites, and each is rendered in one pass from its
+    work's chain in the chain index, read at the span's position: its
+    pre-state (the chain predecessor and its last valid day),
     the causal event, the post-state and the audit trail. Replay opens each
     version on its producer's effective date, so a version's start day is
     also its cause's day. The chain index holds each version's cause and
@@ -537,9 +538,8 @@ def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
     language, fallback = q.language, q.language_fallback
     scope, scoped = _scope_works(store, q, resolve_instant(q.temporal))
     # Positional: perfbench's tracer wraps planner.locate_spans and reads args[2].
-    spans = locate_spans(store, term, scope, language, fallback,
-                         by_postings=not scoped)
-    introductions = [s for s in spans if s.first_containing]
+    introductions = locate_spans(store, term, scope, language, fallback,
+                                 by_postings=not scoped)
     if not introductions:
         raise TermNotFound(term, q.entry)
 
@@ -552,7 +552,7 @@ def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
     action_records: list[dict] = []
     chains: list[list[str]] = []
     numbered = len(introductions) > 1
-    for i, (work, post_ctv, position, _) in enumerate(introductions, start=1):
+    for i, (work, post_ctv, position, post_lv) in enumerate(introductions, start=1):
         cids, _, _, wordings, primary, causes, start_days, last_days = version_chains[work]
         cause, causal_day = causes[position], start_days[position]
         causal_label = labels[cause]
@@ -580,8 +580,6 @@ def run_provenance(store: GraphStore, q: StructuredQuery) -> Answer:
                      "Audit trail:\n"
                      f"  Causal chain: {trail}\n"
                      "  Match confidence: Exact (1.0)")
-        # The locator found the term in the wording this rule picks, so there is one.
-        post_lv, _ = pick_wording(wordings[position], primary, language, fallback)
         citations.append((work, post_ctv, post_lv))
         action_records.append({"action": cause, "target": work, "date": causal_day})
         chains.append(chain)

@@ -427,16 +427,18 @@ def scoped_search(store: GraphStore, req: RetrievalRequest) -> list[RetrievalHit
 
 
 class SpanLocation(NamedTuple):
-    """One version of a scoped work whose content contains the search term.
+    """An introduction of the search term in a scoped work's content.
 
-    A plain tuple of its fields, in this order: span location builds one for
-    every version that holds the term.
+    A version is one when it holds the term and its chain predecessor, if
+    any, does not: the points provenance chains are anchored on. A plain
+    tuple of its fields, in this order; ``clv`` is the language version the
+    language rule picked, the wording the term was found in.
     """
 
     work: str
     ctv: str
     position: int  # the version's place in its work's chain
-    first_containing: bool
+    clv: str
 
 
 def _holds(store: GraphStore, uid: str, needle: list[str]) -> bool:
@@ -451,77 +453,95 @@ def _holds(store: GraphStore, uid: str, needle: list[str]) -> bool:
 
 def _walk_chains(store: GraphStore, needle: list[str], postings: list[dict[str, int]],
                  scope: frozenset[str], language: str | None,
-                 fallback: bool) -> list[tuple[str, int, str]]:
-    """(work, chain position, CTV) of each scoped version whose chosen wording holds the needle.
+                 fallback: bool) -> list[SpanLocation]:
+    """The introductions of the scope's chains, walked in (work, chain position) order.
 
     Each version costs one probe of ``postings[0]``, the smallest list; only
     a unit found there is looked up in the other lists, and only then, for a
-    needle of more than one token, is its text re-read for adjacency.
+    needle of more than one token, is its text re-read for adjacency. Whether
+    the predecessor held the needle is carried along each chain.
     """
     chains = store.chain_index.chains
     smallest, others, adjacent = postings[0], postings[1:], len(needle) > 1
-    found: list[tuple[str, int, str]] = []
+    make = SpanLocation._make  # cheaper than SpanLocation(...), which binds its arguments
+    found: list[SpanLocation] = []
     for urn in sorted(chains.keys() & scope):
         cids, _, _, wordings, primary, _, _, _ = chains[urn]
+        held = False  # whether the predecessor's picked wording holds the needle
         for position, languages in enumerate(wordings):
             picked = pick_wording(languages, primary, language, fallback)
-            if picked is None or picked[1] not in smallest:
-                continue
-            uid = picked[1]
-            if adjacent and not (all(uid in p for p in others) and _holds(store, uid, needle)):
-                continue
-            found.append((urn, position, cids[position]))
+            holds = picked is not None and picked[1] in smallest and (
+                not adjacent or (all(picked[1] in p for p in others)
+                                 and _holds(store, picked[1], needle)))
+            if holds and not held:
+                found.append(make((urn, cids[position], position, picked[0])))
+            held = holds
     return found
 
 
 def _read_postings(store: GraphStore, needle: list[str], postings: list[dict[str, int]],
                    scope: frozenset[str], language: str | None,
-                   fallback: bool) -> list[tuple[str, int, str]]:
-    """The same versions as ``_walk_chains``, found from the units in every token's postings."""
+                   fallback: bool) -> list[SpanLocation]:
+    """``_walk_chains``'s introductions, found from the units in every token's postings.
+
+    The versions holding the needle are kept by their rank in the chain
+    index, their place in the corpus-wide (work, chain position) order, and
+    sorted by it: a version is an introduction when it opens its chain or
+    the version ranked just before it was not kept.
+    """
     candidates = postings[0].keys()
     for p in postings[1:]:
         candidates &= p.keys()
     index = store.chain_index
     chains, placed_units = index.chains, index.placed_units
     adjacent = len(needle) > 1
-    found: list[tuple[str, int, str]] = []
+    held: dict[int, tuple[str, str, int, str]] = {}  # rank -> a location's fields
     for uid in candidates:
         # Only a language version's own unit is placed: no other unit is wording.
         place = placed_units.get(uid)
         if place is None or place[0] not in scope:
             continue
-        urn, position = place
+        urn, position, rank = place
         cids, _, _, wordings, primary, _, _, _ = chains[urn]
         picked = pick_wording(wordings[position], primary, language, fallback)
         if (picked is not None and picked[1] == uid
                 and (not adjacent or _holds(store, uid, needle))):
-            found.append((urn, position, cids[position]))
-    return sorted(found)
+            held[rank] = (urn, cids[position], position, picked[0])
+    make = SpanLocation._make
+    found: list[SpanLocation] = []
+    for rank in sorted(held):
+        fields = held[rank]
+        if fields[2] == 0 or rank - 1 not in held:  # it opens its chain, or follows a gap
+            found.append(make(fields))
+    return found
 
 
 def locate_spans(store: GraphStore, term: str, scope: Iterable[str],
                  language: str | None = None, fallback: bool = True,
                  by_postings: bool = False) -> list[SpanLocation]:
-    """Exact (token-normalized) term occurrences across full version history.
+    """The introductions of an exact (token-normalized) term across full version history.
 
-    ``first_containing`` marks versions whose predecessor lacks the term:
-    the introduction points that provenance chains are anchored on. A
+    A version introduces the term when the wording the language rule
+    (``pick_wording``) picks for it holds the term and its chain
+    predecessor's picked wording, if it has a predecessor, does not. A
     version with no wording in ``language`` is read in the work's primary
     language when ``fallback`` is on, and otherwise contains nothing.
-    Locations come in (work, chain position) order.
+    Introductions come in (work, chain position) order; versions that hold
+    the term after its introduction are not returned.
 
     Membership is read from the store's term index (inverted-file
     evaluation, after Zobel & Moffat), and versions from its chain index,
-    by one of two access paths that find the same locations. By default the
-    chains of the scope's works are walked and the wording ``pick_wording``
-    picks for each version is probed in the smallest posting list of the
-    needle's distinct tokens: one probe per version in scope. Only a unit
-    found there is looked up in the other lists, and only then is its text
-    re-read. With ``by_postings`` the postings are read first: they are
-    intersected, smallest first, and each unit is kept only if the chain
-    index places it (it is a language version's wording) in a work in
-    ``scope`` and ``pick_wording`` picks it at that chain position: one
-    lookup per unit holding the term, wherever it is. Either way only
+    by one of two access paths that find the same introductions. By default
+    the chains of the scope's works are walked and the wording
+    ``pick_wording`` picks for each version is probed in the smallest
+    posting list of the needle's distinct tokens: one probe per version in
+    scope. Only a unit found there is looked up in the other lists, and only
+    then is its text re-read. With ``by_postings`` the postings are read
+    first: they are intersected, smallest first, and each unit is kept only
+    if the chain index places it (it is a language version's wording) in a
+    work in ``scope`` and ``pick_wording`` picks it at that chain position:
+    one lookup per unit holding the term, wherever it is. The kept versions
+    are ordered by their integer rank in the chain index. Either way only
     multi-token needles re-read a unit's text, to check adjacency.
     """
     needle = tokenize(term)
@@ -531,12 +551,4 @@ def locate_spans(store: GraphStore, term: str, scope: Iterable[str],
         return []
     postings.sort(key=len)
     read = _read_postings if by_postings else _walk_chains
-    out: list[SpanLocation] = []
-    make = SpanLocation._make  # cheaper than SpanLocation(...), which binds its arguments
-    # In this order a version's chain predecessor, if it holds the term, comes just before it.
-    last_urn, last_position = "", -1
-    for urn, position, cid in read(store, needle, postings, frozenset(scope), language,
-                                   fallback):
-        out.append(make((urn, cid, position, position != last_position + 1 or urn != last_urn)))
-        last_urn, last_position = urn, position
-    return out
+    return read(store, needle, postings, frozenset(scope), language, fallback)

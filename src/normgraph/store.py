@@ -49,9 +49,11 @@ way for a committed store and a loaded one:
   and its first and last valid days as ISO text, each distinct date
   formatted once) with the work's primary language; the version run, every
   worded version of the corpus ascending by valid_start, as parallel arrays
-  of its start, end, work, language map and primary language; the work and
-  chain position of each language version's unit; and each work's metadata
-  units, one per fact of its metadata;
+  of its start, end, work, language map and primary language; the work,
+  chain position and rank of each language version's unit, a version's rank
+  being its place among every chain's versions in (work, chain position)
+  order, which span location sorts the versions holding a term by; and each
+  work's metadata units, one per fact of its metadata;
 - the aggregation index that snapshot reconstruction walks, one per norm
   (``GraphStore.aggregation_of``), derived on that norm's first read: each
   CTV id of a work in the norm's tree -> the versions (nodes, not ids) its
@@ -209,8 +211,9 @@ class _ChainIndex(NamedTuple):
 
     chains: dict[str, _Chain]  # work urn -> chain, for works with wording in some version
     run: _VersionRun  # the version run
-    # Unit id of each language version -> its work and chain position.
-    placed_units: dict[str, tuple[str, int]]
+    # Unit id of each language version -> its work, chain position and rank: its version's
+    # place among every chain's versions in (work, chain position) order.
+    placed_units: dict[str, tuple[str, int, int]]
     metadata_units: dict[str, list[str]]  # work urn -> ids of its metadata units
 
 
@@ -542,7 +545,7 @@ class GraphStore:
         and metadata units."""
         ctvs, clvs, by_ctv, produced_by = self.ctvs, self.clvs, self.clvs_by_ctv, self.produced_by
         chains: dict[str, _Chain] = {}
-        placed_units: dict[str, tuple[str, int]] = {}
+        placed_units: dict[str, tuple[str, int, int]] = {}
         worded: list[tuple[date, date | None, str, dict[str, tuple[str, str]], str]] = []
         # Date -> its ISO text, so each distinct date is formatted once and its text shared.
         iso: dict[date, str] = {}
@@ -553,7 +556,8 @@ class GraphStore:
                 found = iso[day] = day.isoformat()
             return found
 
-        for urn in dict.fromkeys(ctvs[cid].work for cid in by_ctv):
+        rank = 0  # each version's place in the corpus-wide (work, chain position) order
+        for urn in sorted({ctvs[cid].work for cid in by_ctv}):
             cids = self.versions[urn]
             starts, primary = self.version_starts[urn], self.primary_language(urn)
             ends = [ctvs[cid].valid_end for cid in cids]
@@ -561,7 +565,8 @@ class GraphStore:
             for position, cid in enumerate(cids):
                 languages = {language: (lv_id, clvs[lv_id].text_unit)
                              for language, lv_id in by_ctv.get(cid, {}).items()}
-                place = (urn, position)
+                place = (urn, position, rank)
+                rank += 1
                 for _, uid in languages.values():
                     placed_units[uid] = place
                 if languages:

@@ -173,20 +173,22 @@ def snapshot_fragments(
     # language and one norm's aggregation index serve the whole closure.
     primary = store.primary_language(work)
     children = store.aggregation_of(urn_norm(work)).get
-
-    def emit(tv: TemporalVersion) -> None:
-        languages = store.clvs_by_ctv.get(tv.id)
+    clvs_by_ctv, clvs, units = store.clvs_by_ctv, store.clvs, store.units
+    # Preorder from an explicit stack, each node's children pushed last to first:
+    # a recursive closure would refer to itself and leave a cycle per call.
+    stack = [root]
+    while stack:
+        tv = stack.pop()
+        languages = clvs_by_ctv.get(tv.id)
         lv_id = (pick_wording(languages, primary, language, language_fallback)
                  if languages else None)
         if lv_id is None and not language_fallback and languages:
             raise MissingLanguage(tv.id, language or primary)
         if lv_id is not None:
-            unit = store.units[store.clvs[lv_id].text_unit]
-            out.append(SnapshotFragment(tv.work, tv.id, lv_id, unit.text))
-        for child in children(tv.id, ()):
-            emit(child)
-
-    emit(root)
+            out.append(SnapshotFragment(tv.work, tv.id, lv_id, units[clvs[lv_id].text_unit].text))
+        kids = children(tv.id)
+        if kids:
+            stack += reversed(kids)
     return out
 
 

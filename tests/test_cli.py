@@ -510,6 +510,20 @@ class TestQueryCommand:
         if not flags:
             assert "strategy: SpanFirst" in out and "--- occurrence 2: Art. 7 (caput) ---" in out
 
+    def test_structure_first_provenance_is_the_golden_file(self, capsys):
+        """CA 64/2010 inserted "food", with CA 26/2000's version as its pre-state. The
+        golden file is the output of::
+
+            normgraph query provenance --snapshot tests/data/golden_fixture.ndjson \\
+              --target art6 --term food --clock 2024-01-02
+        """
+        code = main(["query", "provenance", "--snapshot", str(GOLDEN), "--target", "art6",
+                     "--term", "food", "--clock", "2024-01-02"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.encode("utf-8") == (GOLDEN.parent / "golden_provenance.txt").read_bytes()
+        assert "strategy: StructureFirst" in out and "Causal event: CA 64/2010" in out
+
     def test_default_temporal_scope_is_the_clock(self, snapshot_file, capsys):
         code = main(["query", "at", "--snapshot", str(snapshot_file),
                      "--target", "art6", "--clock", "2024-01-01"])

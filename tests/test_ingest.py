@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import os
 import shutil
 from datetime import date
 from pathlib import Path
@@ -657,6 +658,22 @@ def test_enactment_only_store_has_open_caput_version(corpus_dir):
     (only,) = versions_of(store, ART6_CPT)
     assert only.valid_start == date(1988, 10, 5)
     assert only.valid_end is None
+
+
+def test_the_corpus_directory_is_listed_once(corpus_dir, tmp_path, monkeypatch):
+    listed: list[Path] = []
+    real = os.listdir
+
+    def spy(path="."):
+        listed.append(Path(path))
+        return real(path)
+
+    monkeypatch.setattr(os, "listdir", spy)
+    store, summary = ingest_corpus(corpus_dir)
+    assert listed.count(corpus_dir) == 1
+    assert summary.documents == 1 and summary.events > 0 and summary.translations > 0
+    save(store, tmp_path / "s.ndjson")
+    assert (tmp_path / "s.ndjson").read_bytes() == (DATA / "golden_fixture.ndjson").read_bytes()
 
 
 def test_duplicate_event_from_same_instrument_rejected():

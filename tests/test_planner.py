@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 import re
 from datetime import date, timedelta
@@ -27,6 +28,7 @@ from normgraph.planner import (
     run,
     select_strategy,
 )
+from normgraph.retrieval import RetrievalMode
 from normgraph.store import GraphStore, load, pick_wording, save
 from normgraph.temporal import MembershipPolicy, TemporalScope
 
@@ -42,6 +44,7 @@ from reference_ids import (
     ART6_CPT,
     ART7_CPT,
     CAP2,
+    NORM_URN,
     RIGHTS_1999,
 )
 from test_ingest import amendment_file, apply_file, mini_doc, versions_of
@@ -538,6 +541,37 @@ class TestDeterminism:
                 for _, ctv, _ in answer.citations:
                     assert store.ctvs[ctv].contains(t)
         assert probes > 100
+
+
+class TestNoReferenceCycles:
+    def test_answered_queries_of_every_pattern_leave_nothing_to_the_cyclic_collector(
+            self, fixture_store, clock):
+        """An answer's objects are freed by reference counting alone."""
+        queries = [
+            pit(NORM_URN, TemporalScope.instant(date(2016, 1, 1))),
+            pit("art6", TemporalScope.instant(date(1999, 6, 1)), language="en"),
+            StructuredQuery(QueryPattern.IMPACT_ANALYSIS, structural_target="tit2_cap2",
+                            temporal=TemporalScope.interval(date(2010, 1, 1),
+                                                            date(2019, 12, 31))),
+            StructuredQuery(QueryPattern.PROVENANCE, structural_target="art6",
+                            textual_target="food"),
+            StructuredQuery(QueryPattern.PROVENANCE, textual_target="include"),
+            StructuredQuery(QueryPattern.RETRIEVE, textual_target="social rights housing",
+                            aspects=frozenset(Aspect), mode=RetrievalMode.HYBRID),
+        ]
+        # The first run derives the store's indexes and does any lazy imports.
+        answers = [run(fixture_store, query, clock) for query in queries]
+        assert {answer.annex["pattern"] for answer in answers} == {
+            "point_in_time", "impact_analysis", "provenance", "retrieve"}
+        assert len(answers[0].citations) > 2  # the norm's closure was walked
+        gc.collect()
+        gc.disable()
+        try:
+            for query in queries:
+                run(fixture_store, query, clock)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestAnnexSchema:

@@ -10,7 +10,7 @@ from collections import Counter
 from datetime import date, timedelta
 from itertools import groupby
 from types import SimpleNamespace
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import pytest
 
@@ -547,12 +547,21 @@ def _rule(store: GraphStore, ctv: str, language: str | None, fallback: bool) -> 
     return languages.get(primary) if chosen is None and fallback else chosen
 
 
+class _ReferenceSpan(NamedTuple):
+    """A version whose picked wording holds the term, and whether its predecessor's lacks it."""
+
+    work: str
+    ctv: str
+    position: int
+    first_containing: bool
+
+
 def _reference_spans(store: GraphStore, term: str, scope, language=None,
-                     fallback=True) -> list[SpanLocation]:
+                     fallback=True) -> list[_ReferenceSpan]:
     """Re-tokenize every in-scope version's text and slide the needle over it."""
     needle = tokenize(term)
     n = len(needle)
-    out: list[SpanLocation] = []
+    out: list[_ReferenceSpan] = []
     for urn in sorted(set(scope)):
         previous = False
         for position, cid in enumerate(store.versions.get(urn, ())):
@@ -564,9 +573,16 @@ def _reference_spans(store: GraphStore, term: str, scope, language=None,
             contains = n > 0 and any(tokens[i:i + n] == needle
                                      for i in range(len(tokens) - n + 1))
             if contains:
-                out.append(SpanLocation(urn, cid, position, first_containing=not previous))
+                out.append(_ReferenceSpan(urn, cid, position, first_containing=not previous))
             previous = contains
     return out
+
+
+def _introductions(store: GraphStore, spans: list[_ReferenceSpan], language,
+                   fallback) -> list[SpanLocation]:
+    """The reference locations that introduce the term, each with the CLV the rule picks."""
+    return [SpanLocation(s.work, s.ctv, s.position, _rule(store, s.ctv, language, fallback))
+            for s in spans if s.first_containing]
 
 
 def _probe_terms(store: GraphStore, rng: random.Random) -> list[str]:
@@ -775,8 +791,9 @@ class TestIndexBackedSpans:
                 for scope in scopes:
                     for language in (None, "es", "en"):
                         got = locate_spans(store, term, scope, language)
-                        assert got == _reference_spans(store, term, scope, language), (
-                            seed, term, language)
+                        assert got == _introductions(
+                            store, _reference_spans(store, term, scope, language), language,
+                            True), (seed, term, language)
                         for span in got:
                             assert span.position == store.versions[span.work].index(span.ctv)
             translated += any(lv.language == "es" for lv in store.clvs.values())
@@ -784,8 +801,8 @@ class TestIndexBackedSpans:
         assert repealed >= 5 and translated >= 30
 
     def test_postings_first_matches_the_chain_walk(self):
-        """Both access paths find the reference walk's locations, whole corpus or part."""
-        found = 0
+        """Both access paths find the reference walk's introductions, whole corpus or part."""
+        found = introduced = 0
         for seed in range(40):
             _, store = _committed_store(seed)
             rng = random.Random(seed)
@@ -796,12 +813,15 @@ class TestIndexBackedSpans:
                     for language in (None, "es", "en"):
                         for fallback in (True, False):
                             walked = _reference_spans(store, term, scope, language, fallback)
+                            expected = _introductions(store, walked, language, fallback)
                             for by_postings in (False, True):
                                 got = locate_spans(store, term, scope, language, fallback,
                                                    by_postings)
-                                assert got == walked, (seed, term, language, fallback)
+                                assert got == expected, (seed, term, language, fallback)
                             found += len(walked)
-        assert found > 10_000
+                            introduced += len(expected)
+        # Every reference location is counted; some hold the term after its introduction.
+        assert found > 10_000 and 0 < introduced < found
 
     def test_translated_wording_is_searched_in_the_requested_language(self):
         _, store = _committed_store(3)
@@ -848,9 +868,11 @@ class TestIndexBackedSpans:
                             } == expected, (seed, t, language)
                 for term in terms:
                     spans = _reference_spans(store, term, works, language, fallback)
+                    # Each location's clv is the wording the rule selects.
+                    introductions = _introductions(store, spans, language, fallback)
                     for by_postings in (False, True):
                         assert locate_spans(store, term, works, language, fallback,
-                                            by_postings) == spans
+                                            by_postings) == introductions
                     query = StructuredQuery(QueryPattern.PROVENANCE, textual_target=term,
                                             language=language, language_fallback=fallback)
                     try:

@@ -13,6 +13,7 @@ from normgraph.retrieval import (
     HashedTfidfEmbedder,
     RetrievalMode,
     RetrievalRequest,
+    SpanLocation,
     _bucket,
     cosine,
     embedder_for_store,
@@ -301,46 +302,65 @@ class TestGoldenRetrieval:
             assert all(f"({aspect.value})" in out for aspect in Aspect)
 
 
+def _located(ctv: str, position: int, language: str = "pt") -> SpanLocation:
+    """The location of ``ctv``, the ``position``-th version of its work, read in ``language``."""
+    work = ctv.partition("@")[0]
+    return SpanLocation(work, ctv, position, f"{ctv}#{language}")
+
+
+@pytest.mark.parametrize("by_postings", [False, True], ids=["walk", "postings"])
 class TestLocateSpans:
-    def test_food_spans_with_first_containing_flags(self, fixture_store):
-        scope = resolve_scope(fixture_store, ART6, date(2016, 1, 1))
-        spans = locate_spans(fixture_store, "food", scope)
-        assert [(s.ctv, s.first_containing) for s in spans] == [
-            (f"{ART6_CPT}@2010-02-04", True),
-            (f"{ART6_CPT}@2015-09-15", False),
-        ]
+    """Span location returns introductions only: a version holding the term whose
+    chain predecessor does not."""
 
-    def test_absent_term_yields_empty_list(self, fixture_store):
+    def test_food_is_introduced_once_by_ca64(self, fixture_store, by_postings):
+        # CA 90/2015's version still holds "food", so it is no introduction.
         scope = resolve_scope(fixture_store, ART6, date(2016, 1, 1))
-        assert locate_spans(fixture_store, "spaceports", scope) == []
+        assert locate_spans(fixture_store, "food", scope, by_postings=by_postings) == [
+            _located(f"{ART6_CPT}@2010-02-04", 2)]
 
-    def test_housing_first_containing_at_ca26_version(self, fixture_store):
+    def test_absent_term_yields_empty_list(self, fixture_store, by_postings):
+        scope = resolve_scope(fixture_store, ART6, date(2016, 1, 1))
+        assert locate_spans(fixture_store, "spaceports", scope, by_postings=by_postings) == []
+
+    def test_housing_is_introduced_at_the_ca26_version(self, fixture_store, by_postings):
         scope = resolve_scope(fixture_store, NORM_URN, date(2016, 1, 1))
-        spans = locate_spans(fixture_store, "housing", scope)
-        first = [s for s in spans if s.first_containing]
-        assert [(s.work, s.ctv) for s in first] == [
-            (ART6_CPT, f"{ART6_CPT}@2000-02-15")]
+        assert locate_spans(fixture_store, "housing", scope, by_postings=by_postings) == [
+            _located(f"{ART6_CPT}@2000-02-15", 1)]
 
-    def test_multiword_term_is_token_contiguous(self, fixture_store):
+    def test_multiword_term_is_token_contiguous(self, fixture_store, by_postings):
         scope = {ART6_CPT}
-        # "education, health" tokenizes contiguously; "education work" does
-        # not (health sits between them in every version).
-        assert locate_spans(fixture_store, "education health", scope)
-        assert locate_spans(fixture_store, "education work", scope) == []
+        # "education, health" tokenizes contiguously in every version; "education
+        # work" does not (health sits between them in every version).
+        assert locate_spans(fixture_store, "education health", scope,
+                            by_postings=by_postings) == [_located(f"{ART6_CPT}@1988-10-05", 0)]
+        assert locate_spans(fixture_store, "education work", scope,
+                            by_postings=by_postings) == []
 
-    def test_case_folded_matching(self, fixture_store):
-        assert locate_spans(fixture_store, "HOUSING", {ART6_CPT})
+    def test_case_folded_matching(self, fixture_store, by_postings):
+        assert locate_spans(fixture_store, "HOUSING", {ART6_CPT}, by_postings=by_postings) == [
+            _located(f"{ART6_CPT}@2000-02-15", 1)]
 
-    def test_term_survival_in_every_successor(self, fixture_store):
-        # "education" appears in the original and in all later versions.
-        spans = locate_spans(fixture_store, "education", {ART6_CPT})
-        assert len(spans) == 4
-        assert [s.first_containing for s in spans] == [True, False, False, False]
+    def test_a_term_in_every_version_is_introduced_once(self, fixture_store, by_postings):
+        # "education" appears in the original and in all three later versions.
+        assert locate_spans(fixture_store, "education", {ART6_CPT},
+                            by_postings=by_postings) == [_located(f"{ART6_CPT}@1988-10-05", 0)]
 
-    def test_workers_term_in_art7(self, fixture_store):
-        spans = locate_spans(fixture_store, "domestic workers", {ART7_CPT})
-        assert [(s.ctv, s.first_containing) for s in spans] == [
-            (f"{ART7_CPT}@2013-04-02", True)]
+    def test_the_requested_language_is_the_cited_wording(self, fixture_store, by_postings):
+        # Only the original caput has an English wording; later versions fall back to pt.
+        assert locate_spans(fixture_store, "education", {ART6_CPT}, "en",
+                            by_postings=by_postings) == [
+            _located(f"{ART6_CPT}@1988-10-05", 0, "en")]
+
+    def test_workers_term_in_art7(self, fixture_store, by_postings):
+        assert locate_spans(fixture_store, "domestic workers", {ART7_CPT},
+                            by_postings=by_postings) == [_located(f"{ART7_CPT}@2013-04-02", 1)]
+
+    def test_introductions_come_in_work_then_chain_order(self, fixture_store, by_postings):
+        # "rights" opens both chains; the scope's own order does not matter.
+        assert locate_spans(fixture_store, "rights", [ART7_CPT, ART6_CPT],
+                            by_postings=by_postings) == [
+            _located(f"{ART6_CPT}@1988-10-05", 0), _located(f"{ART7_CPT}@1988-10-05", 0)]
 
 
 class TestLanguageFiltering:

@@ -1457,12 +1457,16 @@ class TestChainIndex:
             position = chains[urn].starts.index(start)
             assert end == chains[urn].ends[position]
             assert languages is chains[urn].wordings[position] and primary == chains[urn].primary
-        # Each language version's unit sits at its CTV's place among its work's CTVs.
+        # Each language version's unit sits at its CTV's place among its work's CTVs, and
+        # at its rank among every chain's versions in (work, chain position) order.
         all_ctvs = fixture_store.ctvs.values()
+        ranked = sorted(((other.work, other.valid_start) for other in all_ctvs
+                         if other.work in chains))
         assert placed_units == {
             lv.text_unit: (tv.work, sum(other.work == tv.work
                                         and other.valid_start < tv.valid_start
-                                        for other in all_ctvs))
+                                        for other in all_ctvs),
+                           ranked.index((tv.work, tv.valid_start)))
             for lv in fixture_store.clvs.values()
             for tv in [fixture_store.ctvs[lv.temporal_version]]}
         # The norm's one fact, its publication date.
